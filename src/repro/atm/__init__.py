@@ -10,7 +10,6 @@ and the physical layers the Aurora-testbed interface targeted (TAXI-class
 100 Mb/s and SONET STS-3c / STS-12c).
 """
 
-from repro.atm.burst import CellBurst
 from repro.atm.addressing import (
     RESERVED_VCI_LIMIT,
     VCI_ILMI,
@@ -69,7 +68,6 @@ __all__ = [
     "CELL_SIZE",
     "CallRefused",
     "CallState",
-    "CellBurst",
     "CellDelineation",
     "CellFormatError",
     "CellTap",

@@ -20,28 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from repro.atm.burst import CellBurst
 from repro.atm.cell import CELL_SIZE, AtmCell
 from repro.atm.errors import LossModel, NoLoss
 from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter
 
 CellSink = Union[Callable[[AtmCell], None], "SupportsReceiveCell"]
-
-#: simlint SL7 dual-path registry (docs/STATIC_ANALYSIS.md): burst
-#: transmission must book the same per-cell loss and delivery
-#: accounting as scalar sends.
-PATH_PAIRS = [
-    {
-        "scalar": "PhysicalLink.send",
-        "burst": "PhysicalLink.send_burst",
-        "why": (
-            "burst sends serialize, lose and deliver cells with the "
-            "scalar path's exact accounting, batched per wire burst"
-        ),
-    },
-]
-
 
 class SupportsReceiveCell:
     """Structural interface: anything with ``receive_cell(cell)``."""
@@ -161,59 +145,6 @@ class PhysicalLink:
         self.sim._schedule(done - now, finished)
         return finished
 
-    def send_burst(self, burst: CellBurst) -> Event:
-        """Serialize a pre-announced burst; event fires at last wire-out.
-
-        The scalar arithmetic, run per cell in one pass: each cell
-        starts serializing at ``max(arrival, next_free)`` -- its embedded
-        arrival is exactly when the scalar framer would have offered it
-        -- and the loss/error models see each cell individually at its
-        start slot.  Surviving cells travel as one delivery event fired
-        at the *first* survivor's arrival instant, carrying per-cell
-        delivery times for the receiving end to replay.
-        """
-        now = self.sim.now
-        cell_time = self.spec.cell_time
-        propagation = self.propagation_delay
-        done = self._next_free
-        survivors = []
-        deliveries = []
-        for cell, available in zip(burst.cells, burst.arrivals):
-            start = available if available > self._next_free else self._next_free
-            done = start + cell_time
-            self._next_free = done
-            self._busy_time += cell_time
-            self.cells_sent.increment()
-            if self.trace is not None:
-                self.trace.emit(
-                    "link.cell.sent", actor=self.name, cell=cell, ts=start
-                )
-            if self.loss_model.should_drop(cell, start):
-                self.cells_lost.increment()
-                if self.trace is not None:
-                    self.trace.emit(
-                        "cell.drop", actor=self.name, cell=cell,
-                        reason="link_lost", ts=start,
-                    )
-                continue
-            if self.error_model is not None:
-                cell = self.error_model.maybe_corrupt(cell)
-            survivors.append(cell)
-            # Same float expression as the scalar ``send`` delivery
-            # (``(done - now) + propagation`` from the call time, which
-            # for the scalar framer is this cell's start slot).
-            deliveries.append(start + ((done - start) + propagation))
-        if survivors:
-            delivered = CellBurst(survivors, deliveries)
-            self.sim.schedule_call_at(
-                deliveries[0], self._deliver_burst, delivered
-            )
-        finished = Event(self.sim)
-        finished._state = Event._TRIGGERED
-        finished._value = burst
-        self.sim._schedule_at(done, finished)
-        return finished
-
     def _deliver(self, cell: AtmCell) -> None:
         self.cells_delivered.increment()
         if self.trace is not None:
@@ -225,32 +156,6 @@ class PhysicalLink:
             receive(cell)
         else:
             self.sink(cell)
-
-    def _deliver_burst(self, burst: CellBurst) -> None:
-        if self.sink is None:
-            raise RuntimeError(f"{self.name} has no sink attached")
-        receive_burst = getattr(self.sink, "receive_burst", None)
-        if receive_burst is not None:
-            self.cells_delivered.increment(len(burst))
-            if self.trace is not None:
-                for cell, when in zip(burst.cells, burst.arrivals):
-                    self.trace.emit(
-                        "link.cell.delivered",
-                        actor=self.name,
-                        cell=cell,
-                        ts=when,
-                    )
-            receive_burst(burst)
-            return
-        # Burst-unaware sink (e.g. a switch input): replay the cells at
-        # their own arrival times, not all at the first -- a sink that
-        # reads ``sim.now`` (fabric delays, port pacing) must see each
-        # cell at exactly the instant the scalar path would deliver it.
-        for cell, when in zip(burst.cells, burst.arrivals):
-            if when <= self.sim.now:
-                self._deliver(cell)
-            else:
-                self.sim.schedule_call_at(when, self._deliver, cell)
 
     @property
     def backlog_time(self) -> float:

@@ -3,7 +3,9 @@
 The Generic Cell Rate Algorithm (I.371) in its virtual-scheduling form:
 a cell conforms if it arrives no earlier than ``TAT - tau`` where TAT is
 the theoretical arrival time advanced by the increment ``T = 1/rate`` per
-conforming cell, and ``tau`` is the tolerance.
+conforming cell, and ``tau`` is the tolerance.  The verdict is decided on
+the exact rational values of the float inputs, so a cell arriving exactly
+at ``TAT - tau`` conforms however the float sum would have rounded.
 
 The era's host interfaces had to *shape* transmit traffic to the VC's
 contract so the network's policer would not mark/drop -- the paper's
@@ -14,6 +16,7 @@ the reference implementation the NIC's pacing is tested against.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from typing import Deque, Optional
 
 from repro.atm.cell import AtmCell
@@ -45,7 +48,11 @@ class Gcra:
         self.increment = increment
         self.tolerance = tolerance
         self.tag_nonconforming = tag_nonconforming
-        self._tat: Optional[float] = None
+        self._increment = Fraction(increment)
+        self._tolerance = Fraction(tolerance)
+        #: Theoretical arrival time, kept exact (floats are dyadic
+        #: rationals, so the sums stay small).
+        self._tat: Optional[Fraction] = None
         self.conforming = 0
         self.violating = 0
         #: Violating cells passed on with CLP=1 (tag mode only).
@@ -65,13 +72,14 @@ class Gcra:
 
     def conforms(self, arrival_time: float) -> bool:
         """Check one arrival, updating state only for conforming cells."""
-        if self._tat is None or arrival_time >= self._tat:
+        arrival = Fraction(arrival_time)
+        if self._tat is None or arrival >= self._tat:
             # Early TAT (link idle): restart from this arrival.
-            self._tat = arrival_time + self.increment
+            self._tat = arrival + self._increment
             self.conforming += 1
             return True
-        if arrival_time >= self._tat - self.tolerance:
-            self._tat += self.increment
+        if arrival >= self._tat - self._tolerance:
+            self._tat += self._increment
             self.conforming += 1
             return True
         self.violating += 1

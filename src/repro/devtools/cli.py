@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-atm lint",
         description=(
             "simlint: enforce the simulator's determinism, cost-model, "
-            "trace-taxonomy, sim-time, hook-shape, and dual-path "
+            "trace-taxonomy, sim-time, hook-shape, and parallel-runner "
             "invariants"
         ),
     )

@@ -4,9 +4,8 @@
 :mod:`repro.devtools.cli` is a thin argument parser around it.  The
 driver parses each module once, hands the tree to every selected
 module-scoped rule, then builds a project-wide
-:class:`~repro.devtools.callgraph.ProjectIndex` over all parsed trees
-and runs the project-scoped rules (the SL7 dual-path family and
-SL204) once.  Every finding -- module or project -- is then filtered
+:class:`~repro.devtools.project.ProjectIndex` over all parsed trees
+and runs the project-scoped rules (the SL204 budget cross-check) once.  Every finding -- module or project -- is then filtered
 through its file's suppression directives, and stale directives are
 reported last so a suppression consumed by a project rule is never
 also flagged as unused.
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.devtools.callgraph import ProjectIndex
+from repro.devtools.project import ProjectIndex
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.model import RepoModel, build_model
 from repro.devtools.rules import (
@@ -35,7 +34,6 @@ from repro.devtools.suppress import SuppressionIndex
 from repro.devtools import (  # noqa: F401  (imported for registration)
     rules_costmodel,
     rules_determinism,
-    rules_dualpath,
     rules_hooks,
     rules_parallel,
     rules_simtime,

@@ -1,62 +1,31 @@
-"""Project-wide call graph for interprocedural simlint rules.
+"""Project-wide class and function index for the SL204 budget check.
 
-The per-module rules (SL1--SL6) judge one AST at a time.  The SL7
-dual-path family needs to compare *everything a handler transitively
-does* against its fast-path counterpart, which requires a call graph
-spanning the whole linted tree.  This module builds one, with the
-approximations that make a Python call graph tractable:
+The per-module rules (SL1--SL6) judge one AST at a time.  SL204 has to
+tie every engine-clock charge site to the cost-model class it reads,
+which needs a view spanning the whole linted tree.  This module builds
+one, with the approximations that make Python receiver typing
+tractable:
 
 - **import/alias resolution** -- ``from x import Y as Z`` and local
-  aliases like ``charge_at = clock.charge_at`` (the fast-path modules
-  hoist bound methods into locals for speed) are followed;
-- **typed receivers** -- ``self.fifo.try_put(...)`` resolves through
-  the annotated ``__init__`` parameter that initialised ``self.fifo``
-  (``Optional[X]``/``X | None`` unwrap to ``X``);
-- **name approximation** -- an untyped receiver falls back to *every*
-  project class defining the method, capped at
-  :data:`AMBIGUITY_CAP` candidates so a generic name like ``get``
-  cannot explode the graph;
-- **method references** -- ``sim.schedule_call_at(t, self._complete,
-  ...)`` passes a bound method as data; a ``self.<method>`` attribute
-  that is not the callee of a call still contributes an edge, because
-  the scheduler will call it later;
-- **opaque receivers** -- calls on the engine clock and the obs hooks
-  (``clock``/``trace``/``recorder``/``profiler``) never create edges:
-  their side effects are modelled *at the call site* by
-  :mod:`repro.devtools.effects`, and following them would double-count
-  (``work`` emits ``engine.stall`` internally while the fast path
-  replays the same stall through ``take_stall``).
-
-Nested function definitions are folded into their enclosing function:
-a closure passed to a resource callback executes on behalf of the
-function that created it.
-
-The module also collects every module-level ``PATH_PAIRS`` literal --
-the declared scalar/burst handler registry that the SL7 rules check.
+  aliases like ``clock = self.clock`` are followed;
+- **typed receivers** -- ``self.costs.fifo_pop`` resolves through the
+  annotated ``__init__`` parameter that initialised ``self.costs``
+  (``Optional[X]``/``X | None`` unwrap to ``X``); an untyped receiver
+  stays unresolved.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
-
-#: Receiver names whose calls are modelled as effects, never as edges.
-OPAQUE_RECEIVER_NAMES = frozenset({"clock", "trace", "recorder", "profiler"})
-
-#: Classes treated the same way when the receiver resolves by type.
-OPAQUE_CLASS_NAMES = frozenset({"EngineClock", "TraceRecorder", "CycleProfiler"})
-
-#: An untyped method call fans out to at most this many candidates.
-AMBIGUITY_CAP = 8
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 
 @dataclass
 class FunctionInfo:
     """One function or method in the linted tree."""
 
-    key: str  #: ``"<module>::<qualname>"`` -- the graph node id.
-    qualname: str  #: ``"Class.method"`` or a bare function name.
+    key: str  #: ``"<module>::Class.method"`` or ``"<module>::function"``.
     module: str  #: Module path relative to the lint root.
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_name: str = ""  #: Empty for module-level functions.
@@ -77,16 +46,6 @@ class ClassInfo:
     #: ``self.<attr>`` -> annotation-derived type name (unresolved).
     attr_type_names: Dict[str, str] = field(default_factory=dict)
     base_names: List[str] = field(default_factory=list)
-
-
-@dataclass
-class PathPairsDecl:
-    """A module-level ``PATH_PAIRS = [...]`` declaration."""
-
-    module: str
-    line: int
-    entries: Optional[List[object]]  #: ``None`` when not a pure literal.
-    error: str = ""
 
 
 def import_table(tree: ast.Module) -> Dict[str, str]:
@@ -163,8 +122,8 @@ def self_attribute_path(
 def local_alias_env(func: ast.AST) -> Dict[str, Tuple[str, ...]]:
     """``local name -> self-rooted path`` for hoisted-attribute aliases.
 
-    Two passes so chains like ``clock = self.clock`` followed by
-    ``charge_at = clock.charge_at`` resolve regardless of walk order.
+    Two passes so chains like ``engine = self.engine`` followed by
+    ``clock = engine.clock`` resolve regardless of walk order.
     """
     env: Dict[str, Tuple[str, ...]] = {}
     for _ in range(2):
@@ -204,7 +163,7 @@ def call_target(
     """Resolve a ``Call.func`` into a :class:`CallTarget`, if method-like.
 
     Bare names that are not local aliases return ``None`` -- they are
-    module-level function calls, handled separately by the edge builder.
+    module-level function calls.
     """
     if isinstance(func, ast.Name):
         path = env.get(func.id)
@@ -225,31 +184,24 @@ def call_target(
 
 
 class ProjectIndex:
-    """Classes, functions, call edges and PATH_PAIRS across the tree."""
+    """Classes, functions and receiver types across the tree."""
 
     def __init__(self) -> None:
-        self.modules: Dict[str, ast.Module] = {}
         self.imports: Dict[str, Dict[str, str]] = {}
         self.classes: Dict[str, ClassInfo] = {}  #: key "<module>::<name>"
         self.classes_by_name: Dict[str, List[str]] = {}
         self.functions: Dict[str, FunctionInfo] = {}
-        self.methods_by_name: Dict[str, List[str]] = {}
-        self.edges: Dict[str, Set[str]] = {}
-        self.path_pairs: List[PathPairsDecl] = []
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def build(cls, modules: Mapping[str, ast.Module]) -> "ProjectIndex":
         index = cls()
-        index.modules = dict(modules)
-        for module, tree in sorted(index.modules.items()):
+        for module, tree in sorted(modules.items()):
             index.imports[module] = import_table(tree)
             index._index_module(module, tree)
         for info in index.classes.values():
             index._collect_attr_types(info)
-        for key in sorted(index.functions):
-            index.edges[key] = index._build_edges(index.functions[key])
         return index
 
     def _index_module(self, module: str, tree: ast.Module) -> None:
@@ -272,18 +224,8 @@ class ProjectIndex:
                             class_name=node.name,
                         )
                         info.methods[item.name] = fn
-                        self.methods_by_name.setdefault(item.name, []).append(
-                            fn.key
-                        )
                 self.classes[key] = info
                 self.classes_by_name.setdefault(node.name, []).append(key)
-            elif (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "PATH_PAIRS"
-            ):
-                self.path_pairs.append(self._parse_path_pairs(module, node))
 
     def _add_function(
         self,
@@ -294,33 +236,12 @@ class ProjectIndex:
     ) -> FunctionInfo:
         info = FunctionInfo(
             key=f"{module}::{qualname}",
-            qualname=qualname,
             module=module,
             node=node,
             class_name=class_name,
         )
         self.functions[info.key] = info
         return info
-
-    @staticmethod
-    def _parse_path_pairs(module: str, node: ast.Assign) -> PathPairsDecl:
-        try:
-            value = ast.literal_eval(node.value)
-        except (ValueError, SyntaxError):
-            return PathPairsDecl(
-                module=module,
-                line=node.lineno,
-                entries=None,
-                error="PATH_PAIRS must be a pure literal list of dicts",
-            )
-        if not isinstance(value, list):
-            return PathPairsDecl(
-                module=module,
-                line=node.lineno,
-                entries=None,
-                error="PATH_PAIRS must be a list of dicts",
-            )
-        return PathPairsDecl(module=module, line=node.lineno, entries=value)
 
     def _collect_attr_types(self, info: ClassInfo) -> None:
         for method in info.methods.values():
@@ -438,143 +359,3 @@ class ProjectIndex:
             if current is None:
                 return None
         return current
-
-    def find_method(self, info: ClassInfo, method: str) -> Optional[FunctionInfo]:
-        """*method* on *info* or the nearest base defining it."""
-        seen: Set[str] = set()
-        current: Optional[ClassInfo] = info
-        while current is not None and current.name not in seen:
-            seen.add(current.name)
-            found = current.methods.get(method)
-            if found is not None:
-                return found
-            current = self._first_base(current)
-        return None
-
-    # -- edges ---------------------------------------------------------
-
-    def _build_edges(self, fn: FunctionInfo) -> Set[str]:
-        env = local_alias_env(fn.node)
-        edges: Set[str] = set()
-        call_funcs = {
-            id(node.func)
-            for node in ast.walk(fn.node)
-            if isinstance(node, ast.Call)
-        }
-        own_class = self.class_of(fn)
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                self._add_call_edges(fn, own_class, node, env, edges)
-            elif (
-                isinstance(node, ast.Attribute)
-                and id(node) not in call_funcs
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and own_class is not None
-            ):
-                # A bound method passed as data (scheduler callbacks).
-                referenced = self.find_method(own_class, node.attr)
-                if referenced is not None:
-                    edges.add(referenced.key)
-        edges.discard(fn.key)
-        return edges
-
-    def _add_call_edges(
-        self,
-        fn: FunctionInfo,
-        own_class: Optional[ClassInfo],
-        call: ast.Call,
-        env: Mapping[str, Tuple[str, ...]],
-        edges: Set[str],
-    ) -> None:
-        func = call.func
-        if isinstance(func, ast.Name) and func.id not in env:
-            self._add_name_call(fn, func.id, edges)
-            return
-        target = call_target(func, env)
-        if target is None:
-            return
-        if target.receiver is None:
-            # Not self-rooted: a ClassName.method or module.func call.
-            if isinstance(func, ast.Attribute):
-                self._add_external_attribute_call(fn, func, edges)
-            return
-        if target.receiver == ():
-            if own_class is not None:
-                method = self.find_method(own_class, target.method)
-                if method is not None:
-                    edges.add(method.key)
-            return
-        if target.terminal in OPAQUE_RECEIVER_NAMES:
-            return
-        receiver_cls = self.receiver_class(fn, target.receiver)
-        if receiver_cls is not None:
-            if receiver_cls.name in OPAQUE_CLASS_NAMES:
-                return
-            method = self.find_method(receiver_cls, target.method)
-            if method is not None:
-                edges.add(method.key)
-            return
-        self._add_approximate_edges(target.method, edges)
-
-    def _add_name_call(self, fn: FunctionInfo, name: str, edges: Set[str]) -> None:
-        local = self.functions.get(f"{fn.module}::{name}")
-        if local is not None and not local.class_name:
-            edges.add(local.key)
-            return
-        origin = self.imports.get(fn.module, {}).get(name)
-        if origin is None:
-            return
-        parts = origin.rsplit(".", 1)
-        if len(parts) != 2:
-            return
-        module_dotted, func_name = parts
-        tail = module_dotted.replace(".", "/") + ".py"
-        for module in self.modules:
-            if module == tail or module.endswith(f"/{tail}") or tail.endswith(
-                f"/{module}"
-            ):
-                imported = self.functions.get(f"{module}::{func_name}")
-                if imported is not None:
-                    edges.add(imported.key)
-                    return
-
-    def _add_external_attribute_call(
-        self, fn: FunctionInfo, func: ast.Attribute, edges: Set[str]
-    ) -> None:
-        if not isinstance(func.value, ast.Name):
-            return
-        base = func.value.id
-        candidates = self.classes_by_name.get(base, [])
-        info: Optional[ClassInfo] = None
-        if len(candidates) == 1:
-            info = self.classes[candidates[0]]
-        elif candidates:
-            info = self.resolve_class(base, fn.module)
-        if info is not None:
-            method = self.find_method(info, func.attr)
-            if method is not None:
-                edges.add(method.key)
-
-    def _add_approximate_edges(self, method: str, edges: Set[str]) -> None:
-        keys = [
-            key
-            for key in self.methods_by_name.get(method, [])
-            if self.functions[key].class_name not in OPAQUE_CLASS_NAMES
-        ]
-        if 0 < len(keys) <= AMBIGUITY_CAP:
-            edges.update(keys)
-
-    # -- traversal -----------------------------------------------------
-
-    def reachable(self, roots: Iterable[str]) -> Set[str]:
-        """All function keys reachable from *roots*, roots included."""
-        seen: Set[str] = set()
-        stack = [key for key in roots if key in self.functions]
-        while stack:
-            key = stack.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            stack.extend(self.edges.get(key, ()) - seen)
-        return seen

@@ -18,7 +18,7 @@ from repro.devtools.findings import Finding, Severity
 from repro.devtools.model import RepoModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.devtools.callgraph import ProjectIndex
+    from repro.devtools.project import ProjectIndex
 
 
 @dataclass
@@ -109,15 +109,12 @@ class ProjectContext:
 
     Built once per lint run after every module parsed; project rules
     (``scope="project"``) receive it instead of a
-    :class:`ModuleContext`.  ``cache`` lets rules of one family share
-    expensive analyses (the SL7 rules all need the same effect
-    closures) within a single run.
+    :class:`ModuleContext`.
     """
 
     index: "ProjectIndex"
     model: RepoModel
     findings: List[Finding] = field(default_factory=list)
-    cache: Dict[str, Any] = field(default_factory=dict)
 
     def report(
         self,

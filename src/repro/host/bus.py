@@ -21,21 +21,6 @@ from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
 from repro.sim.resources import Resource
 
-#: simlint SL7 dual-path registry (docs/STATIC_ANALYSIS.md): the
-#: arithmetic span walk must book the same transaction accounting as
-#: the arbitrated event-by-event transfer.
-PATH_PAIRS = [
-    {
-        "scalar": "SystemBus._transfer",
-        "burst": "SystemBus.charge_span",
-        "why": (
-            "charge_span runs the burst arithmetic of _transfer "
-            "without arbitration (its caller guarantees an idle bus)"
-        ),
-    },
-]
-
-
 @dataclass(frozen=True)
 class BusSpec:
     """Static description of an I/O bus."""
@@ -122,80 +107,21 @@ class SystemBus:
         """Event firing when *nbytes* have crossed the bus for *master*."""
         return self.sim.process(self._transfer(nbytes, master))
 
-    @property
-    def is_idle(self) -> bool:
-        """True when no master holds or awaits the bus."""
-        return self._arbiter.in_use == 0 and self._arbiter.queue_length == 0
-
-    def charge_span(self, nbytes: int, start: float, master: str) -> float:
-        """Book an uncontended transfer starting at *start*; returns its end.
-
-        Fast-path arithmetic form of :meth:`_transfer` for callers that
-        have already established the bus is idle (see
-        :class:`~repro.host.dma.DmaEngine`): identical per-burst float
-        adds and ledger updates, zero events.  Only valid on the fast
-        path with :attr:`is_idle` true -- a competing master arriving
-        mid-span is the documented fast-path timing divergence.
-        """
-        if nbytes < 0:
-            raise ValueError("negative transfer size")
-        self.transactions.increment()
-        remaining_words = self.spec.words_for(nbytes)
-        end = start
-        while remaining_words > 0:
-            burst_words = min(remaining_words, self.spec.max_burst_words)
-            cycles = self.spec.burst_setup_cycles + burst_words
-            duration = cycles * self.spec.cycle_time
-            self._busy_time += duration
-            end = end + duration
-            remaining_words -= burst_words
-        self.bytes_moved.increment(nbytes)
-        self.bytes_by_master[master] = (
-            self.bytes_by_master.get(master, 0) + nbytes
-        )
-        return end
-
     def _transfer(self, nbytes: int, master: str):
         if nbytes < 0:
             raise ValueError("negative transfer size")
         self.transactions.increment()
         remaining_words = self.spec.words_for(nbytes)
-        if (
-            self.sim.fast_path
-            and self._arbiter.in_use == 0
-            and self._arbiter.queue_length == 0
-        ):
-            # Fast path, bus idle: no competitor can interleave between
-            # our bursts, so the per-burst clock walk collapses to one
-            # event at the same chained end time (identical float adds).
-            # The arbiter is held for the whole span, so a master that
-            # does arrive mid-transfer still queues behind it (it would
-            # have slotted between bursts on the scalar path -- the one
-            # documented timing divergence, see docs/PERFORMANCE.md).
+        while remaining_words > 0:
+            burst_words = min(remaining_words, self.spec.max_burst_words)
             grant = self._arbiter.request()
             yield grant
-            end = self.sim.now
-            while remaining_words > 0:
-                burst_words = min(remaining_words, self.spec.max_burst_words)
-                cycles = self.spec.burst_setup_cycles + burst_words
-                duration = cycles * self.spec.cycle_time
-                self._busy_time += duration
-                end = end + duration
-                remaining_words -= burst_words
-            if end > self.sim.now:
-                yield self.sim.wake_at(end)
+            cycles = self.spec.burst_setup_cycles + burst_words
+            duration = cycles * self.spec.cycle_time
+            self._busy_time += duration
+            yield self.sim.timeout(duration)
             self._arbiter.release(grant)
-        else:
-            while remaining_words > 0:
-                burst_words = min(remaining_words, self.spec.max_burst_words)
-                grant = self._arbiter.request()
-                yield grant
-                cycles = self.spec.burst_setup_cycles + burst_words
-                duration = cycles * self.spec.cycle_time
-                self._busy_time += duration
-                yield self.sim.timeout(duration)
-                self._arbiter.release(grant)
-                remaining_words -= burst_words
+            remaining_words -= burst_words
         self.bytes_moved.increment(nbytes)
         self.bytes_by_master[master] = (
             self.bytes_by_master.get(master, 0) + nbytes

@@ -18,15 +18,6 @@ from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter, WelfordStat
 from repro.sim.resources import Resource
 
-#: simlint SL7 dual-path registry (docs/STATIC_ANALYSIS.md): the DMA
-#: engine has no private fast lane -- both paths go through
-#: :meth:`SystemBus._transfer`, whose internal idle-bus shortcut keeps
-#: the arbiter held so concurrent masters contend identically.  (An
-#: earlier unarbitrated ``_span_fast`` let rx- and tx-DMA spans overlap
-#: on an "idle" bus, which the S1 churn parity gate caught.)
-PATH_PAIRS: list = []
-
-
 @dataclass(frozen=True)
 class DmaSpec:
     """Static DMA engine parameters."""
@@ -76,11 +67,12 @@ class DmaEngine:
         yield grant
         if self.trace is not None:
             self.trace.emit("dma.start", actor=self.name, bytes=nbytes)
-        # Always arbitrate: the rx and tx engines share the bus, and an
-        # unarbitrated "idle bus" shortcut here would let their spans
-        # overlap -- the bus's own fast path collapses the idle case to
-        # a single event while still holding the arbiter.
-        yield from self._span(nbytes)
+        # Setup, arbitrated bus walk (the rx and tx engines share the
+        # bus), completion writeback.
+        yield self.sim.timeout(self.spec.setup_time)
+        if nbytes > 0:
+            yield self.bus.transfer(nbytes, master=self.name)
+        yield self.sim.timeout(self.spec.completion_time)
         self._channel.release(grant)
         self.transfers.increment()
         self.bytes_moved.increment(nbytes)
@@ -91,13 +83,6 @@ class DmaEngine:
                 latency=self.sim.now - started,
             )
         return nbytes
-
-    def _span(self, nbytes: int):
-        """Setup, arbitrated bus walk, completion writeback."""
-        yield self.sim.timeout(self.spec.setup_time)
-        if nbytes > 0:
-            yield self.bus.transfer(nbytes, master=self.name)
-        yield self.sim.timeout(self.spec.completion_time)
 
     @property
     def backlog(self) -> int:

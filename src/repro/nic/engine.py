@@ -85,43 +85,6 @@ class EngineClock:
         self.cycles_by_tag[tag] = self.cycles_by_tag.get(tag, 0.0) + cycles
         return duration
 
-    def charge_at(self, cycles: float, tag: str, at: float) -> float:
-        """Book cycles as if executed at virtual time *at* (fast path).
-
-        Identical ledger updates to :meth:`work` -- same float
-        accumulation order for ``busy_time`` and ``cycles_by_tag`` --
-        but no timeout event is created: the burst replay loop sums the
-        returned durations itself and sleeps once per burst.  The
-        ``engine.work`` trace span is emitted at the virtual timestamp.
-        """
-        if cycles < 0:
-            raise ValueError("negative cycle count")
-        duration = self.spec.seconds_for(cycles)
-        self._busy_time += duration
-        self.cycles_by_tag[tag] = self.cycles_by_tag.get(tag, 0.0) + cycles
-        if self.trace is not None:
-            self.trace.emit(
-                "engine.work", actor=self.name, tag=tag, cycles=cycles,
-                dur=duration, ts=at,
-            )
-        return duration
-
-    def take_stall(self) -> float:
-        """Absorb any pending injected stall (fast path burst entry).
-
-        Mirrors the stall-absorption tail of :meth:`work`: returns the
-        stall duration (0.0 if none) for the caller to add to its burst
-        replay clock, and books it into the stall ledger.
-        """
-        if self._stall_pending <= 0.0:
-            return 0.0
-        stall, self._stall_pending = self._stall_pending, 0.0
-        self.stalled_time += stall
-        self.stalls_taken += 1
-        if self.trace is not None:
-            self.trace.emit("engine.stall", actor=self.name, dur=stall)
-        return stall
-
     @property
     def total_cycles(self) -> float:
         return sum(self.cycles_by_tag.values())

@@ -11,52 +11,16 @@ clock of the link:
 The asymmetry is the architectural point measured by F5: the TX FIFO
 converts engine speed into stalls, the RX FIFO converts engine slowness
 into loss.  Occupancy is tracked time-weighted for sizing studies.
-
-On the fast path (see ``docs/PERFORMANCE.md``) a FIFO additionally
-moves whole :class:`~repro.atm.burst.CellBurst` batches as single store
-items.  Capacity is then enforced on the *expanded* cell count
-(``free_cells``), while the time-weighted occupancy statistic keeps its
-scalar item-granularity semantics and is documented as excluded from
-the fast-vs-reference equivalence surface.  Burst producers are
-expected to be the FIFO's only producer (true for every scenario in
-this repo): ``reserve()`` hands space to exactly one waiter at a time.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Tuple, Union
+from typing import Optional
 
-from repro.atm.burst import CellBurst
 from repro.atm.cell import AtmCell
 from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter, TimeWeightedStat
 from repro.sim.resources import Store
-
-#: simlint SL7 dual-path registry (docs/STATIC_ANALYSIS.md).  A burst
-#: that ``try_put_burst`` cannot accept is re-offered cell-by-cell via
-#: ``try_put``, which is where overflow drops are booked -- hence the
-#: declared scalar-only overflow accounting.
-PATH_PAIRS = [
-    {
-        "scalar": "CellFifo.put",
-        "burst": "CellFifo.put_burst",
-        "why": "blocking burst admission replays per-cell accounting",
-    },
-    {
-        "scalar": "CellFifo.try_put",
-        "burst": "CellFifo.try_put_burst",
-        "scalar_only": [
-            "stat:CellFifo.overflows.increment",
-            "event:cell.drop",
-            "reason:fifo_overflow",
-        ],
-        "why": (
-            "a rejected burst is re-offered cell-by-cell through "
-            "try_put, which books every overflow drop"
-        ),
-    },
-]
 
 
 class CellFifo:
@@ -71,16 +35,6 @@ class CellFifo:
         self._store = Store(sim, capacity=depth_cells, name=name)
         self.occupancy = TimeWeightedStat(sim.now, 0)
         self.overflows = Counter(f"{name}.overflow")
-        #: Expanded cell count currently accepted (a burst counts all of
-        #: its cells) -- the capacity ledger for the burst fast path.
-        self._cells = 0
-        #: cells_in/cells_out corrections: the store's put/got ledgers
-        #: count a burst as one item; these add the other k-1 cells.
-        self._burst_extra_in = 0
-        self._burst_extra_out = 0
-        #: Fast-path producers waiting for expanded-cell space, FIFO
-        #: order: (event, cell count, burst-or-None for a reservation).
-        self._waiters: Deque[Tuple[Event, int, Optional[CellBurst]]] = deque()
         #: Observability hook (repro.obs): a TraceRecorder, or None.
         self.trace = None
 
@@ -97,16 +51,11 @@ class CellFifo:
 
     @property
     def cells_in(self) -> int:
-        return self._store.total_put + self._burst_extra_in
+        return self._store.total_put
 
     @property
     def cells_out(self) -> int:
-        return self._store.total_got + self._burst_extra_out
-
-    @property
-    def free_cells(self) -> int:
-        """Capacity headroom in cells (bursts count every cell)."""
-        return self.depth_cells - self._cells
+        return self._store.total_got
 
     # -- producer side ------------------------------------------------------
 
@@ -115,7 +64,6 @@ class CellFifo:
         ev = self._store.put(cell)
         self.occupancy.record(self.sim.now, len(self._store))
         if ev.triggered:
-            self._cells += 1
             if self.trace is not None:
                 self.trace.emit(
                     "fifo.enq", actor=self.name, cell=cell,
@@ -124,7 +72,6 @@ class CellFifo:
         else:
             # The producer is stalled; sample again once accepted.
             def accepted(_ev: Event) -> None:
-                self._cells += 1
                 self.occupancy.record(self.sim.now, len(self._store))
                 if self.trace is not None:
                     self.trace.emit(
@@ -139,7 +86,6 @@ class CellFifo:
         """Non-blocking push (RX side): False means the cell was dropped."""
         accepted = self._store.try_put(cell)
         if accepted:
-            self._cells += 1
             self.occupancy.record(self.sim.now, len(self._store))
             if self.trace is not None:
                 self.trace.emit(
@@ -155,149 +101,33 @@ class CellFifo:
                 )
         return accepted
 
-    # -- producer side, fast path -------------------------------------------
-
-    def can_accept(self, n_cells: int) -> bool:
-        """True when a burst of *n_cells* would be accepted immediately."""
-        return not self._waiters and self.free_cells >= n_cells
-
-    def reserve(self, n_cells: int) -> Event:
-        """Wait for *n_cells* of expanded capacity (fast-path TX).
-
-        The returned event fires once the space exists; the producer must
-        then hand over its burst immediately (same timestamp) with
-        :meth:`put_burst`.  Space is granted in strict FIFO order with
-        any queued burst puts.
-        """
-        if n_cells > self.depth_cells:
-            raise ValueError(
-                f"cannot reserve {n_cells} cells in a {self.depth_cells}-deep FIFO"
-            )
-        ev = Event(self.sim)
-        if not self._waiters and self.free_cells >= n_cells:
-            ev.trigger(None)
-        else:
-            self._waiters.append((ev, n_cells, None))
-        return ev
-
-    def put_burst(self, burst: CellBurst) -> Event:
-        """Blocking push of a whole burst as one store item.
-
-        The event fires once the burst is accepted (immediately if
-        ``free_cells`` covers it -- the normal case after ``reserve``).
-        """
-        k = len(burst)
-        if k > self.depth_cells:
-            raise ValueError(
-                f"burst of {k} cells exceeds FIFO depth {self.depth_cells}"
-            )
-        if not self._waiters and self.free_cells >= k:
-            ev = self._accept_burst(burst)
-        else:
-            ev = Event(self.sim)
-            self._waiters.append((ev, k, burst))
-        return ev
-
-    def try_put_burst(self, burst: CellBurst) -> bool:
-        """Non-blocking burst push; False leaves the burst undelivered."""
-        if self._waiters or self.free_cells < len(burst):
-            return False
-        self._accept_burst(burst)
-        return True
-
-    def _accept_burst(self, burst: CellBurst) -> Event:
-        k = len(burst)
-        self._cells += k
-        self._burst_extra_in += k - 1
-        # free_cells >= k implies the item store cannot be full.
-        ev = self._store.put(burst)
-        self.occupancy.record(self.sim.now, len(self._store))
-        if self.trace is not None:
-            for cell, arrival in zip(burst.cells, burst.arrivals):
-                self.trace.emit(
-                    "fifo.enq", actor=self.name, cell=cell,
-                    occupancy=len(self._store), ts=arrival,
-                )
-        return ev
-
-    def _drain_waiters(self) -> None:
-        while self._waiters:
-            ev, k, burst = self._waiters[0]
-            if self.free_cells < k:
-                return
-            self._waiters.popleft()
-            if burst is not None:
-                k = len(burst)
-                self._cells += k
-                self._burst_extra_in += k - 1
-                accepted = self._store.put(burst)
-                assert accepted.triggered
-                self.occupancy.record(self.sim.now, len(self._store))
-                if self.trace is not None:
-                    for cell, arrival in zip(burst.cells, burst.arrivals):
-                        self.trace.emit(
-                            "fifo.enq", actor=self.name, cell=cell,
-                            occupancy=len(self._store), ts=arrival,
-                        )
-                ev.trigger(None)
-            else:
-                # A reservation: the space is handed to the producer, who
-                # consumes it synchronously via put_burst when resumed.
-                ev.trigger(None)
-                return
-
     # -- consumer side ---------------------------------------------------------
 
     def get(self) -> Event:
-        """Blocking pop: the event fires with the next cell (or burst)."""
+        """Blocking pop: the event fires with the next cell."""
         ev = self._store.get()
 
         def sample(got: Event) -> None:
-            item = got.value
-            if isinstance(item, CellBurst):
-                k = len(item)
-                self._cells -= k
-                self._burst_extra_out += k - 1
-                self.occupancy.record(self.sim.now, len(self._store))
-                if self.trace is not None:
-                    self.trace.emit(
-                        "burst.flush", actor=self.name, n_cells=k,
-                        occupancy=len(self._store),
-                    )
-            else:
-                self._cells -= 1
-                self.occupancy.record(self.sim.now, len(self._store))
-                if self.trace is not None:
-                    self.trace.emit(
-                        "fifo.deq", actor=self.name, cell=item,
-                        occupancy=len(self._store),
-                    )
-            self._drain_waiters()
+            self.occupancy.record(self.sim.now, len(self._store))
+            if self.trace is not None:
+                self.trace.emit(
+                    "fifo.deq", actor=self.name, cell=got.value,
+                    occupancy=len(self._store),
+                )
 
         ev.add_callback(sample)
         return ev
 
-    def try_get(self) -> Optional[Union[AtmCell, CellBurst]]:
+    def try_get(self) -> Optional[AtmCell]:
         """Non-blocking pop; None when empty."""
         ok, item = self._store.try_get()
         if ok:
-            k = len(item) if isinstance(item, CellBurst) else 1
-            self._cells -= k
-            if k > 1:
-                self._burst_extra_out += k - 1
             self.occupancy.record(self.sim.now, len(self._store))
             if self.trace is not None:
-                if isinstance(item, CellBurst):
-                    self.trace.emit(
-                        "burst.flush", actor=self.name, n_cells=k,
-                        occupancy=len(self._store),
-                    )
-                else:
-                    self.trace.emit(
-                        "fifo.deq", actor=self.name, cell=item,
-                        occupancy=len(self._store),
-                    )
-            self._drain_waiters()
+                self.trace.emit(
+                    "fifo.deq", actor=self.name, cell=item,
+                    occupancy=len(self._store),
+                )
             return item
         return None
 

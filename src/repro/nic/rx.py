@@ -35,7 +35,6 @@ from typing import Callable, Dict, Optional, Set
 
 from repro.aal.interface import ReassemblyFailure, SduIndication
 from repro.atm.addressing import VcAddress
-from repro.atm.burst import CellBurst
 from repro.atm.cell import PAYLOAD_SIZE, AtmCell
 from repro.atm.vc import VcTable
 from repro.host.dma import DmaEngine
@@ -49,27 +48,6 @@ from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter, ThroughputMeter, WelfordStat
-
-#: simlint SL7 dual-path registry (docs/STATIC_ANALYSIS.md): the burst
-#: replay lanes must reach the same stat/trace/cost effect sets as
-#: their scalar reference lanes -- no declared asymmetries here, the
-#: receive fast path is a faithful replay.
-PATH_PAIRS = [
-    {
-        "scalar": "RxEngine._consume_cell",
-        "burst": "RxEngine._consume_burst",
-        "why": "burst service replays the scalar per-cell loop exactly",
-    },
-    {
-        "scalar": "RxEngine.receive_cell",
-        "burst": "RxEngine.receive_burst",
-        "why": (
-            "burst admission degrades to per-cell receive_cell under "
-            "discard pressure, so its effect set is the scalar set"
-        ),
-    },
-]
-
 
 @dataclass(frozen=True)
 class FrameDiscardPolicy:
@@ -301,30 +279,6 @@ class RxEngine:
             # frame (EOF included) can vanish cleanly, as in EPD.
             self._discarding[vc] = "epd" if first else "ppd"
 
-    def receive_burst(self, burst: CellBurst) -> None:
-        """Burst sink: admit a pre-announced run of cells in one call.
-
-        Only the plain data path rides the burst lane.  Anything the
-        admission logic must *observe* per cell -- an EPD/PPD policy, a
-        HEC reject, a management cell -- falls back to cell-at-a-time
-        admission at the burst's delivery time, trading the pre-announced
-        arrival spread for scalar admission semantics (scenarios that
-        exercise those paths keep their producers scalar; see
-        ``docs/PERFORMANCE.md``).
-        """
-        if self.discard is not None or any(
-            cell.meta.get("hec_error") or not cell.is_user_cell
-            for cell in burst.cells
-        ):
-            for cell in burst.cells:
-                self.receive_cell(cell)
-            return
-        if not self.fifo.try_put_burst(burst):
-            # Not enough expanded capacity for the whole run: degrade to
-            # per-cell admission so each cell drops (or fits) on its own.
-            for cell in burst.cells:
-                self.fifo.try_put(cell)
-
     # -- engine loop -------------------------------------------------------------
 
     def start(self) -> None:
@@ -345,22 +299,11 @@ class RxEngine:
 
     def _loop(self):
         while True:
-            item = yield self.fifo.get()
-            if isinstance(item, CellBurst):
-                if self.profiler is not None:
-                    self.profiler.record_burst("rx", len(item))
-                end = self._consume_burst(item)
-                if end > self.sim.now:
-                    yield self.sim.wake_at(end)
-                continue
-            yield from self._consume_cell(item)
+            cell = yield self.fifo.get()
+            yield from self._consume_cell(cell)
 
     def _consume_cell(self, cell: AtmCell):
-        """Serve one cell off the FIFO: the scalar reference lane.
-
-        The dual of :meth:`_consume_burst`, which replays exactly this
-        sequence of charges, counters and trace events arithmetically.
-        """
+        """Serve one cell off the FIFO."""
         costs = self.costs
         self.cells_received.increment()
         vc = VcAddress(cell.vpi, cell.vci)
@@ -483,175 +426,6 @@ class RxEngine:
             return
         self._complete(vc, cell, indication)
 
-    def _consume_burst(self, burst: CellBurst) -> float:
-        """Replay a burst's cells at their virtual service times.
-
-        The scalar loop's recurrence is ``start_i = max(end_{i-1},
-        arrive_i)``: the engine serves each cell when it is both free
-        and the cell has arrived.  This method runs that recurrence
-        arithmetically -- identical per-cell counters, cycle charges
-        (same float accumulation order via
-        :meth:`~repro.nic.engine.EngineClock.charge_at`), profiler
-        records, and trace events (stamped at their virtual times) --
-        and returns the final service-end time for the caller's single
-        ``timeout``.  PDU completions fire as real events at their exact
-        virtual times via ``schedule_call``, so downstream DMA/host
-        timing matches the scalar path to the bit.
-        """
-        costs = self.costs
-        clock = self.clock
-        sim = self.sim
-        charge_at = clock.charge_at
-        count_cell = self.cells_received.increment
-        profiler = self.profiler
-        trace = self.trace
-        cam = self.cam
-        vc_table = self.vc_table
-        cam_fitted = self.cam_fitted
-        glue = self.glue
-        rx_extra = glue.rx_extra_cycles
-        bufmem = self.bufmem
-        receive_cell = self.reassembler.receive_cell
-        on_context_activity = self.on_context_activity
-        end = sim.now + clock.take_stall()
-        for cell, available in zip(burst.cells, burst.arrivals):
-            start = end if end > available else available
-            count_cell()
-            vc = VcAddress(cell.vpi, cell.vci)
-
-            if not cell.is_user_cell:
-                if profiler is not None:
-                    profiler.record_oam(costs.oam_breakdown())
-                end = start + charge_at(
-                    costs.fifo_pop + costs.header_parse + costs.oam_handling,
-                    "rx-oam",
-                    start,
-                )
-                self.oam_cells.increment()
-                if trace is not None:
-                    trace.emit(
-                        "rx.cell.oam", actor=self.name, cell=cell, ts=end
-                    )
-                if self.on_oam is not None:
-                    self.on_oam(cell)
-                continue
-
-            table_size = len(vc_table)
-            if cam is not None:
-                known = cam.lookup(vc) is not None
-            else:
-                known = vc_table.lookup(vc) is not None
-            if not known:
-                if profiler is not None:
-                    lookup_op = (
-                        "vci_lookup_cam"
-                        if cam_fitted
-                        else "vci_lookup_software"
-                    )
-                    profiler.record_ops(
-                        "rx",
-                        {
-                            "fifo_pop": costs.fifo_pop,
-                            "header_parse": costs.header_parse,
-                            lookup_op: costs.lookup_cycles(
-                                cam_fitted, table_size
-                            ),
-                        },
-                    )
-                end = start + charge_at(
-                    costs.fifo_pop
-                    + costs.header_parse
-                    + costs.lookup_cycles(cam_fitted, table_size),
-                    "rx-unknown-vc",
-                    start,
-                )
-                self.cells_unknown_vc.increment()
-                if trace is not None:
-                    trace.emit(
-                        "cell.drop",
-                        actor=self.name,
-                        cell=cell,
-                        reason="unknown_vc",
-                        ts=end,
-                    )
-                continue
-
-            position = self._position_of(vc, cell)
-            if profiler is not None:
-                profiler.record_cell(
-                    "rx",
-                    position,
-                    costs.cell_breakdown(position, cam_fitted, table_size),
-                    extra=rx_extra,
-                )
-            end = start + charge_at(
-                costs.cell_cycles(position, cam_fitted, table_size)
-                + rx_extra,
-                "rx-cell",
-                start,
-            )
-            if trace is not None:
-                trace.emit(
-                    "rx.cell.sar",
-                    actor=self.name,
-                    cell=cell,
-                    position=position.value,
-                    ts=end,
-                )
-            if self.on_user_cell is not None:
-                self.on_user_cell(cell)
-
-            if not bufmem.grow(("rx", vc), 1):
-                self.cells_no_buffer.increment()
-                if trace is not None:
-                    trace.emit(
-                        "cell.drop",
-                        actor=self.name,
-                        cell=cell,
-                        reason="no_adaptor_buffer",
-                        ts=end,
-                    )
-                if (
-                    self.discard is not None
-                    and self.discard.ppd
-                    and not glue.is_eof(cell)
-                    and vc in self._mid_frame
-                    and vc not in self._discarding
-                ):
-                    self.frames_truncated.increment()
-                    self._discarding[vc] = "ppd"
-                continue
-            bufmem.record_write(PAYLOAD_SIZE)
-
-            indication = receive_cell(cell, now=end)
-            if indication is None:
-                if glue.has_context(self.reassembler, vc):
-                    if on_context_activity is not None:
-                        on_context_activity(vc)
-                else:
-                    bufmem.release(("rx", vc))
-                continue
-            # A PDU completed mid-burst.  The adaptor-memory bookkeeping
-            # must happen HERE, in replay order -- the next cell in this
-            # burst may regrow the same VC's allocation -- while the
-            # host-side epilogue fires as a real event at its exact
-            # virtual time (end > now: the charge above is positive).
-            bufmem.record_read(indication.size)
-            bufmem.release(("rx", vc))
-            if trace is not None:
-                trace.emit(
-                    "rx.pdu.done",
-                    actor=self.name,
-                    cell=cell,
-                    cells=indication.cells,
-                    size=indication.size,
-                    ts=end,
-                )
-            sim.schedule_call_at(
-                end, self._complete_host, vc, cell, indication, end
-            )
-        return end
-
     def _complete(
         self, vc: VcAddress, last_cell: AtmCell, indication: SduIndication
     ) -> None:
@@ -675,16 +449,6 @@ class RxEngine:
                 cells=indication.cells,
                 size=indication.size,
             )
-        self._complete_host(vc, last_cell, indication, arrived)
-
-    def _complete_host(
-        self,
-        vc: VcAddress,
-        last_cell: AtmCell,
-        indication: SduIndication,
-        arrived: float,
-    ) -> None:
-        """Host-side completion: claim a buffer and post the DMA."""
         host_buffer = self.buffer_pool.allocate(owner=str(vc))
         if host_buffer is None or host_buffer.capacity < indication.size:
             if host_buffer is not None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.atm.addressing import VcAddress
-from repro.atm.burst import CellBurst
 from repro.atm.cell import PAYLOAD_SIZE
 from repro.atm.link import PhysicalLink
 from repro.host.dma import DmaEngine
@@ -32,31 +31,6 @@ from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter, ThroughputMeter, WelfordStat
-
-#: simlint SL7 dual-path registry (docs/STATIC_ANALYSIS.md): the scalar
-#: and burst cell-emission lanes must reach identical stat/trace/cost
-#: effect sets, up to the asymmetries declared here.
-PATH_PAIRS = [
-    {
-        "scalar": "TxEngine._emit_cells_scalar",
-        "burst": "TxEngine._emit_cells_fast",
-        "scalar_only": [
-            "stat:TxEngine.pacing_stalls.increment",
-            "event:tx.cell.paced",
-            "stat:AbrAgent.rm_sent.increment",
-            "event:rm.cell.sent",
-        ],
-        "burst_only": ["event:burst.form"],
-        "why": (
-            "pacing never rides the burst lane (the fast path handles "
-            "unpaced VCs only), and ABR VCs are always paced -- their "
-            "dynamic ACR interval forces the scalar lane, so the RM "
-            "interleave is scalar-only by construction; bursts announce "
-            "their formation with one burst.form per chunk"
-        ),
-    },
-]
-
 
 class TxEngine:
     """The programmable segmentation engine."""
@@ -197,14 +171,7 @@ class TxEngine:
             )
             total = len(cells)
             cell_interval = self._pacing_interval(descriptor.vc)
-            if cell_interval is None and self.sim.fast_path:
-                # Unpaced fast path: emit the PDU's cells in
-                # pre-announced bursts, one event per burst.
-                yield from self._emit_cells_fast(descriptor, cells)
-            else:
-                yield from self._emit_cells_scalar(
-                    descriptor, cells, cell_interval
-                )
+            yield from self._emit_cells(descriptor, cells, cell_interval)
 
             # Completion status back to the host.
             yield self.clock.work(
@@ -228,13 +195,8 @@ class TxEngine:
             if self.on_pdu_sent is not None:
                 self.on_pdu_sent(descriptor)
 
-    def _emit_cells_scalar(self, descriptor: TxDescriptor, cells, cell_interval):
-        """Scalar segmentation: one charge, one FIFO put per cell.
-
-        The reference lane of the ``_emit_cells_fast`` pair -- and the
-        only lane that paces, since the fast path handles unpaced VCs
-        exclusively.
-        """
+    def _emit_cells(self, descriptor: TxDescriptor, cells, cell_interval):
+        """Segmentation: one charge, one FIFO put per cell (paced if set)."""
         costs = self.costs
         total = len(cells)
         for index, cell in enumerate(cells):
@@ -298,76 +260,6 @@ class TxEngine:
                 if rm_cell is not None:
                     yield self.fifo.put(rm_cell)
 
-    def _emit_cells_fast(self, descriptor: TxDescriptor, cells):
-        """Fast-path segmentation: pre-announced bursts into the FIFO.
-
-        Per chunk of up to ``sim.config.burst_cells`` cells: reserve the
-        expanded FIFO space first, then charge every cell's cycles via
-        :meth:`~repro.nic.engine.EngineClock.charge_at` (identical
-        ledger order to the scalar ``work`` calls), chaining each cell's
-        virtual FIFO-arrival time from the post-reserve clock.  The
-        burst is handed over immediately -- its embedded arrivals are in
-        the future, so the framer/link serialize it with the exact
-        scalar wire timing -- and the engine sleeps once to its last
-        service end.
-        """
-        costs = self.costs
-        clock = self.clock
-        sim = self.sim
-        total = len(cells)
-        burst_len = max(1, min(sim.config.burst_cells, self.fifo.depth_cells // 2))
-        index = 0
-        while index < total:
-            chunk = cells[index : index + burst_len]
-            if not self.fifo.can_accept(len(chunk)):
-                yield self.fifo.reserve(len(chunk))
-            end = sim.now + clock.take_stall()
-            arrivals = []
-            for offset, cell in enumerate(chunk):
-                position = CellPosition.of(index + offset, total)
-                if self.profiler is not None:
-                    self.profiler.record_cell(
-                        "tx",
-                        position,
-                        costs.cell_breakdown(position),
-                        extra=self.glue.tx_extra_cycles,
-                    )
-                start = end
-                end = start + clock.charge_at(
-                    costs.cell_cycles(position) + self.glue.tx_extra_cycles,
-                    "tx-cell",
-                    start,
-                )
-                self.bufmem.record_read(PAYLOAD_SIZE)
-                cell.meta["pdu_id"] = descriptor.pdu_id
-                cell.meta["posted_at"] = descriptor.posted_at
-                if self.trace is not None:
-                    self.trace.tag_cell(cell)
-                    self.trace.emit(
-                        "tx.cell.sar",
-                        actor=self.name,
-                        cell=cell,
-                        position=position.value,
-                        ts=end,
-                    )
-                arrivals.append(end)
-            burst = CellBurst(chunk, arrivals)
-            if self.profiler is not None:
-                self.profiler.record_burst("tx", len(chunk))
-            if self.trace is not None:
-                self.trace.emit(
-                    "burst.form",
-                    actor=self.name,
-                    n_cells=len(chunk),
-                    pdu_id=descriptor.pdu_id,
-                    vc=descriptor.vc,
-                )
-            self.fifo.put_burst(burst)
-            self.cells_sent.increment(len(chunk))
-            index += len(chunk)
-            if end > sim.now:
-                yield sim.wake_at(end)
-
 
 class Framer:
     """Link-side drain: one cell from the FIFO onto the wire per slot.
@@ -399,15 +291,8 @@ class Framer:
 
     def _loop(self):
         while True:
-            item = yield self.fifo.get()
+            cell = yield self.fifo.get()
             if self.link is None:
                 raise RuntimeError(f"{self.name} has no link attached")
-            if isinstance(item, CellBurst):
-                # Fast path: the link serializes the whole run
-                # arithmetically; wait for its last wire-out, exactly as
-                # the scalar loop holds each cell through serialization.
-                yield self.link.send_burst(item)
-                self.cells_framed.increment(len(item))
-            else:
-                yield self.link.send(item)
-                self.cells_framed.increment()
+            yield self.link.send(cell)
+            self.cells_framed.increment()

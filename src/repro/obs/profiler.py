@@ -70,7 +70,7 @@ class _EngineLedger:
     """Per-direction accumulation: ops, phases, per-position cells."""
 
     __slots__ = ("op_cycles", "op_events", "position_cycles",
-                 "position_cells", "pdus", "bursts", "burst_cells")
+                 "position_cells", "pdus")
 
     def __init__(self) -> None:
         self.op_cycles: Dict[str, float] = {}
@@ -78,11 +78,6 @@ class _EngineLedger:
         self.position_cycles: Dict[CellPosition, float] = {}
         self.position_cells: Dict[CellPosition, int] = {}
         self.pdus = 0
-        #: Fast-path attribution: bursts replayed and cells they carried
-        #: (zero on the scalar reference path; cycle-free bookkeeping,
-        #: so ``reconcile`` is unaffected).
-        self.bursts = 0
-        self.burst_cells = 0
 
     def add_ops(self, ops: Dict[str, float]) -> float:
         total = 0.0
@@ -146,29 +141,10 @@ class CycleProfiler:
         """One management cell handled by the RX engine."""
         self.record_ops("rx", ops)
 
-    def record_burst(self, engine: str, n_cells: int) -> None:
-        """One fast-path burst replayed (formation/flush attribution).
-
-        Charges no cycles -- the per-cell ``record_cell`` calls inside
-        the replay carry those -- but lets the P1 report show how much
-        of the cell stream actually rode the fast path.
-        """
-        ledger = self._ledgers[engine]
-        ledger.bursts += 1
-        ledger.burst_cells += n_cells
-
     # -- queries ----------------------------------------------------------
 
     def cells_seen(self, engine: str) -> int:
         return sum(self._ledgers[engine].position_cells.values())
-
-    def bursts_seen(self, engine: str) -> int:
-        """Fast-path bursts replayed by one direction's engine."""
-        return self._ledgers[engine].bursts
-
-    def burst_cells_seen(self, engine: str) -> int:
-        """Cells that moved inside fast-path bursts for one direction."""
-        return self._ledgers[engine].burst_cells
 
     def cells_at(self, engine: str, position: CellPosition) -> int:
         """Cells executed at one position (0 if unseen)."""
@@ -295,31 +271,6 @@ class CycleProfiler:
                     ["phase", "tx cycles", "rx cycles", "share"],
                     rows,
                     title="Cycle attribution by phase",
-                )
-            )
-        burst_rows = []
-        for engine in ("tx", "rx"):
-            bursts = self.bursts_seen(engine)
-            if not bursts:
-                continue
-            carried = self.burst_cells_seen(engine)
-            total = self.cells_seen(engine)
-            share = carried / total if total else 0.0
-            burst_rows.append(
-                [
-                    engine,
-                    str(bursts),
-                    str(carried),
-                    f"{carried / bursts:.1f}",
-                    f"{100 * share:.1f}%",
-                ]
-            )
-        if burst_rows:
-            sections.append(
-                format_table(
-                    ["engine", "bursts", "cells", "cells/burst", "of stream"],
-                    burst_rows,
-                    title="Fast-path burst attribution",
                 )
             )
         return "\n\n".join(sections)

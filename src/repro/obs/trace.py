@@ -89,9 +89,6 @@ EVENT_TAXONOMY: Dict[str, str] = {
     # -- engine execution (exported as Perfetto duration slices) ----------
     "engine.work": "engine executed a cycle budget (tag + cycles annotated)",
     "engine.stall": "engine absorbed an injected stall window",
-    # -- fast path (repro.atm.burst; see docs/PERFORMANCE.md) -------------
-    "burst.form": "producer batched a cell run into one burst (n_cells)",
-    "burst.flush": "consumer popped a whole burst from a FIFO (n_cells)",
     # -- drops (reason argument from DROP_REASONS) ------------------------
     "cell.drop": "a cell died; 'reason' names the cause",
     "pdu.drop": "a PDU died; 'reason' names the cause",
@@ -231,20 +228,13 @@ class TraceRecorder:
         cell_id: Optional[int] = None,
         pdu_id: Optional[int] = None,
         vc=None,
-        ts: Optional[float] = None,
         **args: Any,
     ) -> None:
         """Record one event (no-op while disabled).
 
         *cell* may be an :class:`~repro.atm.cell.AtmCell`; its ``meta``
         ids and VC fill any identity fields not given explicitly.
-
-        *ts* overrides the timestamp (default: current simulation time).
-        The fast path uses it to stamp per-cell events at their virtual
-        replay times, so a burst-mode trace carries the same per-cell
-        timestamps the scalar path would -- note the recorder appends in
-        emission order, so fast-path traces are not globally
-        time-sorted (sort on ``ts`` before timeline analysis).
+        Events are stamped with the current simulation time.
         """
         if not self.enabled:
             return
@@ -263,7 +253,7 @@ class TraceRecorder:
                 vc = f"{cell.vpi}.{cell.vci}"
         self.events.append(
             TraceEvent(
-                ts=self.sim.now if ts is None else ts,
+                ts=self.sim.now,
                 name=name,
                 actor=actor,
                 cell_id=cell_id,

@@ -212,7 +212,6 @@ def run_r2(
     config=None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     duration: float = 0.02,
     flap_start: float = 0.006,
     flap_down: float = 0.005,
@@ -229,9 +228,9 @@ def run_r2(
     the fault-management plane -- and reports whole-run and per-window
     goodput plus the recovery invariants.  See ``docs/RESILIENCE.md``.
     Sweep points build their configs from JSON parameters, so *config*
-    (like *fast_path*) is accepted only for the uniform contract.
+    is accepted only for the uniform contract.
     """
-    del config, fast_path
+    del config
     seeds = tuple(seeds) if seeds is not None else (1, 2, 3)
     from repro.results.experiments import ExperimentResult
 

@@ -19,12 +19,12 @@ Experiment ids follow DESIGN.md §3 (T = table, F = figure).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.aal.aal5 import Aal5Segmenter, cells_for_sdu
 from repro.atm.addressing import VcAddress
-from repro.atm.burst import CellBurst
 from repro.analysis.latency import latency_model
 from repro.analysis.sweep import Series
 from repro.analysis.throughput import (
@@ -51,7 +51,7 @@ from repro.nic.costs import CellPosition
 from repro.nic.nic import HostNetworkInterface, connect
 from repro.results.tables import format_series, format_table
 from repro.runner import ResultStore, RunLog, SweepSpec, run_sweep
-from repro.sim.core import SimConfig, Simulator
+from repro.sim.core import Simulator
 from repro.sim.random import RandomStreams
 from repro.workloads.generators import (
     GreedySource,
@@ -95,6 +95,32 @@ class ExperimentResult:
             parts.append(f"  metrics: {metric_text}")
         return "\n".join(parts)
 
+
+def canonical_result_json(result: ExperimentResult) -> str:
+    """An ExperimentResult as canonical JSON, for byte comparison.
+
+    ``repr``-faithful float serialisation (json round-trips Python
+    floats exactly), sorted keys, no whitespace ambiguity: two results
+    compare equal iff every reported number, label and note is
+    bit-identical.
+    """
+    payload: Dict[str, Any] = {
+        "experiment_id": result.experiment_id,
+        "title": result.title,
+        "headers": result.headers,
+        "rows": result.rows,
+        "series": None,
+        "metrics": result.metrics,
+        "notes": result.notes,
+    }
+    if result.series is not None:
+        payload["series"] = {
+            "name": result.series.name,
+            "x_label": result.series.x_label,
+            "x": result.series.x,
+            "columns": result.series.columns,
+        }
+    return json.dumps(payload, sort_keys=True)
 
 def lab_host(config: NicConfig) -> NicConfig:
     """A configuration with free host software, isolating the adaptor.
@@ -154,14 +180,13 @@ def run_t1(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
 ) -> ExperimentResult:
     """T1: transmit-path per-operation cycle budget.
 
-    Closed-form table: *seeds* and *fast_path* are accepted only for
-    the uniform experiment contract (see EXPERIMENTS.md).
+    Closed-form table: *seeds* is accepted only for the uniform
+    experiment contract (see EXPERIMENTS.md).
     """
-    del seeds, fast_path
+    del seeds
     config = config if config is not None else aurora_oc3()
     costs = config.tx_costs
     engine = config.tx_engine
@@ -193,14 +218,13 @@ def run_t2(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
 ) -> ExperimentResult:
     """T2: receive-path per-operation cycle budget (CAM and software).
 
-    Closed-form table: *seeds* and *fast_path* are accepted only for
-    the uniform experiment contract.
+    Closed-form table: *seeds* is accepted only for the uniform
+    experiment contract.
     """
-    del seeds, fast_path
+    del seeds
     config = config if config is not None else aurora_oc3()
     costs = config.rx_costs
     engine = config.rx_engine
@@ -236,7 +260,6 @@ def run_f2(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     sizes: Sequence[int] = DEFAULT_SIZES,
     window: float = 0.05,
 ) -> ExperimentResult:
@@ -247,20 +270,19 @@ def run_f2(
     del seeds
     config = config if config is not None else aurora_oc3()
     isolated = lab_host(config)
-    sim_config = SimConfig(fast_path=fast_path)
     series = Series(name="tx throughput", x_label="sdu_bytes")
     for size in sizes:
         run_window = _window_for(size, window, config.link)
 
         # Interface capability: free host software.
-        sim = Simulator(sim_config)
+        sim = Simulator()
         scenario = build_point_to_point(sim, isolated)
         GreedySource(sim, scenario.sender, scenario.vc, size).start()
         sim.run(until=run_window)
         interface_mbps = steady_goodput_mbps(scenario.received)
 
         # End to end: real host software in the pipeline.
-        sim2 = Simulator(sim_config)
+        sim2 = Simulator()
         scenario2 = build_point_to_point(sim2, config)
         GreedySource(sim2, scenario2.sender, scenario2.vc, size).start()
         sim2.run(until=run_window)
@@ -296,7 +318,6 @@ def run_f3(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     sizes: Sequence[int] = DEFAULT_SIZES,
     window: float = 0.05,
 ) -> ExperimentResult:
@@ -314,7 +335,7 @@ def run_f3(
     series = Series(name="rx throughput", x_label="sdu_bytes")
     for size in sizes:
         run_window = _window_for(size, window, config.link)
-        sim = Simulator(SimConfig(fast_path=fast_path))
+        sim = Simulator()
         nic = HostNetworkInterface(sim, config, name="rxhost")
         received = []
         nic.on_pdu = received.append
@@ -329,39 +350,7 @@ def run_f3(
                     yield sim.timeout(config.link.cell_time)
                     yield nic.rx_fifo.put(cell)
 
-        def feeder_fast():
-            # Burst-mode wire: same slot-spaced arrival chain as the
-            # scalar feeder (cell *i* at ``(i+1) * cell_time``, shifted
-            # only while backpressured), pre-announced in batches.  The
-            # chain is built with the same iterated float adds as the
-            # scalar clock so the arrival values are bit-identical.
-            slot = config.link.cell_time
-            burst_len = max(
-                1, min(sim.config.burst_cells, nic.rx_fifo.depth_cells // 2)
-            )
-            pending: List = []
-            last = 0.0
-            while True:
-                while len(pending) < burst_len:
-                    pending.extend(segmenter.segment(payload))
-                cells = pending[:burst_len]
-                del pending[:burst_len]
-                arrivals = []
-                for _ in range(burst_len):
-                    last = last + slot
-                    arrivals.append(last)
-                accept = nic.rx_fifo.put_burst(CellBurst(cells, arrivals))
-                blocked = not accept.triggered
-                yield accept
-                if blocked:
-                    # Backpressured: the scalar chain restarts from the
-                    # unblock time (arrivals are engine-dominated here).
-                    last = max(sim.now, last)
-                wait = last - sim.now
-                if wait > 0:
-                    yield sim.timeout(wait)
-
-        sim.process(feeder_fast() if fast_path else feeder())
+        sim.process(feeder())
         sim.run(until=run_window)
         series.add_point(
             size,
@@ -392,15 +381,14 @@ def run_f4(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     sizes: Sequence[int] = (64, 1024, 9180, 65535),
     propagation_delay: float = 0.0,
 ) -> ExperimentResult:
     """F4: unloaded end-to-end latency, modelled stages vs simulation.
 
-    *seeds* and *fast_path* are accepted only for the uniform contract.
+    *seeds* is accepted only for the uniform contract.
     """
-    del seeds, fast_path
+    del seeds
     config = config if config is not None else aurora_oc3()
     headers = ["sdu_bytes"]
     rows: List[List] = []
@@ -463,15 +451,14 @@ def run_t3(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     sizes: Sequence[int] = (64, 576, 1500, 9180, 65535),
     pdus: int = 30,
 ) -> ExperimentResult:
     """T3: host cycles per received PDU -- the offload dividend.
 
-    *seeds* and *fast_path* are accepted only for the uniform contract.
+    *seeds* is accepted only for the uniform contract.
     """
-    del seeds, fast_path
+    del seeds
     nic_config = config if config is not None else aurora_oc3()
     # Deep adaptor cell buffer: within a single large PDU, cells arrive
     # faster than a per-cell-interrupt host absorbs them, so clean cost
@@ -553,7 +540,6 @@ def run_f5(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     fifo_depths: Sequence[int] = (8, 16, 32, 64, 128, 256),
     burst_pdus: float = 8.0,
     sdu_size: int = 9180,
@@ -564,10 +550,9 @@ def run_f5(
     At STS-12c the default 25 MHz receive engine's per-cell time exceeds
     the cell slot, so FIFO occupancy climbs during bursts; the FIFO
     depth determines whether the inter-burst idle rescues it or cells
-    spill.  *seeds* and *fast_path* are accepted only for the uniform
-    contract.
+    spill.  *seeds* is accepted only for the uniform contract.
     """
-    del seeds, fast_path
+    del seeds
     config = config if config is not None else aurora_oc12()
     series = Series(name="rx fifo", x_label="fifo_cells")
     for depth in fifo_depths:
@@ -613,16 +598,15 @@ def run_t4(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     sdu_size: int = 9180,
     window: float = 0.02,
 ) -> ExperimentResult:
     """T4: buffer-memory traffic per cell vs the memory's capability.
 
     Compares the OC-3 and OC-12 presets side by side, so *config* (like
-    *seeds* and *fast_path*) is accepted only for the uniform contract.
+    *seeds*) is accepted only for the uniform contract.
     """
-    del config, seeds, fast_path
+    del config, seeds
     headers = [
         "link",
         "offered (Mb/s)",
@@ -685,9 +669,7 @@ def _f6_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float
         # window must span several so bursty completions average out.
         generation = n_vcs * cells_for_sdu(sdu_size) * config.link.cell_time
         run_window = max(window, 8 * generation)
-        sim = Simulator(
-            SimConfig(fast_path=bool(params.get("fast_path", False)))
-        )
+        sim = Simulator()
         nic = HostNetworkInterface(sim, config, name="rxhost")
         received: List = []
         nic.on_pdu = received.append
@@ -712,7 +694,6 @@ def run_f6(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     vc_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
     sdu_size: int = 1500,
     window: float = 0.03,
@@ -731,15 +712,10 @@ def run_f6(
     accepted only for the uniform contract.
     """
     del config, seeds
-    # ``fast_path`` joins the point content only when set, so scalar
-    # runs keep their historical content hashes (warm caches stay warm).
-    fixed: Dict[str, Any] = {"sdu_size": sdu_size, "window": window}
-    if fast_path:
-        fixed["fast_path"] = True
     spec = SweepSpec.grid(
         "F6",
         axes={"n_vcs": vc_counts},
-        fixed=fixed,
+        fixed={"sdu_size": sdu_size, "window": window},
     )
     sweep_run = run_sweep(spec, _f6_point, workers=workers, store=store, log=log)
     series = sweep_run.series(name="multi-vc rx")
@@ -843,7 +819,6 @@ def run_t5(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     sdu_size: int = 9180,
     window: float = 0.04,
     workers: int = 0,
@@ -856,10 +831,10 @@ def run_t5(
     capacity, and full-duplex aggregate (both directions active on one
     interface -- where a shared engine pays for its single instruction
     stream).  Host cost columns come from the cycle models.  Each
-    architecture point builds its own config, so *config* (like *seeds*
-    and *fast_path*) is accepted only for the uniform contract.
+    architecture point builds its own config, so *config* (like *seeds*)
+    is accepted only for the uniform contract.
     """
-    del config, seeds, fast_path
+    del config, seeds
     headers = [
         "architecture",
         "tx cap (Mb/s)",
@@ -945,7 +920,6 @@ def run_f7(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     clocks_mhz: Sequence[float] = (10, 16, 20, 25, 33, 40, 50, 66),
     sdu_size: int = 9180,
     window: float = 0.02,
@@ -960,10 +934,10 @@ def run_f7(
     transmit by draining a greedy sender onto the wire, receive by
     feeding the engine through a backpressured FIFO, both with free
     host software.  Sweep points derive their configs from the clock
-    axis, so *config* (like *seeds* and *fast_path*) is accepted only
-    for the uniform contract.
+    axis, so *config* (like *seeds*) is accepted only for the uniform
+    contract.
     """
-    del config, seeds, fast_path
+    del config, seeds
     base = aurora_oc12()
     spec = SweepSpec.grid(
         "F7",
@@ -1104,15 +1078,14 @@ def run_f8(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     sizes: Sequence[int] = (64, 256, 1024, 4096, 9180, 32768),
     window: float = 0.05,
 ) -> ExperimentResult:
     """F8: cross-validation -- closed forms vs the discrete-event core.
 
-    *seeds* and *fast_path* are accepted only for the uniform contract.
+    *seeds* is accepted only for the uniform contract.
     """
-    del seeds, fast_path
+    del seeds
     config = config if config is not None else aurora_oc3()
     headers = [
         "sdu_bytes",
@@ -1176,7 +1149,6 @@ def run_a1(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     sizes: Sequence[int] = (64, 512, 1500, 9180, 65535),
     window: float = 0.03,
 ) -> ExperimentResult:
@@ -1185,10 +1157,10 @@ def run_a1(
     The simple-and-efficient layer's pitch: AAL3/4 pays 4 of every 48
     payload bytes to per-cell SAR fields (plus a few engine cycles),
     so at link saturation it delivers ~44/48 of AAL5's goodput.
-    Compares AAL presets internally, so *config* (like *seeds* and
-    *fast_path*) is accepted only for the uniform contract.
+    Compares AAL presets internally, so *config* (like *seeds*) is
+    accepted only for the uniform contract.
     """
-    del config, seeds, fast_path
+    del config, seeds
     series = Series(name="aal efficiency", x_label="sdu_bytes")
     for size in sizes:
         run_window = _window_for(size, window, STS3C_155)
@@ -1226,7 +1198,6 @@ def run_a2(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     sizes: Sequence[int] = (512, 9180),
     crc_cycles: int = 130,
 ) -> ExperimentResult:
@@ -1235,10 +1206,10 @@ def run_a2(
     Moving the CRC into engine software adds ~130 cycles per cell
     (table-driven over 48 bytes), multiplying the per-cell budget and
     collapsing the saturation throughput.  Pure closed-form: the cost
-    models make this a one-line ablation.  *config*, *seeds* and
-    *fast_path* are accepted only for the uniform contract.
+    models make this a one-line ablation.  *config* and *seeds* are
+    accepted only for the uniform contract.
     """
-    del config, seeds, fast_path
+    del config, seeds
     headers = [
         "sdu_bytes",
         "hw CRC tx (Mb/s)",
@@ -1284,7 +1255,6 @@ def run_a3(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     windows_us: Sequence[float] = (0, 50, 200, 500),
     sdu_size: int = 1500,
     pdus: int = 60,
@@ -1293,10 +1263,10 @@ def run_a3(
 
     Merging completion interrupts amortises the entry/exit cycles but
     delays delivery by up to the coalescing window: the classic
-    throughput/latency trade, measured on the real pipeline.  *config*,
-    *seeds* and *fast_path* are accepted only for the uniform contract.
+    throughput/latency trade, measured on the real pipeline.  *config*
+    and *seeds* are accepted only for the uniform contract.
     """
-    del config, seeds, fast_path
+    del config, seeds
     headers = [
         "window (us)",
         "interrupts",
@@ -1361,7 +1331,6 @@ def run_a4(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     burst_words: Sequence[int] = (8, 16, 32, 64, 128, 256),
     sdu_size: int = 9180,
 ) -> ExperimentResult:
@@ -1370,10 +1339,10 @@ def run_a4(
     Short bursts re-arbitrate constantly (setup cycles dominate); long
     bursts approach the bus's data-phase rate but hold it longer.  The
     effective bandwidth feeds straight into the large-PDU throughput
-    ceiling via the staging-DMA term.  *seeds* and *fast_path* are
-    accepted only for the uniform contract.
+    ceiling via the staging-DMA term.  *seeds* is accepted only for
+    the uniform contract.
     """
-    del seeds, fast_path
+    del seeds
     series = Series(name="bus burst sweep", x_label="burst_words")
     base = config if config is not None else aurora_oc12()
     for words in burst_words:
@@ -1419,7 +1388,6 @@ def _r1_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float
         params["sdu_size"],
         params["window"],
         params["seed"],
-        fast_path=bool(params.get("fast_path", False)),
     )
 
 
@@ -1430,7 +1398,6 @@ def _r1_measure(
     sdu_size: int,
     window: float,
     seed: int,
-    fast_path: bool = False,
 ) -> Dict[str, float]:
     """Measure one R1 loss-rate point on *base* (host costs pre-zeroed)."""
     from repro.atm.errors import UniformLoss
@@ -1443,7 +1410,7 @@ def _r1_measure(
     point = {}
     for label, policy in policies:
         cfg = replace(base, frame_discard=policy)
-        sim = Simulator(SimConfig(fast_path=fast_path))
+        sim = Simulator()
         nic = HostNetworkInterface(sim, cfg, name="rxhost")
         received: List = []
         nic.on_pdu = received.append
@@ -1476,7 +1443,6 @@ def run_r1(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     loss_rates: Sequence[float] = (0.0, 0.005, 0.01, 0.02, 0.05),
     n_vcs: int = 8,
     sdu_size: int = 8192,
@@ -1502,24 +1468,16 @@ def run_r1(
     if config is not None:
         # A custom config is not a sweepable (JSON) parameter; run the
         # kernel-equivalent loop inline for that research use.
-        return _run_r1_custom(
-            config, loss_rates, n_vcs, sdu_size, window, seed,
-            fast_path=fast_path,
-        )
-    fixed: Dict[str, Any] = {
-        "n_vcs": n_vcs,
-        "sdu_size": sdu_size,
-        "window": window,
-        "seed": seed,
-    }
-    if fast_path:
-        # Only part of the point content when set: scalar runs keep
-        # their historical content hashes (warm caches stay warm).
-        fixed["fast_path"] = True
+        return _run_r1_custom(config, loss_rates, n_vcs, sdu_size, window, seed)
     spec = SweepSpec.grid(
         "R1",
         axes={"loss_rate": loss_rates},
-        fixed=fixed,
+        fixed={
+            "n_vcs": n_vcs,
+            "sdu_size": sdu_size,
+            "window": window,
+            "seed": seed,
+        },
         x_axis="loss_rate",
     )
     sweep_run = run_sweep(spec, _r1_point, workers=workers, store=store, log=log)
@@ -1550,15 +1508,12 @@ def _run_r1_custom(
     sdu_size: int,
     window: float,
     seed: int,
-    fast_path: bool = False,
 ) -> ExperimentResult:
     """The non-sweep R1 path for caller-supplied configurations."""
     base = lab_host(config)
     series = Series(name="goodput under loss", x_label="cell_loss_rate")
     for p in loss_rates:
-        point = _r1_measure(
-            base, p, n_vcs, sdu_size, window, seed, fast_path=fast_path
-        )
+        point = _r1_measure(base, p, n_vcs, sdu_size, window, seed)
         series.add_point(p, **point)
     result = ExperimentResult(
         experiment_id="R1",
@@ -1585,7 +1540,6 @@ def run_o1(
     config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     duration: Optional[float] = None,
 ) -> ExperimentResult:
     """O1: the profiler's measured T1/T2 budgets vs the configured ones.
@@ -1596,10 +1550,10 @@ def run_o1(
     greedy-transmit scenario) and checks they agree.  A nonzero
     deviation would mean the pipeline charged cycles the budget tables
     do not show -- exactly the drift the observability layer exists to
-    catch.  Runs the traced F2 scenario as-is, so *config*, *seeds*
-    and *fast_path* are accepted only for the uniform contract.
+    catch.  Runs the traced F2 scenario as-is, so *config* and *seeds*
+    are accepted only for the uniform contract.
     """
-    del config, seeds, fast_path
+    del config, seeds
     from repro.obs.runner import run_traced
 
     run = run_traced("f2", duration=duration)
@@ -1658,12 +1612,11 @@ def run_o1(
 # registry
 # ---------------------------------------------------------------------------
 
-# R2 lives with the recovery plane it measures; P1 with the fast path
-# it benchmarks; C1 with the traffic-management plane; S1 with the
-# massive-multiplexing scale plane.  All import ExperimentResult
-# lazily, so these imports cannot cycle.
+# R2 lives with the recovery plane it measures; C1 with the
+# traffic-management plane; S1 with the massive-multiplexing scale
+# plane.  All import ExperimentResult lazily, so these imports cannot
+# cycle.
 from repro.resilience.experiment import run_r2  # noqa: E402
-from repro.results.perf import run_p1  # noqa: E402
 from repro.scale.experiment import run_s1  # noqa: E402
 from repro.tm.experiment import run_c1  # noqa: E402
 
@@ -1687,7 +1640,6 @@ EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "R1": run_r1,
     "R2": run_r2,
     "O1": run_o1,
-    "P1": run_p1,
     "C1": run_c1,
     "S1": run_s1,
 }

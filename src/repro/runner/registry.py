@@ -38,9 +38,6 @@ BENCH_KWARGS: Dict[str, Dict[str, Any]] = {
     "F7": {"clocks_mhz": [10, 20, 25, 33, 50], "window": 0.01},
     "R1": {"loss_rates": [0.0, 0.01, 0.02], "window": 0.005},
     "R2": {"seeds": [1, 2]},
-    # P1 defaults are already bench-sized (it is the perf benchmark);
-    # the empty dict just opts it into the default gate set.
-    "P1": {},
     "C1": {"seeds": [1, 2], "duration": 0.06, "warmup": 0.02},
     # S1 cannot be shrunk much below its defaults: the >= 2048
     # concurrency bar needs the full Poisson steady state, so it is the

@@ -3,8 +3,8 @@
 :class:`~repro.scale.session.SessionEngine` drives Poisson call churn
 through the signalling plane; :func:`~repro.scale.experiment.run_s1` is
 the S1 experiment that gates the whole scale story (concurrency, CAM
-pressure, bounded metric cardinality, ledger conservation, fast-path
-parity).  See ``docs/SCALE.md``.
+pressure, bounded metric cardinality, ledger conservation).  See
+``docs/SCALE.md``.
 """
 
 from repro.scale.experiment import S1_TARGET_CONCURRENT, run_s1

@@ -19,18 +19,15 @@ scale plane added is on the hook at once:
   in the switches' ``unroutable`` ledger bucket -- conservation must
   balance across the full churn history;
 - per-VC observability books are bounded (top-K aggregation), checked
-  by the registry-cardinality metric;
-- the first seed re-runs under the fast path (cell bursts + calendar
-  queue) and its observable dict must be byte-identical.
+  by the registry-cardinality metric.
 
 Gates are frozen in ``benchmarks/baselines/S1.json``: peak concurrency
-at or above 2,048 sessions, a balanced ledger, parity, and bounded
-metric cardinality.
+at or above 2,048 sessions, a balanced ledger, and bounded metric
+cardinality.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from typing import Any, Dict, Optional, Sequence
 
@@ -41,7 +38,7 @@ from repro.nic.config import aurora_oc3
 from repro.obs.metrics import MetricsRegistry, instrument
 from repro.runner import ResultStore, RunLog, SweepSpec, run_sweep
 from repro.scale.session import SessionEngine, SessionProfile
-from repro.sim.core import SimConfig, Simulator
+from repro.sim.core import Simulator
 from repro.sim.random import RandomStreams
 from repro.tm.cac import CallAdmissionController
 
@@ -72,19 +69,9 @@ def _churn_run(
     sdu_size: int,
     cam_entries: int,
     reassembly_quota: int,
-    fast_path: bool = False,
 ) -> Dict[str, float]:
-    """One churn history; returns its scalar observables.
-
-    The fast-path lane also swaps the scheduler to the calendar queue,
-    so a single parity comparison covers both dual-path mechanisms.
-    """
-    sim = Simulator(
-        SimConfig(
-            fast_path=fast_path,
-            scheduler="calendar" if fast_path else "heap",
-        )
-    )
+    """One churn history; returns its scalar observables."""
+    sim = Simulator()
     streams = RandomStreams(seed)
     cfg = replace(
         aurora_oc3(),
@@ -213,10 +200,9 @@ def _churn_run(
 
 
 def _s1_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float]:
-    """S1 kernel: one seed's churn history (plus the parity lane).
+    """S1 kernel: one seed's churn history.
 
-    Everything derives from the explicit ``seed`` axis so the scalar
-    and fast-path lanes replay the identical churn history; the sweep's
+    Everything derives from the explicit ``seed`` axis; the sweep's
     per-point streams are unused.
     """
     del streams
@@ -230,28 +216,13 @@ def _s1_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float
         cam_entries=params["cam_entries"],
         reassembly_quota=params["reassembly_quota"],
     )
-    point = _churn_run(params["seed"], fast_path=False, **common)
-    if params["parity_seed"] == params["seed"]:
-        fast = _churn_run(params["seed"], fast_path=True, **common)
-        # Every cell/session-level observable must match byte for byte.
-        # The one exclusion is the scheduler's own footprint: the burst
-        # lane queues fewer, larger entries by design, so its high-water
-        # mark legitimately differs.
-        slow_obs = {k: v for k, v in point.items() if k != "peak_queue_occupancy"}
-        fast_obs = {k: v for k, v in fast.items() if k != "peak_queue_occupancy"}
-        slow_json = json.dumps(slow_obs, sort_keys=True)
-        fast_json = json.dumps(fast_obs, sort_keys=True)
-        point["fast_path_parity"] = 1.0 if slow_json == fast_json else 0.0
-    else:
-        point["fast_path_parity"] = 1.0
-    return point
+    return _churn_run(params["seed"], **common)
 
 
 def run_s1(
     config=None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     duration: float = 2.0,
     arrival_rate: float = 5000.0,
     holding_time: float = 0.5,
@@ -269,12 +240,10 @@ def run_s1(
     Each seed drives a full Poisson churn history (thousands of
     signalled sessions through a two-switch fabric under CAC) and
     reports concurrency, setup latency, CAM pressure, fairness, and the
-    conservation ledger.  The first seed additionally re-runs on the
-    fast path (bursts + calendar queue) and must match byte for byte --
-    so ``fast_path=True`` adds nothing here and is accepted only for
-    the uniform experiment contract, like *config*.
+    conservation ledger.  *config* is accepted only for the uniform
+    experiment contract.
     """
-    del config, fast_path
+    del config
     seeds = list(seeds) if seeds is not None else [1, 2]
     from repro.results.experiments import ExperimentResult
 
@@ -290,7 +259,6 @@ def run_s1(
             "sdu_size": sdu_size,
             "cam_entries": cam_entries,
             "reassembly_quota": reassembly_quota,
-            "parity_seed": seeds[0],
         },
         x_axis="seed",
     )
@@ -327,7 +295,6 @@ def run_s1(
         series.column("registry_metrics")
     )
     result.metrics["all_conserved"] = min(series.column("conserved"))
-    result.metrics["fast_path_parity"] = min(series.column("fast_path_parity"))
     result.metrics["total_refused"] = sum(series.column("refused"))
     result.metrics["total_failed"] = sum(series.column("failed"))
     result.notes.append(

@@ -12,7 +12,7 @@ crowd, not a static table.
 
 All randomness is drawn from named :class:`~repro.sim.random.
 RandomStreams` (``scale.arrival``, ``scale.hold``), so a seed fully
-determines the churn history and fast-path runs replay it exactly.
+determines the churn history.
 """
 
 from __future__ import annotations

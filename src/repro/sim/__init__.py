@@ -19,9 +19,7 @@ reproducible given a seed.
 """
 
 from repro.sim.core import (
-    CalendarQueue,
     Event,
-    SimConfig,
     SimulationError,
     Simulator,
     Timeout,
@@ -41,10 +39,8 @@ from repro.sim.resources import Resource, Store
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Counter",
     "Event",
-    "SimConfig",
     "Histogram",
     "Interrupt",
     "Process",

@@ -5,15 +5,8 @@ event)`` entries.  An :class:`Event` is the unit of synchronisation --
 processes (see :mod:`repro.sim.process`) suspend on events and are
 resumed by the event's callbacks when it triggers.
 
-Two interchangeable scheduler backends maintain the queue (selected by
-:class:`SimConfig.scheduler`): the default binary heap, and a
-:class:`CalendarQueue` timer wheel tuned for the dense same-slot event
-pattern the cell pipelines generate.  Both pop entries in the exact
-same total order, so a run is bit-for-bit identical under either.
-
-:class:`SimConfig` also carries the ``fast_path`` switch that lets the
-NIC/link layers move :class:`repro.atm.burst.CellBurst` batches instead
-of per-cell events (see ``docs/PERFORMANCE.md``).
+The queue is a binary heap; entries pop in ``(time, priority,
+sequence)`` order, so same-time events fire in scheduling order.
 
 Only the simulator advances time.  All model code runs inside event
 callbacks, so there is no concurrency and no locking anywhere.
@@ -22,7 +15,6 @@ callbacks, so there is no concurrency and no locking anywhere.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 if TYPE_CHECKING:  # import cycle: process.py imports this module
@@ -198,144 +190,6 @@ class Timeout(Event):
         sim._schedule(delay, self)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Kernel configuration: scheduler backend and fast-path switches.
-
-    ``fast_path`` does not change the kernel itself -- it is the flag the
-    NIC, link, and workload layers consult to decide whether to move
-    cells one event at a time (the reference path) or batched into
-    :class:`repro.atm.burst.CellBurst` objects with identical per-cell
-    accounting.  ``scheduler`` selects the queue backend: ``"heap"``
-    (binary heap, the default) or ``"calendar"`` (bucketed timer wheel).
-    Both produce the exact same event order.
-    """
-
-    fast_path: bool = False
-    #: Preferred cells per burst on the fast path (producers may emit
-    #: fewer, e.g. when capped by half the downstream FIFO depth).
-    burst_cells: int = 32
-    scheduler: str = "heap"
-    #: Calendar-queue bucket width in seconds.  The default is a handful
-    #: of OC-3 cell slots, matching the dense near-future event pattern.
-    calendar_bucket_width: float = 16e-6
-    #: Number of buckets in the calendar window; events beyond
-    #: ``buckets * width`` from the window base overflow into a heap.
-    calendar_buckets: int = 512
-
-    def __post_init__(self) -> None:
-        if self.scheduler not in ("heap", "calendar"):
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                "expected 'heap' or 'calendar'"
-            )
-        if self.burst_cells < 1:
-            raise ValueError(f"burst_cells must be >= 1, got {self.burst_cells}")
-        if self.calendar_bucket_width <= 0:
-            raise ValueError("calendar_bucket_width must be positive")
-        if self.calendar_buckets < 1:
-            raise ValueError("calendar_buckets must be >= 1")
-
-
-class CalendarQueue:
-    """A bucketed timer wheel preserving the kernel's exact total order.
-
-    Entries within ``n_buckets * bucket_width`` of the window base land
-    in fixed-width buckets (each a small heap); later entries go to an
-    overflow heap.  Because bucket *b* holds only times in
-    ``[b*width, (b+1)*width)``, the global minimum is always the top of
-    the first non-empty bucket, and same-time entries share a bucket --
-    so pops come out in the same ``(time, priority, sequence)`` order a
-    single binary heap would produce, just with much smaller heaps.
-
-    When the whole window drains, the wheel rebases onto the earliest
-    overflow entry and refills the new window from the overflow heap.
-    """
-
-    __slots__ = ("_width", "_n", "_buckets", "_base", "_overflow", "_len")
-
-    def __init__(self, bucket_width: float, n_buckets: int) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        if n_buckets < 1:
-            raise ValueError("n_buckets must be >= 1")
-        self._width = bucket_width
-        self._n = n_buckets
-        self._buckets: list[list[tuple[float, int, int, Event]]] = [
-            [] for _ in range(n_buckets)
-        ]
-        #: Absolute index of the window's first bucket.  Invariant: every
-        #: queued entry has time >= _base * _width (pushes below the base
-        #: -- possible only through float fuzz -- are clamped into it).
-        self._base = 0
-        self._overflow: list[tuple[float, int, int, Event]] = []
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, entry: tuple[float, int, int, Event]) -> None:
-        index = int(entry[0] / self._width)
-        if index < self._base:
-            index = self._base
-        if index >= self._base + self._n:
-            heapq.heappush(self._overflow, entry)
-        else:
-            heapq.heappush(self._buckets[index % self._n], entry)
-        self._len += 1
-
-    def peek_time(self) -> float:
-        """Time of the earliest entry, or ``inf`` when empty.
-
-        Advances the base cursor past empty buckets as a side effect, so
-        a peek immediately followed by a pop is O(1) amortised.
-
-        The overflow heap's top competes with the window's: the base
-        cursor only advances on pops, so an entry that overflowed the
-        window at push time can become the global minimum while the
-        window is still busy with later buckets.
-        """
-        if self._len == 0:
-            return float("inf")
-        for _ in range(self._n):
-            bucket = self._buckets[self._base % self._n]
-            if bucket:
-                if self._overflow and self._overflow[0][0] < bucket[0][0]:
-                    return self._overflow[0][0]
-                return bucket[0][0]
-            self._base += 1
-        return self._overflow[0][0]
-
-    def pop(self) -> tuple[float, int, int, Event]:
-        """Remove and return the globally earliest entry."""
-        if self._len == 0:
-            raise IndexError("pop from empty CalendarQueue")
-        n = self._n
-        for _ in range(n):
-            bucket = self._buckets[self._base % n]
-            if bucket:
-                # Full-tuple comparison so same-time entries keep the
-                # binary heap's (time, priority, sequence) tie order.
-                if self._overflow and self._overflow[0] < bucket[0]:
-                    self._len -= 1
-                    return heapq.heappop(self._overflow)
-                self._len -= 1
-                return heapq.heappop(bucket)
-            self._base += 1
-        # The whole window is empty: rebase onto the earliest overflow
-        # entry and pull everything inside the new window back in.
-        self._base = int(self._overflow[0][0] / self._width)
-        window_end = (self._base + n) * self._width
-        while self._overflow and self._overflow[0][0] < window_end:
-            entry = heapq.heappop(self._overflow)
-            index = int(entry[0] / self._width)
-            if index < self._base:
-                index = self._base
-            heapq.heappush(self._buckets[index % n], entry)
-        self._len -= 1
-        return heapq.heappop(self._buckets[self._base % n])
-
-
 class Simulator:
     """The event loop: a clock plus a time-ordered queue of events.
 
@@ -350,17 +204,9 @@ class Simulator:
     deterministic.
     """
 
-    def __init__(self, config: Optional[SimConfig] = None) -> None:
-        self.config = config if config is not None else SimConfig()
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
-        self._calendar: Optional[CalendarQueue] = (
-            CalendarQueue(
-                self.config.calendar_bucket_width, self.config.calendar_buckets
-            )
-            if self.config.scheduler == "calendar"
-            else None
-        )
         self._sequence = 0
         self._running = False
         #: Lifetime count of events processed -- the kernel's own
@@ -378,11 +224,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def fast_path(self) -> bool:
-        """True when model layers should batch cells into bursts."""
-        return self.config.fast_path
 
     # -- event construction helpers --------------------------------------
 
@@ -405,28 +246,10 @@ class Simulator:
     def _schedule(self, delay: float, event: Event, priority: int = NORMAL) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._schedule_at(self._now + delay, event, priority)
-
-    def _schedule_at(self, when: float, event: Event, priority: int = NORMAL) -> None:
-        """Schedule *event* at the absolute time *when*.
-
-        The fast path (docs/PERFORMANCE.md) schedules at precomputed
-        absolute times rather than ``now + (when - now)`` deltas: the
-        round trip through a delta can be off by one ulp, which would
-        break bit-exact equivalence with the scalar reference.
-        """
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past (at={when}, now={self._now})"
-            )
         self._sequence += 1
-        entry = (when, priority, self._sequence, event)
-        if self._calendar is not None:
-            self._calendar.push(entry)
-            occupancy = len(self._calendar)
-        else:
-            heapq.heappush(self._queue, entry)
-            occupancy = len(self._queue)
+        entry = (self._now + delay, priority, self._sequence, event)
+        heapq.heappush(self._queue, entry)
+        occupancy = len(self._queue)
         if occupancy > self.peak_queue_occupancy:
             self.peak_queue_occupancy = occupancy
 
@@ -438,10 +261,7 @@ class Simulator:
         A cancelled entry is discarded instead: the clock stays put and
         ``events_processed`` does not move, as if it was never queued.
         """
-        if self._calendar is not None:
-            when, _priority, _seq, event = self._calendar.pop()
-        else:
-            when, _priority, _seq, event = heapq.heappop(self._queue)
+        when, _priority, _seq, event = heapq.heappop(self._queue)
         if event._state == Event._CANCELLED:
             return
         self._now = when
@@ -450,8 +270,6 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._calendar is not None:
-            return self._calendar.peek_time()
         return self._queue[0][0] if self._queue else float("inf")
 
     def run(self, until: Optional[float] = None) -> None:
@@ -464,26 +282,17 @@ class Simulator:
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
-        calendar = self._calendar
         try:
             if until is None:
-                if calendar is not None:
-                    while len(calendar):
-                        self.step()
-                else:
-                    while self._queue:
-                        self.step()
+                while self._queue:
+                    self.step()
             else:
                 if until < self._now:
                     raise SimulationError(
                         f"run(until={until}) is in the past (now={self._now})"
                     )
-                if calendar is not None:
-                    while len(calendar) and calendar.peek_time() <= until:
-                        self.step()
-                else:
-                    while self._queue and self._queue[0][0] <= until:
-                        self.step()
+                while self._queue and self._queue[0][0] <= until:
+                    self.step()
                 self._now = until
         finally:
             self._running = False
@@ -522,32 +331,6 @@ class Simulator:
         self._schedule(delay, ev)
         return ev
 
-    def wake_at(self, when: float, value: Any = None) -> Event:
-        """An event firing at the absolute time *when* (fast-path timeout).
-
-        Unlike ``timeout(when - now)`` this cannot be off by one ulp;
-        see :meth:`_schedule_at`.
-        """
-        ev = Event(self)
-        ev._state = Event._TRIGGERED
-        ev._value = value
-        self._schedule_at(when, ev)
-        return ev
-
-    def schedule_call_at(
-        self, when: float, fn: Callable[..., None], *args: Any
-    ) -> Event:
-        """Like :meth:`schedule_call` at an absolute time (fast path)."""
-        ev = Event(self)
-
-        def runner(event: Event) -> None:
-            fn(*args)
-
-        ev.add_callback(runner)
-        ev._state = Event._TRIGGERED
-        self._schedule_at(when, ev)
-        return ev
-
     def pending_events(self) -> int:
         """Number of entries still queued (triggered but unprocessed).
 
@@ -555,8 +338,6 @@ class Simulator:
         until they reach the front of the queue (:meth:`peek` may
         likewise report a cancelled entry's time).
         """
-        if self._calendar is not None:
-            return len(self._calendar)
         return len(self._queue)
 
 

@@ -28,24 +28,8 @@ from typing import Dict, Optional
 
 from repro.atm.addressing import VcAddress
 from repro.atm.cell import AtmCell
-from repro.atm.burst import CellBurst
 from repro.sim.monitor import Counter
 from repro.tm.rm import RmCell, RmFormatError
-
-#: simlint SL7 dual-path registry (docs/STATIC_ANALYSIS.md): EFCI
-#: observation is the one ABR touchpoint a burst lane can reach, and
-#: its burst form must replay the scalar per-cell scan exactly.
-PATH_PAIRS = [
-    {
-        "scalar": "AbrAgent.observe_cell",
-        "burst": "AbrAgent.observe_burst",
-        "why": (
-            "burst EFCI observation replays the scalar per-cell scan "
-            "exactly; RM send/turnaround paths are scalar-only since "
-            "paced ABR VCs never form bursts"
-        ),
-    },
-]
 
 
 @dataclass(frozen=True)
@@ -190,11 +174,6 @@ class AbrAgent:
         """RxEngine per-user-cell hook: latch EFCI marks per VC."""
         if cell.congestion_experienced:
             self._efci_seen[VcAddress(cell.vpi, cell.vci)] = True
-
-    def observe_burst(self, burst: CellBurst) -> None:
-        """Burst form of :meth:`observe_cell` for burst-aware taps."""
-        for cell in burst.cells:
-            self.observe_cell(cell)
 
     def _turn_around(self, rm: RmCell) -> None:
         ci = self._efci_seen.pop(rm.vc, False)

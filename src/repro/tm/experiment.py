@@ -37,7 +37,7 @@ from repro.atm.addressing import VcAddress
 from repro.net import Testbed
 from repro.nic.config import aurora_oc3
 from repro.runner import ResultStore, RunLog, SweepSpec, run_sweep
-from repro.sim.core import SimConfig, Simulator
+from repro.sim.core import Simulator
 from repro.sim.random import RandomStreams
 from repro.tm.abr import AbrAgent, AbrParams
 from repro.tm.erica import EricaAllocator
@@ -56,10 +56,9 @@ def _bottleneck_run(
     buffer_cells: int,
     efci_threshold: int,
     sdu_size: int,
-    fast_path: bool = False,
 ) -> Dict[str, float]:
     """One arm of a C1 point; returns its scalar observables."""
-    sim = Simulator(SimConfig(fast_path=fast_path))
+    sim = Simulator()
     streams = RandomStreams(seed)
     cfg = aurora_oc3()
     spec = cfg.link
@@ -217,7 +216,6 @@ def run_c1(
     config=None,
     *,
     seeds: Optional[Sequence[int]] = None,
-    fast_path: bool = False,
     duration: float = 0.06,
     warmup: float = 0.02,
     n_sources: int = 3,
@@ -234,10 +232,10 @@ def run_c1(
     control loop closed and wide open -- and reports bottleneck
     utilization, the weighted-fairness deviation, queue extremes, and
     the goodput gap.  See ``docs/TRAFFIC.md``.  Sweep points build
-    their configs from JSON parameters, so *config* (like *fast_path*)
-    is accepted only for the uniform contract.
+    their configs from JSON parameters, so *config* is accepted only
+    for the uniform contract.
     """
-    del config, fast_path
+    del config
     seeds = tuple(seeds) if seeds is not None else (1, 2, 3)
     from repro.results.experiments import ExperimentResult
 

@@ -138,10 +138,7 @@ class InterleavedCellSource:
     def start(self):
         """Launch the wire process (idempotent); returns the process."""
         if self._process is None:
-            if self.blocking_fifo is not None and self.sim.fast_path:
-                self._process = self.sim.process(self._run_fast())
-            else:
-                self._process = self.sim.process(self._run())
+            self._process = self.sim.process(self._run())
         return self._process
 
     def _refill(self, stream: int) -> None:
@@ -166,51 +163,3 @@ class InterleavedCellSource:
             self.cells_emitted.increment()
             stream = (stream + 1) % self.n_vcs
             yield self.sim.timeout(self.link.cell_time)
-
-    def _next_cell(self) -> AtmCell:
-        stream = self._stream
-        if not self._queues[stream]:
-            self._refill(stream)
-        cell = self._queues[stream].pop(0)
-        self._stream = (stream + 1) % self.n_vcs
-        return cell
-
-    def _run_fast(self):
-        """Burst-mode wire: same slot-spaced cell times, fewer events.
-
-        The scalar loop puts cell *n* at ``n * cell_time`` (shifted only
-        while backpressured).  Here cells are batched into pre-announced
-        :class:`~repro.atm.burst.CellBurst` runs whose embedded arrivals
-        are that exact slot chain; after a blocking put the chain
-        restarts from the accept time, matching the scalar loop's
-        post-block resumption.  See ``docs/PERFORMANCE.md``.
-        """
-        from repro.atm.burst import CellBurst
-
-        self._stream = 0
-        fifo = self.blocking_fifo
-        slot = self.link.cell_time
-        burst_len = max(
-            1, min(self.sim.config.burst_cells, fifo.depth_cells // 2)
-        )
-        # Arrival of the next cell to emit; advanced with the same
-        # iterated float adds as the scalar loop's timeout chain so the
-        # values are bit-identical (cell n at exactly n * slot).
-        next_arrival = 0.0
-        while True:
-            cells = [self._next_cell() for _ in range(burst_len)]
-            arrivals = []
-            for _ in range(burst_len):
-                arrivals.append(next_arrival)
-                next_arrival = next_arrival + slot
-            accept = fifo.put_burst(CellBurst(cells, arrivals))
-            blocked = not accept.triggered
-            yield accept
-            self.cells_emitted.increment(burst_len)
-            if blocked:
-                # Backpressured: the scalar chain restarts from the
-                # unblock time (arrivals are engine-dominated here).
-                next_arrival = max(self.sim.now, next_arrival)
-            wait = next_arrival - self.sim.now
-            if wait > 0:
-                yield self.sim.timeout(wait)

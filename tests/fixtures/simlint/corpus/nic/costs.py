@@ -2,7 +2,7 @@
 
 ``ghost_op`` sits in the breakdown table but is charged nowhere (the
 direction-A finding lands on ``breakdown``); ``secret_op`` and
-``hidden_op`` are charged in ``fastpath_pairs.py`` but have no table
+``hidden_op`` are charged in ``budget_drift.py`` but have no table
 row (direction B lands on the charge sites).
 """
 

@@ -46,7 +46,7 @@ class TestRegistry:
         assert set(EXPERIMENTS) == {
             "T1", "T2", "T3", "T4", "T5",
             "F2", "F3", "F4", "F5", "F6", "F7", "F8",
-            "A1", "A2", "A3", "A4", "R1", "R2", "O1", "P1", "C1", "S1",
+            "A1", "A2", "A3", "A4", "R1", "R2", "O1", "C1", "S1",
         }
 
     def test_unknown_id_raises(self):

@@ -6,12 +6,12 @@ Three layers of coverage:
   naming, validation errors, dynamic route install/teardown;
 - :class:`TestSessionChurn` runs a shrunk churn history through the
   full S1 machinery (signalling, CAC, LRU CAM, ledger) and checks the
-  observables hang together, including scalar/fast-path parity;
+  observables hang together;
 - :class:`TestMigrationByteIdentity` pins the Testbed migrations of C1
   and R2 against canonical-JSON fixtures captured from the hand-wired
   wiring, and :class:`TestUniformContract` introspects every registered
-  ``run_*`` for the ``(config=None, *, seeds=None, fast_path=False)``
-  signature shape (see EXPERIMENTS.md).
+  ``run_*`` for the ``(config=None, *, seeds=None)`` signature shape
+  (see EXPERIMENTS.md).
 """
 
 import inspect
@@ -24,16 +24,16 @@ from repro.atm.addressing import VcAddress
 from repro.net import Testbed as TopologyBuilder
 from repro.nic.config import aurora_oc3
 from repro.resilience.experiment import run_r2
-from repro.results.perf import canonical_result_json
+from repro.results.experiments import canonical_result_json
 from repro.runner.registry import REGISTRY, SWEEP_IDS
 from repro.scale.experiment import _churn_run
-from repro.sim.core import SimConfig, Simulator
+from repro.sim.core import Simulator
 from repro.tm.experiment import run_c1
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def _small_churn(seed=1, fast_path=False, **overrides):
+def _small_churn(seed=1, **overrides):
     """A churn history small enough for a unit test (~2k sessions/s)."""
     params = dict(
         duration=0.3,
@@ -46,7 +46,7 @@ def _small_churn(seed=1, fast_path=False, **overrides):
         reassembly_quota=64,
     )
     params.update(overrides)
-    return _churn_run(seed, fast_path=fast_path, **params)
+    return _churn_run(seed, **params)
 
 
 class TestTestbed:
@@ -60,7 +60,7 @@ class TestTestbed:
         return tb
 
     def test_build_names_everything(self):
-        net = self._two_switch().build(Simulator(SimConfig()))
+        net = self._two_switch().build(Simulator())
         assert set(net.hosts) == {"a", "b"}
         assert set(net.switches) == {"sw1", "sw2"}
         assert set(net.links) == {"a->sw1", "sw1->sw2", "sw2->b"}
@@ -71,7 +71,7 @@ class TestTestbed:
         tb = self._two_switch()
         addr = VcAddress(0, 40)
         tb.vc(addr, ["a", "sw1", "sw2", "b"], peak_rate_bps=1e6)
-        net = tb.build(Simulator(SimConfig()))
+        net = tb.build(Simulator())
         assert net.hosts["a"].vc_table.lookup(addr) is not None
         assert net.hosts["b"].vc_table.lookup(addr) is not None
         # One route per switch hop, keyed by the resolved input index.
@@ -79,7 +79,7 @@ class TestTestbed:
         assert len(net.switches["sw2"]._routes) == 1
 
     def test_dynamic_route_install_and_teardown(self):
-        net = self._two_switch().build(Simulator(SimConfig()))
+        net = self._two_switch().build(Simulator())
         addr = VcAddress(0, 50)
         path = ["a", "sw1", "sw2", "b"]
         net.add_route(addr, path)
@@ -88,7 +88,7 @@ class TestTestbed:
         assert net.switches["sw1"].route_for(0, addr) is None
 
     def test_undeclared_hop_raises_at_route_time(self):
-        net = self._two_switch().build(Simulator(SimConfig()))
+        net = self._two_switch().build(Simulator())
         # No b->sw2 link was declared, so the reverse path has no
         # input index for sw2 and the route helper must say which hop.
         with pytest.raises(KeyError, match="sw2"):
@@ -151,15 +151,6 @@ class TestSessionChurn:
         assert obs["placed"] > 100
         assert obs["registry_metrics"] < 150
 
-    def test_fast_path_parity_small_scale(self):
-        slow = _small_churn(seed=3)
-        fast = _small_churn(seed=3, fast_path=True)
-        slow.pop("peak_queue_occupancy")
-        fast.pop("peak_queue_occupancy")
-        assert json.dumps(slow, sort_keys=True) == json.dumps(
-            fast, sort_keys=True
-        )
-
     def test_seeds_decorrelate_histories(self):
         a = _small_churn(seed=1)
         b = _small_churn(seed=2)
@@ -201,11 +192,9 @@ class TestUniformContract:
             inspect.Parameter.POSITIONAL_ONLY,
         )
         by_name = sig.parameters
-        for name in ("seeds", "fast_path"):
-            assert name in by_name, f"{experiment_id} lacks {name}"
-            assert by_name[name].kind is inspect.Parameter.KEYWORD_ONLY
+        assert "seeds" in by_name, f"{experiment_id} lacks seeds"
+        assert by_name["seeds"].kind is inspect.Parameter.KEYWORD_ONLY
         assert by_name["seeds"].default is None
-        assert by_name["fast_path"].default is False
         # Everything after config is keyword-only with a default, so
         # any experiment can be invoked as run(config) or run().
         for param in params[1:]:

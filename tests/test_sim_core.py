@@ -171,83 +171,59 @@ class TestDeterminism:
         assert trace() == trace()
 
 
-class TestCalendarScheduler:
-    """The calendar backend must reproduce the heap's exact total order."""
+class TestSchedulerOrder:
+    """The queue pops in ``(time, scheduling order)`` for any schedule."""
 
     @staticmethod
-    def _pop_order(scheduler, times, **knobs):
-        from repro.sim.core import SimConfig
-
-        sim = Simulator(SimConfig(scheduler=scheduler, **knobs))
+    def _pop_order(times):
+        sim = Simulator()
         order = []
         for label, t in enumerate(times):
             sim.schedule_call(t, order.append, (t, label))
         sim.run()
         return order
 
-    def test_same_timestamp_fifo_matches_heap(self):
+    def test_same_timestamp_fifo_order(self):
         times = [1.0, 1.0, 0.5, 1.0, 0.5, 2.0, 1.0]
-        assert self._pop_order("calendar", times) == self._pop_order(
-            "heap", times
-        )
+        assert self._pop_order(times) == [
+            (0.5, 2), (0.5, 4), (1.0, 0), (1.0, 1), (1.0, 3), (1.0, 6),
+            (2.0, 5),
+        ]
 
-    def test_far_future_events_overflow_and_rebase(self):
-        # Far beyond the wheel window (width * buckets), through several
-        # rebase generations, mixed with near-term events.
+    def test_far_future_events_pop_in_time_order(self):
         times = [1e-6, 5.0, 1e-6, 12_000.0, 3.0, 5.0, 0.0, 7e5, 12_000.0]
-        assert self._pop_order(
-            "calendar", times, calendar_bucket_width=1e-6, calendar_buckets=4
-        ) == self._pop_order("heap", times)
+        assert self._pop_order(times) == [
+            (0.0, 6), (1e-6, 0), (1e-6, 2), (3.0, 4), (5.0, 1), (5.0, 5),
+            (12_000.0, 3), (12_000.0, 8), (7e5, 7),
+        ]
 
-    def test_degenerate_single_bucket_wheel(self):
+    def test_unsorted_schedule_pops_sorted(self):
         times = [0.3, 0.1, 0.2, 0.1, 0.4]
-        assert self._pop_order(
-            "calendar", times, calendar_bucket_width=1e-9, calendar_buckets=1
-        ) == self._pop_order("heap", times)
+        assert self._pop_order(times) == [
+            (0.1, 1), (0.1, 3), (0.2, 2), (0.3, 0), (0.4, 4),
+        ]
 
-    def test_overflow_due_while_window_busy_is_not_stranded(self):
-        # Regression: an overflow event can come due while near events
-        # keep landing inside the wheel's window (dense self-scheduling
-        # workloads -- exactly S1's churn shape).  The wheel only
-        # rebases on empty-window scans, so the overflow top must be
-        # compared lazily on every peek/pop, not just after a rebase;
-        # the original code stranded it until the wheel went idle,
-        # running events out of order.  Upfront schedules (the tests
-        # above) never trip this: it needs events scheduled *from
-        # running callbacks* that keep the window occupied past the
-        # overflow event's deadline.
-        from repro.sim.core import SimConfig
+    def test_far_event_interleaves_self_scheduled_ticks(self):
+        # Callbacks keep scheduling near events while one far event,
+        # scheduled from inside a callback, comes due mid-stream.
+        sim = Simulator()
+        log = []
 
-        def run(scheduler):
-            sim = Simulator(
-                SimConfig(
-                    scheduler=scheduler,
-                    calendar_bucket_width=1e-3,
-                    calendar_buckets=8,  # window = 8 ms
-                )
-            )
-            log = []
+        def tick(n):
+            log.append(("tick", round(sim.now, 9)))
+            if n:
+                sim.schedule_call(2e-3, tick, n - 1)
+            if n == 18:
+                sim.schedule_call(21e-3, log.append, ("far", 1))
 
-            def tick(n):
-                log.append(("tick", round(sim.now, 9)))
-                if n:
-                    # Stay inside the window, forever occupying it...
-                    sim.schedule_call(2e-3, tick, n - 1)
-                if n == 18:
-                    # ...then lob one event far past the window; it
-                    # comes due at 25 ms, mid-stream of the ticks.
-                    sim.schedule_call(21e-3, log.append, ("far", 1))
-
-            sim.schedule_call(0.0, tick, 20)
-            sim.run()
-            return log, sim.now, sim.events_processed
-
-        assert run("calendar") == run("heap")
+        sim.schedule_call(0.0, tick, 20)
+        sim.run()
+        ticks = [("tick", round(2e-3 * i, 9)) for i in range(21)]
+        assert log == ticks[:13] + [("far", 1)] + ticks[13:]
+        assert sim.events_processed == 22
 
     def test_run_until_leaves_future_events_queued(self):
-        from repro.sim.core import SimConfig
-
-        sim = Simulator(SimConfig(scheduler="calendar"))
+        sim = Simulator()
         hits = []
         sim.schedule_call(1.0, hits.append, "near")
         sim.schedule_call(100.0, hits.append, "far")
@@ -295,18 +271,15 @@ class TestCancellation:
         with pytest.raises(SimulationError):
             ev.fail(RuntimeError("x"))
 
-    def test_cancellation_identical_across_backends(self):
-        from repro.sim.core import SimConfig
-
-        def run(scheduler):
-            sim = Simulator(SimConfig(scheduler=scheduler))
-            log = []
-            victims = [sim.timeout(t) for t in (0.2, 0.4, 0.4, 0.9)]
-            for t in (0.1, 0.4, 0.5, 0.9):
-                sim.schedule_call(t, log.append, t)
-            for victim in victims:
-                victim.cancel()
-            sim.run()
-            return log, sim.now, sim.events_processed
-
-        assert run("heap") == run("calendar")
+    def test_cancelled_entries_are_skipped_in_order(self):
+        sim = Simulator()
+        log = []
+        victims = [sim.timeout(t) for t in (0.2, 0.4, 0.4, 0.9)]
+        for t in (0.1, 0.4, 0.5, 0.9):
+            sim.schedule_call(t, log.append, t)
+        for victim in victims:
+            victim.cancel()
+        sim.run()
+        assert log == [0.1, 0.4, 0.5, 0.9]
+        assert sim.now == 0.9
+        assert sim.events_processed == 4

@@ -250,13 +250,3 @@ class TestClosedLoop:
         assert off["peak_queue"] == 256
         assert off["goodput_mbps"] < 50.0
 
-
-class TestFastPathParity:
-    def test_closed_loop_metrics_identical_under_fast_path(self):
-        kwargs = dict(
-            seed=2, closed_loop=True, duration=0.02, warmup=0.01,
-            n_sources=2, buffer_cells=128, efci_threshold=32, sdu_size=1528,
-        )
-        scalar = _bottleneck_run(fast_path=False, **kwargs)
-        fast = _bottleneck_run(fast_path=True, **kwargs)
-        assert scalar == fast
