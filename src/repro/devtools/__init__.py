@@ -18,7 +18,6 @@ Entry points::
 
     python -m repro lint             # lint src/repro, text report
     python -m repro lint --docs      # also run the docs hygiene checks
-    python tools/simlint.py          # same, without installing
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and the
 rationale tying each rule family back to the paper.

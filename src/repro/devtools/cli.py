@@ -1,4 +1,4 @@
-"""Argument parsing for ``python -m repro lint`` / ``tools/simlint.py``.
+"""Argument parsing for ``python -m repro lint``.
 
 Exit status: 0 when clean, 1 when any finding survives suppression,
 2 on usage errors -- so CI can gate on the process status alone while
@@ -8,10 +8,8 @@ also uploading the ``--out`` JSON report as an artifact.
 from __future__ import annotations
 
 import argparse
-import subprocess
-import sys
 from pathlib import Path
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence
 
 from repro.devtools.docs import check_docs, default_repo_root
 from repro.devtools.findings import render_json, render_sarif, render_text
@@ -58,16 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids or family prefixes (e.g. SL1,SL302)",
     )
     parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "report findings only for files modified per "
-            "'git diff --name-only HEAD' (the whole tree is still "
-            "analysed so interprocedural rules see the full call "
-            "graph); outside a git checkout, lints the full tree"
-        ),
-    )
-    parser.add_argument(
         "--docs",
         action="store_true",
         help="also run the documentation hygiene checks (DOC101-DOC103)",
@@ -94,35 +82,6 @@ def _list_rules() -> int:
     return 0
 
 
-def _changed_files(anchor: Path) -> Optional[Set[Path]]:
-    """Absolute paths ``git diff --name-only HEAD`` reports, or ``None``.
-
-    ``None`` means "not a usable git checkout" and the caller falls
-    back to full-tree reporting.
-    """
-    probe = anchor if anchor.is_dir() else anchor.parent
-    try:
-        toplevel = subprocess.run(
-            ["git", "-C", str(probe), "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        names = subprocess.run(
-            ["git", "-C", toplevel, "diff", "--name-only", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return {
-        (Path(toplevel) / name).resolve()
-        for name in names.splitlines()
-        if name.strip()
-    }
-
-
 def _sarif_path_prefix(lint_root: str) -> str:
     """The lint root relative to the repo root, for SARIF locations."""
     try:
@@ -140,16 +99,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     paths = args.paths or [str(default_lint_root())]
     rules = args.rules.split(",") if args.rules else None
-    restrict_to: Optional[Set[Path]] = None
-    if args.changed:
-        restrict_to = _changed_files(Path(paths[0]))
-        if restrict_to is None:
-            print(
-                "simlint: --changed outside a git checkout; "
-                "linting the full tree",
-                file=sys.stderr,
-            )
-    result = lint_paths(paths, rules=rules, restrict_to=restrict_to)
+    result = lint_paths(paths, rules=rules)
 
     findings = list(result.findings)
     if args.docs:

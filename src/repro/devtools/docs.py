@@ -14,9 +14,6 @@ reporters and CI artifact as the AST rules:
   against the live argparse registry -- subcommand flags must exist,
   experiment ids must be registered -- so a quickstart the docs show
   cannot drift from the CLI that ships.
-
-``tools/check_docs.py`` is a thin shim over this module, kept so the
-historical invocation keeps working.
 """
 
 from __future__ import annotations
@@ -259,26 +256,3 @@ def check_docs(repo: Path | None = None) -> List[Finding]:
     findings.extend(broken_links(repo))
     findings.extend(cli_drift(repo))
     return findings
-
-
-def main(repo: Path | None = None) -> int:
-    """Stand-alone runner used by ``tools/check_docs.py``."""
-    repo = repo if repo is not None else default_repo_root()
-    findings = check_docs(repo)
-    for finding in sorted(findings, key=Finding.sort_key):
-        print(finding.format())
-    if findings:
-        print(f"\n{len(findings)} documentation problem(s)")
-        return 1
-    n_modules = len(
-        [
-            p
-            for p in (repo / "src" / "repro").rglob("*.py")
-            if "__pycache__" not in p.parts
-        ]
-    )
-    print(
-        f"docs check OK: {n_modules} modules documented, "
-        f"{len(doc_files(repo))} markdown files with resolving links"
-    )
-    return 0

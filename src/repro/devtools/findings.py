@@ -10,19 +10,15 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable
 
 
 class Severity(enum.Enum):
-    """How bad a finding is; orders error > warning > info."""
+    """How bad a finding is: error, warning or info."""
 
     ERROR = "error"
     WARNING = "warning"
     INFO = "info"
-
-    @property
-    def rank(self) -> int:
-        return {"error": 0, "warning": 1, "info": 2}[self.value]
 
 
 @dataclass(frozen=True)
@@ -172,16 +168,3 @@ def render_sarif(
         ],
     }
     return json.dumps(document, indent=2, sort_keys=True)
-
-
-def worst_severity(findings: Iterable[Finding]) -> Severity | None:
-    """The most severe level present, or None for an empty report."""
-    worst: Severity | None = None
-    for finding in findings:
-        if worst is None or finding.severity.rank < worst.rank:
-            worst = finding.severity
-    return worst
-
-
-#: Type alias for the list the linter accumulates into.
-FindingList = List[Finding]

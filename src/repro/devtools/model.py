@@ -1,32 +1,29 @@
-"""Extract the repo's conformance tables for the rules to check against.
+"""The conformance tables the rules check call sites against.
 
-The linter needs four pieces of ground truth:
+Two pieces of ground truth, read from the imported :mod:`repro`
+package:
 
 - the trace-event taxonomy and drop-reason table
   (:data:`repro.obs.trace.EVENT_TAXONOMY` / ``DROP_REASONS``);
-- the cell-conservation ledger buckets
-  (:class:`repro.faults.audit.ConservationLedger` field names);
-- the reassembly-failure taxonomy
-  (:class:`repro.aal.interface.ReassemblyFailure` values);
 - the canonical observability hook signatures
   (:class:`repro.obs.trace.TraceRecorder`,
   :class:`repro.obs.profiler.CycleProfiler`).
 
-Each is extracted *statically* from the tree being linted when the
-defining module is inside it, so the linter checks the same revision
-it is scanning; when a table's module is not under the lint root (for
-example when linting the fixture corpus) the shipped
-:mod:`repro` package provides the fallback.  Extraction is pure AST
-walking -- the linter never executes the code under analysis.
+The linter never executes the code it scans; it imports only these
+tables, so any tree -- the shipped package or the fixture corpus -- is
+checked against the names the running simulator accepts.
 """
 
 from __future__ import annotations
 
-import ast
 import inspect
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Set
+
+#: Hook receivers the pipeline threads through (attribute/variable
+#: names at call sites) and the methods each exposes.
+TRACE_METHODS = {"emit", "tag_cell"}
+PROFILER_METHODS = {"record_cell", "record_pdu", "record_oam", "record_ops"}
 
 
 @dataclass(frozen=True)
@@ -47,118 +44,17 @@ class HookSignature:
 class RepoModel:
     """Every conformance table the rule families consult."""
 
-    event_names: Set[str] = field(default_factory=set)
-    drop_reasons: Set[str] = field(default_factory=set)
-    ledger_buckets: Set[str] = field(default_factory=set)
-    reassembly_failures: Set[str] = field(default_factory=set)
-    cost_fields: Set[str] = field(default_factory=set)
+    event_names: Set[str]
+    drop_reasons: Set[str]
     #: receiver attribute name (``trace``/``profiler``...) ->
     #: {method name -> signature}
-    hooks: Dict[str, Dict[str, HookSignature]] = field(default_factory=dict)
+    hooks: Dict[str, Dict[str, HookSignature]]
     #: receiver attribute name -> every method the canonical hook class
     #: defines (so "unknown method" means unknown, not merely unchecked)
-    hook_methods: Dict[str, Set[str]] = field(default_factory=dict)
-
-    def reason_has_ledger_bucket(self, reason: str) -> bool:
-        """Does a drop *reason* land in a conservation-ledger bucket?
-
-        A reason maps to the auditor's books if it names a ledger field
-        directly (``link_lost``), names one modulo the ``_discarded``
-        suffix convention (``hec`` -> ``hec_discarded``), or is one of
-        the reassembly verdicts the ledger itemises under
-        ``discarded_by``.
-        """
-        return (
-            reason in self.ledger_buckets
-            or f"{reason}_discarded" in self.ledger_buckets
-            or reason in self.reassembly_failures
-        )
+    hook_methods: Dict[str, Set[str]]
 
 
-# ---------------------------------------------------------------------------
-# static extraction helpers
-# ---------------------------------------------------------------------------
-
-
-def _parse(path: Path) -> Optional[ast.Module]:
-    try:
-        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    except (OSError, SyntaxError):
-        return None
-
-
-def _dict_literal_keys(tree: ast.Module, name: str) -> Optional[Set[str]]:
-    """String keys of the module-level ``name = {...}`` assignment."""
-    for node in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if not any(
-            isinstance(t, ast.Name) and t.id == name for t in targets
-        ):
-            continue
-        if isinstance(value, ast.Dict):
-            keys = set()
-            for key in value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    keys.add(key.value)
-            return keys
-    return None
-
-
-def _class_node(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def _dataclass_fields(tree: ast.Module, class_name: str) -> Optional[Set[str]]:
-    """Annotated field names of a (data)class body."""
-    node = _class_node(tree, class_name)
-    if node is None:
-        return None
-    fields = set()
-    for statement in node.body:
-        if isinstance(statement, ast.AnnAssign) and isinstance(
-            statement.target, ast.Name
-        ):
-            fields.add(statement.target.id)
-    return fields or None
-
-
-def _enum_values(tree: ast.Module, class_name: str) -> Optional[Set[str]]:
-    """String values of an enum class's members."""
-    node = _class_node(tree, class_name)
-    if node is None:
-        return None
-    values = set()
-    for statement in node.body:
-        if isinstance(statement, ast.Assign) and isinstance(
-            statement.value, ast.Constant
-        ):
-            if isinstance(statement.value.value, str):
-                values.add(statement.value.value)
-    return values or None
-
-
-def _method_names(tree: ast.Module, class_name: str) -> Optional[Set[str]]:
-    """Every method (and property) name a class body defines."""
-    node = _class_node(tree, class_name)
-    if node is None:
-        return None
-    names = {
-        statement.name
-        for statement in node.body
-        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    return names or None
-
-
-def _method_names_from_object(obj: type) -> Set[str]:
+def _method_names(obj: type) -> Set[str]:
     return {
         name
         for name, value in vars(obj).items()
@@ -166,55 +62,20 @@ def _method_names_from_object(obj: type) -> Set[str]:
     }
 
 
-def _method_signatures(
-    tree: ast.Module, class_name: str, methods: Set[str]
-) -> Optional[Dict[str, HookSignature]]:
-    node = _class_node(tree, class_name)
-    if node is None:
-        return None
-    signatures: Dict[str, HookSignature] = {}
-    for statement in node.body:
-        if not isinstance(statement, ast.FunctionDef):
-            continue
-        if statement.name not in methods:
-            continue
-        arguments = statement.args
-        params = [a.arg for a in arguments.args[1:]]  # drop self
-        n_defaults = len(arguments.defaults)
-        required = params[: len(params) - n_defaults] if params else []
-        signatures[statement.name] = HookSignature(
-            name=statement.name,
-            params=params,
-            required=required,
-            has_var_keyword=arguments.kwarg is not None,
-            has_var_positional=arguments.vararg is not None,
-        )
-    return signatures or None
-
-
-def _signatures_from_object(obj: type, methods: Set[str]) -> Dict[str, HookSignature]:
+def _signatures(obj: type, methods: Set[str]) -> Dict[str, HookSignature]:
     signatures: Dict[str, HookSignature] = {}
     for name in methods:
-        method = getattr(obj, name, None)
-        if method is None:
-            continue
-        parameters = list(inspect.signature(method).parameters.values())[1:]
-        params = [
-            p.name
-            for p in parameters
-            if p.kind
-            in (p.POSITIONAL_OR_KEYWORD, p.POSITIONAL_ONLY)
-        ]
-        required = [
-            p.name
+        signature = inspect.signature(getattr(obj, name))
+        parameters = list(signature.parameters.values())[1:]  # drop self
+        positional = [
+            p
             for p in parameters
             if p.kind in (p.POSITIONAL_OR_KEYWORD, p.POSITIONAL_ONLY)
-            and p.default is p.empty
         ]
         signatures[name] = HookSignature(
             name=name,
-            params=params,
-            required=required,
+            params=[p.name for p in positional],
+            required=[p.name for p in positional if p.default is p.empty],
             has_var_keyword=any(p.kind == p.VAR_KEYWORD for p in parameters),
             has_var_positional=any(
                 p.kind == p.VAR_POSITIONAL for p in parameters
@@ -223,124 +84,24 @@ def _signatures_from_object(obj: type, methods: Set[str]) -> Dict[str, HookSigna
     return signatures
 
 
-#: Hook receivers the pipeline threads through (attribute/variable
-#: names at call sites) and the methods each exposes.
-TRACE_METHODS = {"emit", "tag_cell"}
-PROFILER_METHODS = {"record_cell", "record_pdu", "record_oam", "record_ops"}
+def build_model() -> RepoModel:
+    """Read every table from the imported package."""
+    from repro.obs.profiler import CycleProfiler
+    from repro.obs.trace import DROP_REASONS, EVENT_TAXONOMY, TraceRecorder
 
-
-def build_model(root: Path) -> RepoModel:
-    """Extract every table, preferring files under *root*."""
-    model = RepoModel()
-
-    def find(relative: str) -> Optional[ast.Module]:
-        for candidate in (root / relative, root / "repro" / relative):
-            if candidate.is_file():
-                return _parse(candidate)
-        matches = sorted(root.rglob(relative))
-        return _parse(matches[0]) if matches else None
-
-    trace_tree = find("obs/trace.py")
-    if trace_tree is not None:
-        model.event_names = _dict_literal_keys(trace_tree, "EVENT_TAXONOMY") or set()
-        model.drop_reasons = _dict_literal_keys(trace_tree, "DROP_REASONS") or set()
-        model.hooks["trace"] = (
-            _method_signatures(trace_tree, "TraceRecorder", TRACE_METHODS) or {}
-        )
-        model.hook_methods["trace"] = (
-            _method_names(trace_tree, "TraceRecorder") or set()
-        )
-    audit_tree = find("faults/audit.py")
-    if audit_tree is not None:
-        model.ledger_buckets = (
-            _dataclass_fields(audit_tree, "ConservationLedger") or set()
-        )
-    interface_tree = find("aal/interface.py")
-    if interface_tree is not None:
-        model.reassembly_failures = (
-            _enum_values(interface_tree, "ReassemblyFailure") or set()
-        )
-    costs_tree = find("nic/costs.py")
-    if costs_tree is not None:
-        fields = set()
-        for class_name in ("TxCostModel", "RxCostModel"):
-            fields |= _dataclass_fields(costs_tree, class_name) or set()
-        model.cost_fields = fields
-    profiler_tree = find("obs/profiler.py")
-    if profiler_tree is not None:
-        model.hooks["profiler"] = (
-            _method_signatures(profiler_tree, "CycleProfiler", PROFILER_METHODS)
-            or {}
-        )
-        model.hook_methods["profiler"] = (
-            _method_names(profiler_tree, "CycleProfiler") or set()
-        )
-
-    _fill_fallbacks(model)
-    model.hooks.setdefault("recorder", model.hooks.get("trace", {}))
-    model.hook_methods.setdefault("recorder", model.hook_methods.get("trace", set()))
-    return model
-
-
-def _fill_fallbacks(model: RepoModel) -> None:
-    """Backfill any table the lint root did not provide from repro."""
-    if not model.event_names or not model.drop_reasons or not model.hooks.get(
-        "trace"
-    ):
-        try:
-            from repro.obs import trace as trace_module
-        except ImportError:  # pragma: no cover - repro is always importable
-            trace_module = None
-        if trace_module is not None:
-            if not model.event_names:
-                model.event_names = set(trace_module.EVENT_TAXONOMY)
-            if not model.drop_reasons:
-                model.drop_reasons = set(trace_module.DROP_REASONS)
-            if not model.hooks.get("trace"):
-                model.hooks["trace"] = _signatures_from_object(
-                    trace_module.TraceRecorder, TRACE_METHODS
-                )
-            if not model.hook_methods.get("trace"):
-                model.hook_methods["trace"] = _method_names_from_object(
-                    trace_module.TraceRecorder
-                )
-    if not model.ledger_buckets:
-        try:
-            from repro.faults.audit import ConservationLedger
-        except ImportError:  # pragma: no cover
-            pass
-        else:
-            model.ledger_buckets = set(
-                ConservationLedger.__dataclass_fields__
-            )
-    if not model.reassembly_failures:
-        try:
-            from repro.aal.interface import ReassemblyFailure
-        except ImportError:  # pragma: no cover
-            pass
-        else:
-            model.reassembly_failures = {
-                member.value for member in ReassemblyFailure
-            }
-    if not model.cost_fields:
-        try:
-            from repro.nic.costs import RxCostModel, TxCostModel
-        except ImportError:  # pragma: no cover
-            pass
-        else:
-            model.cost_fields = set(
-                TxCostModel.__dataclass_fields__
-            ) | set(RxCostModel.__dataclass_fields__)
-    if not model.hooks.get("profiler"):
-        try:
-            from repro.obs.profiler import CycleProfiler
-        except ImportError:  # pragma: no cover
-            pass
-        else:
-            model.hooks["profiler"] = _signatures_from_object(
-                CycleProfiler, PROFILER_METHODS
-            )
-            if not model.hook_methods.get("profiler"):
-                model.hook_methods["profiler"] = _method_names_from_object(
-                    CycleProfiler
-                )
+    trace_hooks = _signatures(TraceRecorder, TRACE_METHODS)
+    trace_methods = _method_names(TraceRecorder)
+    return RepoModel(
+        event_names=set(EVENT_TAXONOMY),
+        drop_reasons=set(DROP_REASONS),
+        hooks={
+            "trace": trace_hooks,
+            "recorder": trace_hooks,
+            "profiler": _signatures(CycleProfiler, PROFILER_METHODS),
+        },
+        hook_methods={
+            "trace": trace_methods,
+            "recorder": trace_methods,
+            "profiler": _method_names(CycleProfiler),
+        },
+    )

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.model import RepoModel
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.devtools.project import ProjectIndex
 
 
 @dataclass
@@ -103,46 +100,8 @@ class ModuleContext:
         return ".".join(reversed(parts))
 
 
-@dataclass
-class ProjectContext:
-    """What a project-scoped rule may look at: the whole linted tree.
-
-    Built once per lint run after every module parsed; project rules
-    (``scope="project"``) receive it instead of a
-    :class:`ModuleContext`.
-    """
-
-    index: "ProjectIndex"
-    model: RepoModel
-    findings: List[Finding] = field(default_factory=list)
-
-    def report(
-        self,
-        rule_id: str,
-        path: str,
-        line: int,
-        message: str,
-        hint: str = "",
-        **data: Any,
-    ) -> None:
-        rule = RULE_REGISTRY[rule_id]
-        self.findings.append(
-            Finding(
-                rule=rule.id,
-                severity=rule.severity,
-                path=path,
-                line=line,
-                message=message,
-                hint=hint or rule.hint,
-                data=data,
-            )
-        )
-
-
-#: A check is ``Callable[[ModuleContext], None]`` for module-scoped
-#: rules and ``Callable[[ProjectContext], None]`` for project-scoped
-#: ones; the registry stores both behind one loose signature.
-CheckFunction = Callable[..., None]
+#: A check inspects one module and reports through its context.
+CheckFunction = Callable[[ModuleContext], None]
 
 
 @dataclass(frozen=True)
@@ -155,7 +114,6 @@ class Rule:
     severity: Severity
     hint: str
     check: CheckFunction
-    scope: str = "module"  #: ``"module"`` or ``"project"``
 
 
 #: id -> rule, in registration order (dicts preserve it).
@@ -168,7 +126,6 @@ def register_rule(
     title: str,
     severity: Severity = Severity.ERROR,
     hint: str = "",
-    scope: str = "module",
 ) -> Callable[[CheckFunction], CheckFunction]:
     """Decorator: register *check* under *rule_id*."""
 
@@ -182,7 +139,6 @@ def register_rule(
             severity=severity,
             hint=hint,
             check=check,
-            scope=scope,
         )
         return check
 

@@ -116,72 +116,3 @@ def check_hook_call_shapes(ctx: ModuleContext) -> None:
         signature = ctx.model.hooks[receiver].get(method)
         if signature is not None:
             _check_signature(ctx, call, receiver, signature)
-
-
-def _dispatch_table_values(tree: ast.Module) -> "set[str] | None":
-    """Names referenced as values of a top-level INSTRUMENT_DISPATCH dict.
-
-    Returns None when the module defines no such table.
-    """
-    for node in tree.body:
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == "INSTRUMENT_DISPATCH"
-            for t in targets
-        ):
-            continue
-        if isinstance(value, ast.Dict):
-            return {
-                v.id for v in value.values if isinstance(v, ast.Name)
-            }
-        return set()
-    return None
-
-
-@register_rule(
-    "SL503",
-    "SL5 hook-shape",
-    "instrumenter unreachable from the instrument() dispatch table",
-    hint=(
-        "every top-level _instrument_* in a module with a typed "
-        "instrument() front door must be a value of INSTRUMENT_DISPATCH; "
-        "an unlisted one is dead dispatch -- wire it in or delete it"
-    ),
-)
-def check_instrumenters_dispatched(ctx: ModuleContext) -> None:
-    """A ``_instrument_*`` the dispatch table misses is silent drift.
-
-    ``instrument(registry, obj)`` is the single front door: it resolves
-    the instrumenter by the object's class through INSTRUMENT_DISPATCH.
-    An instrumenter defined but not listed can never be reached through
-    the front door, so objects of its type raise TypeError at run time
-    while the code reads as covered.
-    """
-    dispatched = _dispatch_table_values(ctx.tree)
-    if dispatched is None:
-        return
-    has_front_door = any(
-        isinstance(node, ast.FunctionDef) and node.name == "instrument"
-        for node in ctx.tree.body
-    )
-    if not has_front_door:
-        return
-    for node in ctx.tree.body:
-        if (
-            isinstance(node, ast.FunctionDef)
-            and node.name.startswith("_instrument_")
-            and node.name not in dispatched
-        ):
-            ctx.report(
-                "SL503",
-                node,
-                f"{node.name} is not a value of INSTRUMENT_DISPATCH",
-            )

@@ -3,13 +3,13 @@
 The observability layer's contract is that every lifecycle event a
 component can emit is declared in
 :data:`repro.obs.trace.EVENT_TAXONOMY` and every cell/PDU death
-carries a ``reason`` from :data:`repro.obs.trace.DROP_REASONS` -- and,
-further, that every drop reason lands in a named bucket of the
-cell-conservation ledger (:mod:`repro.faults.audit`) or the
-reassembly-failure taxonomy, so "offered == delivered + accounted
-drops" stays itemisable.  The recorder enforces the first half at run
-time, but only on paths a test happens to execute; these rules enforce
-all of it at lint time, on every emission site.
+carries a ``reason`` from :data:`repro.obs.trace.DROP_REASONS`.  The
+recorder enforces this at run time, but only on paths a test happens
+to execute -- and some emission sites run under no test and no traced
+scenario -- so these rules enforce it at lint time, on every emission
+site.  (That every declared reason has a conservation-ledger bucket is
+a property of two tables, not of call sites; ``tests/test_obs.py``
+checks it.)
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ def _reason_keyword(call: ast.Call) -> Optional[ast.keyword]:
 )
 def check_event_names(ctx: ModuleContext) -> None:
     taxonomy = ctx.model.event_names
-    if not taxonomy:
-        return
     for node in ast.walk(ctx.tree):
         call = _emit_call(node)
         if call is None:
@@ -101,8 +99,7 @@ def check_drop_reasons(ctx: ModuleContext) -> None:
             )
             continue
         if (
-            reasons
-            and isinstance(keyword.value, ast.Constant)
+            isinstance(keyword.value, ast.Constant)
             and isinstance(keyword.value.value, str)
             and keyword.value.value not in reasons
         ):
@@ -110,39 +107,4 @@ def check_drop_reasons(ctx: ModuleContext) -> None:
                 "SL302",
                 call,
                 f"drop reason {keyword.value.value!r} is not in DROP_REASONS",
-            )
-
-
-@register_rule(
-    "SL303",
-    "SL3 trace-taxonomy",
-    "drop reason with no conservation-ledger bucket",
-    hint=(
-        "pair the drop with an auditor bucket: add a ConservationLedger "
-        "field (faults/audit.py) or use a reassembly-failure verdict, so "
-        "offered == delivered + accounted drops stays itemisable"
-    ),
-)
-def check_reason_has_bucket(ctx: ModuleContext) -> None:
-    if not ctx.model.ledger_buckets:
-        return
-    for node in ast.walk(ctx.tree):
-        call = _emit_call(node)
-        if call is None:
-            continue
-        name = string_arg(call, 0, "name")
-        if name not in DROP_EVENTS:
-            continue
-        keyword = _reason_keyword(call)
-        if keyword is None or not isinstance(keyword.value, ast.Constant):
-            continue
-        reason = keyword.value.value
-        if not isinstance(reason, str):
-            continue
-        if not ctx.model.reason_has_ledger_bucket(reason):
-            ctx.report(
-                "SL303",
-                call,
-                f"drop reason {reason!r} has no cell-conservation ledger "
-                "bucket",
             )

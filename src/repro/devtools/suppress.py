@@ -44,7 +44,8 @@ class Suppression:
     used: bool = False
 
 
-def _matches(token: str, rule_id: str) -> bool:
+def matches(token: str, rule_id: str) -> bool:
+    """Does a rule token (an id or a family prefix) cover *rule_id*?"""
     token = token.upper()
     return rule_id == token or (
         rule_id.startswith(token) and len(token) < len(rule_id)
@@ -109,7 +110,7 @@ class SuppressionIndex:
         """True (and mark the directive used) if a directive covers it."""
         hit = False
         for suppression in self._file_scope:
-            if any(_matches(token, rule_id) for token in suppression.rules):
+            if any(matches(token, rule_id) for token in suppression.rules):
                 suppression.used = True
                 hit = True
         for candidate_line in (line, line - 1):
@@ -118,7 +119,7 @@ class SuppressionIndex:
                 continue
             if candidate_line == line - 1 and not suppression.comment_only:
                 continue
-            if any(_matches(token, rule_id) for token in suppression.rules):
+            if any(matches(token, rule_id) for token in suppression.rules):
                 suppression.used = True
                 hit = True
         return hit

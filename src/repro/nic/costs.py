@@ -15,13 +15,19 @@ assists for OC-12c.
 
 All values are in engine clock cycles.  Everything is data: ablations
 copy a model with :func:`dataclasses.replace` and mutate one field.
+
+Each budget is written once, as a dataclass field.  The T1/T2 tables
+(``breakdown()``) list the fields; every charge the engines make is a
+:class:`Charge` -- an op map plus its memoized cycle sum -- so the
+cycles an engine clock books and the operations the cycle profiler
+records come from the same map.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, ClassVar, Dict, Hashable, NamedTuple, Tuple
 
 
 class CellPosition(enum.Enum):
@@ -78,6 +84,36 @@ I960_25MHZ = EngineSpec("i960-25MHz", 25e6)
 I960_33MHZ = EngineSpec("i960-33MHz", 33e6)
 
 
+class Charge(NamedTuple):
+    """One engine charge: the operations it executes and their sum.
+
+    Charges are memoized per model, so *ops* is shared: read it, never
+    mutate it.
+    """
+
+    ops: Dict[str, float]
+    cycles: float
+
+
+def _budget_table(model: Any) -> Dict[str, Any]:
+    """Every budget field of a cost model, in declaration order."""
+    return {f.name: getattr(model, f.name) for f in fields(model) if f.init}
+
+
+def _remember(
+    memo: Dict[Hashable, Charge], key: Hashable, ops: Dict[str, float]
+) -> Charge:
+    """Memoize *ops* with its cycle sum under *key*."""
+    charge = memo[key] = Charge(ops, sum(ops.values()))
+    return charge
+
+
+def _check_budgets(model: Any) -> None:
+    for name, value in _budget_table(model).items():
+        if value < 0:
+            raise ValueError(f"negative cycle budget for {name}")
+
+
 @dataclass(frozen=True)
 class TxCostModel:
     """Segmentation-path cycle budget (per the paper's TX inner loop).
@@ -101,41 +137,54 @@ class TxCostModel:
     # -- once on the final cell -------------------------------------------
     trailer_build: int = 20  #: assemble pad + AAL trailer fields
 
-    #: Per-position memo: the budget is frozen, and the inner loops ask
-    #: for the same handful of positions millions of times.
-    _cycle_memo: Dict[CellPosition, int] = field(
+    #: The once-per-PDU operations, grouped into the steps the engine
+    #: charges them in: the prologue, the host-DMA setup, and the status
+    #: writeback after the last cell.
+    PDU_STEPS: ClassVar[Dict[str, Tuple[str, ...]]] = {
+        "prologue": ("descriptor_fetch", "header_template_load"),
+        "dma_setup": ("dma_setup",),
+        "completion": ("completion_writeback",),
+    }
+
+    #: Charge memo keyed by cell position, PDU step, or ``"pdu"``: the
+    #: budget is frozen, and the inner loops ask for the same few keys
+    #: millions of times.
+    _charges: Dict[Hashable, Charge] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        for name, value in self.breakdown().items():
-            if value < 0:
-                raise ValueError(f"negative cycle budget for {name}")
+        _check_budgets(self)
 
-    def pdu_cycles(self) -> int:
+    def pdu_cycles(self) -> float:
         """Fixed per-PDU overhead, excluding any per-cell work."""
-        return (
-            self.descriptor_fetch
-            + self.dma_setup
-            + self.header_template_load
-            + self.completion_writeback
-        )
+        charge = self._charges.get("pdu")
+        if charge is None:
+            charge = _remember(self._charges, "pdu", self.pdu_breakdown())
+        return charge.cycles
 
-    def cell_cycles(self, position: CellPosition) -> int:
+    def pdu_step_charge(self, step: str) -> Charge:
+        """The operations of one :data:`PDU_STEPS` step, with their sum."""
+        charge = self._charges.get(step)
+        if charge is None:
+            ops = {op: getattr(self, op) for op in self.PDU_STEPS[step]}
+            charge = _remember(self._charges, step, ops)
+        return charge
+
+    def cell_charge(self, position: CellPosition) -> Charge:
+        """:meth:`cell_breakdown` at *position*, with its sum."""
+        charge = self._charges.get(position)
+        if charge is None:
+            charge = _remember(
+                self._charges, position, self.cell_breakdown(position)
+            )
+        return charge
+
+    def cell_cycles(self, position: CellPosition) -> float:
         """Engine cycles to emit one cell at *position*."""
-        memo = self._cycle_memo
-        cached = memo.get(position)
-        if cached is not None:
-            return cached
-        cycles = (
-            self.cell_build + self.buffer_advance + self.fifo_push + self.crc_per_cell
-        )
-        if position in (CellPosition.LAST, CellPosition.ONLY):
-            cycles += self.trailer_build
-        memo[position] = cycles
-        return cycles
+        return self.cell_charge(position).cycles
 
-    def pdu_total_cycles(self, n_cells: int) -> int:
+    def pdu_total_cycles(self, n_cells: int) -> float:
         """Whole-PDU engine cost for an *n_cells*-cell PDU."""
         if n_cells < 1:
             raise ValueError("PDU must have at least one cell")
@@ -145,25 +194,11 @@ class TxCostModel:
         return total
 
     def breakdown(self) -> Dict[str, int]:
-        """Per-operation budget for the T1 table."""
-        return {
-            "descriptor_fetch": self.descriptor_fetch,
-            "dma_setup": self.dma_setup,
-            "header_template_load": self.header_template_load,
-            "completion_writeback": self.completion_writeback,
-            "cell_build": self.cell_build,
-            "buffer_advance": self.buffer_advance,
-            "fifo_push": self.fifo_push,
-            "crc_per_cell": self.crc_per_cell,
-            "trailer_build": self.trailer_build,
-        }
+        """Per-operation budget for the T1 table: every field, in order."""
+        return _budget_table(self)
 
     def cell_breakdown(self, position: CellPosition) -> Dict[str, float]:
-        """The operations actually executed for one cell at *position*.
-
-        Sums to :meth:`cell_cycles`; the profiler attributes live engine
-        cycles to operations through this map.
-        """
+        """The operations actually executed for one cell at *position*."""
         ops: Dict[str, float] = {
             "cell_build": self.cell_build,
             "buffer_advance": self.buffer_advance,
@@ -176,12 +211,11 @@ class TxCostModel:
         return ops
 
     def pdu_breakdown(self) -> Dict[str, float]:
-        """The once-per-PDU operations (sums to :meth:`pdu_cycles`)."""
+        """The once-per-PDU operations, step by step."""
         return {
-            "descriptor_fetch": self.descriptor_fetch,
-            "dma_setup": self.dma_setup,
-            "header_template_load": self.header_template_load,
-            "completion_writeback": self.completion_writeback,
+            op: getattr(self, op)
+            for ops in self.PDU_STEPS.values()
+            for op in ops
         }
 
     def with_software_crc(self, cycles_per_cell: int = 130) -> "TxCostModel":
@@ -217,16 +251,17 @@ class RxCostModel:
     final_check: int = 18  #: last cell: trailer length/CRC verdict
     completion: int = 45  #: completion descriptor, DMA post, interrupt
 
-    #: Memo keyed (position, cam_fitted, table_size): frozen budget,
-    #: few distinct keys, called once per simulated cell.
-    _cycle_memo: Dict[Tuple[CellPosition, bool, int], float] = field(
+    #: Charge memo keyed ``(position, cam_fitted, table_size)`` for
+    #: cells, ``(None, cam_fitted, table_size)`` for classification
+    #: alone, and ``"oam"``: frozen budget, asked once per simulated
+    #: cell.  The CAM's cost ignores the table size, so CAM keys use 0
+    #: and stay few however many VCs churn through the table.
+    _charges: Dict[Hashable, Charge] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        for name, value in self.breakdown().items():
-            if value < 0:
-                raise ValueError(f"negative cycle budget for {name}")
+        _check_budgets(self)
 
     def lookup_cycles(self, cam_fitted: bool, table_size: int = 0) -> float:
         """VCI classification cost given the assist and the table size."""
@@ -237,6 +272,42 @@ class RxCostModel:
             + self.vci_lookup_software_per_entry * max(0, table_size)
         )
 
+    def cell_charge(
+        self,
+        position: CellPosition,
+        cam_fitted: bool = True,
+        table_size: int = 0,
+    ) -> Charge:
+        """:meth:`cell_breakdown` for these arguments, with its sum."""
+        key = (position, cam_fitted, 0 if cam_fitted else table_size)
+        charge = self._charges.get(key)
+        if charge is None:
+            charge = _remember(
+                self._charges,
+                key,
+                self.cell_breakdown(position, cam_fitted, table_size),
+            )
+        return charge
+
+    def classify_charge(self, cam_fitted: bool, table_size: int) -> Charge:
+        """:meth:`classify_breakdown` for these arguments, with its sum."""
+        key = (None, cam_fitted, 0 if cam_fitted else table_size)
+        charge = self._charges.get(key)
+        if charge is None:
+            charge = _remember(
+                self._charges,
+                key,
+                self.classify_breakdown(cam_fitted, table_size),
+            )
+        return charge
+
+    def oam_charge(self) -> Charge:
+        """:meth:`oam_breakdown`, with its sum."""
+        charge = self._charges.get("oam")
+        if charge is None:
+            charge = _remember(self._charges, "oam", self.oam_breakdown())
+        return charge
+
     def cell_cycles(
         self,
         position: CellPosition,
@@ -244,26 +315,7 @@ class RxCostModel:
         table_size: int = 0,
     ) -> float:
         """Engine cycles to absorb one cell at *position*."""
-        key = (position, cam_fitted, table_size)
-        memo = self._cycle_memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        lookup = self.lookup_cycles(cam_fitted, table_size)
-        cycles = (
-            self.fifo_pop
-            + self.header_parse
-            + lookup
-            + self.context_update
-            + self.payload_store
-            + self.crc_per_cell
-        )
-        if position in (CellPosition.FIRST, CellPosition.ONLY):
-            cycles += self.context_open
-        if position in (CellPosition.LAST, CellPosition.ONLY):
-            cycles += self.final_check + self.completion
-        memo[key] = cycles
-        return cycles
+        return self.cell_charge(position, cam_fitted, table_size).cycles
 
     def pdu_cycles(self) -> int:
         """Fixed per-PDU overhead (first-cell open + last-cell close)."""
@@ -281,20 +333,21 @@ class RxCostModel:
         )
 
     def breakdown(self) -> Dict[str, float]:
-        """Per-operation budget for the T2 table."""
+        """Per-operation budget for the T2 table: every field, in order."""
+        return _budget_table(self)
+
+    def classify_breakdown(
+        self, cam_fitted: bool, table_size: int
+    ) -> Dict[str, float]:
+        """Pop, parse and look up one user cell -- all a cell for an
+        unknown VC gets.  The lookup op is named for the assist used;
+        the software probe's per-entry coefficient is folded into it.
+        """
+        lookup_op = "vci_lookup_cam" if cam_fitted else "vci_lookup_software"
         return {
             "fifo_pop": self.fifo_pop,
             "header_parse": self.header_parse,
-            "vci_lookup_cam": self.vci_lookup_cam,
-            "vci_lookup_software": self.vci_lookup_software,
-            "vci_lookup_software_per_entry": self.vci_lookup_software_per_entry,
-            "context_update": self.context_update,
-            "payload_store": self.payload_store,
-            "crc_per_cell": self.crc_per_cell,
-            "oam_handling": self.oam_handling,
-            "context_open": self.context_open,
-            "final_check": self.final_check,
-            "completion": self.completion,
+            lookup_op: self.lookup_cycles(cam_fitted, table_size),
         }
 
     def cell_breakdown(
@@ -303,20 +356,10 @@ class RxCostModel:
         cam_fitted: bool = True,
         table_size: int = 0,
     ) -> Dict[str, float]:
-        """The operations actually executed for one cell at *position*.
-
-        Sums to :meth:`cell_cycles`; the profiler attributes live engine
-        cycles to operations through this map.  The lookup op is named
-        for the assist actually used.
-        """
-        lookup_op = "vci_lookup_cam" if cam_fitted else "vci_lookup_software"
-        ops: Dict[str, float] = {
-            "fifo_pop": self.fifo_pop,
-            "header_parse": self.header_parse,
-            lookup_op: self.lookup_cycles(cam_fitted, table_size),
-            "context_update": self.context_update,
-            "payload_store": self.payload_store,
-        }
+        """The operations actually executed for one cell at *position*."""
+        ops = self.classify_breakdown(cam_fitted, table_size)
+        ops["context_update"] = self.context_update
+        ops["payload_store"] = self.payload_store
         if self.crc_per_cell:
             ops["crc_per_cell"] = self.crc_per_cell
         if position in (CellPosition.FIRST, CellPosition.ONLY):

@@ -76,15 +76,6 @@ class EngineClock:
                 )
         return self.sim.timeout(duration)
 
-    def charge(self, cycles: float, tag: str = "work") -> float:
-        """Book cycles without waiting (for zero-duration accounting)."""
-        if cycles < 0:
-            raise ValueError("negative cycle count")
-        duration = self.spec.seconds_for(cycles)
-        self._busy_time += duration
-        self.cycles_by_tag[tag] = self.cycles_by_tag.get(tag, 0.0) + cycles
-        return duration
-
     @property
     def total_cycles(self) -> float:
         return sum(self.cycles_by_tag.values())

@@ -312,12 +312,10 @@ class RxEngine:
         # unit (hardware-assisted) handles them so the host never
         # sees a cell.
         if not cell.is_user_cell:
+            ops, cycles = costs.oam_charge()
             if self.profiler is not None:
-                self.profiler.record_oam(costs.oam_breakdown())
-            yield self.clock.work(
-                costs.fifo_pop + costs.header_parse + costs.oam_handling,
-                tag="rx-oam",
-            )
+                self.profiler.record_oam(ops)
+            yield self.clock.work(cycles, tag="rx-oam")
             self.oam_cells.increment()
             if self.trace is not None:
                 self.trace.emit("rx.cell.oam", actor=self.name, cell=cell)
@@ -333,28 +331,10 @@ class RxEngine:
         else:
             known = self.vc_table.lookup(vc) is not None
         if not known:
+            ops, cycles = costs.classify_charge(self.cam_fitted, table_size)
             if self.profiler is not None:
-                lookup_op = (
-                    "vci_lookup_cam"
-                    if self.cam_fitted
-                    else "vci_lookup_software"
-                )
-                self.profiler.record_ops(
-                    "rx",
-                    {
-                        "fifo_pop": costs.fifo_pop,
-                        "header_parse": costs.header_parse,
-                        lookup_op: costs.lookup_cycles(
-                            self.cam_fitted, table_size
-                        ),
-                    },
-                )
-            yield self.clock.work(
-                costs.fifo_pop
-                + costs.header_parse
-                + costs.lookup_cycles(self.cam_fitted, table_size),
-                tag="rx-unknown-vc",
-            )
+                self.profiler.record_ops("rx", ops)
+            yield self.clock.work(cycles, tag="rx-unknown-vc")
             self.cells_unknown_vc.increment()
             if self.trace is not None:
                 self.trace.emit(
@@ -366,17 +346,13 @@ class RxEngine:
             return
 
         position = self._position_of(vc, cell)
+        ops, cycles = costs.cell_charge(position, self.cam_fitted, table_size)
         if self.profiler is not None:
             self.profiler.record_cell(
-                "rx",
-                position,
-                costs.cell_breakdown(position, self.cam_fitted, table_size),
-                extra=self.glue.rx_extra_cycles,
+                "rx", position, ops, extra=self.glue.rx_extra_cycles
             )
         yield self.clock.work(
-            costs.cell_cycles(position, self.cam_fitted, table_size)
-            + self.glue.rx_extra_cycles,
-            tag="rx-cell",
+            cycles + self.glue.rx_extra_cycles, tag="rx-cell"
         )
         if self.trace is not None:
             self.trace.emit(

@@ -131,12 +131,17 @@ class TxEngine:
                 )
 
             # Per-PDU prologue: parse the descriptor, load the VC header
-            # template, program the host-memory DMA.
-            yield self.clock.work(
-                costs.descriptor_fetch + costs.header_template_load,
-                tag="tx-pdu-prologue",
-            )
-            yield self.clock.work(costs.dma_setup, tag="tx-dma-setup")
+            # template, program the host-memory DMA.  Each step's ops
+            # reach the profiler as they are charged, so a run cut off
+            # mid-PDU still reconciles with the engine clock.
+            ops, cycles = costs.pdu_step_charge("prologue")
+            if self.profiler is not None:
+                self.profiler.record_pdu("tx", ops)
+            yield self.clock.work(cycles, tag="tx-pdu-prologue")
+            ops, cycles = costs.pdu_step_charge("dma_setup")
+            if self.profiler is not None:
+                self.profiler.record_ops("tx", ops)
+            yield self.clock.work(cycles, tag="tx-dma-setup")
 
             # Stage the PDU into adaptor buffer memory.  If memory is
             # short, wait for in-flight PDUs to drain (retry after the
@@ -174,15 +179,14 @@ class TxEngine:
             yield from self._emit_cells(descriptor, cells, cell_interval)
 
             # Completion status back to the host.
-            yield self.clock.work(
-                costs.completion_writeback, tag="tx-pdu-completion"
-            )
+            ops, cycles = costs.pdu_step_charge("completion")
+            if self.profiler is not None:
+                self.profiler.record_ops("tx", ops)
+            yield self.clock.work(cycles, tag="tx-pdu-completion")
             self.bufmem.release(staging)
             self.pdus_sent.increment()
             self.throughput.account(descriptor.size)
             self.service_time.add(self.sim.now - started)
-            if self.profiler is not None:
-                self.profiler.record_pdu("tx", costs.pdu_breakdown())
             if self.trace is not None:
                 self.trace.emit(
                     "tx.pdu.done",
@@ -201,16 +205,13 @@ class TxEngine:
         total = len(cells)
         for index, cell in enumerate(cells):
             position = CellPosition.of(index, total)
+            ops, cycles = costs.cell_charge(position)
             if self.profiler is not None:
                 self.profiler.record_cell(
-                    "tx",
-                    position,
-                    costs.cell_breakdown(position),
-                    extra=self.glue.tx_extra_cycles,
+                    "tx", position, ops, extra=self.glue.tx_extra_cycles
                 )
             yield self.clock.work(
-                costs.cell_cycles(position) + self.glue.tx_extra_cycles,
-                tag="tx-cell",
+                cycles + self.glue.tx_extra_cycles, tag="tx-cell"
             )
             if cell_interval is not None:
                 # Shape to the VC's peak cell rate.  A single-engine

@@ -56,16 +56,6 @@ from repro.obs.metrics import (
     Metric,
     MetricsRegistry,
     instrument,
-    instrument_abr,
-    instrument_auditor,
-    instrument_cac,
-    instrument_erica,
-    instrument_executor,
-    instrument_interface,
-    instrument_link,
-    instrument_port,
-    instrument_signalling,
-    instrument_supervisor,
     topk_book,
 )
 from repro.obs.profiler import (
@@ -98,16 +88,6 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "instrument",
-    "instrument_abr",
-    "instrument_auditor",
-    "instrument_cac",
-    "instrument_erica",
-    "instrument_executor",
-    "instrument_interface",
-    "instrument_link",
-    "instrument_port",
-    "instrument_signalling",
-    "instrument_supervisor",
     "profile_interface",
     "read_jsonl",
     "topk_book",

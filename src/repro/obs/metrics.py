@@ -20,10 +20,9 @@ On top of the namespace the registry offers:
 
 :func:`instrument` registers the standard metric set for any supported
 pipeline object -- it type-dispatches on the object's class through
-:data:`INSTRUMENT_DISPATCH`, so one call replaces the historical
-``instrument_interface`` / ``instrument_link`` / ... family (kept as
-thin deprecated aliases).  See ``docs/OBSERVABILITY.md`` for the full
-name list and ``docs/SCALE.md`` for the cardinality rules.
+:data:`INSTRUMENT_DISPATCH`, so one call covers every pipeline type.
+See ``docs/OBSERVABILITY.md`` for the full name list and
+``docs/SCALE.md`` for the cardinality rules.
 
 Per-VC breakdowns (port occupancy, session goodput) are exported as
 *bounded* top-K books via :func:`topk_book`: the K largest entries plus
@@ -34,9 +33,7 @@ run (see ``docs/SCALE.md``).
 
 from __future__ import annotations
 
-import functools
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, IO, List, Mapping, Optional, Union
 
@@ -750,8 +747,8 @@ def _instrument_sessions(
 #: The canonical dispatch table: pipeline class name -> instrumenter.
 #: Keyed by class *name* (walked over the MRO) so this module keeps the
 #: obs packages' one structural rule -- nothing here imports the
-#: pipeline packages.  simlint SL503 checks every ``_instrument_*``
-#: defined above is reachable through this table.
+#: pipeline packages.  ``tests/test_obs.py`` checks every
+#: ``_instrument_*`` defined above is reachable through this table.
 INSTRUMENT_DISPATCH: Dict[str, Callable[..., None]] = {
     "HostNetworkInterface": _instrument_interface,
     "PhysicalLink": _instrument_link,
@@ -789,39 +786,3 @@ def instrument(registry: MetricsRegistry, obj: Any, prefix: str = "") -> None:
         f"no instrumenter registered for {type(obj).__name__!r}; "
         f"known: {', '.join(sorted(INSTRUMENT_DISPATCH))}"
     )
-
-
-# ---------------------------------------------------------------------------
-# deprecated per-type aliases
-# ---------------------------------------------------------------------------
-
-
-def _deprecated_alias(name: str, target: Callable[..., None]) -> Callable[..., None]:
-    @functools.wraps(target)
-    def alias(*args: Any, **kwargs: Any) -> None:
-        warnings.warn(
-            f"repro.obs.{name} is deprecated; use "
-            "repro.obs.instrument(registry, obj, prefix=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        target(*args, **kwargs)
-
-    alias.__name__ = name
-    alias.__qualname__ = name
-    return alias
-
-
-#: Deprecated aliases for the historical per-type entry points.  They
-#: forward to the same implementations :func:`instrument` dispatches
-#: to; new code should call :func:`instrument`.
-instrument_interface = _deprecated_alias("instrument_interface", _instrument_interface)
-instrument_link = _deprecated_alias("instrument_link", _instrument_link)
-instrument_supervisor = _deprecated_alias("instrument_supervisor", _instrument_supervisor)
-instrument_signalling = _deprecated_alias("instrument_signalling", _instrument_signalling)
-instrument_port = _deprecated_alias("instrument_port", _instrument_port)
-instrument_abr = _deprecated_alias("instrument_abr", _instrument_abr)
-instrument_erica = _deprecated_alias("instrument_erica", _instrument_erica)
-instrument_cac = _deprecated_alias("instrument_cac", _instrument_cac)
-instrument_executor = _deprecated_alias("instrument_executor", _instrument_executor)
-instrument_auditor = _deprecated_alias("instrument_auditor", _instrument_auditor)

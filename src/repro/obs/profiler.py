@@ -6,12 +6,14 @@ loops operation by operation.  The cost models in
 dataclass only proves what was configured.  The
 :class:`CycleProfiler` proves what *ran*: attached to the engines, it
 observes every executed cell/PDU and attributes its cycles to the same
-named operations via the cost models' ``cell_breakdown`` /
-``pdu_breakdown`` maps -- so the T1/T2 tables it renders are measured
-from a live simulation, and reproducing the configured budgets (16
-cycles per TX middle cell, 22 per RX middle cell with the CAM) is an
-end-to-end check that the pipeline charged exactly what the budget
-says.
+named operations -- each engine hands it the op map of every
+:class:`~repro.nic.costs.Charge` at the moment it charges the map's
+sum to its clock, so the profiler's cycles equal the engine clocks'
+cycles (:meth:`CycleProfiler.reconcile` is zero), drained or cut off
+mid-PDU.  The T1/T2 tables it renders are therefore measured from a
+live simulation, and reproducing the configured budgets (16 cycles per
+TX middle cell, 22 per RX middle cell with the CAM) is an end-to-end
+check that the pipeline charged exactly what the budget says.
 
 Operations also roll up into the paper's four analysis *phases*:
 
@@ -128,7 +130,7 @@ class CycleProfiler:
         )
 
     def record_pdu(self, engine: str, ops: Dict[str, float]) -> None:
-        """Once-per-PDU overhead executed (TX prologue/writeback)."""
+        """A PDU started: count it and book its first per-PDU ops."""
         ledger = self._ledgers[engine]
         ledger.add_ops(ops)
         ledger.pdus += 1
@@ -182,15 +184,18 @@ class CycleProfiler:
             totals[phase] = totals.get(phase, 0.0) + cycles
         return totals
 
-    def reconcile(self, clock, engine: str) -> float:
-        """Recorded-minus-booked cycle residue against an engine clock.
+    def reconcile(self, engine: str, clocks) -> float:
+        """Recorded-minus-booked cycle residue against engine clocks.
 
-        Compares this profiler's ledger for *engine* against the
-        :class:`~repro.nic.engine.EngineClock`'s ``cycles_by_tag``
-        total.  Zero means every cycle the engine charged was
+        Compares this profiler's ledger for *engine* against the summed
+        ``total_cycles`` of *clocks* -- the
+        :class:`~repro.nic.engine.EngineClock` of every *engine* it
+        profiles.  Zero means every cycle the engines charged was
         attributed to a named operation.
         """
-        return self.total_cycles(engine) - clock.total_cycles
+        return self.total_cycles(engine) - sum(
+            clock.total_cycles for clock in clocks
+        )
 
     # -- rendering --------------------------------------------------------
 

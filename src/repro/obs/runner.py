@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, instrument
 from repro.obs.profiler import CycleProfiler, profile_interface
@@ -45,6 +45,8 @@ class TracedRun:
     registry: MetricsRegistry
     profiler: CycleProfiler
     notes: List[str] = field(default_factory=list)
+    #: Every interface the profiler is attached to, in wiring order.
+    nics: List[Any] = field(default_factory=list)
 
     def summary(self) -> str:
         """The human-readable report: events, drops, measured budgets."""
@@ -90,6 +92,7 @@ class TracedRun:
 
 
 def _instrument_pair(run: TracedRun, *nics) -> None:
+    run.nics.extend(nics)
     for nic in nics:
         nic.attach_trace(run.recorder)
         profile_interface(nic, run.profiler)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from repro.atm.addressing import VcAddress
 from repro.atm.errors import ScheduledLoss, UniformLoss
 from repro.atm.signalling import (
     CallRefused,

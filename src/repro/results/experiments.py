@@ -48,7 +48,7 @@ from repro.baselines.host_sar import HostSarConfig, HostSarInterface
 from repro.baselines.shared_proc import share_engine
 from repro.nic.config import NicConfig, aurora_oc3, aurora_oc12
 from repro.nic.costs import CellPosition
-from repro.nic.nic import HostNetworkInterface, connect
+from repro.nic.nic import HostNetworkInterface
 from repro.results.tables import format_series, format_table
 from repro.runner import ResultStore, RunLog, SweepSpec, run_sweep
 from repro.sim.core import Simulator

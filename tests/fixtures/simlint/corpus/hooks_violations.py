@@ -1,9 +1,9 @@
-"""SL5 fixtures: hook call sites checked against the installed shapes."""
+"""SL5 fixtures: hook call sites checked against the real hook shapes."""
 
 
 def observe(trace, profiler, cell, ops):
     """Hook sites: wrong shapes flagged, conforming ones clean."""
-    trace.emit("x.test.event", actor="fixture", cell=cell)  # clean
+    trace.emit("tx.cell.sar", actor="fixture", cell=cell)  # clean
     trace.snapshot(cell)  # SL501: TraceRecorder has no such method
 
     profiler.record_cell("tx", "header", ops)  # clean

@@ -1,12 +1,12 @@
 """A clean recovery-plane emitter: every event is in the taxonomy.
 
-SL301 cross-checks ``trace.emit`` names against the corpus
+SL301 cross-checks ``trace.emit`` names against the real
 ``EVENT_TAXONOMY``; this file emits only declared ``oam.*`` /
 ``link.*`` / ``sig.*`` names, so it must produce zero findings --
 the green half of the SL3 fixtures for the fault-management family.
 """
 
-from obs.trace import TraceRecorder
+from repro.obs.trace import TraceRecorder
 
 
 class CorpusSupervisor:

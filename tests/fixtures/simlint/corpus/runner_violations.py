@@ -3,7 +3,7 @@
 import os
 from multiprocessing import current_process
 
-from sim.random import RandomStreams
+from repro.sim.random import RandomStreams
 
 
 def identity_reads():

@@ -2,16 +2,15 @@
 
 Covers the DOC101 docstring invariant and the DOC102 broken-link
 detector against synthetic repositories built in ``tmp_path``, plus
-the real-tree guarantees: the shipped repo passes, and both the
-``tools/check_docs.py`` shim and ``python -m repro lint --docs`` stay
-wired to the same implementation.
+the real-tree guarantees: the shipped repo passes, through the
+library call and through ``python -m repro lint --docs``.
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.devtools.docs import broken_links, check_docs, main, missing_docstrings
+from repro.devtools.docs import broken_links, check_docs, missing_docstrings
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -41,7 +40,6 @@ def make_repo(tmp_path, *, docstring=True, link_target_exists=True):
 def test_clean_synthetic_repo_passes(tmp_path):
     repo = make_repo(tmp_path)
     assert check_docs(repo) == []
-    assert main(repo) == 0
 
 
 def test_missing_docstring_is_doc101(tmp_path):
@@ -49,7 +47,7 @@ def test_missing_docstring_is_doc101(tmp_path):
     findings = missing_docstrings(repo / "src" / "repro", repo)
     assert [f.rule for f in findings] == ["DOC101"]
     assert findings[0].path == "src/repro/mod.py"
-    assert main(repo) == 1
+    assert check_docs(repo) == findings
 
 
 def test_broken_relative_link_is_doc102(tmp_path):
@@ -60,7 +58,7 @@ def test_broken_relative_link_is_doc102(tmp_path):
     assert "TARGET.md" in findings[0].message
     # The fenced NOWHERE.md link and the web/anchor links never count.
     assert all("NOWHERE" not in f.message for f in findings)
-    assert main(repo) == 1
+    assert check_docs(repo) == findings
 
 
 def test_fragment_only_and_external_links_ignored(tmp_path):
@@ -103,11 +101,8 @@ def _run(cmd):
 
 
 def test_shim_and_unified_entry_point_agree():
-    shim = _run([sys.executable, "tools/check_docs.py"])
     unified = _run([sys.executable, "-m", "repro", "lint", "--docs"])
-    assert shim.returncode == 0, shim.stdout + shim.stderr
     assert unified.returncode == 0, unified.stdout + unified.stderr
-    assert "docs check OK" in shim.stdout
 
 
 class TestDoc103CliDrift:
@@ -182,7 +177,7 @@ class TestDoc103CliDrift:
 
 
 class TestDocEntryPointDrift:
-    """PR 3 made tools/check_docs.py a shim; docs must say so."""
+    """The docs name the one supported docs-check entry point."""
 
     def test_docs_name_the_unified_entry_point(self):
         docs = [REPO / "README.md", REPO / "docs" / "STATIC_ANALYSIS.md"]
@@ -190,18 +185,3 @@ class TestDocEntryPointDrift:
             assert "repro lint --docs" in doc.read_text(encoding="utf-8"), (
                 f"{doc.name} no longer names the supported docs entry point"
             )
-
-    def test_shim_is_only_ever_described_as_a_shim(self):
-        from repro.devtools.docs import doc_files
-
-        for doc in doc_files(REPO) + [REPO / "DESIGN.md"]:
-            if not doc.exists() or doc.name in ("CHANGES.md", "ISSUE.md"):
-                continue  # the changelog records history, not guidance
-            for lineno, line in enumerate(
-                doc.read_text(encoding="utf-8").splitlines(), start=1
-            ):
-                if "tools/check_docs.py" in line:
-                    assert "shim" in line, (
-                        f"{doc.name}:{lineno} presents tools/check_docs.py "
-                        "as an entry point; name 'repro lint --docs' instead"
-                    )

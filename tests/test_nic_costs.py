@@ -1,5 +1,7 @@
 """Engine cycle budgets: the quantities the whole evaluation rests on."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.nic import (
@@ -163,3 +165,56 @@ class TestRxCosts:
         # TX clears OC-12c; RX does not (the hardware-assist argument).
         assert tx_cell < oc12_slot
         assert rx_cell > oc12_slot
+
+
+class TestBudgetTables:
+    """The T1/T2 tables and the op maps the engines charge agree."""
+
+    def test_breakdown_lists_every_field_in_order(self):
+        for model in (TxCostModel(), RxCostModel()):
+            assert list(model.breakdown()) == [
+                f.name for f in fields(model) if f.init
+            ]
+
+    def test_every_budget_field_is_charged_by_some_op_map(self):
+        tx = TxCostModel().with_software_crc()
+        charged = set(tx.pdu_breakdown())
+        for position in CellPosition:
+            charged |= set(tx.cell_breakdown(position))
+        assert charged == set(tx.breakdown())
+
+        rx = RxCostModel().with_software_crc()
+        charged = set(rx.oam_breakdown())
+        for cam in (True, False):
+            charged |= set(rx.classify_breakdown(cam, 4))
+            for position in CellPosition:
+                charged |= set(rx.cell_breakdown(position, cam, 4))
+        # The software probe's per-entry coefficient is the one field
+        # that is not an operation: it is folded into the lookup op.
+        assert set(rx.breakdown()) - charged == {"vci_lookup_software_per_entry"}
+        assert charged <= set(rx.breakdown())
+
+    def test_charges_are_the_sums_of_their_op_maps(self):
+        tx = TxCostModel()
+        for position in CellPosition:
+            ops, cycles = tx.cell_charge(position)
+            assert ops == tx.cell_breakdown(position)
+            assert cycles == sum(ops.values()) == tx.cell_cycles(position)
+        steps = [tx.pdu_step_charge(step) for step in tx.PDU_STEPS]
+        assert sum(step.cycles for step in steps) == tx.pdu_cycles()
+        assert sum(tx.pdu_breakdown().values()) == tx.pdu_cycles()
+
+        rx = RxCostModel()
+        for cam in (True, False):
+            for position in CellPosition:
+                ops, cycles = rx.cell_charge(position, cam, 9)
+                assert ops == rx.cell_breakdown(position, cam, 9)
+                assert cycles == sum(ops.values())
+            ops, cycles = rx.classify_charge(cam, 9)
+            assert cycles == sum(ops.values())
+        ops, cycles = rx.oam_charge()
+        assert cycles == sum(ops.values())
+        # The CAM's cost ignores the table size: one memo entry serves
+        # every table size.
+        middle = CellPosition.MIDDLE
+        assert rx.cell_charge(middle, True, 5) is rx.cell_charge(middle, True, 900)

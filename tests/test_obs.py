@@ -132,6 +132,26 @@ class TestDropReasons:
         assert set(drops) <= set(DROP_REASONS)
         assert "link_lost" in drops
 
+    def test_every_drop_reason_has_a_ledger_bucket(self):
+        # Each declared cause lands in the conservation auditor's books:
+        # a ledger field named for it (directly or as <reason>_discarded)
+        # or a reassembly verdict itemised under discarded_by.
+        from dataclasses import fields
+
+        from repro.aal.interface import ReassemblyFailure
+        from repro.faults.audit import ConservationLedger
+
+        buckets = {f.name for f in fields(ConservationLedger)}
+        verdicts = {failure.value for failure in ReassemblyFailure}
+        orphans = [
+            reason
+            for reason in DROP_REASONS
+            if reason not in buckets
+            and f"{reason}_discarded" not in buckets
+            and reason not in verdicts
+        ]
+        assert orphans == []
+
 
 class TestExporters:
     def test_jsonl_round_trip(self, sim):
@@ -289,15 +309,20 @@ class TestMetricsRegistry:
         with pytest.raises(TypeError, match="PhysicalLink"):
             instrument(MetricsRegistry(sim), object())
 
-    def test_deprecated_aliases_warn_and_still_work(self, sim):
-        from repro.atm.link import PhysicalLink
-        from repro.obs import instrument_link
+    def test_every_instrumenter_is_dispatched(self):
+        # instrument() is the only way in: an _instrument_* missing from
+        # the table could never run.
+        from repro.obs import metrics
 
-        registry = MetricsRegistry(sim)
-        link = PhysicalLink(sim, aurora_oc3().link, name="wire")
-        with pytest.warns(DeprecationWarning, match="instrument_link"):
-            instrument_link(registry, link)
-        assert "link.cells_sent" in registry
+        defined = {
+            name
+            for name, value in vars(metrics).items()
+            if name.startswith("_instrument_") and callable(value)
+        }
+        dispatched = {
+            target.__name__ for target in metrics.INSTRUMENT_DISPATCH.values()
+        }
+        assert defined == dispatched
 
     def test_r1_campaign_metrics_account_for_loss(self):
         run = run_traced("r1", duration=2e-3)
@@ -353,12 +378,62 @@ class TestCycleProfiler:
         assert profiler.cycles_per_cell("rx", CellPosition.MIDDLE) is None
 
 
+class TestChargeSitesReconcile:
+    """Every engine charge books exactly the ops the profiler records.
+
+    The run drives all seven charge sites -- TX prologue, DMA setup,
+    cell and completion; RX OAM, unknown-VC and cell -- with single-
+    and multi-cell PDUs, with and without the CAM.
+    """
+
+    TX_TAGS = {"tx-pdu-prologue", "tx-dma-setup", "tx-cell", "tx-pdu-completion"}
+    RX_TAGS = {"rx-oam", "rx-unknown-vc", "rx-cell"}
+
+    @pytest.mark.parametrize("cam", [True, False], ids=["cam", "no-cam"])
+    def test_profiler_cycles_equal_engine_clock_cycles(self, cam):
+        from repro.atm import VcAddress
+        from repro.nic import HostNetworkInterface, connect
+        from repro.obs import profile_interface
+
+        config = aurora_oc3() if cam else aurora_oc3().without_cam()
+        sim = Simulator()
+        a = HostNetworkInterface(sim, config, name="a")
+        b = HostNetworkInterface(sim, config, name="b")
+        connect(sim, a, b)
+        profiler = profile_interface(a)
+        profile_interface(b, profiler)
+        vc = a.open_vc()
+        b.open_vc(address=vc.address)
+        orphan = a.open_vc(address=VcAddress(0, 999))  # never opened at b
+        a.post(vc.address, b"one cell")
+        a.post(vc.address, bytes(500))
+        a.post(orphan.address, b"nobody listens")
+        a.oam_ping(vc.address)
+        sim.run(until=0.05)
+
+        assert self.TX_TAGS <= set(a.tx_clock.cycles_by_tag)
+        assert self.RX_TAGS <= set(b.rx_clock.cycles_by_tag)
+        lookup = "vci_lookup_cam" if cam else "vci_lookup_software"
+        assert lookup in profiler.op_ledger("rx")
+        for engine in ("tx", "rx"):
+            clocks = [getattr(nic, f"{engine}_clock") for nic in (a, b)]
+            assert profiler.reconcile(engine, clocks) == 0, engine
+
+
 class TestRunnerAndExperiment:
     def test_every_traceable_scenario_runs(self):
         for name in TRACEABLE:
             run = run_traced(name, duration=1e-3)
             assert len(run.recorder) > 0, name
             assert run.registry.samples_taken > 0, name
+            # Cut off mid-flight, the profiler still holds exactly the
+            # cycles the profiled engines' clocks booked.
+            assert run.nics, name
+            for engine in ("tx", "rx"):
+                clocks = [getattr(nic, f"{engine}_clock") for nic in run.nics]
+                assert run.profiler.reconcile(engine, clocks) == 0, (
+                    name, engine
+                )
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError):
