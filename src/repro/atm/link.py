@@ -116,16 +116,25 @@ class PhysicalLink:
         self.sink = sink
 
     def send(self, cell: AtmCell) -> Event:
-        """Enqueue *cell* for serialization; event fires at wire-out time."""
-        now = self.sim.now
-        start = max(now, self._next_free)
-        done = start + self.spec.cell_time
+        """Enqueue *cell* for serialization; event fires at wire-out time.
+
+        With zero propagation delay the cell is delivered from the
+        wire-out entry itself, before any of the event's other
+        callbacks (the sender's) run -- one queue entry per cell.  A
+        positive delay keeps a separate delivery entry, queued first.
+        """
+        sim = self.sim
+        now = sim._now
+        cell_time = self.spec.cell_time
+        start = self._next_free if self._next_free > now else now
+        done = start + cell_time
         self._next_free = done
-        self._busy_time += self.spec.cell_time
+        self._busy_time += cell_time
         self.cells_sent.increment()
         if self.trace is not None:
             self.trace.emit("link.cell.sent", actor=self.name, cell=cell)
 
+        finished = Event(sim)
         if self.loss_model.should_drop(cell, now):
             self.cells_lost.increment()
             if self.trace is not None:
@@ -136,14 +145,19 @@ class PhysicalLink:
         else:
             if self.error_model is not None:
                 cell = self.error_model.maybe_corrupt(cell)
-            self.sim.schedule_call(
-                (done - now) + self.propagation_delay, self._deliver, cell
-            )
-        finished = Event(self.sim)
+            if self.propagation_delay > 0:
+                sim.schedule_call(
+                    (done - now) + self.propagation_delay, self._deliver, cell
+                )
+            else:
+                finished.callbacks.append(self._deliver_at_wire_out)
         finished._state = Event._TRIGGERED
         finished._value = cell
-        self.sim._schedule(done - now, finished)
+        sim._schedule(done - now, finished)
         return finished
+
+    def _deliver_at_wire_out(self, finished: Event) -> None:
+        self._deliver(finished._value)
 
     def _deliver(self, cell: AtmCell) -> None:
         self.cells_delivered.increment()

@@ -15,11 +15,12 @@ transmitted bytes cross it once, so at OC-12c rates the budget matters.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Deque
 
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter
-from repro.sim.resources import Resource
 
 @dataclass(frozen=True)
 class BusSpec:
@@ -83,6 +84,18 @@ TURBOCHANNEL = BusSpec(
 )
 
 
+class _Transaction:
+    """One master's transfer: words still to move, and its outcome."""
+
+    __slots__ = ("words", "nbytes", "master", "done")
+
+    def __init__(self, words: int, nbytes: int, master: str, done: Event) -> None:
+        self.words = words
+        self.nbytes = nbytes
+        self.master = master
+        self.done = done
+
+
 class SystemBus:
     """The dynamic bus: an arbitrated resource that masters transact on.
 
@@ -90,49 +103,66 @@ class SystemBus:
     yields on the returned event and resumes once its data has moved.
     Long transfers hold the bus one burst at a time; between bursts the
     arbitration is re-run, so a competing master's short transaction
-    slots in with bounded latency.
+    slots in with bounded latency.  Arbitration is FIFO: a transaction
+    with bursts left rejoins the queue behind every waiting master.
     """
 
     def __init__(self, sim: Simulator, spec: BusSpec, name: str = "bus") -> None:
         self.sim = sim
         self.spec = spec
         self.name = name
-        self._arbiter = Resource(sim, capacity=1, name=f"{name}.arbiter")
+        #: Transactions waiting for the bus, behind the one holding it.
+        self._waiting: Deque[_Transaction] = deque()
+        self._held = False
         self._busy_time = 0.0
         self.bytes_moved = Counter(f"{name}.bytes")
         self.transactions = Counter(f"{name}.transactions")
         self.bytes_by_master: dict[str, int] = {}
 
-    def transfer(self, nbytes: int, master: str = "dma"):
+    def transfer(self, nbytes: int, master: str = "dma") -> Event:
         """Event firing when *nbytes* have crossed the bus for *master*."""
-        return self.sim.process(self._transfer(nbytes, master))
-
-    def _transfer(self, nbytes: int, master: str):
         if nbytes < 0:
             raise ValueError("negative transfer size")
         self.transactions.increment()
-        remaining_words = self.spec.words_for(nbytes)
-        while remaining_words > 0:
-            burst_words = min(remaining_words, self.spec.max_burst_words)
-            grant = self._arbiter.request()
-            yield grant
-            cycles = self.spec.burst_setup_cycles + burst_words
-            duration = cycles * self.spec.cycle_time
-            self._busy_time += duration
-            yield self.sim.timeout(duration)
-            self._arbiter.release(grant)
-            remaining_words -= burst_words
-        self.bytes_moved.increment(nbytes)
-        self.bytes_by_master[master] = (
-            self.bytes_by_master.get(master, 0) + nbytes
+        transaction = _Transaction(
+            self.spec.words_for(nbytes), nbytes, master, Event(self.sim)
         )
-        return nbytes
+        if transaction.words == 0:
+            self._complete(transaction)
+        elif not self._held:
+            self._burst(transaction)
+        else:
+            self._waiting.append(transaction)
+        return transaction.done
+
+    def _burst(self, transaction: _Transaction) -> None:
+        """Grant the bus to *transaction* for its next burst."""
+        self._held = True
+        burst_words = min(transaction.words, self.spec.max_burst_words)
+        transaction.words -= burst_words
+        cycles = self.spec.burst_setup_cycles + burst_words
+        duration = cycles * self.spec.cycle_time
+        self._busy_time += duration
+        self.sim.schedule_call(duration, self._burst_done, transaction)
+
+    def _burst_done(self, transaction: _Transaction) -> None:
+        if transaction.words > 0:
+            self._waiting.append(transaction)
+        else:
+            self._complete(transaction)
+        if self._waiting:
+            self._burst(self._waiting.popleft())
+        else:
+            self._held = False
+
+    def _complete(self, transaction: _Transaction) -> None:
+        self.bytes_moved.increment(transaction.nbytes)
+        self.bytes_by_master[transaction.master] = (
+            self.bytes_by_master.get(transaction.master, 0) + transaction.nbytes
+        )
+        transaction.done.trigger(transaction.nbytes)
 
     def utilization(self, now: float | None = None) -> float:
         """Fraction of elapsed time the bus was held by some master."""
         end = self.sim.now if now is None else now
         return min(1.0, self._busy_time / end) if end > 0 else 0.0
-
-    @property
-    def mean_arbitration_wait(self) -> float:
-        return self._arbiter.mean_wait

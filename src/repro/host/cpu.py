@@ -7,18 +7,20 @@ the total cycles burned per category are the experiment outputs.
 Two usage styles coexist:
 
 - **blocking**: a process does ``yield cpu.execute(cycles, "driver-tx")``
-  and resumes when the work completes (queueing included);
+  and resumes when the work completes (queueing included).  The CPU
+  serves the queue from callbacks: one timed queue entry per work item,
+  then one zero-delay completion entry that resumes the caller;
 - **accounting-only**: ``cpu.charge(cycles, tag)`` books cycles without
   simulating occupancy, for closed-form comparisons.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Deque, Dict, Optional
 
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Resource
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,9 @@ class HostCpu:
         self.sim = sim
         self.spec = spec
         self.name = name
-        self._pipeline = Resource(sim, capacity=1, name=f"{name}.pipeline")
+        #: Work items waiting behind the running one, oldest first.
+        self._waiting: Deque[tuple[float, str, Event]] = deque()
+        self._running = False
         self._busy_time = 0.0
         self.cycles_by_tag: Dict[str, float] = {}
 
@@ -75,16 +79,30 @@ class HostCpu:
 
         Work requests queue FIFO behind whatever the CPU is doing.
         """
-        return self.sim.process(self._run(cycles, tag))
+        if cycles < 0:
+            raise ValueError("negative cycle count")
+        done = Event(self.sim)
+        if self._running:
+            self._waiting.append((cycles, tag, done))
+        else:
+            self._start(cycles, tag, done)
+        return done
 
-    def _run(self, cycles: float, tag: str):
-        grant = self._pipeline.request()
-        yield grant
+    def _start(self, cycles: float, tag: str, done: Event) -> None:
+        self._running = True
         duration = self.spec.seconds_for(cycles)
         self._busy_time += duration
         self._book(cycles, tag)
-        yield self.sim.timeout(duration)
-        self._pipeline.release(grant)
+        self.sim.schedule_call(duration, self._finish, done)
+
+    def _finish(self, done: Event) -> None:
+        # The caller resumes from its own zero-delay entry, after the
+        # entries already queued for this instant -- not inside this one.
+        done.trigger(None)
+        if self._waiting:
+            self._start(*self._waiting.popleft())
+        else:
+            self._running = False
 
     # -- accounting-only ----------------------------------------------------
 
@@ -116,7 +134,7 @@ class HostCpu:
 
     @property
     def queue_length(self) -> int:
-        return self._pipeline.queue_length
+        return len(self._waiting)
 
     def cycles_for(self, tag: str) -> float:
         return self.cycles_by_tag.get(tag, 0.0)

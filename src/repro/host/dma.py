@@ -2,21 +2,23 @@
 
 DMA decouples the protocol engines from host memory: the engine queues a
 transfer descriptor (a few cycles), the DMA machine arbitrates for the
-bus and streams the bytes, and a completion callback/event fires when the
-last word lands.  Transfers are serviced strictly in order per engine --
+bus and streams the bytes, and a completion event fires when the last
+word lands.  Transfers are serviced strictly in order per engine --
 real adaptors had one DMA context per direction, which is what the
-default two-engine wiring in :mod:`repro.nic.nic` reproduces.
+default two-engine wiring in :mod:`repro.nic.nic` reproduces.  The
+engine is a small state machine driven by callbacks: setup, the bus
+transaction, completion writeback, then the next queued transfer.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Deque, Optional
 
 from repro.host.bus import SystemBus
 from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter, WelfordStat
-from repro.sim.resources import Resource
 
 @dataclass(frozen=True)
 class DmaSpec:
@@ -48,7 +50,10 @@ class DmaEngine:
         self.bus = bus
         self.spec = spec if spec is not None else DmaSpec()
         self.name = name
-        self._channel = Resource(sim, capacity=1, name=f"{name}.channel")
+        #: Transfers queued behind the one in flight, each as (bytes,
+        #: completion event, time requested).
+        self._waiting: Deque[tuple[int, Event, float]] = deque()
+        self._active = False
         self.transfers = Counter(f"{name}.transfers")
         self.bytes_moved = Counter(f"{name}.bytes")
         self.latency = WelfordStat()
@@ -57,23 +62,39 @@ class DmaEngine:
 
     def transfer(self, nbytes: int) -> Event:
         """Event firing when *nbytes* have fully moved across the bus."""
-        return self.sim.process(self._transfer(nbytes))
-
-    def _transfer(self, nbytes: int):
         if nbytes < 0:
             raise ValueError("negative DMA size")
-        started = self.sim.now
-        grant = self._channel.request()
-        yield grant
+        done = Event(self.sim)
+        if self._active:
+            self._waiting.append((nbytes, done, self.sim.now))
+        else:
+            self._start(nbytes, done, self.sim.now)
+        return done
+
+    def _start(self, nbytes: int, done: Event, started: float) -> None:
+        self._active = True
         if self.trace is not None:
             self.trace.emit("dma.start", actor=self.name, bytes=nbytes)
         # Setup, arbitrated bus walk (the rx and tx engines share the
         # bus), completion writeback.
-        yield self.sim.timeout(self.spec.setup_time)
+        self.sim.schedule_call(
+            self.spec.setup_time, self._set_up, nbytes, done, started
+        )
+
+    def _set_up(self, nbytes: int, done: Event, started: float) -> None:
         if nbytes > 0:
-            yield self.bus.transfer(nbytes, master=self.name)
-        yield self.sim.timeout(self.spec.completion_time)
-        self._channel.release(grant)
+            self.bus.transfer(nbytes, master=self.name).add_callback(
+                lambda _moved: self._write_back(nbytes, done, started)
+            )
+        else:
+            self._write_back(nbytes, done, started)
+
+    def _write_back(self, nbytes: int, done: Event, started: float) -> None:
+        self.sim.schedule_call(
+            self.spec.completion_time, self._finish, nbytes, done, started
+        )
+
+    def _finish(self, nbytes: int, done: Event, started: float) -> None:
         self.transfers.increment()
         self.bytes_moved.increment(nbytes)
         self.latency.add(self.sim.now - started)
@@ -82,9 +103,13 @@ class DmaEngine:
                 "dma.done", actor=self.name, bytes=nbytes,
                 latency=self.sim.now - started,
             )
-        return nbytes
+        done.trigger(nbytes)
+        if self._waiting:
+            self._start(*self._waiting.popleft())
+        else:
+            self._active = False
 
     @property
     def backlog(self) -> int:
         """Transfers queued behind the current one."""
-        return self._channel.queue_length
+        return len(self._waiting)

@@ -9,12 +9,15 @@ coalescing), the interrupt model is load-bearing for experiment T3.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Deque, Optional
 
 from repro.host.cpu import HostCpu
-from repro.sim.core import Event, Simulator
+from repro.sim.core import URGENT, Call, Event, Simulator
 from repro.sim.monitor import Counter
+
+_Batch = list[tuple[float, Optional[Callable[[], None]]]]
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,8 @@ class InterruptController:
     the handler body runs.  With a coalescing window configured,
     back-to-back raises merge: one delivery, one entry/exit, the sum of
     handler bodies -- how real drivers amortised per-PDU completions.
+    Without a window, raises from the same queue entry still merge: the
+    line is sampled once that entry is done.
     """
 
     def __init__(
@@ -64,9 +69,12 @@ class InterruptController:
         self.spurious = Counter(f"{name}.spurious")
         #: Observability hook (repro.obs): a TraceRecorder, or None.
         self.trace = None
-        self._pending: list[tuple[float, Optional[Callable[[], None]]]] = []
+        self._pending: _Batch = []
         self._pending_events: list[Event] = []
         self._delivery_scheduled = False
+        #: Delivered batches whose CPU work is queued or running, oldest
+        #: first (the CPU serves them in order).
+        self._in_service: Deque[tuple[_Batch, list[Event]]] = deque()
 
     def raise_interrupt(
         self,
@@ -82,7 +90,10 @@ class InterruptController:
         self._pending_events.append(done)
         if not self._delivery_scheduled:
             self._delivery_scheduled = True
-            self.sim.process(self._deliver())
+            if self.spec.coalesce_window > 0:
+                self.sim.schedule_call(self.spec.coalesce_window, self._deliver)
+            else:
+                self.sim._schedule(0.0, Call(self._deliver, ()), URGENT)
         return done
 
     def inject_spurious(self, handler_cycles: float = 0.0) -> Event:
@@ -96,9 +107,7 @@ class InterruptController:
         self.spurious.increment()
         return self.raise_interrupt(handler_cycles)
 
-    def _deliver(self):
-        if self.spec.coalesce_window > 0:
-            yield self.sim.timeout(self.spec.coalesce_window)
+    def _deliver(self) -> None:
         batch = self._pending
         events = self._pending_events
         self._pending = []
@@ -111,7 +120,11 @@ class InterruptController:
             )
         total_handler = sum(cycles for cycles, _fn in batch)
         total = self.spec.entry_cycles + total_handler + self.spec.exit_cycles
-        yield self.cpu.execute(total, tag="interrupt")
+        self._in_service.append((batch, events))
+        self.cpu.execute(total, tag="interrupt").add_callback(self._handled)
+
+    def _handled(self, _executed: Event) -> None:
+        batch, events = self._in_service.popleft()
         for _cycles, fn in batch:
             if fn is not None:
                 fn()

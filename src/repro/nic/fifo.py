@@ -4,7 +4,9 @@ Two small hardware FIFOs decouple the protocol engines from the cell
 clock of the link:
 
 - **transmit FIFO**: the TX engine pushes (blocking -- the engine stalls
-  when it is ahead of the link), the framer drains one cell per slot;
+  when it is ahead of the link), the framer drains one cell per slot:
+  it pulls the next cell at each wire-out, and when it finds the FIFO
+  empty the next push hands the cell straight to it;
 - **receive FIFO**: the link pushes (non-blocking -- a full FIFO *drops*
   the cell, there is no backpressure on a network), the RX engine pops.
 
@@ -15,7 +17,7 @@ into loss.  Occupancy is tracked time-weighted for sizing studies.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.atm.cell import AtmCell
 from repro.sim.core import Event, Simulator
@@ -35,6 +37,8 @@ class CellFifo:
         self._store = Store(sim, capacity=depth_cells, name=name)
         self.occupancy = TimeWeightedStat(sim.now, 0)
         self.overflows = Counter(f"{name}.overflow")
+        #: The consumer waiting in :meth:`pull` for the next cell, if any.
+        self._consumer: Optional[Callable[[AtmCell], None]] = None
         #: Observability hook (repro.obs): a TraceRecorder, or None.
         self.trace = None
 
@@ -61,29 +65,53 @@ class CellFifo:
 
     def put(self, cell: AtmCell) -> Event:
         """Blocking push (TX side): the event fires once space exists."""
-        ev = self._store.put(cell)
-        self.occupancy.record(self.sim.now, len(self._store))
-        if ev.triggered:
+        stalled = self.push(cell)
+        if stalled is not None:
+            return stalled
+        accepted = Event(self.sim)
+        accepted.trigger(None)
+        return accepted
+
+    def push(self, cell: AtmCell) -> Optional[Event]:
+        """Blocking push without a wake-up entry when there is room.
+
+        Returns None when the cell went in at once (the producer carries
+        on in the same instant), else an event that fires once the
+        consumer frees a slot and the cell is in.
+        """
+        consumer = self._consumer
+        if consumer is not None:
+            self._hand_over(consumer, cell)
+            return None
+        if self._store.try_put(cell):
+            self.occupancy.record(self.sim.now, len(self._store))
             if self.trace is not None:
                 self.trace.emit(
                     "fifo.enq", actor=self.name, cell=cell,
                     occupancy=len(self._store),
                 )
-        else:
-            # The producer is stalled; sample again once accepted.
-            def accepted(_ev: Event) -> None:
-                self.occupancy.record(self.sim.now, len(self._store))
-                if self.trace is not None:
-                    self.trace.emit(
-                        "fifo.enq", actor=self.name, cell=cell,
-                        occupancy=len(self._store),
-                    )
+            return None
+        # The producer is stalled; sample now and again once accepted.
+        ev = self._store.put(cell)
+        self.occupancy.record(self.sim.now, len(self._store))
 
-            ev.add_callback(accepted)
+        def accepted(_ev: Event) -> None:
+            self.occupancy.record(self.sim.now, len(self._store))
+            if self.trace is not None:
+                self.trace.emit(
+                    "fifo.enq", actor=self.name, cell=cell,
+                    occupancy=len(self._store),
+                )
+
+        ev.add_callback(accepted)
         return ev
 
     def try_put(self, cell: AtmCell) -> bool:
         """Non-blocking push (RX side): False means the cell was dropped."""
+        consumer = self._consumer
+        if consumer is not None:
+            self._hand_over(consumer, cell)
+            return True
         accepted = self._store.try_put(cell)
         if accepted:
             self.occupancy.record(self.sim.now, len(self._store))
@@ -101,6 +129,19 @@ class CellFifo:
                 )
         return accepted
 
+    def _hand_over(
+        self, consumer: Callable[[AtmCell], None], cell: AtmCell
+    ) -> None:
+        """Pass *cell* through the empty FIFO to the waiting *consumer*."""
+        self._consumer = None
+        self._store.total_put += 1
+        self._store.total_got += 1
+        self.occupancy.record(self.sim.now, 0)
+        if self.trace is not None:
+            self.trace.emit("fifo.enq", actor=self.name, cell=cell, occupancy=0)
+            self.trace.emit("fifo.deq", actor=self.name, cell=cell, occupancy=0)
+        consumer(cell)
+
     # -- consumer side ---------------------------------------------------------
 
     def get(self) -> Event:
@@ -117,6 +158,19 @@ class CellFifo:
 
         ev.add_callback(sample)
         return ev
+
+    def pull(self, consumer: Callable[[AtmCell], None]) -> None:
+        """Call ``consumer(cell)`` with the next cell, with no event.
+
+        The callback path of a single consumer (the framer): a queued
+        cell is taken at once, as :meth:`try_get` takes it; from an
+        empty FIFO the next push hands its cell straight over.
+        """
+        cell = self.try_get()
+        if cell is None:
+            self._consumer = consumer
+        else:
+            consumer(cell)
 
     def try_get(self) -> Optional[AtmCell]:
         """Non-blocking pop; None when empty."""

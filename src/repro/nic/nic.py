@@ -284,29 +284,38 @@ class HostNetworkInterface:
 
     # -- data path: host API -------------------------------------------------------
 
-    def send(self, address: VcAddress, sdu: bytes, user_indication: int = 0):
+    def send(
+        self, address: VcAddress, sdu: bytes, user_indication: int = 0
+    ) -> Event:
         """Process-style send: ``yield nic.send(vc, data)`` from a process.
 
         Runs the OS send path on the host CPU, then posts the descriptor
         (blocking when the TX ring is full).  The returned event fires
         once the descriptor is in the ring -- *not* when the PDU is on
-        the wire; completion is the adaptor's business.
+        the wire; completion is the adaptor's business.  Its value is
+        the posted :class:`TxDescriptor`.
         """
         if self.vc_table.lookup(address) is None:
             raise ValueError(f"VC {address} is not open on {self.name}")
         self.start()
-        return self.sim.process(self._send(address, sdu, user_indication))
+        posted = self.sim.event()
+        self.os.send(len(sdu)).add_callback(
+            lambda _ev: self._post_descriptor(address, sdu, user_indication, posted)
+        )
+        return posted
 
-    def _send(self, address: VcAddress, sdu: bytes, user_indication: int):
-        yield self.os.send(len(sdu))
+    def _post_descriptor(
+        self, address: VcAddress, sdu: bytes, user_indication: int, posted: Event
+    ) -> None:
         descriptor = TxDescriptor(
             vc=address,
             sdu=sdu,
             posted_at=self.sim.now,
             user_indication=user_indication,
         )
-        yield self.tx_ring.post(descriptor)
-        return descriptor
+        self.tx_ring.post(descriptor).add_callback(
+            lambda _ev: posted.trigger(descriptor)
+        )
 
     def post(self, address: VcAddress, sdu: bytes, user_indication: int = 0) -> Event:
         """Fire-and-forget send for non-process callers."""
@@ -434,16 +443,19 @@ class HostNetworkInterface:
 
     def _on_completion(self, completion: RxCompletion) -> None:
         self.reassembly_timers.disarm(completion.vc)
-        self.sim.process(self._deliver(completion))
-
-    def _deliver(self, completion: RxCompletion):
         # Interrupt: entry/exit plus the driver's completion handling.
-        yield self.interrupts.raise_interrupt(
+        self.interrupts.raise_interrupt(
             self.config.os_costs.driver_rx_cycles
-        )
+        ).add_callback(lambda _ev: self._receive(completion))
+
+    def _receive(self, completion: RxCompletion) -> None:
         # OS receive path (copy to user, wakeup, syscall return); the
         # driver portion was already charged in the interrupt handler.
-        yield self.os.receive_post_interrupt(completion.size)
+        self.os.receive_post_interrupt(completion.size).add_callback(
+            lambda _ev: self._deliver(completion)
+        )
+
+    def _deliver(self, completion: RxCompletion) -> None:
         # Recycle the host buffer: the OS copied it out.
         if completion.buffer is not None:
             self.rx_buffers.release(completion.buffer)

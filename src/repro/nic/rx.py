@@ -440,21 +440,22 @@ class RxEngine:
                     cells=indication.cells,
                 )
             return
-        self.sim.process(
-            self._dma_and_deliver(vc, last_cell, indication, host_buffer, arrived)
+        # The DMA engine serves one transfer at a time, so back-to-back
+        # completions transfer strictly in order.
+        self.dma.transfer(indication.size).add_callback(
+            lambda _ev: self._deliver_to_host(
+                vc, last_cell, indication, host_buffer, arrived
+            )
         )
 
-    def _dma_and_deliver(
+    def _deliver_to_host(
         self,
         vc: VcAddress,
         last_cell: AtmCell,
         indication: SduIndication,
         host_buffer,
         arrived: float,
-    ):
-        # The DMA channel is a capacity-1 resource, so back-to-back
-        # completions transfer strictly in order.
-        yield self.dma.transfer(indication.size)
+    ) -> None:
         host_buffer.write(indication.sdu)
 
         completion = RxCompletion(

@@ -11,8 +11,8 @@ The engine's firmware loop, as the paper's analysis budgets it:
 4. on the final cell, build pad + trailer; then write completion status
    back to the host ring.
 
-The framer (a trivial second process, pure hardware in the real
-adaptor) drains the FIFO one cell per link slot.
+The framer (pure hardware in the real adaptor; here two callbacks)
+drains the FIFO one cell per link slot.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.atm.addressing import VcAddress
-from repro.atm.cell import PAYLOAD_SIZE
+from repro.atm.cell import PAYLOAD_SIZE, AtmCell
 from repro.atm.link import PhysicalLink
 from repro.host.dma import DmaEngine
 from repro.nic.bufmem import AdaptorBufferMemory
@@ -29,7 +29,7 @@ from repro.nic.descriptors import DescriptorRing, TxDescriptor
 from repro.nic.engine import EngineClock
 from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter, ThroughputMeter, WelfordStat
 
 class TxEngine:
@@ -250,7 +250,9 @@ class TxEngine:
                     cell=cell,
                     position=position.value,
                 )
-            yield self.fifo.put(cell)
+            stalled = self.fifo.push(cell)
+            if stalled is not None:
+                yield stalled
             self.cells_sent.increment()
             if self.abr is not None:
                 # Every Nrm-th data cell is chased by a forward RM cell
@@ -259,14 +261,18 @@ class TxEngine:
                 # FIFO so they serialize in-order with the data.
                 rm_cell = self.abr.data_cell_sent(descriptor.vc)
                 if rm_cell is not None:
-                    yield self.fifo.put(rm_cell)
+                    stalled = self.fifo.push(rm_cell)
+                    if stalled is not None:
+                        yield stalled
 
 
 class Framer:
     """Link-side drain: one cell from the FIFO onto the wire per slot.
 
-    Hardware in the real interface; here a two-line process whose only
-    policy is strict FIFO order at link rate.
+    Hardware in the real interface; here two callbacks, like
+    :class:`~repro.atm.mux.OutputPort`, whose only policy is strict FIFO
+    order at link rate: each wire-out pulls the next cell, and a framer
+    that found the FIFO empty is handed the next cell pushed.
     """
 
     def __init__(
@@ -281,19 +287,21 @@ class Framer:
         self.link = link
         self.name = name
         self.cells_framed = Counter(f"{name}.cells")
-        self._process = None
+        self._started = False
 
     def attach(self, link: PhysicalLink) -> None:
         self.link = link
 
     def start(self) -> None:
-        if self._process is None:
-            self._process = self.sim.process(self._loop())
+        if not self._started:
+            self._started = True
+            self.fifo.pull(self._frame)
 
-    def _loop(self):
-        while True:
-            cell = yield self.fifo.get()
-            if self.link is None:
-                raise RuntimeError(f"{self.name} has no link attached")
-            yield self.link.send(cell)
-            self.cells_framed.increment()
+    def _frame(self, cell: AtmCell) -> None:
+        if self.link is None:
+            raise RuntimeError(f"{self.name} has no link attached")
+        self.link.send(cell).add_callback(self._wire_out)
+
+    def _wire_out(self, _sent: Event) -> None:
+        self.cells_framed.increment()
+        self.fifo.pull(self._frame)

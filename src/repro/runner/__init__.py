@@ -12,7 +12,8 @@ with results bit-identical to a serial run:
   isolation, bounded retry, and timeouts;
 - :mod:`repro.runner.store` -- :class:`ResultStore`, the
   content-addressed ``.repro-cache/`` (keyed by point hash x kernel x
-  cost-model fingerprint) plus :class:`RunLog` JSONL journals;
+  cost-model and source fingerprints) plus :class:`RunLog` JSONL
+  journals;
 - :mod:`repro.runner.gate` -- :class:`BaselineGate`, the
   ``python -m repro bench --check`` regression gate over committed
   ``benchmarks/baselines/*.json``;

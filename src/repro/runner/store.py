@@ -7,10 +7,13 @@ The :class:`ResultStore` is a flat on-disk cache under ``.repro-cache/``
 
 where ``key = sha256(point_hash : kernel_name : fingerprint)`` -- the
 point's content hash (parameters), the kernel that computed it, and the
-:func:`cost_model_fingerprint` of the configured cost models.  Touching
-any cycle budget, engine clock, or link rate changes the fingerprint
-and silently invalidates every cached point, so a warm cache can never
-serve results from a different model of the hardware.
+:func:`store_fingerprint`: the :func:`cost_model_fingerprint` of the
+configured cost models joined to the :func:`source_fingerprint` of the
+simulator's own code.  Touching any cycle budget, engine clock or link
+rate -- or any byte of ``repro/**/*.py`` -- changes the fingerprint and
+silently invalidates every cached point, so a warm cache can never
+serve results from a different model of the hardware or from an older
+simulator.
 
 Floats survive the round trip bit-exactly: ``json`` serialises doubles
 via the shortest-round-trip ``repr`` and parses them back to the same
@@ -76,6 +79,33 @@ def cost_model_fingerprint() -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def source_fingerprint(package_dir: Optional[os.PathLike] = None) -> str:
+    """A short digest of the simulator's source code.
+
+    Hashes every ``*.py`` file under *package_dir* (default: the
+    installed ``repro`` package), by relative path and content, in
+    sorted order -- so the digest depends on the code alone, not on
+    where the tree lives or on compiled byte-code beside it.
+    """
+    if package_dir is None:
+        import repro
+
+        package_dir = Path(repro.__file__).parent
+    root = Path(package_dir)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()[:16]
+
+
+def store_fingerprint(package_dir: Optional[os.PathLike] = None) -> str:
+    """The default cache fingerprint: cost models plus source code."""
+    return f"{cost_model_fingerprint()}.{source_fingerprint(package_dir)}"
+
+
 class ResultStore:
     """Content-addressed persistence for executed sweep points."""
 
@@ -86,13 +116,13 @@ class ResultStore:
     ) -> None:
         self.root = Path(root) if root is not None else Path(DEFAULT_CACHE_DIR)
         self.fingerprint = (
-            fingerprint if fingerprint is not None else cost_model_fingerprint()
+            fingerprint if fingerprint is not None else store_fingerprint()
         )
 
     # -- keys --------------------------------------------------------------
 
     def key(self, point: Point, kernel_name: str) -> str:
-        """Cache key: point identity x kernel x cost-model fingerprint."""
+        """Cache key: point identity x kernel x store fingerprint."""
         blob = f"{point.hash}:{kernel_name}:{self.fingerprint}"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

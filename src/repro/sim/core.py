@@ -1,12 +1,14 @@
 """Event loop, clock, and the :class:`Event` primitive.
 
 The kernel keeps a time-ordered queue of ``(time, priority, sequence,
-event)`` entries.  An :class:`Event` is the unit of synchronisation --
-processes (see :mod:`repro.sim.process`) suspend on events and are
-resumed by the event's callbacks when it triggers.
+target)`` entries.  A target is an :class:`Event` -- the unit of
+synchronisation: processes (see :mod:`repro.sim.process`) suspend on
+events and are resumed by the event's callbacks when it triggers -- or a
+bare :class:`Call` queued by :meth:`Simulator.schedule_call`, which
+fires one function with no event and no callback list behind it.
 
 The queue is a binary heap; entries pop in ``(time, priority,
-sequence)`` order, so same-time events fire in scheduling order.
+sequence)`` order, so same-time entries fire in scheduling order.
 
 Only the simulator advances time.  All model code runs inside event
 callbacks, so there is no concurrency and no locking anywhere.
@@ -14,8 +16,8 @@ callbacks, so there is no concurrency and no locking anywhere.
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # import cycle: process.py imports this module
     from repro.sim.process import Process
@@ -159,12 +161,6 @@ class Event:
         else:
             self.callbacks.append(fn)
 
-    def _process(self) -> None:
-        self._state = Event._PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for fn in callbacks:
-            fn(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {
             Event._CANCELLED: "cancelled",
@@ -183,11 +179,44 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._exception = None
         self._state = Event._TRIGGERED
+        self.delay = delay
         sim._schedule(delay, self)
+
+
+class Call:
+    """A function queued by :meth:`Simulator.schedule_call`.
+
+    The cheapest queue entry: when it comes due the kernel runs
+    ``fn(*args)`` directly -- there is no :class:`Event`, no callback
+    list and no closure.  It still counts as one processed event.
+    ``cancel()`` withdraws it as :meth:`Event.cancel` withdraws a queued
+    event: the entry is skipped at the front of the queue, the clock
+    does not move to it and it is not counted.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
+        self.fn: Optional[Callable[..., Any]] = fn
+        self.args = args
+
+    @property
+    def cancelled(self) -> bool:
+        return self.fn is None
+
+    def cancel(self) -> "Call":
+        """Withdraw the call (a no-op once it has fired or been cancelled)."""
+        self.fn = None
+        return self
+
+
+_CANCELLED = Event._CANCELLED
+_PROCESSED = Event._PROCESSED
 
 
 class Simulator:
@@ -206,7 +235,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, int, Union[Event, Call]]] = []
         self._sequence = 0
         self._running = False
         #: Lifetime count of events processed -- the kernel's own
@@ -243,15 +272,17 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule(self, delay: float, event: Event, priority: int = NORMAL) -> None:
+    def _schedule(
+        self, delay: float, target: Union[Event, Call], priority: int = NORMAL
+    ) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._sequence += 1
-        entry = (self._now + delay, priority, self._sequence, event)
-        heapq.heappush(self._queue, entry)
-        occupancy = len(self._queue)
-        if occupancy > self.peak_queue_occupancy:
-            self.peak_queue_occupancy = occupancy
+        sequence = self._sequence + 1
+        self._sequence = sequence
+        queue = self._queue
+        heappush(queue, (self._now + delay, priority, sequence, target))
+        if len(queue) > self.peak_queue_occupancy:
+            self.peak_queue_occupancy = len(queue)
 
     # -- execution -------------------------------------------------------
 
@@ -260,13 +291,26 @@ class Simulator:
 
         A cancelled entry is discarded instead: the clock stays put and
         ``events_processed`` does not move, as if it was never queued.
+        An event runs its callbacks; a bare :class:`Call` runs its
+        function.  :meth:`run` inlines this same dispatch.
         """
-        when, _priority, _seq, event = heapq.heappop(self._queue)
-        if event._state == Event._CANCELLED:
+        when, _priority, _seq, target = heappop(self._queue)
+        if isinstance(target, Call):
+            fn = target.fn
+            if fn is None:
+                return
+            self._now = when
+            self.events_processed += 1
+            fn(*target.args)
+            return
+        if target._state == _CANCELLED:
             return
         self._now = when
         self.events_processed += 1
-        event._process()
+        target._state = _PROCESSED
+        callbacks, target.callbacks = target.callbacks, []
+        for callback in callbacks:
+            callback(target)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -278,21 +322,39 @@ class Simulator:
         When *until* is given the clock is left exactly at *until* (even if
         the next event lies beyond it), mirroring simpy semantics so that
         rate computations over the run window are exact.
+
+        The loop body is :meth:`step` inlined (the kernel's hot path):
+        the same dispatch and the same counting.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) is in the past (now={self._now})"
+            )
+        limit = float("inf") if until is None else until
+        queue = self._queue
         self._running = True
         try:
-            if until is None:
-                while self._queue:
-                    self.step()
-            else:
-                if until < self._now:
-                    raise SimulationError(
-                        f"run(until={until}) is in the past (now={self._now})"
-                    )
-                while self._queue and self._queue[0][0] <= until:
-                    self.step()
+            while queue and queue[0][0] <= limit:
+                when, _priority, _seq, target = heappop(queue)
+                if isinstance(target, Call):
+                    fn = target.fn
+                    if fn is None:
+                        continue
+                    self._now = when
+                    self.events_processed += 1
+                    fn(*target.args)
+                    continue
+                if target._state == _CANCELLED:
+                    continue
+                self._now = when
+                self.events_processed += 1
+                target._state = _PROCESSED
+                callbacks, target.callbacks = target.callbacks, []
+                for callback in callbacks:
+                    callback(target)
+            if until is not None:
                 self._now = until
         finally:
             self._running = False
@@ -305,7 +367,7 @@ class Simulator:
         """
         start = self.events_processed
         iterations = 0
-        while self.pending_events() > 0:
+        while self._queue:
             self.step()
             iterations += 1
             if iterations > max_events:
@@ -315,21 +377,15 @@ class Simulator:
     # -- misc -------------------------------------------------------------
 
     def schedule_call(
-        self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> Event:
-        """Convenience: call ``fn(*args)`` after *delay* seconds.
+        self, delay: float, fn: Callable[..., Any], *args: Any
+    ) -> Call:
+        """Call ``fn(*args)`` after *delay* seconds, as a bare queue entry.
 
-        Returns the underlying event (whose value is the function result).
+        Returns the queued :class:`Call`; its ``cancel()`` withdraws it.
         """
-        ev = Event(self)
-
-        def runner(event: Event) -> None:
-            fn(*args)
-
-        ev.add_callback(runner)
-        ev._state = Event._TRIGGERED
-        self._schedule(delay, ev)
-        return ev
+        call = Call(fn, args)
+        self._schedule(delay, call)
+        return call
 
     def pending_events(self) -> int:
         """Number of entries still queued (triggered but unprocessed).

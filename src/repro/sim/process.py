@@ -23,6 +23,9 @@ from typing import Any, Generator, Iterable, Optional
 
 from repro.sim.core import Event, SimulationError, Simulator, URGENT
 
+_PENDING = Event._PENDING
+_PROCESSED = Event._PROCESSED
+
 
 class Interrupt(Exception):
     """Raised inside a process that someone interrupted.
@@ -58,7 +61,7 @@ class Process(Event):
         # Kick off the generator as soon as the simulator starts working at
         # the current instant.
         init = Event(sim)
-        init.add_callback(self._resume)
+        init.callbacks.append(self._resume)
         init._state = Event._TRIGGERED
         sim._schedule(0.0, init, priority=URGENT)
 
@@ -83,12 +86,13 @@ class Process(Event):
     # -- driving the generator -------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:  # interrupted after the event triggered
+        if self._state > _PENDING:  # interrupted after the event triggered
             return
         self._waiting_on = None
         try:
-            if event.exception is not None:
-                target = self.generator.throw(event.exception)
+            exception = event._exception
+            if exception is not None:
+                target = self.generator.throw(exception)
             else:
                 target = self.generator.send(
                     event._value if event is not self else None
@@ -142,7 +146,10 @@ class Process(Event):
             self.fail(SimulationError("yielded event belongs to another simulator"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        if target._state == _PROCESSED:
+            self._resume(target)
+        else:
+            target.callbacks.append(self._resume)
 
 
 class _Condition(Event):

@@ -93,6 +93,54 @@ class TestSerialization:
         sim.run(until=0.5)
         assert times == [pytest.approx(TAXI_100.cell_time)]
 
+    def test_zero_propagation_delivers_before_the_sender_resumes(self, sim):
+        # One queue entry per cell: the wire-out entry delivers first,
+        # then runs the sender's callbacks.
+        log = []
+        link = PhysicalLink(
+            sim, TAXI_100, sink=lambda c: log.append(("delivered", sim.now))
+        )
+
+        def sender():
+            yield link.send(cell())
+            log.append(("wire-out", sim.now))
+
+        sim.process(sender())
+        sim.run()
+        slot = TAXI_100.cell_time
+        assert log == [("delivered", slot), ("wire-out", slot)]
+        # process start, wire-out, process completion
+        assert sim.events_processed == 3
+
+    def test_positive_propagation_delivers_at_wire_out_plus_delay(self, sim):
+        log = []
+        link = PhysicalLink(
+            sim,
+            TAXI_100,
+            sink=lambda c: log.append(("delivered", sim.now)),
+            propagation_delay=2e-6,
+        )
+
+        def sender():
+            yield link.send(cell())
+            log.append(("wire-out", sim.now))
+
+        sim.process(sender())
+        sim.run()
+        slot = TAXI_100.cell_time
+        assert log == [("wire-out", slot), ("delivered", slot + 2e-6)]
+        assert sim.events_processed == 4
+
+    def test_one_entry_per_cell_at_zero_propagation(self, sim):
+        got = []
+        link = PhysicalLink(sim, TAXI_100, sink=got.append)
+        sent = [cell(vci=100 + i) for i in range(5)]
+        for c in sent:
+            link.send(c)
+        sim.run()
+        assert got == sent
+        assert sim.events_processed == 5
+
     def test_utilization(self, sim):
         link = PhysicalLink(sim, TAXI_100, sink=lambda c: None)
         for _ in range(10):

@@ -121,6 +121,17 @@ class TestSystemBus:
         assert bus.utilization(busy) == pytest.approx(1.0)
         assert bus.utilization(2 * busy) == pytest.approx(0.5)
 
+    def test_negative_size_raises(self, sim):
+        bus = SystemBus(sim, TURBOCHANNEL)
+
+        def master():
+            yield bus.transfer(-4)
+
+        failed = sim.process(master())
+        sim.run()
+        assert isinstance(failed.exception, ValueError)
+        assert bus.transactions.count == 0
+
     def test_zero_byte_transfer_completes(self, sim):
         bus = SystemBus(sim, TURBOCHANNEL)
         done = []

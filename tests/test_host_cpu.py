@@ -88,6 +88,69 @@ class TestExecution:
         with pytest.raises(ValueError):
             cpu.charge(-5)
 
+    def test_negative_execute_raises_and_leaves_the_cpu_usable(self, sim):
+        cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e6))
+        done = []
+
+        def bad():
+            yield cpu.execute(-5)
+
+        def good():
+            yield cpu.execute(100)
+            done.append(sim.now)
+
+        failed = sim.process(bad())
+        sim.process(good())
+        sim.run()
+        assert isinstance(failed.exception, ValueError)
+        assert done == [pytest.approx(100e-6)]
+        assert cpu.total_cycles == 100
+
+    def test_contending_calls_served_fifo_with_same_books(self, sim):
+        spec = CpuSpec("t", clock_hz=1e6)
+        cpu = HostCpu(sim, spec)
+        finish = []
+
+        def worker(name, cycles, tag):
+            yield cpu.execute(cycles, tag=tag)
+            finish.append((name, sim.now))
+
+        jobs = (("a", 300, "x"), ("b", 100, "y"), ("c", 200, "x"))
+        for job in jobs:
+            sim.process(worker(*job))
+        sim.run()
+        assert [name for name, _ in finish] == ["a", "b", "c"]
+        a = spec.seconds_for(300)
+        b = spec.seconds_for(100)
+        c = spec.seconds_for(200)
+        assert [t for _, t in finish] == [a, a + b, a + b + c]
+        assert cpu.cycles_by_tag == {"x": 500.0, "y": 100.0}
+        assert list(cpu.cycles_by_tag) == ["x", "y"]
+        assert cpu.busy_time == a + b + c
+        assert cpu.queue_length == 0
+
+    def test_caller_resumes_after_same_instant_entries_queued_first(self, sim):
+        # The CPU finishes work in its own timed entry, then resumes the
+        # caller from a zero-delay entry of its own: anything already
+        # queued for that instant (here a call queued after the work
+        # started) runs before the caller continues.
+        spec = CpuSpec("t", clock_hz=1e6)
+        cpu = HostCpu(sim, spec)
+        log = []
+
+        def caller():
+            yield cpu.execute(100)
+            log.append(("caller", sim.now))
+
+        def neighbour():
+            sim.schedule_call(spec.seconds_for(100), log.append, ("other", None))
+            yield sim.timeout(0.0)
+
+        sim.process(caller())
+        sim.process(neighbour())
+        sim.run()
+        assert [who for who, _ in log] == ["other", "caller"]
+
     def test_queue_length_visible(self, sim):
         cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e3))  # slow
 

@@ -77,6 +77,48 @@ class TestDma:
         assert done["a"] > solo
         assert done["b"] == pytest.approx(2 * solo, rel=0.05)
 
+    def test_two_engines_rearbitrate_between_bursts_in_request_order(self, sim):
+        # a asks first for three bursts, b second for two: the bus
+        # alternates a, b, a, b, a -- a transaction with bursts left
+        # rejoins the queue behind the waiting master.
+        bus = SystemBus(sim, TURBOCHANNEL)
+        a = DmaEngine(sim, bus, DmaSpec(0.0, 0.0), name="a")
+        b = DmaEngine(sim, bus, DmaSpec(0.0, 0.0), name="b")
+        burst_bytes = TURBOCHANNEL.max_burst_words * TURBOCHANNEL.width_bytes
+        done = {}
+
+        def master(engine, nbytes):
+            yield engine.transfer(nbytes)
+            done[engine.name] = sim.now
+
+        sim.process(master(a, 3 * burst_bytes))
+        sim.process(master(b, 2 * burst_bytes))
+        sim.run()
+        burst = TURBOCHANNEL.transfer_time(burst_bytes)
+        assert done["b"] == pytest.approx(4 * burst)
+        assert done["a"] == pytest.approx(5 * burst)
+        assert list(bus.bytes_by_master) == ["b", "a"]
+        assert bus.utilization() == pytest.approx(1.0)
+
+    def test_backlog_counts_queued_transfers(self, sim):
+        dma = DmaEngine(sim, SystemBus(sim, TURBOCHANNEL))
+        for _ in range(3):
+            dma.transfer(512)
+        assert dma.backlog == 2
+        sim.run()
+        assert dma.backlog == 0
+        assert dma.transfers.count == 3
+
+    def test_negative_size_raises(self, sim):
+        dma = DmaEngine(sim, SystemBus(sim, TURBOCHANNEL))
+
+        def master():
+            yield dma.transfer(-1)
+
+        failed = sim.process(master())
+        sim.run()
+        assert isinstance(failed.exception, ValueError)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DmaSpec(setup_time=-1.0)

@@ -8,9 +8,12 @@ compared via ``float.hex`` so not even one ULP of drift hides.
 
 import json
 import math
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.faults.sweep import run_campaign_sweep, sweep_summary
 from repro.results.experiments import run_f7
 from repro.runner import (
@@ -28,6 +31,7 @@ from repro.runner import (
     kernel_name,
     run_sweep,
 )
+from repro.runner.store import store_fingerprint
 
 # ---------------------------------------------------------------------------
 # module-level kernels (picklable across the process-pool boundary)
@@ -154,6 +158,30 @@ class TestResultStore:
     def test_cost_model_fingerprint_is_stable(self):
         assert cost_model_fingerprint() == cost_model_fingerprint()
         assert len(cost_model_fingerprint()) == 16
+
+    def test_source_edit_changes_the_key(self, tmp_path):
+        # A warm cache must not serve points computed by older code:
+        # two source trees one byte apart give different keys, and a
+        # byte-identical copy elsewhere gives the same key.
+        package = Path(repro.__file__).parent
+        same, edited = tmp_path / "same", tmp_path / "edited"
+        ignore = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(package, same, ignore=ignore)
+        shutil.copytree(package, edited, ignore=ignore)
+        link = edited / "atm" / "link.py"
+        text = link.read_bytes()
+        link.write_bytes(text.replace(b"cell_time", b"cell_timf", 1))
+        assert len(link.read_bytes()) == len(text)
+
+        def key(tree):
+            store = ResultStore(
+                root=tmp_path / "cache", fingerprint=store_fingerprint(tree)
+            )
+            return store.key(self.point(), "k")
+
+        assert key(same) == key(package)
+        assert key(edited) != key(package)
+        assert ResultStore(root=tmp_path).fingerprint == store_fingerprint()
 
     def test_run_log_records_jsonl(self, tmp_path):
         path = tmp_path / "run.jsonl"

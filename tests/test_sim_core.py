@@ -283,3 +283,85 @@ class TestCancellation:
         assert log == [0.1, 0.4, 0.5, 0.9]
         assert sim.now == 0.9
         assert sim.events_processed == 4
+
+
+class TestBareCalls:
+    """``schedule_call`` queues a bare call: one entry, one processed event."""
+
+    @staticmethod
+    def _mixed(sim, log):
+        """Events, timeouts, a process and bare calls at shared times."""
+
+        def proc():
+            yield sim.timeout(1.0)
+            log.append(("proc", sim.now))
+            sim.schedule_call(0.0, log.append, ("call-from-proc", sim.now))
+            yield sim.timeout(0.0)
+            log.append(("proc-again", sim.now))
+
+        sim.schedule_call(1.0, log.append, ("call-a", 1.0))
+        sim.process(proc())
+        ev = sim.event()
+        ev.add_callback(lambda _ev: log.append(("event", sim.now)))
+        ev.trigger(delay=1.0)
+        sim.schedule_call(0.5, log.append, ("call-early", 0.5))
+        sim.timeout(2.0).add_callback(lambda _ev: log.append(("timeout", sim.now)))
+        sim.schedule_call(1.0, log.append, ("call-b", 1.0))
+
+    @staticmethod
+    def _step_all(sim):
+        while sim.pending_events():
+            sim.step()
+
+    def test_run_idle_and_step_dispatch_the_same(self):
+        drivers = {
+            "run": lambda sim: sim.run(),
+            "run_until_idle": lambda sim: sim.run_until_idle(),
+            "step": self._step_all,
+        }
+        seen = {}
+        for name, drive in drivers.items():
+            sim = Simulator()
+            log = []
+            self._mixed(sim, log)
+            drive(sim)
+            seen[name] = (log, sim.events_processed, sim.now)
+        assert seen["run"] == seen["run_until_idle"] == seen["step"]
+        log, processed, now = seen["run"]
+        assert log == [
+            ("call-early", 0.5),
+            ("call-a", 1.0),
+            ("event", 1.0),
+            ("call-b", 1.0),
+            ("proc", 1.0),
+            ("call-from-proc", 1.0),
+            ("proc-again", 1.0),
+            ("timeout", 2.0),
+        ]
+        # Four bare calls, the event, the timeout, the process start,
+        # its two timeouts and its completion.
+        assert processed == 10
+        assert now == 2.0
+
+    def test_run_until_idle_counts_bare_calls(self, sim):
+        for t in (0.3, 0.1, 0.2):
+            sim.schedule_call(t, lambda: None)
+        assert sim.run_until_idle() == 3
+
+    def test_cancelled_bare_call_neither_advances_clock_nor_counts(self):
+        for drive in (
+            lambda sim: sim.run(),
+            lambda sim: sim.run_until_idle(),
+            self._step_all,
+        ):
+            sim = Simulator()
+            hits = []
+            doomed = sim.schedule_call(5.0, hits.append, "doomed")
+            sim.schedule_call(1.0, hits.append, "kept")
+            assert doomed.cancel() is doomed
+            assert doomed.cancelled
+            drive(sim)
+            assert hits == ["kept"]
+            assert sim.now == 1.0
+            assert sim.events_processed == 1
+            assert sim.pending_events() == 0
