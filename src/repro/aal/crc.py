@@ -7,19 +7,39 @@ Both AAL CRCs are MSB-first (non-reflected) polynomial divisions:
 - **CRC-10** for the AAL3/4 SAR-PDU trailer: generator
   x^10+x^9+x^5+x^4+x+1 (0x633), zero initial value, no final XOR.
 
-The engine is table-driven with an incremental API so a receiver can
-accumulate the CRC cell by cell, exactly as streaming SAR hardware does.
-A bit-serial reference implementation is included for cross-checking in
-the test suite.
+The CRC-32 has an incremental API so a receiver can accumulate it cell
+by cell, exactly as streaming SAR hardware does.  Its register runs on
+:func:`zlib.crc32`: CRC-32/BZIP2 (this one) is the bit-reflected twin
+of zlib's CRC-32/ISO-HDLC -- same polynomial, initial value and final
+XOR -- so feeding zlib bit-reversed bytes, with the register
+bit-reversed on the way in and out, gives the MSB-first result exactly.
+A bit-serial reference implementation is kept as the test oracle.
 """
 
 from __future__ import annotations
 
-from typing import List
+import zlib
+
+#: Each byte value with its bit order reversed (a ``bytes.translate`` table).
+_REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+_REGISTER_MASK = 0xFFFFFFFF
+#: The CRC-32 generator, the only polynomial ``zlib`` computes.
+_CRC32_POLYNOMIAL = 0x04C11DB7
+
+
+def _reflect32(value: int) -> int:
+    """*value*'s 32 bits in reverse order."""
+    return int.from_bytes(
+        value.to_bytes(4, "big").translate(_REVERSED_BITS), "little"
+    )
 
 
 class CrcAlgorithm:
-    """A parameterised MSB-first CRC with table-driven incremental update."""
+    """An MSB-first CRC-32 (generator 0x04C11DB7) with incremental update.
+
+    *initial* and *final_xor* are free; the width must be 32 and the
+    polynomial the CRC-32 generator, the one ``zlib`` computes.
+    """
 
     def __init__(
         self,
@@ -29,33 +49,15 @@ class CrcAlgorithm:
         initial: int,
         final_xor: int,
     ) -> None:
-        if width < 8 or width > 64:
-            raise ValueError("width must be in 8..64")
+        if width != 32 or polynomial != _CRC32_POLYNOMIAL:
+            raise ValueError(
+                "only the 32-bit generator 0x04C11DB7 is supported"
+            )
         self.name = name
         self.width = width
         self.polynomial = polynomial
         self.initial = initial
         self.final_xor = final_xor
-        self._mask = (1 << width) - 1
-        self._top_bit = 1 << (width - 1)
-        self._table = self._build_table()
-        # One-shot results memoised by message bytes: synthetic
-        # workloads recompute the CRC of the same payload for every
-        # PDU, and the table-driven byte loop dominated their runtime.
-        self._memo: dict = {}
-
-    def _build_table(self) -> List[int]:
-        table = []
-        shift = self.width - 8
-        for byte in range(256):
-            register = byte << shift
-            for _ in range(8):
-                if register & self._top_bit:
-                    register = ((register << 1) ^ self.polynomial) & self._mask
-                else:
-                    register = (register << 1) & self._mask
-            table.append(register)
-        return table
 
     # -- incremental interface ----------------------------------------------
 
@@ -64,13 +66,15 @@ class CrcAlgorithm:
         return self.initial
 
     def update(self, state: int, data: bytes) -> int:
-        """Fold *data* into the accumulator; returns the new state."""
-        table = self._table
-        shift = self.width - 8
-        mask = self._mask
-        for byte in data:
-            state = ((state << 8) ^ table[((state >> shift) & 0xFF) ^ byte]) & mask
-        return state
+        """Fold *data* into the accumulator; returns the new state.
+
+        zlib keeps its register complemented and bit-reflected; the
+        state here is the plain MSB-first register.
+        """
+        reflected = zlib.crc32(
+            data.translate(_REVERSED_BITS), _reflect32(state) ^ _REGISTER_MASK
+        )
+        return _reflect32(reflected ^ _REGISTER_MASK)
 
     def finish(self, state: int) -> int:
         """Final CRC value from accumulator state."""
@@ -79,14 +83,8 @@ class CrcAlgorithm:
     # -- one-shot interface ---------------------------------------------------
 
     def compute(self, data: bytes) -> int:
-        """CRC of *data* in one call (memoised on the message bytes)."""
-        result = self._memo.get(data)
-        if result is None:
-            result = self.finish(self.update(self.start(), data))
-            if len(self._memo) >= 512:
-                self._memo.clear()
-            self._memo[data] = result
-        return result
+        """CRC of *data* in one call."""
+        return self.finish(self.update(self.start(), data))
 
     def residue_ok(self, data_with_crc: bytes) -> bool:
         """Verify a message whose CRC field was appended MSB-first.
@@ -115,7 +113,7 @@ class CrcAlgorithm:
             for bit in range(8):
                 incoming = (byte >> (7 - bit)) & 1
                 msb = (register >> (self.width - 1)) & 1
-                register = (register << 1) & self._mask
+                register = (register << 1) & _REGISTER_MASK
                 if msb ^ incoming:
                     register ^= self.polynomial
         return register ^ self.final_xor
@@ -144,8 +142,8 @@ def crc10(data: bytes) -> int:
     (which is the message times x^10) and stores it in the field; the
     receiver checks that the residue of the full PDU is zero.
 
-    Implemented bit-serially because the 10-bit width does not fit the
-    byte-table engine; 48-byte SAR-PDUs keep this cheap.
+    Implemented bit-serially because zlib computes only the 32-bit
+    generator; 48-byte SAR-PDUs keep this cheap.
     """
     register = 0
     for byte in data:

@@ -31,6 +31,7 @@ from repro.host.interrupts import InterruptController, InterruptSpec
 from repro.host.os_model import HostOs, OsCostModel
 from repro.nic.descriptors import RxCompletion
 from repro.nic.fifo import CellFifo
+from repro.nic.tx import Framer
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter, ThroughputMeter
 from repro.sim.resources import Store
@@ -94,7 +95,7 @@ class HostSarInterface:
         self._tx_queue = Store(sim, capacity=config.tx_queue_pdus)
         self._segmenters: dict[VcAddress, Aal5Segmenter] = {}
         self.reassembler = Aal5Reassembler()
-        self.link: Optional[PhysicalLink] = None
+        self.framer = Framer(sim, self.tx_fifo, name=f"{name}.framer")
         self.on_pdu: Optional[Callable[[RxCompletion], None]] = None
         self.pdus_sent = Counter(f"{name}.pdus-tx")
         self.pdus_received = Counter(f"{name}.pdus-rx")
@@ -105,7 +106,7 @@ class HostSarInterface:
     # -- wiring (same shape as HostNetworkInterface) -----------------------
 
     def attach_tx_link(self, link: PhysicalLink) -> None:
-        self.link = link
+        self.framer.attach(link)
 
     @property
     def rx_input(self):
@@ -130,7 +131,7 @@ class HostSarInterface:
             return
         self._started = True
         self.sim.process(self._tx_loop())
-        self.sim.process(self._framer_loop())
+        self.framer.start()
 
     # -- transmit ----------------------------------------------------------
 
@@ -165,13 +166,6 @@ class HostSarInterface:
                 yield self.tx_fifo.put(cell)
             self.pdus_sent.increment()
             self.tx_throughput.account(len(sdu))
-
-    def _framer_loop(self):
-        while True:
-            cell = yield self.tx_fifo.get()
-            if self.link is None:
-                raise RuntimeError(f"{self.name} has no link attached")
-            yield self.link.send(cell)
 
     # -- receive --------------------------------------------------------------
 

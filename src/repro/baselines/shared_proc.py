@@ -7,51 +7,79 @@ receive work queues behind transmit bursts, turning engine contention
 into receive-FIFO overflow (cells lost), which the dual-engine design
 never exhibits.  Experiment T5 quantifies this.
 
-Implementation: a :class:`SharedEngineClock` serialises ``work`` calls
-through a capacity-1 resource; :func:`share_engine` rebinds both of an
-interface's pipelines onto one such clock.
+Implementation: a :class:`SharedEngineClock` serves both pipelines'
+``work`` calls from one FIFO of callbacks, as
+:class:`~repro.host.cpu.HostCpu` serves its callers;
+:func:`share_engine` rebinds both of an interface's pipelines onto one
+such clock.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from typing import Any, Callable, Deque, Tuple
 
 from repro.nic.costs import EngineSpec
 from repro.nic.engine import EngineClock
 from repro.nic.nic import HostNetworkInterface
 from repro.sim.core import Simulator
-from repro.sim.process import Process
-from repro.sim.resources import Resource
 
 
 class SharedEngineClock(EngineClock):
     """An engine clock whose callers contend for one instruction stream.
 
-    ``work`` returns a process event: acquire the engine, run the
-    cycles, release.  Program order within each pipeline still holds;
-    across pipelines the arbitration is FIFO.
+    ``work`` runs at once when the stream is idle, else queues behind
+    the item in service; each item is booked (ledger, stall, trace) by
+    the base clock when it starts.  Program order within each pipeline
+    still holds; across pipelines the arbitration is FIFO.
     """
 
     def __init__(self, sim: Simulator, spec: EngineSpec, name: str = "shared-engine"):
         super().__init__(sim, spec, name)
-        self._stream = Resource(sim, capacity=1, name=f"{name}.stream")
+        #: Items waiting for the stream, oldest first.
+        self._waiting: Deque[
+            Tuple[float, float, str, Callable[..., Any], Tuple[Any, ...]]
+        ] = deque()
+        self._running = False
+        self._granted = 0
+        self._total_wait = 0.0
 
-    def work(self, cycles: float, tag: str = "work") -> Process:
+    def work(
+        self, cycles: float, tag: str, then: Callable[..., Any], *args: Any
+    ) -> None:
         if cycles < 0:
             raise ValueError("negative cycle count")
-        return self.sim.process(self._contended(cycles, tag))
+        if self._running:
+            self._waiting.append((self.sim.now, cycles, tag, then, args))
+        else:
+            self._start(self.sim.now, cycles, tag, then, args)
 
-    def _contended(self, cycles: float, tag: str):
-        grant = self._stream.request()
-        yield grant
-        duration = self.spec.seconds_for(cycles)
-        self._busy_time += duration
-        self.cycles_by_tag[tag] = self.cycles_by_tag.get(tag, 0.0) + cycles
-        yield self.sim.timeout(duration)
-        self._stream.release(grant)
+    def _start(
+        self,
+        requested: float,
+        cycles: float,
+        tag: str,
+        then: Callable[..., Any],
+        args: Tuple[Any, ...],
+    ) -> None:
+        self._running = True
+        self._granted += 1
+        self._total_wait += self.sim.now - requested
+        self.sim.schedule_call(self._book(cycles, tag), self._finish, then, args)
+
+    def _finish(self, then: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        # The next item takes the stream before the finished caller
+        # carries on, so a caller's next charge queues behind it.
+        if self._waiting:
+            self._start(*self._waiting.popleft())
+        else:
+            self._running = False
+        then(*args)
 
     @property
     def contention_wait(self) -> float:
         """Mean time work items queued for the shared stream."""
-        return self._stream.mean_wait
+        return self._total_wait / self._granted if self._granted else 0.0
 
 
 def share_engine(

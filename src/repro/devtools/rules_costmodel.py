@@ -3,7 +3,7 @@
 Davie's evaluation is an accounting argument: every engine cycle in
 the T1/T2 tables traces to a named per-operation budget, and the
 simulation's claim to reproduce the paper rests on charging *exactly*
-those budgets.  A literal ``yield clock.work(16, ...)`` is a number
+those budgets.  A literal ``clock.work(16, ...)`` is a number
 with no provenance -- if the cost table changes, the call site
 silently diverges from the tables the CLI prints.  Cycle expressions
 at charge sites must therefore be built from named

@@ -2,27 +2,30 @@
 
 An :class:`EngineClock` turns cycle budgets into simulated time and
 keeps the utilisation ledger.  The transmit and receive pipelines are
-processes that interleave ``yield clock.work(cycles, tag)`` calls with
-waits on FIFOs and DMA -- which is exactly the structure of the
-firmware loop on the real microcontroller: compute, then block on the
-next cell or descriptor.
+callback state machines: each step books its cycles with
+``clock.work(cycles, tag, then, *args)``, and the clock calls
+``then(*args)`` when the engine has finished that work.  Between charges
+a pipeline blocks only on its FIFO, a descriptor or a DMA -- the
+structure of the firmware loop on the real microcontroller: compute,
+then wait for the next cell or descriptor.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.nic.costs import EngineSpec
-from repro.sim.core import Simulator, Timeout
+from repro.sim.core import Simulator
 
 
 class EngineClock:
     """Cycle-to-time conversion plus a busy-time/cycles ledger.
 
     The engine is single-threaded by construction (one firmware loop),
-    so unlike :class:`repro.host.cpu.HostCpu` there is no contention
-    resource: the owning pipeline process is the only caller, and its
-    program order serialises the work.
+    so unlike :class:`repro.host.cpu.HostCpu` there is no work queue:
+    the owning pipeline is the only caller and charges its next step
+    only from the completion of the previous one, so its program order
+    serialises the work.
     """
 
     def __init__(self, sim: Simulator, spec: EngineSpec, name: str = "engine"):
@@ -53,8 +56,22 @@ class EngineClock:
             raise ValueError("negative stall duration")
         self._stall_pending += duration
 
-    def work(self, cycles: float, tag: str = "work") -> Timeout:
-        """A timeout spanning *cycles* of engine execution (and book it)."""
+    def work(
+        self, cycles: float, tag: str, then: Callable[..., Any], *args: Any
+    ) -> None:
+        """Run *cycles* of engine work, then call ``then(*args)``.
+
+        The cycles are booked now; the completion is one bare queue
+        entry *duration* later (plus any injected stall).
+        """
+        self.sim.schedule_call(self._book(cycles, tag), then, *args)
+
+    def _book(self, cycles: float, tag: str) -> float:
+        """Book *cycles* under *tag*; returns the seconds they occupy.
+
+        The return value includes a pending injected stall, which the
+        work absorbs (see :meth:`request_stall`).
+        """
         if cycles < 0:
             raise ValueError("negative cycle count")
         duration = self.spec.seconds_for(cycles)
@@ -74,7 +91,7 @@ class EngineClock:
                 self.trace.emit(
                     "engine.stall", actor=self.name, dur=stall,
                 )
-        return self.sim.timeout(duration)
+        return duration
 
     @property
     def total_cycles(self) -> float:

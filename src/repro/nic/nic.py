@@ -294,9 +294,15 @@ class HostNetworkInterface:
         once the descriptor is in the ring -- *not* when the PDU is on
         the wire; completion is the adaptor's business.  Its value is
         the posted :class:`TxDescriptor`.
+
+        Raises :class:`ValueError` for an unopened VC and
+        :class:`~repro.aal.interface.AalError` for an SDU or user
+        indication the configured AAL cannot carry -- here, before
+        anything is posted, not later inside the transmit engine.
         """
         if self.vc_table.lookup(address) is None:
             raise ValueError(f"VC {address} is not open on {self.name}")
+        self.sar_glue.check_sdu(len(sdu), user_indication)
         self.start()
         posted = self.sim.event()
         self.os.send(len(sdu)).add_callback(

@@ -46,7 +46,7 @@ from repro.nic.descriptors import RxCompletion
 from repro.nic.engine import EngineClock
 from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
-from repro.sim.core import Simulator
+from repro.sim.core import URGENT, Call, Simulator
 from repro.sim.monitor import Counter, ThroughputMeter, WelfordStat
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class RxEngine:
         self.profiler = None
         if hasattr(self.reassembler, "on_discard"):
             self.reassembler.on_discard = self._reassembly_discarded
-        self._process = None
+        self._started = False
 
     def _reassembly_discarded(self, vc, why, cells: int) -> None:
         """Reassembler gave up on a PDU: trace the drop with its cause."""
@@ -282,9 +282,14 @@ class RxEngine:
     # -- engine loop -------------------------------------------------------------
 
     def start(self) -> None:
-        """Launch the firmware loop (idempotent)."""
-        if self._process is None:
-            self._process = self.sim.process(self._loop())
+        """Launch the firmware loop (idempotent).
+
+        Its first pull runs at the current instant, ahead of ordinary
+        entries queued for it.
+        """
+        if not self._started:
+            self._started = True
+            self.sim._schedule(0.0, Call(self.fifo.pull, (self._take,)), URGENT)
 
     def _position_of(self, vc: VcAddress, cell: AtmCell) -> CellPosition:
         """Classify the cell by reassembly state + EOF mark.
@@ -297,16 +302,16 @@ class RxEngine:
             return CellPosition.LAST if open_context else CellPosition.ONLY
         return CellPosition.MIDDLE if open_context else CellPosition.FIRST
 
-    def _loop(self):
-        while True:
-            cell = yield self.fifo.get()
-            yield from self._consume_cell(cell)
+    def _take(self, cell: AtmCell) -> None:
+        """Serve one cell off the FIFO: classify it and charge the work.
 
-    def _consume_cell(self, cell: AtmCell):
-        """Serve one cell off the FIFO."""
+        The FIFO calls this with the next cell -- from the previous
+        cell's completion, or from the link's delivery when the engine
+        was waiting on an empty FIFO.  The step after the charge pulls
+        the next cell.
+        """
         costs = self.costs
         self.cells_received.increment()
-        vc = VcAddress(cell.vpi, cell.vci)
 
         # Management cells peel off before classification: the OAM
         # unit (hardware-assisted) handles them so the host never
@@ -315,16 +320,12 @@ class RxEngine:
             ops, cycles = costs.oam_charge()
             if self.profiler is not None:
                 self.profiler.record_oam(ops)
-            yield self.clock.work(cycles, tag="rx-oam")
-            self.oam_cells.increment()
-            if self.trace is not None:
-                self.trace.emit("rx.cell.oam", actor=self.name, cell=cell)
-            if self.on_oam is not None:
-                self.on_oam(cell)
+            self.clock.work(cycles, "rx-oam", self._oam_done, cell)
             return
 
         # Classification: CAM handshake (or software probe) resolves
         # the VC.  A miss is a cell for a connection we never opened.
+        vc = VcAddress(cell.vpi, cell.vci)
         table_size = len(self.vc_table)
         if self.cam is not None:
             known = self.cam.lookup(vc) is not None
@@ -334,26 +335,47 @@ class RxEngine:
             ops, cycles = costs.classify_charge(self.cam_fitted, table_size)
             if self.profiler is not None:
                 self.profiler.record_ops("rx", ops)
-            yield self.clock.work(cycles, tag="rx-unknown-vc")
-            self.cells_unknown_vc.increment()
-            if self.trace is not None:
-                self.trace.emit(
-                    "cell.drop",
-                    actor=self.name,
-                    cell=cell,
-                    reason="unknown_vc",
-                )
+            self.clock.work(cycles, "rx-unknown-vc", self._unknown_done, cell)
             return
 
         position = self._position_of(vc, cell)
         ops, cycles = costs.cell_charge(position, self.cam_fitted, table_size)
+        extra = self.glue.rx_extra_cycles
         if self.profiler is not None:
-            self.profiler.record_cell(
-                "rx", position, ops, extra=self.glue.rx_extra_cycles
-            )
-        yield self.clock.work(
-            cycles + self.glue.rx_extra_cycles, tag="rx-cell"
+            self.profiler.record_cell("rx", position, ops, extra=extra)
+        self.clock.work(
+            cycles + extra, "rx-cell", self._cell_done, vc, cell, position
         )
+
+    def _oam_done(self, cell: AtmCell) -> None:
+        self.oam_cells.increment()
+        if self.trace is not None:
+            self.trace.emit("rx.cell.oam", actor=self.name, cell=cell)
+        if self.on_oam is not None:
+            self.on_oam(cell)
+        self.fifo.pull(self._take)
+
+    def _unknown_done(self, cell: AtmCell) -> None:
+        self.cells_unknown_vc.increment()
+        if self.trace is not None:
+            self.trace.emit(
+                "cell.drop",
+                actor=self.name,
+                cell=cell,
+                reason="unknown_vc",
+            )
+        self.fifo.pull(self._take)
+
+    def _cell_done(
+        self, vc: VcAddress, cell: AtmCell, position: CellPosition
+    ) -> None:
+        self._absorb(vc, cell, position)
+        self.fifo.pull(self._take)
+
+    def _absorb(
+        self, vc: VcAddress, cell: AtmCell, position: CellPosition
+    ) -> None:
+        """Post-charge work on a user cell: buffer it and reassemble."""
         if self.trace is not None:
             self.trace.emit(
                 "rx.cell.sar",

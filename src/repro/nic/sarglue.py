@@ -19,14 +19,20 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.aal.aal5 import Aal5Reassembler, Aal5Segmenter, cells_for_sdu
+from repro.aal.aal5 import (
+    AAL5_MAX_SDU,
+    Aal5Reassembler,
+    Aal5Segmenter,
+    cells_for_sdu,
+)
 from repro.aal.aal34 import (
+    AAL34_MAX_SDU,
     AAL34_SAR_PAYLOAD,
     Aal34Reassembler,
     Aal34Segmenter,
     SarSegmentType,
 )
-from repro.aal.interface import ReassemblyFailure
+from repro.aal.interface import AalError, ReassemblyFailure
 from repro.atm.addressing import VcAddress
 from repro.atm.cell import AtmCell
 
@@ -39,6 +45,8 @@ class SarGlue(Protocol):
     rx_extra_cycles: int
 
     def cells_for(self, sdu_size: int) -> int: ...  # pragma: no cover
+
+    def check_sdu(self, sdu_size: int, uu: int) -> None: ...  # pragma: no cover
 
     def make_segmenter(self, vc: VcAddress): ...  # pragma: no cover
 
@@ -62,6 +70,13 @@ class Aal5Glue:
 
     def cells_for(self, sdu_size: int) -> int:
         return cells_for_sdu(sdu_size)
+
+    def check_sdu(self, sdu_size: int, uu: int) -> None:
+        """Raise :class:`AalError` for an SDU this layer cannot carry."""
+        if sdu_size > AAL5_MAX_SDU:
+            raise AalError(f"SDU of {sdu_size} bytes exceeds AAL5 maximum")
+        if not 0 <= uu <= 0xFF:
+            raise AalError(f"CPCS-UU {uu} is not a single byte")
 
     def make_segmenter(self, vc: VcAddress) -> Aal5Segmenter:
         return Aal5Segmenter(vc)
@@ -106,6 +121,14 @@ class Aal34Glue:
     def cells_for(self, sdu_size: int) -> int:
         cpcs = 4 + sdu_size + (-sdu_size % 4) + 4
         return -(-cpcs // AAL34_SAR_PAYLOAD)
+
+    def check_sdu(self, sdu_size: int, uu: int) -> None:
+        """Raise :class:`AalError` for an SDU this layer cannot carry.
+
+        AAL3/4 has no CPCS-UU byte, so *uu* is not checked (it is dropped).
+        """
+        if sdu_size > AAL34_MAX_SDU:
+            raise AalError(f"SDU of {sdu_size} bytes exceeds AAL3/4 maximum")
 
     def make_segmenter(self, vc: VcAddress) -> Aal34Segmenter:
         return Aal34Segmenter(vc, mid=self.MID)

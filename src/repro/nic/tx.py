@@ -6,10 +6,15 @@ The engine's firmware loop, as the paper's analysis budgets it:
 2. fetch the VC's header template, program the DMA, and pull the PDU
    from host memory into adaptor buffer memory;
 3. walk the PDU one cell at a time -- build the header, advance the
-   read pointer, push into the transmit FIFO (stalling when the FIFO is
-   full, i.e. when the engine outruns the link);
+   read pointer, offer the cell to the transmit FIFO (stalling when the
+   FIFO is full, i.e. when the engine outruns the link);
 4. on the final cell, build pad + trailer; then write completion status
    back to the host ring.
+
+Each step is a callback: it books its cycles with ``clock.work(cycles,
+tag, next_step)`` and the clock calls the next step when the engine has
+done the work.  The PDU in service is a small state on the engine --
+descriptor, cells, next index and pacing interval.
 
 The framer (pure hardware in the real adaptor; here two callbacks)
 drains the FIFO one cell per link slot.
@@ -17,7 +22,7 @@ drains the FIFO one cell per link slot.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.atm.addressing import VcAddress
 from repro.atm.cell import PAYLOAD_SIZE, AtmCell
@@ -29,7 +34,7 @@ from repro.nic.descriptors import DescriptorRing, TxDescriptor
 from repro.nic.engine import EngineClock
 from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
-from repro.sim.core import Event, Simulator
+from repro.sim.core import URGENT, Call, Event, Simulator
 from repro.sim.monitor import Counter, ThroughputMeter, WelfordStat
 
 class TxEngine:
@@ -84,12 +89,24 @@ class TxEngine:
         #: imports the obs package.
         self.trace = None
         self.profiler = None
-        self._process = None
+        self._started = False
+        # The PDU in service: its descriptor, when the engine took it,
+        # its cells, the next cell's index and the pacing interval.
+        self._descriptor: Optional[TxDescriptor] = None
+        self._pdu_started = 0.0
+        self._cells: List[AtmCell] = []
+        self._index = 0
+        self._interval: Optional[float] = None
 
     def start(self) -> None:
-        """Launch the firmware loop (idempotent)."""
-        if self._process is None:
-            self._process = self.sim.process(self._loop())
+        """Launch the firmware loop (idempotent).
+
+        The loop's first step runs at the current instant, ahead of
+        ordinary entries queued for it.
+        """
+        if not self._started:
+            self._started = True
+            self.sim._schedule(0.0, Call(self._take_descriptor, ()), URGENT)
 
     def _pacing_interval(self, vc: VcAddress) -> Optional[float]:
         """Seconds between cells for a rate-contracted VC, else None.
@@ -116,154 +133,192 @@ class TxEngine:
             self._segmenters[vc] = segmenter
         return segmenter
 
-    def _loop(self):
-        costs = self.costs
-        while True:
-            descriptor: TxDescriptor = yield self.ring.take()
-            started = self.sim.now
-            if self.trace is not None:
-                self.trace.emit(
-                    "tx.pdu.posted",
-                    actor=self.name,
-                    pdu_id=descriptor.pdu_id,
-                    vc=descriptor.vc,
-                    size=descriptor.size,
-                )
+    # -- the firmware loop, one callback per step --------------------------
 
-            # Per-PDU prologue: parse the descriptor, load the VC header
-            # template, program the host-memory DMA.  Each step's ops
-            # reach the profiler as they are charged, so a run cut off
-            # mid-PDU still reconciles with the engine clock.
-            ops, cycles = costs.pdu_step_charge("prologue")
-            if self.profiler is not None:
-                self.profiler.record_pdu("tx", ops)
-            yield self.clock.work(cycles, tag="tx-pdu-prologue")
-            ops, cycles = costs.pdu_step_charge("dma_setup")
-            if self.profiler is not None:
-                self.profiler.record_ops("tx", ops)
-            yield self.clock.work(cycles, tag="tx-dma-setup")
+    def _take_descriptor(self) -> None:
+        self.ring.take().add_callback(self._prologue)
 
-            # Stage the PDU into adaptor buffer memory.  If memory is
-            # short, wait for in-flight PDUs to drain (retry after the
-            # FIFO makes progress) -- a stall, never a loss, on transmit.
-            staging = ("tx", descriptor.pdu_id)
-            n_cells = self.glue.cells_for(descriptor.size)
-            while not self.bufmem.allocate(staging, n_cells):
-                self.pdus_stalled_for_buffer.increment()
-                if self.trace is not None:
-                    self.trace.emit(
-                        "tx.pdu.bufstall",
-                        actor=self.name,
-                        pdu_id=descriptor.pdu_id,
-                        vc=descriptor.vc,
-                    )
-                yield self.sim.timeout(self.fifo.depth_cells * 1e-7)
-            yield self.dma.transfer(descriptor.size)
-            self.bufmem.record_write(descriptor.size)
-            if self.trace is not None:
-                self.trace.emit(
-                    "tx.pdu.staged",
-                    actor=self.name,
-                    pdu_id=descriptor.pdu_id,
-                    vc=descriptor.vc,
-                    cells=n_cells,
-                )
-
-            # Segment (functionally real cells) and emit.
-            segmenter = self._segmenter_for(descriptor.vc)
-            cells = self.glue.segment(
-                segmenter, descriptor.sdu, descriptor.user_indication
+    def _prologue(self, taken: Event) -> None:
+        descriptor: TxDescriptor = taken.value
+        self._descriptor = descriptor
+        self._pdu_started = self.sim.now
+        if self.trace is not None:
+            self.trace.emit(
+                "tx.pdu.posted",
+                actor=self.name,
+                pdu_id=descriptor.pdu_id,
+                vc=descriptor.vc,
+                size=descriptor.size,
             )
-            total = len(cells)
-            cell_interval = self._pacing_interval(descriptor.vc)
-            yield from self._emit_cells(descriptor, cells, cell_interval)
+        # Per-PDU prologue: parse the descriptor, load the VC header
+        # template, program the host-memory DMA.  Each step's ops reach
+        # the profiler as they are charged, so a run cut off mid-PDU
+        # still reconciles with the engine clock.
+        ops, cycles = self.costs.pdu_step_charge("prologue")
+        if self.profiler is not None:
+            self.profiler.record_pdu("tx", ops)
+        self.clock.work(cycles, "tx-pdu-prologue", self._dma_setup)
 
-            # Completion status back to the host.
-            ops, cycles = costs.pdu_step_charge("completion")
-            if self.profiler is not None:
-                self.profiler.record_ops("tx", ops)
-            yield self.clock.work(cycles, tag="tx-pdu-completion")
-            self.bufmem.release(staging)
-            self.pdus_sent.increment()
-            self.throughput.account(descriptor.size)
-            self.service_time.add(self.sim.now - started)
+    def _dma_setup(self) -> None:
+        ops, cycles = self.costs.pdu_step_charge("dma_setup")
+        if self.profiler is not None:
+            self.profiler.record_ops("tx", ops)
+        self.clock.work(cycles, "tx-dma-setup", self._stage)
+
+    def _stage(self) -> None:
+        """Stage the PDU into adaptor buffer memory, then DMA it in.
+
+        If memory is short, retry after the FIFO makes progress -- a
+        stall, never a loss, on transmit.
+        """
+        descriptor = self._descriptor
+        n_cells = self.glue.cells_for(descriptor.size)
+        if not self.bufmem.allocate(("tx", descriptor.pdu_id), n_cells):
+            self.pdus_stalled_for_buffer.increment()
             if self.trace is not None:
                 self.trace.emit(
-                    "tx.pdu.done",
+                    "tx.pdu.bufstall",
                     actor=self.name,
                     pdu_id=descriptor.pdu_id,
                     vc=descriptor.vc,
-                    cells=total,
-                    service_time=self.sim.now - started,
                 )
-            if self.on_pdu_sent is not None:
-                self.on_pdu_sent(descriptor)
+            self.sim.schedule_call(self.fifo.depth_cells * 1e-7, self._stage)
+            return
+        self.dma.transfer(descriptor.size).add_callback(self._segment)
 
-    def _emit_cells(self, descriptor: TxDescriptor, cells, cell_interval):
-        """Segmentation: one charge, one FIFO put per cell (paced if set)."""
-        costs = self.costs
-        total = len(cells)
-        for index, cell in enumerate(cells):
-            position = CellPosition.of(index, total)
-            ops, cycles = costs.cell_charge(position)
-            if self.profiler is not None:
-                self.profiler.record_cell(
-                    "tx", position, ops, extra=self.glue.tx_extra_cycles
-                )
-            yield self.clock.work(
-                cycles + self.glue.tx_extra_cycles, tag="tx-cell"
+    def _segment(self, _staged: Event) -> None:
+        descriptor = self._descriptor
+        self.bufmem.record_write(descriptor.size)
+        if self.trace is not None:
+            self.trace.emit(
+                "tx.pdu.staged",
+                actor=self.name,
+                pdu_id=descriptor.pdu_id,
+                vc=descriptor.vc,
+                cells=self.glue.cells_for(descriptor.size),
             )
-            if cell_interval is not None:
-                # Shape to the VC's peak cell rate.  A single-engine
-                # firmware loop stalls on the pacer, so one heavily
-                # shaped VC delays others behind it in the ring --
-                # faithful to the era's in-order designs.
-                if self.abr is not None:
-                    # ABR rates move mid-PDU as RM feedback returns;
-                    # re-read so each cell paces at the current ACR.
-                    dynamic = self.abr.interval_of(descriptor.vc)
-                    if dynamic is not None:
-                        cell_interval = dynamic
-                slot = self._next_slot.get(descriptor.vc, 0.0)
-                if self.sim.now < slot:
-                    self.pacing_stalls.increment()
-                    if self.trace is not None:
-                        self.trace.emit(
-                            "tx.cell.paced",
-                            actor=self.name,
-                            pdu_id=descriptor.pdu_id,
-                            vc=descriptor.vc,
-                            delay=slot - self.sim.now,
-                        )
-                    yield self.sim.timeout(slot - self.sim.now)
-                self._next_slot[descriptor.vc] = (
-                    max(self.sim.now, slot) + cell_interval
-                )
-            self.bufmem.record_read(PAYLOAD_SIZE)
-            cell.meta["pdu_id"] = descriptor.pdu_id
-            cell.meta["posted_at"] = descriptor.posted_at
+        # Segment (functionally real cells) and emit.
+        self._cells = self.glue.segment(
+            self._segmenter_for(descriptor.vc),
+            descriptor.sdu,
+            descriptor.user_indication,
+        )
+        self._index = 0
+        self._interval = self._pacing_interval(descriptor.vc)
+        self._charge_cell()
+
+    def _charge_cell(self) -> None:
+        """Segmentation: one charge per cell, then pace and offer it."""
+        total = len(self._cells)
+        if self._index == total:
+            self._completion()
+            return
+        position = CellPosition.of(self._index, total)
+        ops, cycles = self.costs.cell_charge(position)
+        extra = self.glue.tx_extra_cycles
+        if self.profiler is not None:
+            self.profiler.record_cell("tx", position, ops, extra=extra)
+        self.clock.work(cycles + extra, "tx-cell", self._pace)
+
+    def _pace(self) -> None:
+        interval = self._interval
+        if interval is None:
+            self._emit()
+            return
+        # Shape to the VC's peak cell rate.  A single-engine firmware
+        # loop stalls on the pacer, so one heavily shaped VC delays
+        # others behind it in the ring -- faithful to the era's in-order
+        # designs.
+        descriptor = self._descriptor
+        if self.abr is not None:
+            # ABR rates move mid-PDU as RM feedback returns; re-read so
+            # each cell paces at the current ACR.
+            dynamic = self.abr.interval_of(descriptor.vc)
+            if dynamic is not None:
+                self._interval = dynamic
+        slot = self._next_slot.get(descriptor.vc, 0.0)
+        now = self.sim.now
+        if now < slot:
+            self.pacing_stalls.increment()
             if self.trace is not None:
-                self.trace.tag_cell(cell)
                 self.trace.emit(
-                    "tx.cell.sar",
+                    "tx.cell.paced",
                     actor=self.name,
-                    cell=cell,
-                    position=position.value,
+                    pdu_id=descriptor.pdu_id,
+                    vc=descriptor.vc,
+                    delay=slot - now,
                 )
-            stalled = self.fifo.push(cell)
-            if stalled is not None:
-                yield stalled
-            self.cells_sent.increment()
-            if self.abr is not None:
-                # Every Nrm-th data cell is chased by a forward RM cell
-                # carrying the source's CCR; the agent builds it (or
-                # returns None between probes).  RM cells ride the same
-                # FIFO so they serialize in-order with the data.
-                rm_cell = self.abr.data_cell_sent(descriptor.vc)
-                if rm_cell is not None:
-                    stalled = self.fifo.push(rm_cell)
-                    if stalled is not None:
-                        yield stalled
+            self.sim.schedule_call(slot - now, self._paced, slot)
+            return
+        self._paced(slot)
+
+    def _paced(self, slot: float) -> None:
+        self._next_slot[self._descriptor.vc] = (
+            max(self.sim.now, slot) + self._interval
+        )
+        self._emit()
+
+    def _emit(self) -> None:
+        descriptor = self._descriptor
+        cell = self._cells[self._index]
+        self.bufmem.record_read(PAYLOAD_SIZE)
+        cell.meta["pdu_id"] = descriptor.pdu_id
+        cell.meta["posted_at"] = descriptor.posted_at
+        if self.trace is not None:
+            self.trace.tag_cell(cell)
+            self.trace.emit(
+                "tx.cell.sar",
+                actor=self.name,
+                cell=cell,
+                position=CellPosition.of(self._index, len(self._cells)).value,
+            )
+        if self.fifo.offer(cell, self._sent):
+            self._sent()
+
+    def _sent(self) -> None:
+        self.cells_sent.increment()
+        if self.abr is not None:
+            # Every Nrm-th data cell is chased by a forward RM cell
+            # carrying the source's CCR; the agent builds it (or returns
+            # None between probes).  RM cells ride the same FIFO so they
+            # serialize in-order with the data.
+            rm_cell = self.abr.data_cell_sent(self._descriptor.vc)
+            if rm_cell is not None and not self.fifo.offer(
+                rm_cell, self._next_cell
+            ):
+                return
+        self._next_cell()
+
+    def _next_cell(self) -> None:
+        self._index += 1
+        self._charge_cell()
+
+    def _completion(self) -> None:
+        """Completion status back to the host."""
+        ops, cycles = self.costs.pdu_step_charge("completion")
+        if self.profiler is not None:
+            self.profiler.record_ops("tx", ops)
+        self.clock.work(cycles, "tx-pdu-completion", self._pdu_done)
+
+    def _pdu_done(self) -> None:
+        descriptor = self._descriptor
+        self.bufmem.release(("tx", descriptor.pdu_id))
+        self.pdus_sent.increment()
+        self.throughput.account(descriptor.size)
+        service_time = self.sim.now - self._pdu_started
+        self.service_time.add(service_time)
+        if self.trace is not None:
+            self.trace.emit(
+                "tx.pdu.done",
+                actor=self.name,
+                pdu_id=descriptor.pdu_id,
+                vc=descriptor.vc,
+                cells=len(self._cells),
+                service_time=service_time,
+            )
+        if self.on_pdu_sent is not None:
+            self.on_pdu_sent(descriptor)
+        self._take_descriptor()
 
 
 class Framer:
@@ -272,7 +327,7 @@ class Framer:
     Hardware in the real interface; here two callbacks, like
     :class:`~repro.atm.mux.OutputPort`, whose only policy is strict FIFO
     order at link rate: each wire-out pulls the next cell, and a framer
-    that found the FIFO empty is handed the next cell pushed.
+    that found the FIFO empty is handed the next cell put in.
     """
 
     def __init__(

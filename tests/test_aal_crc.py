@@ -1,9 +1,16 @@
-"""CRC engines: table vs bit-serial agreement, residues, known vectors."""
+"""CRC engines: zlib vs bit-serial agreement, residues, known vectors."""
+
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.aal.aal5 import AAL5_MAX_SDU, build_cpcs_pdu
 from repro.aal.crc import CRC32_AAL5, CrcAlgorithm, crc10
+
+#: The CRC-covered part of the CPCS-PDU of a 65,535-byte SDU (the
+#: largest AAL5 PDU, less its 4-byte CRC field).
+LARGEST_CRC_INPUT = len(build_cpcs_pdu(bytes(AAL5_MAX_SDU))) - 4
 
 
 class TestCrc32:
@@ -44,6 +51,51 @@ class TestCrc32:
     def test_width_validation(self):
         with pytest.raises(ValueError):
             CrcAlgorithm("bad", 4, 0x3, 0, 0)
+
+    def test_only_the_crc32_generator_is_supported(self):
+        with pytest.raises(ValueError):
+            CrcAlgorithm("crc32c", 32, 0x1EDC6F41, 0xFFFFFFFF, 0xFFFFFFFF)
+
+    def test_free_initial_and_final_xor(self):
+        plain = CrcAlgorithm("crc32-mpeg2", 32, 0x04C11DB7, 0xFFFFFFFF, 0)
+        assert plain.compute(b"123456789") == 0x0376E6E7
+        assert plain.compute(b"123456789") == plain.bitwise_reference(
+            b"123456789"
+        )
+
+
+class TestCrc32AgainstBitSerial:
+    """zlib with bit reversal must equal the MSB-first bit-serial CRC."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        size=st.integers(0, LARGEST_CRC_INPUT),
+        seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+    )
+    @example(size=0, seed=0, cuts=[])
+    @example(size=9212, seed=1, cuts=[0.5])  # a 9,180-byte SDU's PDU
+    @example(size=LARGEST_CRC_INPUT, seed=2, cuts=[0.001, 0.25, 0.999])
+    def test_compute_and_split_update(self, size, seed, cuts):
+        data = random.Random(seed).randbytes(size)
+        expected = CRC32_AAL5.bitwise_reference(data)
+        assert CRC32_AAL5.compute(data) == expected
+        bounds = [0] + sorted(int(cut * size) for cut in cuts) + [size]
+        state = CRC32_AAL5.start()
+        for low, high in zip(bounds, bounds[1:]):
+            state = CRC32_AAL5.update(state, data[low:high])
+        assert CRC32_AAL5.finish(state) == expected
+
+    def test_cell_by_cell_accumulation(self):
+        # As streaming SAR hardware folds a 9,180-byte SDU's PDU: one
+        # 48-byte payload at a time; the CRC field ends the last cell.
+        pdu = build_cpcs_pdu(random.Random(3).randbytes(9180))
+        body, field = pdu[:-4], int.from_bytes(pdu[-4:], "big")
+        state = CRC32_AAL5.start()
+        for offset in range(0, len(body), 48):
+            state = CRC32_AAL5.update(state, body[offset : offset + 48])
+        assert CRC32_AAL5.finish(state) == field
+        assert CRC32_AAL5.bitwise_reference(body) == field
 
 
 class TestCrc10:

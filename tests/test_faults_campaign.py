@@ -35,12 +35,7 @@ class TestEngineStallHook:
         clock = EngineClock(sim, I960_25MHZ)
         clock.request_stall(1e-3)
         finished = []
-
-        def firmware():
-            yield clock.work(25)
-            finished.append(sim.now)
-
-        sim.process(firmware())
+        clock.work(25, "work", lambda: finished.append(sim.now))
         sim.run()
         assert finished[0] == pytest.approx(25 / 25e6 + 1e-3)
         assert clock.stalls_taken == 1
@@ -50,11 +45,7 @@ class TestEngineStallHook:
         clock = EngineClock(sim, I960_25MHZ)
         clock.request_stall(1e-3)
         clock.request_stall(2e-3)
-
-        def firmware():
-            yield clock.work(25)
-
-        sim.process(firmware())
+        clock.work(25, "work", lambda: None)
         sim.run()
         assert clock.stalls_taken == 1  # absorbed together
         assert clock.stalled_time == pytest.approx(3e-3)

@@ -36,29 +36,73 @@ class TestCellFifo:
 
         def consumer():
             yield sim.timeout(1.0)
-            yield fifo.get()
+            fifo.try_get()
 
         sim.process(producer())
         sim.process(consumer())
         sim.run()
         assert accepted == [0.0, 1.0]
 
-    def test_get_blocks_until_cell(self, sim):
+    def test_pull_waits_for_cell(self, sim):
         fifo = CellFifo(sim, depth_cells=4)
         got = []
-
-        def consumer():
-            c = yield fifo.get()
-            got.append((sim.now, c.vci))
+        fifo.pull(lambda c: got.append((sim.now, c.vci)))
 
         def producer():
             yield sim.timeout(0.5)
             fifo.try_put(cell(vci=7))
 
-        sim.process(consumer())
         sim.process(producer())
         sim.run()
         assert got == [(0.5, 7)]
+        assert fifo.cells_in == fifo.cells_out == 1
+        assert len(fifo) == 0
+
+    def test_pull_takes_queued_cells_in_order(self, sim):
+        fifo = CellFifo(sim, depth_cells=4)
+        for vci in (1, 2, 3):
+            fifo.try_put(cell(vci=vci))
+        got = []
+        for _ in range(3):
+            fifo.pull(lambda c: got.append(c.vci))
+        assert got == [1, 2, 3]
+        assert sim.events_processed == 0 and sim.pending_events() == 0
+
+    def test_offer_stalls_then_resumes_inside_the_freeing_pull(self, sim):
+        fifo = CellFifo(sim, depth_cells=1)
+        log = []
+        assert fifo.offer(cell(vci=1), lambda: log.append("not stalled"))
+        assert not fifo.offer(cell(vci=2), lambda: log.append(("resumed", len(fifo))))
+        assert log == []
+        fifo.pull(lambda c: log.append(("consumer", c.vci)))
+        # The producer resumes in the same call, after the consumer has
+        # its cell, with its own cell already in; no queue entry is made.
+        assert log == [("consumer", 1), ("resumed", 1)]
+        assert sim.pending_events() == 0
+        assert fifo.try_get().vci == 2
+
+    def test_stalled_producers_are_admitted_oldest_first(self, sim):
+        fifo = CellFifo(sim, depth_cells=1)
+        assert fifo.offer(cell(vci=1), lambda: None)
+        log = []
+
+        def producer():
+            yield fifo.put(cell(vci=2))
+            log.append("put resumed")
+
+        sim.process(producer())
+        sim.run()  # the process is now stalled on the full FIFO
+        assert not fifo.offer(cell(vci=3), lambda: log.append("offer resumed"))
+        got = []
+        fifo.pull(lambda c: got.append(c.vci))  # admits the put() cell
+        assert log == []  # put() resumes from its own event entry
+        sim.run()
+        assert log == ["put resumed"]
+        fifo.pull(lambda c: got.append(c.vci))  # admits the offer's cell
+        assert log == ["put resumed", "offer resumed"]
+        fifo.pull(lambda c: got.append(c.vci))
+        assert got == [1, 2, 3]
+        assert fifo.cells_in == fifo.cells_out == 3
 
     def test_try_get(self, sim):
         fifo = CellFifo(sim, depth_cells=4)

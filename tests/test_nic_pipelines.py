@@ -1,10 +1,14 @@
 """TX/RX pipeline behaviour in isolation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.aal.aal5 import Aal5Segmenter, cells_for_sdu
+from repro.aal.interface import AalError
 from repro.atm import AtmCell, PhysicalLink, VcAddress
-from repro.nic import HostNetworkInterface, aurora_oc3
+from repro.atm.link import LinkSpec
+from repro.nic import HostNetworkInterface, aurora_oc3, connect
 from repro.nic.config import NicConfig
 from repro.workloads.generators import make_payload
 
@@ -44,6 +48,31 @@ class TestTxPipeline:
         nic = build_nic(sim)
         with pytest.raises(ValueError):
             nic.send(VcAddress(0, 999), b"data")
+
+    @pytest.mark.parametrize(
+        "config, sdu, uu",
+        [
+            (aurora_oc3(), bytes(70000), 0),
+            (aurora_oc3(), b"data", 256),
+            (aurora_oc3(), b"data", -1),
+            (aurora_oc3().with_aal34(), bytes(70000), 0),
+        ],
+        ids=["aal5-oversize", "aal5-uu-256", "aal5-uu-negative", "aal34-oversize"],
+    )
+    def test_sdu_the_aal_cannot_carry_rejected_at_send(self, sim, config, sdu, uu):
+        a = build_nic(sim, config, name="a")
+        b = build_nic(sim, config, name="b")
+        connect(sim, a, b)
+        vc = a.open_vc()
+        b.open_vc(address=vc.address)
+        received = []
+        b.on_pdu = received.append
+        with pytest.raises(AalError):
+            a.post(vc.address, sdu, user_indication=uu)
+        # Nothing was posted, and the engine still serves the next PDU.
+        a.post(vc.address, b"valid")
+        sim.run(until=0.01)
+        assert [c.sdu for c in received] == [b"valid"]
 
     def test_pdus_sent_in_order(self, sim):
         nic = build_nic(sim)
@@ -182,3 +211,117 @@ class TestRxPipeline:
             cells_for_sdu(size), cam_fitted=True, table_size=1
         )
         assert nic.rx_clock.cycles_by_tag["rx-cell"] == pytest.approx(expected)
+
+
+def spy_on_work(sim, clock):
+    """Log each charge and its completion as (what, tag, entry, time).
+
+    *entry* is ``sim.events_processed`` at the moment: two records with
+    the same entry ran inside the same queue entry.
+    """
+    log = []
+    work = clock.work
+
+    def spied(cycles, tag, then, *args):
+        log.append(("charge", tag, sim.events_processed, sim.now))
+
+        def done(*done_args):
+            log.append(("done", tag, sim.events_processed, sim.now))
+            then(*done_args)
+
+        work(cycles, tag, done, *args)
+
+    clock.work = spied
+    return log
+
+
+class TestEngineHandOffs:
+    """The engines take and give cells with no wake-up entry."""
+
+    def test_rx_engine_starts_inside_the_link_delivery(self, sim):
+        nic = build_nic(sim)
+        vc = nic.open_vc(address=VcAddress(0, 100))
+        nic.start()
+        log = spy_on_work(sim, nic.rx_clock)
+        deliveries = []
+
+        def deliver(cell):
+            deliveries.append((sim.events_processed, sim.now))
+            nic.rx_engine.receive_cell(cell)
+
+        link = PhysicalLink(sim, nic.config.link, sink=deliver)
+        (cell,) = Aal5Segmenter(vc.address).segment(b"one cell")
+        link.send(cell)
+        sim.run(until=1e-3)
+        (delivered,) = deliveries
+        (charge, done) = log
+        # Charged from the empty FIFO inside the delivery entry ...
+        assert charge[:3] == ("charge", "rx-cell", delivered[0])
+        assert charge[3] == delivered[1]
+        # ... and finished exactly one charge later.
+        cycles = nic.rx_clock.cycles_by_tag["rx-cell"]
+        assert done[0] == "done"
+        assert done[3] == delivered[1] + nic.config.rx_engine.seconds_for(cycles)
+
+    def test_rx_engine_serves_queued_cells_in_order_from_its_completions(
+        self, sim
+    ):
+        nic = build_nic(sim)
+        vc = nic.open_vc(address=VcAddress(0, 100))
+        nic.start()
+        log = spy_on_work(sim, nic.rx_clock)
+        served = []
+        nic.rx_engine.on_user_cell = served.append
+        cells = Aal5Segmenter(vc.address).segment(make_payload(100))
+        assert len(cells) == 3
+
+        def burst():
+            for cell in cells:
+                nic.rx_engine.receive_cell(cell)
+
+        sim.schedule_call(1e-6, burst)
+        sim.run(until=1e-3)
+        assert served == cells
+        charges = [entry for what, _, entry, _ in log if what == "charge"]
+        dones = [entry for what, _, entry, _ in log if what == "done"]
+        # Each queued cell is taken inside the previous cell's completion.
+        assert charges[1:] == dones[:-1]
+
+    def test_tx_engine_resumes_in_the_wire_out_that_frees_its_slot(self, sim):
+        config = replace(aurora_oc3(), tx_fifo_cells=1)
+        nic = build_nic(sim, config)
+        wire = []
+        wire_outs = set()
+
+        def sink(cell):
+            wire.append(cell.vci)
+            wire_outs.add(sim.events_processed)
+
+        # A slow line, so the management cells below are still queued
+        # when the engine offers its first data cell.
+        slow = LinkSpec("slow", 1.06e6, 1.06e6)
+        nic.attach_tx_link(PhysicalLink(sim, slow, sink=sink))
+        vc = nic.open_vc(address=VcAddress(0, 100))
+        log = spy_on_work(sim, nic.tx_clock)
+        # Three process put()s: one on the wire, one queued, one stalled
+        # before the engine's first offer.
+        for vci in (7, 8, 9):
+            nic.inject_cell(AtmCell(vpi=0, vci=vci, payload=PAYLOAD))
+        nic.post(vc.address, make_payload(200))
+        sim.run(until=0.1)
+        # Oldest stalled producer first: the put() before the engine.
+        assert wire == [7, 8, 9] + [100] * cells_for_sdu(200)
+        charges = [
+            entry for what, tag, entry, _ in log
+            if what == "charge" and tag == "tx-cell"
+        ]
+        first_offer = next(
+            time for what, tag, _, time in log
+            if what == "done" and tag == "tx-cell"
+        )
+        assert first_offer < slow.cell_time  # cell 9's put() still stalled
+        # Every cell waited for a slot, so each cell after the first is
+        # charged inside the wire-out entry that admitted the previous
+        # cell, never in an entry of its own.
+        assert len(charges) == cells_for_sdu(200)
+        assert all(entry in wire_outs for entry in charges[1:])
