@@ -10,17 +10,20 @@ Usage::
     python -m repro trace f2 --out trace.json
     python -m repro lint --docs
 
-Sweep-shaped experiments (F6, T5, F7, R1) run through
+Experiment ids come from
+:data:`repro.results.experiments.EXPERIMENTS`.  Sweep-shaped
+experiments (F6, T5, F7, R1, R2, C1, S1) run through
 :mod:`repro.runner`: ``--workers N`` shards their points over a process
 pool with results byte-identical to a serial run, and the
 content-addressed ``.repro-cache/`` store skips points whose parameters
-and cost models are unchanged (``--no-cache`` bypasses it,
-``--cache-dir`` relocates it, ``--log`` records the JSONL flight
-recorder).  The ``bench`` subcommand runs the reduced benchmark set
-and, with ``--check``, gates it against committed baselines (see
-docs/RUNNER.md).  The ``trace`` subcommand re-runs an experiment's
-scenario fully instrumented (see :mod:`repro.obs`) and exports a
-Perfetto-loadable trace plus sampled metrics.  The ``lint`` subcommand
+and sources are unchanged (``--no-cache`` bypasses it, ``--cache-dir``
+relocates it, ``--log`` records the JSONL flight recorder).  The
+``bench`` subcommand runs every experiment at its bench parameters and,
+with ``--check``, gates the metrics and the paper claims against
+committed baselines (see docs/RUNNER.md).  The ``trace`` subcommand
+re-runs an experiment's scenario fully instrumented (see
+:mod:`repro.obs`) and exports a Perfetto-loadable trace plus sampled
+metrics.  The ``lint`` subcommand
 runs ``simlint`` (see :mod:`repro.devtools` and
 docs/STATIC_ANALYSIS.md), the repo's static-analysis pass over the
 simulator's invariants.
@@ -33,19 +36,28 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.results.experiments import EXPERIMENTS
+from repro.results.experiments import EXPERIMENTS, get
+
+
+def describe() -> str:
+    """The id/description table ``python -m repro --help`` embeds."""
+    lines = [
+        f"  {experiment_id:4s}{'*' if experiment.sweep else ' '} "
+        f"{experiment.description}"
+        for experiment_id, experiment in EXPERIMENTS.items()
+    ]
+    lines.append("  (* = sweep-shaped: honours --workers/--no-cache)")
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.runner import registry
-
     parser = argparse.ArgumentParser(
         prog="repro-atm",
         description=(
             "Reproduction harness for 'A Host-Network Interface "
             "Architecture for ATM' (SIGCOMM '91)"
         ),
-        epilog="experiments:\n" + registry.describe(),
+        epilog="experiments:\n" + describe(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
@@ -102,12 +114,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return bench_main(argv[1:])
 
-    from repro.runner import ResultStore, RunLog, registry
+    from repro.runner import ResultStore, RunLog
 
     args = build_parser().parse_args(argv)
     if args.list:
-        for entry in registry.entries():
-            print(f"{entry.id:4s} {entry.description}")
+        for experiment_id, experiment in EXPERIMENTS.items():
+            print(f"{experiment_id:4s} {experiment.description}")
         return 0
     ids = list(EXPERIMENTS) if args.all else [e.upper() for e in args.experiments]
     if not ids:
@@ -119,11 +131,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for experiment_id in ids:
             started = time.perf_counter()
             try:
-                entry = registry.get(experiment_id)
+                experiment = get(experiment_id)
             except KeyError as exc:
                 print(exc.args[0], file=sys.stderr)
                 return 2
-            result = entry(workers=args.workers, store=store, log=log)
+            result = experiment(workers=args.workers, store=store, log=log)
             elapsed = time.perf_counter() - started
             print(result.to_text())
             print(f"  [{experiment_id.upper()} completed in {elapsed:.1f}s]")

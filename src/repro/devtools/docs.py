@@ -167,7 +167,7 @@ def validate_repro_argv(tokens: List[str]) -> Optional[str]:
     Mirrors :func:`repro.cli.main`'s dispatch: ``trace``/``lint``/
     ``bench`` route to their subcommand parsers, everything else to the
     top-level experiment parser -- where, beyond argparse acceptance,
-    every positional id must exist in the experiment registry and the
+    every positional id must exist in the experiment table and the
     invocation must actually name something to do.
     """
     if tokens and tokens[0] in ("trace", "lint", "bench"):
@@ -184,7 +184,7 @@ def validate_repro_argv(tokens: List[str]) -> Optional[str]:
         return None
 
     from repro.cli import build_parser
-    from repro.runner.registry import REGISTRY
+    from repro.results.experiments import EXPERIMENTS
 
     accepted, args = _parse_quietly(build_parser(), tokens)
     if not accepted:
@@ -192,7 +192,7 @@ def validate_repro_argv(tokens: List[str]) -> Optional[str]:
     if args is None:  # --help-style exit: accepted, nothing to validate
         return None
     unknown = [
-        word for word in args.experiments if word.upper() not in REGISTRY
+        word for word in args.experiments if word.upper() not in EXPERIMENTS
     ]
     if unknown:
         return f"unknown experiment id(s): {', '.join(unknown)}"

@@ -631,7 +631,7 @@ def _instrument_executor(
     The executor refreshes its ``stats`` dict on every run, so the
     readers close over the executor (not one run's dict) and always
     report the most recent sweep: points seen, points executed fresh,
-    cache hits, retries, and failures.
+    cache hits, and failures.
     """
 
     def read(name: str):
@@ -641,8 +641,7 @@ def _instrument_executor(
         ("points", "points in the most recent sweep"),
         ("executed", "points executed fresh (cache misses)"),
         ("cached", "points served from the result store"),
-        ("retried", "point attempts that were retried"),
-        ("failed", "points that exhausted their retries"),
+        ("failed", "points whose kernel raised"),
     ):
         registry.counter(
             prefix + name, read(name), unit="points", description=description

@@ -273,3 +273,15 @@ def run_r2(
         "failed or alarmed call once the link holds UP"
     )
     return result
+
+
+def claims_r2(result) -> Dict[str, bool]:
+    """R2's verdicts: recovery pays at every seed and breaks no invariant."""
+    m = result.metrics
+    return {
+        "ledger balances in both arms": m["all_conserved"] == 1,
+        "no call stuck with recovery on": m["stuck_calls_on"] == 0,
+        "recovery gains goodput at every seed": (
+            m["min_recovery_gain_mbps"] > 0
+        ),
+    }

@@ -2,14 +2,18 @@
 
 Each ``run_*`` function returns an :class:`ExperimentResult` holding the
 tables/series plus provenance notes.  Parameters default to the full
-paper-scale configuration; the benchmark suite passes smaller windows so
-the whole matrix stays fast under pytest-benchmark.
+paper-scale configuration.  :data:`EXPERIMENTS` declares each
+experiment once: its run function, the reduced *bench* parameters
+``python -m repro bench`` runs it with, and its *claims* -- the paper's
+verdicts as named booleans over a result at those parameters (each
+``claims_*`` sits beside its ``run_*``).  ``bench --check`` gates the
+metrics against ``benchmarks/baselines/`` and fails on any false claim.
 
-The sweep-shaped experiments (F6, F7, T5, R1) are expressed as
-:class:`~repro.runner.SweepSpec` grids over module-level *kernels*
-(``_f7_point`` and friends) executed by :func:`repro.runner.run_sweep`:
-``workers=N`` shards the points over a process pool with results
-bit-identical to a serial run, and passing a
+The sweep-shaped experiments (F6, T5, F7, R1, R2, C1, S1) are
+expressed as :class:`~repro.runner.SweepSpec` grids over module-level
+*kernels* (``_f7_point`` and friends) executed by
+:func:`repro.runner.run_sweep`: ``workers=N`` shards the points over a
+process pool with results bit-identical to a serial run, and passing a
 :class:`~repro.runner.ResultStore` lets warm re-runs skip unchanged
 points entirely.  Kernels must stay module-level (picklable) and pure
 in their ``(params, streams)`` arguments -- see docs/RUNNER.md.
@@ -19,9 +23,10 @@ Experiment ids follow DESIGN.md §3 (T = table, F = figure).
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.aal.aal5 import Aal5Segmenter, cells_for_sdu
 from repro.atm.addressing import VcAddress
@@ -214,6 +219,20 @@ def run_t1(
     return result
 
 
+def claims_t1(result: ExperimentResult) -> Dict[str, bool]:
+    """T1's verdicts: every transmit cell fits the STS-3c slot with margin."""
+    m = result.metrics
+    return {
+        "middle cell < half the STS-3c slot": (
+            m["cell_middle_us"] < m["cell_slot_us"] / 2
+        ),
+        "last cell (trailer) > middle cell": (
+            m["cell_last_us"] > m["cell_middle_us"]
+        ),
+        "1 us < per-PDU overhead < 10 us": 1.0 < m["pdu_overhead_us"] < 10.0,
+    }
+
+
 def run_t2(
     config: Optional[NicConfig] = None,
     *,
@@ -250,6 +269,22 @@ def run_t2(
         "reassembly-state work has no transmit analogue"
     )
     return result
+
+
+def claims_t2(result: ExperimentResult) -> Dict[str, bool]:
+    """T2's verdicts: receive is the costlier direction; the CAM carries it."""
+    m = result.metrics
+    cam = m["cell_middle_cam_us"]
+    return {
+        "rx middle cell (CAM) > tx middle cell (T1)": (
+            cam > run_t1().metrics["cell_middle_us"]
+        ),
+        "software lookup > 2x the CAM middle cell": (
+            m["cell_middle_sw_us"] > 2 * cam
+        ),
+        "CAM middle cell < STS-3c slot": cam < m["cell_slot_us"],
+        "CAM middle cell > STS-12c slot": cam > STS12C_622.cell_time * 1e6,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +349,28 @@ def run_f2(
     return result
 
 
+def claims_f2(result: ExperimentResult) -> Dict[str, bool]:
+    """F2's verdicts: transmit saturates the link and tracks the model."""
+    series = result.series
+    interface = series.column("interface_sim_mbps")
+    model = series.column("interface_model_mbps")
+    e2e = series.column("end_to_end_sim_mbps")
+    mtu = series.x.index(9180)
+    return {
+        "interface goodput rises with PDU size": interface[0] < interface[-1],
+        "9180 B within 10% of min(link, model)": interface[mtu] > 0.9 * min(
+            result.metrics["link_user_mbps"], model[mtu]
+        ),
+        "simulation within 15% of the model at every size": all(
+            abs(sim - mod) / mod < 0.15 for sim, mod in zip(interface, model)
+        ),
+        "smallest PDU: end to end < half the interface": (
+            e2e[0] < 0.5 * interface[0]
+        ),
+        "0 < tx knee < 1024 B": 0 < result.metrics["tx_knee_bytes"] < 1024,
+    }
+
+
 def run_f3(
     config: Optional[NicConfig] = None,
     *,
@@ -371,6 +428,27 @@ def run_f3(
         "gives TX the larger per-PDU overhead and the rightmost knee"
     )
     return result
+
+
+def claims_f3(result: ExperimentResult) -> Dict[str, bool]:
+    """F3's verdicts: receive saturates the link left of the transmit knee."""
+    series = result.series
+    simulated = series.column("simulated_mbps")
+    model = series.column("model_mbps")
+    return {
+        "rx goodput rises with PDU size": simulated[0] < simulated[-1],
+        "simulation within 15% of the model at every size": all(
+            abs(sim - mod) / mod < 0.15 for sim, mod in zip(simulated, model)
+        ),
+        "0 < rx knee < tx knee": (
+            0
+            < result.metrics["rx_knee_bytes"]
+            < saturating_pdu_size(aurora_oc3(), "tx")
+        ),
+        "9180 B: receive runs the link (> 130 Mb/s)": (
+            simulated[series.x.index(9180)] > 130.0
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +519,27 @@ def run_f4(
         "not the wire"
     )
     return result
+
+
+def claims_f4(result: ExperimentResult) -> Dict[str, bool]:
+    """F4's verdicts: software dominates short PDUs, the wire long ones."""
+    by_size = {row[0]: dict(zip(result.headers, row)) for row in result.rows}
+    stages = result.headers[1:-2]
+    small, large = by_size[min(by_size)], by_size[max(by_size)]
+    return {
+        "simulation within 1% of the model at every size": all(
+            abs(row[-1] - row[-2]) / row[-2] < 0.01 for row in result.rows
+        ),
+        "smallest PDU: software, not the wire, dominates": (
+            result.metrics["small_pdu_dominant"] == 1.0
+        ),
+        "smallest PDU: the wire is < 25% of latency": (
+            small["link_serialization (us)"] / small["model total (us)"] < 0.25
+        ),
+        "largest PDU: the wire dominates": (
+            max(stages, key=large.__getitem__) == "link_serialization (us)"
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +631,21 @@ def run_t3(
     return result
 
 
+def claims_t3(result: ExperimentResult) -> Dict[str, bool]:
+    """T3's verdicts: offload wins by an order of magnitude, and more with size."""
+    advantages = [row[-1] for row in result.rows]
+    return {
+        "offloaded simulation within 10% of its model": all(
+            abs(row[2] - row[1]) / row[1] < 0.10 for row in result.rows
+        ),
+        "host-SAR simulation within 10% of its model": all(
+            abs(row[4] - row[3]) / row[3] < 0.10 for row in result.rows
+        ),
+        "offload advantage grows with PDU size": advantages == sorted(advantages),
+        "max offload advantage > 10x": result.metrics["max_advantage"] > 10,
+    }
+
+
 # ---------------------------------------------------------------------------
 # F5: FIFO occupancy and loss under burstiness
 # ---------------------------------------------------------------------------
@@ -588,6 +702,20 @@ def run_f5(
         "backlog; sustained overload would defeat any depth"
     )
     return result
+
+
+def claims_f5(result: ExperimentResult) -> Dict[str, bool]:
+    """F5's verdicts: shallow FIFOs spill in bursts; depth cures it."""
+    loss = result.series.column("loss_ratio")
+    peaks = result.series.column("peak_occupancy")
+    return {
+        "shallowest FIFO loses > 1% of cells": loss[0] > 0.01,
+        "deepest FIFO loses nothing": loss[-1] == 0.0,
+        "loss never rises with depth": all(
+            a >= b - 1e-9 for a, b in zip(loss, loss[1:])
+        ),
+        "shallowest FIFO fills to its depth": peaks[0] == result.series.x[0],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +775,21 @@ def run_t4(
         "goodput; dual-ported memory keeps headroom > 1"
     )
     return result
+
+
+def claims_t4(result: ExperimentResult) -> Dict[str, bool]:
+    """T4's verdicts: write-once read-once traffic, with headroom."""
+    rows = result.rows
+    return {
+        "memory traffic within 15% of 2x goodput": all(
+            abs(traffic - 2 * offered) <= 0.15 * 2 * offered
+            for _link, offered, traffic, _available, _headroom in rows
+        ),
+        "headroom > 1 on every link": all(row[4] > 1.0 for row in rows),
+        "available > traffic on every link": all(row[3] > row[2] for row in rows),
+        "STS-3c headroom > 1": result.metrics["headroom_STS-3c"] > 1.0,
+        "STS-12c headroom > 1": result.metrics["headroom_STS-12c"] > 1.0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +885,23 @@ def run_f6(
         "DMAs stall the engine"
     )
     return result
+
+
+def claims_f6(result: ExperimentResult) -> Dict[str, bool]:
+    """F6's verdicts: with the CAM, goodput stays flat as VCs grow."""
+    cam = result.series.column("cam_mbps")
+    software = result.series.column("software_mbps")
+    m = result.metrics
+    return {
+        "fewest VCs: software within 5% of CAM": (
+            abs(cam[0] - software[0]) / cam[0] < 0.05
+        ),
+        "most VCs: software < 0.75x CAM": software[-1] < 0.75 * cam[-1],
+        "CAM retains > 75% of its goodput": m["cam_retention"] > 0.75,
+        "software retains less than CAM": (
+            m["software_retention"] < m["cam_retention"]
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -893,6 +1053,29 @@ def run_t5(
     return result
 
 
+def claims_t5(result: ExperimentResult) -> Dict[str, bool]:
+    """T5's verdicts: offload wins; one engine per direction pays."""
+    rows = {row[0]: row for row in result.rows}
+    dual = rows[_T5_LABELS["dual"]]
+    shared = rows[_T5_LABELS["shared"]]
+    hardwired = rows[_T5_LABELS["hardwired"]]
+    hostsar = rows[_T5_LABELS["hostsar"]]
+    m = result.metrics
+    return {
+        "offloaded/host-SAR duplex > 10": m["offloaded_vs_hostsar"] > 10,
+        "host-SAR host cycles/PDU > 10x offloaded": hostsar[4] > 10 * dual[4],
+        "1 < hardwired/offloaded duplex < 2": (
+            1.0 < m["hardwired_vs_offloaded"] < 2.0
+        ),
+        "dual/shared duplex > 1.3": m["dual_vs_shared"] > 1.3,
+        "shared tx capacity == dual": shared[1] == dual[1],
+        "shared rx capacity == dual": shared[2] == dual[2],
+        "only hardwired gives up flexibility": (
+            hardwired[5] == "no" and dual[5] == "yes"
+        ),
+    }
+
+
 # ---------------------------------------------------------------------------
 # F7: engine clock sweep (ablation)
 # ---------------------------------------------------------------------------
@@ -971,6 +1154,32 @@ def run_f7(
         "receive gap is the case for per-cell hardware assists"
     )
     return result
+
+
+def claims_f7(result: ExperimentResult) -> Dict[str, bool]:
+    """F7's verdicts: the clocks each direction needs for each link rate."""
+    series = result.series
+    claims: Dict[str, bool] = {}
+    for direction in ("tx", "rx"):
+        model = series.column(f"{direction}_model_mbps")
+        sim = series.column(f"{direction}_sim_mbps")
+        claims[f"{direction} model never falls with clock"] = all(
+            b >= a - 1e-6 for a, b in zip(model, model[1:])
+        )
+        claims[f"{direction} simulation within 2% of the model"] = all(
+            abs(s - mod) / mod < 0.02 for s, mod in zip(sim, model)
+        )
+    tx = series.column("tx_model_mbps")
+    rx = series.column("rx_model_mbps")
+    m = result.metrics
+    claims.update({
+        "rx runs STS-3c by 16 MHz": m["rx_mhz_for_oc3"] <= 16,
+        "tx runs STS-12c from 25 MHz": m["tx_mhz_for_oc12"] == 25,
+        "rx runs STS-12c from 33 MHz": m["rx_mhz_for_oc12"] == 33,
+        "lowest clock: tx model > rx model": tx[0] > rx[0],
+        "highest clock: rx model > tx model": rx[-1] > tx[-1],
+    })
+    return claims
 
 
 def _measure_tx_capacity(
@@ -1141,6 +1350,15 @@ def run_f8(
     return result
 
 
+def claims_f8(result: ExperimentResult) -> Dict[str, bool]:
+    """F8's verdicts: the closed forms predict the simulation."""
+    m = result.metrics
+    return {
+        "worst throughput error < 5%": m["worst_throughput_error_pct"] < 5.0,
+        "worst latency error < 1%": m["worst_latency_error_pct"] < 1.0,
+    }
+
+
 # ---------------------------------------------------------------------------
 # A1-A4: design-choice ablations
 # ---------------------------------------------------------------------------
@@ -1192,6 +1410,21 @@ def run_a1(
         "saturation -- the quantitative case for the AAL5 lineage"
     )
     return result
+
+
+def claims_a1(result: ExperimentResult) -> Dict[str, bool]:
+    """A1's verdicts: AAL3/4 pays its SAR fields at every size."""
+    aal5 = result.series.column("aal5_mbps")
+    aal34 = result.series.column("aal34_mbps")
+    return {
+        "AAL3/4 below AAL5 at every size": all(
+            b < a for a, b in zip(aal5, aal34)
+        ),
+        "AAL3/4 / AAL5 at the MTU within 3% of 44/48": (
+            abs(result.metrics["efficiency_ratio_at_mtu"] - 44 / 48)
+            <= 0.03 * 44 / 48
+        ),
+    }
 
 
 def run_a2(
@@ -1249,6 +1482,21 @@ def run_a2(
         "hardware -- the paper's division of labour"
     )
     return result
+
+
+def claims_a2(result: ExperimentResult) -> Dict[str, bool]:
+    """A2's verdicts: software CRC at least halves throughput."""
+    rows = result.rows
+    return {
+        "software CRC halves tx at every size": all(
+            sw_tx < hw_tx / 2 for _size, hw_tx, sw_tx, _hw, _sw in rows
+        ),
+        "software CRC halves rx at every size": all(
+            sw_rx < hw_rx / 2 for _size, _hw, _sw, hw_rx, sw_rx in rows
+        ),
+        "tx slowdown > 2": result.metrics["tx_slowdown"] > 2.0,
+        "rx slowdown > 2": result.metrics["rx_slowdown"] > 2.0,
+    }
 
 
 def run_a3(
@@ -1327,6 +1575,17 @@ def run_a3(
     return result
 
 
+def claims_a3(result: ExperimentResult) -> Dict[str, bool]:
+    """A3's verdicts: coalescing buys few cycles for real latency."""
+    latencies = [row[3] for row in result.rows]
+    cycles = [row[2] for row in result.rows]
+    return {
+        "widest window adds > 100 us latency": latencies[-1] > latencies[0] + 100,
+        "host cycles do not grow with the window": cycles[-1] <= cycles[0],
+        "cycles saved < 1.5x": result.metrics["cycles_saved_ratio"] < 1.5,
+    }
+
+
 def run_a4(
     config: Optional[NicConfig] = None,
     *,
@@ -1365,6 +1624,20 @@ def run_a4(
         "100 MB/s-class bus only delivers near peak with 64+ word bursts"
     )
     return result
+
+
+def claims_a4(result: ExperimentResult) -> Dict[str, bool]:
+    """A4's verdicts: long bursts are what make the bus fast enough."""
+    eff = result.series.column("effective_bus_mbps")
+    tx = result.series.column("tx_model_mbps")
+    return {
+        "effective bus bandwidth rises with burst length": eff == sorted(eff),
+        "tx ceiling rises with burst length": tx == sorted(tx),
+        "longest/shortest burst bandwidth > 1.5": (
+            result.metrics["burst_gain"] > 1.5
+        ),
+        "tx ceiling gains > 20% over the sweep": tx[-1] > tx[0] * 1.2,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1532,6 +1805,24 @@ def _run_r1_custom(
     return result
 
 
+def claims_r1(result: ExperimentResult) -> Dict[str, bool]:
+    """R1's verdicts: frame discard holds goodput at every loss rate."""
+    series = result.series
+    off = series.column("discard_off_mbps")
+    on = series.column("epd_ppd_mbps")
+    one_pct = series.x.index(0.01)
+    return {
+        "EPD/PPD never below discard-off": all(
+            a >= b - 1e-9 for a, b in zip(on, off)
+        ),
+        "1% loss: EPD/PPD gains > 10 Mb/s": on[one_pct] > off[one_pct] + 10.0,
+        "no loss: EPD/PPD > 100 Mb/s": on[0] > 100.0,
+        "EPD/PPD goodput never rises with loss": all(
+            a >= b - 1e-9 for a, b in zip(on, on[1:])
+        ),
+    }
+
+
 # ---------------------------------------------------------------------------
 # O1: observability cross-check -- measured cycle budgets vs configured
 # ---------------------------------------------------------------------------
@@ -1608,49 +1899,114 @@ def run_o1(
     return result
 
 
+def claims_o1(result: ExperimentResult) -> Dict[str, bool]:
+    """O1's verdicts: executed cells cost what T1/T2 say they cost."""
+    m = result.metrics
+    return {
+        "tx middle cell measures 16 cycles": m["tx_middle_cycles"] == 16,
+        "rx middle cell measures 22 cycles": m["rx_middle_cycles"] == 22,
+        "measured budgets deviate by 0 cycles": m["max_deviation_cycles"] == 0,
+    }
+
+
 # ---------------------------------------------------------------------------
-# registry
+# the experiment table
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: how to run it, its bench parameters, its claims.
+
+    Calling an entry runs it, forwarding the runner's ``workers`` /
+    ``store`` / ``log`` only when the run function is sweep-shaped.
+    """
+
+    run: Callable[..., ExperimentResult]
+    #: Reduced parameters ``python -m repro bench`` runs it with.
+    bench: Mapping[str, Any]
+    #: The paper's verdicts, by name, over a result run at :attr:`bench`.
+    claims: Callable[[ExperimentResult], Dict[str, bool]]
+
+    @property
+    def description(self) -> str:
+        """The run function's docstring headline."""
+        return (self.run.__doc__ or "").strip().splitlines()[0]
+
+    @property
+    def sweep(self) -> bool:
+        """True when the run function takes the sweep runner's knobs."""
+        return "workers" in inspect.signature(self.run).parameters
+
+    def __call__(
+        self,
+        workers: int = 0,
+        store: Optional[ResultStore] = None,
+        log: Optional[RunLog] = None,
+        **kwargs: Any,
+    ) -> ExperimentResult:
+        if self.sweep:
+            return self.run(workers=workers, store=store, log=log, **kwargs)
+        return self.run(**kwargs)
+
 
 # R2 lives with the recovery plane it measures; C1 with the
 # traffic-management plane; S1 with the massive-multiplexing scale
 # plane.  All import ExperimentResult lazily, so these imports cannot
 # cycle.
-from repro.resilience.experiment import run_r2  # noqa: E402
-from repro.scale.experiment import run_s1  # noqa: E402
-from repro.tm.experiment import run_c1  # noqa: E402
+from repro.resilience.experiment import claims_r2, run_r2  # noqa: E402
+from repro.scale.experiment import claims_s1, run_s1  # noqa: E402
+from repro.tm.experiment import claims_c1, run_c1  # noqa: E402
 
-EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
-    "T1": run_t1,
-    "T2": run_t2,
-    "F2": run_f2,
-    "F3": run_f3,
-    "F4": run_f4,
-    "T3": run_t3,
-    "F5": run_f5,
-    "T4": run_t4,
-    "F6": run_f6,
-    "T5": run_t5,
-    "F7": run_f7,
-    "F8": run_f8,
-    "A1": run_a1,
-    "A2": run_a2,
-    "A3": run_a3,
-    "A4": run_a4,
-    "R1": run_r1,
-    "R2": run_r2,
-    "O1": run_o1,
-    "C1": run_c1,
-    "S1": run_s1,
+_BENCH_SIZES = [40, 128, 512, 2048, 9180, 32768]
+
+#: Every experiment, keyed by id, in presentation order.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "T1": Experiment(run_t1, {}, claims_t1),
+    "T2": Experiment(run_t2, {}, claims_t2),
+    "F2": Experiment(run_f2, {"sizes": _BENCH_SIZES, "window": 0.02}, claims_f2),
+    "F3": Experiment(run_f3, {"sizes": _BENCH_SIZES, "window": 0.02}, claims_f3),
+    "F4": Experiment(run_f4, {"sizes": [64, 1024, 9180, 65535]}, claims_f4),
+    "T3": Experiment(run_t3, {"sizes": [64, 1500, 9180], "pdus": 20}, claims_t3),
+    "F5": Experiment(
+        run_f5, {"fifo_depths": [8, 16, 32, 64, 128], "window": 0.03}, claims_f5
+    ),
+    "T4": Experiment(run_t4, {"window": 0.02}, claims_t4),
+    # 128 VCs: below ~16 the lookup cost hides behind the link, and
+    # both arms retain the same goodput.
+    "F6": Experiment(
+        run_f6, {"vc_counts": [1, 4, 16, 128], "window": 0.01}, claims_f6
+    ),
+    "T5": Experiment(run_t5, {"window": 0.03}, claims_t5),
+    "F7": Experiment(
+        run_f7, {"clocks_mhz": [10, 20, 25, 33, 50], "window": 0.01}, claims_f7
+    ),
+    "F8": Experiment(
+        run_f8, {"sizes": [64, 1024, 9180, 32768], "window": 0.02}, claims_f8
+    ),
+    "A1": Experiment(run_a1, {"sizes": [512, 9180], "window": 0.02}, claims_a1),
+    "A2": Experiment(run_a2, {}, claims_a2),
+    "A3": Experiment(run_a3, {"windows_us": [0, 200, 500], "pdus": 40}, claims_a3),
+    "A4": Experiment(run_a4, {"burst_words": [8, 32, 128]}, claims_a4),
+    "R1": Experiment(
+        run_r1, {"loss_rates": [0.0, 0.01, 0.02], "window": 0.005}, claims_r1
+    ),
+    "R2": Experiment(run_r2, {"seeds": [1, 2]}, claims_r2),
+    "O1": Experiment(run_o1, {"duration": 3e-3}, claims_o1),
+    "C1": Experiment(
+        run_c1, {"seeds": [1, 2], "duration": 0.06, "warmup": 0.02}, claims_c1
+    ),
+    # S1 cannot be shrunk much below its defaults: the >= 2048
+    # concurrency bar needs the full Poisson steady state.
+    "S1": Experiment(run_s1, {"seeds": [1, 2]}, claims_s1),
 }
 
 
-def run_experiment(experiment_id: str) -> ExperimentResult:
-    """Run one experiment by id (see :data:`EXPERIMENTS`)."""
-    runner = EXPERIMENTS.get(experiment_id.upper())
-    if runner is None:
+def get(experiment_id: str) -> Experiment:
+    """The experiment with this (case-insensitive) id."""
+    try:
+        return EXPERIMENTS[experiment_id.upper()]
+    except KeyError:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; "
             f"known: {', '.join(sorted(EXPERIMENTS))}"
-        )
-    return runner()
+        ) from None

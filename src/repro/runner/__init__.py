@@ -8,19 +8,18 @@ with results bit-identical to a serial run:
 - :mod:`repro.runner.spec` -- :class:`SweepSpec` / :class:`Point`
   parameter grids with a stable content hash per point;
 - :mod:`repro.runner.executor` -- :class:`Executor` / :func:`run_sweep`,
-  process-pool sharding with hash-derived RNG seeding, per-point crash
-  isolation, bounded retry, and timeouts;
+  process-pool sharding with hash-derived RNG seeding and per-point
+  crash isolation;
 - :mod:`repro.runner.store` -- :class:`ResultStore`, the
   content-addressed ``.repro-cache/`` (keyed by point hash x kernel x
   cost-model and source fingerprints) plus :class:`RunLog` JSONL
   journals;
 - :mod:`repro.runner.gate` -- :class:`BaselineGate`, the
-  ``python -m repro bench --check`` regression gate over committed
-  ``benchmarks/baselines/*.json``;
-- :mod:`repro.runner.registry` -- the experiment registry the CLI and
-  the bench harness enumerate (imported on demand, not here: it pulls
-  in every experiment, and the experiments import this package);
-- :mod:`repro.runner.bench` -- the ``bench`` subcommand.
+  ``python -m repro bench --check`` gate of metrics and paper claims
+  over committed ``benchmarks/baselines/*.json``;
+- :mod:`repro.runner.bench` -- the ``bench`` subcommand (imported on
+  demand, not here: it reads the experiment table, and the experiments
+  import this package).
 
 See ``docs/RUNNER.md`` for the sweep-spec format, cache layout, and
 baseline semantics.

@@ -1,12 +1,14 @@
-"""``python -m repro bench``: the baseline regression gate's front door.
+"""``python -m repro bench``: the paper-claim and regression gate.
 
-Three modes over the benched experiment set (see
-:data:`repro.runner.registry.BENCH_KWARGS`):
+Three modes over the experiments of
+:data:`repro.results.experiments.EXPERIMENTS` (every id unless some are
+named), each run at the bench parameters its entry declares:
 
-- ``bench`` -- run the reduced benches and print their metrics;
+- ``bench`` -- run them and print their metrics;
 - ``bench --check`` -- additionally judge every metric against the
-  committed ``benchmarks/baselines/*.json`` tolerance bands and exit
-  nonzero on any regression (what CI keys on);
+  committed ``benchmarks/baselines/*.json`` tolerance bands and every
+  named paper claim, and exit nonzero on any regression or false claim
+  (what CI keys on);
 - ``bench --update`` -- regenerate the baseline files from the current
   tree (review the diff like any other code change).
 
@@ -21,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.results.experiments import EXPERIMENTS, get
 from repro.runner.gate import Baseline, BaselineGate, GateReport
 from repro.runner.store import ResultStore, RunLog
 
@@ -34,15 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-atm bench",
         description=(
-            "Run reduced-parameter benchmark experiments and gate them "
-            "against committed baselines"
+            "Run the experiments at their bench parameters and gate "
+            "their metrics and paper claims against committed baselines"
         ),
     )
     parser.add_argument(
         "experiments",
         nargs="*",
         metavar="ID",
-        help="experiment ids to bench (default: every benched id)",
+        help="experiment ids to bench (default: all of them)",
     )
     parser.add_argument(
         "--check",
@@ -88,13 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.runner import registry
-
     args = build_parser().parse_args(
         list(sys.argv[1:] if argv is None else argv)
     )
     if args.check and args.update:
         print("--check and --update are mutually exclusive", file=sys.stderr)
+        return 2
+    ids = [i.upper() for i in args.experiments] or list(EXPERIMENTS)
+    try:
+        experiments = {i: get(i) for i in ids}
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
 
     gate = BaselineGate(
@@ -102,61 +109,40 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.baseline_dir is not None
         else default_baseline_dir()
     )
-    ids = (
-        [e.upper() for e in args.experiments]
-        if args.experiments
-        else list(registry.BENCH_DEFAULT)
-    )
-    if not ids:
-        print("no benched experiments registered", file=sys.stderr)
-        return 2
-
     store = (
         None if args.no_cache else ResultStore(root=args.cache_dir)
     )
     log = RunLog(args.log) if args.log is not None else None
     reports: Dict[str, GateReport] = {}
-    failures: List[str] = []
+    missing: List[str] = []
     try:
-        for experiment_id in ids:
-            try:
-                entry = registry.get(experiment_id)
-            except KeyError as exc:
-                print(exc.args[0], file=sys.stderr)
-                return 2
-            kwargs = dict(entry.bench_kwargs)
-            if args.check:
-                # Re-run with the parameters the baseline was made with,
-                # so the comparison is like for like even if the
-                # registry defaults moved since.
-                try:
-                    kwargs = dict(gate.load(experiment_id).bench_kwargs)
-                except FileNotFoundError:
-                    failures.append(experiment_id)
-                    print(
-                        f"{experiment_id}: no baseline at "
-                        f"{gate.path_for(experiment_id)} "
-                        "(run bench --update and commit it)"
-                    )
-                    continue
-            result = entry(
-                workers=args.workers, store=store, log=log, **kwargs
+        for experiment_id, experiment in experiments.items():
+            if args.check and not gate.path_for(experiment_id).exists():
+                missing.append(experiment_id)
+                print(
+                    f"{experiment_id}: no baseline at "
+                    f"{gate.path_for(experiment_id)} "
+                    "(run bench --update and commit it)"
+                )
+                continue
+            result = experiment(
+                workers=args.workers, store=store, log=log, **experiment.bench
             )
             metrics = {k: float(v) for k, v in result.metrics.items()}
             if args.check:
-                report = gate.compare(experiment_id, metrics)
+                report = gate.compare(
+                    experiment_id, metrics, experiment.claims(result)
+                )
                 reports[experiment_id] = report
                 print(f"{experiment_id}:")
                 print(report.format())
-                if not report.ok:
-                    failures.append(experiment_id)
             elif args.update:
                 path = gate.write(
                     Baseline(
                         experiment=experiment_id,
                         metrics=metrics,
-                        bench_kwargs=kwargs,
-                        note=entry.description,
+                        claims=list(experiment.claims(result)),
+                        note=experiment.description,
                     )
                 )
                 print(f"{experiment_id}: wrote {path}")
@@ -170,9 +156,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.check:
         merged = gate.merge(reports)
-        verdict = merged.format().splitlines()[-1]
-        print(verdict)
-        return 1 if failures else 0
+        print(merged.format().splitlines()[-1])
+        if missing:
+            print(f"bench gate: FAIL (no baseline for {', '.join(missing)})")
+        return 0 if merged.ok and not missing else 1
     return 0
 
 

@@ -19,15 +19,14 @@ make the two modes byte-identical:
    submission and writes after collection, both in the parent, so
    parallelism adds no filesystem races.
 
-Failure containment: a point that raises is retried up to
-``retries`` times (same hash-derived seed -- retry exists for
-environmental casualties, not for re-rolling dice), then recorded as a
-failure while the rest of the sweep completes.  Only at the end does
+Failure containment: a point that raises is recorded as a failure
+while the rest of the sweep completes.  Only at the end does
 :func:`run_sweep` raise a :class:`SweepError` naming every casualty --
-one diverging point fails loudly without killing the sweep.  A
-per-point wall-clock ``timeout`` (enforced in parallel mode, where a
-hung worker cannot stall the parent forever) fails the point the same
-way.
+one diverging point fails loudly without killing the sweep.  A point
+runs once: its kernel is a pure function of its parameters and
+hash-derived seed, so a point that raised would raise again.  If the
+pool itself breaks (a worker segfaulted or was OOM-killed), every
+point still pending is recorded as failed with that error.
 """
 
 from __future__ import annotations
@@ -65,14 +64,13 @@ def _invoke(kernel: Kernel, params: Mapping[str, Any], seed: int) -> Dict[str, A
 
 @dataclass
 class PointFailure:
-    """One point that exhausted its retries (or timed out)."""
+    """One point whose kernel raised."""
 
     point: Point
     error: str
-    attempts: int
 
     def format(self) -> str:
-        return f"{self.point.label()} failed after {self.attempts} attempt(s): {self.error}"
+        return f"{self.point.label()} failed: {self.error}"
 
 
 @dataclass
@@ -85,7 +83,7 @@ class SweepRun:
     #: One values dict per point (None where the point failed).
     values: List[Optional[Dict[str, Any]]]
     failures: List[PointFailure] = field(default_factory=list)
-    #: Executor counters: points / executed / cached / failed / retried.
+    #: Executor counters: points / executed / cached / failed.
     stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -126,21 +124,10 @@ class SweepError(RuntimeError):
 class Executor:
     """Runs sweeps serially or across a process pool (see module doc)."""
 
-    def __init__(
-        self,
-        workers: int = 0,
-        retries: int = 1,
-        timeout: Optional[float] = None,
-    ) -> None:
+    def __init__(self, workers: int = 0) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive")
         self.workers = workers
-        self.retries = retries
-        self.timeout = timeout
         #: Counters of the most recent run (see ``SweepRun.stats``).
         self.stats: Dict[str, int] = {}
 
@@ -165,7 +152,6 @@ class Executor:
             "executed": 0,
             "cached": 0,
             "failed": 0,
-            "retried": 0,
         }
         run = SweepRun(
             spec=spec,
@@ -226,7 +212,6 @@ class Executor:
         point: Point,
         values: Optional[Dict[str, Any]],
         error: Optional[str],
-        attempts: int,
         elapsed: float,
     ) -> None:
         if values is not None:
@@ -237,19 +222,15 @@ class Executor:
                     "point_completed",
                     index=point.index,
                     hash=point.hash,
-                    attempts=attempts,
                     elapsed_s=round(elapsed, 6),
                 )
         else:
-            run.failures.append(
-                PointFailure(point=point, error=error or "?", attempts=attempts)
-            )
+            run.failures.append(PointFailure(point=point, error=error or "?"))
             if log is not None:
                 log.event(
                     "point_failed",
                     index=point.index,
                     hash=point.hash,
-                    attempts=attempts,
                     error=error,
                 )
 
@@ -264,19 +245,12 @@ class Executor:
             started = time.perf_counter()
             values: Optional[Dict[str, Any]] = None
             error: Optional[str] = None
-            attempts = 0
-            for attempt in range(self.retries + 1):
-                attempts = attempt + 1
-                try:
-                    values = _invoke(kernel, point.params, point.seed)
-                    break
-                except Exception as exc:  # noqa: BLE001 -- isolation boundary
-                    error = f"{type(exc).__name__}: {exc}"
-                    if attempt < self.retries:
-                        self.stats["retried"] += 1
+            try:
+                values = _invoke(kernel, point.params, point.seed)
+            except Exception as exc:  # noqa: BLE001 -- isolation boundary
+                error = f"{type(exc).__name__}: {exc}"
             self._record(
-                run, log, point, values, error, attempts,
-                time.perf_counter() - started,
+                run, log, point, values, error, time.perf_counter() - started
             )
 
     def _run_pool(
@@ -300,40 +274,18 @@ class Executor:
                 started = time.perf_counter()
                 values: Optional[Dict[str, Any]] = None
                 error: Optional[str] = None
-                attempts = 0
-                future = futures[point.index]
-                for attempt in range(self.retries + 1):
-                    attempts = attempt + 1
-                    try:
-                        values = future.result(timeout=self.timeout)
-                        break
-                    except concurrent.futures.TimeoutError:
-                        # The worker may be wedged; do not resubmit
-                        # (a hung kernel would hang again) -- fail the
-                        # point and let the sweep finish.
-                        future.cancel()
-                        error = (
-                            f"timed out after {self.timeout:.3g}s "
-                            "(wall clock)"
-                        )
-                        break
-                    except concurrent.futures.BrokenExecutor as exc:
-                        # The pool died under us (a worker segfaulted or
-                        # was OOM-killed); nothing further can run.
-                        error = f"worker pool broke: {exc}"
-                        break
-                    except Exception as exc:  # noqa: BLE001 -- isolation boundary
-                        error = "".join(
-                            traceback.format_exception_only(type(exc), exc)
-                        ).strip()
-                        if attempt < self.retries:
-                            self.stats["retried"] += 1
-                            future = pool.submit(
-                                _invoke, kernel, point.params, point.seed
-                            )
+                try:
+                    values = futures[point.index].result()
+                except concurrent.futures.BrokenExecutor as exc:
+                    # The pool died under us (a worker segfaulted or was
+                    # OOM-killed); nothing further can run.
+                    error = f"worker pool broke: {exc}"
+                except Exception as exc:  # noqa: BLE001 -- isolation boundary
+                    error = "".join(
+                        traceback.format_exception_only(type(exc), exc)
+                    ).strip()
                 self._record(
-                    run, log, point, values, error, attempts,
-                    time.perf_counter() - started,
+                    run, log, point, values, error, time.perf_counter() - started
                 )
 
 
@@ -343,8 +295,6 @@ def run_sweep(
     workers: int = 0,
     store: Optional[ResultStore] = None,
     log: Optional[RunLog] = None,
-    retries: int = 1,
-    timeout: Optional[float] = None,
 ) -> SweepRun:
     """Execute *spec* and fail loudly if any point failed.
 
@@ -354,7 +304,7 @@ def run_sweep(
     :class:`SweepError` carrying the partial :class:`SweepRun` if there
     were casualties.
     """
-    executor = Executor(workers=workers, retries=retries, timeout=timeout)
+    executor = Executor(workers=workers)
     run = executor.run(spec, kernel, store=store, log=log)
     if not run.ok:
         raise SweepError(run)

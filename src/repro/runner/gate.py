@@ -2,7 +2,7 @@
 
 A *baseline* is a committed JSON file under ``benchmarks/baselines/``
 recording the scalar metrics one experiment produced at a known-good
-tree, plus per-metric tolerance bands::
+tree, per-metric tolerance bands, and the names of its paper claims::
 
     {
       "experiment": "F7",
@@ -11,17 +11,20 @@ tree, plus per-metric tolerance bands::
         "default": {"rel": 0.01, "abs": 1e-09},
         "per_metric": {"rx_mhz_for_oc12": {"rel": 0.0, "abs": 0.0}}
       },
-      "bench_kwargs": {...},   # the reduced parameters that produced it
+      "claims": ["rx runs STS-3c by 16 MHz", ...],
       "note": "..."
     }
 
-``python -m repro bench --check`` re-runs each experiment with the
-recorded reduced parameters and compares metric by metric: a run value
-``v`` passes against baseline ``b`` iff ``|v - b| <= abs + rel * |b|``
-(NaN passes only against NaN; a metric missing from the run fails; a
-metric the run grew that the baseline lacks is reported but does not
-fail -- new metrics are not regressions).  Any failure makes the gate
-exit nonzero, which is what CI keys on.
+``python -m repro bench --check`` runs each experiment at the bench
+parameters its table entry declares and compares metric by metric: a
+run value ``v`` passes against baseline ``b`` iff
+``|v - b| <= abs + rel * |b|`` (NaN passes only against NaN; a metric
+missing from the run fails; a metric the run grew that the baseline
+lacks is reported but does not fail -- new metrics are not
+regressions).  Every claim the run states must hold, and a claim the
+baseline names but the run no longer states fails, so a claim cannot
+be dropped without a visible baseline diff.  Any failure makes the
+gate exit nonzero, which is what CI keys on.
 
 ``python -m repro bench --update`` regenerates the files, seeding the
 repo's bench trajectory at the current tree.
@@ -33,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 #: Tolerances used when a baseline does not spell its own out.  The
 #: simulations are deterministic pure-Python float arithmetic, so the
@@ -65,7 +68,8 @@ class Baseline:
     metrics: Mapping[str, float]
     default_tolerance: Tolerance = Tolerance()
     per_metric: Mapping[str, Tolerance] = field(default_factory=dict)
-    bench_kwargs: Mapping[str, Any] = field(default_factory=dict)
+    #: Names of the experiment's paper claims.
+    claims: Sequence[str] = ()
     note: str = ""
 
     def tolerance_for(self, metric: str) -> Tolerance:
@@ -84,7 +88,7 @@ class Baseline:
             metrics=dict(payload["metrics"]),
             default_tolerance=default,
             per_metric=per_metric,
-            bench_kwargs=dict(payload.get("bench_kwargs", {})),
+            claims=list(payload.get("claims", [])),
             note=payload.get("note", ""),
         )
 
@@ -102,7 +106,7 @@ class Baseline:
                     for name, band in sorted(self.per_metric.items())
                 },
             },
-            "bench_kwargs": dict(self.bench_kwargs),
+            "claims": list(self.claims),
             "note": self.note,
         }
 
@@ -132,17 +136,34 @@ def _fmt(value: Optional[float]) -> str:
     return "missing" if value is None else f"{value:.6g}"
 
 
+@dataclass(frozen=True)
+class ClaimCheck:
+    """One named paper claim and whether the run upheld it."""
+
+    experiment: str
+    name: str
+    held: bool
+    detail: str = ""
+
+    def format(self) -> str:
+        mark = "ok  " if self.held else "FAIL"
+        return f"  [{mark}] {self.experiment} claim: {self.name}" + (
+            f" ({self.detail})" if self.detail else ""
+        )
+
+
 @dataclass
 class GateReport:
     """Every comparison the gate made, plus the aggregate verdict."""
 
     deviations: List[Deviation] = field(default_factory=list)
+    claims: List[ClaimCheck] = field(default_factory=list)
     #: Metrics the run grew that no baseline records (informational).
     new_metrics: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return all(d.ok for d in self.deviations)
+        return not self.failures and all(c.held for c in self.claims)
 
     @property
     def failures(self) -> List[Deviation]:
@@ -150,15 +171,18 @@ class GateReport:
 
     def format(self) -> str:
         lines = [d.format() for d in self.deviations]
+        lines += [c.format() for c in self.claims]
         if self.new_metrics:
             lines.append(
                 "  note: run metrics with no baseline (not gated): "
                 + ", ".join(sorted(self.new_metrics))
             )
+        false_claims = sum(not c.held for c in self.claims)
         verdict = (
             "bench gate: PASS"
             if self.ok
-            else f"bench gate: FAIL ({len(self.failures)} metric(s) out of band)"
+            else f"bench gate: FAIL ({len(self.failures)} metric(s) out of "
+            f"band, {false_claims} claim(s) false)"
         )
         lines.append(verdict)
         return "\n".join(lines)
@@ -196,10 +220,14 @@ class BaselineGate:
         return path
 
     def compare(
-        self, experiment_id: str, metrics: Mapping[str, float]
+        self,
+        experiment_id: str,
+        metrics: Mapping[str, float],
+        claims: Optional[Mapping[str, bool]] = None,
     ) -> GateReport:
-        """Judge one experiment's run metrics against its baseline."""
+        """Judge one run's metrics and claims against its baseline."""
         baseline = self.load(experiment_id)
+        claims = dict(claims or {})
         report = GateReport()
         for name, expected in sorted(baseline.metrics.items()):
             band = baseline.tolerance_for(name)
@@ -238,6 +266,14 @@ class BaselineGate:
         report.new_metrics = [
             name for name in metrics if name not in baseline.metrics
         ]
+        report.claims = [
+            ClaimCheck(experiment_id, name, bool(held))
+            for name, held in claims.items()
+        ] + [
+            ClaimCheck(experiment_id, name, False, "claim missing from run")
+            for name in baseline.claims
+            if name not in claims
+        ]
         return report
 
     def merge(self, reports: Mapping[str, GateReport]) -> GateReport:
@@ -245,5 +281,6 @@ class BaselineGate:
         merged = GateReport()
         for _, report in sorted(reports.items()):
             merged.deviations.extend(report.deviations)
+            merged.claims.extend(report.claims)
             merged.new_metrics.extend(report.new_metrics)
         return merged

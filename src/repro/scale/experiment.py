@@ -21,9 +21,10 @@ scale plane added is on the hook at once:
 - per-VC observability books are bounded (top-K aggregation), checked
   by the registry-cardinality metric.
 
-Gates are frozen in ``benchmarks/baselines/S1.json``: peak concurrency
-at or above 2,048 sessions, a balanced ledger, and bounded metric
-cardinality.
+Gates: :func:`claims_s1` (peak concurrency at or above 2,048 sessions
+at every seed, a balanced ledger, no failed session), plus the metrics
+frozen in ``benchmarks/baselines/S1.json`` (metric cardinality among
+them).
 """
 
 from __future__ import annotations
@@ -305,3 +306,15 @@ def run_s1(
         "itemised as unroutable/unknown-VC"
     )
     return result
+
+
+def claims_s1(result) -> Dict[str, bool]:
+    """S1's verdicts: thousands of sessions, a balanced ledger, no failure."""
+    m = result.metrics
+    return {
+        f"peak concurrency >= {S1_TARGET_CONCURRENT} at every seed": (
+            m["scale_target_met"] == 1
+        ),
+        "ledger balances across the churn": m["all_conserved"] == 1,
+        "no session fails": m["total_failed"] == 0,
+    }

@@ -7,8 +7,8 @@ for this reproduction.  It provides:
 - :class:`~repro.sim.core.Event` -- the primitive everything waits on,
 - :class:`~repro.sim.process.Process` -- generator-based cooperative
   processes (``yield sim.timeout(...)``),
-- resources (:class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Store`) for contention modelling,
+- :class:`~repro.sim.resources.Store`, a FIFO object store for
+  mailbox-style hand-offs,
 - monitors (:mod:`repro.sim.monitor`) for statistics collection, and
 - :class:`~repro.sim.random.RandomStreams` for reproducible, independently
   seeded random number streams.
@@ -34,7 +34,7 @@ from repro.sim.monitor import (
     WelfordStat,
 )
 from repro.sim.random import RandomStreams
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 
 __all__ = [
     "AllOf",
@@ -45,7 +45,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "RandomStreams",
-    "Resource",
     "SeriesRecorder",
     "SimulationError",
     "Simulator",

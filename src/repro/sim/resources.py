@@ -1,12 +1,9 @@
-"""Contention primitives: counted resources and object stores.
+"""Contention primitive: a FIFO object store.
 
-These model the shared facilities of the simulated hardware: a bus that one
-master holds at a time is a :class:`Resource` with capacity 1; a mailbox of
-descriptors between driver and adaptor is a :class:`Store`.
-
-Both follow the event discipline of the kernel: ``request``/``get``/``put``
-return events to ``yield`` on, and grants are strictly FIFO, which keeps
-simulations deterministic.
+A mailbox of descriptors between driver and adaptor is a
+:class:`Store`.  It follows the event discipline of the kernel:
+``get``/``put`` return events to ``yield`` on, and hand-offs are
+strictly FIFO, which keeps simulations deterministic.
 """
 
 from __future__ import annotations
@@ -14,88 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.sim.core import Event, SimulationError, Simulator
-
-
-class Request(Event):
-    """A pending claim on a :class:`Resource` (the event yields the token)."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, sim: Simulator, resource: "Resource") -> None:
-        super().__init__(sim)
-        self.resource = resource
-
-
-class Resource:
-    """A facility with *capacity* identical slots, granted FIFO.
-
-    Usage from a process::
-
-        grant = bus.request()
-        yield grant
-        ...use the bus...
-        bus.release(grant)
-
-    The *grant* object doubles as the token to release; releasing a grant
-    that was never issued (or twice) raises :class:`SimulationError`.
-    """
-
-    def __init__(
-        self, sim: Simulator, capacity: int = 1, name: str = "resource"
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._holders: set[Request] = set()
-        self._waiters: Deque[Request] = deque()
-        # statistics
-        self.total_requests = 0
-        self.total_wait_time = 0.0
-        self._request_times: dict[int, float] = {}
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return len(self._holders)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires when the slot is granted."""
-        req = Request(self.sim, self)
-        self.total_requests += 1
-        self._request_times[id(req)] = self.sim.now
-        if len(self._holders) < self.capacity:
-            self._grant(req)
-        else:
-            self._waiters.append(req)
-        return req
-
-    def release(self, grant: Request) -> None:
-        """Return a previously granted slot, waking the next waiter."""
-        if grant not in self._holders:
-            raise SimulationError(f"release of unheld grant on {self.name}")
-        self._holders.discard(grant)
-        if self._waiters:
-            self._grant(self._waiters.popleft())
-
-    def _grant(self, req: Request) -> None:
-        self._holders.add(req)
-        started = self._request_times.pop(id(req), self.sim.now)
-        self.total_wait_time += self.sim.now - started
-        req.trigger(req)
-
-    @property
-    def mean_wait(self) -> float:
-        """Average time requests spent queued before being granted."""
-        granted = self.total_requests - len(self._waiters)
-        return self.total_wait_time / granted if granted else 0.0
+from repro.sim.core import Event, Simulator
 
 
 class Store:

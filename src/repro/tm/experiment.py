@@ -23,10 +23,10 @@ each point share the seed (common random numbers):
   the congestion-collapse baseline the control loop is measured
   against.
 
-Headline gates (frozen in ``benchmarks/baselines/C1.json``): bottleneck
-utilization >= 0.9 with the loop closed, per-VC goodput within 10% of
-the weighted-fair split, a bounded bottleneck queue, and closed-loop
-goodput strictly above open-loop at every seed.
+Headline gates: :func:`claims_c1` (a bounded bottleneck queue and
+>= 95% utilization with the loop closed), plus the metrics frozen in
+``benchmarks/baselines/C1.json`` -- the weighted-fair deviation and the
+closed- vs open-loop goodput gain among them.
 """
 
 from __future__ import annotations
@@ -287,3 +287,14 @@ def run_c1(
         "bottleneck load with the queue far from its cap"
     )
     return result
+
+
+def claims_c1(result) -> Dict[str, bool]:
+    """C1's verdicts: the closed loop runs the bottleneck with a bounded queue."""
+    m = result.metrics
+    return {
+        "closed-loop queue stays below the buffer": m["all_queues_bounded"] == 1,
+        "closed loop holds >= 95% bottleneck utilization": (
+            m["min_on_utilization"] >= 0.95
+        ),
+    }

@@ -2,10 +2,9 @@
 
 These tests drive randomised operation sequences through the core data
 structures and assert the conservation laws the rest of the system
-relies on: stores neither lose nor duplicate items, resources never
-exceed capacity, FIFOs conserve cells, buffer memory never goes
-negative, and the end-to-end SAR pipeline delivers exactly the bytes
-that were sent.
+relies on: stores neither lose nor duplicate items, FIFOs conserve
+cells, buffer memory never goes negative, and the end-to-end SAR
+pipeline delivers exactly the bytes that were sent.
 """
 
 from fractions import Fraction
@@ -14,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.atm import AtmCell
 from repro.nic import AdaptorBufferMemory, BufferMemorySpec, CellFifo
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Simulator, Store
 
 
 class TestStoreConservation:
@@ -57,35 +56,6 @@ class TestStoreConservation:
         # Capacity was never exceeded.
         if capacity is not None:
             assert store.peak_occupancy <= capacity
-
-
-class TestResourceInvariant:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        capacity=st.integers(1, 4),
-        holders=st.integers(1, 12),
-        hold_times=st.lists(
-            st.floats(0.001, 0.1), min_size=12, max_size=12
-        ),
-    )
-    def test_never_more_holders_than_capacity(self, capacity, holders, hold_times):
-        sim = Simulator()
-        resource = Resource(sim, capacity=capacity)
-        max_seen = [0]
-
-        def user(hold):
-            grant = resource.request()
-            yield grant
-            max_seen[0] = max(max_seen[0], resource.in_use)
-            yield sim.timeout(hold)
-            resource.release(grant)
-
-        for i in range(holders):
-            sim.process(user(hold_times[i]))
-        sim.run()
-        assert max_seen[0] <= capacity
-        assert resource.in_use == 0  # all released
-        assert resource.queue_length == 0
 
 
 class TestCellFifoConservation:

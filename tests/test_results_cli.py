@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.sweep import Series
 from repro.cli import main
-from repro.results import EXPERIMENTS, format_series, format_table, run_experiment
+from repro.results import EXPERIMENTS, format_series, format_table, get
 from repro.results.experiments import (
     lab_host,
     run_t1,
@@ -51,10 +51,10 @@ class TestRegistry:
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
-            run_experiment("T99")
+            get("T99")
 
     def test_case_insensitive(self):
-        assert run_experiment("t1").experiment_id == "T1"
+        assert get("t1")().experiment_id == "T1"
 
 
 class TestCheapRunners:

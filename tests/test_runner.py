@@ -51,6 +51,13 @@ def fragile_kernel(params, streams):
     return {"y": params["x"]}
 
 
+def journaled_kernel(params, streams):
+    """Appends each call to the ``journal`` file, then fails at x == 2."""
+    with open(params["journal"], "a", encoding="utf-8") as journal:
+        journal.write(f"{params['x']}\n")
+    return fragile_kernel(params, streams)
+
+
 def typed_kernel(params, streams):
     """Returns the wrong type to exercise the contract check."""
     return [params["x"]]
@@ -239,11 +246,15 @@ class TestExecutor:
         # the partial run rides along for forensics
         assert sum(v is not None for v in excinfo.value.run.values) == 3
 
-    def test_retries_are_bounded_and_counted(self):
-        executor = Executor(workers=0, retries=2)
-        run = executor.run(self.SPEC, fragile_kernel)
-        assert run.failures[0].attempts == 3
-        assert run.stats["retried"] == 2
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_failing_point_runs_exactly_once(self, workers, tmp_path):
+        journal = tmp_path / "calls.txt"
+        spec = SweepSpec.grid(
+            "X", axes={"x": (1, 2, 3, 4)}, fixed={"journal": str(journal)}
+        )
+        run = Executor(workers=workers).run(spec, journaled_kernel)
+        assert [f.point.params["x"] for f in run.failures] == [2]
+        assert sorted(journal.read_text().split()) == ["1", "2", "3", "4"]
 
     def test_non_dict_return_is_an_error(self):
         run = Executor(workers=0).run(self.SPEC, typed_kernel)
@@ -261,7 +272,6 @@ class TestExecutor:
             "points": 4,
             "executed": 0,
             "cached": 4,
-            "retried": 0,
             "failed": 0,
         }
         assert run.values == cold.run(self.SPEC, noisy_kernel).values
@@ -380,26 +390,26 @@ class TestBaselineGate:
         assert Tolerance().allows(math.inf, math.inf)
         assert not Tolerance().allows(math.inf, 1.0)
 
-    def gate(self, tmp_path):
+    def gate(self, tmp_path, claims=()):
         gate = BaselineGate(tmp_path)
         gate.write(
             Baseline(
                 experiment="T9",
                 metrics={"a": 100.0, "b": 5.0},
                 per_metric={"b": Tolerance(rel=0.0, abs=0.0)},
-                bench_kwargs={"window": 0.01},
+                claims=list(claims),
                 note="test baseline",
             )
         )
         return gate
 
     def test_write_load_round_trip(self, tmp_path):
-        gate = self.gate(tmp_path)
+        gate = self.gate(tmp_path, claims=["c holds"])
         loaded = gate.load("T9")
         assert loaded.metrics == {"a": 100.0, "b": 5.0}
         assert loaded.tolerance_for("b") == Tolerance(rel=0.0, abs=0.0)
         assert loaded.tolerance_for("a") == Tolerance()
-        assert loaded.bench_kwargs == {"window": 0.01}
+        assert loaded.claims == ["c holds"]
         assert gate.known() == ["T9"]
 
     def test_in_band_run_passes(self, tmp_path):
@@ -423,6 +433,17 @@ class TestBaselineGate:
         assert [d.metric for d in report.failures] == ["b"]
         assert report.new_metrics == ["c"]
 
+    def test_false_or_dropped_claim_fails(self, tmp_path):
+        gate = self.gate(tmp_path, claims=["c holds"])
+        metrics = {"a": 100.0, "b": 5.0}
+        assert gate.compare("T9", metrics, {"c holds": True}).ok
+        false = gate.compare("T9", metrics, {"c holds": False})
+        assert not false.ok
+        assert "[FAIL] T9 claim: c holds" in false.format()
+        dropped = gate.compare("T9", metrics, {"d holds": True})
+        assert not dropped.ok
+        assert "claim missing from run" in dropped.format()
+
     def test_merge_aggregates_verdicts(self, tmp_path):
         gate = self.gate(tmp_path)
         ok = gate.compare("T9", {"a": 100.0, "b": 5.0})
@@ -439,16 +460,15 @@ class TestBaselineGate:
 
 class TestRegistryAndBench:
     def test_registry_mirrors_experiments(self):
-        from repro.results.experiments import EXPERIMENTS
-        from repro.runner import registry
+        from repro.results.experiments import EXPERIMENTS, get
 
-        assert list(registry.REGISTRY) == list(EXPERIMENTS)
-        for entry in registry.entries():
-            assert entry.description, entry.id
-        assert registry.get("f7").sweep
-        assert not registry.get("T1").sweep
+        for experiment_id, experiment in EXPERIMENTS.items():
+            assert experiment.description.startswith(experiment_id)
+        assert get("f7") is EXPERIMENTS["F7"]
+        assert get("f7").sweep
+        assert not get("T1").sweep
         with pytest.raises(KeyError):
-            registry.get("T99")
+            get("T99")
 
     def test_bench_update_then_check_round_trips(self, tmp_path):
         from repro.runner.bench import main as bench_main
@@ -474,6 +494,25 @@ class TestRegistryAndBench:
         path.write_text(json.dumps(payload))
         assert bench_main(common + ["--check"]) == 1
 
+    def test_false_claim_fails_the_gate(self, tmp_path, monkeypatch, capsys):
+        from dataclasses import replace
+
+        from repro.results.experiments import EXPERIMENTS
+        from repro.runner.bench import main as bench_main
+
+        common = ["T1", "--baseline-dir", str(tmp_path), "--no-cache"]
+        assert bench_main(common + ["--update"]) == 0
+        t1 = EXPERIMENTS["T1"]
+        name = next(iter(t1.claims(t1())))
+        monkeypatch.setitem(
+            EXPERIMENTS,
+            "T1",
+            replace(t1, claims=lambda result: {**t1.claims(result), name: False}),
+        )
+        capsys.readouterr()
+        assert bench_main(common + ["--check"]) == 1
+        assert f"[FAIL] T1 claim: {name}" in capsys.readouterr().out
+
     def test_bench_check_without_baseline_fails(self, tmp_path):
         from repro.runner.bench import main as bench_main
 
@@ -483,17 +522,17 @@ class TestRegistryAndBench:
         assert code == 1
 
     def test_committed_baselines_cover_the_bench_set(self):
-        from pathlib import Path
-
-        from repro.runner import registry
+        from repro.results.experiments import EXPERIMENTS
         from repro.runner.bench import default_baseline_dir
 
         directory = default_baseline_dir()
         assert directory == Path(__file__).resolve().parent.parent / (
             "benchmarks/baselines"
         )
-        committed = {p.stem for p in directory.glob("*.json")}
-        assert set(registry.BENCH_DEFAULT) <= committed
+        gate = BaselineGate(directory)
+        assert gate.known() == sorted(EXPERIMENTS)
+        for experiment_id in EXPERIMENTS:
+            assert gate.load(experiment_id).claims, experiment_id
 
     def test_cli_flags_reach_the_runner(self, tmp_path, capsys):
         from repro.cli import main as cli_main

@@ -24,8 +24,7 @@ from repro.atm.addressing import VcAddress
 from repro.net import Testbed as TopologyBuilder
 from repro.nic.config import aurora_oc3
 from repro.resilience.experiment import run_r2
-from repro.results.experiments import canonical_result_json
-from repro.runner.registry import REGISTRY, SWEEP_IDS
+from repro.results.experiments import EXPERIMENTS, canonical_result_json
 from repro.scale.experiment import _churn_run
 from repro.sim.core import Simulator
 from repro.tm.experiment import run_c1
@@ -180,9 +179,9 @@ class TestMigrationByteIdentity:
 class TestUniformContract:
     """Every registered run_* honours the uniform experiment contract."""
 
-    @pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
     def test_signature_shape(self, experiment_id):
-        sig = inspect.signature(REGISTRY[experiment_id].run)
+        sig = inspect.signature(EXPERIMENTS[experiment_id].run)
         params = list(sig.parameters.values())
         first = params[0]
         assert first.name == "config"
@@ -203,9 +202,16 @@ class TestUniformContract:
             )
             assert param.default is not inspect.Parameter.empty
 
-    @pytest.mark.parametrize("experiment_id", sorted(SWEEP_IDS))
+    def test_sweep_shaped_ids(self):
+        assert {i for i, e in EXPERIMENTS.items() if e.sweep} == {
+            "F6", "T5", "F7", "R1", "R2", "C1", "S1",
+        }
+
+    @pytest.mark.parametrize(
+        "experiment_id", sorted(i for i, e in EXPERIMENTS.items() if e.sweep)
+    )
     def test_sweep_ids_take_runner_knobs(self, experiment_id):
-        sig = inspect.signature(REGISTRY[experiment_id].run)
+        sig = inspect.signature(EXPERIMENTS[experiment_id].run)
         for name in ("workers", "store", "log"):
             assert name in sig.parameters, (
                 f"sweep experiment {experiment_id} lacks {name}"

@@ -1,85 +1,8 @@
-"""Resource and Store contention semantics."""
+"""Store contention semantics."""
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Store
-
-
-class TestResource:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_grant_immediate_when_free(self, sim):
-        res = Resource(sim, capacity=2)
-        log = []
-
-        def user(name):
-            grant = res.request()
-            yield grant
-            log.append((name, sim.now))
-            yield sim.timeout(1.0)
-            res.release(grant)
-
-        sim.process(user("a"))
-        sim.process(user("b"))
-        sim.run()
-        assert log == [("a", 0.0), ("b", 0.0)]
-
-    def test_fifo_queueing_when_contended(self, sim):
-        res = Resource(sim, capacity=1)
-        log = []
-
-        def user(name, hold):
-            grant = res.request()
-            yield grant
-            log.append((name, sim.now))
-            yield sim.timeout(hold)
-            res.release(grant)
-
-        for name in ("a", "b", "c"):
-            sim.process(user(name, 1.0))
-        sim.run()
-        assert log == [("a", 0.0), ("b", 1.0), ("c", 2.0)]
-
-    def test_release_unheld_grant_rejected(self, sim):
-        res = Resource(sim)
-        grant = res.request()
-        sim.run()
-        res.release(grant)
-        with pytest.raises(SimulationError):
-            res.release(grant)
-
-    def test_statistics(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def user(hold):
-            grant = res.request()
-            yield grant
-            yield sim.timeout(hold)
-            res.release(grant)
-
-        sim.process(user(2.0))
-        sim.process(user(1.0))
-        sim.run()
-        assert res.total_requests == 2
-        # Second request waited 2.0s.
-        assert res.mean_wait == pytest.approx(1.0)
-
-    def test_in_use_and_queue_length(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def holder():
-            grant = res.request()
-            yield grant
-            yield sim.timeout(10.0)
-            res.release(grant)
-
-        sim.process(holder())
-        sim.process(holder())
-        sim.run(until=1.0)
-        assert res.in_use == 1
-        assert res.queue_length == 1
+from repro.sim import Store
 
 
 class TestStore:
