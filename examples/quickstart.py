@@ -7,16 +7,19 @@ sends a handful of PDUs, and prints what the interface observed.
 Run:  python examples/quickstart.py
       python examples/quickstart.py --trace quickstart-trace.json
 
-With ``--trace``, every component is instrumented with a
-``repro.obs.TraceRecorder`` and the run is exported in Chrome
-``trace_event`` format: open the file at https://ui.perfetto.dev to see
-each engine, FIFO, link, DMA engine and interrupt controller as its own
-swimlane (the worked walkthrough is in docs/OBSERVABILITY.md).
+With ``--trace``, the simulator is built inside ``repro.obs.observe()``,
+so every component records into its trace recorder, and the run is
+exported in Chrome ``trace_event`` format: open the file at
+https://ui.perfetto.dev to see each engine, FIFO, link, DMA engine and
+interrupt controller as its own swimlane (the worked walkthrough is in
+docs/OBSERVABILITY.md).
 """
 
 import argparse
+import contextlib
 
 from repro import HostNetworkInterface, Simulator, aurora_oc3, connect
+from repro.obs import observe
 
 
 def main(argv=None) -> None:
@@ -31,20 +34,24 @@ def main(argv=None) -> None:
     # command line leaks into sys.argv.
     args, _ = parser.parse_known_args(argv)
 
-    sim = Simulator()
+    with observe() if args.trace else contextlib.nullcontext() as observation:
+        sim = Simulator()
+        exchange(sim)
 
+    if observation is not None:
+        recorder = observation.views[0].recorder
+        recorder.export_chrome(args.trace)
+        print()
+        print(f"trace: {len(recorder)} events -> {args.trace} "
+              f"(open at https://ui.perfetto.dev)")
+
+
+def exchange(sim) -> None:
+    """Five PDUs from alice to bob, then what bob's interface saw."""
     # Two workstations, each with the offloaded ATM interface.
     alice = HostNetworkInterface(sim, aurora_oc3(), name="alice")
     bob = HostNetworkInterface(sim, aurora_oc3(), name="bob")
     connect(sim, alice, bob)
-
-    recorder = None
-    if args.trace:
-        from repro.obs import TraceRecorder
-
-        recorder = TraceRecorder(sim)
-        alice.attach_trace(recorder)
-        bob.attach_trace(recorder)
 
     # Open a virtual connection (both ends must know it).
     vc = alice.open_vc(name="alice->bob")
@@ -76,12 +83,6 @@ def main(argv=None) -> None:
     print(f"host CPU utilization : {stats.host_cpu_utilization:.1%}")
     print(f"interrupts delivered : {stats.interrupts_delivered} "
           f"(one per PDU, not per cell -- the offload dividend)")
-
-    if recorder is not None:
-        recorder.export_chrome(args.trace)
-        print()
-        print(f"trace: {len(recorder)} events -> {args.trace} "
-              f"(open at https://ui.perfetto.dev)")
 
 
 if __name__ == "__main__":

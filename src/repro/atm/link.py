@@ -108,8 +108,10 @@ class PhysicalLink:
         self.cells_sent = Counter(f"{self.name}.sent")
         self.cells_delivered = Counter(f"{self.name}.delivered")
         self.cells_lost = Counter(f"{self.name}.lost")
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        self.trace = None
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.
+        self.trace = sim.trace
+        sim.components.append(self)
 
     def connect(self, sink: CellSink) -> None:
         """Attach (or replace) the receiving end."""

@@ -81,8 +81,10 @@ class OutputPort:
         self._vc_enqueued: Dict[VcAddress, int] = {}
         self._vc_dropped: Dict[VcAddress, int] = {}
         self._vc_queued: Dict[VcAddress, int] = {}
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        self.trace = None
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.
+        self.trace = sim.trace
+        sim.components.append(self)
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -235,8 +235,9 @@ class SignallingAgent:
         self.calls_timed_out = Counter(f"{self.name}.timed_out")
         self.calls_restored = Counter(f"{self.name}.restored")
         self.setup_duplicates = Counter(f"{self.name}.setup_duplicates")
-        #: Optional TraceRecorder for retry/timeout taxonomy events.
-        self.trace = None
+        #: Optional TraceRecorder for retry/timeout taxonomy events,
+        #: copied from the simulator.
+        self.trace = sim.trace
         #: Fired with the Call whenever one becomes ACTIVE (either
         #: side) -- the recovery plane uses it to protect the VC.
         self.on_call_active: Optional[Callable[[Call], None]] = None
@@ -246,6 +247,7 @@ class SignallingAgent:
         self.on_call_released: Optional[Callable[[Call], None]] = None
 
         self._open_signalling_channel()
+        sim.components.append(self)
 
     # -- wiring ------------------------------------------------------------
 

@@ -33,11 +33,11 @@ class _InputAdapter:
     """Binds a physical input port number to the switch's receive path."""
 
     def __init__(self, switch: "AtmSwitch", port: int) -> None:
-        self._switch = switch
-        self._port = port
+        self.switch = switch
+        self.port = port
 
     def receive_cell(self, cell: AtmCell) -> None:
-        self._switch.receive(self._port, cell)
+        self.switch.receive(self.port, cell)
 
     __call__ = receive_cell
 
@@ -71,6 +71,7 @@ class AtmSwitch:
         #: ``on_cell(port, cell) -> cell`` method sees every transiting
         #: cell after translation and may substitute it (ER stamping).
         self.tm = None
+        sim.components.append(self)
 
     def input(self, port: int) -> _InputAdapter:
         """A cell sink representing input port *port*."""

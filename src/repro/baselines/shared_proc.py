@@ -77,6 +77,11 @@ class SharedEngineClock(EngineClock):
         then(*args)
 
     @property
+    def queued_cycles(self) -> float:
+        """Cycles charged by callers still waiting for the stream."""
+        return sum(item[1] for item in self._waiting)
+
+    @property
     def contention_wait(self) -> float:
         """Mean time work items queued for the shared stream."""
         return self._total_wait / self._granted if self._granted else 0.0

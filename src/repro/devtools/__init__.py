@@ -8,7 +8,8 @@ in :mod:`repro.nic.costs` (the paper's instruction-level accounting
 method), every trace event belongs to the validated taxonomy of
 :mod:`repro.obs.trace`, simulation timestamps are never compared with
 float equality, and the duck-typed observability hooks keep the exact
-call shapes :mod:`repro.obs.runner` installs.  This package turns each
+call shapes of the recorder and profiler :func:`repro.obs.observe`
+installs.  This package turns each
 convention into an AST-checked rule with a stable id, a severity, a
 fix hint, and a suppression syntax -- so a drift between the code and
 the paper's accounting argument fails CI instead of silently skewing

@@ -164,17 +164,15 @@ def _parse_quietly(parser, argv: List[str]):
 def validate_repro_argv(tokens: List[str]) -> Optional[str]:
     """Why ``python -m repro <tokens>`` would not parse, or ``None``.
 
-    Mirrors :func:`repro.cli.main`'s dispatch: ``trace``/``lint``/
-    ``bench`` route to their subcommand parsers, everything else to the
+    Mirrors :func:`repro.cli.main`'s dispatch: ``lint``/``bench``
+    route to their subcommand parsers, everything else to the
     top-level experiment parser -- where, beyond argparse acceptance,
     every positional id must exist in the experiment table and the
     invocation must actually name something to do.
     """
-    if tokens and tokens[0] in ("trace", "lint", "bench"):
+    if tokens and tokens[0] in ("lint", "bench"):
         subcommand, rest = tokens[0], tokens[1:]
-        if subcommand == "trace":
-            from repro.obs.runner import build_parser
-        elif subcommand == "lint":
+        if subcommand == "lint":
             from repro.devtools.cli import build_parser
         else:
             from repro.runner.bench import build_parser

@@ -2,7 +2,7 @@
 
 The observability hooks are duck-typed on purpose: ``repro.nic`` never
 imports ``repro.obs``; each component just guards ``if self.trace is
-not None`` and calls the recorder the runner installed.  Duck typing
+not None`` and calls the recorder its simulator carried.  Duck typing
 means a drifted call site -- a misspelled method, a dropped required
 argument, a keyword the recorder does not take -- fails only when a
 traced run happens to execute that line.  These rules pin every
@@ -103,7 +103,7 @@ def _check_signature(
     "SL5 hook-shape",
     "hook call incompatible with the installed signature",
     hint=(
-        "match the exact signature obs/runner.py installs (see "
+        "match the exact signature repro.obs.observe installs (see "
         "repro.obs.trace / repro.obs.profiler)"
     ),
 )

@@ -16,14 +16,20 @@ buckets.  After a drained run those in-flight buckets read zero and
 the ledger reduces to the steady-state identity::
 
     offered == delivered + sum(itemised drops)
+
+:meth:`CellConservationAuditor.closed` builds the books for a whole
+simulator from its build-order component list, which is how
+:func:`repro.obs.observe` audits any experiment without wiring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.atm.link import PhysicalLink
+from repro.atm.mux import OutputPort
+from repro.atm.switch import AtmSwitch
 
 
 class CellConservationError(AssertionError):
@@ -165,6 +171,69 @@ class ConservationLedger:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class AuditDomain:
+    """What one ledger closes over, by role, and why it cannot close.
+
+    *unclosed* is None unless cells enter or leave by a path no counter
+    here sees.
+    """
+
+    injections: Tuple[PhysicalLink, ...]
+    hops: Tuple[PhysicalLink, ...] = ()
+    receivers: Tuple[Any, ...] = ()
+    switches: Tuple[AtmSwitch, ...] = ()
+    ports: Tuple[OutputPort, ...] = ()
+    unclosed: Optional[str] = None
+
+    @classmethod
+    def of(cls, components: Sequence[Any]) -> "AuditDomain":
+        """The domain of everything in *components* (a build-order list).
+
+        Injections are the links that no output port feeds, hops the
+        port-fed ones; every port, switch and interface is included.
+        The books cannot close when a link delivers to something that
+        is neither a listed interface nor a listed switch's input, or
+        when cells reach an interface's receive FIFO with no link in.
+        """
+        from repro.nic.nic import HostNetworkInterface
+
+        links = [c for c in components if isinstance(c, PhysicalLink)]
+        ports = tuple(c for c in components if isinstance(c, OutputPort))
+        switches = tuple(c for c in components if isinstance(c, AtmSwitch))
+        receivers = tuple(
+            c for c in components if isinstance(c, HostNetworkInterface)
+        )
+        port_fed = {id(port.link) for port in ports}
+        unclosed = None
+        linked = set()
+        for link in links:
+            sink = link.sink
+            nic = next((r for r in receivers if r.rx_input is sink), None)
+            if nic is not None:
+                linked.add(id(nic))
+            elif not any(getattr(sink, "switch", None) is s for s in switches):
+                label = getattr(sink, "name", None) or getattr(
+                    sink, "__name__", type(sink).__name__
+                )
+                unclosed = unclosed or (
+                    f"{link.name} delivers to {label}, outside the ledger"
+                )
+        for nic in receivers:
+            if id(nic) not in linked and nic.rx_fifo.cells_offered:
+                unclosed = unclosed or (
+                    f"{nic.name}'s receive FIFO is fed without a link"
+                )
+        return cls(
+            injections=tuple(x for x in links if id(x) not in port_fed),
+            hops=tuple(x for x in links if id(x) in port_fed),
+            receivers=receivers,
+            switches=switches,
+            ports=ports,
+            unclosed=unclosed,
+        )
+
+
 class CellConservationAuditor:
     """Reconciles a link/receiver pair's counters into a ledger.
 
@@ -188,7 +257,8 @@ class CellConservationAuditor:
     interfaces (their engine buckets merge with the primary
     receiver's).  Every port the named switches feed must then appear
     in *ports* or *extra_links*' upstream, or cells will legitimately
-    escape the ledger.
+    escape the ledger.  :meth:`closed` does that closing from a
+    simulator's component list instead of by hand.
     """
 
     def __init__(
@@ -201,45 +271,64 @@ class CellConservationAuditor:
         extra_injections=(),
         extra_receivers=(),
     ) -> None:
-        self.link = link
-        self.receiver = receiver
-        self.switches = tuple(switches)
-        self.ports = tuple(ports)
-        self.extra_links = tuple(extra_links)
-        self.extra_injections = tuple(extra_injections)
-        self.extra_receivers = tuple(extra_receivers)
+        self._components: Optional[Sequence[Any]] = None
+        self._domain = AuditDomain(
+            injections=(link, *extra_injections),
+            hops=tuple(extra_links),
+            receivers=(receiver, *extra_receivers),
+            switches=tuple(switches),
+            ports=tuple(ports),
+        )
+
+    @classmethod
+    def closed(cls, components: Sequence[Any]) -> "CellConservationAuditor":
+        """The ledger over a simulator's *components*, whatever is built.
+
+        The roles (:meth:`AuditDomain.of`) are taken afresh at every
+        snapshot; :attr:`unclosed` says when the books cannot close.
+        """
+        auditor = cls.__new__(cls)
+        auditor._components = components
+        return auditor
+
+    @property
+    def domain(self) -> AuditDomain:
+        """The links, receivers, switches and ports the books cover."""
+        if self._components is not None:
+            return AuditDomain.of(self._components)
+        return self._domain
+
+    @property
+    def unclosed(self) -> Optional[str]:
+        """Why the books cannot close, or None when they can."""
+        return self.domain.unclosed
 
     def snapshot(self) -> ConservationLedger:
         """Read every counter and assemble the instant's ledger."""
-        link = self.link
-
-        offered = link.cells_sent.count
-        lost = link.cells_lost.count
-        wire = offered - lost - link.cells_delivered.count
-        for inj in self.extra_injections:
+        domain = self.domain
+        offered = lost = wire = 0
+        for inj in domain.injections:
             inj_sent = inj.cells_sent.count
             inj_lost = inj.cells_lost.count
             offered += inj_sent
             lost += inj_lost
             wire += inj_sent - inj_lost - inj.cells_delivered.count
-        for hop in self.extra_links:
+        for hop in domain.hops:
             hop_lost = hop.cells_lost.count
             lost += hop_lost
             wire += hop.cells_sent.count - hop_lost - hop.cells_delivered.count
 
         unroutable = sum(
-            sw.cells_unroutable.count for sw in self.switches
+            sw.cells_unroutable.count for sw in domain.switches
         )
-        fabric = sum(sw.cells_switched.count for sw in self.switches) - sum(
-            port.enqueued.count + port.dropped.count for port in self.ports
+        fabric = sum(sw.cells_switched.count for sw in domain.switches) - sum(
+            port.enqueued.count + port.dropped.count for port in domain.ports
         )
-        clp_discarded = sum(port.dropped_clp.count for port in self.ports)
-        port_full = sum(port.dropped_full.count for port in self.ports)
-        port_queued = sum(port.backlog for port in self.ports)
+        clp_discarded = sum(port.dropped_clp.count for port in domain.ports)
+        port_full = sum(port.dropped_full.count for port in domain.ports)
+        port_queued = sum(port.backlog for port in domain.ports)
 
-        engines = [self.receiver.rx_engine] + [
-            r.rx_engine for r in self.extra_receivers
-        ]
+        engines = [r.rx_engine for r in domain.receivers]
         engine_in_flight = 0
         delivered = 0
         to_host = 0

@@ -57,8 +57,9 @@ class DmaEngine:
         self.transfers = Counter(f"{name}.transfers")
         self.bytes_moved = Counter(f"{name}.bytes")
         self.latency = WelfordStat()
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        self.trace = None
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.
+        self.trace = sim.trace
 
     def transfer(self, nbytes: int) -> Event:
         """Event firing when *nbytes* have fully moved across the bus."""

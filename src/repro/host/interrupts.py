@@ -67,8 +67,9 @@ class InterruptController:
         self.raised = Counter(f"{name}.raised")
         self.delivered = Counter(f"{name}.delivered")
         self.spurious = Counter(f"{name}.spurious")
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        self.trace = None
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.
+        self.trace = sim.trace
         self._pending: _Batch = []
         self._pending_events: list[Event] = []
         self._delivery_scheduled = False

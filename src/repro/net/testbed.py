@@ -18,8 +18,9 @@ replaces that with declarations::
 ``build`` returns a :class:`Scenario` holding the live objects by name
 (``net.hosts["s0"]``, ``net.ports["bottleneck"]``...), with dynamic
 route management (:meth:`Scenario.add_route` /
-:meth:`Scenario.remove_route`) for session churn and one-call
-instrumentation through :func:`repro.obs.instrument`.
+:meth:`Scenario.remove_route`) for session churn.  Observation needs no
+wiring here: every component built takes its hooks from the simulator
+(see :func:`repro.obs.observe`).
 
 Determinism contract: only :class:`HostNetworkInterface` construction
 touches the simulator's event-sequence numbering, and hosts are built
@@ -141,28 +142,6 @@ class Scenario:
         """Tear down what :meth:`add_route` installed (RELEASE time)."""
         for node, in_idx, _out_idx in self._hops(path):
             self.switches[node].remove_routes(in_idx, address)
-
-    # -- observability ----------------------------------------------------
-
-    def instrument(self, registry: Any, trace: Any = None) -> None:
-        """Register every host, port, and link with *registry*.
-
-        Uses the type-dispatched :func:`repro.obs.instrument`, prefixing
-        each metric family with the declared name.  When *trace* is
-        given it is attached to every host and link.
-        """
-        from repro.obs import instrument
-
-        for name, nic in self.hosts.items():
-            instrument(registry, nic, prefix=f"{name}.")
-            if trace is not None:
-                nic.attach_trace(trace)
-        for name, port in self.ports.items():
-            instrument(registry, port, prefix=f"{name}.")
-        for name, link in self.links.items():
-            instrument(registry, link, prefix=f"{name}.")
-            if trace is not None:
-                link.trace = trace
 
 
 class Testbed:

@@ -76,9 +76,10 @@ class Cam(Generic[K, V]):
         #: misses are tallied separately from genuine ones.
         self.fault_hook: Optional[Callable[[K], bool]] = None
         self.forced_misses = 0
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        #: Lookups then emit ``rx.cam.hit`` / ``rx.cam.miss`` events,
-        #: and LRU displacement emits ``rx.cam.evict``.
+        #: Observability hook (repro.obs): a TraceRecorder, or None;
+        #: the owning interface copies its simulator's.  Lookups then
+        #: emit ``rx.cam.hit`` / ``rx.cam.miss`` events, and LRU
+        #: displacement emits ``rx.cam.evict``.
         self.trace = None
 
     def __len__(self) -> int:

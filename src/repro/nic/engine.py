@@ -39,9 +39,10 @@ class EngineClock:
         self.stalled_time = 0.0
         #: Number of injected stalls absorbed.
         self.stalls_taken = 0
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        #: Each ``work()`` call then becomes an ``engine.work`` span.
-        self.trace = None
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.  Each ``work()`` call then becomes an
+        #: ``engine.work`` span.
+        self.trace = sim.trace
 
     def request_stall(self, duration: float) -> None:
         """Fault-injection hook: freeze the engine for *duration* seconds.

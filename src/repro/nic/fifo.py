@@ -55,8 +55,9 @@ class CellFifo:
         self.peak_occupancy = 0
         self.occupancy = TimeWeightedStat(sim.now, 0)
         self.overflows = Counter(f"{name}.overflow")
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        self.trace = None
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.
+        self.trace = sim.trace
 
     def __len__(self) -> int:
         return len(self._cells)

@@ -134,6 +134,8 @@ class HostNetworkInterface:
             if config.cam_entries is not None
             else None
         )
+        if self.cam is not None:
+            self.cam.trace = sim.trace
         self.tx_ring = DescriptorRing(
             sim, config.tx_ring_depth, name=f"{name}.txring"
         )
@@ -203,10 +205,11 @@ class HostNetworkInterface:
         #: User callback: invoked with each RxCompletion after the host
         #: OS receive path has run.
         self.on_pdu: Optional[Callable[[RxCompletion], None]] = None
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        #: Set by :meth:`attach_trace` alongside every subcomponent.
-        self.trace = None
+        #: Observability hook (repro.obs), copied from the simulator
+        #: like every subcomponent's: a TraceRecorder, or None.
+        self.trace = sim.trace
         self._started = False
+        sim.components.append(self)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -225,30 +228,6 @@ class HostNetworkInterface:
     def attach_tx_link(self, link: PhysicalLink) -> None:
         """Point the transmit framer at an outbound link."""
         self.framer.attach(link)
-        if self.trace is not None:
-            link.trace = self.trace
-
-    def attach_trace(self, recorder) -> None:
-        """Wire a :class:`repro.obs.trace.TraceRecorder` through the
-        whole interface: both engines, both FIFOs, both engine clocks,
-        the CAM, both DMA movers, the interrupt controller, and the
-        outbound link if one is already attached.  Pass ``None`` to
-        detach.  Duck-typed so this package never imports ``repro.obs``.
-        """
-        self.trace = recorder
-        self.tx_engine.trace = recorder
-        self.rx_engine.trace = recorder
-        self.tx_fifo.trace = recorder
-        self.rx_fifo.trace = recorder
-        self.tx_clock.trace = recorder
-        self.rx_clock.trace = recorder
-        if self.cam is not None:
-            self.cam.trace = recorder
-        self.tx_dma.trace = recorder
-        self.rx_dma.trace = recorder
-        self.interrupts.trace = recorder
-        if self.framer.link is not None:
-            self.framer.link.trace = recorder
 
     @property
     def rx_input(self):

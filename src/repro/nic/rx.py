@@ -152,11 +152,11 @@ class RxEngine:
         self.throughput = ThroughputMeter(sim)
         #: Last-cell arrival to host-memory delivery, per PDU.
         self.completion_latency = WelfordStat()
-        #: Observability hooks (repro.obs): a TraceRecorder and a
-        #: CycleProfiler, or None.  Duck-typed -- the NIC package never
-        #: imports the obs package.
-        self.trace = None
-        self.profiler = None
+        #: Observability hooks (repro.obs), copied from the simulator:
+        #: a TraceRecorder and a CycleProfiler, or None.  Duck-typed --
+        #: the NIC package never imports the obs package.
+        self.trace = sim.trace
+        self.profiler = sim.profiler
         if hasattr(self.reassembler, "on_discard"):
             self.reassembler.on_discard = self._reassembly_discarded
         self._started = False

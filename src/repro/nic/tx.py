@@ -84,11 +84,11 @@ class TxEngine:
         self.throughput = ThroughputMeter(sim)
         #: Descriptor-posted to completion-writeback time per PDU.
         self.service_time = WelfordStat()
-        #: Observability hooks (repro.obs): a TraceRecorder and a
-        #: CycleProfiler, or None.  Duck-typed -- the NIC package never
-        #: imports the obs package.
-        self.trace = None
-        self.profiler = None
+        #: Observability hooks (repro.obs), copied from the simulator:
+        #: a TraceRecorder and a CycleProfiler, or None.  Duck-typed --
+        #: the NIC package never imports the obs package.
+        self.trace = sim.trace
+        self.profiler = sim.profiler
         self._started = False
         # The PDU in service: its descriptor, when the engine took it,
         # its cells, the next cell's index and the pacing interval.

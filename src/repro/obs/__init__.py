@@ -19,34 +19,28 @@ this package makes the *run itself* observable, three ways:
   run.
 
 All hooks are duck-typed attributes (``component.trace``,
-``engine.profiler``) that default to ``None``: the pipeline packages
-never import this one, and a disabled hook costs a single attribute
-test on the hot path.
+``engine.profiler``) that every component copies from its simulator
+when it is built; the pipeline packages never import this one, and an
+unobserved run costs a single attribute test per would-be event.
+:mod:`repro.obs.observe` is the one way to fill them in: every
+simulator built inside :func:`observe` gets a recorder, a registry
+over its components, a profiler and a closed conservation ledger::
 
-Usage -- instrument any testbed in three lines each::
+    from repro.obs import observe
 
-    from repro.obs import (
-        CycleProfiler, MetricsRegistry, TraceRecorder,
-        instrument, profile_interface,
-    )
-
-    recorder = TraceRecorder(sim)
-    nic.attach_trace(recorder)            # every component now emits
-
-    registry = MetricsRegistry(sim)
-    instrument(registry, nic)             # standard counter/gauge set
-    registry.start_sampling(period=1e-4)
-
-    profiler = profile_interface(nic)     # cycle attribution
-
-    sim.run(until=0.02)
-    recorder.export_chrome("trace.json")  # load at ui.perfetto.dev
-    registry.to_csv("metrics.csv")
-    print(profiler.render())              # measured T1'/T2' tables
+    with observe() as observation:
+        sim = Simulator()
+        ...build any scenario on sim, or call any run_*...
+        sim.run(until=0.02)
+    view = observation.views[0]
+    view.recorder.export_chrome("trace.json")  # load at ui.perfetto.dev
+    view.registry.to_csv("metrics.csv")
+    print(view.profiler.render())              # measured T1'/T2' tables
+    print(view.ledger.snapshot().format())     # cell conservation
 
 See ``docs/OBSERVABILITY.md`` for the full event taxonomy and exporter
-formats, and ``python -m repro trace`` for the command-line entry
-point.
+formats, and ``python -m repro <ID> --trace PATH --metrics PATH
+--profile --audit`` for the command-line entry point.
 """
 
 from repro.obs.metrics import (
@@ -58,17 +52,15 @@ from repro.obs.metrics import (
     instrument,
     topk_book,
 )
-from repro.obs.profiler import (
-    PHASE_OF_OP,
-    PHASES,
-    CycleProfiler,
-    profile_interface,
-)
+from repro.obs.observe import Observation, SimulatorView, observe
+from repro.obs.profiler import PHASE_OF_OP, PHASES, CycleProfiler
 from repro.obs.trace import (
     DROP_REASONS,
+    EVENT_CAP,
     EVENT_TAXONOMY,
     TraceEvent,
     TraceRecorder,
+    TraceWriter,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -76,6 +68,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "DROP_REASONS",
+    "EVENT_CAP",
     "EVENT_TAXONOMY",
     "INSTRUMENT_DISPATCH",
     "KINDS",
@@ -85,10 +78,13 @@ __all__ = [
     "CycleProfiler",
     "Metric",
     "MetricsRegistry",
+    "Observation",
+    "SimulatorView",
     "TraceEvent",
     "TraceRecorder",
+    "TraceWriter",
     "instrument",
-    "profile_interface",
+    "observe",
     "read_jsonl",
     "topk_book",
     "write_chrome_trace",

@@ -12,7 +12,7 @@ the registry exists.
 On top of the namespace the registry offers:
 
 - :meth:`MetricsRegistry.snapshot` -- read every metric now;
-- :meth:`MetricsRegistry.start_sampling` -- a simulation process that
+- :meth:`MetricsRegistry.start_sampling` -- a simulation timer that
   snapshots every *period* seconds into per-metric
   :class:`~repro.sim.monitor.SeriesRecorder` time series;
 - :meth:`MetricsRegistry.to_json` / :meth:`MetricsRegistry.to_csv` --
@@ -64,7 +64,7 @@ class MetricsRegistry:
         self.sim = sim
         self._metrics: Dict[str, Metric] = {}
         self.series: Dict[str, SeriesRecorder] = {}
-        self._sampler = None
+        self._sampling = False
         self.samples_taken = 0
 
     # -- registration -----------------------------------------------------
@@ -131,27 +131,30 @@ class MetricsRegistry:
                 series = self.series[name] = SeriesRecorder(name)
             series.record(now, float(value))
 
-    def start_sampling(self, period: float) -> None:
-        """Launch a sim process sampling every *period* seconds."""
+    def start_sampling(self, period: float, until: Optional[float] = None) -> None:
+        """Sample now and every *period* seconds after, up to *until*.
+
+        Without *until* the sampler never stops, so the simulation must
+        be run with a horizon.
+        """
         if period <= 0:
             raise ValueError("sampling period must be positive")
-        if self._sampler is not None:
+        if self._sampling:
             raise RuntimeError("sampling already started")
+        self._sampling = True
 
-        def _pump():
-            while True:
-                self.sample()
-                yield self.sim.timeout(period)
+        def tick() -> None:
+            self.sample()
+            if until is None or self.sim.now + period <= until:
+                self.sim.schedule_call(period, tick)
 
-        self._sampler = self.sim.process(_pump())
+        tick()
 
     # -- export -----------------------------------------------------------
 
-    def to_json(
-        self, destination: Optional[Union[str, IO[str]]] = None
-    ) -> str:
-        """Snapshot + sampled series as a JSON document."""
-        document = {
+    def to_document(self) -> Dict[str, Any]:
+        """Snapshot + sampled series as a JSON-ready dict."""
+        return {
             "now": self.sim.now,
             "metrics": [
                 {
@@ -168,7 +171,12 @@ class MetricsRegistry:
                 for name, s in sorted(self.series.items())
             },
         }
-        text = json.dumps(document, indent=2, sort_keys=True)
+
+    def to_json(
+        self, destination: Optional[Union[str, IO[str]]] = None
+    ) -> str:
+        """:meth:`to_document` as JSON text (also written to *destination*)."""
+        text = json.dumps(self.to_document(), indent=2, sort_keys=True)
         if destination is not None:
             if isinstance(destination, str):
                 with open(destination, "w", encoding="utf-8") as handle:
@@ -257,7 +265,7 @@ def _instrument_interface(
     carry: FIFO occupancy/fill, adaptor buffer-memory fill, engine
     utilisation, and DMA backlogs.
     """
-    p = f"{prefix or nic.name}."
+    p = prefix or f"{nic.name}."
     tx, rx = nic.tx_engine, nic.rx_engine
 
     def count_of(counter):
@@ -506,7 +514,7 @@ def _instrument_port(
     churning VCs an unbounded per-VC dict would dominate every metrics
     export.
     """
-    p = f"{prefix or port.name}."
+    p = prefix or f"{port.name}."
     for name, counter, description in (
         ("enqueued", port.enqueued, "cells admitted to the buffer"),
         ("dropped", port.dropped, "cells refused (all causes)"),
@@ -550,7 +558,7 @@ def _instrument_abr(
     registry: MetricsRegistry, agent, prefix: Optional[str] = None
 ) -> None:
     """Expose an :class:`repro.tm.abr.AbrAgent`'s control-loop counters."""
-    p = f"{prefix or agent.name}."
+    p = prefix or f"{agent.name}."
     for name, description in (
         ("rm_sent", "forward RM cells generated"),
         ("rm_received", "RM cells consumed off the management lane"),
@@ -571,7 +579,7 @@ def _instrument_erica(
     registry: MetricsRegistry, allocator, prefix: Optional[str] = None
 ) -> None:
     """Expose an :class:`repro.tm.erica.EricaAllocator`'s counters."""
-    p = f"{prefix or allocator.name}."
+    p = prefix or f"{allocator.name}."
     registry.counter(
         p + "rm_seen",
         lambda: allocator.rm_seen.count,
@@ -590,7 +598,7 @@ def _instrument_cac(
     registry: MetricsRegistry, cac, prefix: Optional[str] = None
 ) -> None:
     """Expose a :class:`repro.tm.cac.CallAdmissionController`'s books."""
-    p = f"{prefix or cac.name}."
+    p = prefix or f"{cac.name}."
     registry.counter(
         p + "admitted",
         lambda: cac.calls_admitted.count,
@@ -693,7 +701,7 @@ def _instrument_sessions(
     All per-session quantities are aggregates or bounded top-K books:
     the engine drives thousands of VCs, so the registry must stay O(K).
     """
-    p = f"{prefix or engine.name}."
+    p = prefix or f"{engine.name}."
     for name, description in (
         ("placed", "calls placed (SETUP sent)"),
         ("connected", "calls that reached ACTIVE"),
@@ -763,15 +771,21 @@ INSTRUMENT_DISPATCH: Dict[str, Callable[..., None]] = {
 }
 
 
+def instrumentable(obj: Any) -> bool:
+    """True when :func:`instrument` has a metric set for *obj*'s class."""
+    return any(k.__name__ in INSTRUMENT_DISPATCH for k in type(obj).__mro__)
+
+
 def instrument(registry: MetricsRegistry, obj: Any, prefix: str = "") -> None:
     """Register the standard metric set for *obj*, whatever it is.
 
     Dispatches on the object's class (walking the MRO, so subclasses
     of instrumentable types work) through :data:`INSTRUMENT_DISPATCH`.
-    An empty *prefix* uses each instrumenter's documented default --
-    usually the object's own ``name`` -- exactly as the historical
-    per-type entry points did; raise :class:`TypeError` for objects no
-    instrumenter covers rather than silently registering nothing.
+    Every metric name is *prefix* (trailing dot included) plus the
+    metric's own name; an empty *prefix* uses each instrumenter's
+    documented default -- usually the object's own ``name`` and a dot.
+    Raises :class:`TypeError` for objects no instrumenter covers rather
+    than silently registering nothing.
     """
     for klass in type(obj).__mro__:
         target = INSTRUMENT_DISPATCH.get(klass.__name__)

@@ -25,9 +25,10 @@ Operations also roll up into the paper's four analysis *phases*:
   traffic, context open/close, trailer work;
 - **oam** -- management-cell handling (outside the paper's tables).
 
-Attach with :func:`profile_interface`, or set ``engine.profiler``
-directly; detach by setting it back to ``None``.  Like tracing, the
-hot-path cost when detached is one attribute test per cell.
+Every engine copies its simulator's ``profiler`` when it is built, so
+one profiler per simulator sees every engine; :func:`repro.obs.observe`
+supplies it.  Like tracing, the hot-path cost without one is one
+attribute test per cell.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ class CycleProfiler:
         return rows
 
     def render(self) -> str:
-        """All three tables as text (the ``trace``/O1 report body)."""
+        """All three tables as text (the ``--profile``/O1 report body)."""
         from repro.results.tables import format_table
 
         sections = []
@@ -280,13 +281,3 @@ class CycleProfiler:
             )
         return "\n\n".join(sections)
 
-
-def profile_interface(
-    nic, profiler: Optional[CycleProfiler] = None
-) -> CycleProfiler:
-    """Attach a profiler to both of an interface's engines."""
-    if profiler is None:
-        profiler = CycleProfiler()
-    nic.tx_engine.profiler = profiler
-    nic.rx_engine.profiler = profiler
-    return profiler

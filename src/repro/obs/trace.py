@@ -14,14 +14,17 @@ Instrumentation contract
 ------------------------
 
 Every instrumented component (TX/RX engines, FIFOs, CAM, links, DMA,
-interrupt controller, engine clocks) carries a ``trace`` attribute that
-defaults to ``None``.  The hot paths guard each emission with a single
-``if self.trace is not None`` test, so an uninstrumented simulation
-pays one attribute load + comparison per would-be event -- in practice
-unmeasurable (see ``tests/test_obs.py``).  Attaching a recorder
-with ``enabled=False`` additionally short-circuits inside
-:meth:`TraceRecorder.emit`, so tracing can be toggled mid-run without
-re-wiring.
+interrupt controller, engine clocks, ports and the control-plane
+agents) carries a ``trace`` attribute copied from its simulator when it
+is built: a recorder inside :func:`repro.obs.observe`, else ``None``.
+The hot paths guard each emission with a single ``if self.trace is not
+None`` test, so an unobserved simulation pays one attribute load +
+comparison per would-be event.
+
+A recorder keeps the first :data:`EVENT_CAP` events and only counts
+the rest (:attr:`TraceRecorder.overflow`), so a full-size run cannot
+exhaust memory; its exports end with a ``trace.overflow`` record of
+that count.
 
 Identity
 --------
@@ -49,7 +52,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterable, List, Optional, Union
+from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Union
 
 # ---------------------------------------------------------------------------
 # taxonomy
@@ -114,6 +117,8 @@ EVENT_TAXONOMY: Dict[str, str] = {
     "port.efci": "output port set EFCI on a user cell (queue pressure)",
     "cac.admit": "call admission booked a SETUP's traffic contract",
     "cac.reject": "call admission refused a SETUP (cause annotated)",
+    # -- the recorder itself (written at export, never emitted) -----------
+    "trace.overflow": "events past the recorder's cap, counted not kept",
 }
 
 #: Every value the ``reason`` argument of a drop event can take.  The
@@ -145,12 +150,16 @@ DROP_REASONS: Dict[str, str] = {
 }
 
 
+#: Events one recorder keeps; those after it are counted, not kept.
+EVENT_CAP = 500_000
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One timestamped occurrence in a cell's or PDU's life."""
 
@@ -162,8 +171,11 @@ class TraceEvent:
     vc: Optional[str] = None
     args: Dict[str, Any] = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_json(self, sim: Optional[str] = None) -> str:
+        """One JSON line; *sim* names the simulator's track, if any."""
         record: Dict[str, Any] = {"ts": self.ts, "name": self.name}
+        if sim is not None:
+            record["sim"] = sim
         if self.actor:
             record["actor"] = self.actor
         if self.cell_id is not None:
@@ -198,24 +210,27 @@ class TraceEvent:
 class TraceRecorder:
     """Collects :class:`TraceEvent` records from instrumented components.
 
-    Attach with :meth:`repro.nic.nic.HostNetworkInterface.attach_trace`
-    (or by assigning any component's ``trace`` attribute), then query
-    in memory or export::
+    :func:`repro.obs.observe` gives every simulator built inside it a
+    recorder, which each component copies when it is built; query the
+    events in memory or export them::
 
-        recorder = TraceRecorder(sim)
-        nic.attach_trace(recorder)
-        ...run...
+        with observe() as observation:
+            ...build and run...
+        recorder = observation.views[0].recorder
         recorder.export_chrome("trace.json")     # open in Perfetto
         recorder.export_jsonl("trace.jsonl")     # grep/jq-friendly
 
-    The recorder is deliberately dumb on the hot path: one ``enabled``
-    test, one object construction, one list append per event.
+    The recorder is deliberately dumb on the hot path: one taxonomy
+    test, one cap test, one object construction, one list append per
+    event.
     """
 
-    def __init__(self, sim, enabled: bool = True) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.enabled = enabled
         self.events: List[TraceEvent] = []
+        #: Events emitted after the first :data:`EVENT_CAP`: counted,
+        #: not kept.
+        self.overflow = 0
         self._cell_ids = itertools.count(1)
 
     # -- recording --------------------------------------------------------
@@ -230,19 +245,20 @@ class TraceRecorder:
         vc=None,
         **args: Any,
     ) -> None:
-        """Record one event (no-op while disabled).
+        """Record one event (past the cap, count it).
 
         *cell* may be an :class:`~repro.atm.cell.AtmCell`; its ``meta``
         ids and VC fill any identity fields not given explicitly.
         Events are stamped with the current simulation time.
         """
-        if not self.enabled:
-            return
         if name not in EVENT_TAXONOMY:
             raise ValueError(
                 f"{name!r} is not in EVENT_TAXONOMY; declare new event "
                 "names there (and in docs/OBSERVABILITY.md) first"
             )
+        if len(self.events) >= EVENT_CAP:
+            self.overflow += 1
+            return
         if cell is not None:
             meta = cell.meta
             if cell_id is None:
@@ -276,9 +292,6 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self.events)
 
-    def clear(self) -> None:
-        self.events.clear()
-
     # -- queries ----------------------------------------------------------
 
     def by_name(self, name: str) -> List[TraceEvent]:
@@ -301,17 +314,28 @@ class TraceRecorder:
 
     # -- exporters --------------------------------------------------------
 
+    def exported(self) -> Iterator[TraceEvent]:
+        """The kept events, then a ``trace.overflow`` record if any were not."""
+        yield from self.events
+        if self.overflow:
+            yield TraceEvent(
+                ts=self.sim.now,
+                name="trace.overflow",
+                actor="recorder",
+                args={"events": self.overflow},
+            )
+
     def export_jsonl(self, destination: Union[str, IO[str]]) -> int:
-        """One JSON object per line; returns the event count written."""
-        return write_jsonl(self.events, destination)
+        """One JSON object per line; returns the record count written."""
+        return write_jsonl(self.exported(), destination)
 
     def export_chrome(self, destination: Union[str, IO[str]]) -> int:
         """Chrome ``trace_event`` JSON, loadable by Perfetto."""
-        return write_chrome_trace(self.events, destination)
+        return write_chrome_trace(self.exported(), destination)
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers (usable on any iterable of events)
+# serialization (usable on any iterable of events)
 # ---------------------------------------------------------------------------
 
 
@@ -324,17 +348,9 @@ def _open_sink(destination: Union[str, IO[str]]):
 def write_jsonl(
     events: Iterable[TraceEvent], destination: Union[str, IO[str]]
 ) -> int:
-    sink, owned = _open_sink(destination)
-    try:
-        count = 0
-        for ev in events:
-            sink.write(ev.to_json())
-            sink.write("\n")
-            count += 1
-        return count
-    finally:
-        if owned:
-            sink.close()
+    """One JSON object per line; returns the event count written."""
+    with TraceWriter(destination, chrome=False) as writer:
+        return writer.add(None, events)
 
 
 def read_jsonl(source: Union[str, IO[str]]) -> List[TraceEvent]:
@@ -350,9 +366,18 @@ def read_jsonl(source: Union[str, IO[str]]) -> List[TraceEvent]:
 def write_chrome_trace(
     events: Iterable[TraceEvent], destination: Union[str, IO[str]]
 ) -> int:
-    """Render events in the Chrome ``trace_event`` format.
+    """Render events as one process in the Chrome ``trace_event`` format."""
+    with TraceWriter(destination, chrome=True) as writer:
+        return writer.add("sim", events)
 
-    Mapping choices:
+
+class TraceWriter:
+    """Streams traces, one track per simulator, into one file.
+
+    With *chrome* false the file is JSON lines, each tagged with its
+    track's name under ``"sim"`` (untagged for a ``None`` track).
+    With *chrome* true it is a Chrome ``trace_event`` document in
+    which every track is one process, and within it:
 
     - every actor becomes a named *thread* (one swimlane per component);
     - ``engine.work`` events carry a ``dur`` argument and become
@@ -363,90 +388,94 @@ def write_chrome_trace(
     - everything else is an instant event (``ph: "i"``).
 
     Timestamps are exported in microseconds, the unit the format
-    specifies.
+    specifies.  Records are written as they are added, so a trace is
+    never held in memory as one document.
     """
-    tids: Dict[str, int] = {}
-    trace_events: List[Dict[str, Any]] = []
 
-    def tid_of(actor: str) -> int:
-        tid = tids.get(actor)
-        if tid is None:
-            tid = len(tids) + 1
-            tids[actor] = tid
-            trace_events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {"name": actor or "sim"},
-                }
-            )
-        return tid
+    def __init__(self, destination: Union[str, IO[str]], chrome: bool) -> None:
+        self._sink, self._owned = _open_sink(destination)
+        self.chrome = chrome
+        self._pid = 0
+        self._first = True
+        if chrome:
+            self._sink.write('{"traceEvents": [')
 
-    count = 0
-    for ev in events:
-        count += 1
-        ts_us = ev.ts * 1e6
-        args: Dict[str, Any] = dict(ev.args)
-        if ev.cell_id is not None:
-            args["cell_id"] = ev.cell_id
-        if ev.pdu_id is not None:
-            args["pdu_id"] = ev.pdu_id
-        if ev.vc is not None:
-            args["vc"] = ev.vc
-        tid = tid_of(ev.actor)
-        if ev.name == "engine.work" and "dur" in ev.args:
-            trace_events.append(
-                {
-                    "name": str(args.get("tag", "work")),
-                    "cat": "engine",
-                    "ph": "X",
-                    "ts": ts_us,
-                    "dur": ev.args["dur"] * 1e6,
-                    "pid": 1,
-                    "tid": tid,
-                    "args": args,
-                }
-            )
-            continue
-        trace_events.append(
-            {
-                "name": ev.name,
-                "cat": ev.name.split(".")[0],
-                "ph": "i",
-                "ts": ts_us,
-                "pid": 1,
-                "tid": tid,
-                "s": "t",
-                "args": args,
-            }
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def add(self, track: Optional[str], events: Iterable[TraceEvent]) -> int:
+        """Write *events* as the track *track*; returns the count."""
+        if not self.chrome:
+            count = 0
+            for ev in events:
+                self._sink.write(ev.to_json(track))
+                self._sink.write("\n")
+                count += 1
+            return count
+        self._pid += 1
+        pid = self._pid
+        self._put(
+            {"name": "process_name", "ph": "M", "pid": pid,
+             "args": {"name": track}}
         )
-        if ev.name in ("fifo.enq", "fifo.deq") and "occupancy" in ev.args:
-            trace_events.append(
-                {
-                    "name": f"{ev.actor} occupancy",
-                    "ph": "C",
-                    "ts": ts_us,
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {"cells": ev.args["occupancy"]},
-                }
+        tids: Dict[str, int] = {}
+        count = 0
+        for ev in events:
+            count += 1
+            tid = tids.get(ev.actor)
+            if tid is None:
+                tid = tids[ev.actor] = len(tids) + 1
+                self._put(
+                    {"name": "thread_name", "ph": "M", "pid": pid,
+                     "tid": tid, "args": {"name": ev.actor or "sim"}}
+                )
+            ts_us = ev.ts * 1e6
+            args: Dict[str, Any] = dict(ev.args)
+            if ev.cell_id is not None:
+                args["cell_id"] = ev.cell_id
+            if ev.pdu_id is not None:
+                args["pdu_id"] = ev.pdu_id
+            if ev.vc is not None:
+                args["vc"] = ev.vc
+            if ev.name == "engine.work" and "dur" in ev.args:
+                self._put(
+                    {"name": str(args.get("tag", "work")), "cat": "engine",
+                     "ph": "X", "ts": ts_us, "dur": ev.args["dur"] * 1e6,
+                     "pid": pid, "tid": tid, "args": args}
+                )
+                continue
+            self._put(
+                {"name": ev.name, "cat": ev.name.split(".")[0], "ph": "i",
+                 "ts": ts_us, "pid": pid, "tid": tid, "s": "t",
+                 "args": args}
             )
+            if ev.name in ("fifo.enq", "fifo.deq") and "occupancy" in ev.args:
+                self._put(
+                    {"name": f"{ev.actor} occupancy", "ph": "C",
+                     "ts": ts_us, "pid": pid, "tid": tid,
+                     "args": {"cells": ev.args["occupancy"]}}
+                )
+        return count
 
-    document = {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "source": "repro.obs.trace",
-            "paper": "A Host-Network Interface Architecture for ATM "
-            "(SIGCOMM '91)",
-        },
-    }
-    sink, owned = _open_sink(destination)
-    try:
-        json.dump(document, sink)
-    finally:
-        if owned:
-            sink.close()
-    return count
+    def _put(self, record: Dict[str, Any]) -> None:
+        if not self._first:
+            self._sink.write(", ")
+        self._first = False
+        self._sink.write(json.dumps(record))
+
+    def close(self) -> None:
+        """Finish the document (and close a file this writer opened)."""
+        if self._sink is None:
+            return
+        if self.chrome:
+            self._sink.write(
+                '], "displayTimeUnit": "ns", "otherData": {"source": '
+                '"repro.obs.trace", "paper": "A Host-Network Interface '
+                "Architecture for ATM (SIGCOMM '91)\"}}"
+            )
+        if self._owned:
+            self._sink.close()
+        self._sink = None

@@ -136,8 +136,10 @@ class LinkSupervisor:
         self.on_recovered: Optional[Callable[[FrozenSet[VcAddress]], None]] = None
         #: Fired when a VC first enters the alarmed set.
         self.on_vc_alarm: Optional[Callable[[VcAddress, str], None]] = None
-        #: Observability hook (TraceRecorder), duck-typed.
-        self.trace = None
+        #: Observability hook (TraceRecorder), duck-typed, copied from
+        #: the simulator.
+        self.trace = sim.trace
+        sim.components.append(self)
 
         self.cc_source = ContinuityCheckSource(
             sim,

@@ -1398,13 +1398,13 @@ def run_a1(
         title="Goodput: AAL5-class vs AAL3/4 data path (STS-3c)",
         series=series,
     )
-    aal5 = series.column("aal5_mbps")
-    aal34 = series.column("aal34_mbps")
-    result.metrics["efficiency_ratio_at_mtu"] = (
-        aal34[sizes.index(9180)] / aal5[sizes.index(9180)]
-        if aal5[sizes.index(9180)]
-        else 0.0
-    )
+    if 9180 in sizes:
+        mtu = sizes.index(9180)
+        aal5 = series.column("aal5_mbps")[mtu]
+        aal34 = series.column("aal34_mbps")[mtu]
+        result.metrics["efficiency_ratio_at_mtu"] = (
+            aal34 / aal5 if aal5 else 0.0
+        )
     result.notes.append(
         "the 4-bytes-per-cell SAR tax costs AAL3/4 ~8% of goodput at "
         "saturation -- the quantitative case for the AAL5 lineage"
@@ -1654,28 +1654,11 @@ def _r1_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float
     sequence is a function of the point, never of the worker that
     happens to execute it.
     """
-    return _r1_measure(
-        lab_host(aurora_oc12()),
-        params["loss_rate"],
-        params["n_vcs"],
-        params["sdu_size"],
-        params["window"],
-        params["seed"],
-    )
-
-
-def _r1_measure(
-    base: NicConfig,
-    p: float,
-    n_vcs: int,
-    sdu_size: int,
-    window: float,
-    seed: int,
-) -> Dict[str, float]:
-    """Measure one R1 loss-rate point on *base* (host costs pre-zeroed)."""
     from repro.atm.errors import UniformLoss
     from repro.nic.rx import FrameDiscardPolicy
 
+    n_vcs, window = params["n_vcs"], params["window"]
+    base = lab_host(aurora_oc12())
     policies = (
         ("discard_off_mbps", None),
         ("epd_ppd_mbps", FrameDiscardPolicy()),
@@ -1695,7 +1678,8 @@ def _r1_measure(
             cfg.link,
             sink=nic.rx_input,
             loss_model=UniformLoss(
-                p, rng=RandomStreams(seed).stream("r1.loss")
+                params["loss_rate"],
+                rng=RandomStreams(params["seed"]).stream("r1.loss"),
             ),
             name="lossy-wire",
         )
@@ -1704,7 +1688,7 @@ def _r1_measure(
             sink=link.send,
             link=cfg.link,
             n_vcs=n_vcs,
-            sdu_size=sdu_size,
+            sdu_size=params["sdu_size"],
         )
         source.start()
         sim.run(until=window)
@@ -1736,12 +1720,11 @@ def run_r1(
 
     R1 sweeps loss rates under one loss-model seed, so only the first
     entry of *seeds* is used (historically the ``seed=7`` parameter).
+    Sweep points derive their config (OC-12c, host software zeroed),
+    so *config* is accepted only for the uniform contract.
     """
+    del config
     seed = seeds[0] if seeds else 7
-    if config is not None:
-        # A custom config is not a sweepable (JSON) parameter; run the
-        # kernel-equivalent loop inline for that research use.
-        return _run_r1_custom(config, loss_rates, n_vcs, sdu_size, window, seed)
     spec = SweepSpec.grid(
         "R1",
         axes={"loss_rate": loss_rates},
@@ -1757,37 +1740,6 @@ def run_r1(
     series = sweep_run.series(name="goodput under loss", x_label="loss_rate")
     series.x_label = "cell_loss_rate"
     base = lab_host(aurora_oc12())
-    result = ExperimentResult(
-        experiment_id="R1",
-        title=f"Goodput under cell loss, EPD/PPD vs none ({base.link.name})",
-        series=series,
-    )
-    off_col = series.column("discard_off_mbps")
-    on_col = series.column("epd_ppd_mbps")
-    for p, off, on in zip(series.x, off_col, on_col):
-        result.metrics[f"epd_gain_mbps_at_{p:g}"] = on - off
-    result.notes.append(
-        "frame discard turns random cell holes into whole-frame drops: "
-        "the engine spends its limited cycles only on frames that can "
-        "still be delivered intact"
-    )
-    return result
-
-
-def _run_r1_custom(
-    config: NicConfig,
-    loss_rates: Sequence[float],
-    n_vcs: int,
-    sdu_size: int,
-    window: float,
-    seed: int,
-) -> ExperimentResult:
-    """The non-sweep R1 path for caller-supplied configurations."""
-    base = lab_host(config)
-    series = Series(name="goodput under loss", x_label="cell_loss_rate")
-    for p in loss_rates:
-        point = _r1_measure(base, p, n_vcs, sdu_size, window, seed)
-        series.add_point(p, **point)
     result = ExperimentResult(
         experiment_id="R1",
         title=f"Goodput under cell loss, EPD/PPD vs none ({base.link.name})",
@@ -1837,17 +1789,28 @@ def run_o1(
 
     T1/T2 print what the cost models are *configured* to charge; O1
     re-derives the same per-position budgets from a live simulation via
-    :class:`repro.obs.CycleProfiler` (attached to both engines of F2's
-    greedy-transmit scenario) and checks they agree.  A nonzero
-    deviation would mean the pipeline charged cycles the budget tables
-    do not show -- exactly the drift the observability layer exists to
-    catch.  Runs the traced F2 scenario as-is, so *config* and *seeds*
-    are accepted only for the uniform contract.
+    :class:`repro.obs.CycleProfiler` (on both engines of F2's
+    greedy-transmit scenario: 9,180-byte PDUs over a clean OC-3 pair
+    with host software zeroed, observed for 30 PDUs' worth of cell
+    slots unless *duration* says otherwise) and checks they agree.  A
+    nonzero deviation would mean the pipeline charged cycles the budget
+    tables do not show -- exactly the drift the observability layer
+    exists to catch.  *config* and *seeds* are accepted only for the
+    uniform contract.
     """
     del config, seeds
-    from repro.obs.runner import run_traced
+    from repro.obs import observe
 
-    run = run_traced("f2", duration=duration)
+    sdu_size = 9180
+    scenario_config = lab_host(aurora_oc3())
+    if duration is None:
+        duration = 30 * (sdu_size / 48 + 2) * scenario_config.link.cell_time
+    with observe() as observation:
+        sim = Simulator()
+        scenario = build_point_to_point(sim, scenario_config)
+        GreedySource(sim, scenario.sender, scenario.vc, sdu_size).start()
+        sim.run(until=duration)
+    (view,) = observation.views
     config = aurora_oc3()
     headers = [
         "engine",
@@ -1864,7 +1827,7 @@ def run_o1(
         ("rx", lambda p: config.rx_costs.cell_cycles(p, cam_fitted=True)),
     ):
         for position in CellPosition:
-            measured = run.profiler.cycles_per_cell(engine, position)
+            measured = view.profiler.cycles_per_cell(engine, position)
             if measured is None:
                 continue
             configured = configured_cycles(position)
@@ -1874,7 +1837,7 @@ def run_o1(
                 [
                     engine,
                     position.value,
-                    run.profiler.cells_at(engine, position),
+                    view.profiler.cells_at(engine, position),
                     configured,
                     measured,
                     deviation,
@@ -1886,12 +1849,12 @@ def run_o1(
         headers=headers,
         rows=rows,
     )
-    tx_middle = run.profiler.cycles_per_cell("tx", CellPosition.MIDDLE)
-    rx_middle = run.profiler.cycles_per_cell("rx", CellPosition.MIDDLE)
+    tx_middle = view.profiler.cycles_per_cell("tx", CellPosition.MIDDLE)
+    rx_middle = view.profiler.cycles_per_cell("rx", CellPosition.MIDDLE)
     result.metrics["tx_middle_cycles"] = tx_middle or float("nan")
     result.metrics["rx_middle_cycles"] = rx_middle or float("nan")
     result.metrics["max_deviation_cycles"] = worst
-    result.metrics["events_traced"] = float(len(run.recorder))
+    result.metrics["events_traced"] = float(len(view.recorder))
     result.notes.append(
         "middle-cell budgets (16 tx / 22 rx with the CAM) measured "
         "from executed cells, not read from the configuration"

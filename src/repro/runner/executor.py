@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 from repro.analysis.sweep import Series
 from repro.runner.spec import Point, SweepSpec
 from repro.runner.store import ResultStore, RunLog
+from repro.sim.core import Simulator
 from repro.sim.random import RandomStreams
 
 #: A sweep kernel: pure function of (params, hash-derived streams).
@@ -144,7 +145,18 @@ class Executor:
 
         Callers that want loud failure use :func:`run_sweep`, which
         re-raises the collected casualties as a :class:`SweepError`.
+        Inside :func:`repro.obs.observe` the sweep must run serially
+        and unstored: pooled points build their simulators in other
+        processes and stored ones build none, so the observation would
+        miss them without saying so.
         """
+        if Simulator.observer is not None and (
+            self.workers > 0 or store is not None
+        ):
+            raise RuntimeError(
+                f"{spec.experiment}: observe() cannot see a pooled or "
+                "store-backed sweep; run it with workers=0 and no store"
+            )
         points = spec.points()
         kname = kernel_name(kernel)
         self.stats = {

@@ -100,25 +100,7 @@ def _churn_run(
     # The fabric is bidirectional (CONNECT/RELEASE ride the reverse
     # path through the same switches), so the audit closes the whole
     # domain: both injection links, all four ports, both receivers.
-    auditor = CellConservationAuditor(
-        net.links["caller->sw1"],
-        callee,
-        switches=[net.switches["sw1"], net.switches["sw2"]],
-        ports=[
-            net.ports["p-fwd"],
-            net.ports["p-egress"],
-            net.ports["p-rev"],
-            net.ports["p-ret"],
-        ],
-        extra_links=[
-            net.links["sw1->sw2"],
-            net.links["sw2->callee"],
-            net.links["sw2->sw1"],
-            net.links["sw1->caller"],
-        ],
-        extra_injections=[net.links["callee->sw2"]],
-        extra_receivers=[caller],
-    )
+    auditor = CellConservationAuditor.closed(sim.components)
 
     # Data VCs ride unshaped: a single-engine pacer head-of-line blocks
     # at per-VC kilobit rates, which is a TX-scheduling story (T-series),

@@ -111,6 +111,7 @@ class SessionEngine:
         self.on_session_active: Optional[Callable[[Call, VcAddress], None]] = None
         self.on_session_done: Optional[Callable[[Call], None]] = None
         self._stopped = False
+        sim.components.append(self)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -17,7 +17,16 @@ callbacks, so there is no concurrency and no locking anywhere.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ClassVar,
+    Generator,
+    Iterable,
+    Optional,
+    Union,
+)
 
 if TYPE_CHECKING:  # import cycle: process.py imports this module
     from repro.sim.process import Process
@@ -231,7 +240,18 @@ class Simulator:
     Time is a float in seconds and only moves forward.  Events scheduled
     for identical times fire in scheduling order (FIFO), which keeps runs
     deterministic.
+
+    The simulator is also where components find their observation
+    hooks: each copies :attr:`trace` (and the engines :attr:`profiler`)
+    when it is built, and the cell-carrying ones add themselves to
+    :attr:`components`.  Outside :func:`repro.obs.observe` both hooks
+    are ``None``, so an unobserved run pays one attribute test per
+    would-be event.
     """
+
+    #: Called with every simulator as it is built while an observation
+    #: is open (:func:`repro.obs.observe` installs it); None otherwise.
+    observer: ClassVar[Optional[Callable[["Simulator"], None]]] = None
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -246,6 +266,18 @@ class Simulator:
         #: push.  The scale experiments chart this against VC count to
         #: show the scheduler's footprint stays bounded under churn.
         self.peak_queue_occupancy = 0
+        #: Observation hooks components copy when built: a trace
+        #: recorder and a cycle profiler, or None.
+        self.trace: Any = None
+        self.profiler: Any = None
+        #: Components built on this simulator, in build order: links,
+        #: ports, switches, interfaces and the control-plane agents.
+        self.components: list[Any] = []
+        #: Called once, with the window of the first ``run(until=...)``.
+        self.on_first_run: Optional[Callable[[float], None]] = None
+        observer = Simulator.observer
+        if observer is not None:
+            observer(self)
 
     # -- clock -----------------------------------------------------------
 
@@ -332,6 +364,10 @@ class Simulator:
             raise SimulationError(
                 f"run(until={until}) is in the past (now={self._now})"
             )
+        first_run = self.on_first_run
+        if until is not None and first_run is not None:
+            self.on_first_run = None
+            first_run(until - self._now)
         limit = float("inf") if until is None else until
         queue = self._queue
         self._running = True

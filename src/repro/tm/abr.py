@@ -95,8 +95,10 @@ class AbrAgent:
         self.rm_bad = Counter(f"{self.name}.rm-bad")
         self.rate_increases = Counter(f"{self.name}.rate-up")
         self.rate_decreases = Counter(f"{self.name}.rate-down")
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        self.trace = None
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.
+        self.trace = sim.trace
+        sim.components.append(self)
         # Wire the three duck-typed NIC touchpoints.
         interface.tx_engine.abr = self
         interface.rx_engine.on_user_cell = self.observe_cell

@@ -70,8 +70,10 @@ class CallAdmissionController:
         self.calls_rejected = Counter(f"{name}.rejected")
         #: Rejection tally itemised by :class:`CacReject` value.
         self.rejections: Dict[str, int] = {}
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        self.trace = None
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.
+        self.trace = sim.trace
+        sim.components.append(self)
 
     def add_link(
         self,

@@ -80,8 +80,10 @@ class EricaAllocator:
         self._loads: Dict[int, _PortLoad] = {}
         self.rm_seen = Counter(f"{self.name}.rm-seen")
         self.rm_stamped = Counter(f"{self.name}.rm-stamped")
-        #: Observability hook (repro.obs): a TraceRecorder, or None.
-        self.trace = None
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.
+        self.trace = sim.trace
+        sim.components.append(self)
         switch.tm = self
 
     def _weight(self, vc: VcAddress) -> float:

@@ -124,7 +124,7 @@ class TestDoc103CliDrift:
             "PYTHONPATH=src python -m repro --list\n"
             "python -m repro T1 F2 --workers 4   # comment is cut\n"
             "python -m repro bench --check\n"
-            "python -m repro trace f2 --out trace.json | head\n"
+            "python -m repro F2 --trace trace.json --audit | head\n"
             "python -m repro lint --docs\n"
             "```\n",
         )
@@ -142,7 +142,7 @@ class TestDoc103CliDrift:
             tmp_path,
             "```bash\n"
             "python -m repro bench --frobnicate\n"
-            "python -m repro trace no-such-scenario\n"
+            "python -m repro ZZ9 --trace trace.json\n"
             "```\n",
         )
         assert [f.rule for f in findings] == ["DOC103", "DOC103"]
@@ -153,7 +153,7 @@ class TestDoc103CliDrift:
             "Prose mentioning python -m repro NOT-CHECKED is fine.\n"
             "\n"
             "```text\n"
-            "python -m repro trace <experiment> [--out PATH]\n"
+            "python -m repro <ID> [--trace PATH] [--audit]\n"
             "```\n",
         )
         assert findings == []

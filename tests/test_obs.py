@@ -2,7 +2,6 @@
 
 import io
 import json
-import time
 
 import pytest
 
@@ -11,32 +10,47 @@ from repro.nic.costs import CellPosition
 from repro.nic.fifo import CellFifo
 from repro.obs import (
     DROP_REASONS,
+    EVENT_CAP,
     EVENT_TAXONOMY,
     CycleProfiler,
     MetricsRegistry,
     TraceEvent,
     TraceRecorder,
+    TraceWriter,
+    observe,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.runner import TRACEABLE, run_traced
-from repro.results.experiments import lab_host, run_o1
+from repro.results.experiments import get, lab_host, run_o1
 from repro.results.tables import format_csv
 from repro.sim.core import Simulator
 from repro.workloads.generators import GreedySource
 from repro.workloads.scenarios import build_point_to_point
 
 
-def traced_point_to_point(sim, recorder, sdu_size=4096, total_pdus=3):
-    scenario = build_point_to_point(sim, lab_host(aurora_oc3()))
-    GreedySource(
-        sim, scenario.sender, scenario.vc, sdu_size, total_pdus=total_pdus
-    ).start()
-    if recorder is not None:
-        scenario.sender.attach_trace(recorder)
-        scenario.receiver.attach_trace(recorder)
-    return scenario
+def observed_point_to_point(sdu_size=4096, total_pdus=3, until=2e-3):
+    """A clean host-to-host exchange built and run inside ``observe()``.
+
+    ``total_pdus=None`` keeps the sender greedy (F2's and O1's shape).
+    """
+    with observe() as observation:
+        sim = Simulator()
+        scenario = build_point_to_point(sim, lab_host(aurora_oc3()))
+        GreedySource(
+            sim, scenario.sender, scenario.vc, sdu_size, total_pdus=total_pdus
+        ).start()
+        sim.run(until=until)
+    (view,) = observation.views
+    return view, scenario
+
+
+@pytest.fixture(scope="module")
+def r1_views():
+    """R1's lossy EPD/PPD overload, shrunk: one 2% point, 2 ms."""
+    with observe() as observation:
+        get("R1")(loss_rates=[0.02], window=2e-3)
+    return observation.views
 
 
 class TestTraceRecorder:
@@ -55,23 +69,37 @@ class TestTraceRecorder:
         with pytest.raises(ValueError):
             recorder.emit("no.such.event", actor="x")
 
-    def test_disabled_recorder_records_nothing(self, sim):
-        recorder = TraceRecorder(sim, enabled=False)
-        recorder.emit("tx.pdu.posted", actor="tx", pdu_id=1)
-        assert len(recorder) == 0
+    def test_cap_keeps_first_events_and_counts_the_rest(self, sim):
+        assert EVENT_CAP == 500_000
+        recorder = TraceRecorder(sim)
+        recorder.emit("tx.pdu.posted", actor="tx", pdu_id=0)
+        # Stand-ins for the events between the first and the cap.
+        recorder.events.extend(recorder.events * (EVENT_CAP - 3))
+        for i in range(1, 6):
+            recorder.emit("tx.pdu.posted", actor="tx", pdu_id=i)
+        assert len(recorder) == EVENT_CAP
+        assert [e.pdu_id for e in recorder.events[-3:]] == [0, 1, 2]
+        assert recorder.overflow == 3
+        *kept, marker = recorder.exported()  # what every export writes
+        assert len(kept) == EVENT_CAP
+        assert (marker.name, marker.args) == ("trace.overflow", {"events": 3})
+        with pytest.raises(ValueError):  # still validated past the cap
+            recorder.emit("no.such.event", actor="x")
 
     def test_pipeline_untraced_by_default(self, sim):
-        scenario = traced_point_to_point(sim, recorder=None)
+        scenario = build_point_to_point(sim, lab_host(aurora_oc3()))
+        GreedySource(sim, scenario.sender, scenario.vc, 4096, total_pdus=3).start()
         sim.run(until=2e-3)
         assert scenario.received
+        assert sim.trace is None and sim.profiler is None
         for nic in (scenario.sender, scenario.receiver):
             assert nic.tx_engine.trace is None
             assert nic.rx_engine.trace is None
+            assert nic.tx_engine.profiler is None
 
-    def test_full_pipeline_emits_lifecycle(self, sim):
-        recorder = TraceRecorder(sim)
-        scenario = traced_point_to_point(sim, recorder)
-        sim.run(until=2e-3)
+    def test_full_pipeline_emits_lifecycle(self):
+        view, scenario = observed_point_to_point()
+        recorder = view.recorder
         assert scenario.received
         names = {e.name for e in recorder.events}
         for expected in (
@@ -95,27 +123,23 @@ class TestTraceRecorder:
         sar_rx = {e.cell_id for e in recorder.by_name("rx.cell.sar")}
         assert sar_rx and sar_rx <= sar_tx
 
-    def test_for_cell_follows_one_cell_through(self, sim):
-        recorder = TraceRecorder(sim)
-        traced_point_to_point(sim, recorder)
-        sim.run(until=2e-3)
+    def test_for_cell_follows_one_cell_through(self):
+        recorder = observed_point_to_point()[0].recorder
         cell_id = recorder.by_name("tx.cell.sar")[0].cell_id
         journey = [e.name for e in recorder.for_cell(cell_id)]
         assert journey.index("tx.cell.sar") < journey.index("link.cell.sent")
         assert journey.index("link.cell.sent") < journey.index("rx.cell.sar")
 
-    def test_taxonomy_covers_all_emitted_names(self, sim):
-        recorder = TraceRecorder(sim)
-        traced_point_to_point(sim, recorder)
-        sim.run(until=2e-3)
+    def test_taxonomy_covers_all_emitted_names(self):
+        recorder = observed_point_to_point()[0].recorder
         assert {e.name for e in recorder.events} <= set(EVENT_TAXONOMY)
 
 
 class TestDropReasons:
-    def test_fifo_overflow_drop_traced(self, sim):
-        recorder = TraceRecorder(sim)
-        fifo = CellFifo(sim, depth_cells=1, name="tiny")
-        fifo.trace = recorder
+    def test_fifo_overflow_drop_traced(self):
+        with observe() as observation:
+            fifo = CellFifo(Simulator(), depth_cells=1, name="tiny")
+        recorder = observation.views[0].recorder
 
         class FakeCell:
             meta = {}
@@ -125,12 +149,12 @@ class TestDropReasons:
         assert fifo.try_put(FakeCell()) is False
         assert recorder.drop_reasons() == {"fifo_overflow": 1}
 
-    def test_lossy_run_names_every_drop(self):
-        run = run_traced("r1", duration=2e-3)
-        drops = run.recorder.drop_reasons()
-        assert drops, "a 2% lossy overload must drop something"
-        assert set(drops) <= set(DROP_REASONS)
-        assert "link_lost" in drops
+    def test_lossy_run_names_every_drop(self, r1_views):
+        for view in r1_views:
+            drops = view.recorder.drop_reasons()
+            assert drops, "a 2% lossy overload must drop something"
+            assert set(drops) <= set(DROP_REASONS)
+            assert "link_lost" in drops
 
     def test_every_drop_reason_has_a_ledger_bucket(self):
         # Each declared cause lands in the conservation auditor's books:
@@ -154,10 +178,8 @@ class TestDropReasons:
 
 
 class TestExporters:
-    def test_jsonl_round_trip(self, sim):
-        recorder = TraceRecorder(sim)
-        traced_point_to_point(sim, recorder)
-        sim.run(until=1e-3)
+    def test_jsonl_round_trip(self):
+        recorder = observed_point_to_point(until=1e-3)[0].recorder
         buffer = io.StringIO()
         count = recorder.export_jsonl(buffer)
         assert count == len(recorder)
@@ -180,10 +202,8 @@ class TestExporters:
         write_jsonl(events, buffer)
         assert read_jsonl(io.StringIO(buffer.getvalue())) == events
 
-    def test_chrome_trace_structure(self, sim):
-        recorder = TraceRecorder(sim)
-        traced_point_to_point(sim, recorder)
-        sim.run(until=1e-3)
+    def test_chrome_trace_structure(self):
+        recorder = observed_point_to_point(until=1e-3)[0].recorder
         buffer = io.StringIO()
         write_chrome_trace(recorder.events, buffer)
         document = json.loads(buffer.getvalue())
@@ -197,10 +217,8 @@ class TestExporters:
             if entry["ph"] != "M":  # metadata records carry no timestamp
                 assert isinstance(entry["ts"], (int, float))
 
-    def test_chrome_counter_tracks_fifo_occupancy(self, sim):
-        recorder = TraceRecorder(sim)
-        traced_point_to_point(sim, recorder)
-        sim.run(until=1e-3)
+    def test_chrome_counter_tracks_fifo_occupancy(self):
+        recorder = observed_point_to_point(until=1e-3)[0].recorder
         buffer = io.StringIO()
         write_chrome_trace(recorder.events, buffer)
         counters = [
@@ -212,31 +230,23 @@ class TestExporters:
         assert all("occupancy" in c["name"] for c in counters)
 
 
-class TestTracingOverhead:
-    def test_disabled_tracing_adds_no_events_and_little_time(self):
-        def one_run(recorder):
-            sim = Simulator()
-            scenario = traced_point_to_point(
-                sim, recorder, sdu_size=9180, total_pdus=20
-            )
-            sim.run(until=2e-2)
-            return scenario
-
-        # Warm both paths, then time them.
-        one_run(None)
-        started = time.perf_counter()
-        baseline = one_run(None)
-        base_elapsed = time.perf_counter() - started
-
-        disabled = TraceRecorder(Simulator(), enabled=False)
-        started = time.perf_counter()
-        traced = one_run(disabled)
-        disabled_elapsed = time.perf_counter() - started
-
-        assert len(disabled) == 0
-        assert len(traced.received) == len(baseline.received)
-        # Measured locally at <5%; the bound is loose for noisy CI boxes.
-        assert disabled_elapsed < base_elapsed * 1.5 + 0.05
+    def test_writer_gives_each_simulator_its_own_track(self):
+        views = [observed_point_to_point(until=5e-4)[0] for _ in range(2)]
+        chrome, lines = io.StringIO(), io.StringIO()
+        for fmt, buffer in ((True, chrome), (False, lines)):
+            with TraceWriter(buffer, chrome=fmt) as writer:
+                for n, view in enumerate(views, 1):
+                    writer.add(f"F2 #{n}", view.recorder.events)
+        entries = json.loads(chrome.getvalue())["traceEvents"]
+        processes = {
+            e["pid"]: e["args"]["name"]
+            for e in entries
+            if e["name"] == "process_name"
+        }
+        assert processes == {1: "F2 #1", 2: "F2 #2"}
+        tracks = [json.loads(line)["sim"] for line in lines.getvalue().splitlines()]
+        assert tracks.count("F2 #1") == len(views[0].recorder)
+        assert tracks.count("F2 #2") == len(views[1].recorder)
 
 
 class TestMetricsRegistry:
@@ -324,45 +334,45 @@ class TestMetricsRegistry:
         }
         assert defined == dispatched
 
-    def test_r1_campaign_metrics_account_for_loss(self):
-        run = run_traced("r1", duration=2e-3)
-        snap = run.registry.snapshot()
-        assert snap["link.cells_lost"] > 0
-        in_flight = (
-            snap["link.cells_sent"]
-            - snap["link.cells_delivered"]
-            - snap["link.cells_lost"]
-        )
-        assert 0 <= in_flight <= 2  # mid-run snapshot: <= one cell serializing
-        # The auditor's ledger is registered and balances.
-        assert snap["audit.unaccounted"] == 0
-        assert isinstance(snap["audit.breakdown"], dict)
-        # Sampling tracked the loss counter over time.
-        lost = run.registry.series["link.cells_lost"]
-        assert lost.values[-1] == snap["link.cells_lost"]
+    def test_r1_campaign_metrics_account_for_loss(self, r1_views):
+        for view in r1_views:
+            snap = view.registry.snapshot()
+            assert snap["lossy-wire.cells_lost"] > 0
+            in_flight = (
+                snap["lossy-wire.cells_sent"]
+                - snap["lossy-wire.cells_delivered"]
+                - snap["lossy-wire.cells_lost"]
+            )
+            assert 0 <= in_flight <= 2  # cut mid-run: <= one cell serializing
+            # The closed ledger is registered and balances.
+            assert snap["audit.unaccounted"] == 0
+            assert isinstance(snap["audit.breakdown"], dict)
+            # Sampling over the first run window tracked the loss counter.
+            lost = view.registry.series["lossy-wire.cells_lost"]
+            assert len(lost.values) > 40
+            assert lost.values[-1] == snap["lossy-wire.cells_lost"]
 
 
 class TestCycleProfiler:
     def test_measured_budgets_match_paper(self):
-        run = run_traced("f2", duration=3e-3)
-        profiler = run.profiler
+        profiler = observed_point_to_point(9180, None, until=3e-3)[0].profiler
         assert profiler.cycles_per_cell("tx", CellPosition.MIDDLE) == 16
         assert profiler.cycles_per_cell("rx", CellPosition.MIDDLE) == 22
         assert profiler.cells_seen("tx") > 0
         assert profiler.pdus_seen("tx") > 0
 
     def test_phase_attribution_sums_to_total(self):
-        run = run_traced("f2", duration=3e-3)
+        profiler = observed_point_to_point(9180, None, until=3e-3)[0].profiler
         for engine in ("tx", "rx"):
-            phases = run.profiler.phase_cycles(engine)
+            phases = profiler.phase_cycles(engine)
             assert sum(phases.values()) == pytest.approx(
-                run.profiler.total_cycles(engine)
+                profiler.total_cycles(engine)
             )
             assert phases.get("copy", 0) > phases.get("per-pdu", 0)
 
     def test_render_contains_measured_tables(self):
-        run = run_traced("f2", duration=3e-3)
-        text = run.profiler.render()
+        view = observed_point_to_point(9180, None, until=3e-3)[0]
+        text = view.profiler.render()
         assert "T1' measured segmentation budget" in text
         assert "T2' measured reassembly budget" in text
         assert "Cycle attribution by phase" in text
@@ -393,23 +403,23 @@ class TestChargeSitesReconcile:
     def test_profiler_cycles_equal_engine_clock_cycles(self, cam):
         from repro.atm import VcAddress
         from repro.nic import HostNetworkInterface, connect
-        from repro.obs import profile_interface
 
         config = aurora_oc3() if cam else aurora_oc3().without_cam()
-        sim = Simulator()
-        a = HostNetworkInterface(sim, config, name="a")
-        b = HostNetworkInterface(sim, config, name="b")
-        connect(sim, a, b)
-        profiler = profile_interface(a)
-        profile_interface(b, profiler)
-        vc = a.open_vc()
-        b.open_vc(address=vc.address)
-        orphan = a.open_vc(address=VcAddress(0, 999))  # never opened at b
-        a.post(vc.address, b"one cell")
-        a.post(vc.address, bytes(500))
-        a.post(orphan.address, b"nobody listens")
-        a.oam_ping(vc.address)
-        sim.run(until=0.05)
+        with observe(trace=False) as observation:
+            sim = Simulator()
+            a = HostNetworkInterface(sim, config, name="a")
+            b = HostNetworkInterface(sim, config, name="b")
+            connect(sim, a, b)
+            vc = a.open_vc()
+            b.open_vc(address=vc.address)
+            orphan = a.open_vc(address=VcAddress(0, 999))  # never opened at b
+            a.post(vc.address, b"one cell")
+            a.post(vc.address, bytes(500))
+            a.post(orphan.address, b"nobody listens")
+            a.oam_ping(vc.address)
+            sim.run(until=0.05)
+        (view,) = observation.views
+        profiler = view.profiler
 
         assert self.TX_TAGS <= set(a.tx_clock.cycles_by_tag)
         assert self.RX_TAGS <= set(b.rx_clock.cycles_by_tag)
@@ -418,50 +428,161 @@ class TestChargeSitesReconcile:
         for engine in ("tx", "rx"):
             clocks = [getattr(nic, f"{engine}_clock") for nic in (a, b)]
             assert profiler.reconcile(engine, clocks) == 0, engine
+        assert view.reconcile() == 0
+
+
+#: Every experiment at a size tier-1 can afford, observed and not.
+SHRUNK = {
+    "T1": {},
+    "T2": {},
+    "F2": {"sizes": [64, 512], "window": 1e-3},
+    "F3": {"sizes": [64, 512], "window": 1e-3},
+    "F4": {"sizes": [64, 1024]},
+    "T3": {"sizes": [64, 1500], "pdus": 10},
+    "F5": {"fifo_depths": [8, 64], "window": 2e-3},
+    "T4": {"window": 1e-3},
+    "F6": {"vc_counts": [1, 4], "window": 1e-3},
+    "T5": {"window": 2e-4, "sdu_size": 128},
+    "F7": {"clocks_mhz": [25], "window": 1e-3, "sdu_size": 1500},
+    "F8": {"sizes": [1024], "window": 1e-3},
+    "A1": {"sizes": [512], "window": 1e-3},
+    "A2": {},
+    "A3": {"windows_us": [0, 200], "pdus": 8},
+    "A4": {"burst_words": [8]},
+    "R1": {"loss_rates": [0.02], "window": 1e-3},
+    "R2": {"seeds": [1], "duration": 8e-3, "flap_start": 2e-3, "flap_down": 2e-3},
+    "O1": {"duration": 1e-3},
+    "C1": {"seeds": [1], "duration": 2e-3, "warmup": 1e-3},
+    "S1": {
+        "seeds": [1],
+        "duration": 0.02,
+        "arrival_rate": 1000.0,
+        "holding_time": 0.01,
+        "cam_entries": 8,
+        "reassembly_quota": 64,
+    },
+}
+
+#: Simulators the closed ledger cannot audit, and why.
+NOT_AUDITED = {
+    ("F3", "rxhost's receive FIFO is fed without a link"),
+    ("F6", "rxhost's receive FIFO is fed without a link"),
+    ("T3", "link-STS-3c delivers to sar-rx, outside the ledger"),
+    ("T5", "tx-probe delivers to sink, outside the ledger"),
+    ("T5", "rxhost's receive FIFO is fed without a link"),
+    ("T5", "duplex-probe delivers to sink, outside the ledger"),
+    ("T5", "link-STS-12c delivers to sar-rx, outside the ledger"),
+    ("F7", "tx-probe delivers to sink, outside the ledger"),
+    ("F7", "rxhost's receive FIFO is fed without a link"),
+}
+
+
+def _canonical(experiment_id, result):
+    from repro.results.experiments import canonical_result_json
+
+    document = json.loads(canonical_result_json(result))
+    if experiment_id == "S1":
+        # The metrics sampler's queued tick is one more heap entry.
+        del document["metrics"]["max_peak_queue_occupancy"]
+        del document["series"]["columns"]["peak_queue_occupancy"]
+    return document
 
 
 class TestRunnerAndExperiment:
-    def test_every_traceable_scenario_runs(self):
-        for name in TRACEABLE:
-            run = run_traced(name, duration=1e-3)
-            assert len(run.recorder) > 0, name
-            assert run.registry.samples_taken > 0, name
-            # Cut off mid-flight, the profiler still holds exactly the
-            # cycles the profiled engines' clocks booked.
-            assert run.nics, name
-            for engine in ("tx", "rx"):
-                clocks = [getattr(nic, f"{engine}_clock") for nic in run.nics]
-                assert run.profiler.reconcile(engine, clocks) == 0, (
-                    name, engine
-                )
+    def test_shrunk_table_covers_every_experiment(self):
+        from repro.results.experiments import EXPERIMENTS
 
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(KeyError):
-            run_traced("zz")
+        assert list(SHRUNK) == list(EXPERIMENTS)
 
-    def test_trace_cli_writes_perfetto_and_metrics(self, tmp_path):
+    @pytest.mark.parametrize("experiment_id", list(SHRUNK))
+    def test_every_experiment_is_observed(self, experiment_id):
+        experiment = get(experiment_id)
+        kwargs = SHRUNK[experiment_id]
+        with observe() as observation:
+            observed = experiment(**kwargs)
+        views = observation.views
+        if experiment_id in ("T1", "T2", "A2", "A4"):
+            assert views == []
+        else:
+            assert views
+        unaudited = set()
+        for view in views:
+            assert len(view.recorder) > 0
+            assert view.reconcile() == 0
+            reason = view.ledger.unclosed
+            if reason is None:
+                assert view.ledger.snapshot().is_conserved
+            else:
+                unaudited.add((experiment_id, reason))
+        assert unaudited == {
+            pair for pair in NOT_AUDITED if pair[0] == experiment_id
+        }
+        unobserved = experiment(**kwargs)
+        assert _canonical(experiment_id, observed) == _canonical(
+            experiment_id, unobserved
+        )
+
+    def test_unknown_scenario_rejected(self, capsys):
+        from repro.cli import main
+
+        assert main(["ZZ9", "--audit"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knob", ["workers", "store"])
+    def test_observe_refuses_pooled_or_stored_sweeps(self, knob, tmp_path):
+        from repro.runner import ResultStore
+
+        kwargs = (
+            {"workers": 2}
+            if knob == "workers"
+            else {"store": ResultStore(root=str(tmp_path))}
+        )
+        with observe(), pytest.raises(RuntimeError, match="observe"):
+            get("R1")(loss_rates=[0.0], window=1e-4, **kwargs)
+
+    def test_observation_flags_refuse_workers(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["R1", "--audit", "--workers", "2"])
+        assert exc.value.code == 2
+
+    def test_trace_cli_writes_perfetto_and_metrics(self, tmp_path, capsys):
         from repro.cli import main
 
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.csv"
-        assert (
-            main(
-                [
-                    "trace",
-                    "f2",
-                    "--duration",
-                    "0.002",
-                    "--out",
-                    str(trace_path),
-                    "--metrics",
-                    str(metrics_path),
-                ]
-            )
-            == 0
+        argv = ["O1", "--trace", str(trace_path), "--metrics", str(metrics_path)]
+        assert main(argv + ["--profile", "--audit"]) == 0
+        out = capsys.readouterr().out
+        assert "O1 #1: 11537 events traced" in out
+        assert "T1' measured segmentation budget" in out
+        assert "O1 #1: ledger balanced" in out
+        entries = json.loads(trace_path.read_text())["traceEvents"]
+        assert {"name": "process_name", "ph": "M", "pid": 1,
+                "args": {"name": "O1 #1"}} in entries
+        assert metrics_path.read_text().startswith("# O1 #1\nt,")
+
+    def test_audit_cli_exits_1_on_a_residue(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.results import experiments
+
+        def run_leaky():
+            """A clean exchange whose wire claims a delivery nobody took."""
+            sim = Simulator()
+            scenario = build_point_to_point(sim, aurora_oc3())
+            GreedySource(sim, scenario.sender, scenario.vc, 512, 2).start()
+            sim.run(until=1e-3)
+            scenario.link_ab.cells_delivered.increment()
+            return experiments.ExperimentResult("ZZ", "leaky")
+
+        monkeypatch.setitem(
+            experiments.EXPERIMENTS,
+            "ZZ",
+            experiments.Experiment(run_leaky, {}, lambda result: {}),
         )
-        document = json.loads(trace_path.read_text())
-        assert document["traceEvents"]
-        assert metrics_path.read_text().startswith("t,")
+        assert main(["ZZ", "--audit"]) == 1
+        assert "ZZ #1: ledger UNBALANCED: 1 of" in capsys.readouterr().out
 
     def test_o1_reproduces_configured_budgets(self):
         result = run_o1(duration=3e-3)
