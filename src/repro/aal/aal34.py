@@ -247,7 +247,7 @@ class Aal34Reassembler:
 
     def receive_cell(self, cell: AtmCell, now: float = 0.0) -> Optional[SduIndication]:
         """Consume one cell; returns an indication when a PDU completes."""
-        vc = VcAddress(cell.vpi, cell.vci)
+        vc = cell.vc
         self.stats.cells_consumed += 1
         try:
             st, sn, mid, payload = decode_sar_pdu(cell.payload)

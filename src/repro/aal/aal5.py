@@ -198,7 +198,7 @@ class Aal5Reassembler:
 
     def receive_cell(self, cell: AtmCell, now: float = 0.0) -> Optional[SduIndication]:
         """Consume one cell; returns the SDU indication on completion."""
-        vc = VcAddress(cell.vpi, cell.vci)
+        vc = cell.vc
         self.stats.cells_consumed += 1
         partial = self._partial.get(vc)
         if partial is None:

@@ -29,7 +29,6 @@ class ReassemblyFailure(enum.Enum):
     PROTOCOL = "protocol"  #: segment-type violation (COM before BOM, ...)
     OVERSIZE = "oversize"  #: PDU exceeded the maximum reassembly size
     TIMEOUT = "timeout"  #: reassembly timer expired on a partial PDU
-    NO_CONTEXT = "no-context"  #: cell for a VC with no reassembly context
     QUOTA = "quota"  #: context evicted to stay within the context quota
 
 

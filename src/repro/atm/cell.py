@@ -22,9 +22,10 @@ Payload-type indicator (PTI) encoding relevant to this reproduction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Optional
 
+from repro.atm.addressing import VcAddress
 from repro.atm.hec import check_hec, compute_hec, correct_header
 
 CELL_SIZE = 53
@@ -45,44 +46,112 @@ _MAX_VPI_NNI = 0xFFF
 _MAX_VCI = 0xFFFF
 _MAX_PTI = 0b111
 
+_tuple_new = tuple.__new__
+
 
 class CellFormatError(ValueError):
     """Raised when encoding/decoding a malformed cell."""
 
 
-@dataclass(frozen=True)
-class AtmCell:
+class AtmCell(tuple):
     """One ATM cell.  Immutable; header rewrites produce new cells.
+
+    The cell is a record built on :class:`tuple`: its six header and
+    payload fields, ``meta``, and three values decoded once at
+    construction -- :attr:`vc`, :attr:`is_user_cell` and
+    :attr:`end_of_frame` -- which every hop reads instead of decoding
+    the header again.  It has no per-instance ``__dict__``.
 
     The ``meta`` dict carries simulation-only annotations (timestamps,
     originating PDU ids) that would not exist on the wire; it never
     affects the encoded bytes, equality, or hashing.
     """
 
-    vpi: int
-    vci: int
-    payload: bytes
-    pti: int = PTI_USER_SDU0
-    clp: int = 0
-    gfc: int = 0
-    meta: dict = field(default_factory=dict, compare=False, hash=False)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        vpi: int,
+        vci: int,
+        payload: bytes,
+        pti: int = PTI_USER_SDU0,
+        clp: int = 0,
+        gfc: int = 0,
+        meta: Optional[dict] = None,
+    ) -> "AtmCell":
+        user = not pti & 0b100
+        self = _tuple_new(
+            cls,
+            (
+                vpi,
+                vci,
+                payload,
+                pti,
+                clp,
+                gfc,
+                {} if meta is None else meta,
+                # VcAddress(vpi, vci), without its constructor's frame.
+                _tuple_new(VcAddress, (vpi, vci)),
+                user,
+                user and pti & 0b001 == 1,
+            ),
+        )
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
-        if not 0 <= self.gfc <= _MAX_GFC:
-            raise CellFormatError(f"GFC {self.gfc} out of range")
-        if not 0 <= self.vpi <= _MAX_VPI_NNI:
-            raise CellFormatError(f"VPI {self.vpi} out of range")
-        if not 0 <= self.vci <= _MAX_VCI:
-            raise CellFormatError(f"VCI {self.vci} out of range")
-        if not 0 <= self.pti <= _MAX_PTI:
-            raise CellFormatError(f"PTI {self.pti} out of range")
-        if self.clp not in (0, 1):
-            raise CellFormatError(f"CLP {self.clp} must be 0 or 1")
-        if len(self.payload) != PAYLOAD_SIZE:
+        """Validate the header fields and payload (once per construction)."""
+        vpi, vci, payload, pti, clp, gfc = self[:6]
+        if not 0 <= gfc <= _MAX_GFC:
+            raise CellFormatError(f"GFC {gfc} out of range")
+        if not 0 <= vpi <= _MAX_VPI_NNI:
+            raise CellFormatError(f"VPI {vpi} out of range")
+        if not 0 <= vci <= _MAX_VCI:
+            raise CellFormatError(f"VCI {vci} out of range")
+        if not 0 <= pti <= _MAX_PTI:
+            raise CellFormatError(f"PTI {pti} out of range")
+        if clp not in (0, 1):
+            raise CellFormatError(f"CLP {clp} must be 0 or 1")
+        if len(payload) != PAYLOAD_SIZE:
             raise CellFormatError(
                 f"payload must be exactly {PAYLOAD_SIZE} bytes, "
-                f"got {len(self.payload)}"
+                f"got {len(payload)}"
             )
+
+    vpi = property(itemgetter(0))
+    vci = property(itemgetter(1))
+    payload = property(itemgetter(2))
+    pti = property(itemgetter(3))
+    clp = property(itemgetter(4))
+    gfc = property(itemgetter(5))
+    meta = property(itemgetter(6))
+    vc = property(itemgetter(7), doc="The cell's (VPI, VCI) as a VcAddress.")
+    is_user_cell = property(
+        itemgetter(8), doc="True for user-data cells (PTI MSB clear)."
+    )
+    end_of_frame = property(
+        itemgetter(9),
+        doc="The AAL5-class last-cell marker (PTI SDU-type bit).",
+    )
+
+    # -- identity: the six header and payload fields, never meta ------------
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self[:6] == other[:6]
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self[:6] != other[:6]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:6])
+
+    def __getnewargs__(self) -> tuple:
+        """Constructor arguments for copy and pickle (``meta`` included)."""
+        return self[:7]
 
     # -- wire format -------------------------------------------------------
 
@@ -156,16 +225,6 @@ class AtmCell:
     # -- semantics ----------------------------------------------------------
 
     @property
-    def is_user_cell(self) -> bool:
-        """True for user-data cells (PTI MSB clear)."""
-        return (self.pti & 0b100) == 0
-
-    @property
-    def end_of_frame(self) -> bool:
-        """The AAL5-class last-cell marker (PTI SDU-type bit)."""
-        return self.is_user_cell and bool(self.pti & 0b001)
-
-    @property
     def congestion_experienced(self) -> bool:
         return self.is_user_cell and bool(self.pti & 0b010)
 
@@ -176,13 +235,21 @@ class AtmCell:
         pti: Optional[int] = None,
         clp: Optional[int] = None,
     ) -> "AtmCell":
-        """Header translation (what a switch does); payload untouched."""
-        return replace(
-            self,
-            vpi=self.vpi if vpi is None else vpi,
-            vci=self.vci if vci is None else vci,
-            pti=self.pti if pti is None else pti,
-            clp=self.clp if clp is None else clp,
+        """Header translation (what a switch does); payload untouched.
+
+        The new cell shares this cell's ``meta`` dict (it is not
+        copied), which is how a relabelled cell keeps its trace
+        ``cell_id`` and PDU annotations across hops.
+        """
+        old_vpi, old_vci, payload, old_pti, old_clp, gfc, meta = self[:7]
+        return self.__class__(
+            old_vpi if vpi is None else vpi,
+            old_vci if vci is None else vci,
+            payload,
+            old_pti if pti is None else pti,
+            old_clp if clp is None else clp,
+            gfc,
+            meta,
         )
 
     def __repr__(self) -> str:

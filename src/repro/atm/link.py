@@ -18,11 +18,11 @@ slot time (2.83 us at STS-3c, 0.71 us at STS-12c).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 from repro.atm.cell import CELL_SIZE, AtmCell
 from repro.atm.errors import LossModel, NoLoss
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
 
 CellSink = Union[Callable[[AtmCell], None], "SupportsReceiveCell"]
@@ -73,11 +73,11 @@ DS3_45 = LinkSpec("DS3", 44.736e6, 40.704e6)
 class PhysicalLink:
     """A unidirectional cell pipe with serialization and propagation.
 
-    ``send(cell)`` returns an event that fires when the cell has finished
-    serializing (i.e. when the sender may reuse its transmit machinery);
-    the cell is delivered to *sink* one propagation delay later, unless
-    the loss model eats it.  Cells serialize strictly in order at the
-    link's cell slot time; idle slots are implicit.
+    ``send(cell, then, *args)`` calls ``then(*args)`` when the cell has
+    finished serializing (i.e. when the sender may reuse its transmit
+    machinery); the cell is delivered to *sink* one propagation delay
+    later, unless the loss model eats it.  Cells serialize strictly in
+    order at the link's cell slot time; idle slots are implicit.
     """
 
     def __init__(
@@ -103,6 +103,7 @@ class PhysicalLink:
         #: header bit errors on the wire.
         self.error_model = error_model
         self.name = name or f"link-{spec.name}"
+        self._cell_time = spec.cell_time
         self._next_free = 0.0
         self._busy_time = 0.0
         self.cells_sent = Counter(f"{self.name}.sent")
@@ -117,17 +118,19 @@ class PhysicalLink:
         """Attach (or replace) the receiving end."""
         self.sink = sink
 
-    def send(self, cell: AtmCell) -> Event:
-        """Enqueue *cell* for serialization; event fires at wire-out time.
+    def send(
+        self, cell: AtmCell, then: Optional[Callable[..., Any]] = None, *args: Any
+    ) -> None:
+        """Serialize *cell*; at wire-out time call ``then(*args)``, if given.
 
-        With zero propagation delay the cell is delivered from the
-        wire-out entry itself, before any of the event's other
-        callbacks (the sender's) run -- one queue entry per cell.  A
-        positive delay keeps a separate delivery entry, queued first.
+        Wire-out is one bare queue entry per cell.  With zero
+        propagation delay that entry also delivers the cell, before
+        ``then`` runs; a positive delay keeps a separate delivery entry,
+        queued first.
         """
         sim = self.sim
         now = sim._now
-        cell_time = self.spec.cell_time
+        cell_time = self._cell_time
         start = self._next_free if self._next_free > now else now
         done = start + cell_time
         self._next_free = done
@@ -136,7 +139,7 @@ class PhysicalLink:
         if self.trace is not None:
             self.trace.emit("link.cell.sent", actor=self.name, cell=cell)
 
-        finished = Event(sim)
+        deliver: Optional[AtmCell] = None
         if self.loss_model.should_drop(cell, now):
             self.cells_lost.increment()
             if self.trace is not None:
@@ -152,14 +155,19 @@ class PhysicalLink:
                     (done - now) + self.propagation_delay, self._deliver, cell
                 )
             else:
-                finished.callbacks.append(self._deliver_at_wire_out)
-        finished._state = Event._TRIGGERED
-        finished._value = cell
-        sim._schedule(done - now, finished)
-        return finished
+                deliver = cell
+        sim.schedule_call(done - now, self._wire_out, deliver, then, args)
 
-    def _deliver_at_wire_out(self, finished: Event) -> None:
-        self._deliver(finished._value)
+    def _wire_out(
+        self,
+        cell: Optional[AtmCell],
+        then: Optional[Callable[..., Any]],
+        args: Tuple[Any, ...],
+    ) -> None:
+        if cell is not None:
+            self._deliver(cell)
+        if then is not None:
+            then(*args)
 
     def _deliver(self, cell: AtmCell) -> None:
         self.cells_delivered.increment()

@@ -131,7 +131,7 @@ class OutputPort:
         Drop order under pressure: CLP=1 cells go first (at the CLP
         threshold), then everything tail-drops at the hard limit.
         """
-        vc = VcAddress(cell.vpi, cell.vci)
+        vc = cell.vc
         if cell.clp and self._clp_pressure():
             return self._drop(cell, vc, "clp")
         if self.is_full:
@@ -143,7 +143,6 @@ class OutputPort:
             and len(self._queue) >= self.efci_threshold
         ):
             marked = cell.with_header(pti=cell.pti | _EFCI_BIT)
-            marked.meta.update(cell.meta)
             self.efci_marked.increment()
             if self.trace is not None:
                 self.trace.emit("port.efci", actor=self.name, cell=marked)
@@ -166,15 +165,14 @@ class OutputPort:
             return
         self._draining = True
         cell = self._queue.popleft()
-        vc = VcAddress(cell.vpi, cell.vci)
+        vc = cell.vc
         queued = self._vc_queued.get(vc, 0)
         if queued > 1:
             self._vc_queued[vc] = queued - 1
         else:
             self._vc_queued.pop(vc, None)
         self.occupancy.record(self.sim.now, len(self._queue))
-        done = self.link.send(cell)
-        done.add_callback(lambda _ev: self._drain_next())
+        self.link.send(cell, self._drain_next)
 
     # -- observability ---------------------------------------------------------
 

@@ -135,7 +135,7 @@ class LoopbackCell:
         if indication not in (LOOP_ME, LOOPED):
             raise OamFormatError(f"bad loopback indication {indication}")
         return cls(
-            vc=VcAddress(cell.vpi, cell.vci),
+            vc=cell.vc,
             correlation=int.from_bytes(payload[2:6], "big"),
             to_be_looped=indication == LOOP_ME,
             source_id=payload[6 : 6 + _SOURCE_ID_SIZE],
@@ -179,7 +179,7 @@ class AlarmCell:
                 f"unsupported OAM type/function 0x{payload[0]:02x}"
             )
         return cls(
-            vc=VcAddress(cell.vpi, cell.vci),
+            vc=cell.vc,
             kind=kind,
             source_id=payload[6 : 6 + _SOURCE_ID_SIZE],
         )
@@ -206,7 +206,7 @@ class ContinuityCell:
                 f"unsupported OAM type/function 0x{payload[0]:02x}"
             )
         return cls(
-            vc=VcAddress(cell.vpi, cell.vci),
+            vc=cell.vc,
             sequence=int.from_bytes(payload[2:6], "big"),
             source_id=payload[6 : 6 + _SOURCE_ID_SIZE],
         )

@@ -98,9 +98,7 @@ class Gcra:
         self.tagged += 1
         if cell.clp:
             return cell
-        tagged = cell.with_header(clp=1)
-        tagged.meta.update(cell.meta)
-        return tagged
+        return cell.with_header(clp=1)
 
     @property
     def violation_ratio(self) -> float:

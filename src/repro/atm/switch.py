@@ -104,13 +104,12 @@ class AtmSwitch:
 
     def receive(self, in_port: int, cell: AtmCell) -> None:
         """Cell arrival on *in_port*: translate, transit fabric, enqueue."""
-        entries = self._routes.get((in_port, VcAddress(cell.vpi, cell.vci)))
+        entries = self._routes.get((in_port, cell.vc))
         if not entries:
             self.cells_unroutable.increment()
             return
         for entry in entries:
             translated = cell.with_header(vpi=entry.out_vpi, vci=entry.out_vci)
-            translated.meta.update(cell.meta)
             self.cells_switched.increment()
             if self.tm is not None:
                 translated = self.tm.on_cell(

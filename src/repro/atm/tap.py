@@ -39,7 +39,7 @@ class CellTap:
 
     def receive_cell(self, cell: AtmCell) -> None:
         now = self.sim.now
-        vc = VcAddress(cell.vpi, cell.vci)
+        vc = cell.vc
         self.cells_seen += 1
         last = self._last_arrival.get(vc)
         if last is not None:

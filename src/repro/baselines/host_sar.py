@@ -189,7 +189,7 @@ class HostSarInterface:
         # Pull the cell across the bus, then reassemble in the kernel.
         yield self.bus.transfer(CELL_SIZE, master="pio-rx")
         yield self.cpu.execute(costs.rx_cell_cycles(), tag="sar-rx-cell")
-        vc = VcAddress(cell.vpi, cell.vci)
+        vc = cell.vc
         if self.vc_table.lookup(vc) is None:
             return
         indication = self.reassembler.receive_cell(cell, now=self.sim.now)

@@ -29,9 +29,10 @@ class SharedEngineClock(EngineClock):
     """An engine clock whose callers contend for one instruction stream.
 
     ``work`` runs at once when the stream is idle, else queues behind
-    the item in service; each item is booked (ledger, stall, trace) by
-    the base clock when it starts.  Program order within each pipeline
-    still holds; across pipelines the arbitration is FIFO.
+    the item in service; each item is booked (ledger, stall, trace) and
+    queued by the base clock's ``work`` when it starts.  Program order
+    within each pipeline still holds; across pipelines the arbitration
+    is FIFO.
     """
 
     def __init__(self, sim: Simulator, spec: EngineSpec, name: str = "shared-engine"):
@@ -65,7 +66,7 @@ class SharedEngineClock(EngineClock):
         self._running = True
         self._granted += 1
         self._total_wait += self.sim.now - requested
-        self.sim.schedule_call(self._book(cycles, tag), self._finish, then, args)
+        super().work(cycles, tag, self._finish, then, args)
 
     def _finish(self, then: Callable[..., Any], args: Tuple[Any, ...]) -> None:
         # The next item takes the stream before the finished caller

@@ -38,6 +38,11 @@ class CellPosition(enum.Enum):
     LAST = "last"
     ONLY = "only"  #: single-cell PDU: both first- and last-cell work
 
+    #: Members are singletons compared by identity, so they hash by
+    #: identity too: Enum's own ``__hash__`` is Python code, and a
+    #: position keys the charge memo twice per cell.
+    __hash__ = object.__hash__
+
     @classmethod
     def of(cls, index: int, total: int) -> "CellPosition":
         """Position of cell *index* (0-based) in a *total*-cell PDU."""

@@ -12,10 +12,11 @@ then wait for the next cell or descriptor.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Dict, Optional
 
 from repro.nic.costs import EngineSpec
-from repro.sim.core import Simulator
+from repro.sim.core import NORMAL, Call, Simulator
 
 
 class EngineClock:
@@ -63,21 +64,32 @@ class EngineClock:
         """Run *cycles* of engine work, then call ``then(*args)``.
 
         The cycles are booked now; the completion is one bare queue
-        entry *duration* later (plus any injected stall).
-        """
-        self.sim.schedule_call(self._book(cycles, tag), then, *args)
-
-    def _book(self, cycles: float, tag: str) -> float:
-        """Book *cycles* under *tag*; returns the seconds they occupy.
-
-        The return value includes a pending injected stall, which the
-        work absorbs (see :meth:`request_stall`).
+        entry *duration* later (plus any injected stall).  Every cell
+        runs this twice, so booking and queueing share one frame: the
+        body of ``Simulator.schedule_call`` is inlined here.
         """
         if cycles < 0:
             raise ValueError("negative cycle count")
-        duration = self.spec.seconds_for(cycles)
+        duration = cycles / self.spec.clock_hz
         self._busy_time += duration
-        self.cycles_by_tag[tag] = self.cycles_by_tag.get(tag, 0.0) + cycles
+        by_tag = self.cycles_by_tag
+        by_tag[tag] = by_tag.get(tag, 0.0) + cycles
+        if self.trace is not None or self._stall_pending > 0.0:
+            duration = self._trace_and_stall(cycles, tag, duration)
+        sim = self.sim
+        sequence = sim._sequence + 1
+        sim._sequence = sequence
+        queue = sim._queue
+        heappush(queue, (sim._now + duration, NORMAL, sequence, Call(then, args)))
+        if len(queue) > sim.peak_queue_occupancy:
+            sim.peak_queue_occupancy = len(queue)
+
+    def _trace_and_stall(self, cycles: float, tag: str, duration: float) -> float:
+        """Trace booked work and absorb a pending stall (see :meth:`work`).
+
+        Returns *duration* plus the stall absorbed, if any (see
+        :meth:`request_stall`).
+        """
         if self.trace is not None:
             self.trace.emit(
                 "engine.work", actor=self.name, tag=tag, cycles=cycles,

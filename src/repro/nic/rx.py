@@ -214,7 +214,7 @@ class RxEngine:
             # frame structure); a full FIFO still drops them.
             self.fifo.try_put(cell)
             return
-        vc = VcAddress(cell.vpi, cell.vci)
+        vc = cell.vc
         eof = self.glue.is_eof(cell)
         mode = self._discarding.get(vc)
         if mode is not None:
@@ -325,11 +325,14 @@ class RxEngine:
 
         # Classification: CAM handshake (or software probe) resolves
         # the VC.  A miss is a cell for a connection we never opened.
-        vc = VcAddress(cell.vpi, cell.vci)
-        table_size = len(self.vc_table)
+        # The CAM's charge ignores the table size, so only the software
+        # probe reads it.
+        vc = cell.vc
         if self.cam is not None:
+            table_size = 0
             known = self.cam.lookup(vc) is not None
         else:
+            table_size = len(self.vc_table)
             known = self.vc_table.lookup(vc) is not None
         if not known:
             ops, cycles = costs.classify_charge(self.cam_fitted, table_size)

@@ -209,11 +209,15 @@ class TxEngine:
 
     def _charge_cell(self) -> None:
         """Segmentation: one charge per cell, then pace and offer it."""
+        index = self._index
         total = len(self._cells)
-        if self._index == total:
+        if index == total:
             self._completion()
             return
-        position = CellPosition.of(self._index, total)
+        if 0 < index < total - 1:
+            position = CellPosition.MIDDLE
+        else:
+            position = CellPosition.of(index, total)
         ops, cycles = self.costs.cell_charge(position)
         extra = self.glue.tx_extra_cycles
         if self.profiler is not None:
@@ -355,8 +359,8 @@ class Framer:
     def _frame(self, cell: AtmCell) -> None:
         if self.link is None:
             raise RuntimeError(f"{self.name} has no link attached")
-        self.link.send(cell).add_callback(self._wire_out)
+        self.link.send(cell, self._wire_out)
 
-    def _wire_out(self, _sent: Event) -> None:
+    def _wire_out(self) -> None:
         self.cells_framed.increment()
         self.fifo.pull(self._frame)

@@ -142,13 +142,15 @@ DROP_REASONS: Dict[str, str] = {
     "protocol": "segment-type violation",
     "oversize": "PDU exceeded the maximum reassembly size",
     "timeout": "reassembly timer expired on a partial PDU",
-    "no-context": "cell with no reassembly context",
     "quota": "context evicted to honour the context quota",
     # traffic management (switch output ports; repro.tm)
     "clp": "CLP=1 cell discarded first under output-port pressure",
     "port_full": "output-port buffer full (tail drop)",
 }
 
+
+#: The drop events: their ``reason`` must be a :data:`DROP_REASONS` key.
+_DROP_EVENTS = frozenset(("cell.drop", "pdu.drop"))
 
 #: Events one recorder keeps; those after it are counted, not kept.
 EVENT_CAP = 500_000
@@ -249,12 +251,20 @@ class TraceRecorder:
 
         *cell* may be an :class:`~repro.atm.cell.AtmCell`; its ``meta``
         ids and VC fill any identity fields not given explicitly.
-        Events are stamped with the current simulation time.
+        Events are stamped with the current simulation time.  An
+        undeclared *name*, or a drop event whose ``reason`` is not a
+        :data:`DROP_REASONS` key, raises :class:`ValueError`.
         """
         if name not in EVENT_TAXONOMY:
             raise ValueError(
                 f"{name!r} is not in EVENT_TAXONOMY; declare new event "
                 "names there (and in docs/OBSERVABILITY.md) first"
+            )
+        if name in _DROP_EVENTS and args.get("reason") not in DROP_REASONS:
+            raise ValueError(
+                f"{name} reason {args.get('reason')!r} is not in "
+                "DROP_REASONS; declare new reasons there (and in "
+                "docs/OBSERVABILITY.md) first"
             )
         if len(self.events) >= EVENT_CAP:
             self.overflow += 1

@@ -418,9 +418,18 @@ class Simulator:
         """Call ``fn(*args)`` after *delay* seconds, as a bare queue entry.
 
         Returns the queued :class:`Call`; its ``cancel()`` withdraws it.
+        The body is :meth:`_schedule` inlined: the datapath queues most
+        of its entries here.
         """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         call = Call(fn, args)
-        self._schedule(delay, call)
+        sequence = self._sequence + 1
+        self._sequence = sequence
+        queue = self._queue
+        heappush(queue, (self._now + delay, NORMAL, sequence, call))
+        if len(queue) > self.peak_queue_occupancy:
+            self.peak_queue_occupancy = len(queue)
         return call
 
     def pending_events(self) -> int:

@@ -7,7 +7,9 @@ the yielded event fires and then resumes with the event's value::
     def sender(sim, link):
         for _ in range(10):
             yield sim.timeout(0.001)      # wait 1 ms
-            yield link.send(cell)         # wait for the send to complete
+            sent = sim.event()
+            link.send(cell, sent.trigger) # trigger it at wire-out
+            yield sent                    # wait for the send to complete
 
     sim.process(sender(sim, link))
 

@@ -175,7 +175,7 @@ class AbrAgent:
     def observe_cell(self, cell: AtmCell) -> None:
         """RxEngine per-user-cell hook: latch EFCI marks per VC."""
         if cell.congestion_experienced:
-            self._efci_seen[VcAddress(cell.vpi, cell.vci)] = True
+            self._efci_seen[cell.vc] = True
 
     def _turn_around(self, rm: RmCell) -> None:
         ci = self._efci_seen.pop(rm.vc, False)

@@ -115,7 +115,7 @@ class EricaAllocator:
         load = self._load_of(port)
         self._roll_window(load)
         load.cells_in += 1
-        vc = VcAddress(cell.vpi, cell.vci)
+        vc = cell.vc
         load.active.add(vc)
         if not is_rm_cell(cell):
             return cell

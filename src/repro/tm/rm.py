@@ -114,7 +114,7 @@ class RmCell:
         flags = payload[1]
         er, ccr, mcr = _RATES.unpack_from(payload, 2)
         return cls(
-            vc=VcAddress(cell.vpi, cell.vci),
+            vc=cell.vc,
             forward=not flags & _FLAG_DIR,
             er=er,
             ccr=ccr,

@@ -1,9 +1,13 @@
 """ATM cell format: encode/decode, field ranges, PTI semantics."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.atm import AtmCell, CELL_SIZE, CellFormatError, PAYLOAD_SIZE
+from repro.atm.addressing import VcAddress
 from repro.atm.cell import (
     PTI_OAM_SEGMENT,
     PTI_USER_SDU0,
@@ -140,6 +144,89 @@ class TestSemantics:
         b = AtmCell(vpi=0, vci=32, payload=PAYLOAD)
         a.meta["timestamp"] = 1.0
         assert a == b
+        assert not a != b
+
+
+class TestRecord:
+    """The decoded fields, immutability and identity of the cell record."""
+
+    @pytest.mark.parametrize("pti", range(8))
+    def test_decoded_fields_agree_with_the_header(self, pti):
+        cell = AtmCell(vpi=7, vci=4097, payload=PAYLOAD, pti=pti)
+        user = pti & 0b100 == 0
+        assert cell.vc == VcAddress(7, 4097)
+        assert type(cell.vc) is VcAddress
+        assert cell.is_user_cell is user
+        assert cell.end_of_frame is (user and pti & 0b001 == 1)
+        assert cell.congestion_experienced is (user and pti & 0b010 == 2)
+
+    def test_relabelled_cell_decodes_its_new_header(self):
+        cell = AtmCell(vpi=1, vci=2, payload=PAYLOAD, pti=PTI_USER_SDU1)
+        out = cell.with_header(vpi=3, vci=40, pti=PTI_OAM_SEGMENT)
+        assert out.vc == VcAddress(3, 40)
+        assert not out.is_user_cell and not out.end_of_frame
+
+    @pytest.mark.parametrize(
+        "field", ["vpi", "vci", "payload", "pti", "clp", "gfc", "meta", "vc"]
+    )
+    def test_fields_cannot_be_assigned(self, field):
+        cell = AtmCell(vpi=0, vci=32, payload=PAYLOAD)
+        with pytest.raises(AttributeError):
+            setattr(cell, field, 1)
+
+    def test_no_new_attributes(self):
+        cell = AtmCell(vpi=0, vci=32, payload=PAYLOAD)
+        with pytest.raises(AttributeError):
+            cell.note = "x"
+        assert not hasattr(cell, "__dict__")
+
+    def test_hash_ignores_meta(self):
+        a = AtmCell(vpi=0, vci=32, payload=PAYLOAD, pti=1, clp=1, gfc=2)
+        b = AtmCell(vpi=0, vci=32, payload=PAYLOAD, pti=1, clp=1, gfc=2)
+        a.meta["cell_id"] = 5
+        assert hash(a) == hash(b)
+        assert hash(a) == hash((0, 32, PAYLOAD, 1, 1, 2))
+        assert len({a, b}) == 1
+
+    def test_with_header_shares_meta(self):
+        cell = AtmCell(vpi=0, vci=32, payload=PAYLOAD)
+        cell.meta["cell_id"] = 9
+        out = cell.with_header(vpi=3)
+        assert out.meta is cell.meta
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            copy.copy,
+            copy.deepcopy,
+            lambda cell: pickle.loads(pickle.dumps(cell)),
+        ],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_round_trip(self, duplicate):
+        cell = AtmCell(
+            vpi=5, vci=600, payload=PAYLOAD, pti=PTI_USER_SDU1, clp=1, gfc=3
+        )
+        cell.meta.update(cell_id=4, pdu_id=2)
+        twin = duplicate(cell)
+        assert type(twin) is AtmCell
+        assert twin == cell
+        assert tuple(twin) == tuple(cell)
+        assert twin.meta == {"cell_id": 4, "pdu_id": 2}
+
+    def test_one_construction_validates_once(self, monkeypatch):
+        calls = []
+        validate = AtmCell.__post_init__
+
+        def counted(cell):
+            calls.append(cell)
+            validate(cell)
+
+        monkeypatch.setattr(AtmCell, "__post_init__", counted)
+        cell = AtmCell(vpi=0, vci=32, payload=PAYLOAD)
+        assert calls == [cell]
+        cell.with_header(vci=33)
+        assert len(calls) == 2
 
 
 class TestPadPayload:

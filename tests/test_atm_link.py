@@ -86,7 +86,9 @@ class TestSerialization:
         times = []
 
         def sender():
-            yield link.send(cell())
+            sent = sim.event()
+            link.send(cell(), sent.trigger)
+            yield sent
             times.append(sim.now)
 
         sim.process(sender())
@@ -95,22 +97,24 @@ class TestSerialization:
 
     def test_zero_propagation_delivers_before_the_sender_resumes(self, sim):
         # One queue entry per cell: the wire-out entry delivers first,
-        # then runs the sender's callbacks.
+        # then runs the sender's callback.
         log = []
         link = PhysicalLink(
             sim, TAXI_100, sink=lambda c: log.append(("delivered", sim.now))
         )
 
         def sender():
-            yield link.send(cell())
+            sent = sim.event()
+            link.send(cell(), sent.trigger)
+            yield sent
             log.append(("wire-out", sim.now))
 
         sim.process(sender())
         sim.run()
         slot = TAXI_100.cell_time
         assert log == [("delivered", slot), ("wire-out", slot)]
-        # process start, wire-out, process completion
-        assert sim.events_processed == 3
+        # process start, wire-out, the sender's event, process completion
+        assert sim.events_processed == 4
 
     def test_positive_propagation_delivers_at_wire_out_plus_delay(self, sim):
         log = []
@@ -122,14 +126,17 @@ class TestSerialization:
         )
 
         def sender():
-            yield link.send(cell())
+            sent = sim.event()
+            link.send(cell(), sent.trigger)
+            yield sent
             log.append(("wire-out", sim.now))
 
         sim.process(sender())
         sim.run()
         slot = TAXI_100.cell_time
         assert log == [("wire-out", slot), ("delivered", slot + 2e-6)]
-        assert sim.events_processed == 4
+        # process start, wire-out, the sender's event, delivery, completion
+        assert sim.events_processed == 5
 
     def test_one_entry_per_cell_at_zero_propagation(self, sim):
         got = []

@@ -69,6 +69,22 @@ class TestTraceRecorder:
         with pytest.raises(ValueError):
             recorder.emit("no.such.event", actor="x")
 
+    @pytest.mark.parametrize("name", ["cell.drop", "pdu.drop"])
+    def test_undeclared_drop_reason_rejected(self, sim, name):
+        recorder = TraceRecorder(sim)
+        with pytest.raises(ValueError, match="no-such-reason"):
+            recorder.emit(name, actor="x", reason="no-such-reason")
+        with pytest.raises(ValueError):
+            recorder.emit(name, actor="x")  # a drop must name its cause
+        assert len(recorder) == 0
+
+    def test_every_declared_drop_reason_accepted(self, sim):
+        recorder = TraceRecorder(sim)
+        for reason in DROP_REASONS:
+            recorder.emit("cell.drop", actor="x", reason=reason)
+            recorder.emit("pdu.drop", actor="x", reason=reason)
+        assert recorder.drop_reasons() == {reason: 2 for reason in DROP_REASONS}
+
     def test_cap_keeps_first_events_and_counts_the_rest(self, sim):
         assert EVENT_CAP == 500_000
         recorder = TraceRecorder(sim)

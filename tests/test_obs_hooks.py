@@ -1,12 +1,11 @@
 """Trace hook sites no experiment reaches at its bench size.
 
 At their bench parameters the 21 experiments emit 41 of the 45 event
-names a run can emit and 8 of the 19 drop reasons, and tier-1's shrunk
+names a run can emit and 8 of the 18 drop reasons, and tier-1's shrunk
 runs of them reach fewer hook call sites still.  Each test here drives
 such a site through real components built inside
 :func:`repro.obs.observe`, so the hook under test is the recorder the
-component copied from its simulator.  ``no-context`` is declared but no
-reassembler produces it.
+component copied from its simulator.
 """
 
 from dataclasses import replace
