@@ -5,15 +5,15 @@ suites cannot see: every source of randomness flows through
 :class:`repro.sim.random.RandomStreams` (the common-random-numbers
 discipline), every engine cycle charged traces back to a named budget
 in :mod:`repro.nic.costs` (the paper's instruction-level accounting
-method), every trace event belongs to the validated taxonomy of
-:mod:`repro.obs.trace`, simulation timestamps are never compared with
-float equality, and the duck-typed observability hooks keep the exact
-call shapes of the recorder and profiler :func:`repro.obs.observe`
-installs.  This package turns each
-convention into an AST-checked rule with a stable id, a severity, a
-fix hint, and a suppression syntax -- so a drift between the code and
-the paper's accounting argument fails CI instead of silently skewing
-the T1/T2/F8 tables.
+method), simulation timestamps are never compared with float equality,
+and no sweep point reads the identity of the worker that runs it.
+This package turns each convention into an AST-checked rule with a
+stable id, a severity, a fix hint, and a suppression syntax -- so a
+drift between the code and the paper's accounting argument fails CI
+instead of silently skewing the T1/T2/F8 tables.  The rules read
+syntax alone; the trace taxonomy and the hook signatures are checked
+where each call runs, by :class:`repro.obs.trace.TraceRecorder` and by
+Python itself.
 
 Entry points::
 

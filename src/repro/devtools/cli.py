@@ -2,7 +2,7 @@
 
 Exit status: 0 when clean, 1 when any finding survives suppression,
 2 on usage errors -- so CI can gate on the process status alone while
-also uploading the ``--out`` JSON report as an artifact.
+also keeping the ``--format json`` report as an artifact.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-atm lint",
         description=(
             "simlint: enforce the simulator's determinism, cost-model, "
-            "trace-taxonomy, sim-time, hook-shape, and parallel-runner "
-            "invariants"
+            "sim-time and parallel-runner invariants"
         ),
     )
     parser.add_argument(
@@ -46,24 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format on stdout (default: text)",
     )
     parser.add_argument(
-        "--out",
-        metavar="PATH",
-        help="also write the JSON report here (the CI artifact)",
-    )
-    parser.add_argument(
         "--rules",
         metavar="IDS",
-        help="comma-separated rule ids or family prefixes (e.g. SL1,SL302)",
+        help="comma-separated rule ids or family prefixes (e.g. SL1,SL201)",
     )
     parser.add_argument(
         "--docs",
         action="store_true",
         help="also run the documentation hygiene checks (DOC101-DOC103)",
-    )
-    parser.add_argument(
-        "--repo-root",
-        metavar="DIR",
-        help="repository root for --docs (default: auto-detected)",
     )
     parser.add_argument(
         "--list-rules",
@@ -103,16 +92,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     findings = list(result.findings)
     if args.docs:
-        repo = Path(args.repo_root) if args.repo_root else default_repo_root()
-        findings.extend(check_docs(repo))
+        findings.extend(check_docs())
 
-    extra = {"files_scanned": result.files_scanned}
-    if args.out:
-        Path(args.out).write_text(
-            render_json(findings, root=result.root, extra=extra) + "\n",
-            encoding="utf-8",
-        )
     if args.format == "json":
+        extra = {"files_scanned": result.files_scanned}
         print(render_json(findings, root=result.root, extra=extra))
     elif args.format == "sarif":
         print(

@@ -14,11 +14,10 @@ from typing import Any, Dict, Iterable
 
 
 class Severity(enum.Enum):
-    """How bad a finding is: error, warning or info."""
+    """How bad a finding is; each value is also its SARIF result level."""
 
     ERROR = "error"
     WARNING = "warning"
-    INFO = "info"
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,6 @@ def render_json(
     return json.dumps(document, indent=2, sort_keys=True)
 
 
-#: SARIF 2.1.0 result levels for each finding severity.
-_SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
-
-
 def render_sarif(
     findings: Iterable[Finding],
     root: str = "",
@@ -135,7 +130,7 @@ def render_sarif(
         results.append(
             {
                 "ruleId": finding.rule,
-                "level": _SARIF_LEVELS[finding.severity.value],
+                "level": finding.severity.value,
                 "message": {"text": text},
                 "locations": [
                     {

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.devtools.findings import Finding, Severity
-from repro.devtools.model import build_model
 from repro.devtools.rules import RULE_REGISTRY, ModuleContext, register_rule
 from repro.devtools.suppress import SuppressionIndex, matches
 
@@ -24,10 +23,8 @@ from repro.devtools.suppress import SuppressionIndex, matches
 from repro.devtools import (  # noqa: F401  (imported for registration)
     rules_costmodel,
     rules_determinism,
-    rules_hooks,
     rules_parallel,
     rules_simtime,
-    rules_taxonomy,
 )
 
 
@@ -124,23 +121,17 @@ def _unused_finding(path_relative: str, line: int, rules: Set[str]) -> Finding:
 
 def lint_paths(
     paths: Sequence[str | Path],
-    root: Optional[str | Path] = None,
     rules: Optional[Iterable[str]] = None,
 ) -> LintResult:
     """Lint every ``.py`` file under *paths*.
 
-    *root* anchors relative paths in findings and path-scoped rules;
-    it defaults to the first directory argument (or the first file's
-    parent), which is the right thing both for ``src/repro`` and for
-    the fixture corpus.
+    The first directory argument (or the first file's parent) anchors
+    relative paths in findings and path-scoped rules, which is the
+    right thing both for ``src/repro`` and for the fixture corpus.
     """
     resolved = [Path(p) for p in paths]
-    if root is None:
-        first = resolved[0]
-        root_path = first if first.is_dir() else first.parent
-    else:
-        root_path = Path(root)
-    model = build_model()
+    first = resolved[0]
+    root_path = first if first.is_dir() else first.parent
     selected = _selected_rules(rules)
     checks = [
         rule.check
@@ -158,9 +149,7 @@ def lint_paths(
         except SyntaxError as exc:
             result.findings.append(_parse_failure(relative, exc))
             continue
-        context = ModuleContext(
-            path=relative, tree=tree, source=source, model=model
-        )
+        context = ModuleContext(path=relative, tree=tree)
         for check in checks:
             check(context)
         index = SuppressionIndex(source)

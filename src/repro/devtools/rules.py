@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.devtools.findings import Finding, Severity
-from repro.devtools.model import RepoModel
 
 
 @dataclass
@@ -24,8 +23,6 @@ class ModuleContext:
 
     path: str  #: posix path relative to the lint root
     tree: ast.Module
-    source: str
-    model: RepoModel
     findings: List[Finding] = field(default_factory=list)
     _imports: Optional[Dict[str, str]] = None
 
@@ -175,22 +172,3 @@ def terminal_attribute(expr: ast.expr) -> str:
     if isinstance(expr, ast.Name):
         return expr.id
     return ""
-
-
-def string_arg(call: ast.Call, position: int, keyword: str) -> Optional[str]:
-    """A literal string argument by position or keyword, else None."""
-    if len(call.args) > position:
-        candidate = call.args[position]
-        if isinstance(candidate, ast.Constant) and isinstance(
-            candidate.value, str
-        ):
-            return candidate.value
-        return None
-    for kw in call.keywords:
-        if kw.arg == keyword:
-            if isinstance(kw.value, ast.Constant) and isinstance(
-                kw.value.value, str
-            ):
-                return kw.value.value
-            return None
-    return None

@@ -21,7 +21,6 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from repro.devtools.model import PROFILER_METHODS
 from repro.devtools.rules import (
     ModuleContext,
     numeric_literals,
@@ -31,6 +30,9 @@ from repro.devtools.rules import (
 
 #: Methods that charge cycles to an engine clock (or host CPU) ledger.
 CHARGE_METHODS = {"work", "charge"}
+
+#: The cycle profiler's accounting methods (``CycleProfiler.record_*``).
+PROFILER_METHODS = {"record_cell", "record_pdu", "record_oam", "record_ops"}
 
 #: The module that *defines* the budgets may use literals freely.
 BUDGET_HOME = "nic/costs.py"

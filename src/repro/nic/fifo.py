@@ -19,7 +19,10 @@ producers written as processes.
 
 The asymmetry is the architectural point measured by F5: the TX FIFO
 converts engine speed into stalls, the RX FIFO converts engine slowness
-into loss.  Occupancy is tracked time-weighted for sizing studies.
+into loss.  Occupancy is tracked time-weighted for sizing studies; it
+is recorded where a cell enters or leaves the queue, so a stalled
+offer (the FIFO stays full) and a hand-over (it stays empty) record
+nothing.
 """
 
 from __future__ import annotations
@@ -84,7 +87,6 @@ class CellFifo:
             self._accept(cell)
             return True
         self._waiting.append((cell, resume))
-        self.occupancy.record(self.sim.now, len(self._cells))
         return False
 
     def put(self, cell: AtmCell) -> Event:
@@ -131,7 +133,6 @@ class CellFifo:
         self._consumer = None
         self.cells_in += 1
         self.cells_out += 1
-        self.occupancy.record(self.sim.now, 0)
         if self.trace is not None:
             self.trace.emit("fifo.enq", actor=self.name, cell=cell, occupancy=0)
             self.trace.emit("fifo.deq", actor=self.name, cell=cell, occupancy=0)

@@ -392,26 +392,9 @@ def run_f3(
     series = Series(name="rx throughput", x_label="sdu_bytes")
     for size in sizes:
         run_window = _window_for(size, window, config.link)
-        sim = Simulator()
-        nic = HostNetworkInterface(sim, config, name="rxhost")
-        received = []
-        nic.on_pdu = received.append
-        vc = nic.open_vc(address=VcAddress(0, 100))
-        nic.start()
-        segmenter = Aal5Segmenter(vc.address)
-        payload = make_payload(size)
-
-        def feeder():
-            while True:
-                for cell in segmenter.segment(payload):
-                    yield sim.timeout(config.link.cell_time)
-                    yield nic.rx_fifo.put(cell)
-
-        sim.process(feeder())
-        sim.run(until=run_window)
         series.add_point(
             size,
-            simulated_mbps=steady_goodput_mbps(received),
+            simulated_mbps=_measure_rx_capacity(config, size, run_window),
             model_mbps=rx_throughput_model_mbps(config, size),
         )
     result = ExperimentResult(
@@ -1201,10 +1184,35 @@ def _measure_tx_capacity(
     vc = sender.open_vc()
     GreedySource(sim, sender, vc.address, sdu_size).start()
     sim.run(until=window)
+    return _wire_goodput_mbps(wire_times, sdu_size)
+
+
+def _wire_goodput_mbps(wire_times: Sequence[float], sdu_size: int) -> float:
+    """Goodput from each SDU's last-cell wire-out time (ramp-up excluded)."""
     if len(wire_times) < 3:
         return 0.0
     span = wire_times[-1] - wire_times[0]
     return ((len(wire_times) - 1) * sdu_size * 8 / span) / 1e6 if span > 0 else 0.0
+
+
+def _feed_rx_fifo(
+    sim: Simulator, nic: HostNetworkInterface, address: VcAddress, sdu_size: int
+) -> None:
+    """Feed *nic*'s RX FIFO from a backlogged wire, one cell per cell time.
+
+    Each cell waits for room (upstream buffering), so the feed never
+    overruns the FIFO.
+    """
+    segmenter = Aal5Segmenter(address)
+    payload = make_payload(sdu_size)
+
+    def feeder():
+        while True:
+            for cell in segmenter.segment(payload):
+                yield sim.timeout(nic.config.link.cell_time)
+                yield nic.rx_fifo.put(cell)
+
+    sim.process(feeder())
 
 
 def _measure_rx_capacity(
@@ -1219,16 +1227,7 @@ def _measure_rx_capacity(
     nic.on_pdu = received.append
     vc = nic.open_vc(address=VcAddress(0, 100))
     nic.start()
-    segmenter = Aal5Segmenter(vc.address)
-    payload = make_payload(sdu_size)
-
-    def feeder():
-        while True:
-            for cell in segmenter.segment(payload):
-                yield sim.timeout(config.link.cell_time)
-                yield nic.rx_fifo.put(cell)
-
-    sim.process(feeder())
+    _feed_rx_fifo(sim, nic, vc.address, sdu_size)
     sim.run(until=window)
     return steady_goodput_mbps(received)
 
@@ -1260,22 +1259,9 @@ def _measure_duplex_aggregate(
     nic.on_pdu = received.append
     nic.start()
     GreedySource(sim, nic, tx_vc.address, sdu_size).start()
-    segmenter = Aal5Segmenter(rx_vc.address)
-    payload = make_payload(sdu_size)
-
-    def feeder():
-        while True:
-            for cell in segmenter.segment(payload):
-                yield sim.timeout(config.link.cell_time)
-                yield nic.rx_fifo.put(cell)
-
-    sim.process(feeder())
+    _feed_rx_fifo(sim, nic, rx_vc.address, sdu_size)
     sim.run(until=window)
-    tx_mbps = 0.0
-    if len(wire_times) >= 3:
-        span = wire_times[-1] - wire_times[0]
-        if span > 0:
-            tx_mbps = ((len(wire_times) - 1) * sdu_size * 8 / span) / 1e6
+    tx_mbps = _wire_goodput_mbps(wire_times, sdu_size)
     return tx_mbps + steady_goodput_mbps(received)
 
 

@@ -104,6 +104,38 @@ class TestCellFifo:
         assert got == [1, 2, 3]
         assert fifo.cells_in == fifo.cells_out == 3
 
+    def test_occupancy_is_time_weighted(self, sim):
+        # Dyadic instants keep every integral exact, so == is safe.
+        fifo = CellFifo(sim, depth_cells=2)
+        got, resumed = [], []
+
+        def drive():
+            yield sim.timeout(0.25)
+            assert fifo.try_put(cell(vci=1))  # level 1
+            yield sim.timeout(0.25)
+            assert fifo.try_put(cell(vci=2))  # level 2: full
+            yield sim.timeout(0.5)
+            assert not fifo.offer(cell(vci=3), lambda: resumed.append(sim.now))
+            yield sim.timeout(0.5)
+            fifo.pull(lambda c: got.append(c.vci))  # admits vci 3: still 2
+            for _ in range(2):  # drain: 1, then 0
+                yield sim.timeout(0.5)
+                fifo.pull(lambda c: got.append(c.vci))
+            yield sim.timeout(0.5)
+            fifo.pull(lambda c: got.append(c.vci))  # waits on the empty FIFO
+            yield sim.timeout(0.5)
+            assert fifo.try_put(cell(vci=4))  # handed straight over
+            yield sim.timeout(0.5)
+
+        sim.process(drive())
+        sim.run()
+        assert got == [1, 2, 3, 4] and resumed == [1.5]
+        # 1 over [0.25, 0.5), 2 over [0.5, 2.0), 1 over [2.0, 2.5), then 0.
+        assert fifo.occupancy.mean(4.0) == (0.25 + 2 * 1.5 + 0.5) / 4.0
+        assert fifo.occupancy.mean(4.0) == 0.9375
+        assert fifo.occupancy.maximum == 2
+        assert len(fifo) == 0 and fifo.cells_in == fifo.cells_out == 4
+
     def test_try_get(self, sim):
         fifo = CellFifo(sim, depth_cells=4)
         assert fifo.try_get() is None
