@@ -58,7 +58,7 @@ class ReassemblyTimerWheel:
 
     def arm(self, key: Hashable) -> None:
         """Begin (or restart) timing *key*."""
-        self._deadlines[key] = self.sim.now + self.timeout
+        self._deadlines[key] = self.sim._now + self.timeout
 
     # A sliding timeout is a re-arm.
     touch = arm

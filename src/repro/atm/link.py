@@ -94,7 +94,7 @@ class PhysicalLink:
             raise ValueError("propagation delay must be >= 0")
         self.sim = sim
         self.spec = spec
-        self.sink = sink
+        self.connect(sink)
         self.propagation_delay = propagation_delay
         self.loss_model = loss_model if loss_model is not None else NoLoss()
         #: Optional corruption hook (``maybe_corrupt(cell) -> cell``,
@@ -114,9 +114,14 @@ class PhysicalLink:
         self.trace = sim.trace
         sim.components.append(self)
 
-    def connect(self, sink: CellSink) -> None:
+    def connect(self, sink: Optional[CellSink]) -> None:
         """Attach (or replace) the receiving end."""
         self.sink = sink
+        #: The sink's ``receive_cell``, or the sink itself when it is a
+        #: plain callable: resolved here, not per cell.
+        self._receive: Optional[Callable[[AtmCell], None]] = getattr(
+            sink, "receive_cell", sink
+        )
 
     def send(
         self, cell: AtmCell, then: Optional[Callable[..., Any]] = None, *args: Any
@@ -135,7 +140,7 @@ class PhysicalLink:
         done = start + cell_time
         self._next_free = done
         self._busy_time += cell_time
-        self.cells_sent.increment()
+        self.cells_sent.count += 1
         if self.trace is not None:
             self.trace.emit("link.cell.sent", actor=self.name, cell=cell)
 
@@ -170,16 +175,13 @@ class PhysicalLink:
             then(*args)
 
     def _deliver(self, cell: AtmCell) -> None:
-        self.cells_delivered.increment()
+        self.cells_delivered.count += 1
         if self.trace is not None:
             self.trace.emit("link.cell.delivered", actor=self.name, cell=cell)
-        if self.sink is None:
+        receive = self._receive
+        if receive is None:
             raise RuntimeError(f"{self.name} has no sink attached")
-        receive = getattr(self.sink, "receive_cell", None)
-        if receive is not None:
-            receive(cell)
-        else:
-            self.sink(cell)
+        receive(cell)
 
     @property
     def backlog_time(self) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque
+from typing import Any, Callable, Deque
 
 from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter
@@ -85,26 +85,37 @@ TURBOCHANNEL = BusSpec(
 
 
 class _Transaction:
-    """One master's transfer: words still to move, and its outcome."""
+    """One master's transfer: words still to move, and its continuation."""
 
-    __slots__ = ("words", "nbytes", "master", "done")
+    __slots__ = ("words", "nbytes", "master", "then", "args")
 
-    def __init__(self, words: int, nbytes: int, master: str, done: Event) -> None:
+    def __init__(
+        self,
+        words: int,
+        nbytes: int,
+        master: str,
+        then: Callable[..., Any],
+        args: tuple[Any, ...],
+    ) -> None:
         self.words = words
         self.nbytes = nbytes
         self.master = master
-        self.done = done
+        self.then = then
+        self.args = args
 
 
 class SystemBus:
     """The dynamic bus: an arbitrated resource that masters transact on.
 
-    ``transfer(nbytes, master)`` is a process-style operation: the caller
-    yields on the returned event and resumes once its data has moved.
-    Long transfers hold the bus one burst at a time; between bursts the
-    arbitration is re-run, so a competing master's short transaction
-    slots in with bounded latency.  Arbitration is FIFO: a transaction
-    with bursts left rejoins the queue behind every waiting master.
+    ``transfer_then(nbytes, master, then, *args)`` moves the bytes and
+    calls ``then(*args)`` from the entry in which the last burst ends,
+    before the bus is granted to the next master;
+    ``transfer(nbytes, master)`` is the process-style form, an event the
+    caller yields on, which fires one entry later.  Long transfers hold
+    the bus one burst at a time; between bursts the arbitration is
+    re-run, so a competing master's short transaction slots in with
+    bounded latency.  Arbitration is FIFO: a transaction with bursts
+    left rejoins the queue behind every waiting master.
     """
 
     def __init__(self, sim: Simulator, spec: BusSpec, name: str = "bus") -> None:
@@ -119,13 +130,15 @@ class SystemBus:
         self.transactions = Counter(f"{name}.transactions")
         self.bytes_by_master: dict[str, int] = {}
 
-    def transfer(self, nbytes: int, master: str = "dma") -> Event:
-        """Event firing when *nbytes* have crossed the bus for *master*."""
+    def transfer_then(
+        self, nbytes: int, master: str, then: Callable[..., Any], *args: Any
+    ) -> None:
+        """Move *nbytes* for *master*, then call ``then(*args)``."""
         if nbytes < 0:
             raise ValueError("negative transfer size")
         self.transactions.increment()
         transaction = _Transaction(
-            self.spec.words_for(nbytes), nbytes, master, Event(self.sim)
+            self.spec.words_for(nbytes), nbytes, master, then, args
         )
         if transaction.words == 0:
             self._complete(transaction)
@@ -133,7 +146,12 @@ class SystemBus:
             self._burst(transaction)
         else:
             self._waiting.append(transaction)
-        return transaction.done
+
+    def transfer(self, nbytes: int, master: str = "dma") -> Event:
+        """Event firing when *nbytes* have crossed the bus for *master*."""
+        done = Event(self.sim)
+        self.transfer_then(nbytes, master, done.trigger, nbytes)
+        return done
 
     def _burst(self, transaction: _Transaction) -> None:
         """Grant the bus to *transaction* for its next burst."""
@@ -160,7 +178,7 @@ class SystemBus:
         self.bytes_by_master[transaction.master] = (
             self.bytes_by_master.get(transaction.master, 0) + transaction.nbytes
         )
-        transaction.done.trigger(transaction.nbytes)
+        transaction.then(*transaction.args)
 
     def utilization(self, now: float | None = None) -> float:
         """Fraction of elapsed time the bus was held by some master."""

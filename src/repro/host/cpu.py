@@ -4,12 +4,16 @@ The CPU executes *work items* measured in cycles.  Work is serialised
 (one instruction stream), so concurrent demands queue; utilisation and
 the total cycles burned per category are the experiment outputs.
 
-Two usage styles coexist:
+Three usage styles coexist:
 
+- **callback**: ``cpu.execute_then(cycles, "os-send", then, *args)``
+  queues the work and calls ``then(*args)`` once it has run (queueing
+  included).  The CPU serves its queue from callbacks: one timed queue
+  entry per work item, then one zero-delay completion entry that calls
+  ``then`` -- after the entries already queued for that instant;
 - **blocking**: a process does ``yield cpu.execute(cycles, "driver-tx")``
-  and resumes when the work completes (queueing included).  The CPU
-  serves the queue from callbacks: one timed queue entry per work item,
-  then one zero-delay completion entry that resumes the caller;
+  and resumes when the work completes.  The event fires inside that
+  same completion entry, so both styles take two entries per item;
 - **accounting-only**: ``cpu.charge(cycles, tag)`` books cycles without
   simulating occupancy, for closed-form comparisons.
 """
@@ -18,9 +22,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.sim.core import Event, Simulator
+
+#: A queued work item: cycles, tag, and the continuation with its args.
+_Work = tuple[float, str, Callable[..., Any], tuple[Any, ...]]
 
 
 @dataclass(frozen=True)
@@ -67,38 +74,48 @@ class HostCpu:
         self.spec = spec
         self.name = name
         #: Work items waiting behind the running one, oldest first.
-        self._waiting: Deque[tuple[float, str, Event]] = deque()
+        self._waiting: Deque[_Work] = deque()
         self._running = False
         self._busy_time = 0.0
         self.cycles_by_tag: Dict[str, float] = {}
 
-    # -- blocking execution ------------------------------------------------
+    # -- execution ----------------------------------------------------------
 
-    def execute(self, cycles: float, tag: str = "work") -> "Event":
-        """Event that fires once *cycles* of work have run on the CPU.
+    def execute_then(
+        self, cycles: float, tag: str, then: Callable[..., Any], *args: Any
+    ) -> None:
+        """Run *cycles* of work, then call ``then(*args)``.
 
-        Work requests queue FIFO behind whatever the CPU is doing.
+        Work requests queue FIFO behind whatever the CPU is doing; the
+        call comes from a zero-delay entry of its own once the work has
+        run.
         """
         if cycles < 0:
             raise ValueError("negative cycle count")
-        done = Event(self.sim)
         if self._running:
-            self._waiting.append((cycles, tag, done))
+            self._waiting.append((cycles, tag, then, args))
         else:
-            self._start(cycles, tag, done)
+            self._start(cycles, tag, then, args)
+
+    def execute(self, cycles: float, tag: str = "work") -> Event:
+        """Event that fires once *cycles* of work have run on the CPU."""
+        done = Event(self.sim)
+        self.execute_then(cycles, tag, done.fire)
         return done
 
-    def _start(self, cycles: float, tag: str, done: Event) -> None:
+    def _start(
+        self, cycles: float, tag: str, then: Callable[..., Any], args: tuple[Any, ...]
+    ) -> None:
         self._running = True
         duration = self.spec.seconds_for(cycles)
         self._busy_time += duration
         self._book(cycles, tag)
-        self.sim.schedule_call(duration, self._finish, done)
+        self.sim.schedule_call(duration, self._finish, then, args)
 
-    def _finish(self, done: Event) -> None:
-        # The caller resumes from its own zero-delay entry, after the
+    def _finish(self, then: Callable[..., Any], args: tuple[Any, ...]) -> None:
+        # The caller continues from its own zero-delay entry, after the
         # entries already queued for this instant -- not inside this one.
-        done.trigger(None)
+        self.sim.schedule_call(0.0, then, *args)
         if self._waiting:
             self._start(*self._waiting.popleft())
         else:

@@ -9,15 +9,18 @@ coalescing), the interrupt model is load-bearing for experiment T3.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import Any, Callable, Optional
 
 from repro.host.cpu import HostCpu
 from repro.sim.core import URGENT, Call, Event, Simulator
 from repro.sim.monitor import Counter
 
-_Batch = list[tuple[float, Optional[Callable[[], None]]]]
+#: Raises merged into one delivery: each one's handler cycles, handler,
+#: and continuation with its args.
+_Batch = list[
+    tuple[float, Optional[Callable[[], None]], Callable[..., Any], tuple[Any, ...]]
+]
 
 
 @dataclass(frozen=True)
@@ -44,13 +47,17 @@ class InterruptSpec:
 class InterruptController:
     """Delivers device interrupts onto the host CPU.
 
-    ``raise_interrupt(handler_cycles, handler)`` charges the CPU for
-    entry + handler + exit and invokes *handler* (a plain callable) when
-    the handler body runs.  With a coalescing window configured,
-    back-to-back raises merge: one delivery, one entry/exit, the sum of
-    handler bodies -- how real drivers amortised per-PDU completions.
-    Without a window, raises from the same queue entry still merge: the
-    line is sampled once that entry is done.
+    ``raise_interrupt_then(handler_cycles, handler, then, *args)``
+    charges the CPU for entry + handler + exit, invokes *handler* (a
+    plain callable, or None) when the handler body runs, and calls
+    ``then(*args)`` in that same entry, after every handler of the
+    delivery; ``raise_interrupt(handler_cycles, handler)`` is the
+    process-style form, whose event fires one entry later.  With a
+    coalescing window configured, back-to-back raises merge: one
+    delivery, one entry/exit, the sum of handler bodies -- how real
+    drivers amortised per-PDU completions.  Without a window, raises
+    from the same queue entry still merge: the line is sampled once
+    that entry is done.
     """
 
     def __init__(
@@ -71,11 +78,27 @@ class InterruptController:
         #: TraceRecorder, or None.
         self.trace = sim.trace
         self._pending: _Batch = []
-        self._pending_events: list[Event] = []
         self._delivery_scheduled = False
-        #: Delivered batches whose CPU work is queued or running, oldest
-        #: first (the CPU serves them in order).
-        self._in_service: Deque[tuple[_Batch, list[Event]]] = deque()
+
+    def raise_interrupt_then(
+        self,
+        handler_cycles: float,
+        handler: Optional[Callable[[], None]],
+        then: Callable[..., Any],
+        *args: Any,
+    ) -> None:
+        """Assert the device interrupt; ``then(*args)`` runs once it is
+        handled."""
+        self.raised.increment()
+        if self.trace is not None:
+            self.trace.emit("irq.raised", actor=self.name)
+        self._pending.append((handler_cycles, handler, then, args))
+        if not self._delivery_scheduled:
+            self._delivery_scheduled = True
+            if self.spec.coalesce_window > 0:
+                self.sim.schedule_call(self.spec.coalesce_window, self._deliver)
+            else:
+                self.sim._schedule(0.0, Call(self._deliver, ()), URGENT)
 
     def raise_interrupt(
         self,
@@ -83,18 +106,8 @@ class InterruptController:
         handler: Optional[Callable[[], None]] = None,
     ) -> Event:
         """Assert the device interrupt; event fires when handling is done."""
-        self.raised.increment()
-        if self.trace is not None:
-            self.trace.emit("irq.raised", actor=self.name)
         done = self.sim.event()
-        self._pending.append((handler_cycles, handler))
-        self._pending_events.append(done)
-        if not self._delivery_scheduled:
-            self._delivery_scheduled = True
-            if self.spec.coalesce_window > 0:
-                self.sim.schedule_call(self.spec.coalesce_window, self._deliver)
-            else:
-                self.sim._schedule(0.0, Call(self._deliver, ()), URGENT)
+        self.raise_interrupt_then(handler_cycles, handler, done.trigger)
         return done
 
     def inject_spurious(self, handler_cycles: float = 0.0) -> Event:
@@ -110,27 +123,23 @@ class InterruptController:
 
     def _deliver(self) -> None:
         batch = self._pending
-        events = self._pending_events
         self._pending = []
-        self._pending_events = []
         self._delivery_scheduled = False
         self.delivered.increment()
         if self.trace is not None:
             self.trace.emit(
                 "irq.delivered", actor=self.name, batch=len(batch)
             )
-        total_handler = sum(cycles for cycles, _fn in batch)
+        total_handler = sum(raised[0] for raised in batch)
         total = self.spec.entry_cycles + total_handler + self.spec.exit_cycles
-        self._in_service.append((batch, events))
-        self.cpu.execute(total, tag="interrupt").add_callback(self._handled)
+        self.cpu.execute_then(total, "interrupt", self._handled, batch)
 
-    def _handled(self, _executed: Event) -> None:
-        batch, events = self._in_service.popleft()
-        for _cycles, fn in batch:
-            if fn is not None:
-                fn()
-        for ev in events:
-            ev.trigger(None)
+    def _handled(self, batch: _Batch) -> None:
+        for _cycles, handler, _then, _args in batch:
+            if handler is not None:
+                handler()
+        for _cycles, _handler, then, args in batch:
+            then(*args)
 
     @property
     def coalescing_ratio(self) -> float:

@@ -10,6 +10,7 @@ can zero it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.host.cpu import HostCpu
 from repro.sim.core import Event
@@ -93,22 +94,46 @@ class HostOs:
         self.pdus_sent = 0
         self.pdus_received = 0
 
-    def send(self, nbytes: int) -> Event:
-        """Run the send software path; event fires when the CPU is done."""
+    def send_then(self, nbytes: int, then: Callable[..., Any], *args: Any) -> None:
+        """Run the send software path, then call ``then(*args)``."""
         self.pdus_sent += 1
         cycles = self.costs.send_path_cycles(nbytes, self.copies_per_send)
-        return self.cpu.execute(cycles, tag="os-send")
+        self.cpu.execute_then(cycles, "os-send", then, *args)
 
-    def receive(self, nbytes: int) -> Event:
-        """Run the full receive software path (driver included)."""
+    def receive_then(self, nbytes: int, then: Callable[..., Any], *args: Any) -> None:
+        """Run the full receive software path (driver included), then
+        call ``then(*args)``."""
         self.pdus_received += 1
         cycles = self.costs.receive_path_cycles(nbytes, self.copies_per_receive)
-        return self.cpu.execute(cycles, tag="os-receive")
+        self.cpu.execute_then(cycles, "os-receive", then, *args)
 
-    def receive_post_interrupt(self, nbytes: int) -> Event:
-        """The receive path when the driver ran in the interrupt handler."""
+    def receive_post_interrupt_then(
+        self, nbytes: int, then: Callable[..., Any], *args: Any
+    ) -> None:
+        """The receive path when the driver ran in the interrupt handler;
+        calls ``then(*args)`` when the CPU is done."""
         self.pdus_received += 1
         cycles = self.costs.post_interrupt_receive_cycles(
             nbytes, self.copies_per_receive
         )
-        return self.cpu.execute(cycles, tag="os-receive")
+        self.cpu.execute_then(cycles, "os-receive", then, *args)
+
+    # Process-style forms: the event fires in the CPU's completion entry.
+
+    def send(self, nbytes: int) -> Event:
+        """Run the send software path; event fires when the CPU is done."""
+        done = Event(self.cpu.sim)
+        self.send_then(nbytes, done.fire)
+        return done
+
+    def receive(self, nbytes: int) -> Event:
+        """Run the full receive software path (driver included)."""
+        done = Event(self.cpu.sim)
+        self.receive_then(nbytes, done.fire)
+        return done
+
+    def receive_post_interrupt(self, nbytes: int) -> Event:
+        """The receive path when the driver ran in the interrupt handler."""
+        done = Event(self.cpu.sim)
+        self.receive_post_interrupt_then(nbytes, done.fire)
+        return done

@@ -110,7 +110,7 @@ class AdaptorBufferMemory:
             return False
         self._allocated[owner] = self._allocated.get(owner, 0) + cells
         self._used_cells += cells
-        self.occupancy.record(self.sim.now, self._used_cells)
+        self.occupancy.record(self.sim._now, self._used_cells)
         return True
 
     def grow(self, owner: Hashable, cells: int = 1) -> bool:
@@ -121,7 +121,7 @@ class AdaptorBufferMemory:
         """Free everything held by *owner*; returns the cell count."""
         cells = self._allocated.pop(owner, 0)
         self._used_cells -= cells
-        self.occupancy.record(self.sim.now, self._used_cells)
+        self.occupancy.record(self.sim._now, self._used_cells)
         return cells
 
     def held_by(self, owner: Hashable) -> int:

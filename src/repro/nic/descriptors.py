@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.atm.addressing import VcAddress
 from repro.host.memory import Buffer
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.sim.resources import Store
 
 _pdu_ids = itertools.count(1)
@@ -68,44 +68,24 @@ class RxCompletion:
         return self.delivered_at - self.posted_at
 
 
-class DescriptorRing:
+class DescriptorRing(Store):
     """A bounded FIFO ring of descriptors between host and adaptor.
 
-    ``post`` blocks (event) when the ring is full -- exactly the
-    producer/consumer behaviour of a hardware ring with a full bit.
+    The producer/consumer behaviour of a hardware ring with a full bit:
+    the host posts with ``offer(descriptor, resume, *args)``, which
+    waits (and later calls ``resume``) while the ring is full, and the
+    transmit engine takes with ``pull(consumer)``, like
+    :meth:`~repro.nic.fifo.CellFifo.pull`: a queued descriptor is taken
+    at once, and a post to an empty ring hands the descriptor straight
+    to the waiting engine, inside the posting entry.  ``take`` is the
+    same pull as an event, for processes.
     """
 
     def __init__(self, sim: Simulator, depth: int, name: str = "ring") -> None:
         if depth < 1:
             raise ValueError("ring depth must be >= 1")
-        self.sim = sim
+        super().__init__(sim, capacity=depth, name=name)
         self.depth = depth
-        self.name = name
-        self._store = Store(sim, capacity=depth, name=name)
 
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def is_full(self) -> bool:
-        return self._store.is_full
-
-    def post(self, descriptor) -> Event:
-        """Producer side; the event fires when the ring accepted it."""
-        return self._store.put(descriptor)
-
-    def try_post(self, descriptor) -> bool:
-        """Non-blocking post; False when the ring is full."""
-        return self._store.try_put(descriptor)
-
-    def take(self) -> Event:
-        """Consumer side; the event fires with the next descriptor."""
-        return self._store.get()
-
-    @property
-    def total_posted(self) -> int:
-        return self._store.total_put
-
-    @property
-    def peak_depth(self) -> int:
-        return self._store.peak_occupancy
+    try_post = Store.try_put
+    take = Store.get

@@ -20,9 +20,9 @@ producers written as processes.
 The asymmetry is the architectural point measured by F5: the TX FIFO
 converts engine speed into stalls, the RX FIFO converts engine slowness
 into loss.  Occupancy is tracked time-weighted for sizing studies; it
-is recorded where a cell enters or leaves the queue, so a stalled
-offer (the FIFO stays full) and a hand-over (it stays empty) record
-nothing.
+is recorded where the level changes, so a stalled offer (the FIFO stays
+full), a hand-over (it stays empty) and a pull that admits a stalled
+producer (one cell out, one in) record nothing.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class CellFifo:
         occupancy = len(cells)
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
-        self.occupancy.record(self.sim.now, occupancy)
+        self.occupancy.record(self.sim._now, occupancy)
         if self.trace is not None:
             self.trace.emit(
                 "fifo.enq", actor=self.name, cell=cell, occupancy=occupancy,
@@ -175,22 +175,26 @@ class CellFifo:
         cells = self._cells
         cell = cells.popleft()
         self.cells_out += 1
-        resume = None
-        if self._waiting:
-            admitted, resume = self._waiting.popleft()
-            cells.append(admitted)
-            self.cells_in += 1
-        occupancy = len(cells)
-        self.occupancy.record(self.sim.now, occupancy)
+        if not self._waiting:
+            occupancy = len(cells)
+            self.occupancy.record(self.sim._now, occupancy)
+            if self.trace is not None:
+                self.trace.emit(
+                    "fifo.deq", actor=self.name, cell=cell, occupancy=occupancy,
+                )
+            return cell, None
+        # One cell out, one in: the level holds, so nothing is recorded.
+        admitted, resume = self._waiting.popleft()
+        cells.append(admitted)
+        self.cells_in += 1
         if self.trace is not None:
+            occupancy = len(cells)
             self.trace.emit(
                 "fifo.deq", actor=self.name, cell=cell, occupancy=occupancy,
             )
-            if resume is not None:
-                self.trace.emit(
-                    "fifo.enq", actor=self.name, cell=admitted,
-                    occupancy=occupancy,
-                )
+            self.trace.emit(
+                "fifo.enq", actor=self.name, cell=admitted, occupancy=occupancy,
+            )
         return cell, resume
 
     @property

@@ -174,7 +174,6 @@ class HostNetworkInterface:
             name=f"{name}.rx",
         )
         self.rx_engine.on_completion = self._on_completion
-        self.rx_engine.on_context_activity = self._touch_context
         self.rx_engine.on_context_evicted = self._evicted_context
         self.rx_engine.on_oam = self._handle_oam
         self._oam_pending: Dict[int, Tuple[Event, float]] = {}
@@ -201,6 +200,7 @@ class HostNetworkInterface:
             on_expire=self._expire_context,
             name=f"{name}.timers",
         )
+        self.rx_engine.on_context_activity = self.reassembly_timers.touch
 
         #: User callback: invoked with each RxCompletion after the host
         #: OS receive path has run.
@@ -284,8 +284,8 @@ class HostNetworkInterface:
         self.sar_glue.check_sdu(len(sdu), user_indication)
         self.start()
         posted = self.sim.event()
-        self.os.send(len(sdu)).add_callback(
-            lambda _ev: self._post_descriptor(address, sdu, user_indication, posted)
+        self.os.send_then(
+            len(sdu), self._post_descriptor, address, sdu, user_indication, posted
         )
         return posted
 
@@ -298,9 +298,8 @@ class HostNetworkInterface:
             posted_at=self.sim.now,
             user_indication=user_indication,
         )
-        self.tx_ring.post(descriptor).add_callback(
-            lambda _ev: posted.trigger(descriptor)
-        )
+        if self.tx_ring.offer(descriptor, posted.trigger, descriptor):
+            posted.trigger(descriptor)
 
     def post(self, address: VcAddress, sdu: bytes, user_indication: int = 0) -> Event:
         """Fire-and-forget send for non-process callers."""
@@ -429,15 +428,15 @@ class HostNetworkInterface:
     def _on_completion(self, completion: RxCompletion) -> None:
         self.reassembly_timers.disarm(completion.vc)
         # Interrupt: entry/exit plus the driver's completion handling.
-        self.interrupts.raise_interrupt(
-            self.config.os_costs.driver_rx_cycles
-        ).add_callback(lambda _ev: self._receive(completion))
+        self.interrupts.raise_interrupt_then(
+            self.config.os_costs.driver_rx_cycles, None, self._receive, completion
+        )
 
     def _receive(self, completion: RxCompletion) -> None:
         # OS receive path (copy to user, wakeup, syscall return); the
         # driver portion was already charged in the interrupt handler.
-        self.os.receive_post_interrupt(completion.size).add_callback(
-            lambda _ev: self._deliver(completion)
+        self.os.receive_post_interrupt_then(
+            completion.size, self._deliver, completion
         )
 
     def _deliver(self, completion: RxCompletion) -> None:
@@ -459,9 +458,6 @@ class HostNetworkInterface:
     def _peak_rate_of(self, address: VcAddress):
         vc = self.vc_table.lookup(address)
         return vc.peak_rate_bps if vc is not None else None
-
-    def _touch_context(self, vc: VcAddress) -> None:
-        self.reassembly_timers.touch(vc)
 
     def _expire_context(self, vc: VcAddress) -> None:
         self.rx_engine.expire_context(vc)

@@ -115,10 +115,14 @@ class RxEngine:
                 )
             self.reassembler.max_contexts = context_quota
             self.reassembler.on_evict = self._quota_evicted
-        # Admission-side frame state for EPD/PPD: which VCs are mid-frame
-        # (some cells of the current frame admitted) and which are being
-        # frame-discarded ('epd' = nothing admitted, kill the EOF too;
-        # 'ppd' = partially admitted, pass the EOF for delineation).
+        #: Whether *vc* has a PDU mid-reassembly: one frame per check,
+        #: the same for AAL5 and AAL3/4 (whose data path runs MID 0).
+        self._has_context = self.reassembler.has_context
+        # Admission-side frame state for EPD/PPD, kept only under a
+        # policy: which VCs are mid-frame (some cells of the current
+        # frame admitted) and which are being frame-discarded ('epd' =
+        # nothing admitted, kill the EOF too; 'ppd' = partially
+        # admitted, pass the EOF for delineation).
         self._mid_frame: Set[VcAddress] = set()
         self._discarding: Dict[VcAddress, str] = {}
         #: Called with each RxCompletion once the PDU sits in host memory.
@@ -172,16 +176,12 @@ class RxEngine:
                 cells=cells,
             )
 
-    @property
-    def cam_fitted(self) -> bool:
-        return self.cam is not None
-
     # -- link side -------------------------------------------------------------
 
     def _epd_pressure(self) -> bool:
         """Admission pressure check: engage EPD before the hard overflow."""
         policy = self.discard
-        if policy is None or not policy.epd:
+        if not policy.epd:
             return False
         if self.fifo.fill_fraction >= policy.fifo_threshold:
             return True
@@ -209,9 +209,10 @@ class RxEngine:
                     "cell.drop", actor=self.name, cell=cell, reason="hec"
                 )
             return
-        if not cell.is_user_cell:
+        if not cell.is_user_cell or self.discard is None:
             # Management cells bypass the frame filter (they carry no
-            # frame structure); a full FIFO still drops them.
+            # frame structure), as does every cell when no policy is
+            # configured; a full FIFO still drops them.
             self.fifo.try_put(cell)
             return
         vc = cell.vc
@@ -268,10 +269,9 @@ class RxEngine:
 
         # Hard overflow (counted by the FIFO).  With PPD, convert the
         # now-doomed frame's remaining cells into admission discards.
-        policy = self.discard
         if eof:
             self._mid_frame.discard(vc)
-        elif policy is not None and policy.ppd:
+        elif self.discard.ppd:
             self.frames_truncated.increment()
             if self.trace is not None:
                 self.trace.emit("rx.frame.truncated", actor=self.name, vc=vc)
@@ -291,17 +291,6 @@ class RxEngine:
             self._started = True
             self.sim._schedule(0.0, Call(self.fifo.pull, (self._take,)), URGENT)
 
-    def _position_of(self, vc: VcAddress, cell: AtmCell) -> CellPosition:
-        """Classify the cell by reassembly state + EOF mark.
-
-        The engine knows this from its context table before touching the
-        payload: no open context means a first (or only) cell.
-        """
-        open_context = self.glue.has_context(self.reassembler, vc)
-        if self.glue.is_eof(cell):
-            return CellPosition.LAST if open_context else CellPosition.ONLY
-        return CellPosition.MIDDLE if open_context else CellPosition.FIRST
-
     def _take(self, cell: AtmCell) -> None:
         """Serve one cell off the FIFO: classify it and charge the work.
 
@@ -311,7 +300,7 @@ class RxEngine:
         the next cell.
         """
         costs = self.costs
-        self.cells_received.increment()
+        self.cells_received.count += 1
 
         # Management cells peel off before classification: the OAM
         # unit (hardware-assisted) handles them so the host never
@@ -328,21 +317,29 @@ class RxEngine:
         # The CAM's charge ignores the table size, so only the software
         # probe reads it.
         vc = cell.vc
-        if self.cam is not None:
+        cam = self.cam
+        if cam is not None:
             table_size = 0
-            known = self.cam.lookup(vc) is not None
+            known = cam.lookup(vc) is not None
         else:
             table_size = len(self.vc_table)
             known = self.vc_table.lookup(vc) is not None
         if not known:
-            ops, cycles = costs.classify_charge(self.cam_fitted, table_size)
+            ops, cycles = costs.classify_charge(cam is not None, table_size)
             if self.profiler is not None:
                 self.profiler.record_ops("rx", ops)
             self.clock.work(cycles, "rx-unknown-vc", self._unknown_done, cell)
             return
 
-        position = self._position_of(vc, cell)
-        ops, cycles = costs.cell_charge(position, self.cam_fitted, table_size)
+        # Position from the context table and the EOF mark, known before
+        # the payload is touched: no open context means a first (or
+        # only) cell.
+        open_context = self._has_context(vc)
+        if self.glue.is_eof(cell):
+            position = CellPosition.LAST if open_context else CellPosition.ONLY
+        else:
+            position = CellPosition.MIDDLE if open_context else CellPosition.FIRST
+        ops, cycles = costs.cell_charge(position, cam is not None, table_size)
         extra = self.glue.rx_extra_cycles
         if self.profiler is not None:
             self.profiler.record_cell("rx", position, ops, extra=extra)
@@ -415,9 +412,10 @@ class RxEngine:
             return
         self.bufmem.record_write(PAYLOAD_SIZE)
 
-        indication = self.reassembler.receive_cell(cell, now=self.sim.now)
+        indication = self.reassembler.receive_cell(cell, now=self.sim._now)
         if indication is None:
-            if self.glue.has_context(self.reassembler, vc):
+            # Did the context survive reassembly?
+            if self._has_context(vc):
                 if self.on_context_activity is not None:
                     self.on_context_activity(vc)
             else:
@@ -467,10 +465,14 @@ class RxEngine:
             return
         # The DMA engine serves one transfer at a time, so back-to-back
         # completions transfer strictly in order.
-        self.dma.transfer(indication.size).add_callback(
-            lambda _ev: self._deliver_to_host(
-                vc, last_cell, indication, host_buffer, arrived
-            )
+        self.dma.transfer_then(
+            indication.size,
+            self._deliver_to_host,
+            vc,
+            last_cell,
+            indication,
+            host_buffer,
+            arrived,
         )
 
     def _deliver_to_host(

@@ -56,8 +56,6 @@ class SarGlue(Protocol):
 
     def is_eof(self, cell: AtmCell) -> bool: ...  # pragma: no cover
 
-    def has_context(self, reassembler, vc: VcAddress) -> bool: ...  # pragma: no cover
-
     def abort_context(self, reassembler, vc, why) -> bool: ...  # pragma: no cover
 
 
@@ -89,9 +87,6 @@ class Aal5Glue:
 
     def is_eof(self, cell: AtmCell) -> bool:
         return cell.end_of_frame
-
-    def has_context(self, reassembler: Aal5Reassembler, vc: VcAddress) -> bool:
-        return reassembler.has_context(vc)
 
     def abort_context(
         self,
@@ -143,9 +138,6 @@ class Aal34Glue:
     def is_eof(self, cell: AtmCell) -> bool:
         segment_type = cell.payload[0] >> 6
         return segment_type in (SarSegmentType.EOM, SarSegmentType.SSM)
-
-    def has_context(self, reassembler: Aal34Reassembler, vc: VcAddress) -> bool:
-        return reassembler.has_context(vc, self.MID)
 
     def abort_context(
         self,

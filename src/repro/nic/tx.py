@@ -34,7 +34,7 @@ from repro.nic.descriptors import DescriptorRing, TxDescriptor
 from repro.nic.engine import EngineClock
 from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
-from repro.sim.core import URGENT, Call, Event, Simulator
+from repro.sim.core import URGENT, Call, Simulator
 from repro.sim.monitor import Counter, ThroughputMeter, WelfordStat
 
 class TxEngine:
@@ -136,10 +136,9 @@ class TxEngine:
     # -- the firmware loop, one callback per step --------------------------
 
     def _take_descriptor(self) -> None:
-        self.ring.take().add_callback(self._prologue)
+        self.ring.pull(self._prologue)
 
-    def _prologue(self, taken: Event) -> None:
-        descriptor: TxDescriptor = taken.value
+    def _prologue(self, descriptor: TxDescriptor) -> None:
         self._descriptor = descriptor
         self._pdu_started = self.sim.now
         if self.trace is not None:
@@ -184,9 +183,9 @@ class TxEngine:
                 )
             self.sim.schedule_call(self.fifo.depth_cells * 1e-7, self._stage)
             return
-        self.dma.transfer(descriptor.size).add_callback(self._segment)
+        self.dma.transfer_then(descriptor.size, self._segment)
 
-    def _segment(self, _staged: Event) -> None:
+    def _segment(self) -> None:
         descriptor = self._descriptor
         self.bufmem.record_write(descriptor.size)
         if self.trace is not None:
@@ -208,7 +207,8 @@ class TxEngine:
         self._charge_cell()
 
     def _charge_cell(self) -> None:
-        """Segmentation: one charge per cell, then pace and offer it."""
+        """Segmentation: one charge per cell, then pace (if the VC is
+        paced) and offer it."""
         index = self._index
         total = len(self._cells)
         if index == total:
@@ -222,13 +222,13 @@ class TxEngine:
         extra = self.glue.tx_extra_cycles
         if self.profiler is not None:
             self.profiler.record_cell("tx", position, ops, extra=extra)
-        self.clock.work(cycles + extra, "tx-cell", self._pace)
+        self.clock.work(
+            cycles + extra,
+            "tx-cell",
+            self._emit if self._interval is None else self._pace,
+        )
 
     def _pace(self) -> None:
-        interval = self._interval
-        if interval is None:
-            self._emit()
-            return
         # Shape to the VC's peak cell rate.  A single-engine firmware
         # loop stalls on the pacer, so one heavily shaped VC delays
         # others behind it in the ring -- faithful to the era's in-order
@@ -280,7 +280,7 @@ class TxEngine:
             self._sent()
 
     def _sent(self) -> None:
-        self.cells_sent.increment()
+        self.cells_sent.count += 1
         if self.abr is not None:
             # Every Nrm-th data cell is chased by a forward RM cell
             # carrying the source's CCR; the agent builds it (or returns
@@ -362,5 +362,5 @@ class Framer:
         self.link.send(cell, self._wire_out)
 
     def _wire_out(self) -> None:
-        self.cells_framed.increment()
+        self.cells_framed.count += 1
         self.fifo.pull(self._frame)

@@ -142,6 +142,27 @@ class Event:
         self.sim._schedule(delay, self)
         return self
 
+    def fire(self, value: Any = None) -> None:
+        """Succeed the event and run its callbacks now, in this entry.
+
+        For a queue entry that stands for the event: a host step queues
+        its completion as a bare call, and the process-style form of the
+        step fires its event from that call, so the waiter resumes in
+        the one entry -- where an event queued in the call's place would
+        have resumed it.
+        """
+        if self._state != Event._PENDING:
+            raise SimulationError(
+                "cannot fire a cancelled event"
+                if self._state == Event._CANCELLED
+                else "event triggered twice"
+            )
+        self._value = value
+        self._state = _PROCESSED
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
+
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Fail the event; waiters re-raise *exception*."""
         if self._state != Event._PENDING:

@@ -1,15 +1,16 @@
 """Contention primitive: a FIFO object store.
 
 A mailbox of descriptors between driver and adaptor is a
-:class:`Store`.  It follows the event discipline of the kernel:
-``get``/``put`` return events to ``yield`` on, and hand-offs are
+:class:`Store`.  Both sides work by callback -- ``offer`` and ``pull``,
+like the adaptor's cell FIFOs -- and ``put``/``get`` are the same
+operations as events to ``yield`` on, for processes.  Hand-offs are
 strictly FIFO, which keeps simulations deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.sim.core import Event, Simulator
 
@@ -17,9 +18,12 @@ from repro.sim.core import Event, Simulator
 class Store:
     """An unbounded-or-bounded FIFO buffer of Python objects.
 
-    ``put(item)`` returns an event that fires when the item has been
-    accepted (immediately unless the store is full); ``get()`` returns an
-    event that fires with the next item once one is available.
+    ``offer(item, resume, *args)`` puts *item* in, or -- when the store
+    is full -- waits, oldest first, until a pull makes room and then
+    calls ``resume(*args)``.  ``pull(consumer)`` calls
+    ``consumer(item)`` with the oldest item, at once or, from an empty
+    store, when the next item is offered.  ``put(item)`` and ``get()``
+    are the same two operations as events, which fire one entry later.
     """
 
     def __init__(
@@ -34,8 +38,13 @@ class Store:
         self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        #: Consumers waiting in :meth:`pull` for an item, oldest first.
+        self._consumers: Deque[Callable[[Any], Any]] = deque()
+        #: Producers waiting for room: the item each one offered, and the
+        #: callback (with its args) that resumes it once the item is in.
+        self._putters: Deque[
+            tuple[Any, Callable[..., Any], tuple[Any, ...]]
+        ] = deque()
         self.total_put = 0
         self.total_got = 0
         self.peak_occupancy = 0
@@ -47,47 +56,71 @@ class Store:
     def is_full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
 
-    def put(self, item: Any) -> Event:
-        """Offer *item*; the event fires once the store has accepted it."""
-        ev = Event(self.sim)
-        if self._getters:
-            # Hand straight to the oldest waiting getter.
-            getter = self._getters.popleft()
+    # -- producer side ----------------------------------------------------
+
+    def offer(self, item: Any, resume: Callable[..., Any], *args: Any) -> bool:
+        """Put *item* by callback.
+
+        True means the item went in at once -- straight to the oldest
+        waiting consumer, which has already run, or into the store --
+        and the producer carries on.  False means the store is full:
+        ``resume(*args)`` is called once a pull has made room and the
+        item is in.
+        """
+        if self._consumers:
+            consumer = self._consumers.popleft()
             self.total_put += 1
             self.total_got += 1
-            getter.trigger(item)
-            ev.trigger(None)
-        elif not self.is_full:
+            consumer(item)
+            return True
+        if not self.is_full:
             self._accept(item)
-            ev.trigger(None)
-        else:
-            self._putters.append((ev, item))
-        return ev
+            return True
+        self._putters.append((item, resume, args))
+        return False
+
+    def put(self, item: Any) -> Event:
+        """Offer *item*; the event fires once the store has accepted it."""
+        accepted = Event(self.sim)
+        if self.offer(item, accepted.trigger):
+            accepted.trigger(None)
+        return accepted
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put: accept *item* now or return False (dropped)."""
-        if self._getters:
-            getter = self._getters.popleft()
+        if self._consumers:
+            consumer = self._consumers.popleft()
             self.total_put += 1
             self.total_got += 1
-            getter.trigger(item)
+            consumer(item)
             return True
         if self.is_full:
             return False
         self._accept(item)
         return True
 
+    # -- consumer side ----------------------------------------------------
+
+    def pull(self, consumer: Callable[[Any], Any]) -> None:
+        """Call ``consumer(item)`` with the oldest item, with no event.
+
+        A stored item is taken at once; from an empty store the next
+        offer hands its item straight over.  A producer whose item the
+        pull admits resumes after the consumer has run.
+        """
+        if not self._items:
+            self._consumers.append(consumer)
+            return
+        item = self._items.popleft()
+        self.total_got += 1
+        consumer(item)
+        self._drain_putters()
+
     def get(self) -> Event:
         """The event fires with the oldest item once one exists."""
-        ev = Event(self.sim)
-        if self._items:
-            item = self._items.popleft()
-            self.total_got += 1
-            ev.trigger(item)
-            self._drain_putters()
-        else:
-            self._getters.append(ev)
-        return ev
+        taken = Event(self.sim)
+        self.pull(taken.trigger)
+        return taken
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
@@ -106,6 +139,6 @@ class Store:
 
     def _drain_putters(self) -> None:
         while self._putters and not self.is_full:
-            ev, item = self._putters.popleft()
+            item, resume, args = self._putters.popleft()
             self._accept(item)
-            ev.trigger(None)
+            resume(*args)

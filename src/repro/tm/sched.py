@@ -14,7 +14,7 @@ Two pieces:
   proportionality) are directly property-testable;
 - :class:`WrrTxQueue` -- the sim-side adaptor: a pump process drains
   the host's :class:`~repro.nic.descriptors.DescriptorRing` into
-  per-VC queues and re-exposes the ring's ``take()`` contract, so
+  per-VC queues and re-exposes the ring's ``pull()`` contract, so
   :class:`~repro.nic.tx.TxEngine` consumes WRR order unchanged.
 
 Note the flow-control trade documented in docs/TRAFFIC.md: the pump
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 
 
 class WeightedRoundRobin:
@@ -139,7 +139,8 @@ class WrrTxQueue:
         self.weight_of = weight_of
         self.name = name
         self.wrr = WeightedRoundRobin()
-        self._waiters: Deque[Event] = deque()
+        #: Consumers waiting in :meth:`pull` for a descriptor, oldest first.
+        self._consumers: Deque[Callable[[Any], Any]] = deque()
         self._process = None
 
     def __len__(self) -> int:
@@ -162,18 +163,20 @@ class WrrTxQueue:
                         weight = int(configured)
                 self.wrr.add_queue(key, weight)
             self.wrr.push(key, descriptor)
-            while self._waiters and len(self.wrr):
-                self._waiters.popleft().trigger(self.wrr.pop())
+            while self._consumers and len(self.wrr):
+                self._consumers.popleft()(self.wrr.pop())
 
-    def take(self) -> Event:
-        """Consumer side; the event fires with the next WRR descriptor."""
-        event = self.sim.event()
+    def pull(self, consumer: Callable[[Any], Any]) -> None:
+        """Call ``consumer(descriptor)`` with the next WRR descriptor.
+
+        As the ring's ``pull``: at once when one is queued, else inside
+        the pump's entry that queues the next one.
+        """
         item = self.wrr.pop()
         if item is not None:
-            event.trigger(item)
+            consumer(item)
         else:
-            self._waiters.append(event)
-        return event
+            self._consumers.append(consumer)
 
 
 def install_wrr(

@@ -143,3 +143,26 @@ class TestSystemBus:
         sim.process(master())
         sim.run()
         assert done == [True]
+
+    def test_continuation_runs_in_the_burst_done_entry_before_the_regrant(
+        self, sim
+    ):
+        # a's one-burst transfer ends in entry 1.  Its continuation runs
+        # there, before b, waiting behind it, is granted the bus: nothing
+        # is queued yet.  b's burst ends in entry 2, and b's event form
+        # fires from an entry of its own, one later.
+        bus = SystemBus(sim, TURBOCHANNEL)
+        log = []
+        burst = 128 * 4
+        bus.transfer_then(
+            burst,
+            "a",
+            lambda: log.append(("a", sim.events_processed, sim.pending_events())),
+        )
+        bus.transfer(burst, master="b").add_callback(
+            lambda _ev: log.append(("b", sim.events_processed, sim.now))
+        )
+        sim.run()
+        assert log == [
+            ("a", 1, 0), ("b", 3, pytest.approx(2 * TURBOCHANNEL.transfer_time(burst)))
+        ]

@@ -151,6 +151,26 @@ class TestExecution:
         sim.run()
         assert [who for who, _ in log] == ["other", "caller"]
 
+    def test_each_form_continues_from_one_completion_entry(self, sim):
+        # Each work item is one timed entry plus one zero-delay completion
+        # entry, and both forms continue inside the latter: the process
+        # waiting on execute() resumes there, not one entry later.
+        cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e6))
+        log = []
+        cpu.execute_then(
+            100, "work", lambda: log.append(("then", sim.events_processed))
+        )
+
+        def body():
+            yield cpu.execute(100)
+            log.append(("event", sim.events_processed))
+
+        sim.process(body())
+        sim.run()
+        # Entries: process start, work 1 done, its completion (then),
+        # work 2 done, its completion (event).
+        assert log == [("then", 3), ("event", 5)]
+
     def test_queue_length_visible(self, sim):
         cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e3))  # slow
 

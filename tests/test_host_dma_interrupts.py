@@ -123,6 +123,36 @@ class TestDma:
         with pytest.raises(ValueError):
             DmaSpec(setup_time=-1.0)
 
+    def test_continuation_runs_in_the_write_back_entry_before_the_next_setup(
+        self, sim
+    ):
+        # The engine logs each setup ("dma.start") and writeback
+        # ("dma.done") with the entry it ran in.  The first transfer's
+        # continuation runs in its writeback entry, before the queued
+        # second transfer is set up; the event form fires an entry later.
+        log = []
+
+        class EntryLog:
+            def emit(self, name, **fields):
+                log.append((name, sim.events_processed))
+
+        sim.trace = EntryLog()
+        dma = DmaEngine(sim, SystemBus(sim, TURBOCHANNEL))
+        dma.transfer_then(
+            512, lambda: log.append(("then", sim.events_processed))
+        )
+        dma.transfer(256).add_callback(
+            lambda _ev: log.append(("event", sim.events_processed))
+        )
+        sim.run()
+        names = [name for name, _ in log]
+        assert names == [
+            "dma.start", "dma.done", "then", "dma.start", "dma.done", "event",
+        ]
+        entries = [entry for _, entry in log]
+        assert entries[2] == entries[1] == entries[3]
+        assert entries[5] > entries[4]
+
 
 class TestInterrupts:
     def test_cost_charged_to_cpu(self, sim):
@@ -183,6 +213,36 @@ class TestInterrupts:
         sim.process(raiser())
         sim.run()
         assert intc.delivered.count == 3
+
+    def test_continuations_run_after_the_handlers_in_the_cpu_entry(self, sim):
+        # Two raises from one entry merge into one delivery.  Both
+        # handlers run, then both continuations, all in the entry the
+        # CPU completes the interrupt work in; the event form fires one
+        # entry later.
+        cpu = HostCpu(sim, R3000_25MHZ)
+        intc = InterruptController(sim, cpu)
+        log = []
+
+        def note(what):
+            return lambda: log.append((what, sim.events_processed))
+
+        def raise_two():
+            intc.raise_interrupt_then(10, note("handler 1"), note("then 1"))
+            intc.raise_interrupt_then(10, note("handler 2"), note("then 2"))
+            intc.raise_interrupt(10).add_callback(
+                lambda _ev: log.append(("event", sim.events_processed))
+            )
+
+        sim.schedule_call(1e-6, raise_two)
+        sim.run()
+        assert intc.delivered.count == 1
+        assert [what for what, _ in log] == [
+            "handler 1", "handler 2", "then 1", "then 2", "event",
+        ]
+        entries = [entry for _, entry in log]
+        # Raise, URGENT delivery, CPU work, CPU completion, event.
+        assert entries[:4] == [4] * 4
+        assert entries[4] == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -42,7 +42,7 @@ def test_quickstart_exchange():
         alice.post(vc.address, bytes(size))
     sim.run(until=0.05)
     assert len(delivered) == 5
-    assert _counts(sim) == (3509, 7)
+    assert _counts(sim) == (3474, 7)
 
 
 def test_short_f2_point(monkeypatch):
@@ -50,7 +50,7 @@ def test_short_f2_point(monkeypatch):
     # end-to-end run with host software in the pipeline.
     built = _recording_simulators(monkeypatch, experiments)
     experiments.run_f2(sizes=(1500,), window=0.005)
-    assert [_counts(sim) for sim in built] == [(7033, 7), (6788, 9)]
+    assert [_counts(sim) for sim in built] == [(6611, 7), (6402, 9)]
 
 
 def test_short_session_churn(monkeypatch):
@@ -69,4 +69,4 @@ def test_short_session_churn(monkeypatch):
     )
     assert values["conserved"] == 1.0
     (sim,) = built
-    assert _counts(sim) == (35616, 92)
+    assert _counts(sim) == (29148, 92)

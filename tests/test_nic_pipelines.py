@@ -325,3 +325,45 @@ class TestEngineHandOffs:
         # cell, never in an entry of its own.
         assert len(charges) == cells_for_sdu(200)
         assert all(entry in wire_outs for entry in charges[1:])
+
+
+class TestDescriptorHandOffs:
+    """The transmit engine takes descriptors with no wake-up entry."""
+
+    def test_engine_takes_each_descriptor_inside_the_entry_that_frees_it(
+        self, sim
+    ):
+        nic = build_nic(sim)
+        nic.attach_tx_link(PhysicalLink(sim, nic.config.link, sink=lambda c: None))
+        vc = nic.open_vc()
+        log = spy_on_work(sim, nic.tx_clock)
+        posts = []
+        offer = nic.tx_ring.offer
+
+        def spied(descriptor, *resume):
+            posts.append(sim.events_processed)
+            return offer(descriptor, *resume)
+
+        nic.tx_ring.offer = spied
+        # The first PDU still occupies the engine when the second posts.
+        sent = [nic.send(vc.address, b"x" * size) for size in (9180, 100)]
+        fired = []
+        for event in sent:
+            event.add_callback(lambda ev: fired.append(sim.events_processed))
+        sim.run(until=0.01)
+        prologues = [
+            entry for what, tag, entry, _ in log
+            if what == "charge" and tag == "tx-pdu-prologue"
+        ]
+        completions = [
+            entry for what, tag, entry, _ in log
+            if what == "done" and tag == "tx-pdu-completion"
+        ]
+        # The first post finds the engine waiting on the empty ring and
+        # hands the descriptor straight over; the second descriptor is
+        # taken inside the entry that completes the first PDU.
+        assert prologues == [posts[0], completions[0]]
+        assert posts[1] < completions[0]
+        # send()'s event still fires from an entry of its own.
+        assert all(f > p for f, p in zip(fired, posts))
+        assert [event.value.size for event in sent] == [9180, 100]

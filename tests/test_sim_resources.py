@@ -116,3 +116,18 @@ class TestStore:
         store.try_get()
         assert store.total_put == 2
         assert store.total_got == 1
+
+    def test_callback_forms_hand_over_in_the_calling_entry(self, sim):
+        # pull() from an empty store is handed the next offered item at
+        # once; offer() to a full store waits, and the pull that makes
+        # room runs its consumer before the admitted producer resumes.
+        store = Store(sim, capacity=1)
+        log = []
+        store.pull(lambda item: log.append(("got", item)))
+        assert store.offer("a", log.append, "never")
+        assert store.offer("b", log.append, "never")
+        assert not store.offer("c", log.append, ("resumed", "c"))
+        store.pull(lambda item: log.append(("got", item)))
+        assert log == [("got", "a"), ("got", "b"), ("resumed", "c")]
+        assert store.try_get() == (True, "c")
+        assert sim.pending_events() == 0

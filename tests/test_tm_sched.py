@@ -4,7 +4,8 @@ import pytest
 
 from repro.atm import VcAddress
 from repro.nic import HostNetworkInterface, aurora_oc3, connect
-from repro.tm import WeightedRoundRobin, install_wrr
+from repro.nic.descriptors import DescriptorRing, TxDescriptor
+from repro.tm import WeightedRoundRobin, WrrTxQueue, install_wrr
 from repro.workloads.generators import GreedySource
 
 
@@ -59,6 +60,32 @@ class TestDiscipline:
     def test_rejects_zero_weight(self):
         with pytest.raises(ValueError):
             WeightedRoundRobin().add_queue("a", 0)
+
+
+class TestWrrTxQueue:
+    def test_waiting_consumer_is_handed_the_descriptor_in_the_pump_entry(
+        self, sim
+    ):
+        # The consumer pulls from an empty queue; the pump takes the
+        # posted descriptor off the ring, queues it, and hands it over
+        # inside that same entry.
+        ring = DescriptorRing(sim, depth=4)
+        queue = WrrTxQueue(sim, ring)
+        queue.start()
+        pushes, taken = [], []
+        push = queue.wrr.push
+
+        def spied(key, item):
+            pushes.append(sim.events_processed)
+            push(key, item)
+
+        queue.wrr.push = spied
+        queue.pull(lambda d: taken.append((d, sim.events_processed)))
+        descriptor = TxDescriptor(VcAddress(0, 40), b"x", posted_at=0.0)
+        sim.schedule_call(1e-6, ring.try_post, descriptor)
+        sim.run()
+        assert taken == [(descriptor, pushes[0])]
+        assert len(queue) == 0
 
 
 class TestNicIntegration:
