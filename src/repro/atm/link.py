@@ -18,6 +18,7 @@ slot time (2.83 us at STS-3c, 0.71 us at STS-12c).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Callable, Optional, Tuple, Union
 
 from repro.atm.cell import CELL_SIZE, AtmCell
@@ -114,6 +115,20 @@ class PhysicalLink:
         self.trace = sim.trace
         sim.components.append(self)
 
+    @property
+    def loss_model(self) -> LossModel:
+        """The loss model every sent cell passes through."""
+        return self._loss_model
+
+    @loss_model.setter
+    def loss_model(self, model: LossModel) -> None:
+        self._loss_model = model
+        #: ``model.should_drop``, or None for the ideal channel, which
+        #: then costs no call per cell.
+        self._should_drop: Optional[Callable[[AtmCell, float], bool]] = (
+            None if isinstance(model, NoLoss) else model.should_drop
+        )
+
     def connect(self, sink: Optional[CellSink]) -> None:
         """Attach (or replace) the receiving end."""
         self.sink = sink
@@ -128,10 +143,10 @@ class PhysicalLink:
     ) -> None:
         """Serialize *cell*; at wire-out time call ``then(*args)``, if given.
 
-        Wire-out is one bare queue entry per cell.  With zero
-        propagation delay that entry also delivers the cell, before
-        ``then`` runs; a positive delay keeps a separate delivery entry,
-        queued first.
+        Wire-out is one bare queue entry per cell, pushed here.  With
+        zero propagation delay that entry also delivers the cell, before
+        ``then`` runs; a positive delay queues the same delivery body as
+        an entry of its own, first.
         """
         sim = self.sim
         now = sim._now
@@ -144,24 +159,42 @@ class PhysicalLink:
         if self.trace is not None:
             self.trace.emit("link.cell.sent", actor=self.name, cell=cell)
 
-        deliver: Optional[AtmCell] = None
-        if self.loss_model.should_drop(cell, now):
+        deliver: Optional[AtmCell] = cell
+        drop = self._should_drop
+        if drop is not None and drop(cell, now):
+            deliver = None
             self.cells_lost.increment()
             if self.trace is not None:
                 self.trace.emit(
                     "cell.drop", actor=self.name, cell=cell,
                     reason="link_lost",
                 )
-        else:
-            if self.error_model is not None:
-                cell = self.error_model.maybe_corrupt(cell)
-            if self.propagation_delay > 0:
-                sim.schedule_call(
-                    (done - now) + self.propagation_delay, self._deliver, cell
-                )
-            else:
-                deliver = cell
-        sim.schedule_call(done - now, self._wire_out, deliver, then, args)
+        elif self.error_model is not None:
+            deliver = self.error_model.maybe_corrupt(cell)
+        # The body of Simulator.schedule_call, inlined: a NORMAL entry's
+        # key is its sequence number.
+        sequence = sim._sequence
+        queue = sim._queue
+        if deliver is not None and self.propagation_delay > 0:
+            sequence += 1
+            heappush(
+                queue,
+                (
+                    now + ((done - now) + self.propagation_delay),
+                    sequence,
+                    self._wire_out,
+                    (deliver, None, ()),
+                ),
+            )
+            deliver = None
+        sequence += 1
+        sim._sequence = sequence
+        heappush(
+            queue,
+            (now + (done - now), sequence, self._wire_out, (deliver, then, args)),
+        )
+        if len(queue) > sim.peak_queue_occupancy:
+            sim.peak_queue_occupancy = len(queue)
 
     def _wire_out(
         self,
@@ -169,19 +202,19 @@ class PhysicalLink:
         then: Optional[Callable[..., Any]],
         args: Tuple[Any, ...],
     ) -> None:
+        """Deliver *cell* (if any) to the sink, then run ``then(*args)``."""
         if cell is not None:
-            self._deliver(cell)
+            self.cells_delivered.count += 1
+            if self.trace is not None:
+                self.trace.emit(
+                    "link.cell.delivered", actor=self.name, cell=cell
+                )
+            receive = self._receive
+            if receive is None:
+                raise RuntimeError(f"{self.name} has no sink attached")
+            receive(cell)
         if then is not None:
             then(*args)
-
-    def _deliver(self, cell: AtmCell) -> None:
-        self.cells_delivered.count += 1
-        if self.trace is not None:
-            self.trace.emit("link.cell.delivered", actor=self.name, cell=cell)
-        receive = self._receive
-        if receive is None:
-            raise RuntimeError(f"{self.name} has no sink attached")
-        receive(cell)
 
     @property
     def backlog_time(self) -> float:

@@ -132,26 +132,28 @@ class OutputPort:
         threshold), then everything tail-drops at the hard limit.
         """
         vc = cell.vc
+        queue = self._queue
         if cell.clp and self._clp_pressure():
             return self._drop(cell, vc, "clp")
-        if self.is_full:
+        # is_full, inline: this runs once per switched cell.
+        if self.buffer_cells is not None and len(queue) >= self.buffer_cells:
             return self._drop(cell, vc, "port_full")
         if (
             self.efci_threshold is not None
             and cell.is_user_cell
             and not cell.congestion_experienced
-            and len(self._queue) >= self.efci_threshold
+            and len(queue) >= self.efci_threshold
         ):
             marked = cell.with_header(pti=cell.pti | _EFCI_BIT)
             self.efci_marked.increment()
             if self.trace is not None:
                 self.trace.emit("port.efci", actor=self.name, cell=marked)
             cell = marked
-        self._queue.append(cell)
-        self.enqueued.increment()
+        queue.append(cell)
+        self.enqueued.count += 1
         self._vc_enqueued[vc] = self._vc_enqueued.get(vc, 0) + 1
         self._vc_queued[vc] = self._vc_queued.get(vc, 0) + 1
-        self.occupancy.record(self.sim.now, len(self._queue))
+        self.occupancy.record(self.sim._now, len(queue))
         if not self._draining:
             self._drain_next()
         return True
@@ -171,7 +173,7 @@ class OutputPort:
             self._vc_queued[vc] = queued - 1
         else:
             self._vc_queued.pop(vc, None)
-        self.occupancy.record(self.sim.now, len(self._queue))
+        self.occupancy.record(self.sim._now, len(self._queue))
         self.link.send(cell, self._drain_next)
 
     # -- observability ---------------------------------------------------------

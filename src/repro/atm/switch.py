@@ -85,11 +85,17 @@ class AtmSwitch:
         in_address: VcAddress,
         entry: RoutingEntry,
     ) -> None:
-        """Install a forwarding entry; repeated adds build multicast sets."""
+        """Install a forwarding entry; repeated adds build multicast sets.
+
+        The outgoing label is checked here against the limits a cell
+        header can carry (NNI), so a bad entry fails when installed,
+        not when its first cell is relabelled.
+        """
         if not 0 <= entry.out_port < len(self.output_ports):
             raise ValueError(
                 f"out_port {entry.out_port} outside 0..{len(self.output_ports) - 1}"
             )
+        VcAddress.validated(entry.out_vpi, entry.out_vci, nni=True)
         self._routes.setdefault((in_port, in_address), []).append(entry)
 
     def remove_routes(self, in_port: int, in_address: VcAddress) -> int:
@@ -110,7 +116,7 @@ class AtmSwitch:
             return
         for entry in entries:
             translated = cell.with_header(vpi=entry.out_vpi, vci=entry.out_vci)
-            self.cells_switched.increment()
+            self.cells_switched.count += 1
             if self.tm is not None:
                 translated = self.tm.on_cell(
                     self.output_ports[entry.out_port], translated

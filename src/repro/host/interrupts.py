@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.host.cpu import HostCpu
-from repro.sim.core import URGENT, Call, Event, Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter
 
 #: Raises merged into one delivery: each one's handler cycles, handler,
@@ -98,7 +98,7 @@ class InterruptController:
             if self.spec.coalesce_window > 0:
                 self.sim.schedule_call(self.spec.coalesce_window, self._deliver)
             else:
-                self.sim._schedule(0.0, Call(self._deliver, ()), URGENT)
+                self.sim._call_urgent(self._deliver)
 
     def raise_interrupt(
         self,

@@ -98,24 +98,25 @@ class AdaptorBufferMemory:
         return self.free_cells < reserve_cells
 
     def allocate(self, owner: Hashable, cells: int) -> bool:
-        """Reserve *cells* for *owner* (a VC context, a staging PDU).
+        """Reserve *cells* for *owner* (a VC context, a staging PDU),
+        adding to what *owner* already holds.
 
         Returns False (and counts the failure) when space is short --
-        the caller decides whether that drops a PDU or stalls.
+        the caller decides whether that drops a PDU or stalls.  The RX
+        engine calls this once per cell, so the free-space test is done
+        here, not through :attr:`free_cells`.
         """
         if cells < 0:
             raise ValueError("negative allocation")
-        if cells > self.free_cells:
+        used = self._used_cells + cells
+        if used > self.spec.capacity_cells:
             self.allocation_failures += 1
             return False
-        self._allocated[owner] = self._allocated.get(owner, 0) + cells
-        self._used_cells += cells
-        self.occupancy.record(self.sim._now, self._used_cells)
+        allocated = self._allocated
+        allocated[owner] = allocated.get(owner, 0) + cells
+        self._used_cells = used
+        self.occupancy.record(self.sim._now, used)
         return True
-
-    def grow(self, owner: Hashable, cells: int = 1) -> bool:
-        """Extend an owner's allocation (a reassembly absorbing a cell)."""
-        return self.allocate(owner, cells)
 
     def release(self, owner: Hashable) -> int:
         """Free everything held by *owner*; returns the cell count."""

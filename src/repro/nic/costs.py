@@ -153,7 +153,8 @@ class TxCostModel:
 
     #: Charge memo keyed by cell position, PDU step, or ``"pdu"``: the
     #: budget is frozen, and the inner loops ask for the same few keys
-    #: millions of times.
+    #: millions of times.  The TX engine subscripts it per cell and
+    #: calls :meth:`cell_charge` only on a miss.
     _charges: Dict[Hashable, Charge] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -260,7 +261,9 @@ class RxCostModel:
     #: cells, ``(None, cam_fitted, table_size)`` for classification
     #: alone, and ``"oam"``: frozen budget, asked once per simulated
     #: cell.  The CAM's cost ignores the table size, so CAM keys use 0
-    #: and stay few however many VCs churn through the table.
+    #: and stay few however many VCs churn through the table.  The RX
+    #: engine subscripts it per cell and calls :meth:`cell_charge`
+    #: only on a miss.
     _charges: Dict[Hashable, Charge] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

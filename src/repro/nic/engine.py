@@ -16,7 +16,7 @@ from heapq import heappush
 from typing import Any, Callable, Dict, Optional
 
 from repro.nic.costs import EngineSpec
-from repro.sim.core import NORMAL, Call, Simulator
+from repro.sim.core import Simulator
 
 
 class EngineClock:
@@ -66,7 +66,8 @@ class EngineClock:
         The cycles are booked now; the completion is one bare queue
         entry *duration* later (plus any injected stall).  Every cell
         runs this twice, so booking and queueing share one frame: the
-        body of ``Simulator.schedule_call`` is inlined here.
+        body of ``Simulator.schedule_call`` is inlined here (a NORMAL
+        entry's key is its sequence number).
         """
         if cycles < 0:
             raise ValueError("negative cycle count")
@@ -80,7 +81,7 @@ class EngineClock:
         sequence = sim._sequence + 1
         sim._sequence = sequence
         queue = sim._queue
-        heappush(queue, (sim._now + duration, NORMAL, sequence, Call(then, args)))
+        heappush(queue, (sim._now + duration, sequence, then, args))
         if len(queue) > sim.peak_queue_occupancy:
             sim.peak_queue_occupancy = len(queue)
 

@@ -28,7 +28,7 @@ producer (one cell out, one in) record nothing.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.atm.cell import AtmCell
 from repro.sim.core import Event, Simulator
@@ -81,7 +81,14 @@ class CellFifo:
         """
         consumer = self._consumer
         if consumer is not None:
-            self._hand_over(consumer, cell)
+            # Through the empty FIFO to the waiting consumer, inline
+            # here and in try_put: one of the two runs for most cells.
+            self._consumer = None
+            self.cells_in += 1
+            self.cells_out += 1
+            if self.trace is not None:
+                self._trace_hand_over(cell)
+            consumer(cell)
             return True
         if len(self._cells) < self.depth_cells:
             self._accept(cell)
@@ -100,7 +107,12 @@ class CellFifo:
         """Non-blocking push (RX side): False means the cell was dropped."""
         consumer = self._consumer
         if consumer is not None:
-            self._hand_over(consumer, cell)
+            self._consumer = None
+            self.cells_in += 1
+            self.cells_out += 1
+            if self.trace is not None:
+                self._trace_hand_over(cell)
+            consumer(cell)
             return True
         if len(self._cells) < self.depth_cells:
             self._accept(cell)
@@ -126,17 +138,10 @@ class CellFifo:
                 "fifo.enq", actor=self.name, cell=cell, occupancy=occupancy,
             )
 
-    def _hand_over(
-        self, consumer: Callable[[AtmCell], None], cell: AtmCell
-    ) -> None:
-        """Pass *cell* through the empty FIFO to the waiting *consumer*."""
-        self._consumer = None
-        self.cells_in += 1
-        self.cells_out += 1
-        if self.trace is not None:
-            self.trace.emit("fifo.enq", actor=self.name, cell=cell, occupancy=0)
-            self.trace.emit("fifo.deq", actor=self.name, cell=cell, occupancy=0)
-        consumer(cell)
+    def _trace_hand_over(self, cell: AtmCell) -> None:
+        """Trace *cell* passing through the empty FIFO to its consumer."""
+        self.trace.emit("fifo.enq", actor=self.name, cell=cell, occupancy=0)
+        self.trace.emit("fifo.deq", actor=self.name, cell=cell, occupancy=0)
 
     # -- consumer side ---------------------------------------------------------
 
@@ -145,34 +150,14 @@ class CellFifo:
 
         The callback path of a single consumer (the framer, the RX
         engine): a queued cell is taken at once; from an empty FIFO the
-        next push or offer hands its cell straight over.  A producer
-        whose cell the pull admits resumes after the consumer has its
-        cell.
-        """
-        if not self._cells:
-            self._consumer = consumer
-            return
-        cell, resume = self._take()
-        consumer(cell)
-        if resume is not None:
-            resume()
-
-    def try_get(self) -> Optional[AtmCell]:
-        """Non-blocking pop; None when empty."""
-        if not self._cells:
-            return None
-        cell, resume = self._take()
-        if resume is not None:
-            resume()
-        return cell
-
-    def _take(self) -> Tuple[AtmCell, Optional[Callable[[], Any]]]:
-        """Pop the oldest cell and admit the oldest stalled producer.
-
-        Returns the cell and the admitted producer's resume callback
-        (None when no producer was waiting); the caller runs it.
+        next push or offer hands its cell straight over.  Taking a cell
+        admits the oldest stalled producer, if any, which resumes after
+        the consumer has its cell.
         """
         cells = self._cells
+        if not cells:
+            self._consumer = consumer
+            return
         cell = cells.popleft()
         self.cells_out += 1
         if not self._waiting:
@@ -182,7 +167,8 @@ class CellFifo:
                 self.trace.emit(
                     "fifo.deq", actor=self.name, cell=cell, occupancy=occupancy,
                 )
-            return cell, None
+            consumer(cell)
+            return
         # One cell out, one in: the level holds, so nothing is recorded.
         admitted, resume = self._waiting.popleft()
         cells.append(admitted)
@@ -195,7 +181,16 @@ class CellFifo:
             self.trace.emit(
                 "fifo.enq", actor=self.name, cell=admitted, occupancy=occupancy,
             )
-        return cell, resume
+        consumer(cell)
+        resume()
+
+    def try_get(self) -> Optional[AtmCell]:
+        """Non-blocking pop; None when empty."""
+        if not self._cells:
+            return None
+        taken: List[AtmCell] = []
+        self.pull(taken.append)
+        return taken[0]
 
     @property
     def fill_fraction(self) -> float:

@@ -46,7 +46,7 @@ from repro.nic.descriptors import RxCompletion
 from repro.nic.engine import EngineClock
 from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
-from repro.sim.core import URGENT, Call, Simulator
+from repro.sim.core import Simulator
 from repro.sim.monitor import Counter, ThroughputMeter, WelfordStat
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ class RxEngine:
         """
         if not self._started:
             self._started = True
-            self.sim._schedule(0.0, Call(self.fifo.pull, (self._take,)), URGENT)
+            self.sim._call_urgent(self.fifo.pull, self._take)
 
     def _take(self, cell: AtmCell) -> None:
         """Serve one cell off the FIFO: classify it and charge the work.
@@ -339,7 +339,13 @@ class RxEngine:
             position = CellPosition.LAST if open_context else CellPosition.ONLY
         else:
             position = CellPosition.MIDDLE if open_context else CellPosition.FIRST
-        ops, cycles = costs.cell_charge(position, cam is not None, table_size)
+        # The cost model's own memo, read in this frame (its key:
+        # position, CAM fitted, table size -- 0 with the CAM).
+        cam_fitted = cam is not None
+        try:
+            ops, cycles = costs._charges[position, cam_fitted, table_size]
+        except KeyError:
+            ops, cycles = costs.cell_charge(position, cam_fitted, table_size)
         extra = self.glue.rx_extra_cycles
         if self.profiler is not None:
             self.profiler.record_cell("rx", position, ops, extra=extra)
@@ -369,13 +375,8 @@ class RxEngine:
     def _cell_done(
         self, vc: VcAddress, cell: AtmCell, position: CellPosition
     ) -> None:
-        self._absorb(vc, cell, position)
-        self.fifo.pull(self._take)
-
-    def _absorb(
-        self, vc: VcAddress, cell: AtmCell, position: CellPosition
-    ) -> None:
-        """Post-charge work on a user cell: buffer it and reassemble."""
+        """Post-charge work on a user cell: buffer it and reassemble,
+        then take the next cell."""
         if self.trace is not None:
             self.trace.emit(
                 "rx.cell.sar",
@@ -388,42 +389,45 @@ class RxEngine:
 
         # Payload into adaptor buffer memory; exhaustion loses the
         # cell exactly like network loss would.
-        if not self.bufmem.grow(("rx", vc), 1):
-            self.cells_no_buffer.increment()
-            if self.trace is not None:
-                self.trace.emit(
-                    "cell.drop",
-                    actor=self.name,
-                    cell=cell,
-                    reason="no_adaptor_buffer",
-                )
-            # The frame is now holed; with PPD, stop admitting its
-            # remaining cells (only while the frame is still open at
-            # admission -- its EOF may already have been accepted).
-            if (
-                self.discard is not None
-                and self.discard.ppd
-                and not self.glue.is_eof(cell)
-                and vc in self._mid_frame
-                and vc not in self._discarding
-            ):
-                self.frames_truncated.increment()
-                self._discarding[vc] = "ppd"
-            return
-        self.bufmem.record_write(PAYLOAD_SIZE)
-
-        indication = self.reassembler.receive_cell(cell, now=self.sim._now)
-        if indication is None:
-            # Did the context survive reassembly?
-            if self._has_context(vc):
+        if not self.bufmem.allocate(("rx", vc), 1):
+            self._no_buffer(vc, cell)
+        else:
+            self.bufmem.record_write(PAYLOAD_SIZE)
+            indication = self.reassembler.receive_cell(cell, now=self.sim._now)
+            if indication is not None:
+                self._complete(vc, cell, indication)
+            elif self._has_context(vc):
+                # The context survived reassembly: the PDU progressed.
                 if self.on_context_activity is not None:
                     self.on_context_activity(vc)
             else:
                 # The reassembler closed the context with a failure
                 # verdict (CRC/length/oversize): reclaim the buffer.
                 self.bufmem.release(("rx", vc))
-            return
-        self._complete(vc, cell, indication)
+        self.fifo.pull(self._take)
+
+    def _no_buffer(self, vc: VcAddress, cell: AtmCell) -> None:
+        """Adaptor buffer memory is full: the cell is lost."""
+        self.cells_no_buffer.increment()
+        if self.trace is not None:
+            self.trace.emit(
+                "cell.drop",
+                actor=self.name,
+                cell=cell,
+                reason="no_adaptor_buffer",
+            )
+        # The frame is now holed; with PPD, stop admitting its
+        # remaining cells (only while the frame is still open at
+        # admission -- its EOF may already have been accepted).
+        if (
+            self.discard is not None
+            and self.discard.ppd
+            and not self.glue.is_eof(cell)
+            and vc in self._mid_frame
+            and vc not in self._discarding
+        ):
+            self.frames_truncated.increment()
+            self._discarding[vc] = "ppd"
 
     def _complete(
         self, vc: VcAddress, last_cell: AtmCell, indication: SduIndication

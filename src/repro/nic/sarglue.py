@@ -85,8 +85,10 @@ class Aal5Glue:
     def make_reassembler(self) -> Aal5Reassembler:
         return Aal5Reassembler()
 
-    def is_eof(self, cell: AtmCell) -> bool:
-        return cell.end_of_frame
+    #: The cell's own end-of-frame mark, decoded at construction:
+    #: ``glue.is_eof(cell)`` calls the property's C-level getter, so the
+    #: per-cell test runs no Python frame.
+    is_eof = staticmethod(AtmCell.end_of_frame.fget)
 
     def abort_context(
         self,

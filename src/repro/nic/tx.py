@@ -34,7 +34,7 @@ from repro.nic.descriptors import DescriptorRing, TxDescriptor
 from repro.nic.engine import EngineClock
 from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
-from repro.sim.core import URGENT, Call, Simulator
+from repro.sim.core import Simulator
 from repro.sim.monitor import Counter, ThroughputMeter, WelfordStat
 
 class TxEngine:
@@ -106,7 +106,7 @@ class TxEngine:
         """
         if not self._started:
             self._started = True
-            self.sim._schedule(0.0, Call(self._take_descriptor, ()), URGENT)
+            self.sim._call_urgent(self._take_descriptor)
 
     def _pacing_interval(self, vc: VcAddress) -> Optional[float]:
         """Seconds between cells for a rate-contracted VC, else None.
@@ -218,7 +218,12 @@ class TxEngine:
             position = CellPosition.MIDDLE
         else:
             position = CellPosition.of(index, total)
-        ops, cycles = self.costs.cell_charge(position)
+        # The cost model's own memo, read in this frame.
+        costs = self.costs
+        try:
+            ops, cycles = costs._charges[position]
+        except KeyError:
+            ops, cycles = costs.cell_charge(position)
         extra = self.glue.tx_extra_cycles
         if self.profiler is not None:
             self.profiler.record_cell("tx", position, ops, extra=extra)
@@ -291,9 +296,11 @@ class TxEngine:
                 rm_cell, self._next_cell
             ):
                 return
-        self._next_cell()
+        self._index += 1
+        self._charge_cell()
 
     def _next_cell(self) -> None:
+        """Resume after a stalled RM cell is in: charge the next cell."""
         self._index += 1
         self._charge_cell()
 

@@ -1,14 +1,17 @@
 """Event loop, clock, and the :class:`Event` primitive.
 
-The kernel keeps a time-ordered queue of ``(time, priority, sequence,
-target)`` entries.  A target is an :class:`Event` -- the unit of
-synchronisation: processes (see :mod:`repro.sim.process`) suspend on
-events and are resumed by the event's callbacks when it triggers -- or a
-bare :class:`Call` queued by :meth:`Simulator.schedule_call`, which
-fires one function with no event and no callback list behind it.
+The kernel keeps a time-ordered queue of bare ``(time, key, fn, args)``
+tuples.  A bare call, queued by :meth:`Simulator.schedule_call`, is
+``fn(*args)`` with no object behind it; an :class:`Event` -- the unit
+of synchronisation: processes (see :mod:`repro.sim.process`) suspend
+on events and are resumed by the event's callbacks when it triggers --
+is queued as ``(time, key, None, event)``.
 
-The queue is a binary heap; entries pop in ``(time, priority,
-sequence)`` order, so same-time entries fire in scheduling order.
+The queue is a binary heap ordered by ``(time, key)``.  The key is the
+entry's scheduling sequence number with its priority folded in (an
+``URGENT`` entry's key lies below every ``NORMAL`` one), so same-time
+entries fire URGENT first and in scheduling order within each class.
+Keys are unique, so the heap never compares ``fn`` or ``args``.
 
 Only the simulator advances time.  All model code runs inside event
 callbacks, so there is no concurrency and no locking anywhere.
@@ -25,7 +28,6 @@ from typing import (
     Generator,
     Iterable,
     Optional,
-    Union,
 )
 
 if TYPE_CHECKING:  # import cycle: process.py imports this module
@@ -36,11 +38,14 @@ class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (double trigger, run-after-end...)."""
 
 
-#: Events scheduled with ``URGENT`` priority fire before normal events that
-#: share the same timestamp.  The kernel uses this internally to make
+#: Entries scheduled with ``URGENT`` priority fire before normal entries
+#: that share the same timestamp.  The kernel uses this internally to make
 #: process termination visible before ordinary timeouts at the same instant.
-NORMAL = 1
-URGENT = 0
+#: A priority is the offset added to an entry's sequence number to form
+#: its sort key: URGENT keys sit below every NORMAL key, and each class
+#: keeps its scheduling order.
+NORMAL = 0
+URGENT = -(1 << 62)
 
 
 class Event:
@@ -218,35 +223,12 @@ class Timeout(Event):
         sim._schedule(delay, self)
 
 
-class Call:
-    """A function queued by :meth:`Simulator.schedule_call`.
-
-    The cheapest queue entry: when it comes due the kernel runs
-    ``fn(*args)`` directly -- there is no :class:`Event`, no callback
-    list and no closure.  It still counts as one processed event.
-    ``cancel()`` withdraws it as :meth:`Event.cancel` withdraws a queued
-    event: the entry is skipped at the front of the queue, the clock
-    does not move to it and it is not counted.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
-        self.fn: Optional[Callable[..., Any]] = fn
-        self.args = args
-
-    @property
-    def cancelled(self) -> bool:
-        return self.fn is None
-
-    def cancel(self) -> "Call":
-        """Withdraw the call (a no-op once it has fired or been cancelled)."""
-        self.fn = None
-        return self
-
-
 _CANCELLED = Event._CANCELLED
 _PROCESSED = Event._PROCESSED
+
+#: One queue entry: ``(time, key, fn, args)`` for a bare call, or
+#: ``(time, key, None, event)`` for an :class:`Event`.
+_Entry = tuple[float, int, Optional[Callable[..., Any]], Any]
 
 
 class Simulator:
@@ -276,7 +258,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue: list[tuple[float, int, int, Union[Event, Call]]] = []
+        self._queue: list[_Entry] = []
         self._sequence = 0
         self._running = False
         #: Lifetime count of events processed -- the kernel's own
@@ -326,14 +308,29 @@ class Simulator:
     # -- scheduling ------------------------------------------------------
 
     def _schedule(
-        self, delay: float, target: Union[Event, Call], priority: int = NORMAL
+        self, delay: float, event: Event, priority: int = NORMAL
     ) -> None:
+        """Queue *event* to fire *delay* seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         sequence = self._sequence + 1
         self._sequence = sequence
         queue = self._queue
-        heappush(queue, (self._now + delay, priority, sequence, target))
+        heappush(queue, (self._now + delay, priority + sequence, None, event))
+        if len(queue) > self.peak_queue_occupancy:
+            self.peak_queue_occupancy = len(queue)
+
+    def _call_urgent(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Queue ``fn(*args)`` at this instant, ahead of NORMAL entries.
+
+        For the few internal steps that must run before the ordinary
+        entries already queued for now: an engine's first step, an
+        interrupt delivery.
+        """
+        sequence = self._sequence + 1
+        self._sequence = sequence
+        queue = self._queue
+        heappush(queue, (self._now, URGENT + sequence, fn, args))
         if len(queue) > self.peak_queue_occupancy:
             self.peak_queue_occupancy = len(queue)
 
@@ -342,19 +339,18 @@ class Simulator:
     def step(self) -> None:
         """Process one queue entry (advancing the clock to it).
 
-        A cancelled entry is discarded instead: the clock stays put and
+        A cancelled event is discarded instead: the clock stays put and
         ``events_processed`` does not move, as if it was never queued.
-        An event runs its callbacks; a bare :class:`Call` runs its
-        function.  :meth:`run` inlines this same dispatch.
+        An event runs its callbacks; a bare call runs its function.
+        :meth:`run` inlines this same dispatch.
         """
-        when, _priority, _seq, target = heappop(self._queue)
-        if isinstance(target, Call):
-            fn = target.fn
-            if fn is None:
-                return
+        if not self._queue:
+            raise SimulationError("step() on an empty queue")
+        when, _key, fn, target = heappop(self._queue)
+        if fn is not None:
             self._now = when
             self.events_processed += 1
-            fn(*target.args)
+            fn(*target)
             return
         if target._state == _CANCELLED:
             return
@@ -394,14 +390,11 @@ class Simulator:
         self._running = True
         try:
             while queue and queue[0][0] <= limit:
-                when, _priority, _seq, target = heappop(queue)
-                if isinstance(target, Call):
-                    fn = target.fn
-                    if fn is None:
-                        continue
+                when, _key, fn, target = heappop(queue)
+                if fn is not None:
                     self._now = when
                     self.events_processed += 1
-                    fn(*target.args)
+                    fn(*target)
                     continue
                 if target._state == _CANCELLED:
                     continue
@@ -435,30 +428,29 @@ class Simulator:
 
     def schedule_call(
         self, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> Call:
+    ) -> None:
         """Call ``fn(*args)`` after *delay* seconds, as a bare queue entry.
 
-        Returns the queued :class:`Call`; its ``cancel()`` withdraws it.
-        The body is :meth:`_schedule` inlined: the datapath queues most
-        of its entries here.
+        The entry is the tuple itself: there is no object to keep and
+        nothing to cancel (withdraw an :class:`Event` instead).  It
+        counts as one processed event.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        call = Call(fn, args)
         sequence = self._sequence + 1
         self._sequence = sequence
         queue = self._queue
-        heappush(queue, (self._now + delay, NORMAL, sequence, call))
+        # A NORMAL entry's key is its sequence number itself.
+        heappush(queue, (self._now + delay, sequence, fn, args))
         if len(queue) > self.peak_queue_occupancy:
             self.peak_queue_occupancy = len(queue)
-        return call
 
     def pending_events(self) -> int:
         """Number of entries still queued (triggered but unprocessed).
 
-        Cancelled entries are purged lazily, so they are counted here
+        Cancelled events are purged lazily, so they are counted here
         until they reach the front of the queue (:meth:`peek` may
-        likewise report a cancelled entry's time).
+        likewise report a cancelled event's time).
         """
         return len(self._queue)
 

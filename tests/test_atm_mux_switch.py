@@ -158,6 +158,25 @@ class TestSwitch:
         with pytest.raises(ValueError):
             switch.add_route(0, VcAddress(0, 1), RoutingEntry(5, 0, 1))
 
+    def test_out_label_no_cell_can_carry_is_rejected(self, sim):
+        # Caught when installed, not from inside the upstream link's
+        # wire-out entry when the first cell is relabelled.
+        switch, outputs = self.build(sim)
+        for entry in (
+            RoutingEntry(0, 5000, 70000),
+            RoutingEntry(0, 4096, 100),
+            RoutingEntry(0, 0, 65536),
+            RoutingEntry(0, -1, 100),
+        ):
+            with pytest.raises(ValueError, match="out of range"):
+                switch.add_route(0, VcAddress(0, 100), entry)
+        assert switch.route_for(0, VcAddress(0, 100)) is None
+        # The NNI header's own limits are fine.
+        switch.add_route(0, VcAddress(0, 100), RoutingEntry(0, 4095, 65535))
+        switch.receive(0, cell(vci=100))
+        sim.run()
+        assert (outputs[0][0].vpi, outputs[0][0].vci) == (4095, 65535)
+
     def test_total_dropped_aggregates_ports(self, sim):
         delivered = []
         link = PhysicalLink(sim, TAXI_100, sink=delivered.append)

@@ -6,6 +6,11 @@ change that lowers a pin updates it and states the delta; a change
 that raises one says why.
 """
 
+import gc
+import os
+import sys
+
+import repro
 import repro.results.experiments as experiments
 import repro.scale.experiment as scale_experiment
 from repro import HostNetworkInterface, Simulator, aurora_oc3, connect
@@ -28,8 +33,8 @@ def _counts(sim):
     return sim.events_processed, sim.peak_queue_occupancy
 
 
-def test_quickstart_exchange():
-    # examples/quickstart.py: five PDUs, 64 B to 40 kB, over STS-3c.
+def _quickstart():
+    """examples/quickstart.py: five PDUs, 64 B to 40 kB, over STS-3c."""
     sim = Simulator()
     alice = HostNetworkInterface(sim, aurora_oc3(), name="alice")
     bob = HostNetworkInterface(sim, aurora_oc3(), name="bob")
@@ -40,9 +45,49 @@ def test_quickstart_exchange():
     bob.on_pdu = delivered.append
     for size in (64, 1500, 9180, 100, 40000):
         alice.post(vc.address, bytes(size))
+    return sim, delivered
+
+
+def test_quickstart_exchange():
+    sim, delivered = _quickstart()
     sim.run(until=0.05)
     assert len(delivered) == 5
     assert _counts(sim) == (3474, 7)
+
+
+def test_quickstart_python_calls():
+    # Python-level calls into repro functions during the run: the
+    # per-cell frames the datapath pays.  Frames named "<...>"
+    # (comprehensions, lambdas) are left out, so the count is the same
+    # whether or not the interpreter inlines comprehensions.
+    sim, delivered = _quickstart()
+    package = os.path.dirname(repro.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(package) and not code.co_name.startswith(
+                "<"
+            ):
+                calls += 1
+
+    # Garbage left by earlier tests (a suspended generator, say) must
+    # not be finalised inside the counted run.
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        sim.run(until=0.05)
+    finally:
+        sys.setprofile(previous)
+        if gc_was_enabled:
+            gc.enable()
+    assert len(delivered) == 5
+    assert calls == 30921
 
 
 def test_short_f2_point(monkeypatch):

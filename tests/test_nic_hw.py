@@ -250,11 +250,15 @@ class TestBufferMemory:
         assert not mem.allocate("b", 1)
         assert mem.allocation_failures == 1
 
-    def test_grow(self, sim):
-        mem = AdaptorBufferMemory(sim, self.spec())
-        mem.allocate("ctx", 1)
-        mem.grow("ctx")
-        assert mem.held_by("ctx") == 2
+    def test_allocate_extends_an_owner_up_to_capacity(self, sim):
+        # The RX engine grows a reassembly context one cell at a time.
+        mem = AdaptorBufferMemory(sim, self.spec(cells=3))
+        assert mem.allocate("ctx", 1)
+        assert mem.allocate("ctx", 2)
+        assert mem.held_by("ctx") == 3 and mem.free_cells == 0
+        assert not mem.allocate("ctx", 1)
+        assert mem.held_by("ctx") == 3
+        assert mem.allocation_failures == 1
 
     def test_bandwidth_ledger(self, sim):
         mem = AdaptorBufferMemory(sim, self.spec())

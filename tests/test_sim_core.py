@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import SimulationError, Simulator
-from repro.sim.core import all_processed
+from repro.sim.core import URGENT, Event, all_processed
 
 
 class TestClock:
@@ -128,6 +128,16 @@ class TestOrdering:
         sim.step()
         assert hits == [1]
         assert sim.now == 1.0
+
+    def test_step_on_empty_queue_is_rejected(self, sim):
+        with pytest.raises(SimulationError, match="empty queue"):
+            sim.step()
+        sim.schedule_call(1.0, lambda: None)
+        sim.step()
+        with pytest.raises(SimulationError, match="empty queue"):
+            sim.step()
+        assert sim.now == 1.0
+        assert sim.events_processed == 1
 
 
 class TestRunGuards:
@@ -348,20 +358,81 @@ class TestBareCalls:
             sim.schedule_call(t, lambda: None)
         assert sim.run_until_idle() == 3
 
-    def test_cancelled_bare_call_neither_advances_clock_nor_counts(self):
+
+class TestUrgentOrder:
+    """At one instant URGENT entries run first; each class is FIFO."""
+
+    @staticmethod
+    def _urgent_event(sim, log, label, delay=0.0):
+        # As a process queues its start: a triggered event, URGENT.
+        ev = sim.event()
+        ev.add_callback(lambda _ev: log.append(label))
+        ev._state = Event._TRIGGERED
+        sim._schedule(delay, ev, priority=URGENT)
+
+    def _interleaved(self, sim, log):
+        """NORMAL and URGENT bare calls and events queued alternately."""
+        sim.schedule_call(0.0, log.append, "normal-call-1")
+        sim._call_urgent(log.append, "urgent-call-1")
+        ev = sim.event()
+        ev.add_callback(lambda _ev: log.append("normal-event-1"))
+        ev.trigger()
+        self._urgent_event(sim, log, "urgent-event-1")
+        sim.schedule_call(0.0, log.append, "normal-call-2")
+        sim._call_urgent(log.append, "urgent-call-2")
+        self._urgent_event(sim, log, "urgent-event-2")
+        sim.timeout(0.0).add_callback(lambda _ev: log.append("normal-event-2"))
+
+    def test_urgent_entries_queued_later_run_first(self):
         for drive in (
             lambda sim: sim.run(),
             lambda sim: sim.run_until_idle(),
-            self._step_all,
+            lambda sim: [sim.step() for _ in range(sim.pending_events())],
         ):
             sim = Simulator()
-            hits = []
-            doomed = sim.schedule_call(5.0, hits.append, "doomed")
-            sim.schedule_call(1.0, hits.append, "kept")
-            assert doomed.cancel() is doomed
-            assert doomed.cancelled
+            log = []
+            self._interleaved(sim, log)
             drive(sim)
-            assert hits == ["kept"]
-            assert sim.now == 1.0
-            assert sim.events_processed == 1
-            assert sim.pending_events() == 0
+            assert log == [
+                "urgent-call-1",
+                "urgent-event-1",
+                "urgent-call-2",
+                "urgent-event-2",
+                "normal-call-1",
+                "normal-event-1",
+                "normal-call-2",
+                "normal-event-2",
+            ]
+            assert sim.events_processed == 8
+            assert sim.now == 0.0
+
+    def test_urgent_entries_queued_inside_an_entry_run_next(self, sim):
+        log = []
+
+        def first():
+            log.append("first")
+            sim.schedule_call(0.0, log.append, "normal-from-first")
+            sim._call_urgent(log.append, "urgent-from-first")
+
+        sim.schedule_call(1.0, first)
+        sim.schedule_call(1.0, log.append, "second")
+        sim.run()
+        assert log == [
+            "first", "urgent-from-first", "second", "normal-from-first",
+        ]
+
+    def test_urgent_entry_at_a_later_instant_does_not_overtake(self, sim):
+        log = []
+        self._urgent_event(sim, log, ("urgent", 2.0), delay=2.0)
+        self._urgent_event(sim, log, ("urgent", 1.0), delay=1.0)
+        sim.schedule_call(1.5, log.append, ("normal", 1.5))
+        sim.schedule_call(1.0, log.append, ("normal", 1.0))
+        sim.schedule_call(0.5, sim._call_urgent, log.append, ("urgent", 0.5))
+        sim.run()
+        assert log == [
+            ("urgent", 0.5),
+            ("urgent", 1.0),
+            ("normal", 1.0),
+            ("normal", 1.5),
+            ("urgent", 2.0),
+        ]
