@@ -11,7 +11,8 @@ over multicast switch fabrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.atm.addressing import VcAddress
 from repro.atm.cell import AtmCell
@@ -30,16 +31,22 @@ class RoutingEntry:
 
 
 class _InputAdapter:
-    """Binds a physical input port number to the switch's receive path."""
+    """Binds a physical input port number to the switch's receive path.
+
+    ``receive_cell`` is ``switch.receive`` with the port bound, so a
+    link that resolves its sink's ``receive_cell`` when connected hands
+    each cell to :meth:`AtmSwitch.receive` with no frame in between.
+    """
 
     def __init__(self, switch: "AtmSwitch", port: int) -> None:
         self.switch = switch
         self.port = port
+        self.receive_cell: Callable[[AtmCell], None] = partial(
+            switch.receive, port
+        )
 
-    def receive_cell(self, cell: AtmCell) -> None:
+    def __call__(self, cell: AtmCell) -> None:
         self.switch.receive(self.port, cell)
-
-    __call__ = receive_cell
 
 
 class AtmSwitch:

@@ -17,10 +17,12 @@ and offloaded interface differ *only* in where cycles are charged.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Deque, Optional
 
 from repro.aal.aal5 import Aal5Reassembler, Aal5Segmenter
+from repro.aal.interface import SduIndication
 from repro.atm.addressing import VcAddress
 from repro.atm.cell import CELL_SIZE, AtmCell
 from repro.atm.link import LinkSpec, PhysicalLink, STS3C_155
@@ -32,9 +34,13 @@ from repro.host.os_model import HostOs, OsCostModel
 from repro.nic.descriptors import RxCompletion
 from repro.nic.fifo import CellFifo
 from repro.nic.tx import Framer
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter, ThroughputMeter
 from repro.sim.resources import Store
+
+
+#: A posted PDU: VC, SDU and CPCS-UU byte.
+_Pdu = tuple[VcAddress, bytes, int]
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,10 @@ class HostSarInterface:
         self.pdus_received = Counter(f"{name}.pdus-rx")
         self.tx_throughput = ThroughputMeter(sim)
         self.rx_throughput = ThroughputMeter(sim)
+        #: The PDU the TX loop is segmenting: its cells not yet pushed,
+        #: and its SDU size.
+        self._tx_cells: Deque[AtmCell] = deque()
+        self._tx_bytes = 0
         self._started = False
 
     # -- wiring (same shape as HostNetworkInterface) -----------------------
@@ -130,42 +140,65 @@ class HostSarInterface:
         if self._started:
             return
         self._started = True
-        self.sim.process(self._tx_loop())
+        self._tx_queue.pull(self._tx_pdu)
         self.framer.start()
 
     # -- transmit ----------------------------------------------------------
 
-    def send(self, address: VcAddress, sdu: bytes, user_indication: int = 0):
-        """Process-style send; event fires when the PDU is queued."""
+    def send(
+        self, address: VcAddress, sdu: bytes, user_indication: int = 0
+    ) -> Event:
+        """Post *sdu*; the event fires once the PDU is queued for SAR."""
         if self.vc_table.lookup(address) is None:
             raise ValueError(f"VC {address} is not open on {self.name}")
         self.start()
-        return self.sim.process(self._send(address, sdu, user_indication))
+        queued = self.sim.event()
+        self.os.send_then(
+            len(sdu), self._enqueue, (address, sdu, user_indication), queued
+        )
+        return queued
 
     post = send
 
-    def _send(self, address: VcAddress, sdu: bytes, user_indication: int):
-        yield self.os.send(len(sdu))
-        yield self._tx_queue.put((address, sdu, user_indication))
+    def _enqueue(self, pdu: _Pdu, queued: Event) -> None:
+        if self._tx_queue.offer(pdu, queued.trigger):
+            queued.trigger()
 
-    def _tx_loop(self):
-        costs = self.config.sar_costs
-        while True:
-            address, sdu, uu = yield self._tx_queue.get()
-            segmenter = self._segmenters.get(address)
-            if segmenter is None:
-                segmenter = Aal5Segmenter(address)
-                self._segmenters[address] = segmenter
-            yield self.cpu.execute(costs.tx_pdu_overhead, tag="sar-tx-pdu")
-            cells = segmenter.segment(sdu, uu=uu)
-            for cell in cells:
-                # Software segmentation + CRC, then programmed I/O of the
-                # whole 53-byte cell across the bus to the adaptor FIFO.
-                yield self.cpu.execute(costs.tx_cell_cycles(), tag="sar-tx-cell")
-                yield self.bus.transfer(CELL_SIZE, master="pio-tx")
-                yield self.tx_fifo.put(cell)
-            self.pdus_sent.increment()
-            self.tx_throughput.account(len(sdu))
+    def _tx_pdu(self, pdu: _Pdu) -> None:
+        address, sdu, uu = pdu
+        segmenter = self._segmenters.get(address)
+        if segmenter is None:
+            segmenter = Aal5Segmenter(address)
+            self._segmenters[address] = segmenter
+        self.cpu.execute_then(
+            self.config.sar_costs.tx_pdu_overhead, "sar-tx-pdu",
+            self._tx_segment, segmenter, sdu, uu,
+        )
+
+    def _tx_segment(self, segmenter: Aal5Segmenter, sdu: bytes, uu: int) -> None:
+        self._tx_cells = deque(segmenter.segment(sdu, uu=uu))
+        self._tx_bytes = len(sdu)
+        self._tx_cell()
+
+    def _tx_cell(self) -> None:
+        # Software segmentation + CRC, then programmed I/O of the whole
+        # 53-byte cell across the bus to the adaptor FIFO.
+        self.cpu.execute_then(
+            self.config.sar_costs.tx_cell_cycles(), "sar-tx-cell",
+            self.bus.transfer_then, CELL_SIZE, "pio-tx", self._tx_push,
+        )
+
+    def _tx_push(self) -> None:
+        if self.tx_fifo.offer(self._tx_cells.popleft(), self._tx_next):
+            self._tx_next()
+
+    def _tx_next(self) -> None:
+        if self._tx_cells:
+            self._tx_cell()
+            return
+        self.pdus_sent.increment()
+        self.tx_throughput.account(self._tx_bytes)
+        self._tx_queue.pull(self._tx_pdu)
 
     # -- receive --------------------------------------------------------------
 
@@ -173,35 +206,40 @@ class HostSarInterface:
         """Link sink: every cell costs the host an interrupt."""
         if not self.rx_fifo.try_put(cell):
             return
-        self.interrupts.raise_interrupt(
+        self.interrupts.raise_interrupt_then(
             self.config.sar_costs.rx_interrupt_handler,
-            handler=self._handle_rx_interrupt,
+            None,
+            self._handle_rx_interrupt,
         )
 
     def _handle_rx_interrupt(self) -> None:
         cell = self.rx_fifo.try_get()
         if cell is None:
             return
-        self.sim.process(self._absorb_cell(cell))
-
-    def _absorb_cell(self, cell: AtmCell):
-        costs = self.config.sar_costs
         # Pull the cell across the bus, then reassemble in the kernel.
-        yield self.bus.transfer(CELL_SIZE, master="pio-rx")
-        yield self.cpu.execute(costs.rx_cell_cycles(), tag="sar-rx-cell")
-        vc = cell.vc
-        if self.vc_table.lookup(vc) is None:
+        self.bus.transfer_then(
+            CELL_SIZE, "pio-rx",
+            self.cpu.execute_then, self.config.sar_costs.rx_cell_cycles(),
+            "sar-rx-cell", self._reassemble, cell,
+        )
+
+    def _reassemble(self, cell: AtmCell) -> None:
+        if self.vc_table.lookup(cell.vc) is None:
             return
         indication = self.reassembler.receive_cell(cell, now=self.sim.now)
         if indication is None:
             return
-        yield self.cpu.execute(costs.rx_pdu_overhead, tag="sar-rx-pdu")
-        yield self.os.receive(indication.size)
+        self.cpu.execute_then(
+            self.config.sar_costs.rx_pdu_overhead, "sar-rx-pdu",
+            self.os.receive_then, indication.size, self._deliver, cell, indication,
+        )
+
+    def _deliver(self, cell: AtmCell, indication: SduIndication) -> None:
         self.pdus_received.increment()
         self.rx_throughput.account(indication.size)
         if self.on_pdu is not None:
             completion = RxCompletion(
-                vc=vc,
+                vc=cell.vc,
                 sdu=indication.sdu,
                 buffer=None,
                 received_at=indication.completed_at,

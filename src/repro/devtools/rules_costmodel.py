@@ -28,8 +28,8 @@ from repro.devtools.rules import (
     terminal_attribute,
 )
 
-#: Methods that charge cycles to an engine clock (or host CPU) ledger.
-CHARGE_METHODS = {"work", "charge"}
+#: Methods that charge cycles to an engine clock or the host CPU.
+CHARGE_METHODS = {"work", "execute_then"}
 
 #: The cycle profiler's accounting methods (``CycleProfiler.record_*``).
 PROFILER_METHODS = {"record_cell", "record_pdu", "record_oam", "record_ops"}

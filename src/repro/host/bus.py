@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque
 
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
 
 @dataclass(frozen=True)
@@ -109,9 +109,7 @@ class SystemBus:
 
     ``transfer_then(nbytes, master, then, *args)`` moves the bytes and
     calls ``then(*args)`` from the entry in which the last burst ends,
-    before the bus is granted to the next master;
-    ``transfer(nbytes, master)`` is the process-style form, an event the
-    caller yields on, which fires one entry later.  Long transfers hold
+    before the bus is granted to the next master.  Long transfers hold
     the bus one burst at a time; between bursts the arbitration is
     re-run, so a competing master's short transaction slots in with
     bounded latency.  Arbitration is FIFO: a transaction with bursts
@@ -146,12 +144,6 @@ class SystemBus:
             self._burst(transaction)
         else:
             self._waiting.append(transaction)
-
-    def transfer(self, nbytes: int, master: str = "dma") -> Event:
-        """Event firing when *nbytes* have crossed the bus for *master*."""
-        done = Event(self.sim)
-        self.transfer_then(nbytes, master, done.trigger, nbytes)
-        return done
 
     def _burst(self, transaction: _Transaction) -> None:
         """Grant the bus to *transaction* for its next burst."""

@@ -4,18 +4,13 @@ The CPU executes *work items* measured in cycles.  Work is serialised
 (one instruction stream), so concurrent demands queue; utilisation and
 the total cycles burned per category are the experiment outputs.
 
-Three usage styles coexist:
-
-- **callback**: ``cpu.execute_then(cycles, "os-send", then, *args)``
-  queues the work and calls ``then(*args)`` once it has run (queueing
-  included).  The CPU serves its queue from callbacks: one timed queue
-  entry per work item, then one zero-delay completion entry that calls
-  ``then`` -- after the entries already queued for that instant;
-- **blocking**: a process does ``yield cpu.execute(cycles, "driver-tx")``
-  and resumes when the work completes.  The event fires inside that
-  same completion entry, so both styles take two entries per item;
-- **accounting-only**: ``cpu.charge(cycles, tag)`` books cycles without
-  simulating occupancy, for closed-form comparisons.
+Work is asked for one way: ``cpu.execute_then(cycles, "os-send", then,
+*args)`` queues the work and calls ``then(*args)`` once it has run
+(queueing included).  The CPU serves its queue from callbacks: one
+timed queue entry per work item, then one zero-delay completion entry
+that calls ``then`` -- after the entries already queued for that
+instant.  A process that must wait on the CPU hands it an event's
+``trigger`` and yields the event.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional
 
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 
 #: A queued work item: cycles, tag, and the continuation with its args.
 _Work = tuple[float, str, Callable[..., Any], tuple[Any, ...]]
@@ -97,12 +92,6 @@ class HostCpu:
         else:
             self._start(cycles, tag, then, args)
 
-    def execute(self, cycles: float, tag: str = "work") -> Event:
-        """Event that fires once *cycles* of work have run on the CPU."""
-        done = Event(self.sim)
-        self.execute_then(cycles, tag, done.fire)
-        return done
-
     def _start(
         self, cycles: float, tag: str, then: Callable[..., Any], args: tuple[Any, ...]
     ) -> None:
@@ -120,16 +109,6 @@ class HostCpu:
             self._start(*self._waiting.popleft())
         else:
             self._running = False
-
-    # -- accounting-only ----------------------------------------------------
-
-    def charge(self, cycles: float, tag: str = "work") -> float:
-        """Book *cycles* without occupying the pipeline; returns seconds."""
-        if cycles < 0:
-            raise ValueError("negative cycle count")
-        self._book(cycles, tag)
-        self._busy_time += self.spec.seconds_for(cycles)
-        return self.spec.seconds_for(cycles)
 
     def _book(self, cycles: float, tag: str) -> None:
         self.cycles_by_tag[tag] = self.cycles_by_tag.get(tag, 0.0) + cycles

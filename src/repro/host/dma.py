@@ -9,8 +9,7 @@ which is what the default two-engine wiring in :mod:`repro.nic.nic`
 reproduces.  The engine is a small state machine driven by callbacks:
 setup, the bus transaction (whose last burst starts the writeback), the
 completion writeback, which calls the requester back and then sets up
-the next queued transfer.  ``transfer(nbytes)`` is the process-style
-form: its event fires one entry after the writeback.
+the next queued transfer.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional
 
 from repro.host.bus import SystemBus
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.sim.monitor import Counter, WelfordStat
 
 #: One transfer: bytes, the continuation and its args, time requested.
@@ -78,12 +77,6 @@ class DmaEngine:
             self._waiting.append(transfer)
         else:
             self._start(transfer)
-
-    def transfer(self, nbytes: int) -> Event:
-        """Event firing when *nbytes* have fully moved across the bus."""
-        done = Event(self.sim)
-        self.transfer_then(nbytes, done.trigger, nbytes)
-        return done
 
     def _start(self, transfer: _Transfer) -> None:
         self._active = True

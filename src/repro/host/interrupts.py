@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.host.cpu import HostCpu
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
 
 #: Raises merged into one delivery: each one's handler cycles, handler,
@@ -21,6 +21,10 @@ from repro.sim.monitor import Counter
 _Batch = list[
     tuple[float, Optional[Callable[[], None]], Callable[..., Any], tuple[Any, ...]]
 ]
+
+
+def _unawaited() -> None:
+    """The continuation of a raise that nothing waits on."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,7 @@ class InterruptController:
     charges the CPU for entry + handler + exit, invokes *handler* (a
     plain callable, or None) when the handler body runs, and calls
     ``then(*args)`` in that same entry, after every handler of the
-    delivery; ``raise_interrupt(handler_cycles, handler)`` is the
-    process-style form, whose event fires one entry later.  With a
+    delivery.  With a
     coalescing window configured, back-to-back raises merge: one
     delivery, one entry/exit, the sum of handler bodies -- how real
     drivers amortised per-PDU completions.  Without a window, raises
@@ -100,26 +103,17 @@ class InterruptController:
             else:
                 self.sim._call_urgent(self._deliver)
 
-    def raise_interrupt(
-        self,
-        handler_cycles: float,
-        handler: Optional[Callable[[], None]] = None,
-    ) -> Event:
-        """Assert the device interrupt; event fires when handling is done."""
-        done = self.sim.event()
-        self.raise_interrupt_then(handler_cycles, handler, done.trigger)
-        return done
-
-    def inject_spurious(self, handler_cycles: float = 0.0) -> Event:
+    def inject_spurious(self, handler_cycles: float = 0.0) -> None:
         """Fault-injection hook: a spurious assertion of the device line.
 
         The handler body finds no work (*handler_cycles* models its
         status-register poll), but entry/exit and dispatch are paid in
         full -- an interrupt storm steals host CPU without moving a
-        byte.  Delivered through the normal coalescing machinery.
+        byte.  Delivered through the normal coalescing machinery;
+        nothing waits on it.
         """
         self.spurious.increment()
-        return self.raise_interrupt(handler_cycles)
+        self.raise_interrupt_then(handler_cycles, None, _unawaited)
 
     def _deliver(self) -> None:
         batch = self._pending

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.host.cpu import HostCpu
-from repro.sim.core import Event
 
 
 @dataclass(frozen=True)
@@ -117,23 +116,3 @@ class HostOs:
             nbytes, self.copies_per_receive
         )
         self.cpu.execute_then(cycles, "os-receive", then, *args)
-
-    # Process-style forms: the event fires in the CPU's completion entry.
-
-    def send(self, nbytes: int) -> Event:
-        """Run the send software path; event fires when the CPU is done."""
-        done = Event(self.cpu.sim)
-        self.send_then(nbytes, done.fire)
-        return done
-
-    def receive(self, nbytes: int) -> Event:
-        """Run the full receive software path (driver included)."""
-        done = Event(self.cpu.sim)
-        self.receive_then(nbytes, done.fire)
-        return done
-
-    def receive_post_interrupt(self, nbytes: int) -> Event:
-        """The receive path when the driver ran in the interrupt handler."""
-        done = Event(self.cpu.sim)
-        self.receive_post_interrupt_then(nbytes, done.fire)
-        return done

@@ -90,7 +90,7 @@ class NicConfig:
             raise ValueError("receive buffer pool must be non-empty")
         if self.reassembly_timeout <= 0 or self.reassembly_tick <= 0:
             raise ValueError("reassembly timer values must be positive")
-        if self.aal not in ("aal5", "aal3/4", "aal34"):
+        if self.aal not in ("aal5", "aal3/4"):
             raise ValueError(f"unknown adaptation layer {self.aal!r}")
         if self.reassembly_quota is not None and self.reassembly_quota < 1:
             raise ValueError("reassembly_quota must be >= 1 or None")

@@ -77,8 +77,7 @@ class DescriptorRing(Store):
     transmit engine takes with ``pull(consumer)``, like
     :meth:`~repro.nic.fifo.CellFifo.pull`: a queued descriptor is taken
     at once, and a post to an empty ring hands the descriptor straight
-    to the waiting engine, inside the posting entry.  ``take`` is the
-    same pull as an event, for processes.
+    to the waiting engine, inside the posting entry.
     """
 
     def __init__(self, sim: Simulator, depth: int, name: str = "ring") -> None:
@@ -86,6 +85,3 @@ class DescriptorRing(Store):
             raise ValueError("ring depth must be >= 1")
         super().__init__(sim, capacity=depth, name=name)
         self.depth = depth
-
-    try_post = Store.try_put
-    take = Store.get

@@ -57,6 +57,10 @@ from repro.nic.tx import Framer, TxEngine
 from repro.sim.core import Event, Simulator
 
 
+def _unawaited() -> None:
+    """The continuation of an injected cell: nothing waits on one."""
+
+
 @dataclass
 class NicStats:
     """A flat snapshot of one interface's counters for experiments."""
@@ -343,7 +347,7 @@ class HostNetworkInterface:
         probe = LoopbackCell(
             vc=address, correlation=correlation, to_be_looped=True
         ).encode()
-        self.sim.process(self._inject_cell(probe))
+        self._inject_cell(probe)
         self.sim.process(
             self._ping_watchdog(address, correlation, timeout, retries)
         )
@@ -366,7 +370,7 @@ class HostNetworkInterface:
                 probe = LoopbackCell(
                     vc=address, correlation=correlation, to_be_looped=True
                 ).encode()
-                self.sim.process(self._inject_cell(probe))
+                self._inject_cell(probe)
                 continue
             completed, _ = self._oam_pending.pop(correlation)
             self.oam_ping_timeouts += 1
@@ -385,10 +389,10 @@ class HostNetworkInterface:
     def inject_cell(self, cell) -> None:
         """Queue a pre-built management cell into the transmit FIFO."""
         self.start()
-        self.sim.process(self._inject_cell(cell))
+        self._inject_cell(cell)
 
-    def _inject_cell(self, cell):
-        yield self.tx_fifo.put(cell)
+    def _inject_cell(self, cell) -> None:
+        self.tx_fifo.offer(cell, _unawaited)
 
     def _handle_oam(self, cell) -> None:
         if cell.pti == PTI_RESOURCE_MGMT:
@@ -405,7 +409,7 @@ class HostNetworkInterface:
         if isinstance(pdu, LoopbackCell):
             if pdu.to_be_looped:
                 self.oam_reflections += 1
-                self.sim.process(self._inject_cell(pdu.reflection().encode()))
+                self._inject_cell(pdu.reflection().encode())
                 return
             pending = self._oam_pending.pop(pdu.correlation, None)
             if pending is not None:

@@ -154,6 +154,6 @@ def glue_for(aal_name: str) -> SarGlue:
     """Glue instance for a config's ``aal`` field ('aal5' or 'aal3/4')."""
     if aal_name == "aal5":
         return Aal5Glue()
-    if aal_name in ("aal3/4", "aal34"):
+    if aal_name == "aal3/4":
         return Aal34Glue()
     raise ValueError(f"unknown adaptation layer {aal_name!r}")

@@ -283,7 +283,7 @@ class LinkSupervisor:
     def _reassess(self) -> None:
         defect = self._local_loc or self._remote_defect
         if defect:
-            self._generation += 1  # cancel any pending hold
+            self._generation += 1  # supersede any pending hold
             if self.state is not LinkState.DOWN:
                 self._enter(LinkState.DOWN)
         elif self.state is LinkState.DOWN:

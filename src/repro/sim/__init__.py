@@ -3,15 +3,23 @@
 This is a small, self-contained, simpy-flavoured kernel built from scratch
 for this reproduction.  It provides:
 
-- :class:`~repro.sim.core.Simulator` -- the event loop and clock,
-- :class:`~repro.sim.core.Event` -- the primitive everything waits on,
+- :class:`~repro.sim.core.Simulator` -- the event loop and clock; its
+  ``schedule_call(delay, fn, *args)`` queues a bare call,
+- :class:`~repro.sim.core.Event` -- a one-shot occurrence a process
+  waits on,
 - :class:`~repro.sim.process.Process` -- generator-based cooperative
-  processes (``yield sim.timeout(...)``),
+  processes (``yield sim.timeout(...)``), for code that sleeps on
+  simulated time: sources, timers, supervisors, sessions,
 - :class:`~repro.sim.resources.Store`, a FIFO object store for
-  mailbox-style hand-offs,
+  mailbox-style hand-offs (``offer`` and ``pull``, by callback),
 - monitors (:mod:`repro.sim.monitor`) for statistics collection, and
 - :class:`~repro.sim.random.RandomStreams` for reproducible, independently
   seeded random number streams.
+
+A model step that waits on another -- a host step, a hand-off -- passes
+it a continuation, ``then(*args)``, which the step calls where it ends.
+A process that must wait on such a step hands it an event's
+``trigger`` and yields the event.
 
 Simulation time is a float measured in **seconds**.  Ties in event time are
 broken deterministically by scheduling order, so a simulation is fully
@@ -24,7 +32,7 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.process import AllOf, AnyOf, Interrupt, Process
+from repro.sim.process import Process
 from repro.sim.monitor import (
     Counter,
     Histogram,
@@ -37,12 +45,9 @@ from repro.sim.random import RandomStreams
 from repro.sim.resources import Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Counter",
     "Event",
     "Histogram",
-    "Interrupt",
     "Process",
     "RandomStreams",
     "SeriesRecorder",

@@ -26,7 +26,6 @@ from typing import (
     Callable,
     ClassVar,
     Generator,
-    Iterable,
     Optional,
 )
 
@@ -39,8 +38,8 @@ class SimulationError(RuntimeError):
 
 
 #: Entries scheduled with ``URGENT`` priority fire before normal entries
-#: that share the same timestamp.  The kernel uses this internally to make
-#: process termination visible before ordinary timeouts at the same instant.
+#: that share the same timestamp: a process's first step, an engine's
+#: first step and an interrupt delivery (see :meth:`Simulator._call_urgent`).
 #: A priority is the offset added to an entry's sequence number to form
 #: its sort key: URGENT keys sit below every NORMAL key, and each class
 #: keeps its scheduling order.
@@ -59,16 +58,10 @@ class Event:
 
     ``trigger(value)`` succeeds the event; ``fail(exc)`` makes every waiter
     re-raise ``exc``.  Both may be called at most once in total.
-
-    ``cancel()`` withdraws an event that has not yet been processed: a
-    queued occurrence (e.g. a :class:`Timeout`) is skipped when it
-    reaches the front of the queue -- the clock never advances to it
-    and its callbacks never run -- as if it had never been scheduled.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_exception", "_state")
 
-    _CANCELLED = -1
     _PENDING = 0
     _TRIGGERED = 1
     _PROCESSED = 2
@@ -86,11 +79,6 @@ class Event:
     def triggered(self) -> bool:
         """True once the outcome (value or exception) is decided."""
         return self._state > Event._PENDING
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the event has been withdrawn via :meth:`cancel`."""
-        return self._state == Event._CANCELLED
 
     @property
     def processed(self) -> bool:
@@ -117,65 +105,19 @@ class Event:
 
     # -- triggering ------------------------------------------------------
 
-    def cancel(self) -> "Event":
-        """Withdraw the event; it will never fire its callbacks.
-
-        Legal until the event is processed (so both never-triggered
-        events and queued-but-unprocessed ones can be withdrawn);
-        cancelling twice is a no-op.  A queued entry is purged lazily:
-        it stays in the scheduler queue until popped, then is skipped
-        without advancing the clock or the processed-event count.
-        Anything still waiting on a cancelled event waits forever --
-        withdrawing an event other processes depend on is the caller's
-        responsibility.
-        """
-        if self._state == Event._PROCESSED:
-            raise SimulationError("cannot cancel a processed event")
-        self._state = Event._CANCELLED
-        return self
-
     def trigger(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Succeed the event with *value* after *delay* seconds."""
         if self._state != Event._PENDING:
-            raise SimulationError(
-                "cannot trigger a cancelled event"
-                if self._state == Event._CANCELLED
-                else "event triggered twice"
-            )
+            raise SimulationError("event triggered twice")
         self._value = value
         self._state = Event._TRIGGERED
         self.sim._schedule(delay, self)
         return self
 
-    def fire(self, value: Any = None) -> None:
-        """Succeed the event and run its callbacks now, in this entry.
-
-        For a queue entry that stands for the event: a host step queues
-        its completion as a bare call, and the process-style form of the
-        step fires its event from that call, so the waiter resumes in
-        the one entry -- where an event queued in the call's place would
-        have resumed it.
-        """
-        if self._state != Event._PENDING:
-            raise SimulationError(
-                "cannot fire a cancelled event"
-                if self._state == Event._CANCELLED
-                else "event triggered twice"
-            )
-        self._value = value
-        self._state = _PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
-
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Fail the event; waiters re-raise *exception*."""
         if self._state != Event._PENDING:
-            raise SimulationError(
-                "cannot fail a cancelled event"
-                if self._state == Event._CANCELLED
-                else "event triggered twice"
-            )
+            raise SimulationError("event triggered twice")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
@@ -198,7 +140,6 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {
-            Event._CANCELLED: "cancelled",
             Event._PENDING: "pending",
             Event._TRIGGERED: "triggered",
             Event._PROCESSED: "processed",
@@ -223,7 +164,6 @@ class Timeout(Event):
         sim._schedule(delay, self)
 
 
-_CANCELLED = Event._CANCELLED
 _PROCESSED = Event._PROCESSED
 
 #: One queue entry: ``(time, key, fn, args)`` for a bare call, or
@@ -339,23 +279,17 @@ class Simulator:
     def step(self) -> None:
         """Process one queue entry (advancing the clock to it).
 
-        A cancelled event is discarded instead: the clock stays put and
-        ``events_processed`` does not move, as if it was never queued.
         An event runs its callbacks; a bare call runs its function.
         :meth:`run` inlines this same dispatch.
         """
         if not self._queue:
             raise SimulationError("step() on an empty queue")
         when, _key, fn, target = heappop(self._queue)
-        if fn is not None:
-            self._now = when
-            self.events_processed += 1
-            fn(*target)
-            return
-        if target._state == _CANCELLED:
-            return
         self._now = when
         self.events_processed += 1
+        if fn is not None:
+            fn(*target)
+            return
         target._state = _PROCESSED
         callbacks, target.callbacks = target.callbacks, []
         for callback in callbacks:
@@ -391,15 +325,11 @@ class Simulator:
         try:
             while queue and queue[0][0] <= limit:
                 when, _key, fn, target = heappop(queue)
-                if fn is not None:
-                    self._now = when
-                    self.events_processed += 1
-                    fn(*target)
-                    continue
-                if target._state == _CANCELLED:
-                    continue
                 self._now = when
                 self.events_processed += 1
+                if fn is not None:
+                    fn(*target)
+                    continue
                 target._state = _PROCESSED
                 callbacks, target.callbacks = target.callbacks, []
                 for callback in callbacks:
@@ -432,8 +362,7 @@ class Simulator:
         """Call ``fn(*args)`` after *delay* seconds, as a bare queue entry.
 
         The entry is the tuple itself: there is no object to keep and
-        nothing to cancel (withdraw an :class:`Event` instead).  It
-        counts as one processed event.
+        nothing to withdraw.  It counts as one processed event.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -446,15 +375,5 @@ class Simulator:
             self.peak_queue_occupancy = len(queue)
 
     def pending_events(self) -> int:
-        """Number of entries still queued (triggered but unprocessed).
-
-        Cancelled events are purged lazily, so they are counted here
-        until they reach the front of the queue (:meth:`peek` may
-        likewise report a cancelled event's time).
-        """
+        """Number of entries still queued (triggered but unprocessed)."""
         return len(self._queue)
-
-
-def all_processed(events: Iterable[Event]) -> bool:
-    """True when every event in *events* has been processed."""
-    return all(ev.processed for ev in events)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.sim.core import Simulator
 
@@ -182,19 +182,17 @@ class Histogram:
 class ThroughputMeter:
     """Accumulates delivered payload bytes and reports bit rates."""
 
-    __slots__ = ("sim", "bytes_total", "units_total", "_opened")
+    __slots__ = ("sim", "bytes_total", "_opened")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.bytes_total = 0
-        self.units_total = 0
         self._opened = sim.now
 
     def account(self, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError("cannot account negative bytes")
         self.bytes_total += nbytes
-        self.units_total += 1
 
     def bits_per_second(self, now: Optional[float] = None) -> float:
         end = self.sim.now if now is None else now
@@ -203,11 +201,6 @@ class ThroughputMeter:
 
     def megabits_per_second(self, now: Optional[float] = None) -> float:
         return self.bits_per_second(now) / 1e6
-
-    def units_per_second(self, now: Optional[float] = None) -> float:
-        end = self.sim.now if now is None else now
-        span = end - self._opened
-        return self.units_total / span if span > 0 else 0.0
 
 
 class SeriesRecorder:
@@ -228,56 +221,3 @@ class SeriesRecorder:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def last(self) -> Tuple[float, float]:
-        if not self.times:
-            raise IndexError("empty series")
-        return self.times[-1], self.values[-1]
-
-    def max_value(self) -> float:
-        return max(self.values) if self.values else math.nan
-
-    def mean_value(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else math.nan
-
-
-def summarize(samples: Iterable[float]) -> WelfordStat:
-    """Fold an iterable of samples into a :class:`WelfordStat`."""
-    stat = WelfordStat()
-    for x in samples:
-        stat.add(x)
-    return stat
-
-
-# -- metric-registry adapters ------------------------------------------------
-#
-# The observability layer (repro.obs.metrics) exports metrics as JSON;
-# these helpers flatten the accumulators above into plain dicts so a
-# WelfordStat or Histogram can be registered as a "histogram"-kind
-# metric without the registry knowing the concrete type.
-
-
-def stat_summary(stat: WelfordStat) -> dict[str, object]:
-    """A :class:`WelfordStat` as a JSON-safe summary dict."""
-    return {
-        "n": stat.n,
-        "mean": stat.mean,
-        "stdev": stat.stdev,
-        "min": stat.minimum if stat.n else None,
-        "max": stat.maximum if stat.n else None,
-    }
-
-
-def histogram_summary(hist: Histogram) -> dict[str, object]:
-    """A :class:`Histogram` as a JSON-safe summary dict."""
-    return {
-        "total": hist.total,
-        "underflow": hist.underflow,
-        "overflow": hist.overflow,
-        "p50": hist.quantile(0.5) if hist.total else None,
-        "p99": hist.quantile(0.99) if hist.total else None,
-        "bins": [
-            {"lo": lo, "hi": hi, "count": count}
-            for lo, hi, count in hist.nonzero_bins()
-        ],
-    }

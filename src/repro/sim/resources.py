@@ -2,9 +2,8 @@
 
 A mailbox of descriptors between driver and adaptor is a
 :class:`Store`.  Both sides work by callback -- ``offer`` and ``pull``,
-like the adaptor's cell FIFOs -- and ``put``/``get`` are the same
-operations as events to ``yield`` on, for processes.  Hand-offs are
-strictly FIFO, which keeps simulations deterministic.
+like the adaptor's cell FIFOs.  Hand-offs are strictly FIFO, which
+keeps simulations deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 
 
 class Store:
@@ -22,8 +21,7 @@ class Store:
     is full -- waits, oldest first, until a pull makes room and then
     calls ``resume(*args)``.  ``pull(consumer)`` calls
     ``consumer(item)`` with the oldest item, at once or, from an empty
-    store, when the next item is offered.  ``put(item)`` and ``get()``
-    are the same two operations as events, which fire one entry later.
+    store, when the next item is offered.
     """
 
     def __init__(
@@ -79,13 +77,6 @@ class Store:
         self._putters.append((item, resume, args))
         return False
 
-    def put(self, item: Any) -> Event:
-        """Offer *item*; the event fires once the store has accepted it."""
-        accepted = Event(self.sim)
-        if self.offer(item, accepted.trigger):
-            accepted.trigger(None)
-        return accepted
-
     def try_put(self, item: Any) -> bool:
         """Non-blocking put: accept *item* now or return False (dropped)."""
         if self._consumers:
@@ -102,7 +93,7 @@ class Store:
     # -- consumer side ----------------------------------------------------
 
     def pull(self, consumer: Callable[[Any], Any]) -> None:
-        """Call ``consumer(item)`` with the oldest item, with no event.
+        """Call ``consumer(item)`` with the oldest item.
 
         A stored item is taken at once; from an empty store the next
         offer hands its item straight over.  A producer whose item the
@@ -115,12 +106,6 @@ class Store:
         self.total_got += 1
         consumer(item)
         self._drain_putters()
-
-    def get(self) -> Event:
-        """The event fires with the oldest item once one exists."""
-        taken = Event(self.sim)
-        self.pull(taken.trigger)
-        return taken
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""

@@ -12,10 +12,11 @@ Two pieces:
   plain data structure with ``push``/``pop`` and no simulator
   dependencies, so its invariants (work conservation, weight
   proportionality) are directly property-testable;
-- :class:`WrrTxQueue` -- the sim-side adaptor: a pump process drains
-  the host's :class:`~repro.nic.descriptors.DescriptorRing` into
-  per-VC queues and re-exposes the ring's ``pull()`` contract, so
-  :class:`~repro.nic.tx.TxEngine` consumes WRR order unchanged.
+- :class:`WrrTxQueue` -- the sim-side adaptor: a pump pulls the
+  host's :class:`~repro.nic.descriptors.DescriptorRing` into per-VC
+  queues, one descriptor per entry, and re-exposes the ring's
+  ``pull()`` contract, so :class:`~repro.nic.tx.TxEngine` consumes WRR
+  order unchanged.
 
 Note the flow-control trade documented in docs/TRAFFIC.md: the pump
 empties the bounded ring eagerly, so ring backpressure no longer
@@ -141,30 +142,36 @@ class WrrTxQueue:
         self.wrr = WeightedRoundRobin()
         #: Consumers waiting in :meth:`pull` for a descriptor, oldest first.
         self._consumers: Deque[Callable[[Any], Any]] = deque()
-        self._process = None
+        self._started = False
 
     def __len__(self) -> int:
         return len(self.wrr)
 
     def start(self) -> None:
-        """Launch the ring-drain pump (idempotent)."""
-        if self._process is None:
-            self._process = self.sim.process(self._pump())
+        """Start draining the ring (idempotent)."""
+        if not self._started:
+            self._started = True
+            self.ring.pull(self._take)
 
-    def _pump(self):
-        while True:
-            descriptor = yield self.ring.take()
-            key = descriptor.vc
-            if key not in self.wrr:
-                weight = 1
-                if self.weight_of is not None:
-                    configured = self.weight_of(key)
-                    if configured is not None and configured >= 1:
-                        weight = int(configured)
-                self.wrr.add_queue(key, weight)
-            self.wrr.push(key, descriptor)
-            while self._consumers and len(self.wrr):
-                self._consumers.popleft()(self.wrr.pop())
+    def _take(self, descriptor) -> None:
+        # The pump queues the descriptor from an entry of its own: it
+        # pulls again from there, after the ring's pull has admitted
+        # the producers this take made room for.
+        self.sim.schedule_call(0.0, self._pump, descriptor)
+
+    def _pump(self, descriptor) -> None:
+        key = descriptor.vc
+        if key not in self.wrr:
+            weight = 1
+            if self.weight_of is not None:
+                configured = self.weight_of(key)
+                if configured is not None and configured >= 1:
+                    weight = int(configured)
+            self.wrr.add_queue(key, weight)
+        self.wrr.push(key, descriptor)
+        while self._consumers and len(self.wrr):
+            self._consumers.popleft()(self.wrr.pop())
+        self.ring.pull(self._take)
 
     def pull(self, consumer: Callable[[Any], Any]) -> None:
         """Call ``consumer(descriptor)`` with the next WRR descriptor.

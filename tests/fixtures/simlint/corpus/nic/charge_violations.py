@@ -1,10 +1,10 @@
 """SL2 fixtures: magic cycle literals at charge and profiler sites."""
 
 
-def burn(clock, costs, profiler):
+def burn(clock, cpu, costs, profiler):
     """Charge sites with literals (flagged) and named fields (clean)."""
     clock.work(16, tag="tx.header")  # SL201: magic literal
-    clock.charge(costs.tx_header + 4, tag="tx.header")  # SL201: literal term
+    cpu.execute_then(costs.tx_header + 4, "tx.header", print)  # SL201: literal term
     clock.work(costs.tx_header, tag="tx.header")  # clean: named field
 
     profiler.record_ops("tx", {"header": 21.0})  # SL202: literal op cost

@@ -54,12 +54,7 @@ class TestSystemBus:
     def test_single_transfer_duration(self, sim):
         bus = SystemBus(sim, TURBOCHANNEL)
         finished = []
-
-        def master():
-            yield bus.transfer(512, master="a")
-            finished.append(sim.now)
-
-        sim.process(master())
+        bus.transfer_then(512, "a", lambda: finished.append(sim.now))
         sim.run()
         assert finished[0] == pytest.approx(TURBOCHANNEL.transfer_time(512))
 
@@ -67,12 +62,11 @@ class TestSystemBus:
         bus = SystemBus(sim, TURBOCHANNEL)
         finished = {}
 
-        def master(name, nbytes):
-            yield bus.transfer(nbytes, master=name)
+        def done(name):
             finished[name] = sim.now
 
-        sim.process(master("a", 512))
-        sim.process(master("b", 512))
+        bus.transfer_then(512, "a", done, "a")
+        bus.transfer_then(512, "b", done, "b")
         sim.run()
         expected = TURBOCHANNEL.transfer_time(512)
         assert finished["a"] == pytest.approx(expected)
@@ -84,26 +78,19 @@ class TestSystemBus:
         bus = SystemBus(sim, TURBOCHANNEL)
         finished = {}
 
-        def master(name, nbytes, start=0.0):
-            if start:
-                yield sim.timeout(start)
-            yield bus.transfer(nbytes, master=name)
+        def done(name):
             finished[name] = sim.now
 
         long_bytes = 128 * 4 * 10  # ten bursts
-        sim.process(master("long", long_bytes))
-        sim.process(master("short", 64, start=1e-9))
+        bus.transfer_then(long_bytes, "long", done, "long")
+        sim.schedule_call(1e-9, bus.transfer_then, 64, "short", done, "short")
         sim.run()
         assert finished["short"] < finished["long"]
 
     def test_accounting_per_master(self, sim):
         bus = SystemBus(sim, TURBOCHANNEL)
-
-        def master(name, nbytes):
-            yield bus.transfer(nbytes, master=name)
-
-        sim.process(master("dma-tx", 1000))
-        sim.process(master("dma-rx", 500))
+        bus.transfer_then(1000, "dma-tx", lambda: None)
+        bus.transfer_then(500, "dma-rx", lambda: None)
         sim.run()
         assert bus.bytes_by_master == {"dma-tx": 1000, "dma-rx": 500}
         assert bus.bytes_moved.count == 1500
@@ -111,11 +98,7 @@ class TestSystemBus:
 
     def test_utilization(self, sim):
         bus = SystemBus(sim, TURBOCHANNEL)
-
-        def master():
-            yield bus.transfer(4096)
-
-        sim.process(master())
+        bus.transfer_then(4096, "dma", lambda: None)
         sim.run()
         busy = TURBOCHANNEL.transfer_time(4096)
         assert bus.utilization(busy) == pytest.approx(1.0)
@@ -123,24 +106,14 @@ class TestSystemBus:
 
     def test_negative_size_raises(self, sim):
         bus = SystemBus(sim, TURBOCHANNEL)
-
-        def master():
-            yield bus.transfer(-4)
-
-        failed = sim.process(master())
-        sim.run()
-        assert isinstance(failed.exception, ValueError)
+        with pytest.raises(ValueError):
+            bus.transfer_then(-4, "dma", lambda: None)
         assert bus.transactions.count == 0
 
     def test_zero_byte_transfer_completes(self, sim):
         bus = SystemBus(sim, TURBOCHANNEL)
         done = []
-
-        def master():
-            yield bus.transfer(0)
-            done.append(True)
-
-        sim.process(master())
+        bus.transfer_then(0, "dma", done.append, True)
         sim.run()
         assert done == [True]
 
@@ -149,8 +122,8 @@ class TestSystemBus:
     ):
         # a's one-burst transfer ends in entry 1.  Its continuation runs
         # there, before b, waiting behind it, is granted the bus: nothing
-        # is queued yet.  b's burst ends in entry 2, and b's event form
-        # fires from an entry of its own, one later.
+        # is queued yet.  b's burst ends in entry 2, and b's continuation
+        # runs there.
         bus = SystemBus(sim, TURBOCHANNEL)
         log = []
         burst = 128 * 4
@@ -159,10 +132,10 @@ class TestSystemBus:
             "a",
             lambda: log.append(("a", sim.events_processed, sim.pending_events())),
         )
-        bus.transfer(burst, master="b").add_callback(
-            lambda _ev: log.append(("b", sim.events_processed, sim.now))
+        bus.transfer_then(
+            burst, "b", lambda: log.append(("b", sim.events_processed, sim.now))
         )
         sim.run()
         assert log == [
-            ("a", 1, 0), ("b", 3, pytest.approx(2 * TURBOCHANNEL.transfer_time(burst)))
+            ("a", 1, 0), ("b", 2, pytest.approx(2 * TURBOCHANNEL.transfer_time(burst)))
         ]

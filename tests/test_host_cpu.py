@@ -30,37 +30,26 @@ class TestExecution:
     def test_work_takes_cycle_time(self, sim):
         cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e6))
         done = []
-
-        def body():
-            yield cpu.execute(500, tag="work")
-            done.append(sim.now)
-
-        sim.process(body())
+        cpu.execute_then(500, "work", lambda: done.append(sim.now))
         sim.run()
         assert done == [pytest.approx(500e-6)]
 
     def test_work_is_serialized(self, sim):
         cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e6))
         finish = []
-
-        def worker(cycles):
-            yield cpu.execute(cycles)
-            finish.append(sim.now)
-
-        sim.process(worker(100))
-        sim.process(worker(100))
+        for _ in range(2):
+            cpu.execute_then(100, "work", lambda: finish.append(sim.now))
         sim.run()
         assert finish == [pytest.approx(100e-6), pytest.approx(200e-6)]
 
     def test_cycles_booked_by_tag(self, sim):
         cpu = HostCpu(sim, R3000_25MHZ)
-
-        def body():
-            yield cpu.execute(100, tag="driver")
-            yield cpu.execute(50, tag="driver")
-            yield cpu.execute(30, tag="app")
-
-        sim.process(body())
+        # Each item asks for the next once it has run.
+        cpu.execute_then(
+            100, "driver",
+            cpu.execute_then, 50, "driver",
+            cpu.execute_then, 30, "app", lambda: None,
+        )
         sim.run()
         assert cpu.cycles_for("driver") == 150
         assert cpu.cycles_for("app") == 30
@@ -68,41 +57,22 @@ class TestExecution:
 
     def test_utilization(self, sim):
         cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e6))
-
-        def body():
-            yield cpu.execute(500)
-
-        sim.process(body())
+        cpu.execute_then(500, "work", lambda: None)
         sim.run(until=1e-3)
         assert cpu.utilization() == pytest.approx(0.5)
-
-    def test_charge_accounting_only(self, sim):
-        cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e6))
-        seconds = cpu.charge(200, tag="analysis")
-        assert seconds == pytest.approx(200e-6)
-        assert cpu.total_cycles == 200
-        assert sim.now == 0.0  # no simulated time passed
 
     def test_negative_cycles_rejected(self, sim):
         cpu = HostCpu(sim, R3000_25MHZ)
         with pytest.raises(ValueError):
-            cpu.charge(-5)
+            cpu.execute_then(-5, "work", lambda: None)
 
     def test_negative_execute_raises_and_leaves_the_cpu_usable(self, sim):
         cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e6))
         done = []
-
-        def bad():
-            yield cpu.execute(-5)
-
-        def good():
-            yield cpu.execute(100)
-            done.append(sim.now)
-
-        failed = sim.process(bad())
-        sim.process(good())
+        with pytest.raises(ValueError):
+            cpu.execute_then(-5, "work", lambda: None)
+        cpu.execute_then(100, "work", lambda: done.append(sim.now))
         sim.run()
-        assert isinstance(failed.exception, ValueError)
         assert done == [pytest.approx(100e-6)]
         assert cpu.total_cycles == 100
 
@@ -110,14 +80,11 @@ class TestExecution:
         spec = CpuSpec("t", clock_hz=1e6)
         cpu = HostCpu(sim, spec)
         finish = []
-
-        def worker(name, cycles, tag):
-            yield cpu.execute(cycles, tag=tag)
-            finish.append((name, sim.now))
-
         jobs = (("a", 300, "x"), ("b", 100, "y"), ("c", 200, "x"))
-        for job in jobs:
-            sim.process(worker(*job))
+        for name, cycles, tag in jobs:
+            cpu.execute_then(
+                cycles, tag, lambda name: finish.append((name, sim.now)), name
+            )
         sim.run()
         assert [name for name, _ in finish] == ["a", "b", "c"]
         a = spec.seconds_for(300)
@@ -130,31 +97,22 @@ class TestExecution:
         assert cpu.queue_length == 0
 
     def test_caller_resumes_after_same_instant_entries_queued_first(self, sim):
-        # The CPU finishes work in its own timed entry, then resumes the
-        # caller from a zero-delay entry of its own: anything already
-        # queued for that instant (here a call queued after the work
-        # started) runs before the caller continues.
+        # The CPU finishes work in its own timed entry, then calls the
+        # caller back from a zero-delay entry of its own: anything
+        # already queued for that instant (here a call queued after the
+        # work started) runs before the caller continues.
         spec = CpuSpec("t", clock_hz=1e6)
         cpu = HostCpu(sim, spec)
         log = []
-
-        def caller():
-            yield cpu.execute(100)
-            log.append(("caller", sim.now))
-
-        def neighbour():
-            sim.schedule_call(spec.seconds_for(100), log.append, ("other", None))
-            yield sim.timeout(0.0)
-
-        sim.process(caller())
-        sim.process(neighbour())
+        cpu.execute_then(100, "work", lambda: log.append(("caller", sim.now)))
+        sim.schedule_call(spec.seconds_for(100), log.append, ("other", None))
         sim.run()
         assert [who for who, _ in log] == ["other", "caller"]
 
     def test_each_form_continues_from_one_completion_entry(self, sim):
         # Each work item is one timed entry plus one zero-delay completion
-        # entry, and both forms continue inside the latter: the process
-        # waiting on execute() resumes there, not one entry later.
+        # entry, and the caller continues inside the latter -- as does a
+        # process that handed the CPU an event's trigger, one entry later.
         cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e6))
         log = []
         cpu.execute_then(
@@ -162,22 +120,20 @@ class TestExecution:
         )
 
         def body():
-            yield cpu.execute(100)
+            done = sim.event()
+            cpu.execute_then(100, "work", done.trigger)
+            yield done
             log.append(("event", sim.events_processed))
 
         sim.process(body())
         sim.run()
         # Entries: process start, work 1 done, its completion (then),
-        # work 2 done, its completion (event).
-        assert log == [("then", 3), ("event", 5)]
+        # work 2 done, its completion (trigger), the event.
+        assert log == [("then", 3), ("event", 6)]
 
     def test_queue_length_visible(self, sim):
         cpu = HostCpu(sim, CpuSpec("t", clock_hz=1e3))  # slow
-
-        def worker():
-            yield cpu.execute(1000)
-
         for _ in range(3):
-            sim.process(worker())
+            cpu.execute_then(1000, "work", lambda: None)
         sim.run(until=0.1)
         assert cpu.queue_length == 2

@@ -20,12 +20,7 @@ class TestDma:
         spec = DmaSpec(setup_time=1e-6, completion_time=0.5e-6)
         dma = DmaEngine(sim, bus, spec)
         done = []
-
-        def master():
-            yield dma.transfer(512)
-            done.append(sim.now)
-
-        sim.process(master())
+        dma.transfer_then(512, lambda: done.append(sim.now))
         sim.run()
         expected = 1e-6 + TURBOCHANNEL.transfer_time(512) + 0.5e-6
         assert done[0] == pytest.approx(expected)
@@ -34,13 +29,8 @@ class TestDma:
         bus = SystemBus(sim, TURBOCHANNEL)
         dma = DmaEngine(sim, bus, DmaSpec(setup_time=1e-6, completion_time=0.0))
         done = []
-
-        def master():
-            yield dma.transfer(512)
-            done.append(sim.now)
-
-        sim.process(master())
-        sim.process(master())
+        for _ in range(2):
+            dma.transfer_then(512, lambda: done.append(sim.now))
         sim.run()
         single = 1e-6 + TURBOCHANNEL.transfer_time(512)
         assert done[1] == pytest.approx(2 * single)
@@ -48,12 +38,7 @@ class TestDma:
     def test_statistics(self, sim):
         bus = SystemBus(sim, TURBOCHANNEL)
         dma = DmaEngine(sim, bus)
-
-        def master():
-            yield dma.transfer(100)
-            yield dma.transfer(200)
-
-        sim.process(master())
+        dma.transfer_then(100, dma.transfer_then, 200, lambda: None)
         sim.run()
         assert dma.transfers.count == 2
         assert dma.bytes_moved.count == 300
@@ -65,12 +50,11 @@ class TestDma:
         b = DmaEngine(sim, bus, DmaSpec(0.0, 0.0), name="b")
         done = {}
 
-        def master(engine, name):
-            yield engine.transfer(4096)
+        def finished(name):
             done[name] = sim.now
 
-        sim.process(master(a, "a"))
-        sim.process(master(b, "b"))
+        a.transfer_then(4096, finished, "a")
+        b.transfer_then(4096, finished, "b")
         sim.run()
         solo = TURBOCHANNEL.transfer_time(4096)
         # Interleaved at burst granularity: both finish ~2x solo time.
@@ -87,12 +71,11 @@ class TestDma:
         burst_bytes = TURBOCHANNEL.max_burst_words * TURBOCHANNEL.width_bytes
         done = {}
 
-        def master(engine, nbytes):
-            yield engine.transfer(nbytes)
+        def finished(engine):
             done[engine.name] = sim.now
 
-        sim.process(master(a, 3 * burst_bytes))
-        sim.process(master(b, 2 * burst_bytes))
+        a.transfer_then(3 * burst_bytes, finished, a)
+        b.transfer_then(2 * burst_bytes, finished, b)
         sim.run()
         burst = TURBOCHANNEL.transfer_time(burst_bytes)
         assert done["b"] == pytest.approx(4 * burst)
@@ -103,7 +86,7 @@ class TestDma:
     def test_backlog_counts_queued_transfers(self, sim):
         dma = DmaEngine(sim, SystemBus(sim, TURBOCHANNEL))
         for _ in range(3):
-            dma.transfer(512)
+            dma.transfer_then(512, lambda: None)
         assert dma.backlog == 2
         sim.run()
         assert dma.backlog == 0
@@ -111,13 +94,8 @@ class TestDma:
 
     def test_negative_size_raises(self, sim):
         dma = DmaEngine(sim, SystemBus(sim, TURBOCHANNEL))
-
-        def master():
-            yield dma.transfer(-1)
-
-        failed = sim.process(master())
-        sim.run()
-        assert isinstance(failed.exception, ValueError)
+        with pytest.raises(ValueError):
+            dma.transfer_then(-1, lambda: None)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -129,7 +107,7 @@ class TestDma:
         # The engine logs each setup ("dma.start") and writeback
         # ("dma.done") with the entry it ran in.  The first transfer's
         # continuation runs in its writeback entry, before the queued
-        # second transfer is set up; the event form fires an entry later.
+        # second transfer is set up, and so does the second's.
         log = []
 
         class EntryLog:
@@ -141,17 +119,17 @@ class TestDma:
         dma.transfer_then(
             512, lambda: log.append(("then", sim.events_processed))
         )
-        dma.transfer(256).add_callback(
-            lambda _ev: log.append(("event", sim.events_processed))
+        dma.transfer_then(
+            256, lambda: log.append(("then", sim.events_processed))
         )
         sim.run()
         names = [name for name, _ in log]
         assert names == [
-            "dma.start", "dma.done", "then", "dma.start", "dma.done", "event",
+            "dma.start", "dma.done", "then", "dma.start", "dma.done", "then",
         ]
         entries = [entry for _, entry in log]
         assert entries[2] == entries[1] == entries[3]
-        assert entries[5] > entries[4]
+        assert entries[5] == entries[4]
 
 
 class TestInterrupts:
@@ -161,7 +139,7 @@ class TestInterrupts:
             sim, cpu, InterruptSpec(entry_cycles=200, exit_cycles=100)
         )
         ran = []
-        intc.raise_interrupt(50, handler=lambda: ran.append(sim.now))
+        intc.raise_interrupt_then(50, lambda: ran.append(sim.now), lambda: None)
         sim.run()
         assert ran
         assert cpu.cycles_for("interrupt") == 350
@@ -170,12 +148,7 @@ class TestInterrupts:
         cpu = HostCpu(sim, R3000_25MHZ)
         intc = InterruptController(sim, cpu)
         done = []
-
-        def waiter():
-            yield intc.raise_interrupt(100)
-            done.append(sim.now)
-
-        sim.process(waiter())
+        intc.raise_interrupt_then(100, None, lambda: done.append(sim.now))
         sim.run()
         assert done and done[0] > 0
 
@@ -184,7 +157,7 @@ class TestInterrupts:
         spec = InterruptSpec(entry_cycles=250, exit_cycles=0)
         intc = InterruptController(sim, cpu, spec)
         ran = []
-        intc.raise_interrupt(0, handler=lambda: ran.append(sim.now))
+        intc.raise_interrupt_then(0, lambda: ran.append(sim.now), lambda: None)
         sim.run()
         assert ran[0] >= 250 / 25e6
 
@@ -194,7 +167,7 @@ class TestInterrupts:
             sim, cpu, InterruptSpec(coalesce_window=1e-3)
         )
         for _ in range(5):
-            intc.raise_interrupt(10)
+            intc.raise_interrupt_then(10, None, lambda: None)
         sim.run()
         assert intc.raised.count == 5
         assert intc.delivered.count == 1
@@ -206,19 +179,18 @@ class TestInterrupts:
         cpu = HostCpu(sim, R3000_25MHZ)
         intc = InterruptController(sim, cpu)
 
-        def raiser():
-            for _ in range(3):
-                yield intc.raise_interrupt(10)
+        def raise_next(left):
+            if left:
+                intc.raise_interrupt_then(10, None, raise_next, left - 1)
 
-        sim.process(raiser())
+        raise_next(3)
         sim.run()
         assert intc.delivered.count == 3
 
     def test_continuations_run_after_the_handlers_in_the_cpu_entry(self, sim):
         # Two raises from one entry merge into one delivery.  Both
         # handlers run, then both continuations, all in the entry the
-        # CPU completes the interrupt work in; the event form fires one
-        # entry later.
+        # CPU completes the interrupt work in.
         cpu = HostCpu(sim, R3000_25MHZ)
         intc = InterruptController(sim, cpu)
         log = []
@@ -229,20 +201,16 @@ class TestInterrupts:
         def raise_two():
             intc.raise_interrupt_then(10, note("handler 1"), note("then 1"))
             intc.raise_interrupt_then(10, note("handler 2"), note("then 2"))
-            intc.raise_interrupt(10).add_callback(
-                lambda _ev: log.append(("event", sim.events_processed))
-            )
 
         sim.schedule_call(1e-6, raise_two)
         sim.run()
         assert intc.delivered.count == 1
         assert [what for what, _ in log] == [
-            "handler 1", "handler 2", "then 1", "then 2", "event",
+            "handler 1", "handler 2", "then 1", "then 2",
         ]
         entries = [entry for _, entry in log]
-        # Raise, URGENT delivery, CPU work, CPU completion, event.
-        assert entries[:4] == [4] * 4
-        assert entries[4] == 5
+        # Raise, URGENT delivery, CPU work, CPU completion.
+        assert entries == [4] * 4
 
     def test_validation(self):
         with pytest.raises(ValueError):

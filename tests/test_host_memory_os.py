@@ -145,11 +145,7 @@ class TestHostOs:
         sim = Simulator()
         cpu = HostCpu(sim, R3000_25MHZ)
         os_model = HostOs(cpu)
-
-        def body():
-            yield os_model.send(1000)
-
-        sim.process(body())
+        os_model.send_then(1000, lambda: None)
         sim.run()
         assert cpu.cycles_for("os-send") == pytest.approx(
             OsCostModel().send_path_cycles(1000)
@@ -160,11 +156,7 @@ class TestHostOs:
         sim = Simulator()
         cpu = HostCpu(sim, R3000_25MHZ)
         os_model = HostOs(cpu)
-
-        def body():
-            yield os_model.receive_post_interrupt(1000)
-
-        sim.process(body())
+        os_model.receive_post_interrupt_then(1000, lambda: None)
         sim.run()
         assert cpu.cycles_for("os-receive") == pytest.approx(
             OsCostModel().post_interrupt_receive_cycles(1000)

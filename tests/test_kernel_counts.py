@@ -10,10 +10,16 @@ import gc
 import os
 import sys
 
+import pytest
+
 import repro
 import repro.results.experiments as experiments
 import repro.scale.experiment as scale_experiment
 from repro import HostNetworkInterface, Simulator, aurora_oc3, connect
+from repro.atm.link import PhysicalLink
+from repro.atm.oam import LoopbackCell
+from repro.baselines import HostSarConfig, HostSarInterface
+from repro.sim.process import Process
 
 
 def _recording_simulators(monkeypatch, module):
@@ -115,3 +121,62 @@ def test_short_session_churn(monkeypatch):
     assert values["conserved"] == 1.0
     (sim,) = built
     assert _counts(sim) == (29148, 92)
+
+
+def _processes_started(monkeypatch):
+    """Record every Process built from now on (perfbench's procs marker)."""
+    started = []
+    init = Process.__init__
+
+    def counting(self, *args, **kwargs):
+        started.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting)
+    return started
+
+
+def _host_sar_exchange(pdus):
+    """*pdus* 1500-byte PDUs (32 cells each) through the host-SAR baseline."""
+    sim = Simulator()
+    config = HostSarConfig(rx_fifo_cells=4096)
+    tx = HostSarInterface(sim, config, name="sar-tx")
+    rx = HostSarInterface(sim, config, name="sar-rx")
+    tx.attach_tx_link(PhysicalLink(sim, config.link, sink=rx.rx_input))
+    vc = tx.open_vc()
+    rx.open_vc(address=vc.address)
+    delivered = []
+    rx.on_pdu = delivered.append
+    queued = [tx.send(vc.address, bytes(1500)) for _ in range(pdus)]
+    sim.run()
+    assert len(delivered) == pdus
+    assert all(event.processed for event in queued)
+
+
+def _injected_cells(cells):
+    """*cells* F5 loopback cells injected at one NIC, reflected by the other."""
+    sim = Simulator()
+    alice = HostNetworkInterface(sim, aurora_oc3(), name="alice")
+    bob = HostNetworkInterface(sim, aurora_oc3(), name="bob")
+    connect(sim, alice, bob)
+    vc = alice.open_vc()
+    bob.open_vc(address=vc.address)
+    for correlation in range(cells):
+        alice.inject_cell(
+            LoopbackCell(vc.address, correlation, to_be_looped=True).encode()
+        )
+    sim.run(until=0.01)
+    assert bob.oam_reflections == cells
+
+
+@pytest.mark.parametrize("exchange", [_host_sar_exchange, _injected_cells])
+def test_no_process_per_operation(monkeypatch, exchange):
+    # Host steps and hand-offs wait by continuation: the processes an
+    # exchange starts do not grow with its PDUs or cells.
+    started = _processes_started(monkeypatch)
+    counts = []
+    for size in (2, 6):
+        del started[:]
+        exchange(size)
+        counts.append(len(started))
+    assert counts[0] == counts[1]

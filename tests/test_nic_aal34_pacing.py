@@ -13,9 +13,9 @@ class TestSarGlue:
     def test_factory(self):
         assert isinstance(glue_for("aal5"), Aal5Glue)
         assert isinstance(glue_for("aal3/4"), Aal34Glue)
-        assert isinstance(glue_for("aal34"), Aal34Glue)
-        with pytest.raises(ValueError):
-            glue_for("aal2")
+        for unknown in ("aal34", "aal2"):
+            with pytest.raises(ValueError):
+                glue_for(unknown)
 
     def test_cell_counts_reflect_overhead(self):
         aal5, aal34 = Aal5Glue(), Aal34Glue()

@@ -300,23 +300,23 @@ class TestDescriptorRing:
         ring = DescriptorRing(sim, depth=4)
         taken = []
 
-        def consumer():
-            for _ in range(2):
-                desc = yield ring.take()
-                taken.append(desc.pdu_id)
+        def consumer(desc):
+            taken.append(desc.pdu_id)
+            if len(taken) < 2:
+                ring.pull(consumer)
 
         d1 = TxDescriptor(VcAddress(0, 100), b"a", posted_at=0.0)
         d2 = TxDescriptor(VcAddress(0, 100), b"b", posted_at=0.0)
-        ring.try_post(d1)
-        ring.try_post(d2)
-        sim.process(consumer())
+        ring.try_put(d1)
+        ring.try_put(d2)
+        ring.pull(consumer)
         sim.run()
         assert taken == [d1.pdu_id, d2.pdu_id]
 
     def test_full_ring_backpressures(self, sim):
         ring = DescriptorRing(sim, depth=1)
-        ring.try_post(TxDescriptor(VcAddress(0, 100), b"a", 0.0))
-        assert not ring.try_post(TxDescriptor(VcAddress(0, 100), b"b", 0.0))
+        ring.try_put(TxDescriptor(VcAddress(0, 100), b"a", 0.0))
+        assert not ring.try_put(TxDescriptor(VcAddress(0, 100), b"b", 0.0))
         assert ring.is_full
 
     def test_pdu_ids_unique(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import SimulationError, Simulator
-from repro.sim.core import URGENT, Event, all_processed
+from repro.sim.core import URGENT, Event
 
 
 class TestClock:
@@ -155,12 +155,6 @@ class TestRunGuards:
         with pytest.raises(SimulationError):
             sim.run_until_idle(max_events=50)
 
-    def test_all_processed_helper(self, sim):
-        events = [sim.timeout(1.0), sim.timeout(2.0)]
-        assert not all_processed(events)
-        sim.run()
-        assert all_processed(events)
-
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
@@ -241,58 +235,6 @@ class TestSchedulerOrder:
         assert hits == ["near"]
         assert sim.now == 2.0
         assert sim.pending_events() == 1
-
-
-class TestCancellation:
-    def test_cancelled_timeout_never_fires(self, sim):
-        hits = []
-        doomed = sim.timeout(1.0)
-        doomed.add_callback(lambda ev: hits.append("doomed"))
-        sim.schedule_call(2.0, hits.append, "kept")
-        doomed.cancel()
-        sim.run()
-        assert hits == ["kept"]
-        assert doomed.cancelled and not doomed.processed
-
-    def test_cancelled_entry_does_not_advance_clock_or_count(self, sim):
-        sim.timeout(5.0).cancel()
-        sim.schedule_call(1.0, lambda: None)
-        assert sim.run_until_idle() == 1
-        assert sim.now == 1.0
-        assert sim.events_processed == 1
-
-    def test_cancel_is_idempotent_but_processed_is_final(self, sim):
-        ev = sim.timeout(1.0)
-        ev.cancel()
-        ev.cancel()  # no-op
-        done = sim.timeout(1.0)
-        sim.run()
-        with pytest.raises(SimulationError):
-            done.cancel()
-
-    def test_cancelled_event_rejects_trigger_and_fail(self, sim):
-        from repro.sim.core import Event
-
-        ev = Event(sim)
-        ev.cancel()
-        assert not ev.triggered
-        with pytest.raises(SimulationError):
-            ev.trigger(1)
-        with pytest.raises(SimulationError):
-            ev.fail(RuntimeError("x"))
-
-    def test_cancelled_entries_are_skipped_in_order(self):
-        sim = Simulator()
-        log = []
-        victims = [sim.timeout(t) for t in (0.2, 0.4, 0.4, 0.9)]
-        for t in (0.1, 0.4, 0.5, 0.9):
-            sim.schedule_call(t, log.append, t)
-        for victim in victims:
-            victim.cancel()
-        sim.run()
-        assert log == [0.1, 0.4, 0.5, 0.9]
-        assert sim.now == 0.9
-        assert sim.events_processed == 4
 
 
 class TestBareCalls:

@@ -14,7 +14,13 @@ from repro.sim import (
     TimeWeightedStat,
     WelfordStat,
 )
-from repro.sim.monitor import summarize
+
+
+def _welford(samples):
+    stat = WelfordStat()
+    for x in samples:
+        stat.add(x)
+    return stat
 
 
 class TestCounter:
@@ -32,7 +38,7 @@ class TestCounter:
 class TestWelford:
     def test_mean_and_variance_match_direct_formulas(self):
         data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        stat = summarize(data)
+        stat = _welford(data)
         mean = sum(data) / len(data)
         var = sum((x - mean) ** 2 for x in data) / (len(data) - 1)
         assert stat.mean == pytest.approx(mean)
@@ -47,27 +53,27 @@ class TestWelford:
         assert stat.stdev == 0.0
 
     def test_single_sample(self):
-        stat = summarize([3.0])
+        stat = _welford([3.0])
         assert stat.mean == 3.0
         assert stat.variance == 0.0
 
     def test_merge_equals_single_pass(self):
         a_data = [1.0, 2.0, 3.0]
         b_data = [10.0, 20.0]
-        merged = summarize(a_data).merge(summarize(b_data))
-        direct = summarize(a_data + b_data)
+        merged = _welford(a_data).merge(_welford(b_data))
+        direct = _welford(a_data + b_data)
         assert merged.n == direct.n
         assert merged.mean == pytest.approx(direct.mean)
         assert merged.variance == pytest.approx(direct.variance)
 
     def test_merge_with_empty(self):
-        stat = summarize([1.0, 2.0]).merge(WelfordStat())
+        stat = _welford([1.0, 2.0]).merge(WelfordStat())
         assert stat.n == 2
         assert stat.mean == pytest.approx(1.5)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     def test_mean_bounded_by_extremes(self, xs):
-        stat = summarize(xs)
+        stat = _welford(xs)
         assert min(xs) - 1e-6 <= stat.mean <= max(xs) + 1e-6
 
     @given(
@@ -75,8 +81,8 @@ class TestWelford:
         st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
     )
     def test_merge_commutes_on_count_and_mean(self, xs, ys):
-        ab = summarize(xs).merge(summarize(ys))
-        ba = summarize(ys).merge(summarize(xs))
+        ab = _welford(xs).merge(_welford(ys))
+        ba = _welford(ys).merge(_welford(xs))
         assert ab.n == ba.n
         assert ab.mean == pytest.approx(ba.mean, abs=1e-6)
 
@@ -166,7 +172,6 @@ class TestThroughputMeter:
         sim.run()
         assert meter.bits_per_second() == pytest.approx(4000.0)
         assert meter.megabits_per_second() == pytest.approx(0.004)
-        assert meter.units_per_second() == pytest.approx(0.5)
 
     def test_zero_span_is_zero_rate(self):
         meter = ThroughputMeter(Simulator())
@@ -186,18 +191,11 @@ class TestSeriesRecorder:
         s.record(1.0, 5.0)
         s.record(2.0, 3.0)
         assert len(s) == 3
-        assert s.last() == (2.0, 3.0)
-        assert s.max_value() == 5.0
-        assert s.mean_value() == pytest.approx(3.0)
+        assert s.times == [0.0, 1.0, 2.0]
+        assert s.values == [1.0, 5.0, 3.0]
 
     def test_time_must_not_decrease(self):
         s = SeriesRecorder()
         s.record(1.0, 0.0)
         with pytest.raises(ValueError):
             s.record(0.5, 0.0)
-
-    def test_empty_series(self):
-        s = SeriesRecorder()
-        with pytest.raises(IndexError):
-            s.last()
-        assert math.isnan(s.max_value())

@@ -1,8 +1,7 @@
-"""Process semantics: suspension, return values, interrupts, conditions."""
+"""Process semantics: suspension, return values, failures."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, SimulationError, Simulator
 from repro.sim.process import Process
 
 
@@ -95,125 +94,3 @@ class TestBasics:
         sim.process(waiter())
         sim.run()
         assert outcomes == ["inner"]
-
-    def test_is_alive_tracks_lifecycle(self, sim):
-        def body():
-            yield sim.timeout(1.0)
-
-        proc = sim.process(body())
-        assert proc.is_alive
-        sim.run()
-        assert not proc.is_alive
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeper(self, sim):
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as stop:
-                log.append((sim.now, stop.cause))
-
-        proc = sim.process(sleeper())
-
-        def poker():
-            yield sim.timeout(1.0)
-            proc.interrupt("wake-up")
-
-        sim.process(poker())
-        sim.run()
-        assert log == [(1.0, "wake-up")]
-
-    def test_interrupt_finished_process_rejected(self, sim):
-        def quick():
-            yield sim.timeout(0.1)
-
-        proc = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_unhandled_interrupt_fails_process(self, sim):
-        def oblivious():
-            yield sim.timeout(100.0)
-
-        proc = sim.process(oblivious())
-
-        def poker():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-
-        sim.process(poker())
-        sim.run()
-        assert proc.triggered
-        assert isinstance(proc.exception, SimulationError)
-
-    def test_interrupted_process_can_continue(self, sim):
-        log = []
-
-        def resilient():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                pass
-            yield sim.timeout(1.0)
-            log.append(sim.now)
-
-        proc = sim.process(resilient())
-
-        def poker():
-            yield sim.timeout(2.0)
-            proc.interrupt()
-
-        sim.process(poker())
-        sim.run()
-        assert log == [3.0]
-
-
-class TestConditions:
-    def test_all_of_waits_for_every_child(self, sim):
-        done = []
-
-        def body():
-            values = yield AllOf(
-                sim, [sim.timeout(1.0, "a"), sim.timeout(3.0, "b")]
-            )
-            done.append((sim.now, values))
-
-        sim.process(body())
-        sim.run()
-        assert done == [(3.0, ["a", "b"])]
-
-    def test_all_of_empty_triggers_immediately(self, sim):
-        cond = AllOf(sim, [])
-        assert cond.triggered
-
-    def test_any_of_fires_on_first(self, sim):
-        done = []
-
-        def body():
-            first = yield AnyOf(
-                sim, [sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")]
-            )
-            done.append((sim.now, first.value))
-
-        sim.process(body())
-        sim.run()
-        assert done[0] == (1.0, "fast")
-
-    def test_all_of_propagates_failure(self, sim):
-        failing = sim.event()
-        failing.fail(ValueError("child"), delay=1.0)
-        caught = []
-
-        def body():
-            try:
-                yield AllOf(sim, [sim.timeout(5.0), failing])
-            except ValueError as exc:
-                caught.append(str(exc))
-
-        sim.process(body())
-        sim.run()
-        assert caught == ["child"]

@@ -8,31 +8,17 @@ from repro.sim import Store
 class TestStore:
     def test_put_then_get(self, sim):
         store = Store(sim)
-        store.put("x")
+        store.offer("x", lambda: None)
         got = []
-
-        def getter():
-            item = yield store.get()
-            got.append(item)
-
-        sim.process(getter())
+        store.pull(got.append)
         sim.run()
         assert got == ["x"]
 
     def test_get_blocks_until_put(self, sim):
         store = Store(sim)
         got = []
-
-        def getter():
-            item = yield store.get()
-            got.append((sim.now, item))
-
-        def putter():
-            yield sim.timeout(2.0)
-            yield store.put("late")
-
-        sim.process(getter())
-        sim.process(putter())
+        store.pull(lambda item: got.append((sim.now, item)))
+        sim.schedule_call(2.0, store.offer, "late", lambda: None)
         sim.run()
         assert got == [(2.0, "late")]
 
@@ -40,18 +26,13 @@ class TestStore:
         store = Store(sim, capacity=1)
         events = []
 
-        def producer():
-            yield store.put(1)
-            events.append(("accepted-1", sim.now))
-            yield store.put(2)
-            events.append(("accepted-2", sim.now))
+        def accepted(n):
+            events.append((f"accepted-{n}", sim.now))
 
-        def consumer():
-            yield sim.timeout(3.0)
-            yield store.get()
-
-        sim.process(producer())
-        sim.process(consumer())
+        for n in (1, 2):
+            if store.offer(n, accepted, n):
+                accepted(n)
+        sim.schedule_call(3.0, store.pull, lambda item: None)
         sim.run()
         assert events == [("accepted-1", 0.0), ("accepted-2", 3.0)]
 
@@ -75,23 +56,15 @@ class TestStore:
         for i in range(5):
             store.try_put(i)
         out = []
-
-        def drain():
-            for _ in range(5):
-                out.append((yield store.get()))
-
-        sim.process(drain())
+        for _ in range(5):
+            store.pull(out.append)
         sim.run()
         assert out == [0, 1, 2, 3, 4]
 
     def test_direct_handoff_to_waiting_getter(self, sim):
         store = Store(sim, capacity=1)
         got = []
-
-        def getter():
-            got.append((yield store.get()))
-
-        sim.process(getter())
+        store.pull(got.append)
         sim.run()
         assert store.try_put("direct")
         sim.run()

@@ -82,7 +82,7 @@ class TestWrrTxQueue:
         queue.wrr.push = spied
         queue.pull(lambda d: taken.append((d, sim.events_processed)))
         descriptor = TxDescriptor(VcAddress(0, 40), b"x", posted_at=0.0)
-        sim.schedule_call(1e-6, ring.try_post, descriptor)
+        sim.schedule_call(1e-6, ring.try_put, descriptor)
         sim.run()
         assert taken == [(descriptor, pushes[0])]
         assert len(queue) == 0
