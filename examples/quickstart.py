@@ -71,7 +71,7 @@ def exchange(sim) -> None:
 
     # Send a few PDUs of different sizes.
     for size in (64, 1500, 9180, 100, 40000):
-        alice.post(vc.address, bytes(size))
+        alice.send(vc.address, bytes(size))
 
     sim.run(until=0.05)
 

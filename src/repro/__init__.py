@@ -18,7 +18,7 @@ Quick start::
     vc = a.open_vc()
     b.open_vc(address=vc.address)
     b.on_pdu = lambda c: print(f"{c.size} bytes on {c.vc}")
-    a.post(vc.address, b"hello ATM world")
+    a.send(vc.address, b"hello ATM world")
     sim.run(until=0.01)
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the

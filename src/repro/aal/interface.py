@@ -71,11 +71,6 @@ class ReassemblyStats:
     def cells_discarded(self) -> int:
         return sum(self.cells_discarded_by.values())
 
-    @property
-    def discard_ratio(self) -> float:
-        total = self.pdus_delivered + self.pdus_discarded
-        return self.pdus_discarded / total if total else 0.0
-
 
 @dataclass
 class SduIndication:

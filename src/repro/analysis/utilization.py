@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from repro.aal.aal5 import cells_for_sdu
 from repro.baselines.host_sar import HostSarConfig
-from repro.host.interrupts import InterruptSpec
-from repro.host.os_model import OsCostModel
 from repro.nic.config import NicConfig
 
 
@@ -70,18 +68,3 @@ def offload_advantage(
     offloaded = host_cycles_per_pdu_offloaded(nic_config, sdu_size, direction)
     software = host_cycles_per_pdu_hostsar(sar_config, sdu_size, direction)
     return software / offloaded if offloaded > 0 else float("inf")
-
-
-def host_saturation_pdu_rate(
-    os_costs: OsCostModel,
-    interrupt: InterruptSpec,
-    cpu_clock_hz: float,
-    sdu_size: int,
-) -> float:
-    """Maximum receive PDU rate before the host CPU alone saturates."""
-    cycles = (
-        interrupt.entry_cycles
-        + interrupt.exit_cycles
-        + os_costs.receive_path_cycles(sdu_size)
-    )
-    return cpu_clock_hz / cycles if cycles > 0 else float("inf")

@@ -31,12 +31,11 @@ from repro.host.bus import BusSpec, SystemBus, TURBOCHANNEL
 from repro.host.cpu import CpuSpec, HostCpu, R3000_25MHZ
 from repro.host.interrupts import InterruptController, InterruptSpec
 from repro.host.os_model import HostOs, OsCostModel
-from repro.nic.descriptors import RxCompletion
+from repro.nic.descriptors import DescriptorRing, RxCompletion
 from repro.nic.fifo import CellFifo
 from repro.nic.tx import Framer
 from repro.sim.core import Event, Simulator
 from repro.sim.monitor import Counter, ThroughputMeter
-from repro.sim.resources import Store
 
 
 #: A posted PDU: VC, SDU and CPCS-UU byte.
@@ -98,7 +97,9 @@ class HostSarInterface:
         self.vc_table = VcTable()
         self.tx_fifo = CellFifo(sim, config.tx_fifo_cells, name=f"{name}.txfifo")
         self.rx_fifo = CellFifo(sim, config.rx_fifo_cells, name=f"{name}.rxfifo")
-        self._tx_queue = Store(sim, capacity=config.tx_queue_pdus)
+        self._tx_queue = DescriptorRing(
+            sim, config.tx_queue_pdus, name=f"{name}.txqueue"
+        )
         self._segmenters: dict[VcAddress, Aal5Segmenter] = {}
         self.reassembler = Aal5Reassembler()
         self.framer = Framer(sim, self.tx_fifo, name=f"{name}.framer")
@@ -157,8 +158,6 @@ class HostSarInterface:
             len(sdu), self._enqueue, (address, sdu, user_indication), queued
         )
         return queued
-
-    post = send
 
     def _enqueue(self, pdu: _Pdu, queued: Event) -> None:
         if self._tx_queue.offer(pdu, queued.trigger):

@@ -72,10 +72,6 @@ class BufferPool:
     def free_slots(self) -> int:
         return self._free
 
-    @property
-    def in_use(self) -> int:
-        return self.slots - self._free
-
     def allocate(self, owner: str = "") -> Optional[Buffer]:
         """One free slot as a :class:`Buffer`, or None if exhausted."""
         if self._free == 0:

@@ -55,10 +55,6 @@ class BufferMemorySpec:
         return self.port_bandwidth_bps * (2 if self.dual_ported else 1)
 
 
-class BufferExhausted(RuntimeError):
-    """No adaptor buffer space for a new allocation."""
-
-
 class AdaptorBufferMemory:
     """Dynamic occupancy and traffic ledger for the buffer memory."""
 

@@ -99,9 +99,6 @@ class NicConfig:
     def cam_fitted(self) -> bool:
         return self.cam_entries is not None
 
-    def with_link(self, link: LinkSpec) -> "NicConfig":
-        return replace(self, link=link)
-
     def with_engines(self, spec: EngineSpec) -> "NicConfig":
         """Both engines swapped to *spec* (the F7 clock sweep)."""
         return replace(self, tx_engine=spec, rx_engine=spec)

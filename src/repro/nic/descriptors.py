@@ -9,7 +9,9 @@ The host and the adaptor communicate through two rings in host memory:
 
 Ring depth bounds how far the host can run ahead of the adaptor (and
 vice versa); a full TX ring back-pressures the sender, which is the
-flow-control boundary of the whole architecture.
+flow-control boundary of the whole architecture.  The transmit ring is
+a :class:`DescriptorRing`: the adaptor's bounded FIFO with a full bit,
+the same :class:`~repro.nic.fifo.CellFifo` as the link-side cell FIFOs.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Optional
 
 from repro.atm.addressing import VcAddress
 from repro.host.memory import Buffer
+from repro.nic.fifo import CellFifo
 from repro.sim.core import Simulator
-from repro.sim.resources import Store
 
 _pdu_ids = itertools.count(1)
 
@@ -68,20 +70,21 @@ class RxCompletion:
         return self.delivered_at - self.posted_at
 
 
-class DescriptorRing(Store):
+class DescriptorRing(CellFifo):
     """A bounded FIFO ring of descriptors between host and adaptor.
 
-    The producer/consumer behaviour of a hardware ring with a full bit:
+    The producer/consumer behaviour of a hardware ring with a full bit,
+    which is a :class:`~repro.nic.fifo.CellFifo` holding descriptors:
     the host posts with ``offer(descriptor, resume, *args)``, which
-    waits (and later calls ``resume``) while the ring is full, and the
-    transmit engine takes with ``pull(consumer)``, like
-    :meth:`~repro.nic.fifo.CellFifo.pull`: a queued descriptor is taken
-    at once, and a post to an empty ring hands the descriptor straight
-    to the waiting engine, inside the posting entry.
+    waits (and later calls ``resume(*args)``) while the ring is full,
+    and the transmit engine takes with ``pull(consumer)``: a queued
+    descriptor is taken at once, and a post to an empty ring hands the
+    descriptor straight to the waiting engine, inside the posting
+    entry.  ``depth_cells`` is the ring's depth in descriptors.
     """
 
     def __init__(self, sim: Simulator, depth: int, name: str = "ring") -> None:
-        if depth < 1:
-            raise ValueError("ring depth must be >= 1")
-        super().__init__(sim, capacity=depth, name=name)
-        self.depth = depth
+        super().__init__(sim, depth, name=name)
+        # Descriptors are not cells; the TX engine traces the take
+        # (``tx.pdu.posted``).
+        self.trace = None

@@ -119,14 +119,3 @@ class EngineClock:
         """Busy fraction of elapsed simulation time."""
         end = self.sim.now if now is None else now
         return min(1.0, self._busy_time / end) if end > 0 else 0.0
-
-    def headroom_against(self, cell_time: float, cycles_per_cell: float) -> float:
-        """Ratio of link cell slot to engine per-cell service time.
-
-        > 1 means the engine keeps up with back-to-back cells at the
-        link rate; < 1 means it is the bottleneck.  This is the paper's
-        core feasibility test.
-        """
-        if cycles_per_cell <= 0:
-            return float("inf")
-        return cell_time / self.spec.seconds_for(cycles_per_cell)

@@ -1,5 +1,6 @@
-"""Link-side cell FIFOs.
+"""Bounded hardware FIFOs: the link-side cell FIFOs and the host rings.
 
+:class:`CellFifo` is the simulator's one bounded FIFO with a full bit.
 Two small hardware FIFOs decouple the protocol engines from the cell
 clock of the link:
 
@@ -16,6 +17,14 @@ Both sides are callbacks, so neither hand-off costs a queue entry.  A
 producer that finds the FIFO full waits, oldest first, until a pull
 frees its slot; :meth:`CellFifo.put` is the same wait as an event, for
 producers written as processes.
+
+The same part is the host's transmit queue: the NIC's descriptor ring
+and the host-SAR baseline's PDU queue are each a
+:class:`~repro.nic.descriptors.DescriptorRing`, a ``CellFifo`` that
+holds descriptors instead of cells, posted with ``offer`` and taken
+with ``pull``.  A pull puts the oldest stalled producer's item in
+before its consumer runs, so a consumer that pulls again inside its
+callback takes the items in the order they were offered.
 
 The asymmetry is the architectural point measured by F5: the TX FIFO
 converts engine speed into stalls, the RX FIFO converts engine slowness
@@ -46,8 +55,11 @@ class CellFifo:
         self.name = name
         self._cells: Deque[AtmCell] = deque()
         #: Stalled producers, oldest first: the cell each one offered
-        #: and the callback that resumes it once the cell is in.
-        self._waiting: Deque[Tuple[AtmCell, Callable[[], Any]]] = deque()
+        #: and the callback (with its args) that resumes it once the
+        #: cell is in.
+        self._waiting: Deque[
+            Tuple[AtmCell, Callable[..., Any], Tuple[Any, ...]]
+        ] = deque()
         #: The consumer waiting in :meth:`pull` for the next cell, if any.
         self._consumer: Optional[Callable[[AtmCell], None]] = None
         #: Cells accepted (queued or handed straight to the consumer).
@@ -71,12 +83,14 @@ class CellFifo:
 
     # -- producer side ------------------------------------------------------
 
-    def offer(self, cell: AtmCell, resume: Callable[[], Any]) -> bool:
+    def offer(
+        self, cell: AtmCell, resume: Callable[..., Any], *args: Any
+    ) -> bool:
         """Blocking push by callback (TX side).
 
         Returns True when the cell went in at once; the producer carries
         on in the same instant.  False means the FIFO is full: the cell
-        waits behind earlier stalled producers, and ``resume()`` is
+        waits behind earlier stalled producers, and ``resume(*args)`` is
         called once a pull has freed its slot and the cell is in.
         """
         consumer = self._consumer
@@ -93,7 +107,7 @@ class CellFifo:
         if len(self._cells) < self.depth_cells:
             self._accept(cell)
             return True
-        self._waiting.append((cell, resume))
+        self._waiting.append((cell, resume, args))
         return False
 
     def put(self, cell: AtmCell) -> Event:
@@ -170,7 +184,7 @@ class CellFifo:
             consumer(cell)
             return
         # One cell out, one in: the level holds, so nothing is recorded.
-        admitted, resume = self._waiting.popleft()
+        admitted, resume, args = self._waiting.popleft()
         cells.append(admitted)
         self.cells_in += 1
         if self.trace is not None:
@@ -182,7 +196,7 @@ class CellFifo:
                 "fifo.enq", actor=self.name, cell=admitted, occupancy=occupancy,
             )
         consumer(cell)
-        resume()
+        resume(*args)
 
     def try_get(self) -> Optional[AtmCell]:
         """Non-blocking pop; None when empty."""

@@ -12,7 +12,7 @@ A minimal end-to-end use::
     b.open_vc(address=vc.address)          # receiver must open it too
     b.on_pdu = lambda completion: print(completion.size)
 
-    a.post(vc.address, b"hello ATM world")
+    a.send(vc.address, b"hello ATM world")
     sim.run(until=0.01)
 
 Everything observable (throughput, utilisations, drops, latencies) is
@@ -270,8 +270,10 @@ class HostNetworkInterface:
     def send(
         self, address: VcAddress, sdu: bytes, user_indication: int = 0
     ) -> Event:
-        """Process-style send: ``yield nic.send(vc, data)`` from a process.
+        """Send *sdu* on *address*; a process may ``yield`` the event.
 
+        ``yield nic.send(vc, data)`` waits for the post; a caller that
+        does not wait just calls ``nic.send(vc, data)`` and carries on.
         Runs the OS send path on the host CPU, then posts the descriptor
         (blocking when the TX ring is full).  The returned event fires
         once the descriptor is in the ring -- *not* when the PDU is on
@@ -304,10 +306,6 @@ class HostNetworkInterface:
         )
         if self.tx_ring.offer(descriptor, posted.trigger, descriptor):
             posted.trigger(descriptor)
-
-    def post(self, address: VcAddress, sdu: bytes, user_indication: int = 0) -> Event:
-        """Fire-and-forget send for non-process callers."""
-        return self.send(address, sdu, user_indication)
 
     # -- management plane -----------------------------------------------------------
 

@@ -179,10 +179,6 @@ class LinkSupervisor:
         """Register a user VC for per-VC alarm insertion."""
         self._protected.add(vc)
 
-    def unprotect(self, vc: VcAddress) -> None:
-        self._protected.discard(vc)
-        self.alarmed_vcs.discard(vc)
-
     # -- evidence ----------------------------------------------------------
 
     def _on_cc_cell(self, cell: ContinuityCell) -> None:

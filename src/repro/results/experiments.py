@@ -465,7 +465,7 @@ def run_f4(
         delivery_times: List[float] = []
         scenario.receiver.on_pdu = lambda _c: delivery_times.append(sim.now)
         post_time = sim.now
-        scenario.sender.post(scenario.vc, make_payload(size))
+        scenario.sender.send(scenario.vc, make_payload(size))
         sim.run(until=1.0)
         measured_by_size[size] = (
             delivery_times[0] - post_time if delivery_times else float("nan")
@@ -1311,7 +1311,7 @@ def run_f8(
         delivery_times: List[float] = []
         quiet.receiver.on_pdu = lambda _c: delivery_times.append(sim2.now)
         post_time = sim2.now
-        quiet.sender.post(quiet.vc, make_payload(size))
+        quiet.sender.send(quiet.vc, make_payload(size))
         sim2.run(until=1.0)
         lat_sim = delivery_times[0] - post_time if delivery_times else float("nan")
         lat_model = latency_model(config, size).total

@@ -10,8 +10,6 @@ for this reproduction.  It provides:
 - :class:`~repro.sim.process.Process` -- generator-based cooperative
   processes (``yield sim.timeout(...)``), for code that sleeps on
   simulated time: sources, timers, supervisors, sessions,
-- :class:`~repro.sim.resources.Store`, a FIFO object store for
-  mailbox-style hand-offs (``offer`` and ``pull``, by callback),
 - monitors (:mod:`repro.sim.monitor`) for statistics collection, and
 - :class:`~repro.sim.random.RandomStreams` for reproducible, independently
   seeded random number streams.
@@ -19,7 +17,9 @@ for this reproduction.  It provides:
 A model step that waits on another -- a host step, a hand-off -- passes
 it a continuation, ``then(*args)``, which the step calls where it ends.
 A process that must wait on such a step hands it an event's
-``trigger`` and yields the event.
+``trigger`` and yields the event.  The kernel has no FIFO store:
+bounded hand-offs (cell FIFOs, descriptor rings) are the NIC's
+:class:`~repro.nic.fifo.CellFifo`.
 
 Simulation time is a float measured in **seconds**.  Ties in event time are
 broken deterministically by scheduling order, so a simulation is fully
@@ -35,25 +35,21 @@ from repro.sim.core import (
 from repro.sim.process import Process
 from repro.sim.monitor import (
     Counter,
-    Histogram,
     SeriesRecorder,
     ThroughputMeter,
     TimeWeightedStat,
     WelfordStat,
 )
 from repro.sim.random import RandomStreams
-from repro.sim.resources import Store
 
 __all__ = [
     "Counter",
     "Event",
-    "Histogram",
     "Process",
     "RandomStreams",
     "SeriesRecorder",
     "SimulationError",
     "Simulator",
-    "Store",
     "ThroughputMeter",
     "TimeWeightedStat",
     "Timeout",

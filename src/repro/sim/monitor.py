@@ -8,8 +8,7 @@ the benchmark harness may post-process with numpy/scipy.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.sim.core import Simulator
 
@@ -71,21 +70,6 @@ class WelfordStat:
     def stdev(self) -> float:
         return math.sqrt(self.variance)
 
-    def merge(self, other: "WelfordStat") -> "WelfordStat":
-        """Combine two accumulators (parallel Welford merge)."""
-        merged = WelfordStat()
-        merged.n = self.n + other.n
-        if merged.n == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged._mean = self._mean + delta * other.n / merged.n
-        merged._m2 = (
-            self._m2 + other._m2 + delta * delta * self.n * other.n / merged.n
-        )
-        merged.minimum = min(self.minimum, other.minimum)
-        merged.maximum = max(self.maximum, other.maximum)
-        return merged
-
 
 class TimeWeightedStat:
     """Time-weighted average of a piecewise-constant signal.
@@ -125,58 +109,6 @@ class TimeWeightedStat:
         area = self._area + self._last_level * max(0.0, end - self._last_time)
         span = end - self._start
         return area / span if span > 0 else self._last_level
-
-
-class Histogram:
-    """Fixed-bin histogram with overflow/underflow tracking."""
-
-    def __init__(self, edges: Sequence[float]) -> None:
-        if len(edges) < 2:
-            raise ValueError("need at least two bin edges")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("bin edges must be strictly increasing")
-        self.edges = list(edges)
-        self.counts = [0] * (len(edges) - 1)
-        self.underflow = 0
-        self.overflow = 0
-        self.total = 0
-
-    @classmethod
-    def linear(cls, lo: float, hi: float, bins: int) -> "Histogram":
-        step = (hi - lo) / bins
-        return cls([lo + i * step for i in range(bins + 1)])
-
-    def add(self, x: float) -> None:
-        self.total += 1
-        if x < self.edges[0]:
-            self.underflow += 1
-        elif x >= self.edges[-1]:
-            self.overflow += 1
-        else:
-            self.counts[bisect_right(self.edges, x) - 1] += 1
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from binned counts (bin upper edge)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.total == 0:
-            return math.nan
-        target = q * self.total
-        seen = self.underflow
-        if seen >= target:
-            return self.edges[0]
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= target:
-                return self.edges[i + 1]
-        return self.edges[-1]
-
-    def nonzero_bins(self) -> List[Tuple[float, float, int]]:
-        return [
-            (self.edges[i], self.edges[i + 1], c)
-            for i, c in enumerate(self.counts)
-            if c
-        ]
 
 
 class ThroughputMeter:

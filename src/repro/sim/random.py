@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 class RandomStreams:
@@ -34,54 +31,10 @@ class RandomStreams:
             self._streams[name] = rng
         return rng
 
-    # -- convenience draws -------------------------------------------------
+    # -- convenience draw --------------------------------------------------
 
     def exponential(self, name: str, mean: float) -> float:
         """One draw from Exp(mean); mean must be positive."""
         if mean <= 0:
             raise ValueError("exponential mean must be positive")
         return self.stream(name).expovariate(1.0 / mean)
-
-    def uniform(self, name: str, lo: float, hi: float) -> float:
-        return self.stream(name).uniform(lo, hi)
-
-    def randint(self, name: str, lo: int, hi: int) -> int:
-        return self.stream(name).randint(lo, hi)
-
-    def bernoulli(self, name: str, p: float) -> bool:
-        """True with probability *p*."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability {p} outside [0, 1]")
-        if p == 0.0:
-            return False
-        if p == 1.0:
-            return True
-        return self.stream(name).random() < p
-
-    def choice(self, name: str, options: Sequence[T]) -> T:
-        if not options:
-            raise ValueError("choice from empty sequence")
-        return self.stream(name).choice(options)
-
-    def weighted_choice(
-        self,
-        name: str,
-        options: Sequence[T],
-        weights: Sequence[float],
-    ) -> T:
-        if len(options) != len(weights):
-            raise ValueError("options and weights must have equal length")
-        return self.stream(name).choices(options, weights=weights, k=1)[0]
-
-    def shuffled(self, name: str, items: Sequence[T]) -> list[T]:
-        out = list(items)
-        self.stream(name).shuffle(out)
-        return out
-
-    def fork(self, name: str, seed_offset: Optional[int] = None) -> "RandomStreams":
-        """Derive a child factory whose streams are independent of ours."""
-        base = seed_offset if seed_offset is not None else 0
-        digest = hashlib.sha256(
-            f"{self.seed}:fork:{name}:{base}".encode("utf-8")
-        ).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))

@@ -77,9 +77,6 @@ class WeightedRoundRobin:
     def weight_of(self, key: Any) -> int:
         return self._weights[key]
 
-    def backlog_of(self, key: Any) -> int:
-        return len(self._queues[key])
-
     def push(self, key: Any, item: Any) -> None:
         """Enqueue *item* on *key*'s queue (auto-registers at weight 1)."""
         if key not in self._queues:
@@ -154,9 +151,10 @@ class WrrTxQueue:
             self.ring.pull(self._take)
 
     def _take(self, descriptor) -> None:
-        # The pump queues the descriptor from an entry of its own: it
-        # pulls again from there, after the ring's pull has admitted
-        # the producers this take made room for.
+        # The pump queues the descriptor from an entry of its own.  The
+        # ring's pull resumes the producer it admitted only after this
+        # callback returns, so a pump that pulled again in here would
+        # resume later producers first (last admitted, first resumed).
         self.sim.schedule_call(0.0, self._pump, descriptor)
 
     def _pump(self, descriptor) -> None:

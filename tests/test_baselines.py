@@ -128,7 +128,7 @@ class TestHardwired:
         received = []
         b.on_pdu = received.append
         payload = make_payload(2000)
-        a.post(vc.address, payload)
+        a.send(vc.address, payload)
         sim.run(until=0.05)
         assert received[0].sdu == payload
 
@@ -168,7 +168,7 @@ class TestSharedEngine:
         b.open_vc(address=vc.address)
         received = []
         b.on_pdu = received.append
-        a.post(vc.address, make_payload(3000))
+        a.send(vc.address, make_payload(3000))
         sim.run(until=0.05)
         assert len(received) == 1
 

@@ -191,7 +191,7 @@ class TestAuditor:
     def test_detects_a_cooked_ledger(self, sim):
         """Tampering with a counter must trip the auditor."""
         scenario = build_point_to_point(sim, aurora_oc3())
-        scenario.sender.post(scenario.vc, bytes(2000))
+        scenario.sender.send(scenario.vc, bytes(2000))
         sim.run(until=0.01)
         auditor = CellConservationAuditor(scenario.link_ab, scenario.receiver)
         auditor.assert_conserved()
@@ -203,7 +203,7 @@ class TestAuditor:
 
     def test_breakdown_covers_the_sum(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
-        scenario.sender.post(scenario.vc, bytes(2000))
+        scenario.sender.send(scenario.vc, bytes(2000))
         sim.run(until=0.01)
         ledger = CellConservationAuditor(
             scenario.link_ab, scenario.receiver

@@ -50,7 +50,7 @@ def _quickstart():
     delivered = []
     bob.on_pdu = delivered.append
     for size in (64, 1500, 9180, 100, 40000):
-        alice.post(vc.address, bytes(size))
+        alice.send(vc.address, bytes(size))
     return sim, delivered
 
 

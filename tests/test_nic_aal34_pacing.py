@@ -48,13 +48,13 @@ class TestAal34DataPath:
     def test_transfer_roundtrip(self, sim):
         a, b, vc, received = self.build(sim)
         payload = make_payload(5000)
-        a.post(vc, payload)
+        a.send(vc, payload)
         sim.run(until=0.02)
         assert [c.sdu for c in received] == [payload]
 
     def test_more_cells_than_aal5(self, sim):
         a, b, vc, received = self.build(sim)
-        a.post(vc, make_payload(9180))
+        a.send(vc, make_payload(9180))
         sim.run(until=0.02)
         assert received[0].cells == 209
 

@@ -14,7 +14,7 @@ class TestLoopback:
         scenario = build_point_to_point(sim, aurora_oc3())
         payloads = [make_payload(s) for s in (64, 100, 1500, 9180, 40)]
         for p in payloads:
-            scenario.sender.post(scenario.vc, p)
+            scenario.sender.send(scenario.vc, p)
         sim.run(until=0.05)
         assert [c.sdu for c in scenario.received] == payloads
 
@@ -29,8 +29,8 @@ class TestLoopback:
         got_a, got_b = [], []
         a.on_pdu = got_a.append
         b.on_pdu = got_b.append
-        a.post(vc_ab.address, b"to-b" * 100)
-        b.post(vc_ba.address, b"to-a" * 100)
+        a.send(vc_ab.address, b"to-b" * 100)
+        b.send(vc_ba.address, b"to-a" * 100)
         sim.run(until=0.05)
         assert got_b[0].sdu == b"to-b" * 100
         assert got_a[0].sdu == b"to-a" * 100
@@ -38,7 +38,7 @@ class TestLoopback:
     def test_multiple_vcs_kept_separate(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3(), n_vcs=3)
         for i, vc in enumerate(scenario.vcs):
-            scenario.sender.post(vc, bytes([i]) * 100)
+            scenario.sender.send(vc, bytes([i]) * 100)
         sim.run(until=0.05)
         by_vc = {c.vc: c.sdu for c in scenario.received}
         assert by_vc == {
@@ -47,7 +47,7 @@ class TestLoopback:
 
     def test_end_to_end_latency_positive_and_ordered(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
-        scenario.sender.post(scenario.vc, make_payload(1500))
+        scenario.sender.send(scenario.vc, make_payload(1500))
         sim.run(until=0.05)
         completion = scenario.received[0]
         assert completion.end_to_end_latency > 0
@@ -55,7 +55,7 @@ class TestLoopback:
 
     def test_propagation_delay_adds_to_latency(self, sim):
         fast = build_point_to_point(sim, aurora_oc3())
-        fast.sender.post(fast.vc, make_payload(100))
+        fast.sender.send(fast.vc, make_payload(100))
         sim.run(until=0.05)
         base = fast.received[0].end_to_end_latency
 
@@ -63,7 +63,7 @@ class TestLoopback:
         slow = build_point_to_point(
             sim2_scenario_sim, aurora_oc3(), propagation_delay=0.002
         )
-        slow.sender.post(slow.vc, make_payload(100))
+        slow.sender.send(slow.vc, make_payload(100))
         sim2_scenario_sim.run(until=0.05)
         assert slow.received[0].end_to_end_latency == pytest.approx(
             base + 0.002, rel=0.01

@@ -81,6 +81,23 @@ class TestCellFifo:
         assert sim.pending_events() == 0
         assert fifo.try_get().vci == 2
 
+    def test_stalled_offer_resumes_with_its_args(self, sim):
+        # offer(cell, resume, *args): the pull that admits a stalled
+        # cell calls resume(*args), at the pull's own instant.
+        fifo = CellFifo(sim, depth_cells=1)
+        events = []
+
+        def accepted(vci, how):
+            events.append((vci, how, sim.now))
+
+        for vci in (1, 2):
+            if fifo.offer(cell(vci=vci), accepted, vci, "resumed"):
+                accepted(vci, "at once")
+        sim.schedule_call(3.0, fifo.pull, lambda c: None)
+        sim.run()
+        assert events == [(1, "at once", 0.0), (2, "resumed", 3.0)]
+        assert fifo.try_get().vci == 2
+
     def test_stalled_producers_are_admitted_oldest_first(self, sim):
         fifo = CellFifo(sim, depth_cells=1)
         assert fifo.offer(cell(vci=1), lambda: None)
@@ -312,6 +329,39 @@ class TestDescriptorRing:
         ring.pull(consumer)
         sim.run()
         assert taken == [d1.pdu_id, d2.pdu_id]
+
+    def test_callback_forms_hand_over_in_the_calling_entry(self, sim):
+        # pull() from an empty ring is handed the next offered
+        # descriptor at once; offer() to a full ring waits, and the pull
+        # that makes room runs its consumer before the admitted producer
+        # resumes.
+        ring = DescriptorRing(sim, depth=1)
+        log = []
+        ring.pull(lambda item: log.append(("got", item)))
+        assert ring.offer("a", log.append, "never")
+        assert ring.offer("b", log.append, "never")
+        assert not ring.offer("c", log.append, ("resumed", "c"))
+        ring.pull(lambda item: log.append(("got", item)))
+        assert log == [("got", "a"), ("got", "b"), ("resumed", "c")]
+        assert ring.try_get() == "c"
+        assert sim.pending_events() == 0
+
+    def test_consumer_that_pulls_again_takes_items_in_order(self, sim):
+        # A depth-1 ring holds a with b stalled behind it.  The pull
+        # that takes a puts b in before its consumer runs, so a consumer
+        # that pulls again inside its callback takes b, not a later c.
+        ring = DescriptorRing(sim, depth=1)
+        taken = []
+
+        def consumer(item):
+            taken.append(item)
+            ring.pull(consumer)
+
+        assert ring.offer("a", lambda: None)
+        assert not ring.offer("b", lambda: None)
+        ring.pull(consumer)
+        assert ring.offer("c", lambda: None)
+        assert taken == ["a", "b", "c"]
 
     def test_full_ring_backpressures(self, sim):
         ring = DescriptorRing(sim, depth=1)

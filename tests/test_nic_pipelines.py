@@ -28,7 +28,7 @@ class TestTxPipeline:
         link = PhysicalLink(sim, nic.config.link, sink=wire.append)
         nic.attach_tx_link(link)
         vc = nic.open_vc()
-        nic.post(vc.address, b"x" * 200)
+        nic.send(vc.address, b"x" * 200)
         sim.run(until=0.01)
         assert len(wire) == cells_for_sdu(200)
         assert wire[-1].end_of_frame
@@ -40,7 +40,7 @@ class TestTxPipeline:
         link = PhysicalLink(sim, nic.config.link, sink=wire.append)
         nic.attach_tx_link(link)
         vc = nic.open_vc()
-        nic.post(vc.address, b"x" * 50)
+        nic.send(vc.address, b"x" * 50)
         sim.run(until=0.01)
         assert all("posted_at" in c.meta and "pdu_id" in c.meta for c in wire)
 
@@ -68,9 +68,9 @@ class TestTxPipeline:
         received = []
         b.on_pdu = received.append
         with pytest.raises(AalError):
-            a.post(vc.address, sdu, user_indication=uu)
+            a.send(vc.address, sdu, user_indication=uu)
         # Nothing was posted, and the engine still serves the next PDU.
-        a.post(vc.address, b"valid")
+        a.send(vc.address, b"valid")
         sim.run(until=0.01)
         assert [c.sdu for c in received] == [b"valid"]
 
@@ -81,7 +81,7 @@ class TestTxPipeline:
         nic.attach_tx_link(link)
         vc = nic.open_vc()
         for marker in (b"\x01", b"\x02", b"\x03"):
-            nic.post(vc.address, marker * 40)
+            nic.send(vc.address, marker * 40)
         sim.run(until=0.01)
         firsts = [c.payload[0] for c in wire if c.end_of_frame]
         assert firsts == [1, 2, 3]
@@ -91,7 +91,7 @@ class TestTxPipeline:
         link = PhysicalLink(sim, nic.config.link, sink=lambda c: None)
         nic.attach_tx_link(link)
         vc = nic.open_vc()
-        nic.post(vc.address, b"x" * 100)
+        nic.send(vc.address, b"x" * 100)
         sim.run(until=0.01)
         assert nic.tx_engine.pdus_sent.count == 1
         assert nic.tx_engine.cells_sent.count == cells_for_sdu(100)
@@ -103,7 +103,7 @@ class TestTxPipeline:
         nic.attach_tx_link(link)
         vc = nic.open_vc()
         size = 200
-        nic.post(vc.address, b"x" * size)
+        nic.send(vc.address, b"x" * size)
         sim.run(until=0.01)
         expected = nic.config.tx_costs.pdu_total_cycles(cells_for_sdu(size))
         assert nic.tx_clock.total_cycles == pytest.approx(expected)
@@ -307,7 +307,7 @@ class TestEngineHandOffs:
         # before the engine's first offer.
         for vci in (7, 8, 9):
             nic.inject_cell(AtmCell(vpi=0, vci=vci, payload=PAYLOAD))
-        nic.post(vc.address, make_payload(200))
+        nic.send(vc.address, make_payload(200))
         sim.run(until=0.1)
         # Oldest stalled producer first: the put() before the engine.
         assert wire == [7, 8, 9] + [100] * cells_for_sdu(200)

@@ -429,9 +429,9 @@ class TestChargeSitesReconcile:
             vc = a.open_vc()
             b.open_vc(address=vc.address)
             orphan = a.open_vc(address=VcAddress(0, 999))  # never opened at b
-            a.post(vc.address, b"one cell")
-            a.post(vc.address, bytes(500))
-            a.post(orphan.address, b"nobody listens")
+            a.send(vc.address, b"one cell")
+            a.send(vc.address, bytes(500))
+            a.send(orphan.address, b"nobody listens")
             a.oam_ping(vc.address)
             sim.run(until=0.05)
         (view,) = observation.views

@@ -142,7 +142,7 @@ class TestReceivePath:
             connect(sim, a, b)
             vc = a.open_vc()
             b.open_vc(address=vc.address)
-            a.post(vc.address, bytes(1500))
+            a.send(vc.address, bytes(1500))
 
         view = observed(build)
         assert "no_adaptor_buffer" in view.recorder.drop_reasons()
@@ -157,7 +157,7 @@ class TestReceivePath:
             connect(sim, a, b)
             vc = a.open_vc()
             b.open_vc(address=vc.address)
-            a.post(vc.address, bytes(1500))
+            a.send(vc.address, bytes(1500))
 
         view = observed(build)
         assert view.recorder.drop_reasons() == {"no_host_buffer": 1}
@@ -215,7 +215,7 @@ class TestTransmitAndControl:
             connect(sim, a, b)
             vc = a.open_vc()
             b.open_vc(address=vc.address)
-            a.post(vc.address, bytes(9180))  # 192 cells never fit in 100
+            a.send(vc.address, bytes(9180))  # 192 cells never fit in 100
 
         view = observed(build, until=1e-3)
         assert "tx.pdu.bufstall" in names(view)

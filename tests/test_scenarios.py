@@ -31,7 +31,7 @@ class TestPointToPoint:
     def test_loss_model_attaches_to_forward_link(self, sim, rng):
         loss = UniformLoss(1.0, rng)
         scenario = build_point_to_point(sim, aurora_oc3(), loss_ab=loss)
-        scenario.sender.post(scenario.vc, b"doomed" * 10)
+        scenario.sender.send(scenario.vc, b"doomed" * 10)
         sim.run(until=0.01)
         assert scenario.received == []
         assert loss.dropped > 0
@@ -109,7 +109,7 @@ class TestNicMisc:
 
         fresh.attach_tx_link(PhysicalLink(sim, STS3C_155, sink=lambda c: None))
         vc = fresh.open_vc()
-        fresh.post(vc.address, b"auto")
+        fresh.send(vc.address, b"auto")
         sim.run(until=0.01)
         assert fresh.tx_engine.pdus_sent.count == 1
 

@@ -1,13 +1,10 @@
 """Statistics accumulators: numerical behaviour and edge cases."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import (
     Counter,
-    Histogram,
     SeriesRecorder,
     Simulator,
     ThroughputMeter,
@@ -57,34 +54,10 @@ class TestWelford:
         assert stat.mean == 3.0
         assert stat.variance == 0.0
 
-    def test_merge_equals_single_pass(self):
-        a_data = [1.0, 2.0, 3.0]
-        b_data = [10.0, 20.0]
-        merged = _welford(a_data).merge(_welford(b_data))
-        direct = _welford(a_data + b_data)
-        assert merged.n == direct.n
-        assert merged.mean == pytest.approx(direct.mean)
-        assert merged.variance == pytest.approx(direct.variance)
-
-    def test_merge_with_empty(self):
-        stat = _welford([1.0, 2.0]).merge(WelfordStat())
-        assert stat.n == 2
-        assert stat.mean == pytest.approx(1.5)
-
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     def test_mean_bounded_by_extremes(self, xs):
         stat = _welford(xs)
         assert min(xs) - 1e-6 <= stat.mean <= max(xs) + 1e-6
-
-    @given(
-        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
-        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
-    )
-    def test_merge_commutes_on_count_and_mean(self, xs, ys):
-        ab = _welford(xs).merge(_welford(ys))
-        ba = _welford(ys).merge(_welford(xs))
-        assert ab.n == ba.n
-        assert ab.mean == pytest.approx(ba.mean, abs=1e-6)
 
 
 class TestTimeWeighted:
@@ -113,54 +86,6 @@ class TestTimeWeighted:
     def test_zero_span_returns_current(self):
         stat = TimeWeightedStat(1.0, 9.0)
         assert stat.mean(1.0) == 9.0
-
-
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram([0.0, 1.0, 2.0, 3.0])
-        for x in (0.5, 1.5, 1.6, 2.9):
-            h.add(x)
-        assert h.counts == [1, 2, 1]
-
-    def test_under_and_overflow(self):
-        h = Histogram([0.0, 1.0])
-        h.add(-5.0)
-        h.add(10.0)
-        h.add(1.0)  # right edge is exclusive -> overflow
-        assert h.underflow == 1
-        assert h.overflow == 2
-
-    def test_linear_constructor(self):
-        h = Histogram.linear(0.0, 10.0, 5)
-        assert len(h.edges) == 6
-        assert h.edges[1] == pytest.approx(2.0)
-
-    def test_quantile(self):
-        h = Histogram.linear(0.0, 100.0, 100)
-        for i in range(100):
-            h.add(i + 0.5)
-        assert h.quantile(0.5) == pytest.approx(50.0, abs=1.5)
-        assert h.quantile(0.99) == pytest.approx(99.0, abs=1.5)
-
-    def test_quantile_empty_is_nan(self):
-        h = Histogram([0.0, 1.0])
-        assert math.isnan(h.quantile(0.5))
-
-    def test_quantile_range_validation(self):
-        h = Histogram([0.0, 1.0])
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_edge_validation(self):
-        with pytest.raises(ValueError):
-            Histogram([1.0])
-        with pytest.raises(ValueError):
-            Histogram([0.0, 0.0, 1.0])
-
-    def test_nonzero_bins(self):
-        h = Histogram([0.0, 1.0, 2.0])
-        h.add(1.5)
-        assert h.nonzero_bins() == [(1.0, 2.0, 1)]
 
 
 class TestThroughputMeter:

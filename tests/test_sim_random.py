@@ -46,48 +46,3 @@ class TestDraws:
     def test_exponential_mean_validation(self):
         with pytest.raises(ValueError):
             RandomStreams().exponential("e", 0.0)
-
-    def test_bernoulli_extremes(self):
-        streams = RandomStreams()
-        assert not streams.bernoulli("b", 0.0)
-        assert streams.bernoulli("b", 1.0)
-        with pytest.raises(ValueError):
-            streams.bernoulli("b", 1.5)
-
-    def test_bernoulli_rate(self):
-        streams = RandomStreams(seed=5)
-        hits = sum(streams.bernoulli("b", 0.25) for _ in range(8000))
-        assert hits / 8000 == pytest.approx(0.25, abs=0.03)
-
-    def test_choice_validation(self):
-        with pytest.raises(ValueError):
-            RandomStreams().choice("c", [])
-
-    def test_weighted_choice(self):
-        streams = RandomStreams(seed=9)
-        draws = [
-            streams.weighted_choice("w", ["a", "b"], [0.9, 0.1])
-            for _ in range(2000)
-        ]
-        assert draws.count("a") > draws.count("b")
-
-    def test_weighted_choice_validation(self):
-        with pytest.raises(ValueError):
-            RandomStreams().weighted_choice("w", ["a"], [1.0, 2.0])
-
-    def test_shuffled_returns_permutation(self):
-        streams = RandomStreams(seed=2)
-        items = list(range(20))
-        shuffled = streams.shuffled("s", items)
-        assert sorted(shuffled) == items
-        assert shuffled != items  # overwhelmingly likely with 20 items
-
-    def test_fork_is_independent_and_deterministic(self):
-        parent = RandomStreams(seed=4)
-        child1 = parent.fork("worker")
-        child2 = RandomStreams(seed=4).fork("worker")
-        assert child1.stream("x").random() == child2.stream("x").random()
-        assert (
-            parent.stream("x").random()
-            != RandomStreams(seed=4).fork("worker").stream("x").random()
-        )

@@ -87,6 +87,37 @@ class TestWrrTxQueue:
         assert taken == [(descriptor, pushes[0])]
         assert len(queue) == 0
 
+    def test_ring_producers_resume_in_post_order(self, sim):
+        # Six posts to a depth-2 ring: 0 and 1 go in, 2-5 wait.  The
+        # pump queues each descriptor from an entry of its own, so each
+        # ring pull resumes the producer it admitted before the next
+        # pull is made.  A pump that pulled again inside the ring's
+        # callback would resume them last admitted first (5, 4, 3, 2).
+        ring = DescriptorRing(sim, depth=2)
+        resumed = []
+        stalled = [
+            i
+            for i in range(6)
+            if not ring.offer(
+                TxDescriptor(VcAddress(0, 40), bytes([i]), posted_at=0.0),
+                resumed.append,
+                i,
+            )
+        ]
+        assert stalled == [2, 3, 4, 5]
+        queue = WrrTxQueue(sim, ring)
+        queue.start()
+        served = []
+
+        def serve(descriptor):
+            served.append(descriptor.sdu[0])
+            queue.pull(serve)
+
+        queue.pull(serve)
+        sim.run()
+        assert resumed == [2, 3, 4, 5]
+        assert served == [0, 1, 2, 3, 4, 5]
+
 
 class TestNicIntegration:
     def test_wrr_splits_goodput_by_weight(self, sim):
