@@ -163,6 +163,11 @@ class Aal5Reassembler:
         ] = None
         self.stats = ReassemblyStats()
         self._partial: Dict[VcAddress, _PartialPdu] = {}
+        #: ``has_context(vc)``: True when a PDU is mid-reassembly on
+        #: *vc* -- the table's own membership test, which runs no frame.
+        self.has_context: Callable[[VcAddress], bool] = (
+            self._partial.__contains__
+        )
 
     def _discarded(
         self, vc: VcAddress, why: ReassemblyFailure, cells: int
@@ -174,10 +179,6 @@ class Aal5Reassembler:
     def active_contexts(self) -> int:
         """Number of VCs with a PDU currently mid-reassembly."""
         return len(self._partial)
-
-    def has_context(self, vc: VcAddress) -> bool:
-        """True when a PDU is mid-reassembly on *vc*."""
-        return vc in self._partial
 
     def context_cells(self, vc: VcAddress) -> int:
         """Cells so far in the VC's partial PDU (0 if none open)."""

@@ -27,13 +27,6 @@ _REGISTER_MASK = 0xFFFFFFFF
 _CRC32_POLYNOMIAL = 0x04C11DB7
 
 
-def _reflect32(value: int) -> int:
-    """*value*'s 32 bits in reverse order."""
-    return int.from_bytes(
-        value.to_bytes(4, "big").translate(_REVERSED_BITS), "little"
-    )
-
-
 class CrcAlgorithm:
     """An MSB-first CRC-32 (generator 0x04C11DB7) with incremental update.
 
@@ -69,12 +62,16 @@ class CrcAlgorithm:
         """Fold *data* into the accumulator; returns the new state.
 
         zlib keeps its register complemented and bit-reflected; the
-        state here is the plain MSB-first register.
+        state here is the plain MSB-first register.  Both reflections
+        run in this frame: :meth:`compute` calls this once per PDU.
         """
+        register = state.to_bytes(4, "big").translate(_REVERSED_BITS)
         reflected = zlib.crc32(
-            data.translate(_REVERSED_BITS), _reflect32(state) ^ _REGISTER_MASK
+            data.translate(_REVERSED_BITS),
+            int.from_bytes(register, "little") ^ _REGISTER_MASK,
         )
-        return _reflect32(reflected ^ _REGISTER_MASK)
+        register = (reflected ^ _REGISTER_MASK).to_bytes(4, "big")
+        return int.from_bytes(register.translate(_REVERSED_BITS), "little")
 
     def finish(self, state: int) -> int:
         """Final CRC value from accumulator state."""
@@ -83,8 +80,8 @@ class CrcAlgorithm:
     # -- one-shot interface ---------------------------------------------------
 
     def compute(self, data: bytes) -> int:
-        """CRC of *data* in one call."""
-        return self.finish(self.update(self.start(), data))
+        """CRC of *data* in one call (``finish(update(start(), data))``)."""
+        return self.update(self.initial, data) ^ self.final_xor
 
     def residue_ok(self, data_with_crc: bytes) -> bool:
         """Verify a message whose CRC field was appended MSB-first.

@@ -124,6 +124,9 @@ class SystemBus:
         self._waiting: Deque[_Transaction] = deque()
         self._held = False
         self._busy_time = 0.0
+        # The spec's word width and seconds per bus cycle.
+        self._width = spec.width_bytes
+        self._cycle_time = spec.cycle_time
         self.bytes_moved = Counter(f"{name}.bytes")
         self.transactions = Counter(f"{name}.transactions")
         self.bytes_by_master: dict[str, int] = {}
@@ -134,9 +137,9 @@ class SystemBus:
         """Move *nbytes* for *master*, then call ``then(*args)``."""
         if nbytes < 0:
             raise ValueError("negative transfer size")
-        self.transactions.increment()
+        self.transactions.count += 1
         transaction = _Transaction(
-            self.spec.words_for(nbytes), nbytes, master, then, args
+            -(-nbytes // self._width), nbytes, master, then, args
         )
         if transaction.words == 0:
             self._complete(transaction)
@@ -151,7 +154,7 @@ class SystemBus:
         burst_words = min(transaction.words, self.spec.max_burst_words)
         transaction.words -= burst_words
         cycles = self.spec.burst_setup_cycles + burst_words
-        duration = cycles * self.spec.cycle_time
+        duration = cycles * self._cycle_time
         self._busy_time += duration
         self.sim.schedule_call(duration, self._burst_done, transaction)
 
@@ -166,10 +169,10 @@ class SystemBus:
             self._held = False
 
     def _complete(self, transaction: _Transaction) -> None:
-        self.bytes_moved.increment(transaction.nbytes)
-        self.bytes_by_master[transaction.master] = (
-            self.bytes_by_master.get(transaction.master, 0) + transaction.nbytes
-        )
+        nbytes = transaction.nbytes
+        self.bytes_moved.count += nbytes
+        by_master = self.bytes_by_master
+        by_master[transaction.master] = by_master.get(transaction.master, 0) + nbytes
         transaction.then(*transaction.args)
 
     def utilization(self, now: float | None = None) -> float:

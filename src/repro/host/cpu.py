@@ -73,6 +73,8 @@ class HostCpu:
         self._running = False
         self._busy_time = 0.0
         self.cycles_by_tag: Dict[str, float] = {}
+        # Seconds per cycle, as ``spec.seconds_for`` multiplies by.
+        self._cycle_time = spec.cycle_time
 
     # -- execution ----------------------------------------------------------
 
@@ -96,9 +98,10 @@ class HostCpu:
         self, cycles: float, tag: str, then: Callable[..., Any], args: tuple[Any, ...]
     ) -> None:
         self._running = True
-        duration = self.spec.seconds_for(cycles)
+        duration = cycles * self._cycle_time
         self._busy_time += duration
-        self._book(cycles, tag)
+        by_tag = self.cycles_by_tag
+        by_tag[tag] = by_tag.get(tag, 0.0) + cycles
         self.sim.schedule_call(duration, self._finish, then, args)
 
     def _finish(self, then: Callable[..., Any], args: tuple[Any, ...]) -> None:
@@ -109,9 +112,6 @@ class HostCpu:
             self._start(*self._waiting.popleft())
         else:
             self._running = False
-
-    def _book(self, cycles: float, tag: str) -> None:
-        self.cycles_by_tag[tag] = self.cycles_by_tag.get(tag, 0.0) + cycles
 
     # -- readouts -------------------------------------------------------------
 

@@ -72,7 +72,7 @@ class DmaEngine:
         """Move *nbytes* across the bus, then call ``then(*args)``."""
         if nbytes < 0:
             raise ValueError("negative DMA size")
-        transfer = (nbytes, then, args, self.sim.now)
+        transfer = (nbytes, then, args, self.sim._now)
         if self._active:
             self._waiting.append(transfer)
         else:
@@ -98,13 +98,13 @@ class DmaEngine:
 
     def _finish(self, transfer: _Transfer) -> None:
         nbytes, then, args, started = transfer
-        self.transfers.increment()
-        self.bytes_moved.increment(nbytes)
-        self.latency.add(self.sim.now - started)
+        self.transfers.count += 1
+        self.bytes_moved.count += nbytes
+        latency = self.sim._now - started
+        self.latency.add(latency)
         if self.trace is not None:
             self.trace.emit(
-                "dma.done", actor=self.name, bytes=nbytes,
-                latency=self.sim.now - started,
+                "dma.done", actor=self.name, bytes=nbytes, latency=latency,
             )
         then(*args)
         if self._waiting:

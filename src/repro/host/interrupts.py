@@ -92,7 +92,7 @@ class InterruptController:
     ) -> None:
         """Assert the device interrupt; ``then(*args)`` runs once it is
         handled."""
-        self.raised.increment()
+        self.raised.count += 1
         if self.trace is not None:
             self.trace.emit("irq.raised", actor=self.name)
         self._pending.append((handler_cycles, handler, then, args))
@@ -119,12 +119,15 @@ class InterruptController:
         batch = self._pending
         self._pending = []
         self._delivery_scheduled = False
-        self.delivered.increment()
+        self.delivered.count += 1
         if self.trace is not None:
             self.trace.emit(
                 "irq.delivered", actor=self.name, batch=len(batch)
             )
-        total_handler = sum(raised[0] for raised in batch)
+        # Summed left to right, in this frame.
+        total_handler = 0
+        for cycles, _handler, _then, _args in batch:
+            total_handler += cycles
         total = self.spec.entry_cycles + total_handler + self.spec.exit_cycles
         self.cpu.execute_then(total, "interrupt", self._handled, batch)
 

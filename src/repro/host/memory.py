@@ -21,7 +21,6 @@ class Buffer:
     buffer_id: int
     capacity: int
     data: bytes = b""
-    owner: str = ""
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
@@ -72,7 +71,7 @@ class BufferPool:
     def free_slots(self) -> int:
         return self._free
 
-    def allocate(self, owner: str = "") -> Optional[Buffer]:
+    def allocate(self) -> Optional[Buffer]:
         """One free slot as a :class:`Buffer`, or None if exhausted."""
         if self._free == 0:
             self.failures += 1
@@ -81,7 +80,7 @@ class BufferPool:
         self.allocations += 1
         if self._free < self.low_water:
             self.low_water = self._free
-        return Buffer(next(self._ids), self.slot_size, owner=owner)
+        return Buffer(next(self._ids), self.slot_size)
 
     def release(self, buffer: Buffer) -> None:
         """Return a slot to the pool."""

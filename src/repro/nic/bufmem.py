@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
 from repro.sim.core import Simulator
-from repro.sim.monitor import TimeWeightedStat
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,8 @@ class AdaptorBufferMemory:
         self.name = name
         self._allocated: Dict[Hashable, int] = {}
         self._used_cells = 0
-        self.occupancy = TimeWeightedStat(sim.now, 0)
+        #: Traffic ledger: bytes written into and read out of the
+        #: memory.  The engines add to these in their own frames.
         self.bytes_written = 0
         self.bytes_read = 0
         self.allocation_failures = 0
@@ -111,30 +111,18 @@ class AdaptorBufferMemory:
         allocated = self._allocated
         allocated[owner] = allocated.get(owner, 0) + cells
         self._used_cells = used
-        self.occupancy.record(self.sim._now, used)
         return True
 
     def release(self, owner: Hashable) -> int:
         """Free everything held by *owner*; returns the cell count."""
         cells = self._allocated.pop(owner, 0)
         self._used_cells -= cells
-        self.occupancy.record(self.sim._now, self._used_cells)
         return cells
 
     def held_by(self, owner: Hashable) -> int:
         return self._allocated.get(owner, 0)
 
     # -- traffic ledger --------------------------------------------------------
-
-    def record_write(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("negative write size")
-        self.bytes_written += nbytes
-
-    def record_read(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("negative read size")
-        self.bytes_read += nbytes
 
     def required_bandwidth_bps(self, elapsed: Optional[float] = None) -> float:
         """Average memory bandwidth the run actually needed."""

@@ -35,7 +35,7 @@ class TxDescriptor:
     vc: VcAddress
     sdu: bytes
     posted_at: float
-    pdu_id: int = field(default_factory=lambda: next(_pdu_ids))
+    pdu_id: int = field(default_factory=_pdu_ids.__next__)
     #: AAL5 CPCS-UU byte passed through to the far end.
     user_indication: int = 0
 

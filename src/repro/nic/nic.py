@@ -178,7 +178,6 @@ class HostNetworkInterface:
             name=f"{name}.rx",
         )
         self.rx_engine.on_completion = self._on_completion
-        self.rx_engine.on_context_evicted = self._evicted_context
         self.rx_engine.on_oam = self._handle_oam
         self._oam_pending: Dict[int, Tuple[Event, float]] = {}
         self._oam_correlations = itertools.count(1)
@@ -201,10 +200,13 @@ class HostNetworkInterface:
             sim,
             timeout=config.reassembly_timeout,
             tick=config.reassembly_tick,
-            on_expire=self._expire_context,
+            on_expire=self.rx_engine.expire_context,
             name=f"{name}.timers",
         )
+        # A context's timer runs from its first cell that leaves it open
+        # until the context closes (completion, failed check, quota).
         self.rx_engine.on_context_activity = self.reassembly_timers.touch
+        self.rx_engine.on_context_closed = self.reassembly_timers.disarm
 
         #: User callback: invoked with each RxCompletion after the host
         #: OS receive path has run.
@@ -301,7 +303,7 @@ class HostNetworkInterface:
         descriptor = TxDescriptor(
             vc=address,
             sdu=sdu,
-            posted_at=self.sim.now,
+            posted_at=self.sim._now,
             user_indication=user_indication,
         )
         if self.tx_ring.offer(descriptor, posted.trigger, descriptor):
@@ -428,17 +430,13 @@ class HostNetworkInterface:
     # -- data path: receive plumbing ---------------------------------------------------
 
     def _on_completion(self, completion: RxCompletion) -> None:
-        self.reassembly_timers.disarm(completion.vc)
-        # Interrupt: entry/exit plus the driver's completion handling.
+        # Interrupt: entry/exit plus the driver's completion handling;
+        # once handled, the OS receive path (copy to user, wakeup,
+        # syscall return) without the driver portion.
         self.interrupts.raise_interrupt_then(
-            self.config.os_costs.driver_rx_cycles, None, self._receive, completion
-        )
-
-    def _receive(self, completion: RxCompletion) -> None:
-        # OS receive path (copy to user, wakeup, syscall return); the
-        # driver portion was already charged in the interrupt handler.
-        self.os.receive_post_interrupt_then(
-            completion.size, self._deliver, completion
+            self.config.os_costs.driver_rx_cycles, None,
+            self.os.receive_post_interrupt_then, completion.size,
+            self._deliver, completion,
         )
 
     def _deliver(self, completion: RxCompletion) -> None:
@@ -460,14 +458,6 @@ class HostNetworkInterface:
     def _peak_rate_of(self, address: VcAddress):
         vc = self.vc_table.lookup(address)
         return vc.peak_rate_bps if vc is not None else None
-
-    def _expire_context(self, vc: VcAddress) -> None:
-        self.rx_engine.expire_context(vc)
-
-    def _evicted_context(self, vc: VcAddress) -> None:
-        # Quota eviction already closed the reassembler context; only
-        # the timer needs disarming.
-        self.reassembly_timers.disarm(vc)
 
     # -- observability ------------------------------------------------------------
 

@@ -47,7 +47,7 @@ from repro.nic.engine import EngineClock
 from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
 from repro.sim.core import Simulator
-from repro.sim.monitor import Counter, ThroughputMeter, WelfordStat
+from repro.sim.monitor import Counter, ThroughputMeter
 
 @dataclass(frozen=True)
 class FrameDiscardPolicy:
@@ -115,8 +115,9 @@ class RxEngine:
                 )
             self.reassembler.max_contexts = context_quota
             self.reassembler.on_evict = self._quota_evicted
-        #: Whether *vc* has a PDU mid-reassembly: one frame per check,
-        #: the same for AAL5 and AAL3/4 (whose data path runs MID 0).
+        #: Whether *vc* has a PDU mid-reassembly, bound once: AAL5's is
+        #: its context table's own ``__contains__`` (no Python frame),
+        #: AAL3/4's a method (its data path runs MID 0).
         self._has_context = self.reassembler.has_context
         # Admission-side frame state for EPD/PPD, kept only under a
         # policy: which VCs are mid-frame (some cells of the current
@@ -130,9 +131,11 @@ class RxEngine:
         #: Called with the VC address whenever a partial PDU makes
         #: progress; the owner uses it to (re)arm reassembly timers.
         self.on_context_activity: Optional[Callable[[VcAddress], None]] = None
-        #: Called with the VC address when the quota evicts its context;
-        #: the owner uses it to disarm the reassembly timer.
-        self.on_context_evicted: Optional[Callable[[VcAddress], None]] = None
+        #: Called with the VC address whenever its reassembly context
+        #: closes: the PDU completed, failed its check, or was evicted
+        #: by the quota.  The owner uses it to disarm the reassembly
+        #: timer there, before the VC's next PDU can arm it.
+        self.on_context_closed: Optional[Callable[[VcAddress], None]] = None
         #: Called with each management (OAM) cell; the owner implements
         #: the loopback function.
         self.on_oam: Optional[Callable[[AtmCell], None]] = None
@@ -154,8 +157,6 @@ class RxEngine:
         self.pdus_no_host_buffer = Counter(f"{name}.no-host-buffer")
         self.cells_no_host_buffer = Counter(f"{name}.no-host-buffer-cells")
         self.throughput = ThroughputMeter(sim)
-        #: Last-cell arrival to host-memory delivery, per PDU.
-        self.completion_latency = WelfordStat()
         #: Observability hooks (repro.obs), copied from the simulator:
         #: a TraceRecorder and a CycleProfiler, or None.  Duck-typed --
         #: the NIC package never imports the obs package.
@@ -392,9 +393,11 @@ class RxEngine:
         if not self.bufmem.allocate(("rx", vc), 1):
             self._no_buffer(vc, cell)
         else:
-            self.bufmem.record_write(PAYLOAD_SIZE)
+            self.bufmem.bytes_written += PAYLOAD_SIZE
             indication = self.reassembler.receive_cell(cell, now=self.sim._now)
             if indication is not None:
+                if self.on_context_closed is not None:
+                    self.on_context_closed(vc)
                 self._complete(vc, cell, indication)
             elif self._has_context(vc):
                 # The context survived reassembly: the PDU progressed.
@@ -404,6 +407,8 @@ class RxEngine:
                 # The reassembler closed the context with a failure
                 # verdict (CRC/length/oversize): reclaim the buffer.
                 self.bufmem.release(("rx", vc))
+                if self.on_context_closed is not None:
+                    self.on_context_closed(vc)
         self.fifo.pull(self._take)
 
     def _no_buffer(self, vc: VcAddress, cell: AtmCell) -> None:
@@ -441,8 +446,9 @@ class RxEngine:
         tens of cell slots per completion, which is exactly the overrun
         the architecture's separate DMA hardware exists to prevent.
         """
-        arrived = self.sim.now
-        self.bufmem.record_read(indication.size)
+        arrived = self.sim._now
+        size = len(indication.sdu)
+        self.bufmem.bytes_read += size
         self.bufmem.release(("rx", vc))
         if self.trace is not None:
             self.trace.emit(
@@ -450,14 +456,14 @@ class RxEngine:
                 actor=self.name,
                 cell=last_cell,
                 cells=indication.cells,
-                size=indication.size,
+                size=size,
             )
-        host_buffer = self.buffer_pool.allocate(owner=str(vc))
-        if host_buffer is None or host_buffer.capacity < indication.size:
+        host_buffer = self.buffer_pool.allocate()
+        if host_buffer is None or host_buffer.capacity < size:
             if host_buffer is not None:
                 self.buffer_pool.release(host_buffer)
-            self.pdus_no_host_buffer.increment()
-            self.cells_no_host_buffer.increment(indication.cells)
+            self.pdus_no_host_buffer.count += 1
+            self.cells_no_host_buffer.count += indication.cells
             if self.trace is not None:
                 self.trace.emit(
                     "pdu.drop",
@@ -470,7 +476,7 @@ class RxEngine:
         # The DMA engine serves one transfer at a time, so back-to-back
         # completions transfer strictly in order.
         self.dma.transfer_then(
-            indication.size,
+            size,
             self._deliver_to_host,
             vc,
             last_cell,
@@ -487,22 +493,21 @@ class RxEngine:
         host_buffer,
         arrived: float,
     ) -> None:
-        host_buffer.write(indication.sdu)
-
+        sdu = indication.sdu
+        host_buffer.write(sdu)
         completion = RxCompletion(
             vc=vc,
-            sdu=indication.sdu,
+            sdu=sdu,
             buffer=host_buffer,
             received_at=arrived,
-            delivered_at=self.sim.now,
+            delivered_at=self.sim._now,
             cells=indication.cells,
             user_indication=indication.user_indication,
             posted_at=last_cell.meta.get("posted_at"),
         )
-        self.pdus_delivered.increment()
-        self.cells_delivered_to_host.increment(indication.cells)
-        self.throughput.account(indication.size)
-        self.completion_latency.add(self.sim.now - arrived)
+        self.pdus_delivered.count += 1
+        self.cells_delivered_to_host.count += indication.cells
+        self.throughput.bytes_total += len(sdu)
         if self.on_completion is not None:
             self.on_completion(completion)
 
@@ -513,8 +518,8 @@ class RxEngine:
         self.bufmem.release(("rx", vc))
         if self.trace is not None:
             self.trace.emit("rx.context.evicted", actor=self.name, vc=vc)
-        if self.on_context_evicted is not None:
-            self.on_context_evicted(vc)
+        if self.on_context_closed is not None:
+            self.on_context_closed(vc)
 
     def expire_context(self, vc: VcAddress) -> bool:
         """Reassembly-timeout hook: abort a stale partial PDU."""

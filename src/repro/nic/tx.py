@@ -35,7 +35,7 @@ from repro.nic.engine import EngineClock
 from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
 from repro.sim.core import Simulator
-from repro.sim.monitor import Counter, ThroughputMeter, WelfordStat
+from repro.sim.monitor import Counter, ThroughputMeter
 
 class TxEngine:
     """The programmable segmentation engine."""
@@ -73,6 +73,10 @@ class TxEngine:
         #: stream.  Duck-typed -- the NIC package never imports repro.tm.
         self.abr = None
         self.name = name
+        # The three per-PDU step charges, read once: the budget is frozen.
+        self._prologue_charge = costs.pdu_step_charge("prologue")
+        self._dma_setup_charge = costs.pdu_step_charge("dma_setup")
+        self._completion_charge = costs.pdu_step_charge("completion")
         self._segmenters: Dict[VcAddress, object] = {}
         self._next_slot: Dict[VcAddress, float] = {}
         #: Called with the descriptor when its status writeback completes.
@@ -82,8 +86,6 @@ class TxEngine:
         self.pacing_stalls = Counter(f"{name}.pacing-stalls")
         self.pdus_stalled_for_buffer = Counter(f"{name}.buffer-stalls")
         self.throughput = ThroughputMeter(sim)
-        #: Descriptor-posted to completion-writeback time per PDU.
-        self.service_time = WelfordStat()
         #: Observability hooks (repro.obs), copied from the simulator:
         #: a TraceRecorder and a CycleProfiler, or None.  Duck-typed --
         #: the NIC package never imports the obs package.
@@ -140,7 +142,7 @@ class TxEngine:
 
     def _prologue(self, descriptor: TxDescriptor) -> None:
         self._descriptor = descriptor
-        self._pdu_started = self.sim.now
+        self._pdu_started = self.sim._now
         if self.trace is not None:
             self.trace.emit(
                 "tx.pdu.posted",
@@ -153,13 +155,13 @@ class TxEngine:
         # template, program the host-memory DMA.  Each step's ops reach
         # the profiler as they are charged, so a run cut off mid-PDU
         # still reconciles with the engine clock.
-        ops, cycles = self.costs.pdu_step_charge("prologue")
+        ops, cycles = self._prologue_charge
         if self.profiler is not None:
             self.profiler.record_pdu("tx", ops)
         self.clock.work(cycles, "tx-pdu-prologue", self._dma_setup)
 
     def _dma_setup(self) -> None:
-        ops, cycles = self.costs.pdu_step_charge("dma_setup")
+        ops, cycles = self._dma_setup_charge
         if self.profiler is not None:
             self.profiler.record_ops("tx", ops)
         self.clock.work(cycles, "tx-dma-setup", self._stage)
@@ -171,9 +173,10 @@ class TxEngine:
         stall, never a loss, on transmit.
         """
         descriptor = self._descriptor
-        n_cells = self.glue.cells_for(descriptor.size)
+        size = len(descriptor.sdu)
+        n_cells = self.glue.cells_for(size)
         if not self.bufmem.allocate(("tx", descriptor.pdu_id), n_cells):
-            self.pdus_stalled_for_buffer.increment()
+            self.pdus_stalled_for_buffer.count += 1
             if self.trace is not None:
                 self.trace.emit(
                     "tx.pdu.bufstall",
@@ -183,18 +186,19 @@ class TxEngine:
                 )
             self.sim.schedule_call(self.fifo.depth_cells * 1e-7, self._stage)
             return
-        self.dma.transfer_then(descriptor.size, self._segment)
+        self.dma.transfer_then(size, self._segment)
 
     def _segment(self) -> None:
         descriptor = self._descriptor
-        self.bufmem.record_write(descriptor.size)
+        size = len(descriptor.sdu)
+        self.bufmem.bytes_written += size
         if self.trace is not None:
             self.trace.emit(
                 "tx.pdu.staged",
                 actor=self.name,
                 pdu_id=descriptor.pdu_id,
                 vc=descriptor.vc,
-                cells=self.glue.cells_for(descriptor.size),
+                cells=self.glue.cells_for(size),
             )
         # Segment (functionally real cells) and emit.
         self._cells = self.glue.segment(
@@ -246,9 +250,9 @@ class TxEngine:
             if dynamic is not None:
                 self._interval = dynamic
         slot = self._next_slot.get(descriptor.vc, 0.0)
-        now = self.sim.now
+        now = self.sim._now
         if now < slot:
-            self.pacing_stalls.increment()
+            self.pacing_stalls.count += 1
             if self.trace is not None:
                 self.trace.emit(
                     "tx.cell.paced",
@@ -263,14 +267,14 @@ class TxEngine:
 
     def _paced(self, slot: float) -> None:
         self._next_slot[self._descriptor.vc] = (
-            max(self.sim.now, slot) + self._interval
+            max(self.sim._now, slot) + self._interval
         )
         self._emit()
 
     def _emit(self) -> None:
         descriptor = self._descriptor
         cell = self._cells[self._index]
-        self.bufmem.record_read(PAYLOAD_SIZE)
+        self.bufmem.bytes_read += PAYLOAD_SIZE
         cell.meta["pdu_id"] = descriptor.pdu_id
         cell.meta["posted_at"] = descriptor.posted_at
         if self.trace is not None:
@@ -306,7 +310,7 @@ class TxEngine:
 
     def _completion(self) -> None:
         """Completion status back to the host."""
-        ops, cycles = self.costs.pdu_step_charge("completion")
+        ops, cycles = self._completion_charge
         if self.profiler is not None:
             self.profiler.record_ops("tx", ops)
         self.clock.work(cycles, "tx-pdu-completion", self._pdu_done)
@@ -314,10 +318,8 @@ class TxEngine:
     def _pdu_done(self) -> None:
         descriptor = self._descriptor
         self.bufmem.release(("tx", descriptor.pdu_id))
-        self.pdus_sent.increment()
-        self.throughput.account(descriptor.size)
-        service_time = self.sim.now - self._pdu_started
-        self.service_time.add(service_time)
+        self.pdus_sent.count += 1
+        self.throughput.bytes_total += len(descriptor.sdu)
         if self.trace is not None:
             self.trace.emit(
                 "tx.pdu.done",
@@ -325,7 +327,7 @@ class TxEngine:
                 pdu_id=descriptor.pdu_id,
                 vc=descriptor.vc,
                 cells=len(self._cells),
-                service_time=service_time,
+                service_time=self.sim._now - self._pdu_started,
             )
         if self.on_pdu_sent is not None:
             self.on_pdu_sent(descriptor)

@@ -62,6 +62,13 @@ class TestCrc32:
         assert plain.compute(b"123456789") == plain.bitwise_reference(
             b"123456789"
         )
+        # A zero initial register: the one-shot path's start register is
+        # derived from *initial*, not fixed at all-ones.
+        posix = CrcAlgorithm("crc32-posix", 32, 0x04C11DB7, 0, 0xFFFFFFFF)
+        assert posix.compute(b"123456789") == 0x765E7680
+        assert posix.compute(b"123456789") == posix.bitwise_reference(
+            b"123456789"
+        )
 
 
 class TestCrc32AgainstBitSerial:

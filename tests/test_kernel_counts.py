@@ -1,9 +1,10 @@
 """Pinned kernel counts: events processed and peak queue, per scenario.
 
 Seconds vary by host; these counts do not.  Each scenario is fixed, so
-its ``events_processed`` and ``peak_queue_occupancy`` are exact.  A
-change that lowers a pin updates it and states the delta; a change
-that raises one says why.
+its ``events_processed`` and ``peak_queue_occupancy`` are exact, and so
+are the Python-level calls of two exchanges: the quickstart (per-cell
+work) and 16 VCs of small PDUs (per-PDU work).  A change that lowers a
+pin updates it and states the delta; a change that raises one says why.
 """
 
 import gc
@@ -54,19 +55,33 @@ def _quickstart():
     return sim, delivered
 
 
-def test_quickstart_exchange():
-    sim, delivered = _quickstart()
-    sim.run(until=0.05)
-    assert len(delivered) == 5
-    assert _counts(sim) == (3474, 7)
+def _small_pdus():
+    """16 VCs between two NICs, 4 PDUs of 40-256 bytes each: the per-PDU
+    path (OS send, descriptor, DMA, interrupt, OS receive) at 1-6 cells
+    per PDU."""
+    sim = Simulator()
+    alice = HostNetworkInterface(sim, aurora_oc3(), name="alice")
+    bob = HostNetworkInterface(sim, aurora_oc3(), name="bob")
+    connect(sim, alice, bob)
+    vcs = []
+    for _ in range(16):
+        vc = alice.open_vc()
+        bob.open_vc(address=vc.address)
+        vcs.append(vc.address)
+    delivered = []
+    bob.on_pdu = delivered.append
+    for index in range(4 * len(vcs)):
+        alice.send(vcs[index % len(vcs)], bytes(40 + 37 * index % 217))
+    return sim, delivered
 
 
-def test_quickstart_python_calls():
-    # Python-level calls into repro functions during the run: the
-    # per-cell frames the datapath pays.  Frames named "<...>"
-    # (comprehensions, lambdas) are left out, so the count is the same
-    # whether or not the interpreter inlines comprehensions.
-    sim, delivered = _quickstart()
+def _python_calls(sim, until):
+    """Python-level calls into repro functions while *sim* runs to *until*.
+
+    Frames named "<...>" (comprehensions, lambdas) are left out, so the
+    count is the same whether or not the interpreter inlines
+    comprehensions.
+    """
     package = os.path.dirname(repro.__file__) + os.sep
     calls = 0
 
@@ -87,13 +102,42 @@ def test_quickstart_python_calls():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        sim.run(until=0.05)
+        sim.run(until=until)
     finally:
         sys.setprofile(previous)
         if gc_was_enabled:
             gc.enable()
+    return calls
+
+
+def test_quickstart_exchange():
+    sim, delivered = _quickstart()
+    sim.run(until=0.05)
     assert len(delivered) == 5
-    assert calls == 30921
+    assert _counts(sim) == (3474, 7)
+
+
+def test_quickstart_python_calls():
+    # The per-cell frames the datapath pays.
+    sim, delivered = _quickstart()
+    calls = _python_calls(sim, 0.05)
+    assert len(delivered) == 5
+    assert calls == 25087
+
+
+def test_small_pdus_exchange():
+    sim, delivered = _small_pdus()
+    sim.run(until=0.05)
+    assert len(delivered) == 64
+    assert _counts(sim) == (1802, 8)
+
+
+def test_small_pdus_python_calls():
+    # The per-PDU frames the host steps and the engines' PDU steps pay.
+    sim, delivered = _small_pdus()
+    calls = _python_calls(sim, 0.05)
+    assert len(delivered) == 64
+    assert calls == 11804
 
 
 def test_short_f2_point(monkeypatch):

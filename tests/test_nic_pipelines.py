@@ -1,12 +1,14 @@
 """TX/RX pipeline behaviour in isolation."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
 from repro.aal.aal5 import Aal5Segmenter, cells_for_sdu
-from repro.aal.interface import AalError
+from repro.aal.interface import AalError, ReassemblyFailure
 from repro.atm import AtmCell, PhysicalLink, VcAddress
+from repro.atm.errors import ScheduledLoss, UniformLoss
 from repro.atm.link import LinkSpec
 from repro.nic import HostNetworkInterface, aurora_oc3, connect
 from repro.nic.config import NicConfig
@@ -173,6 +175,32 @@ class TestRxPipeline:
         assert not nic.rx_engine.reassembler.has_context(vc.address)
         assert nic.reassembly_timers.expirations.count == 1
         assert nic.buffer_memory.used_cells == 0
+
+    def test_completion_does_not_disarm_the_next_pdus_timer(self, sim):
+        # Two back-to-back 9,180-byte PDUs on one VC; the link dies for
+        # good during the second.  The first PDU's receive DMA ends about
+        # 97 us after its EOF cell, when the second PDU's cells have
+        # already armed the VC's timer: the first PDU's completion must
+        # not disarm it, or the second's context is never timed out and
+        # holds its buffer cells for ever.
+        a = build_nic(sim, name="a")
+        b = build_nic(sim, name="b")
+        connect(
+            sim, a, b,
+            loss_ab=ScheduledLoss(UniformLoss(1.0), 1.044e-3, math.inf),
+        )
+        vc = a.open_vc()
+        b.open_vc(address=vc.address)
+        delivered = []
+        b.on_pdu = delivered.append
+        a.send(vc.address, bytes(9180))
+        a.send(vc.address, bytes(9180))
+        sim.run(until=1.0)  # the timeout is 0.5 s
+        reassembler = b.rx_engine.reassembler
+        assert len(delivered) == 1
+        assert reassembler.stats.failure_count(ReassemblyFailure.TIMEOUT) == 1
+        assert reassembler.active_contexts() == 0
+        assert b.buffer_memory.used_cells == 0
 
     def test_buffer_memory_reclaimed_after_delivery(self, sim):
         nic = build_nic(sim)
