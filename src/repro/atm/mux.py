@@ -43,8 +43,8 @@ class OutputPort:
     non-empty a serialization is started, and each serialization's
     completion pulls the next cell.  Occupancy is tracked time-weighted
     so buffer-sizing experiments read the mean/max directly, and
-    per-VC tallies expose who is queueing (and who is losing) for
-    fairness analysis.
+    per-VC tallies expose who is losing for fairness analysis; who is
+    queueing is counted from the queue when asked.
     """
 
     def __init__(
@@ -80,7 +80,6 @@ class OutputPort:
         self.occupancy = TimeWeightedStat(sim.now, 0)
         self._vc_enqueued: Dict[VcAddress, int] = {}
         self._vc_dropped: Dict[VcAddress, int] = {}
-        self._vc_queued: Dict[VcAddress, int] = {}
         #: Observability hook (repro.obs), copied from the simulator: a
         #: TraceRecorder, or None.
         self.trace = sim.trace
@@ -152,7 +151,6 @@ class OutputPort:
         queue.append(cell)
         self.enqueued.count += 1
         self._vc_enqueued[vc] = self._vc_enqueued.get(vc, 0) + 1
-        self._vc_queued[vc] = self._vc_queued.get(vc, 0) + 1
         self.occupancy.record(self.sim._now, len(queue))
         if not self._draining:
             self._drain_next()
@@ -167,12 +165,6 @@ class OutputPort:
             return
         self._draining = True
         cell = self._queue.popleft()
-        vc = cell.vc
-        queued = self._vc_queued.get(vc, 0)
-        if queued > 1:
-            self._vc_queued[vc] = queued - 1
-        else:
-            self._vc_queued.pop(vc, None)
         self.occupancy.record(self.sim._now, len(self._queue))
         self.link.send(cell, self._drain_next)
 
@@ -185,11 +177,16 @@ class OutputPort:
 
     def occupancy_of(self, vc: VcAddress) -> int:
         """Cells of *vc* sitting in the buffer right now."""
-        return self._vc_queued.get(vc, 0)
+        return sum(1 for cell in self._queue if cell.vc == vc)
 
     def occupancy_by_vc(self) -> Dict[VcAddress, int]:
-        """Current buffer occupancy itemised by VC."""
-        return dict(self._vc_queued)
+        """Current buffer occupancy itemised by VC, each VC keyed in the
+        order of its oldest queued cell."""
+        counts: Dict[VcAddress, int] = {}
+        for cell in self._queue:
+            vc = cell.vc
+            counts[vc] = counts.get(vc, 0) + 1
+        return counts
 
     def loss_ratio_by_vc(self) -> Dict[VcAddress, float]:
         """Per-VC drop fraction, for fairness analysis."""

@@ -221,12 +221,10 @@ class SignallingAgent:
         #: otherwise head-of-line block the interface (docs/SCALE.md).
         self.shape_data_vcs = shape_data_vcs
         self._rng = (streams or RandomStreams(0)).stream(f"{self.name}.backoff")
+        #: The calls not yet in a terminal state, in creation order: a
+        #: call leaves when it is released, refused or abandoned.
         self._calls: Dict[int, Call] = {}
         self._call_refs = itertools.count(1)
-        #: Every call object this agent ever created (caller or callee
-        #: side), terminal or not -- the basis for "no call left in a
-        #: non-terminal state" audits.
-        self.call_log: List[Call] = []
         self.messages_sent = Counter(f"{self.name}.sent")
         self.messages_received = Counter(f"{self.name}.received")
         self.calls_refused = Counter(f"{self.name}.refused")
@@ -245,6 +243,12 @@ class SignallingAgent:
         #: or timer-forced) -- admission control uses it to drain the
         #: booked budgets (see repro.tm.cac).
         self.on_call_released: Optional[Callable[[Call], None]] = None
+        self._handlers: Dict[MessageType, Callable[[SignallingMessage], None]] = {
+            MessageType.SETUP: self._on_setup,
+            MessageType.CONNECT: self._on_connect,
+            MessageType.RELEASE: self._on_release,
+            MessageType.RELEASE_COMPLETE: self._on_release_complete,
+        }
 
         self._open_signalling_channel()
         sim.components.append(self)
@@ -296,7 +300,6 @@ class SignallingAgent:
             released=self.sim.event(),
         )
         self._calls[call_ref] = call
-        self.call_log.append(call)
         self._send(
             SignallingMessage(
                 MessageType.SETUP,
@@ -346,7 +349,7 @@ class SignallingAgent:
     def unresolved_calls(self) -> List[Call]:
         """Calls stuck mid-handshake: neither ACTIVE nor terminal."""
         pending = (CallState.IDLE, CallState.CALL_INITIATED, CallState.RELEASING)
-        return [c for c in self.call_log if c.state in pending]
+        return [c for c in self._calls.values() if c.state in pending]
 
     # -- retransmission timers ----------------------------------------------
 
@@ -403,9 +406,14 @@ class SignallingAgent:
             return
         # Forced local clear: the peer never confirmed, release anyway.
         self._calls.pop(call.call_ref, None)
-        call.state = CallState.RELEASED
         self.calls_timed_out.increment()
         self._emit("sig.call.timeout", message="RELEASE", call_ref=call.call_ref)
+        self._clear(call)
+
+    def _clear(self, call: Call) -> None:
+        """The call is released: close its VC, tell the hook, fire
+        ``released``."""
+        call.state = CallState.RELEASED
         if call.address is not None and call.address in self.interface.vc_table:
             self.interface.close_vc(call.address)
         if self.on_call_released is not None:
@@ -417,13 +425,7 @@ class SignallingAgent:
 
     def _handle(self, message: SignallingMessage) -> None:
         self.messages_received.increment()
-        handler = {
-            MessageType.SETUP: self._on_setup,
-            MessageType.CONNECT: self._on_connect,
-            MessageType.RELEASE: self._on_release,
-            MessageType.RELEASE_COMPLETE: self._on_release_complete,
-        }[message.message_type]
-        handler(message)
+        self._handlers[message.message_type](message)
 
     def _on_setup(self, message: SignallingMessage) -> None:
         existing = self._calls.get(message.call_ref)
@@ -460,7 +462,6 @@ class SignallingAgent:
             released=self.sim.event(),
         )
         self._calls[message.call_ref] = call
-        self.call_log.append(call)
         if self.on_call_active is not None:
             self.on_call_active(call)
         self._send(
@@ -492,13 +493,7 @@ class SignallingAgent:
     def _on_release(self, message: SignallingMessage) -> None:
         call = self._calls.pop(message.call_ref, None)
         if call is not None:
-            call.state = CallState.RELEASED
-            if call.address is not None and call.address in self.interface.vc_table:
-                self.interface.close_vc(call.address)
-            if self.on_call_released is not None:
-                self.on_call_released(call)
-            if call.released is not None and not call.released.triggered:
-                call.released.trigger(None)
+            self._clear(call)
         self._send(
             SignallingMessage(MessageType.RELEASE_COMPLETE, message.call_ref)
         )
@@ -512,13 +507,7 @@ class SignallingAgent:
             call.state = CallState.REFUSED
             call.connected.fail(CallRefused(call.call_ref))
             return
-        call.state = CallState.RELEASED
-        if call.address is not None and call.address in self.interface.vc_table:
-            self.interface.close_vc(call.address)
-        if self.on_call_released is not None:
-            self.on_call_released(call)
-        if call.released is not None and not call.released.triggered:
-            call.released.trigger(None)
+        self._clear(call)
 
 
 class CallRefused(Exception):

@@ -71,7 +71,8 @@ class AtmSwitch:
         self.output_ports = output_ports
         self.fabric_delay = fabric_delay
         self.name = name
-        self._routes: Dict[Tuple[int, VcAddress], List[RoutingEntry]] = {}
+        #: (input port, VC) -> [(entry, whether it relabels)].
+        self._routes: Dict[Tuple[int, VcAddress], List[tuple]] = {}
         self.cells_switched = Counter(f"{name}.switched")
         self.cells_unroutable = Counter(f"{name}.unroutable")
         #: Traffic-management hook (repro.tm.erica): an object with an
@@ -96,14 +97,17 @@ class AtmSwitch:
 
         The outgoing label is checked here against the limits a cell
         header can carry (NNI), so a bad entry fails when installed,
-        not when its first cell is relabelled.
+        not when its first cell is relabelled; whether it relabels at
+        all is decided here too.
         """
         if not 0 <= entry.out_port < len(self.output_ports):
             raise ValueError(
                 f"out_port {entry.out_port} outside 0..{len(self.output_ports) - 1}"
             )
-        VcAddress.validated(entry.out_vpi, entry.out_vci, nni=True)
-        self._routes.setdefault((in_port, in_address), []).append(entry)
+        out_address = VcAddress.validated(entry.out_vpi, entry.out_vci, nni=True)
+        self._routes.setdefault((in_port, in_address), []).append(
+            (entry, out_address != in_address)
+        )
 
     def remove_routes(self, in_port: int, in_address: VcAddress) -> int:
         """Drop every entry for the given input VC; returns how many."""
@@ -113,16 +117,23 @@ class AtmSwitch:
     def route_for(
         self, in_port: int, in_address: VcAddress
     ) -> Optional[List[RoutingEntry]]:
-        return self._routes.get((in_port, in_address))
+        entries = self._routes.get((in_port, in_address))
+        return None if entries is None else [entry for entry, _ in entries]
 
     def receive(self, in_port: int, cell: AtmCell) -> None:
-        """Cell arrival on *in_port*: translate, transit fabric, enqueue."""
+        """Cell arrival on *in_port*: translate, transit fabric, enqueue.
+
+        Cells are immutable, so an entry that keeps the label hands on
+        the received cell; only a relabelling entry builds a new one.
+        """
         entries = self._routes.get((in_port, cell.vc))
         if not entries:
             self.cells_unroutable.increment()
             return
-        for entry in entries:
-            translated = cell.with_header(vpi=entry.out_vpi, vci=entry.out_vci)
+        for entry, relabels in entries:
+            translated = cell
+            if relabels:
+                translated = cell.with_header(vpi=entry.out_vpi, vci=entry.out_vci)
             self.cells_switched.count += 1
             if self.tm is not None:
                 translated = self.tm.on_cell(

@@ -11,7 +11,7 @@ ground truth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from repro.atm.addressing import MAX_VCI, RESERVED_VCI_LIMIT, VcAddress
@@ -43,18 +43,6 @@ class VcState(enum.Enum):
 
 
 @dataclass
-class VcStats:
-    """Per-VC cell accounting."""
-
-    cells_sent: int = 0
-    cells_received: int = 0
-    cells_dropped: int = 0
-    pdus_sent: int = 0
-    pdus_received: int = 0
-    pdus_errored: int = 0
-
-
-@dataclass
 class VirtualConnection:
     """One open virtual channel and its traffic contract."""
 
@@ -64,7 +52,6 @@ class VirtualConnection:
     peak_rate_bps: Optional[float] = None
     name: str = ""
     state: VcState = VcState.OPEN
-    stats: VcStats = field(default_factory=VcStats)
 
     def __post_init__(self) -> None:
         if self.peak_rate_bps is not None and self.peak_rate_bps <= 0:

@@ -20,7 +20,7 @@ from typing import Any, Callable, Deque, Optional
 
 from repro.host.bus import SystemBus
 from repro.sim.core import Simulator
-from repro.sim.monitor import Counter, WelfordStat
+from repro.sim.monitor import Counter
 
 #: One transfer: bytes, the continuation and its args, time requested.
 _Transfer = tuple[int, Callable[..., Any], tuple[Any, ...], float]
@@ -61,7 +61,6 @@ class DmaEngine:
         self._active = False
         self.transfers = Counter(f"{name}.transfers")
         self.bytes_moved = Counter(f"{name}.bytes")
-        self.latency = WelfordStat()
         #: Observability hook (repro.obs), copied from the simulator: a
         #: TraceRecorder, or None.
         self.trace = sim.trace
@@ -100,11 +99,10 @@ class DmaEngine:
         nbytes, then, args, started = transfer
         self.transfers.count += 1
         self.bytes_moved.count += nbytes
-        latency = self.sim._now - started
-        self.latency.add(latency)
         if self.trace is not None:
             self.trace.emit(
-                "dma.done", actor=self.name, bytes=nbytes, latency=latency,
+                "dma.done", actor=self.name, bytes=nbytes,
+                latency=self.sim._now - started,
             )
         then(*args)
         if self._waiting:

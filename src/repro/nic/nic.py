@@ -157,8 +157,8 @@ class HostNetworkInterface:
             self.tx_dma,
             self.tx_fifo,
             self.buffer_memory,
+            self.vc_table,
             glue=self.sar_glue,
-            rate_of=self._peak_rate_of,
             name=f"{name}.tx",
         )
         self.framer = Framer(sim, self.tx_fifo, name=f"{name}.framer")
@@ -261,8 +261,10 @@ class HostNetworkInterface:
         return vc
 
     def close_vc(self, address: VcAddress) -> None:
-        """Tear down a VC, reclaiming CAM entry and reassembly state."""
+        """Tear down a VC, reclaiming its transmit state, CAM entry and
+        reassembly state."""
         self.vc_table.close(address)
+        self.tx_engine.drop_vc(address)
         if self.cam is not None:
             self.cam.remove(address)
         self.rx_engine.expire_context(address)
@@ -454,10 +456,6 @@ class HostNetworkInterface:
             )
         if self.on_pdu is not None:
             self.on_pdu(completion)
-
-    def _peak_rate_of(self, address: VcAddress):
-        vc = self.vc_table.lookup(address)
-        return vc.peak_rate_bps if vc is not None else None
 
     # -- observability ------------------------------------------------------------
 

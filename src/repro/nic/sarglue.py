@@ -17,17 +17,11 @@ costs (building/parsing the SAR fields), so the efficiency comparison
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Callable, List, Protocol
 
-from repro.aal.aal5 import (
-    AAL5_MAX_SDU,
-    Aal5Reassembler,
-    Aal5Segmenter,
-    cells_for_sdu,
-)
+from repro.aal.aal5 import AAL5_MAX_SDU, Aal5Reassembler, Aal5Segmenter
 from repro.aal.aal34 import (
     AAL34_MAX_SDU,
-    AAL34_SAR_PAYLOAD,
     Aal34Reassembler,
     Aal34Segmenter,
     SarSegmentType,
@@ -44,13 +38,11 @@ class SarGlue(Protocol):
     tx_extra_cycles: int
     rx_extra_cycles: int
 
-    def cells_for(self, sdu_size: int) -> int: ...  # pragma: no cover
-
     def check_sdu(self, sdu_size: int, uu: int) -> None: ...  # pragma: no cover
 
-    def make_segmenter(self, vc: VcAddress): ...  # pragma: no cover
-
-    def segment(self, segmenter, sdu: bytes, uu: int): ...  # pragma: no cover
+    def segmenter_for(
+        self, vc: VcAddress
+    ) -> Callable[[bytes, int], List[AtmCell]]: ...  # pragma: no cover
 
     def make_reassembler(self): ...  # pragma: no cover
 
@@ -66,9 +58,6 @@ class Aal5Glue:
     tx_extra_cycles = 0
     rx_extra_cycles = 0
 
-    def cells_for(self, sdu_size: int) -> int:
-        return cells_for_sdu(sdu_size)
-
     def check_sdu(self, sdu_size: int, uu: int) -> None:
         """Raise :class:`AalError` for an SDU this layer cannot carry."""
         if sdu_size > AAL5_MAX_SDU:
@@ -76,11 +65,9 @@ class Aal5Glue:
         if not 0 <= uu <= 0xFF:
             raise AalError(f"CPCS-UU {uu} is not a single byte")
 
-    def make_segmenter(self, vc: VcAddress) -> Aal5Segmenter:
-        return Aal5Segmenter(vc)
-
-    def segment(self, segmenter: Aal5Segmenter, sdu: bytes, uu: int):
-        return segmenter.segment(sdu, uu=uu)
+    def segmenter_for(self, vc: VcAddress) -> Callable[[bytes, int], List[AtmCell]]:
+        """*vc*'s segmenting call: ``segment(sdu, uu)`` returns the cells."""
+        return Aal5Segmenter(vc).segment
 
     def make_reassembler(self) -> Aal5Reassembler:
         return Aal5Reassembler()
@@ -115,10 +102,6 @@ class Aal34Glue:
     rx_extra_cycles = 6
     MID = 0
 
-    def cells_for(self, sdu_size: int) -> int:
-        cpcs = 4 + sdu_size + (-sdu_size % 4) + 4
-        return -(-cpcs // AAL34_SAR_PAYLOAD)
-
     def check_sdu(self, sdu_size: int, uu: int) -> None:
         """Raise :class:`AalError` for an SDU this layer cannot carry.
 
@@ -127,12 +110,11 @@ class Aal34Glue:
         if sdu_size > AAL34_MAX_SDU:
             raise AalError(f"SDU of {sdu_size} bytes exceeds AAL3/4 maximum")
 
-    def make_segmenter(self, vc: VcAddress) -> Aal34Segmenter:
-        return Aal34Segmenter(vc, mid=self.MID)
-
-    def segment(self, segmenter: Aal34Segmenter, sdu: bytes, uu: int):
+    def segmenter_for(self, vc: VcAddress) -> Callable[[bytes, int], List[AtmCell]]:
+        """*vc*'s segmenting call: ``segment(sdu, uu)`` returns the cells."""
+        segment = Aal34Segmenter(vc, mid=self.MID).segment
         # AAL3/4 has no CPCS-UU byte; the indication is dropped.
-        return segmenter.segment(sdu)
+        return lambda sdu, uu: segment(sdu)
 
     def make_reassembler(self) -> Aal34Reassembler:
         return Aal34Reassembler()

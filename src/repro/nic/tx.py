@@ -14,7 +14,10 @@ The engine's firmware loop, as the paper's analysis budgets it:
 Each step is a callback: it books its cycles with ``clock.work(cycles,
 tag, next_step)`` and the clock calls the next step when the engine has
 done the work.  The PDU in service is a small state on the engine --
-descriptor, cells, next index and pacing interval.
+descriptor, its VC's state, cells, next index and pacing interval.
+Each VC's state (its segmenting call, static pacing interval and next
+pacing slot) is resolved on the VC's first PDU and dropped when the VC
+closes, so the per-PDU steps do no per-connection lookup.
 
 The framer (pure hardware in the real adaptor; here two callbacks)
 drains the FIFO one cell per link slot.
@@ -27,6 +30,7 @@ from typing import Callable, Dict, List, Optional
 from repro.atm.addressing import VcAddress
 from repro.atm.cell import PAYLOAD_SIZE, AtmCell
 from repro.atm.link import PhysicalLink
+from repro.atm.vc import VcTable
 from repro.host.dma import DmaEngine
 from repro.nic.bufmem import AdaptorBufferMemory
 from repro.nic.costs import CellPosition, TxCostModel
@@ -36,6 +40,20 @@ from repro.nic.fifo import CellFifo
 from repro.nic.sarglue import Aal5Glue, SarGlue
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter, ThroughputMeter
+
+
+class _VcState:
+    """One VC's transmit state: its segmenting call ``segment(sdu, uu)``,
+    the seconds between cells of its peak-rate contract (None: unpaced)
+    and the earliest time its next paced cell may go."""
+
+    __slots__ = ("segment", "interval", "next_slot")
+
+    def __init__(self, segment: Callable, interval: Optional[float]) -> None:
+        self.segment = segment
+        self.interval = interval
+        self.next_slot = 0.0
+
 
 class TxEngine:
     """The programmable segmentation engine."""
@@ -49,8 +67,8 @@ class TxEngine:
         dma: DmaEngine,
         fifo: CellFifo,
         bufmem: AdaptorBufferMemory,
+        vc_table: VcTable,
         glue: Optional[SarGlue] = None,
-        rate_of: Optional[Callable[[VcAddress], Optional[float]]] = None,
         name: str = "tx",
     ) -> None:
         self.sim = sim
@@ -60,12 +78,11 @@ class TxEngine:
         self.dma = dma
         self.fifo = fifo
         self.bufmem = bufmem
+        #: The open VCs and their contracts.  A VC opened with a peak
+        #: rate has its cells spaced to it, so the network's GCRA policer
+        #: sees conforming traffic (see repro.atm.policing).
+        self.vc_table = vc_table
         self.glue = glue if glue is not None else Aal5Glue()
-        #: Optional traffic-contract lookup: peak rate in bits/second for
-        #: a VC, or None for unpaced.  Paced VCs have their cells spaced
-        #: to the contract so the network's GCRA policer sees conforming
-        #: traffic (see repro.atm.policing).
-        self.rate_of = rate_of
         #: Closed-loop rate control hook (repro.tm.abr): an AbrAgent, or
         #: None.  When set, VCs registered with the agent pace at their
         #: dynamic allowed cell rate instead of the static contract, and
@@ -77,8 +94,8 @@ class TxEngine:
         self._prologue_charge = costs.pdu_step_charge("prologue")
         self._dma_setup_charge = costs.pdu_step_charge("dma_setup")
         self._completion_charge = costs.pdu_step_charge("completion")
-        self._segmenters: Dict[VcAddress, object] = {}
-        self._next_slot: Dict[VcAddress, float] = {}
+        #: Each open VC's state, from its first PDU until it closes.
+        self._vcs: Dict[VcAddress, _VcState] = {}
         #: Called with the descriptor when its status writeback completes.
         self.on_pdu_sent: Optional[Callable[[TxDescriptor], None]] = None
         self.pdus_sent = Counter(f"{name}.pdus")
@@ -93,9 +110,11 @@ class TxEngine:
         self.profiler = sim.profiler
         self._started = False
         # The PDU in service: its descriptor, when the engine took it,
-        # its cells, the next cell's index and the pacing interval.
+        # its VC's state, its cells, the next cell's index and the
+        # pacing interval.
         self._descriptor: Optional[TxDescriptor] = None
         self._pdu_started = 0.0
+        self._vc: Optional[_VcState] = None
         self._cells: List[AtmCell] = []
         self._index = 0
         self._interval: Optional[float] = None
@@ -110,30 +129,31 @@ class TxEngine:
             self._started = True
             self.sim._call_urgent(self._take_descriptor)
 
-    def _pacing_interval(self, vc: VcAddress) -> Optional[float]:
-        """Seconds between cells for a rate-contracted VC, else None.
+    def _resolve(self, vc: VcAddress) -> _VcState:
+        """*vc*'s state, built on its first PDU and kept while it is open.
 
-        ABR VCs pace at the agent's current allowed cell rate, which
-        moves between MCR and PCR as RM feedback arrives; other VCs fall
-        back to the static peak-rate contract.
+        A PDU whose VC closed while it waited in the ring gets a state
+        of its own, unpaced and kept nowhere.
         """
-        if self.abr is not None:
-            interval = self.abr.interval_of(vc)
-            if interval is not None:
-                return interval
-        if self.rate_of is None:
-            return None
-        peak_bps = self.rate_of(vc)
-        if peak_bps is None or peak_bps <= 0:
-            return None
-        return (53 * 8) / peak_bps
+        connection = self.vc_table.lookup(vc)
+        peak_bps = None if connection is None else connection.peak_rate_bps
+        state = _VcState(
+            self.glue.segmenter_for(vc),
+            (53 * 8) / peak_bps if peak_bps else None,
+        )
+        if connection is not None:
+            self._vcs[vc] = state
+        return state
 
-    def _segmenter_for(self, vc: VcAddress):
-        segmenter = self._segmenters.get(vc)
-        if segmenter is None:
-            segmenter = self.glue.make_segmenter(vc)
-            self._segmenters[vc] = segmenter
-        return segmenter
+    def drop_vc(self, vc: VcAddress) -> None:
+        """Forget *vc*'s state: the VC closed.
+
+        A PDU of the VC that the engine took before the close but has
+        not begun to send goes unpaced, like one still in the ring.
+        """
+        state = self._vcs.pop(vc, None)
+        if state is not None:
+            state.interval = None
 
     # -- the firmware loop, one callback per step --------------------------
 
@@ -151,10 +171,14 @@ class TxEngine:
                 vc=descriptor.vc,
                 size=descriptor.size,
             )
-        # Per-PDU prologue: parse the descriptor, load the VC header
-        # template, program the host-memory DMA.  Each step's ops reach
-        # the profiler as they are charged, so a run cut off mid-PDU
-        # still reconciles with the engine clock.
+        # Per-PDU prologue: parse the descriptor, load the VC's state
+        # (its header template) and cut the PDU into cells, program the
+        # host-memory DMA.  Each step's ops reach the profiler as they
+        # are charged, so a run cut off mid-PDU still reconciles with
+        # the engine clock.
+        vc = descriptor.vc
+        state = self._vc = self._vcs.get(vc) or self._resolve(vc)
+        self._cells = state.segment(descriptor.sdu, descriptor.user_indication)
         ops, cycles = self._prologue_charge
         if self.profiler is not None:
             self.profiler.record_pdu("tx", ops)
@@ -173,9 +197,7 @@ class TxEngine:
         stall, never a loss, on transmit.
         """
         descriptor = self._descriptor
-        size = len(descriptor.sdu)
-        n_cells = self.glue.cells_for(size)
-        if not self.bufmem.allocate(("tx", descriptor.pdu_id), n_cells):
+        if not self.bufmem.allocate(("tx", descriptor.pdu_id), len(self._cells)):
             self.pdus_stalled_for_buffer.count += 1
             if self.trace is not None:
                 self.trace.emit(
@@ -186,28 +208,32 @@ class TxEngine:
                 )
             self.sim.schedule_call(self.fifo.depth_cells * 1e-7, self._stage)
             return
-        self.dma.transfer_then(size, self._segment)
+        self.dma.transfer_then(len(descriptor.sdu), self._segment)
 
     def _segment(self) -> None:
+        """The PDU is in buffer memory: walk its cells.
+
+        ABR VCs pace at the agent's current allowed cell rate, which
+        moves between MCR and PCR as RM feedback arrives; other VCs at
+        the static interval of their peak-rate contract.
+        """
         descriptor = self._descriptor
-        size = len(descriptor.sdu)
-        self.bufmem.bytes_written += size
+        self.bufmem.bytes_written += len(descriptor.sdu)
         if self.trace is not None:
             self.trace.emit(
                 "tx.pdu.staged",
                 actor=self.name,
                 pdu_id=descriptor.pdu_id,
                 vc=descriptor.vc,
-                cells=self.glue.cells_for(size),
+                cells=len(self._cells),
             )
-        # Segment (functionally real cells) and emit.
-        self._cells = self.glue.segment(
-            self._segmenter_for(descriptor.vc),
-            descriptor.sdu,
-            descriptor.user_indication,
-        )
         self._index = 0
-        self._interval = self._pacing_interval(descriptor.vc)
+        interval = self._vc.interval
+        if self.abr is not None:
+            dynamic = self.abr.interval_of(descriptor.vc)
+            if dynamic is not None:
+                interval = dynamic
+        self._interval = interval
         self._charge_cell()
 
     def _charge_cell(self) -> None:
@@ -218,10 +244,15 @@ class TxEngine:
         if index == total:
             self._completion()
             return
+        # CellPosition.of, without its frame or its argument checks.
         if 0 < index < total - 1:
             position = CellPosition.MIDDLE
+        elif total == 1:
+            position = CellPosition.ONLY
+        elif index == 0:
+            position = CellPosition.FIRST
         else:
-            position = CellPosition.of(index, total)
+            position = CellPosition.LAST
         # The cost model's own memo, read in this frame.
         costs = self.costs
         try:
@@ -249,7 +280,7 @@ class TxEngine:
             dynamic = self.abr.interval_of(descriptor.vc)
             if dynamic is not None:
                 self._interval = dynamic
-        slot = self._next_slot.get(descriptor.vc, 0.0)
+        slot = self._vc.next_slot
         now = self.sim._now
         if now < slot:
             self.pacing_stalls.count += 1
@@ -266,9 +297,7 @@ class TxEngine:
         self._paced(slot)
 
     def _paced(self, slot: float) -> None:
-        self._next_slot[self._descriptor.vc] = (
-            max(self.sim._now, slot) + self._interval
-        )
+        self._vc.next_slot = max(self.sim._now, slot) + self._interval
         self._emit()
 
     def _emit(self) -> None:

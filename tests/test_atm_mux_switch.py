@@ -67,6 +67,21 @@ class TestOutputPort:
         sim.run()
         assert len(delivered) == 2
 
+    def test_occupancy_by_vc_counts_the_queue(self, sim):
+        port, _delivered, _link = make_port(sim)
+        a, b = VcAddress(0, 100), VcAddress(0, 200)
+        # The first cell goes straight into service; the rest queue.
+        for vci in (100, 200, 100, 200, 200):
+            port.offer(cell(vci=vci))
+        assert port.occupancy_of(a) == 1
+        assert port.occupancy_of(b) == 3
+        assert port.occupancy_of(VcAddress(0, 300)) == 0
+        occupancy = port.occupancy_by_vc()
+        assert occupancy == {a: 1, b: 3}
+        assert list(occupancy) == [b, a]  # by each VC's oldest queued cell
+        sim.run()
+        assert port.occupancy_by_vc() == {}
+
     def test_buffer_validation(self, sim):
         link = PhysicalLink(sim, TAXI_100, sink=lambda c: None)
         with pytest.raises(ValueError):
@@ -111,6 +126,28 @@ class TestSwitch:
         out = outputs[1][0]
         assert (out.vpi, out.vci) == (7, 700)
         assert outputs[0] == []
+
+    def test_same_label_route_forwards_the_received_cell(self, sim):
+        switch, outputs = self.build(sim)
+        switch.add_route(0, VcAddress(0, 100), RoutingEntry(1, 0, 100))
+        arriving = cell(vci=100)
+        switch.receive(0, arriving)
+        sim.run()
+        assert len(outputs[1]) == 1
+        assert outputs[1][0] is arriving
+
+    def test_relabelling_route_builds_a_cell_sharing_meta(self, sim):
+        switch, outputs = self.build(sim)
+        switch.add_route(0, VcAddress(0, 100), RoutingEntry(1, 0, 101))
+        arriving = cell(vci=100)
+        arriving.meta["cell_id"] = 7
+        switch.receive(0, arriving)
+        sim.run()
+        (out,) = outputs[1]
+        assert out is not arriving
+        assert (out.vpi, out.vci) == (0, 101)
+        assert out.payload == arriving.payload
+        assert out.meta is arriving.meta
 
     def test_unroutable_counted_and_dropped(self, sim):
         switch, outputs = self.build(sim)

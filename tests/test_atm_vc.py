@@ -133,8 +133,3 @@ class TestVcTable:
         table.close(vc.address)
         again = table.open(address=VcAddress(0, 200))
         assert again.is_open
-
-    def test_stats_start_zeroed(self):
-        vc = VcTable().open()
-        assert vc.stats.cells_sent == 0
-        assert vc.stats.pdus_received == 0

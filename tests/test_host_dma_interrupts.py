@@ -42,7 +42,6 @@ class TestDma:
         sim.run()
         assert dma.transfers.count == 2
         assert dma.bytes_moved.count == 300
-        assert dma.latency.n == 2
 
     def test_two_engines_contend_on_one_bus(self, sim):
         bus = SystemBus(sim, TURBOCHANNEL)

@@ -2,14 +2,18 @@
 
 Seconds vary by host; these counts do not.  Each scenario is fixed, so
 its ``events_processed`` and ``peak_queue_occupancy`` are exact, and so
-are the Python-level calls of two exchanges: the quickstart (per-cell
-work) and 16 VCs of small PDUs (per-PDU work).  A change that lowers a
+are the Python-level calls of three exchanges: the quickstart (per-cell
+work), 16 VCs of small PDUs (per-PDU work) and signalled sessions
+through two switches (per-connection work).  A change that lowers a
 pin updates it and states the delta; a change that raises one says why.
+The signalled sessions also pin the cells built per cell sent, and
+that a released session leaves no per-connection state behind.
 """
 
 import gc
 import os
 import sys
+import weakref
 
 import pytest
 
@@ -17,10 +21,16 @@ import repro
 import repro.results.experiments as experiments
 import repro.scale.experiment as scale_experiment
 from repro import HostNetworkInterface, Simulator, aurora_oc3, connect
+from repro.aal.aal5 import Aal5Segmenter
+from repro.atm.cell import AtmCell
 from repro.atm.link import PhysicalLink
 from repro.atm.oam import LoopbackCell
+from repro.atm.signalling import SIGNALLING_VC, CallState, SignallingAgent
 from repro.baselines import HostSarConfig, HostSarInterface
+from repro.net import Testbed as TopologyBuilder
+from repro.scale.session import SessionEngine, SessionProfile
 from repro.sim.process import Process
+from repro.sim.random import RandomStreams
 
 
 def _recording_simulators(monkeypatch, module):
@@ -75,6 +85,50 @@ def _small_pdus():
     return sim, delivered
 
 
+def _signalled_sessions():
+    """12 signalled sessions through two Testbed switches (S1's shape).
+
+    Each session places a call (SETUP, CONNECT), sends one 256-byte PDU
+    on its new VC, paced to a 20 Mb/s contract, holds the VC and
+    releases it (RELEASE, RELEASE_COMPLETE); the data VC's routes come
+    and go with the call.  Every session has released by 0.02 s.
+    """
+    sim = Simulator()
+    streams = RandomStreams(1)
+    tb = TopologyBuilder(default_config=aurora_oc3())
+    tb.add_host("caller").add_host("callee")
+    tb.add_switch("sw1").add_switch("sw2")
+    forward = ["caller", "sw1", "sw2", "callee"]
+    reverse = forward[::-1]
+    for path in (forward, reverse):
+        for src, dst in zip(path, path[1:]):
+            tb.link(src, dst)
+    tb.route(SIGNALLING_VC, forward).route(SIGNALLING_VC, reverse)
+    net = tb.build(sim)
+    caller, callee = net.hosts["caller"], net.hosts["callee"]
+    callee_sig = SignallingAgent(sim, callee, streams=streams, name="callee-sig")
+    caller_sig = SignallingAgent(sim, caller, streams=streams, name="caller-sig")
+    caller_sig.on_call_active = lambda call: net.add_route(call.address, forward)
+    caller_sig.on_call_released = lambda call: net.remove_route(
+        call.address, forward
+    )
+    engine = SessionEngine(
+        sim,
+        caller_sig,
+        streams,
+        SessionProfile(
+            arrival_rate=5000.0,
+            holding_time=1e-3,
+            peak_rate_bps=20e6,
+            max_sessions=12,
+            sdu_size=256,
+        ),
+    )
+    engine.start()
+    callee.start()
+    return sim, engine, caller_sig, callee_sig
+
+
 def _python_calls(sim, until):
     """Python-level calls into repro functions while *sim* runs to *until*.
 
@@ -122,7 +176,7 @@ def test_quickstart_python_calls():
     sim, delivered = _quickstart()
     calls = _python_calls(sim, 0.05)
     assert len(delivered) == 5
-    assert calls == 25087
+    assert calls == 25035
 
 
 def test_small_pdus_exchange():
@@ -137,7 +191,85 @@ def test_small_pdus_python_calls():
     sim, delivered = _small_pdus()
     calls = _python_calls(sim, 0.05)
     assert len(delivered) == 64
-    assert calls == 11804
+    assert calls == 11149
+
+
+def test_signalled_sessions_exchange():
+    sim, engine, _caller_sig, _callee_sig = _signalled_sessions()
+    sim.run(until=0.02)
+    assert engine.sessions_released.count == 12
+    assert _counts(sim) == (1771, 14)
+
+
+def test_signalled_sessions_cells_built(monkeypatch):
+    # One AtmCell per segmented cell: both switches keep every label, so
+    # they hand on the cell they received.
+    built = []
+    validate = AtmCell.__post_init__
+
+    def counted(cell):
+        built.append(1)
+        validate(cell)
+
+    monkeypatch.setattr(AtmCell, "__post_init__", counted)
+    sim, engine, caller_sig, callee_sig = _signalled_sessions()
+    sim.run(until=0.02)
+    nics = (caller_sig.interface, callee_sig.interface)
+    segmented = sum(nic.tx_engine.cells_sent.count for nic in nics)
+    delivered = sum(nic.rx_engine.cells_received.count for nic in nics)
+    assert segmented == delivered == 120
+    assert len(built) == 120
+
+
+def test_signalled_sessions_python_calls():
+    # The per-connection frames: signalling, route and VC set-up and
+    # teardown, and each VC's transmit state resolved once.
+    sim, engine, _caller_sig, _callee_sig = _signalled_sessions()
+    calls = _python_calls(sim, 0.02)
+    assert engine.sessions_released.count == 12
+    assert calls == 12017
+
+
+def test_released_sessions_leave_no_connection_state(monkeypatch):
+    # Per-call state lives as long as the call: once every session has
+    # released, no Call and no data VC's segmenter can be reached.
+    segmenters = []
+    init = Aal5Segmenter.__init__
+
+    def recording(self, vc):
+        init(self, vc)
+        segmenters.append(weakref.ref(self))
+
+    monkeypatch.setattr(Aal5Segmenter, "__init__", recording)
+    sim, engine, caller_sig, callee_sig = _signalled_sessions()
+    calls = {caller_sig: [], callee_sig: []}
+    place_call = caller_sig.place_call
+
+    def placing(*args, **kwargs):
+        call = place_call(*args, **kwargs)
+        calls[caller_sig].append(weakref.ref(call))
+        return call
+
+    caller_sig.place_call = placing
+    callee_sig.on_call_active = lambda call: calls[callee_sig].append(
+        weakref.ref(call)
+    )
+    pending = (CallState.IDLE, CallState.CALL_INITIATED, CallState.RELEASING)
+    for until in (1.5e-3, 2e-3, 0.02):
+        sim.run(until=until)
+        # Every call mid-handshake, in the order the agent created it.
+        for agent, refs in calls.items():
+            live = [ref() for ref in refs]
+            expected = [c for c in live if c is not None and c.state in pending]
+            assert agent.unresolved_calls == expected
+        del live, expected
+    assert engine.sessions_released.count == 12
+    assert caller_sig.unresolved_calls == callee_sig.unresolved_calls == []
+    gc.collect()
+    assert [ref() for ref in calls[caller_sig]] == [None] * 12
+    assert [ref() for ref in calls[callee_sig]] == [None] * 12
+    survivors = [ref() for ref in segmenters if ref() is not None]
+    assert [segmenter.vc for segmenter in survivors] == [SIGNALLING_VC] * 2
 
 
 def test_short_f2_point(monkeypatch):

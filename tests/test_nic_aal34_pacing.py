@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.atm import Gcra, PhysicalLink, STS3C_155
+from repro.atm import Gcra, PhysicalLink, STS3C_155, VcAddress
 from repro.nic import HostNetworkInterface, aurora_oc3, connect
 from repro.nic.sarglue import Aal5Glue, Aal34Glue, glue_for
 from repro.workloads import GreedySource
@@ -18,14 +18,15 @@ class TestSarGlue:
                 glue_for(unknown)
 
     def test_cell_counts_reflect_overhead(self):
-        aal5, aal34 = Aal5Glue(), Aal34Glue()
+        vc = VcAddress(0, 32)
+        aal5 = Aal5Glue().segmenter_for(vc)
+        aal34 = Aal34Glue().segmenter_for(vc)
         # 9180-byte SDU: 192 cells at 48 B/cell vs 209 at 44 B/cell.
-        assert aal5.cells_for(9180) == 192
-        assert aal34.cells_for(9180) == 209
+        assert len(aal5(bytes(9180), 0)) == 192
+        assert len(aal34(bytes(9180), 0)) == 209
         # The ratio approaches 48/44 for large SDUs.
-        assert aal34.cells_for(65000) / aal5.cells_for(65000) == pytest.approx(
-            48 / 44, rel=0.01
-        )
+        ratio = len(aal34(bytes(65000), 0)) / len(aal5(bytes(65000), 0))
+        assert ratio == pytest.approx(48 / 44, rel=0.01)
 
     def test_aal34_engine_tax_nonzero(self):
         assert Aal34Glue().tx_extra_cycles > 0
