@@ -67,7 +67,7 @@ def main() -> None:
     print(f"switched {switch.cells_switched.count} cells, "
           f"dropped {switch.total_dropped} at the contended output port")
     print(f"access link utilization : {access_link.utilization():.1%}")
-    print(f"peak switch queue       : {access_port.occupancy.maximum:.0f} cells")
+    print(f"peak switch queue       : {access_port.peak_occupancy} cells")
     print()
     print("per-VC delivered bytes at the server:")
     for vc, nbytes in sorted(per_vc.items()):

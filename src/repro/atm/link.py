@@ -193,8 +193,6 @@ class PhysicalLink:
             queue,
             (now + (done - now), sequence, self._wire_out, (deliver, then, args)),
         )
-        if len(queue) > sim.peak_queue_occupancy:
-            sim.peak_queue_occupancy = len(queue)
 
     def _wire_out(
         self,

@@ -30,7 +30,7 @@ from repro.atm.addressing import VcAddress
 from repro.atm.cell import AtmCell
 from repro.atm.link import PhysicalLink
 from repro.sim.core import Simulator
-from repro.sim.monitor import Counter, TimeWeightedStat
+from repro.sim.monitor import Counter
 
 #: PTI bit 1: EFCI, "congestion experienced", on user cells.
 _EFCI_BIT = 0b010
@@ -39,12 +39,12 @@ _EFCI_BIT = 0b010
 class OutputPort:
     """A bounded cell FIFO drained onto a physical link.
 
-    The drain process is event-driven: whenever the queue becomes
-    non-empty a serialization is started, and each serialization's
-    completion pulls the next cell.  Occupancy is tracked time-weighted
-    so buffer-sizing experiments read the mean/max directly, and
-    per-VC tallies expose who is losing for fairness analysis; who is
-    queueing is counted from the queue when asked.
+    The drain is event-driven: a cell offered to an idle port goes
+    straight to the link, and each serialization's completion pulls the
+    next queued cell.  The port keeps a high-water mark of its queue
+    (:attr:`peak_occupancy`) for buffer-sizing experiments, and per-VC
+    tallies expose who is losing for fairness analysis; who is queueing
+    is counted from the queue when asked.
     """
 
     def __init__(
@@ -77,7 +77,9 @@ class OutputPort:
         #: CLP=0 cells tail-dropped by a full buffer.
         self.dropped_full = Counter(f"{name}.dropped-full")
         self.efci_marked = Counter(f"{name}.efci")
-        self.occupancy = TimeWeightedStat(sim.now, 0)
+        #: Most cells ever held, the one in service on an idle port's
+        #: link counting as 1.
+        self.peak_occupancy = 0
         self._vc_enqueued: Dict[VcAddress, int] = {}
         self._vc_dropped: Dict[VcAddress, int] = {}
         #: Observability hook (repro.obs), copied from the simulator: a
@@ -148,12 +150,18 @@ class OutputPort:
             if self.trace is not None:
                 self.trace.emit("port.efci", actor=self.name, cell=marked)
             cell = marked
-        queue.append(cell)
         self.enqueued.count += 1
         self._vc_enqueued[vc] = self._vc_enqueued.get(vc, 0) + 1
-        self.occupancy.record(self.sim._now, len(queue))
         if not self._draining:
-            self._drain_next()
+            # An idle port's queue is empty: the cell goes to the link.
+            self._draining = True
+            if not self.peak_occupancy:
+                self.peak_occupancy = 1
+            self.link.send(cell, self._drain_next)
+            return True
+        queue.append(cell)
+        if len(queue) > self.peak_occupancy:
+            self.peak_occupancy = len(queue)
         return True
 
     # Alias so a port can terminate a PhysicalLink directly.
@@ -163,10 +171,7 @@ class OutputPort:
         if not self._queue:
             self._draining = False
             return
-        self._draining = True
-        cell = self._queue.popleft()
-        self.occupancy.record(self.sim._now, len(self._queue))
-        self.link.send(cell, self._drain_next)
+        self.link.send(self._queue.popleft(), self._drain_next)
 
     # -- observability ---------------------------------------------------------
 

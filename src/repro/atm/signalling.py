@@ -11,6 +11,9 @@ version of that discipline:
 - a per-endpoint :class:`SignallingAgent` with call-reference
   allocation and a caller/callee state machine
   (IDLE -> CALL_INITIATED -> ACTIVE -> RELEASING -> RELEASED);
+- Q.2931's call-reference flag: both ends number their calls from 1,
+  so a call is known by its reference *and* the side that allocated
+  it, and every message says which side that was;
 - callee-side admission policy via a callback, and automatic VC
   allocation out of the callee's table (the address travels back in
   the CONNECT);
@@ -44,6 +47,8 @@ SIGNALLING_VC = VcAddress(0, VCI_SIGNALLING)
 
 _MESSAGE_SIZE = 18
 _MAGIC = 0x5A
+#: The call-reference flag: the top bit of the 4-byte reference field.
+_CALL_REF_FLAG = 1 << 31
 
 
 class MessageType(enum.IntEnum):
@@ -121,8 +126,12 @@ class SignallingMessage:
 
     Wire format (18 bytes)::
 
-        | magic (1) | type (1) | call_ref (4) | vpi (2) | vci (2) |
-        | peak_rate_bps (8)                                        |
+        | magic (1) | type (1) | flag (1 bit) call_ref (31 bits) |
+        | vpi (2) | vci (2) | peak_rate_bps (8)                  |
+
+    *call_ref_flag* is Q.2931's call-reference flag: set on messages
+    from the side that did not allocate *call_ref*, so the receiver
+    tells its own calls from the far end's with the same number.
     """
 
     message_type: MessageType
@@ -130,11 +139,15 @@ class SignallingMessage:
     vpi: int = 0
     vci: int = 0
     peak_rate_bps: int = 0
+    call_ref_flag: bool = False
 
     def encode(self) -> bytes:
+        if not 0 <= self.call_ref < _CALL_REF_FLAG:
+            raise ValueError(f"call reference {self.call_ref} needs 31 bits")
+        flag = _CALL_REF_FLAG if self.call_ref_flag else 0
         return (
             bytes((_MAGIC, int(self.message_type)))
-            + self.call_ref.to_bytes(4, "big")
+            + (flag | self.call_ref).to_bytes(4, "big")
             + self.vpi.to_bytes(2, "big")
             + self.vci.to_bytes(2, "big")
             + self.peak_rate_bps.to_bytes(8, "big")
@@ -146,12 +159,14 @@ class SignallingMessage:
             raise ValueError(f"signalling message is {_MESSAGE_SIZE} bytes")
         if data[0] != _MAGIC:
             raise ValueError("bad signalling magic byte")
+        reference = int.from_bytes(data[2:6], "big")
         return cls(
             message_type=MessageType(data[1]),
-            call_ref=int.from_bytes(data[2:6], "big"),
+            call_ref=reference & (_CALL_REF_FLAG - 1),
             vpi=int.from_bytes(data[6:8], "big"),
             vci=int.from_bytes(data[8:10], "big"),
             peak_rate_bps=int.from_bytes(data[10:18], "big"),
+            call_ref_flag=reference >= _CALL_REF_FLAG,
         )
 
 
@@ -221,9 +236,10 @@ class SignallingAgent:
         #: otherwise head-of-line block the interface (docs/SCALE.md).
         self.shape_data_vcs = shape_data_vcs
         self._rng = (streams or RandomStreams(0)).stream(f"{self.name}.backoff")
-        #: The calls not yet in a terminal state, in creation order: a
-        #: call leaves when it is released, refused or abandoned.
-        self._calls: Dict[int, Call] = {}
+        #: The calls not yet in a terminal state, in creation order,
+        #: keyed by (call reference, placed here): a call leaves when it
+        #: is released, refused or abandoned.
+        self._calls: Dict[Tuple[int, bool], Call] = {}
         self._call_refs = itertools.count(1)
         self.messages_sent = Counter(f"{self.name}.sent")
         self.messages_received = Counter(f"{self.name}.received")
@@ -278,7 +294,17 @@ class SignallingAgent:
         elif self.on_user_pdu is not None:
             self.on_user_pdu(completion)
 
-    def _send(self, message: SignallingMessage) -> None:
+    def _send(
+        self,
+        message_type: MessageType,
+        call_ref: int,
+        placed_here: bool,
+        **fields: int,
+    ) -> None:
+        """Send a message about call *call_ref*, flagged for its side."""
+        message = SignallingMessage(
+            message_type, call_ref, call_ref_flag=not placed_here, **fields
+        )
         self.messages_sent.increment()
         self.interface.send(SIGNALLING_VC, message.encode())
 
@@ -299,13 +325,12 @@ class SignallingAgent:
             connected=self.sim.event(),
             released=self.sim.event(),
         )
-        self._calls[call_ref] = call
+        self._calls[call_ref, True] = call
         self._send(
-            SignallingMessage(
-                MessageType.SETUP,
-                call_ref,
-                peak_rate_bps=int(peak_rate_bps or 0),
-            )
+            MessageType.SETUP,
+            call_ref,
+            placed_here=True,
+            peak_rate_bps=int(peak_rate_bps or 0),
         )
         if self.timers is not None:
             self.sim.process(self._setup_timer(call))
@@ -316,7 +341,7 @@ class SignallingAgent:
         if call.state is not CallState.ACTIVE:
             raise ValueError(f"call {call.call_ref} is not active")
         call.state = CallState.RELEASING
-        self._send(SignallingMessage(MessageType.RELEASE, call.call_ref))
+        self._send(MessageType.RELEASE, call.call_ref, placed_here=call.is_caller)
         if self.timers is not None:
             self.sim.process(self._release_timer(call))
         return call.released
@@ -336,8 +361,10 @@ class SignallingAgent:
         )
         return replacement
 
-    def call_for(self, call_ref: int) -> Optional[Call]:
-        return self._calls.get(call_ref)
+    def call_for(self, call_ref: int, placed_here: bool) -> Optional[Call]:
+        """The unresolved call numbered *call_ref* that this agent
+        placed (*placed_here*) or the far end placed, if any."""
+        return self._calls.get((call_ref, placed_here))
 
     @property
     def active_calls(self) -> int:
@@ -370,15 +397,14 @@ class SignallingAgent:
                 attempt=attempt,
             )
             self._send(
-                SignallingMessage(
-                    MessageType.SETUP,
-                    call.call_ref,
-                    peak_rate_bps=int(call.peak_rate_bps or 0),
-                )
+                MessageType.SETUP,
+                call.call_ref,
+                placed_here=True,
+                peak_rate_bps=int(call.peak_rate_bps or 0),
             )
         if call.state is not CallState.CALL_INITIATED:
             return
-        self._calls.pop(call.call_ref, None)
+        self._calls.pop((call.call_ref, True), None)
         call.state = CallState.FAILED
         self.calls_timed_out.increment()
         self._emit("sig.call.timeout", message="SETUP", call_ref=call.call_ref)
@@ -401,11 +427,13 @@ class SignallingAgent:
                 call_ref=call.call_ref,
                 attempt=attempt,
             )
-            self._send(SignallingMessage(MessageType.RELEASE, call.call_ref))
+            self._send(
+                MessageType.RELEASE, call.call_ref, placed_here=call.is_caller
+            )
         if call.state is not CallState.RELEASING:
             return
         # Forced local clear: the peer never confirmed, release anyway.
-        self._calls.pop(call.call_ref, None)
+        self._calls.pop((call.call_ref, call.is_caller), None)
         self.calls_timed_out.increment()
         self._emit("sig.call.timeout", message="RELEASE", call_ref=call.call_ref)
         self._clear(call)
@@ -427,26 +455,31 @@ class SignallingAgent:
         self.messages_received.increment()
         self._handlers[message.message_type](message)
 
+    # A message's flag is set when its sender did not allocate the
+    # reference, that is, when the call was placed here: the key of
+    # the call it is about is (call_ref, call_ref_flag).  A SETUP
+    # always comes from the side that allocated its reference.
+
     def _on_setup(self, message: SignallingMessage) -> None:
-        existing = self._calls.get(message.call_ref)
-        if existing is not None and not existing.is_caller:
+        key = (message.call_ref, False)
+        existing = self._calls.get(key)
+        if existing is not None:
             # Retransmitted SETUP for a call we already accepted: the
             # CONNECT was lost, so repeat it for the same VC.
             if existing.state is CallState.ACTIVE:
                 self.setup_duplicates.increment()
                 self._send(
-                    SignallingMessage(
-                        MessageType.CONNECT,
-                        message.call_ref,
-                        vpi=existing.address.vpi,
-                        vci=existing.address.vci,
-                    )
+                    MessageType.CONNECT,
+                    message.call_ref,
+                    placed_here=False,
+                    vpi=existing.address.vpi,
+                    vci=existing.address.vci,
                 )
             return
         if self.on_setup is not None and not self.on_setup(message):
             self.calls_refused.increment()
             self._send(
-                SignallingMessage(MessageType.RELEASE_COMPLETE, message.call_ref)
+                MessageType.RELEASE_COMPLETE, message.call_ref, placed_here=False
             )
             return
         peak = float(message.peak_rate_bps) or None
@@ -461,23 +494,31 @@ class SignallingAgent:
             peak_rate_bps=peak,
             released=self.sim.event(),
         )
-        self._calls[message.call_ref] = call
+        self._calls[key] = call
         if self.on_call_active is not None:
             self.on_call_active(call)
         self._send(
-            SignallingMessage(
-                MessageType.CONNECT,
-                message.call_ref,
-                vpi=vc.address.vpi,
-                vci=vc.address.vci,
-            )
+            MessageType.CONNECT,
+            message.call_ref,
+            placed_here=False,
+            vpi=vc.address.vpi,
+            vci=vc.address.vci,
         )
 
     def _on_connect(self, message: SignallingMessage) -> None:
-        call = self._calls.get(message.call_ref)
+        call = self._calls.get((message.call_ref, message.call_ref_flag))
         if call is None or call.state is not CallState.CALL_INITIATED:
             return
         address = VcAddress(message.vpi, message.vci)
+        if address in self.interface.vc_table:
+            # Glare: both ends answered a SETUP at once, each with its
+            # first free VC, so the far end picked one in use here.
+            # Refuse the call and clear the far end's half.
+            del self._calls[message.call_ref, True]
+            call.state = CallState.REFUSED
+            self._send(MessageType.RELEASE, call.call_ref, placed_here=True)
+            call.connected.fail(CallRefused(call.call_ref))
+            return
         self.interface.open_vc(
             address=address,
             peak_rate_bps=(
@@ -491,15 +532,17 @@ class SignallingAgent:
         call.connected.trigger(address)
 
     def _on_release(self, message: SignallingMessage) -> None:
-        call = self._calls.pop(message.call_ref, None)
+        call = self._calls.pop((message.call_ref, message.call_ref_flag), None)
         if call is not None:
             self._clear(call)
         self._send(
-            SignallingMessage(MessageType.RELEASE_COMPLETE, message.call_ref)
+            MessageType.RELEASE_COMPLETE,
+            message.call_ref,
+            placed_here=message.call_ref_flag,
         )
 
     def _on_release_complete(self, message: SignallingMessage) -> None:
-        call = self._calls.pop(message.call_ref, None)
+        call = self._calls.pop((message.call_ref, message.call_ref_flag), None)
         if call is None:
             return
         if call.state is CallState.CALL_INITIATED:

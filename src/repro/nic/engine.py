@@ -80,10 +80,7 @@ class EngineClock:
         sim = self.sim
         sequence = sim._sequence + 1
         sim._sequence = sequence
-        queue = sim._queue
-        heappush(queue, (sim._now + duration, sequence, then, args))
-        if len(queue) > sim.peak_queue_occupancy:
-            sim.peak_queue_occupancy = len(queue)
+        heappush(sim._queue, (sim._now + duration, sequence, then, args))
 
     def _trace_and_stall(self, cycles: float, tag: str, duration: float) -> float:
         """Trace booked work and absorb a pending stall (see :meth:`work`).

@@ -7,11 +7,21 @@ of synchronisation: processes (see :mod:`repro.sim.process`) suspend
 on events and are resumed by the event's callbacks when it triggers --
 is queued as ``(time, key, None, event)``.
 
-The queue is a binary heap ordered by ``(time, key)``.  The key is the
-entry's scheduling sequence number with its priority folded in (an
-``URGENT`` entry's key lies below every ``NORMAL`` one), so same-time
-entries fire URGENT first and in scheduling order within each class.
-Keys are unique, so the heap never compares ``fn`` or ``args``.
+Entries fire in ``(time, key)`` order.  The key is the entry's
+scheduling sequence number with its priority folded in (an ``URGENT``
+entry's key lies below every ``NORMAL`` one), so same-time entries fire
+URGENT first and in scheduling order within each class.  Keys are
+unique, so no comparison ever reaches ``fn`` or ``args``.
+
+The queue is two binary heaps.  Bare calls -- every cell hop -- go to
+the main heap.  An event joins the timer heap when it is due at or
+after the *bound*, the earliest pending timer; with none pending, the
+next event scheduled starts the timer heap.  So session hold timers
+wait in the timer heap, and the main heap holds only the few entries
+due before them, however many connections are open.  No timer is due
+before the bound, so :meth:`run` pops the main heap while its head
+comes before the bound, and otherwise takes whichever head is earlier:
+the two heaps fire in exactly the order one heap would.
 
 Only the simulator advances time.  All model code runs inside event
 callbacks, so there is no concurrency and no locking anywhere.
@@ -20,6 +30,7 @@ callbacks, so there is no concurrency and no locking anywhere.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf, nextafter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -198,17 +209,19 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
+        #: The main heap and the timer heap, and the bound between them.
         self._queue: list[_Entry] = []
+        self._timers: list[_Entry] = []
+        self._bound = inf
+        #: The peak less the timers pending: the main heap's length past
+        #: which the queue sets a new peak.
+        self._cap = 0
         self._sequence = 0
         self._running = False
         #: Lifetime count of events processed -- the kernel's own
         #: observability counter (exposed as ``sim.events_processed`` by
         #: the metrics layer; see :mod:`repro.obs.metrics`).
         self.events_processed = 0
-        #: High-water mark of queued entries, updated O(1) on every
-        #: push.  The scale experiments chart this against VC count to
-        #: show the scheduler's footprint stays bounded under churn.
-        self.peak_queue_occupancy = 0
         #: Observation hooks components copy when built: a trace
         #: recorder and a cycle profiler, or None.
         self.trace: Any = None
@@ -228,6 +241,18 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
+
+    @property
+    def peak_queue_occupancy(self) -> int:
+        """High-water mark of queued entries, both heaps together.
+
+        The count falls only at a pop, so the kernel takes the peak
+        before each pop and this adds what was queued since.  The scale
+        experiments chart it against VC count under churn.
+        """
+        queued = len(self._queue)
+        cap = self._cap
+        return len(self._timers) + (queued if queued > cap else cap)
 
     # -- event construction helpers --------------------------------------
 
@@ -250,15 +275,20 @@ class Simulator:
     def _schedule(
         self, delay: float, event: Event, priority: int = NORMAL
     ) -> None:
-        """Queue *event* to fire *delay* seconds from now."""
+        """Queue *event* to fire *delay* seconds from now (a timer if it
+        is due at or after the bound)."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         sequence = self._sequence + 1
         self._sequence = sequence
-        queue = self._queue
-        heappush(queue, (self._now + delay, priority + sequence, None, event))
-        if len(queue) > self.peak_queue_occupancy:
-            self.peak_queue_occupancy = len(queue)
+        when = self._now + delay
+        if when < self._bound:
+            if self._timers:
+                heappush(self._queue, (when, priority + sequence, None, event))
+                return
+            self._bound = when
+        heappush(self._timers, (when, priority + sequence, None, event))
+        self._cap -= 1
 
     def _call_urgent(self, fn: Callable[..., Any], *args: Any) -> None:
         """Queue ``fn(*args)`` at this instant, ahead of NORMAL entries.
@@ -269,22 +299,28 @@ class Simulator:
         """
         sequence = self._sequence + 1
         self._sequence = sequence
-        queue = self._queue
-        heappush(queue, (self._now, URGENT + sequence, fn, args))
-        if len(queue) > self.peak_queue_occupancy:
-            self.peak_queue_occupancy = len(queue)
+        heappush(self._queue, (self._now, URGENT + sequence, fn, args))
 
     # -- execution -------------------------------------------------------
 
     def step(self) -> None:
         """Process one queue entry (advancing the clock to it).
 
-        An event runs its callbacks; a bare call runs its function.
-        :meth:`run` inlines this same dispatch.
+        The entry is the earlier of the two heaps' heads.  An event runs
+        its callbacks; a bare call runs its function.  :meth:`run`
+        inlines this same dispatch.
         """
-        if not self._queue:
+        queue, timers = self._queue, self._timers
+        if len(queue) > self._cap:
+            self._cap = len(queue)
+        if timers and (not queue or timers[0] < queue[0]):
+            when, _key, fn, target = heappop(timers)
+            self._cap += 1
+            self._bound = timers[0][0] if timers else inf
+        elif queue:
+            when, _key, fn, target = heappop(queue)
+        else:
             raise SimulationError("step() on an empty queue")
-        when, _key, fn, target = heappop(self._queue)
         self._now = when
         self.events_processed += 1
         if fn is not None:
@@ -297,7 +333,8 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        queue, timers = self._queue, self._timers
+        return min(queue[0][0] if queue else inf, timers[0][0] if timers else inf)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock would pass *until*.
@@ -307,7 +344,12 @@ class Simulator:
         rate computations over the run window are exact.
 
         The loop body is :meth:`step` inlined (the kernel's hot path):
-        the same dispatch and the same counting.
+        the same dispatch and the same counting.  It pops the main heap
+        while its head comes before the bound, capped just past *until*
+        so that one comparison also ends the run; otherwise it takes the
+        earlier head.  A timer moves the bound to the next timer before
+        it is dispatched, so a timer it re-arms before that joins the
+        main heap.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
@@ -319,12 +361,29 @@ class Simulator:
         if until is not None and first_run is not None:
             self.on_first_run = None
             first_run(until - self._now)
-        limit = float("inf") if until is None else until
-        queue = self._queue
+        limit = inf if until is None else until
+        stop = nextafter(limit, inf)
+        queue, timers = self._queue, self._timers
+        self._bound = timers[0][0] if timers and timers[0][0] < stop else stop
         self._running = True
         try:
-            while queue and queue[0][0] <= limit:
-                when, _key, fn, target = heappop(queue)
+            while True:
+                if len(queue) > self._cap:
+                    self._cap = len(queue)
+                if queue and queue[0][0] < self._bound:
+                    when, _key, fn, target = heappop(queue)
+                elif timers and (not queue or timers[0] < queue[0]):
+                    if timers[0][0] > limit:
+                        break
+                    when, _key, fn, target = heappop(timers)
+                    self._cap += 1
+                    self._bound = (
+                        timers[0][0] if timers and timers[0][0] < stop else stop
+                    )
+                elif queue and queue[0][0] <= limit:
+                    when, _key, fn, target = heappop(queue)
+                else:
+                    break
                 self._now = when
                 self.events_processed += 1
                 if fn is not None:
@@ -347,7 +406,7 @@ class Simulator:
         """
         start = self.events_processed
         iterations = 0
-        while self._queue:
+        while self._queue or self._timers:
             self.step()
             iterations += 1
             if iterations > max_events:
@@ -368,12 +427,9 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         sequence = self._sequence + 1
         self._sequence = sequence
-        queue = self._queue
         # A NORMAL entry's key is its sequence number itself.
-        heappush(queue, (self._now + delay, sequence, fn, args))
-        if len(queue) > self.peak_queue_occupancy:
-            self.peak_queue_occupancy = len(queue)
+        heappush(self._queue, (self._now + delay, sequence, fn, args))
 
     def pending_events(self) -> int:
         """Number of entries still queued (triggered but unprocessed)."""
-        return len(self._queue)
+        return len(self._queue) + len(self._timers)

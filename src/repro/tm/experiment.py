@@ -172,7 +172,7 @@ def _bottleneck_run(
         "utilization": utilization,
         "goodput_mbps": total_bytes * 8 / window / 1e6,
         "fair_dev": fair_dev,
-        "peak_queue": float(bottleneck.occupancy.maximum),
+        "peak_queue": float(bottleneck.peak_occupancy),
         "loss_ratio": bottleneck.loss_ratio,
         "efci_marked": float(bottleneck.efci_marked.count),
         "dropped_full": float(bottleneck.dropped_full.count),

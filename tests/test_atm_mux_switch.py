@@ -53,7 +53,7 @@ class TestOutputPort:
         for _ in range(6):
             port.offer(cell())
         sim.run()
-        assert port.occupancy.maximum == 5  # one immediately in service
+        assert port.peak_occupancy == 5  # one immediately in service
 
     def test_drain_restarts_after_idle(self, sim):
         port, delivered, _link = make_port(sim)

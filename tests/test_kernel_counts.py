@@ -227,7 +227,7 @@ def test_signalled_sessions_python_calls():
     sim, engine, _caller_sig, _callee_sig = _signalled_sessions()
     calls = _python_calls(sim, 0.02)
     assert engine.sessions_released.count == 12
-    assert calls == 12017
+    assert calls == 11309
 
 
 def test_released_sessions_leave_no_connection_state(monkeypatch):

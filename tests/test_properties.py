@@ -3,11 +3,13 @@
 These tests drive randomised operation sequences through the core data
 structures and assert the conservation laws the rest of the system
 relies on: rings and FIFOs neither lose nor duplicate items, buffer
-memory never goes negative, and the end-to-end SAR pipeline delivers
-exactly the bytes that were sent.
+memory never goes negative, the end-to-end SAR pipeline delivers
+exactly the bytes that were sent, and the kernel's two heaps fire in
+the order one heap would.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +17,8 @@ from repro.atm import AtmCell
 from repro.nic import AdaptorBufferMemory, BufferMemorySpec, CellFifo
 from repro.nic.descriptors import DescriptorRing
 from repro.sim import Simulator
+from repro.sim.core import NORMAL, URGENT, Event, Timeout
+from repro.sim.process import Process
 
 
 class TestStoreConservation:
@@ -510,3 +514,183 @@ class TestCamChurnModel:
         cam.install(1, "a2")  # reprogramming an existing key is fine
         with pytest.raises(CamFullError):
             cam.install(3, "c")
+
+
+class _OneHeap:
+    """Reference kernel: every entry in one binary heap, the peak taken
+    at every push.  Events, timeouts and processes run on it unchanged."""
+
+    def __init__(self):
+        self._now = 0.0
+        self._queue = []
+        self._sequence = 0
+        self.events_processed = 0
+        self.peak_queue_occupancy = 0
+
+    def _push(self, when, key, fn, args):
+        heappush(self._queue, (when, key, fn, args))
+        self.peak_queue_occupancy = max(self.peak_queue_occupancy, len(self._queue))
+
+    def _schedule(self, delay, event, priority=NORMAL):
+        self._sequence += 1
+        self._push(self._now + delay, priority + self._sequence, None, event)
+
+    def schedule_call(self, delay, fn, *args):
+        self._sequence += 1
+        self._push(self._now + delay, self._sequence, fn, args)
+
+    def _call_urgent(self, fn, *args):
+        self._sequence += 1
+        self._push(self._now, URGENT + self._sequence, fn, args)
+
+    def event(self):
+        return Event(self)
+
+    def timeout(self, delay):
+        return Timeout(self, delay)
+
+    def process(self, generator):
+        return Process(self, generator)
+
+    @property
+    def now(self):
+        return self._now
+
+    def step(self):
+        when, _key, fn, target = heappop(self._queue)
+        self._now = when
+        self.events_processed += 1
+        if fn is not None:
+            fn(*target)
+            return
+        target._state = Event._PROCESSED
+        callbacks, target.callbacks = target.callbacks, []
+        for callback in callbacks:
+            callback(target)
+
+    def run(self, until=None):
+        limit = float("inf") if until is None else until
+        while self._queue and self._queue[0][0] <= limit:
+            self.step()
+        if until is not None:
+            self._now = until
+
+    def peek(self):
+        return self._queue[0][0] if self._queue else float("inf")
+
+    def pending_events(self):
+        return len(self._queue)
+
+
+#: How an entry is scheduled: a bare call, an URGENT call, a zero-delay
+#: trigger, a delayed trigger, a process that sleeps.
+_KINDS = ("call", "urgent", "now", "later", "sleep")
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 1e-6, 2.5e-6, 1e-3, 0.5, 1.0, 2.0]),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+
+
+def _load(sim, program, log):
+    """Queue *program* on *sim*: entry ``i`` is ``(parent, kind, delay)``
+    and is scheduled when entry ``parent`` fires (-1: before the run);
+    each entry logs ``(i, now)`` when it fires."""
+    children = {}
+    for index, (parent, kind, delay) in enumerate(program):
+        children.setdefault(parent, []).append((index, kind, delay))
+
+    def fire(index):
+        log.append((index, sim.now))
+        schedule(index)
+
+    def sleeper(index, delay):
+        yield sim.timeout(delay)
+        fire(index)
+
+    def schedule(parent):
+        for index, kind, delay in children.get(parent, ()):
+            if kind == "call":
+                sim.schedule_call(delay, fire, index)
+            elif kind == "urgent":
+                sim._call_urgent(fire, index)
+            elif kind == "sleep":
+                sim.process(sleeper(index, delay))
+            else:
+                event = sim.event()
+                event.callbacks.append(lambda _event, i=index: fire(i))
+                event.trigger(delay=delay if kind == "later" else 0.0)
+
+    schedule(-1)
+
+
+def _state(sim, log):
+    return (
+        list(log),
+        sim.now,
+        sim.events_processed,
+        sim.peak_queue_occupancy,
+        sim.pending_events(),
+        sim.peek(),
+    )
+
+
+class TestTwoHeapsAgainstOneHeap:
+    """Bare calls, URGENT calls, triggers and process sleeps scheduled
+    from inside one another: the two-heap kernel dispatches them in the
+    one-heap order, and agrees on every count, for any program and any
+    way of driving it."""
+
+    @staticmethod
+    def _pair(program):
+        logs = ([], [])
+        kernels = (Simulator(), _OneHeap())
+        for kernel, log in zip(kernels, logs):
+            _load(kernel, program, log)
+        return kernels, logs
+
+    programs = st.lists(
+        st.tuples(st.integers(0, 1 << 16), st.sampled_from(_KINDS), _DELAYS),
+        max_size=40,
+    ).map(
+        # An entry's parent comes before it, so every entry fires once.
+        lambda specs: [
+            (draw % (index + 1) - 1, kind, delay)
+            for index, (draw, kind, delay) in enumerate(specs)
+        ]
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        program=programs,
+        untils=st.lists(st.floats(min_value=0.0, max_value=8.0), max_size=5),
+        pick=st.integers(0, 200),
+    )
+    def test_run_in_chunks(self, program, untils, pick):
+        # One chunk ends exactly at an entry's time.
+        reference, log = _OneHeap(), []
+        _load(reference, program, log)
+        reference.run()
+        times = [when for _index, when in log]
+        if times:
+            untils = untils + [times[pick % len(times)]]
+        (sim, ref), (log_sim, log_ref) = self._pair(program)
+        for until in sorted(untils):
+            sim.run(until=until)
+            ref.run(until=until)
+            assert _state(sim, log_sim) == _state(ref, log_ref)
+        sim.run()
+        ref.run()
+        assert _state(sim, log_sim) == _state(ref, log_ref)
+        assert len(log_sim) == len(program)
+
+    @settings(max_examples=100, deadline=None)
+    @given(program=programs, until=st.floats(min_value=0.0, max_value=2.0))
+    def test_step(self, program, until):
+        (sim, ref), (log_sim, log_ref) = self._pair(program)
+        sim.run(until=until)
+        ref.run(until=until)
+        while ref.pending_events():
+            sim.step()
+            ref.step()
+            assert _state(sim, log_sim) == _state(ref, log_ref)
+        assert sim.pending_events() == 0

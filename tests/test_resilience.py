@@ -481,7 +481,7 @@ class TestCallRestorer:
         call = sig_a.place_call()
         assert restorer.track(call) is call
         sim.run(until=5e-3)
-        callee_call = sig_b.call_for(call.call_ref)
+        callee_call = sig_b.call_for(call.call_ref, placed_here=False)
         assert callee_call is not None and not callee_call.is_caller
         with pytest.raises(ValueError):
             restorer.track(callee_call)

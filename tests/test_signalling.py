@@ -191,5 +191,60 @@ class TestCallControl:
     def test_call_for_lookup(self, sim):
         a, b, sig_a, sig_b = build_pair(sim)
         call = sig_a.place_call()
-        assert sig_a.call_for(call.call_ref) is call
-        assert sig_a.call_for(12345) is None
+        assert sig_a.call_for(call.call_ref, placed_here=True) is call
+        assert sig_a.call_for(call.call_ref, placed_here=False) is None
+        assert sig_a.call_for(12345, placed_here=True) is None
+
+
+class TestCallsFromBothEnds:
+    """Both agents number their calls from 1: the call-reference flag
+    tells each agent's own calls from the far end's."""
+
+    def test_flag_rides_the_top_bit_of_the_reference(self):
+        msg = SignallingMessage(MessageType.CONNECT, 7, call_ref_flag=True)
+        data = msg.encode()
+        assert data[2:6] == (0x80000000 | 7).to_bytes(4, "big")
+        assert SignallingMessage.decode(data) == msg
+        with pytest.raises(ValueError):
+            SignallingMessage(MessageType.SETUP, 1 << 31).encode()
+
+    def test_calls_placed_from_both_ends_connect_and_release(self, sim):
+        a, b, sig_a, sig_b = build_pair(sim)
+        outcomes = []
+
+        def caller(agent, start):
+            yield sim.timeout(start)
+            call = agent.place_call()
+            address = yield call.connected
+            yield sim.timeout(2e-3)
+            yield agent.release_call(call)
+            outcomes.append((agent.name, call.call_ref, address, call.state))
+
+        # b places its call while a's, with the same reference, is up.
+        sim.process(caller(sig_a, 0.0))
+        sim.process(caller(sig_b, 1e-3))
+        sim.run(until=0.01)
+        assert outcomes == [
+            ("a.sig", 1, VcAddress(0, 32), CallState.RELEASED),
+            ("b.sig", 1, VcAddress(0, 33), CallState.RELEASED),
+        ]
+        assert sig_a.unresolved_calls == sig_b.unresolved_calls == []
+        for nic in (a, b):
+            assert [vc.address for vc in nic.vc_table] == [SIGNALLING_VC]
+
+    def test_crossing_setups_refuse_both_calls_cleanly(self, sim):
+        # Placed at once, each SETUP reaches an agent that answers it
+        # with its first free VC, 0/32 at both ends (glare).  Each
+        # caller refuses the CONNECT naming a VC it already uses and
+        # clears the far end's half: nothing is left open or pending.
+        a, b, sig_a, sig_b = build_pair(sim)
+        calls = [sig_a.place_call(), sig_b.place_call()]
+        sim.run(until=0.01)
+        assert [call.call_ref for call in calls] == [1, 1]
+        assert [call.state for call in calls] == [CallState.REFUSED] * 2
+        for call in calls:
+            assert isinstance(call.connected.exception, CallRefused)
+        assert sig_a.unresolved_calls == sig_b.unresolved_calls == []
+        assert sig_a.active_calls == sig_b.active_calls == 0
+        for nic in (a, b):
+            assert [vc.address for vc in nic.vc_table] == [SIGNALLING_VC]

@@ -378,3 +378,105 @@ class TestUrgentOrder:
             ("normal", 1.5),
             ("urgent", 2.0),
         ]
+
+
+class TestTimersAmongCells:
+    """Events that wait in the timer heap and bare calls that wait in
+    the main heap fire in one ``(time, scheduling order)`` sequence."""
+
+    @staticmethod
+    def _timer(sim, delay, log, label):
+        sim.timeout(delay).callbacks.append(lambda _ev: log.append(label))
+
+    def test_call_at_a_timers_instant_keeps_scheduling_order(self, sim):
+        log = []
+        sim.schedule_call(1.0, log.append, "call-before")
+        self._timer(sim, 1.0, log, "timer")
+        sim.schedule_call(1.0, log.append, "call-after")
+
+        def later():
+            # Scheduled while the timer is pending: it waits for it.
+            log.append("later")
+            sim.schedule_call(0.5, log.append, "call-from-later")
+
+        sim.schedule_call(0.5, later)
+        sim.run()
+        assert log == [
+            "later", "call-before", "timer", "call-after", "call-from-later",
+        ]
+
+    def test_entries_due_exactly_at_until_run(self, sim):
+        log = []
+        self._timer(sim, 0.5, log, ("timer", 0.5))
+        sim.schedule_call(0.5, log.append, ("call", 0.5))
+        self._timer(sim, 2.0, log, ("timer", 2.0))
+        sim.schedule_call(1.0, log.append, ("call", 1.0))
+        sim.run(until=0.5)
+        assert log == [("timer", 0.5), ("call", 0.5)]
+        assert (sim.now, sim.pending_events(), sim.peek()) == (0.5, 2, 1.0)
+        sim.run(until=1.0)
+        assert log[-1] == ("call", 1.0)
+        assert (sim.now, sim.pending_events(), sim.peek()) == (1.0, 1, 2.0)
+        sim.run(until=2.0)
+        assert log[-1] == ("timer", 2.0)
+        assert sim.pending_events() == 0
+
+    def test_urgent_entries_at_a_timers_instant_run_first(self, sim):
+        log = []
+
+        def proc():
+            log.append("process")
+            yield sim.timeout(0.0)
+
+        def normal():
+            log.append("normal")
+            sim._call_urgent(log.append, "urgent-call")
+            sim.process(proc())
+
+        sim.schedule_call(1.0, normal)
+        self._timer(sim, 1.0, log, "timer")
+        sim.run()
+        assert log == ["normal", "urgent-call", "process", "timer"]
+
+    def test_timer_schedules_entries_before_the_next_timer(self, sim):
+        log = []
+
+        def first(_ev):
+            log.append(("first", sim.now))
+            sim.schedule_call(0.2, log.append, ("call", 1.2))
+            self._timer(sim, 0.2, log, ("inner", 1.2))
+            self._timer(sim, 0.5, log, ("inner", 1.5))
+
+        sim.timeout(1.0).callbacks.append(first)
+        self._timer(sim, 1.5, log, ("timer", 1.5))
+        self._timer(sim, 2.0, log, ("timer", 2.0))
+        sim.run()
+        assert log == [
+            ("first", 1.0),
+            ("call", 1.2),
+            ("inner", 1.2),
+            ("timer", 1.5),
+            ("inner", 1.5),
+            ("timer", 2.0),
+        ]
+        assert sim.events_processed == 6
+
+    def test_step_takes_the_earlier_entry(self, sim):
+        log = []
+        self._timer(sim, 1.0, log, "timer-1")
+        sim.schedule_call(0.5, log.append, "call-0.5")
+        sim.schedule_call(1.0, log.append, "call-1")
+        self._timer(sim, 0.25, log, "timer-0.25")
+        self._timer(sim, 3.0, log, "timer-3")
+        seen = []
+        while sim.pending_events():
+            sim.step()
+            seen.append((log[-1], sim.now, sim.pending_events(), sim.peek()))
+        assert seen == [
+            ("timer-0.25", 0.25, 4, 0.5),
+            ("call-0.5", 0.5, 3, 1.0),
+            ("timer-1", 1.0, 2, 1.0),
+            ("call-1", 1.0, 1, 3.0),
+            ("timer-3", 3.0, 0, float("inf")),
+        ]
+        assert sim.peak_queue_occupancy == 5
