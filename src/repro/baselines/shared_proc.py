@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Tuple
 
-from repro.nic.costs import EngineSpec
+from repro.nic.costs import Charge, EngineSpec
 from repro.nic.engine import EngineClock
 from repro.nic.nic import HostNetworkInterface
 from repro.sim.core import Simulator
@@ -30,7 +30,8 @@ class SharedEngineClock(EngineClock):
 
     ``work`` runs at once when the stream is idle, else queues behind
     the item in service; each item is booked (ledger, stall, trace) and
-    queued by the base clock's ``work`` when it starts.  Program order
+    queued by the base clock's ``work`` when it starts, so the ledger
+    holds only work the stream has begun.  Program order
     within each pipeline still holds; across pipelines the arbitration
     is FIFO.
     """
@@ -39,34 +40,29 @@ class SharedEngineClock(EngineClock):
         super().__init__(sim, spec, name)
         #: Items waiting for the stream, oldest first.
         self._waiting: Deque[
-            Tuple[float, float, str, Callable[..., Any], Tuple[Any, ...]]
+            Tuple[float, Charge, Callable[..., Any], Tuple[Any, ...]]
         ] = deque()
         self._running = False
         self._granted = 0
         self._total_wait = 0.0
 
-    def work(
-        self, cycles: float, tag: str, then: Callable[..., Any], *args: Any
-    ) -> None:
-        if cycles < 0:
-            raise ValueError("negative cycle count")
+    def work(self, charge: Charge, then: Callable[..., Any], *args: Any) -> None:
         if self._running:
-            self._waiting.append((self.sim.now, cycles, tag, then, args))
+            self._waiting.append((self.sim.now, charge, then, args))
         else:
-            self._start(self.sim.now, cycles, tag, then, args)
+            self._start(self.sim.now, charge, then, args)
 
     def _start(
         self,
         requested: float,
-        cycles: float,
-        tag: str,
+        charge: Charge,
         then: Callable[..., Any],
         args: Tuple[Any, ...],
     ) -> None:
         self._running = True
         self._granted += 1
         self._total_wait += self.sim.now - requested
-        super().work(cycles, tag, self._finish, then, args)
+        super().work(charge, self._finish, then, args)
 
     def _finish(self, then: Callable[..., Any], args: Tuple[Any, ...]) -> None:
         # The next item takes the stream before the finished caller
@@ -76,11 +72,6 @@ class SharedEngineClock(EngineClock):
         else:
             self._running = False
         then(*args)
-
-    @property
-    def queued_cycles(self) -> float:
-        """Cycles charged by callers still waiting for the stream."""
-        return sum(item[1] for item in self._waiting)
 
     @property
     def contention_wait(self) -> float:

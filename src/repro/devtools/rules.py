@@ -163,12 +163,3 @@ def numeric_literals(node: ast.expr) -> List[ast.Constant]:
         ):
             literals.append(child)
     return literals
-
-
-def terminal_attribute(expr: ast.expr) -> str:
-    """The last name in ``a.b.c`` / ``c`` shapes, else ``""``."""
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    if isinstance(expr, ast.Name):
-        return expr.id
-    return ""

@@ -7,13 +7,13 @@ those budgets.  A literal ``clock.work(16, ...)`` is a number
 with no provenance -- if the cost table changes, the call site
 silently diverges from the tables the CLI prints.  Cycle expressions
 at charge sites must therefore be built from named
-:mod:`repro.nic.costs` fields (or other named constants); the same
-goes for the per-operation maps handed to the cycle profiler.
+:mod:`repro.nic.costs` fields (or other named constants).
 
-That the tables, the charges and the profiler's maps agree is not a
-lint question: :mod:`repro.nic.costs` builds all three from the same
-fields, and ``tests/test_nic_costs.py`` / ``tests/test_obs.py`` check
-the budget tables and reconcile the profiler with the engine clocks.
+That the tables, the charges and the profiler's tables agree is not a
+lint question: :mod:`repro.nic.costs` builds the tables and the
+charges from the same fields, the engine clocks book the charges
+themselves, and the cycle profiler reads the clocks' ledgers
+(``tests/test_nic_costs.py`` and ``tests/test_obs.py`` check both).
 """
 
 from __future__ import annotations
@@ -21,18 +21,10 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from repro.devtools.rules import (
-    ModuleContext,
-    numeric_literals,
-    register_rule,
-    terminal_attribute,
-)
+from repro.devtools.rules import ModuleContext, numeric_literals, register_rule
 
 #: Methods that charge cycles to an engine clock or the host CPU.
 CHARGE_METHODS = {"work", "execute_then"}
-
-#: The cycle profiler's accounting methods (``CycleProfiler.record_*``).
-PROFILER_METHODS = {"record_cell", "record_pdu", "record_oam", "record_ops"}
 
 #: The module that *defines* the budgets may use literals freely.
 BUDGET_HOME = "nic/costs.py"
@@ -78,38 +70,4 @@ def check_charge_literals(ctx: ModuleContext) -> None:
                 f"cycle charge uses unnamed literal(s) {values}; every "
                 "cycle must trace to a named budget",
                 values=[lit.value for lit in literals],
-            )
-
-
-@register_rule(
-    "SL202",
-    "SL2 cost-model",
-    "magic cycle literal in profiler phase accounting",
-    hint=(
-        "the profiler's measured tables must be built from the same "
-        "named cost-model fields the engine charges"
-    ),
-)
-def check_profiler_literals(ctx: ModuleContext) -> None:
-    if ctx.path.endswith(BUDGET_HOME):
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if not isinstance(node.func, ast.Attribute):
-            continue
-        if node.func.attr not in PROFILER_METHODS:
-            continue
-        if terminal_attribute(node.func.value) != "profiler":
-            continue
-        offenders = []
-        for argument in list(node.args) + [kw.value for kw in node.keywords]:
-            offenders.extend(numeric_literals(argument))
-        if offenders:
-            values = ", ".join(repr(lit.value) for lit in offenders)
-            ctx.report(
-                "SL202",
-                node,
-                f"profiler accounting uses unnamed literal(s) {values}",
-                values=[lit.value for lit in offenders],
             )

@@ -18,16 +18,17 @@ copy a model with :func:`dataclasses.replace` and mutate one field.
 
 Each budget is written once, as a dataclass field.  The T1/T2 tables
 (``breakdown()``) list the fields; every charge the engines make is a
-:class:`Charge` -- an op map plus its memoized cycle sum -- so the
-cycles an engine clock books and the operations the cycle profiler
-records come from the same map.
+memoized :class:`Charge` -- an op map, its cycle sum and the step it
+is booked under.  An engine clock books the charge itself, so the
+cycles it charges and the operations the cycle profiler reads back
+are one record.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, ClassVar, Dict, Hashable, NamedTuple, Tuple
+from typing import Any, ClassVar, Dict, Hashable, Optional, Tuple
 
 
 class CellPosition(enum.Enum):
@@ -89,28 +90,47 @@ I960_25MHZ = EngineSpec("i960-25MHz", 25e6)
 I960_33MHZ = EngineSpec("i960-33MHz", 33e6)
 
 
-class Charge(NamedTuple):
-    """One engine charge: the operations it executes and their sum.
+class Charge:
+    """One engine charge: the operations it executes, their sum, the
+    step *tag* it is booked under, the *engine* that runs it (``"tx"``
+    or ``"rx"``) and, for a per-cell charge, the cell's *position*.
 
-    Charges are memoized per model, so *ops* is shared: read it, never
-    mutate it.
+    An engine clock books the charge itself, counting how often it ran
+    (:attr:`repro.nic.engine.EngineClock.booked`), so a charge hashes
+    by identity.  Charges are memoized, so *ops* is shared: read it,
+    never mutate it.
     """
 
-    ops: Dict[str, float]
-    cycles: float
+    __slots__ = ("ops", "cycles", "tag", "engine", "position")
+
+    def __init__(
+        self,
+        ops: Dict[str, float],
+        tag: str,
+        engine: str,
+        position: Optional[CellPosition] = None,
+    ) -> None:
+        for op, cycles in ops.items():
+            if cycles < 0:
+                raise ValueError(f"negative cycle count for {op}")
+        self.ops = ops
+        self.cycles: float = sum(ops.values())
+        self.tag = tag
+        self.engine = engine
+        self.position = position
+
+    def with_op(self, op: str, cycles: float) -> "Charge":
+        """This charge plus *cycles* more under *op* (itself if none)."""
+        if not cycles:
+            return self
+        return Charge(
+            {**self.ops, op: cycles}, self.tag, self.engine, self.position
+        )
 
 
 def _budget_table(model: Any) -> Dict[str, Any]:
     """Every budget field of a cost model, in declaration order."""
     return {f.name: getattr(model, f.name) for f in fields(model) if f.init}
-
-
-def _remember(
-    memo: Dict[Hashable, Charge], key: Hashable, ops: Dict[str, float]
-) -> Charge:
-    """Memoize *ops* with its cycle sum under *key*."""
-    charge = memo[key] = Charge(ops, sum(ops.values()))
-    return charge
 
 
 def _check_budgets(model: Any) -> None:
@@ -143,18 +163,16 @@ class TxCostModel:
     trailer_build: int = 20  #: assemble pad + AAL trailer fields
 
     #: The once-per-PDU operations, grouped into the steps the engine
-    #: charges them in: the prologue, the host-DMA setup, and the status
-    #: writeback after the last cell.
+    #: charges them in, keyed by the step's tag: the prologue, the
+    #: host-DMA setup, and the status writeback after the last cell.
     PDU_STEPS: ClassVar[Dict[str, Tuple[str, ...]]] = {
-        "prologue": ("descriptor_fetch", "header_template_load"),
-        "dma_setup": ("dma_setup",),
-        "completion": ("completion_writeback",),
+        "tx-pdu-prologue": ("descriptor_fetch", "header_template_load"),
+        "tx-dma-setup": ("dma_setup",),
+        "tx-pdu-completion": ("completion_writeback",),
     }
 
-    #: Charge memo keyed by cell position, PDU step, or ``"pdu"``: the
-    #: budget is frozen, and the inner loops ask for the same few keys
-    #: millions of times.  The TX engine subscripts it per cell and
-    #: calls :meth:`cell_charge` only on a miss.
+    #: Charge memo keyed by cell position or PDU step: the budget is
+    #: frozen, and an engine asks for the same few keys.
     _charges: Dict[Hashable, Charge] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -164,25 +182,23 @@ class TxCostModel:
 
     def pdu_cycles(self) -> float:
         """Fixed per-PDU overhead, excluding any per-cell work."""
-        charge = self._charges.get("pdu")
-        if charge is None:
-            charge = _remember(self._charges, "pdu", self.pdu_breakdown())
-        return charge.cycles
+        return sum(self.pdu_breakdown().values())
 
     def pdu_step_charge(self, step: str) -> Charge:
-        """The operations of one :data:`PDU_STEPS` step, with their sum."""
+        """The operations of one :data:`PDU_STEPS` step, tagged *step*."""
         charge = self._charges.get(step)
         if charge is None:
             ops = {op: getattr(self, op) for op in self.PDU_STEPS[step]}
-            charge = _remember(self._charges, step, ops)
+            charge = self._charges[step] = Charge(ops, step, "tx")
         return charge
 
     def cell_charge(self, position: CellPosition) -> Charge:
-        """:meth:`cell_breakdown` at *position*, with its sum."""
+        """:meth:`cell_breakdown` at *position*, tagged ``tx-cell``."""
         charge = self._charges.get(position)
         if charge is None:
-            charge = _remember(
-                self._charges, position, self.cell_breakdown(position)
+            ops = self.cell_breakdown(position)
+            charge = self._charges[position] = Charge(
+                ops, "tx-cell", "tx", position
             )
         return charge
 
@@ -259,11 +275,9 @@ class RxCostModel:
 
     #: Charge memo keyed ``(position, cam_fitted, table_size)`` for
     #: cells, ``(None, cam_fitted, table_size)`` for classification
-    #: alone, and ``"oam"``: frozen budget, asked once per simulated
-    #: cell.  The CAM's cost ignores the table size, so CAM keys use 0
-    #: and stay few however many VCs churn through the table.  The RX
-    #: engine subscripts it per cell and calls :meth:`cell_charge`
-    #: only on a miss.
+    #: alone, and ``"oam"``: frozen budget.  The CAM's cost ignores the
+    #: table size, so CAM keys use 0 and stay few however many VCs
+    #: churn through the table.
     _charges: Dict[Hashable, Charge] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -286,34 +300,30 @@ class RxCostModel:
         cam_fitted: bool = True,
         table_size: int = 0,
     ) -> Charge:
-        """:meth:`cell_breakdown` for these arguments, with its sum."""
+        """:meth:`cell_breakdown` for these arguments, tagged ``rx-cell``."""
         key = (position, cam_fitted, 0 if cam_fitted else table_size)
         charge = self._charges.get(key)
         if charge is None:
-            charge = _remember(
-                self._charges,
-                key,
-                self.cell_breakdown(position, cam_fitted, table_size),
-            )
+            ops = self.cell_breakdown(position, cam_fitted, table_size)
+            charge = self._charges[key] = Charge(ops, "rx-cell", "rx", position)
         return charge
 
     def classify_charge(self, cam_fitted: bool, table_size: int) -> Charge:
-        """:meth:`classify_breakdown` for these arguments, with its sum."""
+        """:meth:`classify_breakdown` for these arguments, tagged
+        ``rx-unknown-vc``: all a cell for an unknown VC gets."""
         key = (None, cam_fitted, 0 if cam_fitted else table_size)
         charge = self._charges.get(key)
         if charge is None:
-            charge = _remember(
-                self._charges,
-                key,
-                self.classify_breakdown(cam_fitted, table_size),
-            )
+            ops = self.classify_breakdown(cam_fitted, table_size)
+            charge = self._charges[key] = Charge(ops, "rx-unknown-vc", "rx")
         return charge
 
     def oam_charge(self) -> Charge:
-        """:meth:`oam_breakdown`, with its sum."""
+        """:meth:`oam_breakdown`, tagged ``rx-oam``."""
         charge = self._charges.get("oam")
         if charge is None:
-            charge = _remember(self._charges, "oam", self.oam_breakdown())
+            ops = self.oam_breakdown()
+            charge = self._charges["oam"] = Charge(ops, "rx-oam", "rx")
         return charge
 
     def cell_cycles(

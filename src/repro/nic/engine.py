@@ -1,9 +1,11 @@
 """The clocked execution substrate of a protocol engine.
 
 An :class:`EngineClock` turns cycle budgets into simulated time and
-keeps the utilisation ledger.  The transmit and receive pipelines are
-callback state machines: each step books its cycles with
-``clock.work(cycles, tag, then, *args)``, and the clock calls
+keeps the engine's cycle ledger: how often each
+:class:`~repro.nic.costs.Charge` ran.  That ledger is the only one;
+the cycle profiler (:mod:`repro.obs.profiler`) reads it.  The transmit
+and receive pipelines are callback state machines: each step books its
+charge with ``clock.work(charge, then, *args)``, and the clock calls
 ``then(*args)`` when the engine has finished that work.  Between charges
 a pipeline blocks only on its FIFO, a descriptor or a DMA -- the
 structure of the firmware loop on the real microcontroller: compute,
@@ -15,12 +17,12 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Callable, Dict, Optional
 
-from repro.nic.costs import EngineSpec
+from repro.nic.costs import Charge, EngineSpec
 from repro.sim.core import Simulator
 
 
 class EngineClock:
-    """Cycle-to-time conversion plus a busy-time/cycles ledger.
+    """Cycle-to-time conversion plus a busy-time and charge ledger.
 
     The engine is single-threaded by construction (one firmware loop),
     so unlike :class:`repro.host.cpu.HostCpu` there is no work queue:
@@ -34,7 +36,8 @@ class EngineClock:
         self.spec = spec
         self.name = name
         self._busy_time = 0.0
-        self.cycles_by_tag: Dict[str, float] = {}
+        #: Each charge booked, with how often it ran.
+        self.booked: Dict[Charge, int] = {}
         self._stall_pending = 0.0
         #: Total injected stall time the engine has absorbed.
         self.stalled_time = 0.0
@@ -58,31 +61,27 @@ class EngineClock:
             raise ValueError("negative stall duration")
         self._stall_pending += duration
 
-    def work(
-        self, cycles: float, tag: str, then: Callable[..., Any], *args: Any
-    ) -> None:
-        """Run *cycles* of engine work, then call ``then(*args)``.
+    def work(self, charge: Charge, then: Callable[..., Any], *args: Any) -> None:
+        """Run *charge*'s cycles of engine work, then call ``then(*args)``.
 
-        The cycles are booked now; the completion is one bare queue
+        The charge is booked now; the completion is one bare queue
         entry *duration* later (plus any injected stall).  Every cell
         runs this twice, so booking and queueing share one frame: the
         body of ``Simulator.schedule_call`` is inlined here (a NORMAL
         entry's key is its sequence number).
         """
-        if cycles < 0:
-            raise ValueError("negative cycle count")
-        duration = cycles / self.spec.clock_hz
+        duration = charge.cycles / self.spec.clock_hz
         self._busy_time += duration
-        by_tag = self.cycles_by_tag
-        by_tag[tag] = by_tag.get(tag, 0.0) + cycles
+        booked = self.booked
+        booked[charge] = booked.get(charge, 0) + 1
         if self.trace is not None or self._stall_pending > 0.0:
-            duration = self._trace_and_stall(cycles, tag, duration)
+            duration = self._trace_and_stall(charge, duration)
         sim = self.sim
         sequence = sim._sequence + 1
         sim._sequence = sequence
         heappush(sim._queue, (sim._now + duration, sequence, then, args))
 
-    def _trace_and_stall(self, cycles: float, tag: str, duration: float) -> float:
+    def _trace_and_stall(self, charge: Charge, duration: float) -> float:
         """Trace booked work and absorb a pending stall (see :meth:`work`).
 
         Returns *duration* plus the stall absorbed, if any (see
@@ -90,8 +89,8 @@ class EngineClock:
         """
         if self.trace is not None:
             self.trace.emit(
-                "engine.work", actor=self.name, tag=tag, cycles=cycles,
-                dur=duration,
+                "engine.work", actor=self.name, tag=charge.tag,
+                cycles=charge.cycles, dur=duration,
             )
         if self._stall_pending > 0.0:
             stall, self._stall_pending = self._stall_pending, 0.0
@@ -106,7 +105,15 @@ class EngineClock:
 
     @property
     def total_cycles(self) -> float:
-        return sum(self.cycles_by_tag.values())
+        return sum(charge.cycles * n for charge, n in self.booked.items())
+
+    @property
+    def cycles_by_tag(self) -> Dict[str, float]:
+        """Cycles booked under each step tag."""
+        by_tag: Dict[str, float] = {}
+        for charge, n in self.booked.items():
+            by_tag[charge.tag] = by_tag.get(charge.tag, 0.0) + charge.cycles * n
+        return by_tag
 
     @property
     def busy_time(self) -> float:

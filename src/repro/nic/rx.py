@@ -31,7 +31,7 @@ conservation end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.aal.interface import ReassemblyFailure, SduIndication
 from repro.atm.addressing import VcAddress
@@ -41,7 +41,7 @@ from repro.host.dma import DmaEngine
 from repro.host.memory import BufferPool
 from repro.nic.bufmem import AdaptorBufferMemory
 from repro.nic.cam import Cam
-from repro.nic.costs import CellPosition, RxCostModel
+from repro.nic.costs import CellPosition, Charge, RxCostModel
 from repro.nic.descriptors import RxCompletion
 from repro.nic.engine import EngineClock
 from repro.nic.fifo import CellFifo
@@ -115,6 +115,15 @@ class RxEngine:
                 )
             self.reassembler.max_contexts = context_quota
             self.reassembler.on_evict = self._quota_evicted
+        # The charges, read once where the budget allows: each cell's
+        # carries the AAL glue's extra cycles as one more op, keyed
+        # ``(position, table_size)``.  The CAM's ignore the table size
+        # (0); the software probe's are built as table sizes appear.
+        self._oam_charge = costs.oam_charge()
+        self._cell_charges: Dict[Tuple[CellPosition, int], Charge] = {}
+        if cam is not None:
+            for position in CellPosition:
+                self._cell_charge(position, 0)
         #: Whether *vc* has a PDU mid-reassembly, bound once: AAL5's is
         #: its context table's own ``__contains__`` (no Python frame),
         #: AAL3/4's a method (its data path runs MID 0).
@@ -157,14 +166,21 @@ class RxEngine:
         self.pdus_no_host_buffer = Counter(f"{name}.no-host-buffer")
         self.cells_no_host_buffer = Counter(f"{name}.no-host-buffer-cells")
         self.throughput = ThroughputMeter(sim)
-        #: Observability hooks (repro.obs), copied from the simulator:
-        #: a TraceRecorder and a CycleProfiler, or None.  Duck-typed --
-        #: the NIC package never imports the obs package.
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.  Duck-typed -- the NIC package never
+        #: imports the obs package.
         self.trace = sim.trace
-        self.profiler = sim.profiler
         if hasattr(self.reassembler, "on_discard"):
             self.reassembler.on_discard = self._reassembly_discarded
         self._started = False
+
+    def _cell_charge(self, position: CellPosition, table_size: int) -> Charge:
+        """The charge for a cell at *position*, memoized on the engine."""
+        charge = self.costs.cell_charge(position, self.cam is not None, table_size)
+        charge = self._cell_charges[position, table_size] = charge.with_op(
+            "sar_glue_extra", self.glue.rx_extra_cycles
+        )
+        return charge
 
     def _reassembly_discarded(self, vc, why, cells: int) -> None:
         """Reassembler gave up on a PDU: trace the drop with its cause."""
@@ -300,17 +316,13 @@ class RxEngine:
         was waiting on an empty FIFO.  The step after the charge pulls
         the next cell.
         """
-        costs = self.costs
         self.cells_received.count += 1
 
         # Management cells peel off before classification: the OAM
         # unit (hardware-assisted) handles them so the host never
         # sees a cell.
         if not cell.is_user_cell:
-            ops, cycles = costs.oam_charge()
-            if self.profiler is not None:
-                self.profiler.record_oam(ops)
-            self.clock.work(cycles, "rx-oam", self._oam_done, cell)
+            self.clock.work(self._oam_charge, self._oam_done, cell)
             return
 
         # Classification: CAM handshake (or software probe) resolves
@@ -326,10 +338,8 @@ class RxEngine:
             table_size = len(self.vc_table)
             known = self.vc_table.lookup(vc) is not None
         if not known:
-            ops, cycles = costs.classify_charge(cam is not None, table_size)
-            if self.profiler is not None:
-                self.profiler.record_ops("rx", ops)
-            self.clock.work(cycles, "rx-unknown-vc", self._unknown_done, cell)
+            charge = self.costs.classify_charge(cam is not None, table_size)
+            self.clock.work(charge, self._unknown_done, cell)
             return
 
         # Position from the context table and the EOF mark, known before
@@ -340,19 +350,11 @@ class RxEngine:
             position = CellPosition.LAST if open_context else CellPosition.ONLY
         else:
             position = CellPosition.MIDDLE if open_context else CellPosition.FIRST
-        # The cost model's own memo, read in this frame (its key:
-        # position, CAM fitted, table size -- 0 with the CAM).
-        cam_fitted = cam is not None
         try:
-            ops, cycles = costs._charges[position, cam_fitted, table_size]
+            charge = self._cell_charges[position, table_size]
         except KeyError:
-            ops, cycles = costs.cell_charge(position, cam_fitted, table_size)
-        extra = self.glue.rx_extra_cycles
-        if self.profiler is not None:
-            self.profiler.record_cell("rx", position, ops, extra=extra)
-        self.clock.work(
-            cycles + extra, "rx-cell", self._cell_done, vc, cell, position
-        )
+            charge = self._cell_charge(position, table_size)
+        self.clock.work(charge, self._cell_done, vc, cell, position)
 
     def _oam_done(self, cell: AtmCell) -> None:
         self.oam_cells.increment()

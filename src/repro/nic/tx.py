@@ -11,8 +11,8 @@ The engine's firmware loop, as the paper's analysis budgets it:
 4. on the final cell, build pad + trailer; then write completion status
    back to the host ring.
 
-Each step is a callback: it books its cycles with ``clock.work(cycles,
-tag, next_step)`` and the clock calls the next step when the engine has
+Each step is a callback: it books its charge with ``clock.work(charge,
+next_step)`` and the clock calls the next step when the engine has
 done the work.  The PDU in service is a small state on the engine --
 descriptor, its VC's state, cells, next index and pacing interval.
 Each VC's state (its segmenting call, static pacing interval and next
@@ -90,10 +90,17 @@ class TxEngine:
         #: stream.  Duck-typed -- the NIC package never imports repro.tm.
         self.abr = None
         self.name = name
-        # The three per-PDU step charges, read once: the budget is frozen.
-        self._prologue_charge = costs.pdu_step_charge("prologue")
-        self._dma_setup_charge = costs.pdu_step_charge("dma_setup")
-        self._completion_charge = costs.pdu_step_charge("completion")
+        # The charges, read once: the budget is frozen.  Each cell's
+        # carries the AAL glue's extra cycles as one more op.
+        self._prologue_charge = costs.pdu_step_charge("tx-pdu-prologue")
+        self._dma_setup_charge = costs.pdu_step_charge("tx-dma-setup")
+        self._completion_charge = costs.pdu_step_charge("tx-pdu-completion")
+        self._cell_charges = {
+            position: costs.cell_charge(position).with_op(
+                "sar_glue_extra", self.glue.tx_extra_cycles
+            )
+            for position in CellPosition
+        }
         #: Each open VC's state, from its first PDU until it closes.
         self._vcs: Dict[VcAddress, _VcState] = {}
         #: Called with the descriptor when its status writeback completes.
@@ -103,11 +110,10 @@ class TxEngine:
         self.pacing_stalls = Counter(f"{name}.pacing-stalls")
         self.pdus_stalled_for_buffer = Counter(f"{name}.buffer-stalls")
         self.throughput = ThroughputMeter(sim)
-        #: Observability hooks (repro.obs), copied from the simulator:
-        #: a TraceRecorder and a CycleProfiler, or None.  Duck-typed --
-        #: the NIC package never imports the obs package.
+        #: Observability hook (repro.obs), copied from the simulator: a
+        #: TraceRecorder, or None.  Duck-typed -- the NIC package never
+        #: imports the obs package.
         self.trace = sim.trace
-        self.profiler = sim.profiler
         self._started = False
         # The PDU in service: its descriptor, when the engine took it,
         # its VC's state, its cells, the next cell's index and the
@@ -173,22 +179,14 @@ class TxEngine:
             )
         # Per-PDU prologue: parse the descriptor, load the VC's state
         # (its header template) and cut the PDU into cells, program the
-        # host-memory DMA.  Each step's ops reach the profiler as they
-        # are charged, so a run cut off mid-PDU still reconciles with
-        # the engine clock.
+        # host-memory DMA.
         vc = descriptor.vc
         state = self._vc = self._vcs.get(vc) or self._resolve(vc)
         self._cells = state.segment(descriptor.sdu, descriptor.user_indication)
-        ops, cycles = self._prologue_charge
-        if self.profiler is not None:
-            self.profiler.record_pdu("tx", ops)
-        self.clock.work(cycles, "tx-pdu-prologue", self._dma_setup)
+        self.clock.work(self._prologue_charge, self._dma_setup)
 
     def _dma_setup(self) -> None:
-        ops, cycles = self._dma_setup_charge
-        if self.profiler is not None:
-            self.profiler.record_ops("tx", ops)
-        self.clock.work(cycles, "tx-dma-setup", self._stage)
+        self.clock.work(self._dma_setup_charge, self._stage)
 
     def _stage(self) -> None:
         """Stage the PDU into adaptor buffer memory, then DMA it in.
@@ -253,18 +251,8 @@ class TxEngine:
             position = CellPosition.FIRST
         else:
             position = CellPosition.LAST
-        # The cost model's own memo, read in this frame.
-        costs = self.costs
-        try:
-            ops, cycles = costs._charges[position]
-        except KeyError:
-            ops, cycles = costs.cell_charge(position)
-        extra = self.glue.tx_extra_cycles
-        if self.profiler is not None:
-            self.profiler.record_cell("tx", position, ops, extra=extra)
         self.clock.work(
-            cycles + extra,
-            "tx-cell",
+            self._cell_charges[position],
             self._emit if self._interval is None else self._pace,
         )
 
@@ -339,10 +327,7 @@ class TxEngine:
 
     def _completion(self) -> None:
         """Completion status back to the host."""
-        ops, cycles = self._completion_charge
-        if self.profiler is not None:
-            self.profiler.record_ops("tx", ops)
-        self.clock.work(cycles, "tx-pdu-completion", self._pdu_done)
+        self.clock.work(self._completion_charge, self._pdu_done)
 
     def _pdu_done(self) -> None:
         descriptor = self._descriptor

@@ -13,18 +13,19 @@ this package makes the *run itself* observable, three ways:
   FIFO and buffer-memory occupancy, engine utilisation, the fault
   auditor's conservation ledger), with periodic sampling into time
   series and CSV/JSON export.
-- :mod:`repro.obs.profiler` -- :class:`CycleProfiler` attributes every
-  engine cycle to the cost models' named operations and the paper's
-  analysis phases, rendering measured T1/T2 budget tables from a live
-  run.
+- :mod:`repro.obs.profiler` -- :class:`CycleProfiler` reads the engine
+  clocks' own ledgers and attributes every engine cycle to the cost
+  models' named operations and the paper's analysis phases, rendering
+  measured T1/T2 budget tables from a live run.
 
-All hooks are duck-typed attributes (``component.trace``,
-``engine.profiler``) that every component copies from its simulator
-when it is built; the pipeline packages never import this one, and an
-unobserved run costs a single attribute test per would-be event.
-:mod:`repro.obs.observe` is the one way to fill them in: every
-simulator built inside :func:`observe` gets a recorder, a registry
-over its components, a profiler and a closed conservation ledger::
+The one hook is a duck-typed attribute (``component.trace``) that every
+component copies from its simulator when it is built; the pipeline
+packages never import this one, and an unobserved run costs a single
+attribute test per would-be event.  The profiler needs no hook: it
+reads what the engine clocks book anyway.  :mod:`repro.obs.observe`
+is the one way to fill the hook in: every simulator built inside
+:func:`observe` gets a recorder, a registry over its components, a
+profiler and a closed conservation ledger::
 
     from repro.obs import observe
 

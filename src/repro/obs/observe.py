@@ -1,9 +1,9 @@
 """One observation path: every simulator built inside :func:`observe`.
 
-Components copy their hooks from their :class:`~repro.sim.core.Simulator`
-when they are built (``self.trace = sim.trace``; the engines also
-``sim.profiler``), and the cell-carrying ones add themselves to
-``sim.components``.  :func:`observe` fills those hooks in, so an
+Components copy their trace hook from their
+:class:`~repro.sim.core.Simulator` when they are built (``self.trace =
+sim.trace``), and the cell-carrying ones add themselves to
+``sim.components``.  :func:`observe` fills the hook in, so an
 experiment is observed by running its own ``run_*``, not a copy of its
 scenario::
 
@@ -19,7 +19,7 @@ one view that both list, traced if either asks for a trace.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.faults.audit import CellConservationAuditor
 from repro.obs.metrics import MetricsRegistry, instrument, instrumentable
@@ -37,7 +37,8 @@ class SimulatorView:
     The registry covers every instrumentable component built, sampled
     every 1/50 of the simulator's first ``run(until=...)`` window; the
     ledger is closed over everything built
-    (:meth:`~repro.faults.audit.CellConservationAuditor.closed`).
+    (:meth:`~repro.faults.audit.CellConservationAuditor.closed`); the
+    profiler reads the engine clocks of every interface built.
     """
 
     def __init__(self, sim: Simulator, trace: bool) -> None:
@@ -48,7 +49,6 @@ class SimulatorView:
             TraceRecorder(sim) if trace else None
         )
         self.registry = MetricsRegistry(sim)
-        self.profiler = CycleProfiler()
         #: The books over every link, port, switch and interface built.
         self.ledger = CellConservationAuditor.closed(sim.components)
         instrument(self.registry, self.ledger)
@@ -56,7 +56,6 @@ class SimulatorView:
         self._prefixes: Dict[str, int] = {}
         self._finished = False
         sim.trace = self.recorder
-        sim.profiler = self.profiler
         sim.on_first_run = self._sample_window
 
     def _register_new_components(self) -> None:
@@ -90,23 +89,17 @@ class SimulatorView:
             self._register_new_components()
             self.registry.sample()
 
-    def reconcile(self) -> float:
-        """Profiler cycles minus the engine clocks' (0 when all attributed).
-
-        A shared engine books a charge when the charge reaches its
-        stream; the cycles still queued for it count as charged.
-        """
-        clocks: Dict[int, Any] = {}
-        for component in self.sim.components:
-            for engine in ("tx_engine", "rx_engine"):
-                clock = getattr(getattr(component, engine, None), "clock", None)
-                if clock is not None:
-                    clocks[id(clock)] = clock
-        return sum(
-            self.profiler.total_cycles(engine) for engine in ("tx", "rx")
-        ) - sum(
-            clock.total_cycles + getattr(clock, "queued_cycles", 0.0)
-            for clock in clocks.values()
+    @property
+    def profiler(self) -> CycleProfiler:
+        """The cycle ledgers of every interface's engine clocks."""
+        return CycleProfiler(
+            clock
+            for component in self.sim.components
+            for clock in (
+                getattr(component, "tx_clock", None),
+                getattr(component, "rx_clock", None),
+            )
+            if clock is not None
         )
 
 

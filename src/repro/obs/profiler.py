@@ -4,13 +4,12 @@ The paper's T1/T2 tables budget the segmentation and reassembly inner
 loops operation by operation.  The cost models in
 :mod:`repro.nic.costs` *are* those budgets, but a table printed from a
 dataclass only proves what was configured.  The
-:class:`CycleProfiler` proves what *ran*: attached to the engines, it
-observes every executed cell/PDU and attributes its cycles to the same
-named operations -- each engine hands it the op map of every
-:class:`~repro.nic.costs.Charge` at the moment it charges the map's
-sum to its clock, so the profiler's cycles equal the engine clocks'
-cycles (:meth:`CycleProfiler.reconcile` is zero), drained or cut off
-mid-PDU.  The T1/T2 tables it renders are therefore measured from a
+:class:`CycleProfiler` proves what *ran*: it reads the ledgers of
+engine clocks, which book every :class:`~repro.nic.costs.Charge` an
+engine executes (:attr:`~repro.nic.engine.EngineClock.booked`: each
+charge with how often it ran), and attributes the cycles to the
+charges' named operations, so its cycles are the clocks' cycles,
+drained or cut off mid-PDU.  The T1/T2 tables it renders are therefore measured from a
 live simulation, and reproducing the configured budgets (16 cycles per
 TX middle cell, 22 per RX middle cell with the CAM) is an end-to-end
 check that the pipeline charged exactly what the budget says.
@@ -19,23 +18,25 @@ Operations also roll up into the paper's four analysis *phases*:
 
 - **classify** -- header parsing and VCI lookup (CAM or software probe);
 - **copy** -- data movement: SAR cell build, pointer advance,
-  FIFO handshakes, context update, payload store;
+  FIFO handshakes, context update, payload store, the AAL glue's
+  per-cell extra (``sar_glue_extra``);
 - **crc** -- CRC accumulation (zero with the hardware assist fitted);
 - **per-pdu** -- the once-per-PDU overheads: descriptor and completion
   traffic, context open/close, trailer work;
 - **oam** -- management-cell handling (outside the paper's tables).
 
-Every engine copies its simulator's ``profiler`` when it is built, so
-one profiler per simulator sees every engine; :func:`repro.obs.observe`
-supplies it.  Like tracing, the hot-path cost without one is one
-attribute test per cell.
+:func:`repro.obs.observe` gives each simulator's view a profiler over
+every interface's clocks; ``CycleProfiler([nic.tx_clock,
+nic.rx_clock])`` profiles an unobserved interface.  The engines carry
+no profiling hook.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.nic.costs import CellPosition
+from repro.nic.costs import CellPosition, Charge
+from repro.nic.engine import EngineClock
 
 #: Operation -> analysis phase (both directions share the namespace).
 PHASE_OF_OP: Dict[str, str] = {
@@ -70,7 +71,8 @@ PHASES = ("classify", "copy", "crc", "per-pdu", "oam")
 
 
 class _EngineLedger:
-    """Per-direction accumulation: ops, phases, per-position cells."""
+    """One direction's ledgers, folded from the clocks' booked charges:
+    ops, per-position cells and PDUs."""
 
     __slots__ = ("op_cycles", "op_events", "position_cycles",
                  "position_cells", "pdus")
@@ -82,13 +84,21 @@ class _EngineLedger:
         self.position_cells: Dict[CellPosition, int] = {}
         self.pdus = 0
 
-    def add_ops(self, ops: Dict[str, float]) -> float:
-        total = 0.0
-        for op, cycles in ops.items():
-            self.op_cycles[op] = self.op_cycles.get(op, 0.0) + cycles
-            self.op_events[op] = self.op_events.get(op, 0) + 1
-            total += cycles
-        return total
+    def add(self, charge: Charge, runs: int) -> None:
+        """Fold in *charge*, which ran *runs* times."""
+        for op, cycles in charge.ops.items():
+            self.op_cycles[op] = self.op_cycles.get(op, 0.0) + cycles * runs
+            self.op_events[op] = self.op_events.get(op, 0) + runs
+        position = charge.position
+        if position is not None:
+            self.position_cycles[position] = (
+                self.position_cycles.get(position, 0.0) + charge.cycles * runs
+            )
+            self.position_cells[position] = (
+                self.position_cells.get(position, 0) + runs
+            )
+        if charge.tag == "tx-pdu-prologue":
+            self.pdus += runs
 
     @property
     def total_cycles(self) -> float:
@@ -96,74 +106,46 @@ class _EngineLedger:
 
 
 class CycleProfiler:
-    """Observes executed cells/PDUs and keeps the cycle ledgers."""
+    """A read-only view of engine clocks' ledgers, by op, phase and
+    cell position.
 
-    def __init__(self) -> None:
-        self._ledgers: Dict[str, _EngineLedger] = {
-            "tx": _EngineLedger(),
-            "rx": _EngineLedger(),
-        }
+    Each of *clocks* is an :class:`~repro.nic.engine.EngineClock`; one
+    listed twice (a shared engine is both an interface's TX and RX
+    clock) is read once.  Each query reads the ledgers as they stand.
+    """
 
-    # -- recording (called from the engine loops) -------------------------
+    def __init__(self, clocks: Iterable[EngineClock]) -> None:
+        self.clocks = list(dict.fromkeys(clocks))
 
-    def record_cell(
-        self,
-        engine: str,
-        position: CellPosition,
-        ops: Dict[str, float],
-        extra: float = 0.0,
-    ) -> None:
-        """One cell executed; *ops* is the cost model's breakdown map.
-
-        *extra* carries AAL-glue cycles outside the base model (booked
-        as the ``sar_glue_extra`` op so the ledger still reconciles
-        with the engine clock).
-        """
-        ledger = self._ledgers[engine]
-        cycles = ledger.add_ops(ops)
-        if extra:
-            cycles += ledger.add_ops({"sar_glue_extra": extra})
-        ledger.position_cycles[position] = (
-            ledger.position_cycles.get(position, 0.0) + cycles
-        )
-        ledger.position_cells[position] = (
-            ledger.position_cells.get(position, 0) + 1
-        )
-
-    def record_pdu(self, engine: str, ops: Dict[str, float]) -> None:
-        """A PDU started: count it and book its first per-PDU ops."""
-        ledger = self._ledgers[engine]
-        ledger.add_ops(ops)
-        ledger.pdus += 1
-
-    def record_ops(self, engine: str, ops: Dict[str, float]) -> None:
-        """Cycles outside any cell/PDU budget (unknown-VC cells etc.)."""
-        self._ledgers[engine].add_ops(ops)
-
-    def record_oam(self, ops: Dict[str, float]) -> None:
-        """One management cell handled by the RX engine."""
-        self.record_ops("rx", ops)
+    def _ledger(self, engine: str) -> _EngineLedger:
+        """The *engine* direction's charges, folded."""
+        ledger = _EngineLedger()
+        for clock in self.clocks:
+            for charge, runs in clock.booked.items():
+                if charge.engine == engine:
+                    ledger.add(charge, runs)
+        return ledger
 
     # -- queries ----------------------------------------------------------
 
     def cells_seen(self, engine: str) -> int:
-        return sum(self._ledgers[engine].position_cells.values())
+        return sum(self._ledger(engine).position_cells.values())
 
     def cells_at(self, engine: str, position: CellPosition) -> int:
         """Cells executed at one position (0 if unseen)."""
-        return self._ledgers[engine].position_cells.get(position, 0)
+        return self._ledger(engine).position_cells.get(position, 0)
 
     def pdus_seen(self, engine: str) -> int:
-        return self._ledgers[engine].pdus
+        return self._ledger(engine).pdus
 
     def total_cycles(self, engine: str) -> float:
-        return self._ledgers[engine].total_cycles
+        return self._ledger(engine).total_cycles
 
     def cycles_per_cell(
         self, engine: str, position: CellPosition
     ) -> Optional[float]:
         """Mean measured cycles per cell at *position* (None if unseen)."""
-        ledger = self._ledgers[engine]
+        ledger = self._ledger(engine)
         cells = ledger.position_cells.get(position, 0)
         if not cells:
             return None
@@ -171,7 +153,7 @@ class CycleProfiler:
 
     def op_ledger(self, engine: str) -> Dict[str, Tuple[int, float]]:
         """op -> (occurrences, total cycles) for one direction."""
-        ledger = self._ledgers[engine]
+        ledger = self._ledger(engine)
         return {
             op: (ledger.op_events[op], ledger.op_cycles[op])
             for op in sorted(ledger.op_cycles)
@@ -180,23 +162,10 @@ class CycleProfiler:
     def phase_cycles(self, engine: str) -> Dict[str, float]:
         """Phase -> total cycles for one direction."""
         totals: Dict[str, float] = {}
-        for op, cycles in self._ledgers[engine].op_cycles.items():
+        for op, cycles in self._ledger(engine).op_cycles.items():
             phase = PHASE_OF_OP.get(op, "other")
             totals[phase] = totals.get(phase, 0.0) + cycles
         return totals
-
-    def reconcile(self, engine: str, clocks) -> float:
-        """Recorded-minus-booked cycle residue against engine clocks.
-
-        Compares this profiler's ledger for *engine* against the summed
-        ``total_cycles`` of *clocks* -- the
-        :class:`~repro.nic.engine.EngineClock` of every *engine* it
-        profiles.  Zero means every cycle the engines charged was
-        attributed to a named operation.
-        """
-        return self.total_cycles(engine) - sum(
-            clock.total_cycles for clock in clocks
-        )
 
     # -- rendering --------------------------------------------------------
 
@@ -218,7 +187,7 @@ class CycleProfiler:
 
     def position_rows(self, engine: str) -> List[List[str]]:
         """Per-position rows: position, cells, measured cycles/cell."""
-        ledger = self._ledgers[engine]
+        ledger = self._ledger(engine)
         rows = []
         for position in CellPosition:
             cells = ledger.position_cells.get(position, 0)

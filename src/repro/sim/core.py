@@ -196,11 +196,10 @@ class Simulator:
     deterministic.
 
     The simulator is also where components find their observation
-    hooks: each copies :attr:`trace` (and the engines :attr:`profiler`)
-    when it is built, and the cell-carrying ones add themselves to
-    :attr:`components`.  Outside :func:`repro.obs.observe` both hooks
-    are ``None``, so an unobserved run pays one attribute test per
-    would-be event.
+    hook: each copies :attr:`trace` when it is built, and the
+    cell-carrying ones add themselves to :attr:`components`.  Outside
+    :func:`repro.obs.observe` the hook is ``None``, so an unobserved
+    run pays one attribute test per would-be event.
     """
 
     #: Called with every simulator as it is built while an observation
@@ -222,10 +221,9 @@ class Simulator:
         #: observability counter (exposed as ``sim.events_processed`` by
         #: the metrics layer; see :mod:`repro.obs.metrics`).
         self.events_processed = 0
-        #: Observation hooks components copy when built: a trace
-        #: recorder and a cycle profiler, or None.
+        #: Observation hook components copy when built: a trace
+        #: recorder, or None.
         self.trace: Any = None
-        self.profiler: Any = None
         #: Components built on this simulator, in build order: links,
         #: ports, switches, interfaces and the control-plane agents.
         self.components: list[Any] = []

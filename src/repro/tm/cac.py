@@ -152,7 +152,14 @@ class CallAdmissionController:
         return False
 
     def release(self, call) -> None:
-        """``SignallingAgent.on_call_released`` hook: drain the books."""
+        """``SignallingAgent.on_call_released`` hook: drain the books.
+
+        Only calls the guarded agent accepted were booked.  A call it
+        placed is numbered by its own end and may share a reference
+        with one it accepted, so it drains nothing.
+        """
+        if call.is_caller:
+            return
         booked = self._booked.pop(call.call_ref, None)
         if booked is None:
             return

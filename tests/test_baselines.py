@@ -21,6 +21,8 @@ from repro.nic import (
     aurora_oc12,
     connect,
 )
+from repro.nic.costs import Charge
+from repro.obs import CycleProfiler
 from repro.obs.trace import TraceRecorder
 from repro.results.experiments import (
     _measure_duplex_aggregate,
@@ -29,6 +31,11 @@ from repro.results.experiments import (
     lab_host,
 )
 from repro.workloads.generators import make_payload
+
+
+def work(cycles, tag="work", engine="tx"):
+    """A hand-made charge of *cycles* under one op named *tag*."""
+    return Charge({tag: cycles}, tag, engine)
 
 
 def build_sar_pair(sim, config=None):
@@ -145,7 +152,7 @@ class TestSharedEngine:
         clock = SharedEngineClock(sim, I960_25MHZ)
         finish = []
         for name in ("a", "b"):
-            clock.work(2500, "work", lambda n=name: finish.append((n, sim.now)))
+            clock.work(work(2500), lambda n=name: finish.append((n, sim.now)))
         sim.run()
         assert finish[0][1] == pytest.approx(100e-6)  # 2500 cycles
         assert finish[1][1] == pytest.approx(200e-6)
@@ -187,18 +194,18 @@ class TestSharedEngine:
 
     def test_utilization_accounted_once(self, sim):
         clock = SharedEngineClock(sim, I960_25MHZ)
-        clock.work(25_000, "work", lambda: None)  # 1 ms
-        clock.work(25_000, "work", lambda: None)
+        clock.work(work(25_000), lambda: None)  # 1 ms
+        clock.work(work(25_000), lambda: None)
         sim.run()
         assert clock.utilization(sim.now) == pytest.approx(1.0)
 
     def test_contention_wait_is_the_mean_queueing_time(self, sim):
         clock = SharedEngineClock(sim, I960_25MHZ)
-        clock.work(2500, "work", lambda: None)
+        clock.work(work(2500), lambda: None)
         sim.run()
         assert clock.contention_wait == 0.0  # one caller never waits
-        clock.work(2500, "work", lambda: None)  # 100 us each
-        clock.work(2500, "work", lambda: None)  # waits 100 us
+        clock.work(work(2500), lambda: None)  # 100 us each
+        clock.work(work(2500), lambda: None)  # waits 100 us
         sim.run()
         assert clock.contention_wait == pytest.approx(100e-6 / 3)
 
@@ -206,8 +213,8 @@ class TestSharedEngine:
         clock = SharedEngineClock(sim, I960_25MHZ)
         finish = []
         clock.request_stall(1e-3)
-        clock.work(2500, "work", lambda: finish.append(sim.now))
-        clock.work(2500, "work", lambda: finish.append(sim.now))
+        clock.work(work(2500), lambda: finish.append(sim.now))
+        clock.work(work(2500), lambda: finish.append(sim.now))
         sim.run()
         assert finish == [
             pytest.approx(100e-6 + 1e-3),
@@ -220,8 +227,8 @@ class TestSharedEngine:
         recorder = TraceRecorder(sim)
         clock = SharedEngineClock(sim, I960_25MHZ, name="shared")
         clock.trace = recorder
-        clock.work(2500, "rx-cell", lambda: None)
-        clock.work(25, "tx-cell", lambda: None)
+        clock.work(work(2500, "rx-cell", "rx"), lambda: None)
+        clock.work(work(25, "tx-cell"), lambda: None)
         sim.run()
         spans = [e for e in recorder.events if e.name == "engine.work"]
         assert [(e.args["tag"], e.args["cycles"]) for e in spans] == [
@@ -230,3 +237,20 @@ class TestSharedEngine:
         ]
         # Each span starts when its item gets the stream.
         assert [e.ts for e in spans] == [0.0, pytest.approx(100e-6)]
+
+    def test_ledger_holds_only_work_the_stream_began(self, sim):
+        clock = SharedEngineClock(sim, I960_25MHZ)
+        rx, tx = work(2500, "rx-cell", "rx"), work(2500, "tx-cell")
+        clock.work(rx, lambda: None)  # 100 us
+        clock.work(tx, lambda: None)  # waits for the stream
+        profiler = CycleProfiler([clock])
+        sim.run(until=50e-6)
+        assert clock.booked == {rx: 1}
+        assert (profiler.total_cycles("rx"), profiler.total_cycles("tx")) == (
+            2500,
+            0,
+        )
+        sim.run(until=150e-6)  # the TX charge started at 100 us
+        assert clock.booked == {rx: 1, tx: 1}
+        assert profiler.total_cycles("tx") == 2500
+        assert clock.total_cycles == 5000

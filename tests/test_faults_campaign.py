@@ -17,11 +17,14 @@ from repro.faults import (
 )
 from repro.faults.plan import PlanError
 from repro.nic.config import aurora_oc3
-from repro.nic.costs import I960_25MHZ
+from repro.nic.costs import I960_25MHZ, Charge
 from repro.nic.engine import EngineClock
 from repro.nic.rx import FrameDiscardPolicy
 from repro.sim.random import RandomStreams
 from repro.workloads.scenarios import build_point_to_point
+
+#: 25 cycles of engine work: 1 us at 25 MHz.
+WORK = Charge({"work": 25}, "work", "tx")
 
 FAST_SPEC = CampaignSpec(duration=0.01, n_vcs=2, sdu_size=4096, pdus_per_vc=10)
 
@@ -35,7 +38,7 @@ class TestEngineStallHook:
         clock = EngineClock(sim, I960_25MHZ)
         clock.request_stall(1e-3)
         finished = []
-        clock.work(25, "work", lambda: finished.append(sim.now))
+        clock.work(WORK, lambda: finished.append(sim.now))
         sim.run()
         assert finished[0] == pytest.approx(25 / 25e6 + 1e-3)
         assert clock.stalls_taken == 1
@@ -45,7 +48,7 @@ class TestEngineStallHook:
         clock = EngineClock(sim, I960_25MHZ)
         clock.request_stall(1e-3)
         clock.request_stall(2e-3)
-        clock.work(25, "work", lambda: None)
+        clock.work(WORK, lambda: None)
         sim.run()
         assert clock.stalls_taken == 1  # absorbed together
         assert clock.stalled_time == pytest.approx(3e-3)

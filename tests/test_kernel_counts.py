@@ -176,7 +176,7 @@ def test_quickstart_python_calls():
     sim, delivered = _quickstart()
     calls = _python_calls(sim, 0.05)
     assert len(delivered) == 5
-    assert calls == 25035
+    assert calls == 25011
 
 
 def test_small_pdus_exchange():
@@ -191,7 +191,7 @@ def test_small_pdus_python_calls():
     sim, delivered = _small_pdus()
     calls = _python_calls(sim, 0.05)
     assert len(delivered) == 64
-    assert calls == 11149
+    assert calls == 11117
 
 
 def test_signalled_sessions_exchange():
@@ -227,7 +227,7 @@ def test_signalled_sessions_python_calls():
     sim, engine, _caller_sig, _callee_sig = _signalled_sessions()
     calls = _python_calls(sim, 0.02)
     assert engine.sessions_released.count == 12
-    assert calls == 11309
+    assert calls == 11277
 
 
 def test_released_sessions_leave_no_connection_state(monkeypatch):

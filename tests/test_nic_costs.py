@@ -11,6 +11,7 @@ from repro.nic import (
     RxCostModel,
     TxCostModel,
 )
+from repro.nic.costs import Charge
 
 
 class TestCellPosition:
@@ -197,24 +198,42 @@ class TestBudgetTables:
     def test_charges_are_the_sums_of_their_op_maps(self):
         tx = TxCostModel()
         for position in CellPosition:
-            ops, cycles = tx.cell_charge(position)
-            assert ops == tx.cell_breakdown(position)
-            assert cycles == sum(ops.values()) == tx.cell_cycles(position)
+            charge = tx.cell_charge(position)
+            assert charge.ops == tx.cell_breakdown(position)
+            assert charge.cycles == sum(charge.ops.values())
+            assert charge.cycles == tx.cell_cycles(position)
+            assert (charge.tag, charge.engine, charge.position) == (
+                "tx-cell",
+                "tx",
+                position,
+            )
         steps = [tx.pdu_step_charge(step) for step in tx.PDU_STEPS]
+        assert [step.tag for step in steps] == [
+            "tx-pdu-prologue",
+            "tx-dma-setup",
+            "tx-pdu-completion",
+        ]
         assert sum(step.cycles for step in steps) == tx.pdu_cycles()
         assert sum(tx.pdu_breakdown().values()) == tx.pdu_cycles()
 
         rx = RxCostModel()
         for cam in (True, False):
             for position in CellPosition:
-                ops, cycles = rx.cell_charge(position, cam, 9)
-                assert ops == rx.cell_breakdown(position, cam, 9)
-                assert cycles == sum(ops.values())
-            ops, cycles = rx.classify_charge(cam, 9)
-            assert cycles == sum(ops.values())
-        ops, cycles = rx.oam_charge()
-        assert cycles == sum(ops.values())
+                charge = rx.cell_charge(position, cam, 9)
+                assert charge.ops == rx.cell_breakdown(position, cam, 9)
+                assert charge.cycles == sum(charge.ops.values())
+                assert (charge.tag, charge.position) == ("rx-cell", position)
+            charge = rx.classify_charge(cam, 9)
+            assert charge.cycles == sum(charge.ops.values())
+            assert (charge.tag, charge.position) == ("rx-unknown-vc", None)
+        charge = rx.oam_charge()
+        assert charge.cycles == sum(charge.ops.values())
+        assert (charge.tag, charge.engine) == ("rx-oam", "rx")
         # The CAM's cost ignores the table size: one memo entry serves
         # every table size.
         middle = CellPosition.MIDDLE
         assert rx.cell_charge(middle, True, 5) is rx.cell_charge(middle, True, 900)
+
+    def test_negative_op_refused_when_the_charge_is_built(self):
+        with pytest.raises(ValueError, match="fifo_push"):
+            Charge({"cell_build": 8, "fifo_push": -3}, "tx-cell", "tx")

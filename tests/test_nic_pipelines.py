@@ -250,14 +250,14 @@ def spy_on_work(sim, clock):
     log = []
     work = clock.work
 
-    def spied(cycles, tag, then, *args):
-        log.append(("charge", tag, sim.events_processed, sim.now))
+    def spied(charge, then, *args):
+        log.append(("charge", charge.tag, sim.events_processed, sim.now))
 
         def done(*done_args):
-            log.append(("done", tag, sim.events_processed, sim.now))
+            log.append(("done", charge.tag, sim.events_processed, sim.now))
             then(*done_args)
 
-        work(cycles, tag, done, *args)
+        work(charge, done, *args)
 
     clock.work = spied
     return log

@@ -58,7 +58,7 @@ def test_corpus_findings_carry_hints_and_severity():
 # suppressed site in the same file.
 FAMILY_CASES = [
     ("SL1", "determinism_violations.py", "SL101", 11, 30),
-    ("SL2", "nic/charge_violations.py", "SL201", 6, 14),
+    ("SL2", "nic/charge_violations.py", "SL201", 6, 11),
     ("SL4", "sim/scheduler_violations.py", "SL104", 9, 34),
     ("SL6", "runner_violations.py", "SL601", 11, 29),
 ]

@@ -6,6 +6,7 @@ from repro.atm.cell import CELL_SIZE
 from repro.atm.link import PhysicalLink, STS3C_155
 from repro.atm.signalling import (
     CallRefused,
+    CallState,
     MessageType,
     SignallingAgent,
     SignallingMessage,
@@ -75,6 +76,7 @@ class TestAdmission:
 
         class FakeCall:
             call_ref = message.call_ref
+            is_caller = False
 
         cac.release(FakeCall())
         assert cac.booked_peak == 0.0
@@ -86,6 +88,7 @@ class TestAdmission:
 
         class FakeCall:
             call_ref = 99
+            is_caller = False
 
         cac.release(FakeCall())
         assert cac.booked_peak == 0.0
@@ -147,6 +150,39 @@ class TestSignallingIntegration:
         sim.run(until=0.1)
         assert outcomes == ["ok"]
         assert cac.calls_admitted.count == 2
+
+    def test_guarded_agents_own_call_drains_nothing(self, sim):
+        # Both ends number their calls from 1: b's own call shares its
+        # reference with the call b accepted from a.
+        a = HostNetworkInterface(sim, aurora_oc3(), name="a")
+        b = HostNetworkInterface(sim, aurora_oc3(), name="b")
+        link_ab, _ = connect(sim, a, b)
+        sig_a = SignallingAgent(sim, a)
+        sig_b = SignallingAgent(sim, b)
+        cac = CallAdmissionController(sim)
+        cac.add_link(link_ab)
+        cac.guard(sig_b)
+        calls = {}
+
+        def place(agent, name, peak):
+            call = calls[name] = agent.place_call(peak_rate_bps=peak)
+            yield call.connected
+
+        def own_call():
+            yield from place(sig_b, "b", 1e6)
+            yield sig_b.release_call(calls["b"])
+
+        sim.process(place(sig_a, "a", 40e6))
+        sim.run(until=0.01)
+        sim.process(own_call())
+        sim.run(until=0.02)
+
+        assert calls["a"].call_ref == calls["b"].call_ref == 1
+        assert calls["a"].state is CallState.ACTIVE
+        assert calls["b"].state is CallState.RELEASED
+        booked = cells_per_second(40e6)
+        assert cac.booked_peak == pytest.approx(booked)
+        assert cac.headroom() == pytest.approx(link_ab.spec.cell_rate - booked)
 
     def test_guard_composes_with_existing_policy(self, sim):
         a = HostNetworkInterface(sim, aurora_oc3(), name="a")
