@@ -194,7 +194,11 @@ class OutputPort:
         return counts
 
     def loss_ratio_by_vc(self) -> Dict[VcAddress, float]:
-        """Per-VC drop fraction, for fairness analysis."""
+        """Per-VC drop fraction, for fairness analysis.
+
+        Covers the VCs still routed to this port: a switch that removes
+        a route calls :meth:`forget` for the VC it carried.
+        """
         ratios: Dict[VcAddress, float] = {}
         for vc in set(self._vc_enqueued) | set(self._vc_dropped):
             accepted = self._vc_enqueued.get(vc, 0)
@@ -202,6 +206,11 @@ class OutputPort:
             offered = accepted + lost
             ratios[vc] = lost / offered if offered else 0.0
         return ratios
+
+    def forget(self, vc: VcAddress) -> None:
+        """Drop *vc*'s per-VC tallies (its route through here is gone)."""
+        self._vc_enqueued.pop(vc, None)
+        self._vc_dropped.pop(vc, None)
 
 
 class CellMultiplexer:

@@ -110,8 +110,16 @@ class AtmSwitch:
         )
 
     def remove_routes(self, in_port: int, in_address: VcAddress) -> int:
-        """Drop every entry for the given input VC; returns how many."""
+        """Drop every entry for the given input VC; returns how many.
+
+        Each entry's output port forgets the outgoing VC's per-VC
+        tallies, so they live as long as the route.
+        """
         entries = self._routes.pop((in_port, in_address), [])
+        for entry, _ in entries:
+            self.output_ports[entry.out_port].forget(
+                VcAddress(entry.out_vpi, entry.out_vci)
+            )
         return len(entries)
 
     def route_for(

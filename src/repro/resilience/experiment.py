@@ -208,7 +208,6 @@ def _r2_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float
 
 
 def run_r2(
-    config=None,
     *,
     seeds: Optional[Sequence[int]] = None,
     duration: float = 0.02,
@@ -226,10 +225,8 @@ def run_r2(
     Each seed runs the same flapped scenario twice -- with and without
     the fault-management plane -- and reports whole-run and per-window
     goodput plus the recovery invariants.  See ``docs/RESILIENCE.md``.
-    Sweep points build their configs from JSON parameters, so *config*
-    is accepted only for the uniform contract.
+    Sweep points build their configs from JSON parameters.
     """
-    del config
     seeds = tuple(seeds) if seeds is not None else (1, 2, 3)
     from repro.results.experiments import ExperimentResult
 

@@ -181,18 +181,12 @@ def _window_for(size: int, base: float, link) -> float:
 # T1 / T2: the engine cycle-budget tables
 # ---------------------------------------------------------------------------
 
-def run_t1(
-    config: Optional[NicConfig] = None,
-    *,
-    seeds: Optional[Sequence[int]] = None,
-) -> ExperimentResult:
+def run_t1() -> ExperimentResult:
     """T1: transmit-path per-operation cycle budget.
 
-    Closed-form table: *seeds* is accepted only for the uniform
-    experiment contract (see EXPERIMENTS.md).
+    Closed-form table of the OC-3 preset's transmit cost model.
     """
-    del seeds
-    config = config if config is not None else aurora_oc3()
+    config = aurora_oc3()
     costs = config.tx_costs
     engine = config.tx_engine
     rows = [
@@ -233,18 +227,12 @@ def claims_t1(result: ExperimentResult) -> Dict[str, bool]:
     }
 
 
-def run_t2(
-    config: Optional[NicConfig] = None,
-    *,
-    seeds: Optional[Sequence[int]] = None,
-) -> ExperimentResult:
+def run_t2() -> ExperimentResult:
     """T2: receive-path per-operation cycle budget (CAM and software).
 
-    Closed-form table: *seeds* is accepted only for the uniform
-    experiment contract.
+    Closed-form table of the OC-3 preset's receive cost model.
     """
-    del seeds
-    config = config if config is not None else aurora_oc3()
+    config = aurora_oc3()
     costs = config.rx_costs
     engine = config.rx_engine
     rows = [
@@ -292,18 +280,15 @@ def claims_t2(result: ExperimentResult) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 def run_f2(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     sizes: Sequence[int] = DEFAULT_SIZES,
     window: float = 0.05,
 ) -> ExperimentResult:
     """F2: transmit throughput vs PDU size (simulated + analytic).
 
-    Deterministic: *seeds* is accepted only for the uniform contract.
+    Deterministic, on the OC-3 preset.
     """
-    del seeds
-    config = config if config is not None else aurora_oc3()
+    config = aurora_oc3()
     isolated = lab_host(config)
     series = Series(name="tx throughput", x_label="sdu_bytes")
     for size in sizes:
@@ -372,9 +357,7 @@ def claims_f2(result: ExperimentResult) -> Dict[str, bool]:
 
 
 def run_f3(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     sizes: Sequence[int] = DEFAULT_SIZES,
     window: float = 0.05,
 ) -> ExperimentResult:
@@ -384,11 +367,9 @@ def run_f3(
     receive FIFO directly from a backlogged wire model: cells arrive at
     link rate but never overrun (upstream buffering), so the measured
     goodput is min(link, receive engine) -- the paper's sustainable-rate
-    quantity.  Deterministic: *seeds* is accepted only for the uniform
-    contract.
+    quantity.  Deterministic, on the OC-3 preset.
     """
-    del seeds
-    config = lab_host(config if config is not None else aurora_oc3())
+    config = lab_host(aurora_oc3())
     series = Series(name="rx throughput", x_label="sdu_bytes")
     for size in sizes:
         run_window = _window_for(size, window, config.link)
@@ -439,18 +420,15 @@ def claims_f3(result: ExperimentResult) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 def run_f4(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     sizes: Sequence[int] = (64, 1024, 9180, 65535),
     propagation_delay: float = 0.0,
 ) -> ExperimentResult:
     """F4: unloaded end-to-end latency, modelled stages vs simulation.
 
-    *seeds* is accepted only for the uniform contract.
+    On the OC-3 preset.
     """
-    del seeds
-    config = config if config is not None else aurora_oc3()
+    config = aurora_oc3()
     headers = ["sdu_bytes"]
     rows: List[List] = []
     first = True
@@ -530,18 +508,15 @@ def claims_f4(result: ExperimentResult) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 def run_t3(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     sizes: Sequence[int] = (64, 576, 1500, 9180, 65535),
     pdus: int = 30,
 ) -> ExperimentResult:
     """T3: host cycles per received PDU -- the offload dividend.
 
-    *seeds* is accepted only for the uniform contract.
+    The OC-3 preset against the host-software SAR baseline.
     """
-    del seeds
-    nic_config = config if config is not None else aurora_oc3()
+    nic_config = aurora_oc3()
     # Deep adaptor cell buffer: within a single large PDU, cells arrive
     # faster than a per-cell-interrupt host absorbs them, so clean cost
     # accounting needs the dumb adaptor's one luxury -- onboard RAM.
@@ -634,9 +609,7 @@ def claims_t3(result: ExperimentResult) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 def run_f5(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     fifo_depths: Sequence[int] = (8, 16, 32, 64, 128, 256),
     burst_pdus: float = 8.0,
     sdu_size: int = 9180,
@@ -647,10 +620,9 @@ def run_f5(
     At STS-12c the default 25 MHz receive engine's per-cell time exceeds
     the cell slot, so FIFO occupancy climbs during bursts; the FIFO
     depth determines whether the inter-burst idle rescues it or cells
-    spill.  *seeds* is accepted only for the uniform contract.
+    spill.
     """
-    del seeds
-    config = config if config is not None else aurora_oc12()
+    config = aurora_oc12()
     series = Series(name="rx fifo", x_label="fifo_cells")
     for depth in fifo_depths:
         cfg = replace(config, rx_fifo_cells=depth)
@@ -706,18 +678,14 @@ def claims_f5(result: ExperimentResult) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 def run_t4(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     sdu_size: int = 9180,
     window: float = 0.02,
 ) -> ExperimentResult:
     """T4: buffer-memory traffic per cell vs the memory's capability.
 
-    Compares the OC-3 and OC-12 presets side by side, so *config* (like
-    *seeds*) is accepted only for the uniform contract.
+    Compares the OC-3 and OC-12 presets side by side.
     """
-    del config, seeds
     headers = [
         "link",
         "offered (Mb/s)",
@@ -817,9 +785,7 @@ def _f6_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float
 
 
 def run_f6(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     vc_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
     sdu_size: int = 1500,
     window: float = 0.03,
@@ -834,10 +800,8 @@ def run_f6(
     upstream backpressure (blocking FIFO put) to measure the sustainable
     rate rather than overload collapse; the host stages are zeroed so
     the receive engine is the stage under test.  Sweep points build
-    their configs from JSON parameters, so *config* (like *seeds*) is
-    accepted only for the uniform contract.
+    their configs from JSON parameters.
     """
-    del config, seeds
     spec = SweepSpec.grid(
         "F6",
         axes={"n_vcs": vc_counts},
@@ -959,9 +923,7 @@ def _t5_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, Any]:
 
 
 def run_t5(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     sdu_size: int = 9180,
     window: float = 0.04,
     workers: int = 0,
@@ -974,10 +936,8 @@ def run_t5(
     capacity, and full-duplex aggregate (both directions active on one
     interface -- where a shared engine pays for its single instruction
     stream).  Host cost columns come from the cycle models.  Each
-    architecture point builds its own config, so *config* (like *seeds*)
-    is accepted only for the uniform contract.
+    architecture point builds its own config.
     """
-    del config, seeds
     headers = [
         "architecture",
         "tx cap (Mb/s)",
@@ -1083,9 +1043,7 @@ def _f7_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float
 
 
 def run_f7(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     clocks_mhz: Sequence[float] = (10, 16, 20, 25, 33, 40, 50, 66),
     sdu_size: int = 9180,
     window: float = 0.02,
@@ -1100,10 +1058,8 @@ def run_f7(
     transmit by draining a greedy sender onto the wire, receive by
     feeding the engine through a backpressured FIFO, both with free
     host software.  Sweep points derive their configs from the clock
-    axis, so *config* (like *seeds*) is accepted only for the uniform
-    contract.
+    axis.
     """
-    del config, seeds
     base = aurora_oc12()
     spec = SweepSpec.grid(
         "F7",
@@ -1270,18 +1226,15 @@ def _measure_duplex_aggregate(
 # ---------------------------------------------------------------------------
 
 def run_f8(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     sizes: Sequence[int] = (64, 256, 1024, 4096, 9180, 32768),
     window: float = 0.05,
 ) -> ExperimentResult:
     """F8: cross-validation -- closed forms vs the discrete-event core.
 
-    *seeds* is accepted only for the uniform contract.
+    On the OC-3 preset.
     """
-    del seeds
-    config = config if config is not None else aurora_oc3()
+    config = aurora_oc3()
     headers = [
         "sdu_bytes",
         "tx model (Mb/s)",
@@ -1350,9 +1303,7 @@ def claims_f8(result: ExperimentResult) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 def run_a1(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     sizes: Sequence[int] = (64, 512, 1500, 9180, 65535),
     window: float = 0.03,
 ) -> ExperimentResult:
@@ -1361,10 +1312,8 @@ def run_a1(
     The simple-and-efficient layer's pitch: AAL3/4 pays 4 of every 48
     payload bytes to per-cell SAR fields (plus a few engine cycles),
     so at link saturation it delivers ~44/48 of AAL5's goodput.
-    Compares AAL presets internally, so *config* (like *seeds*) is
-    accepted only for the uniform contract.
+    Compares AAL presets internally.
     """
-    del config, seeds
     series = Series(name="aal efficiency", x_label="sdu_bytes")
     for size in sizes:
         run_window = _window_for(size, window, STS3C_155)
@@ -1414,9 +1363,7 @@ def claims_a1(result: ExperimentResult) -> Dict[str, bool]:
 
 
 def run_a2(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     sizes: Sequence[int] = (512, 9180),
     crc_cycles: int = 130,
 ) -> ExperimentResult:
@@ -1425,10 +1372,8 @@ def run_a2(
     Moving the CRC into engine software adds ~130 cycles per cell
     (table-driven over 48 bytes), multiplying the per-cell budget and
     collapsing the saturation throughput.  Pure closed-form: the cost
-    models make this a one-line ablation.  *config* and *seeds* are
-    accepted only for the uniform contract.
+    models make this a one-line ablation.
     """
-    del config, seeds
     headers = [
         "sdu_bytes",
         "hw CRC tx (Mb/s)",
@@ -1486,9 +1431,7 @@ def claims_a2(result: ExperimentResult) -> Dict[str, bool]:
 
 
 def run_a3(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     windows_us: Sequence[float] = (0, 50, 200, 500),
     sdu_size: int = 1500,
     pdus: int = 60,
@@ -1497,10 +1440,8 @@ def run_a3(
 
     Merging completion interrupts amortises the entry/exit cycles but
     delays delivery by up to the coalescing window: the classic
-    throughput/latency trade, measured on the real pipeline.  *config*
-    and *seeds* are accepted only for the uniform contract.
+    throughput/latency trade, measured on the real pipeline.
     """
-    del config, seeds
     headers = [
         "window (us)",
         "interrupts",
@@ -1573,9 +1514,7 @@ def claims_a3(result: ExperimentResult) -> Dict[str, bool]:
 
 
 def run_a4(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     burst_words: Sequence[int] = (8, 16, 32, 64, 128, 256),
     sdu_size: int = 9180,
 ) -> ExperimentResult:
@@ -1584,12 +1523,10 @@ def run_a4(
     Short bursts re-arbitrate constantly (setup cycles dominate); long
     bursts approach the bus's data-phase rate but hold it longer.  The
     effective bandwidth feeds straight into the large-PDU throughput
-    ceiling via the staging-DMA term.  *seeds* is accepted only for
-    the uniform contract.
+    ceiling via the staging-DMA term, on the OC-12 preset.
     """
-    del seeds
     series = Series(name="bus burst sweep", x_label="burst_words")
-    base = config if config is not None else aurora_oc12()
+    base = aurora_oc12()
     for words in burst_words:
         bus = replace(base.bus, max_burst_words=words)
         config = replace(base, bus=bus)
@@ -1683,7 +1620,6 @@ def _r1_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float
 
 
 def run_r1(
-    config: Optional[NicConfig] = None,
     *,
     seeds: Optional[Sequence[int]] = None,
     loss_rates: Sequence[float] = (0.0, 0.005, 0.01, 0.02, 0.05),
@@ -1706,10 +1642,8 @@ def run_r1(
 
     R1 sweeps loss rates under one loss-model seed, so only the first
     entry of *seeds* is used (historically the ``seed=7`` parameter).
-    Sweep points derive their config (OC-12c, host software zeroed),
-    so *config* is accepted only for the uniform contract.
+    Sweep points derive their config (OC-12c, host software zeroed).
     """
-    del config
     seed = seeds[0] if seeds else 7
     spec = SweepSpec.grid(
         "R1",
@@ -1766,9 +1700,7 @@ def claims_r1(result: ExperimentResult) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 def run_o1(
-    config: Optional[NicConfig] = None,
     *,
-    seeds: Optional[Sequence[int]] = None,
     duration: Optional[float] = None,
 ) -> ExperimentResult:
     """O1: the profiler's measured T1/T2 budgets vs the configured ones.
@@ -1781,10 +1713,8 @@ def run_o1(
     slots unless *duration* says otherwise) and checks they agree.  A
     nonzero deviation would mean the pipeline charged cycles the budget
     tables do not show -- exactly the drift the observability layer
-    exists to catch.  *config* and *seeds* are accepted only for the
-    uniform contract.
+    exists to catch.
     """
-    del config, seeds
     from repro.obs import observe
 
     sdu_size = 9180

@@ -15,8 +15,9 @@ with results bit-identical to a serial run:
   cost-model and source fingerprints) plus :class:`RunLog` JSONL
   journals;
 - :mod:`repro.runner.gate` -- :class:`BaselineGate`, the
-  ``python -m repro bench --check`` gate of metrics and paper claims
-  over committed ``benchmarks/baselines/*.json``;
+  ``python -m repro bench --check`` gate: each experiment's canonical
+  result compared exactly with the one committed in
+  ``benchmarks/baselines/<ID>.json``, and its paper claims checked;
 - :mod:`repro.runner.bench` -- the ``bench`` subcommand (imported on
   demand, not here: it reads the experiment table, and the experiments
   import this package).
@@ -34,7 +35,7 @@ from repro.runner.executor import (
     kernel_name,
     run_sweep,
 )
-from repro.runner.gate import Baseline, BaselineGate, GateReport, Tolerance
+from repro.runner.gate import Baseline, BaselineGate, GateReport
 from repro.runner.spec import Point, SweepSpec, content_hash
 from repro.runner.store import (
     DEFAULT_CACHE_DIR,
@@ -57,7 +58,6 @@ __all__ = [
     "SweepError",
     "SweepRun",
     "SweepSpec",
-    "Tolerance",
     "content_hash",
     "cost_model_fingerprint",
     "kernel_name",

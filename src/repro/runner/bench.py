@@ -5,10 +5,10 @@ Three modes over the experiments of
 named), each run at the bench parameters its entry declares:
 
 - ``bench`` -- run them and print their metrics;
-- ``bench --check`` -- additionally judge every metric against the
-  committed ``benchmarks/baselines/*.json`` tolerance bands and every
-  named paper claim, and exit nonzero on any regression or false claim
-  (what CI keys on);
+- ``bench --check`` -- additionally compare each canonical result
+  exactly with the one committed in ``benchmarks/baselines/<ID>.json``,
+  judge every named paper claim, and exit nonzero on any moved field or
+  false claim (what CI keys on);
 - ``bench --update`` -- regenerate the baseline files from the current
   tree (review the diff like any other code change).
 
@@ -19,11 +19,12 @@ Sweep-shaped experiments honour ``--workers`` and the result cache;
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.results.experiments import EXPERIMENTS, get
+from repro.results.experiments import EXPERIMENTS, canonical_result_json, get
 from repro.runner.gate import Baseline, BaselineGate, GateReport
 from repro.runner.store import ResultStore, RunLog
 
@@ -38,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-atm bench",
         description=(
             "Run the experiments at their bench parameters and gate "
-            "their metrics and paper claims against committed baselines"
+            "their results and paper claims against committed baselines"
         ),
     )
     parser.add_argument(
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="compare against committed baselines; exit 1 on regression",
+        help="compare exactly with committed baselines; exit 1 on any change",
     )
     parser.add_argument(
         "--update",
@@ -128,10 +129,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             result = experiment(
                 workers=args.workers, store=store, log=log, **experiment.bench
             )
-            metrics = {k: float(v) for k, v in result.metrics.items()}
+            document = json.loads(canonical_result_json(result))
             if args.check:
                 report = gate.compare(
-                    experiment_id, metrics, experiment.claims(result)
+                    experiment_id, document, experiment.claims(result)
                 )
                 reports[experiment_id] = report
                 print(f"{experiment_id}:")
@@ -140,15 +141,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 path = gate.write(
                     Baseline(
                         experiment=experiment_id,
-                        metrics=metrics,
                         claims=list(experiment.claims(result)),
                         note=experiment.description,
+                        result=document,
                     )
                 )
                 print(f"{experiment_id}: wrote {path}")
             else:
                 print(f"{experiment_id}:")
-                for name, value in sorted(metrics.items()):
+                for name, value in sorted(result.metrics.items()):
                     print(f"  {name} = {value:.6g}")
     finally:
         if log is not None:
@@ -156,7 +157,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.check:
         merged = gate.merge(reports)
-        print(merged.format().splitlines()[-1])
+        print(merged.verdict)
         if missing:
             print(f"bench gate: FAIL (no baseline for {', '.join(missing)})")
         return 0 if merged.ok and not missing else 1

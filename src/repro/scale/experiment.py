@@ -203,7 +203,6 @@ def _s1_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float
 
 
 def run_s1(
-    config=None,
     *,
     seeds: Optional[Sequence[int]] = None,
     duration: float = 2.0,
@@ -223,10 +222,8 @@ def run_s1(
     Each seed drives a full Poisson churn history (thousands of
     signalled sessions through a two-switch fabric under CAC) and
     reports concurrency, setup latency, CAM pressure, fairness, and the
-    conservation ledger.  *config* is accepted only for the uniform
-    experiment contract.
+    conservation ledger.
     """
-    del config
     seeds = list(seeds) if seeds is not None else [1, 2]
     from repro.results.experiments import ExperimentResult
 

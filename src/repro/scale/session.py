@@ -49,8 +49,6 @@ class SessionProfile:
     #: probes whether the receive CAM still remembers the VC.
     pdus_per_session: int = 1
     sdu_size: int = 256
-    #: Gap between a session's PDUs (0 sends back to back).
-    send_gap: float = 0.0
     #: Stop placing new sessions after this many (None: no cap).
     max_sessions: Optional[int] = None
 
@@ -186,8 +184,6 @@ class SessionEngine:
                 break
             yield nic.send(address, payload)
             sent += 1
-            if profile.send_gap > 0:
-                yield self.sim.timeout(profile.send_gap)
         remaining = (connected_at + hold) - self.sim.now
         if remaining > 0:
             yield self.sim.timeout(remaining)

@@ -213,7 +213,6 @@ def _c1_point(
 
 
 def run_c1(
-    config=None,
     *,
     seeds: Optional[Sequence[int]] = None,
     duration: float = 0.06,
@@ -232,10 +231,8 @@ def run_c1(
     control loop closed and wide open -- and reports bottleneck
     utilization, the weighted-fairness deviation, queue extremes, and
     the goodput gap.  See ``docs/TRAFFIC.md``.  Sweep points build
-    their configs from JSON parameters, so *config* is accepted only
-    for the uniform contract.
+    their configs from JSON parameters.
     """
-    del config
     seeds = tuple(seeds) if seeds is not None else (1, 2, 3)
     from repro.results.experiments import ExperimentResult
 

@@ -7,7 +7,8 @@ work), 16 VCs of small PDUs (per-PDU work) and signalled sessions
 through two switches (per-connection work).  A change that lowers a
 pin updates it and states the delta; a change that raises one says why.
 The signalled sessions also pin the cells built per cell sent, and
-that a released session leaves no per-connection state behind.
+that a released session leaves no per-connection state behind, in the
+signalling agents, the transmit engines or the switch ports.
 """
 
 import gc
@@ -24,6 +25,7 @@ from repro import HostNetworkInterface, Simulator, aurora_oc3, connect
 from repro.aal.aal5 import Aal5Segmenter
 from repro.atm.cell import AtmCell
 from repro.atm.link import PhysicalLink
+from repro.atm.mux import OutputPort
 from repro.atm.oam import LoopbackCell
 from repro.atm.signalling import SIGNALLING_VC, CallState, SignallingAgent
 from repro.baselines import HostSarConfig, HostSarInterface
@@ -223,11 +225,23 @@ def test_signalled_sessions_cells_built(monkeypatch):
 
 def test_signalled_sessions_python_calls():
     # The per-connection frames: signalling, route and VC set-up and
-    # teardown, and each VC's transmit state resolved once.
+    # teardown (with one port-book forget per removed route entry), and
+    # each VC's transmit state resolved once.
     sim, engine, _caller_sig, _callee_sig = _signalled_sessions()
     calls = _python_calls(sim, 0.02)
     assert engine.sessions_released.count == 12
-    assert calls == 11277
+    assert calls == 11301
+
+
+def test_released_routes_leave_no_port_books():
+    # A port's per-VC loss tallies go with the route: once every session
+    # has released, each forward port books only the signalling VC.
+    sim, engine, _caller_sig, _callee_sig = _signalled_sessions()
+    sim.run(until=0.02)
+    assert engine.sessions_released.count == 12
+    ports = {c.name: c for c in sim.components if isinstance(c, OutputPort)}
+    for name in ("p:sw1->sw2", "p:sw2->callee"):
+        assert list(ports[name].loss_ratio_by_vc()) == [SIGNALLING_VC], name
 
 
 def test_released_sessions_leave_no_connection_state(monkeypatch):

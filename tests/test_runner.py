@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.faults.sweep import run_campaign_sweep, sweep_summary
-from repro.results.experiments import run_f7
+from repro.results.experiments import canonical_result_json, run_f7, run_t1
 from repro.runner import (
     Baseline,
     BaselineGate,
@@ -25,7 +25,6 @@ from repro.runner import (
     RunLog,
     SweepError,
     SweepSpec,
-    Tolerance,
     content_hash,
     cost_model_fingerprint,
     kernel_name,
@@ -379,78 +378,131 @@ class TestCampaignSweep:
 # ---------------------------------------------------------------------------
 
 
-class TestBaselineGate:
-    def test_tolerance_band_semantics(self):
-        band = Tolerance(rel=0.01, abs=0.0)
-        assert band.allows(100.0, 100.9)
-        assert not band.allows(100.0, 101.1)
-        assert Tolerance(rel=0.0, abs=0.5).allows(10.0, 10.4)
-        assert Tolerance().allows(float("nan"), float("nan"))
-        assert not Tolerance().allows(float("nan"), 1.0)
-        assert Tolerance().allows(math.inf, math.inf)
-        assert not Tolerance().allows(math.inf, 1.0)
+def canonical_document(**changes):
+    """A canonical result document as the gate reads it, with *changes*."""
+    document = {
+        "experiment_id": "T9",
+        "title": "a test table",
+        "headers": ["size", "mbps"],
+        "rows": [[64, 12.5], [9180, 131.0]],
+        "series": {
+            "name": "goodput",
+            "x_label": "size",
+            "x": [64, 9180],
+            "columns": {"mbps": [12.5, 131.0]},
+        },
+        "metrics": {"a": 100.0, "b": 5.0, "nan": math.nan},
+        "notes": ["a note"],
+    }
+    document.update(changes)
+    return json.loads(json.dumps(document))
 
-    def gate(self, tmp_path, claims=()):
+
+class TestBaselineGate:
+    def gate(self, tmp_path, claims=(), ids=("T9",)):
         gate = BaselineGate(tmp_path)
-        gate.write(
-            Baseline(
-                experiment="T9",
-                metrics={"a": 100.0, "b": 5.0},
-                per_metric={"b": Tolerance(rel=0.0, abs=0.0)},
-                claims=list(claims),
-                note="test baseline",
+        for experiment_id in ids:
+            gate.write(
+                Baseline(
+                    experiment=experiment_id,
+                    claims=list(claims),
+                    note="test baseline",
+                    result=canonical_document(),
+                )
             )
-        )
         return gate
 
     def test_write_load_round_trip(self, tmp_path):
         gate = self.gate(tmp_path, claims=["c holds"])
         loaded = gate.load("T9")
-        assert loaded.metrics == {"a": 100.0, "b": 5.0}
-        assert loaded.tolerance_for("b") == Tolerance(rel=0.0, abs=0.0)
-        assert loaded.tolerance_for("a") == Tolerance()
+        assert gate.compare("T9", loaded.result).moved == {"T9": []}
         assert loaded.claims == ["c holds"]
+        assert loaded.note == "test baseline"
         assert gate.known() == ["T9"]
+        text = gate.path_for("T9").read_text()
+        assert list(json.loads(text)) == ["experiment", "claims", "note", "result"]
+        # One value per line: a moved number is one line of the diff.
+        lines = [line.strip().rstrip(",") for line in text.splitlines()]
+        assert lines.count("12.5") == lines.count("131.0") == 2
 
-    def test_in_band_run_passes(self, tmp_path):
-        report = self.gate(tmp_path).compare("T9", {"a": 100.5, "b": 5.0})
+    def test_identical_result_passes(self, tmp_path):
+        report = self.gate(tmp_path).compare("T9", canonical_document())
         assert report.ok
-        assert "PASS" in report.format()
+        assert report.moved == {"T9": []}
+        assert "[ok  ] T9 result: as committed" in report.format()
+        assert report.verdict == "bench gate: PASS"
 
-    def test_out_of_band_run_fails(self, tmp_path):
-        report = self.gate(tmp_path).compare("T9", {"a": 150.0, "b": 5.0})
+    def test_one_ulp_change_fails_and_names_the_field(self, tmp_path):
+        run = canonical_document()
+        run["series"]["columns"]["mbps"][1] = math.nextafter(131.0, math.inf)
+        report = self.gate(tmp_path).compare("T9", run)
         assert not report.ok
-        assert [d.metric for d in report.failures] == ["a"]
-        assert "FAIL" in report.format()
+        assert report.moved == {
+            "T9": ["series.columns.mbps[1]: 131.0 -> 131.00000000000003"]
+        }
+        assert "[FAIL] T9 result: 1 field(s) moved" in report.format()
 
-    def test_zero_tolerance_metric_is_exact(self, tmp_path):
-        report = self.gate(tmp_path).compare("T9", {"a": 100.0, "b": 5.0001})
+    def test_changed_note_fails(self, tmp_path):
+        run = canonical_document(notes=["a changed note"])
+        report = self.gate(tmp_path).compare("T9", run)
         assert not report.ok
+        assert report.moved == {"T9": ['notes[0]: "a note" -> "a changed note"']}
 
-    def test_missing_metric_fails_new_metric_informs(self, tmp_path):
-        report = self.gate(tmp_path).compare("T9", {"a": 100.0, "c": 1.0})
-        assert not report.ok
-        assert [d.metric for d in report.failures] == ["b"]
-        assert report.new_metrics == ["c"]
+    def test_missing_or_added_metric_fails(self, tmp_path):
+        gate = self.gate(tmp_path)
+        dropped = canonical_document()
+        del dropped["metrics"]["b"]
+        assert gate.compare("T9", dropped).moved == {
+            "T9": ["metrics.b: 5.0 -> missing"]
+        }
+        added = canonical_document()
+        added["metrics"]["c"] = 1.0
+        assert gate.compare("T9", added).moved == {
+            "T9": ["metrics.c: missing -> 1.0"]
+        }
+        added["rows"].append([65535, 134.0])
+        assert gate.compare("T9", added).moved["T9"][-1] == (
+            "rows[2]: missing -> [65535, 134.0]"
+        )
+
+    def test_leaves_compare_by_json_text(self, tmp_path):
+        gate = self.gate(tmp_path)
+        # NaN matches NaN (canonical_document carries one) ...
+        assert gate.compare("T9", canonical_document()).ok
+        # ... and nothing else; an int does not match the equal float.
+        nan_moved = canonical_document()
+        nan_moved["metrics"]["nan"] = 1.0
+        assert gate.compare("T9", nan_moved).moved == {
+            "T9": ["metrics.nan: NaN -> 1.0"]
+        }
+        retyped = canonical_document()
+        retyped["rows"][1][1] = 131
+        assert gate.compare("T9", retyped).moved == {
+            "T9": ["rows[1][1]: 131.0 -> 131"]
+        }
 
     def test_false_or_dropped_claim_fails(self, tmp_path):
         gate = self.gate(tmp_path, claims=["c holds"])
-        metrics = {"a": 100.0, "b": 5.0}
-        assert gate.compare("T9", metrics, {"c holds": True}).ok
-        false = gate.compare("T9", metrics, {"c holds": False})
+        result = canonical_document()
+        assert gate.compare("T9", result, {"c holds": True}).ok
+        false = gate.compare("T9", result, {"c holds": False})
         assert not false.ok
         assert "[FAIL] T9 claim: c holds" in false.format()
-        dropped = gate.compare("T9", metrics, {"d holds": True})
+        dropped = gate.compare("T9", result, {"d holds": True})
         assert not dropped.ok
         assert "claim missing from run" in dropped.format()
 
     def test_merge_aggregates_verdicts(self, tmp_path):
-        gate = self.gate(tmp_path)
-        ok = gate.compare("T9", {"a": 100.0, "b": 5.0})
-        bad = gate.compare("T9", {"a": 0.0, "b": 5.0})
-        merged = gate.merge({"one": ok, "two": bad})
+        gate = self.gate(tmp_path, ids=("T8", "T9"))
+        ok = gate.compare("T8", canonical_document())
+        bad = gate.compare("T9", canonical_document(metrics={"a": 0.0}))
+        merged = gate.merge({"T9": bad, "T8": ok})
         assert not merged.ok
-        assert len(merged.deviations) == 4
+        assert list(merged.moved) == ["T8", "T9"]
+        assert len(merged.moved["T9"]) == 3
+        assert merged.verdict == (
+            "bench gate: FAIL (3 result field(s) moved, 0 claim(s) false)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +522,7 @@ class TestRegistryAndBench:
         with pytest.raises(KeyError):
             get("T99")
 
-    def test_bench_update_then_check_round_trips(self, tmp_path):
+    def test_bench_update_then_check_round_trips(self, tmp_path, capsys):
         from repro.runner.bench import main as bench_main
 
         baselines = tmp_path / "baselines"
@@ -483,16 +535,23 @@ class TestRegistryAndBench:
             str(cache),
         ]
         assert bench_main(common + ["--update"]) == 0
-        assert (baselines / "T1.json").exists()
+        path = baselines / "T1.json"
+        assert json.loads(path.read_text())["result"] == json.loads(
+            canonical_result_json(run_t1())
+        )
         assert bench_main(common + ["--check"]) == 0
 
-        # perturb one committed metric beyond tolerance -> exit 1
-        path = baselines / "T1.json"
+        # move one committed value by one ulp -> exit 1, naming the field
         payload = json.loads(path.read_text())
-        metric = sorted(payload["metrics"])[0]
-        payload["metrics"][metric] = payload["metrics"][metric] * 2 + 1.0
+        metric = sorted(payload["result"]["metrics"])[0]
+        value = payload["result"]["metrics"][metric]
+        payload["result"]["metrics"][metric] = math.nextafter(value, math.inf)
         path.write_text(json.dumps(payload))
+        capsys.readouterr()
         assert bench_main(common + ["--check"]) == 1
+        out = capsys.readouterr().out
+        assert f"metrics.{metric}: " in out
+        assert "bench gate: FAIL (1 result field(s) moved, 0 claim(s) false)" in out
 
     def test_false_claim_fails_the_gate(self, tmp_path, monkeypatch, capsys):
         from dataclasses import replace
@@ -532,7 +591,11 @@ class TestRegistryAndBench:
         gate = BaselineGate(directory)
         assert gate.known() == sorted(EXPERIMENTS)
         for experiment_id in EXPERIMENTS:
-            assert gate.load(experiment_id).claims, experiment_id
+            text = gate.path_for(experiment_id).read_text()
+            assert list(json.loads(text)) == ["experiment", "claims", "note", "result"]
+            baseline = gate.load(experiment_id)
+            assert baseline.claims, experiment_id
+            assert baseline.result["experiment_id"] == experiment_id
 
     def test_cli_flags_reach_the_runner(self, tmp_path, capsys):
         from repro.cli import main as cli_main

@@ -8,15 +8,14 @@ Three layers of coverage:
   full S1 machinery (signalling, CAC, LRU CAM, ledger) and checks the
   observables hang together;
 - :class:`TestMigrationByteIdentity` pins the Testbed migrations of C1
-  and R2 against canonical-JSON fixtures captured from the hand-wired
-  wiring, and :class:`TestUniformContract` introspects every registered
-  ``run_*`` for the ``(config=None, *, seeds=None)`` signature shape
-  (see EXPERIMENTS.md).
+  and R2 against the canonical results committed in their baselines,
+  captured from the hand-wired wiring, and :class:`TestUniformContract`
+  introspects every registered ``run_*`` for the signature shape its
+  callers rely on: keyword-only parameters, each with a default.
 """
 
 import inspect
 import json
-import pathlib
 
 import pytest
 
@@ -25,12 +24,11 @@ from repro.net import Testbed as TopologyBuilder
 from repro.nic.config import aurora_oc3
 from repro.resilience.experiment import run_r2
 from repro.results.experiments import EXPERIMENTS, canonical_result_json
+from repro.runner import BaselineGate
+from repro.runner.bench import default_baseline_dir
 from repro.scale.experiment import _churn_run
 from repro.sim.core import Simulator
 from repro.tm.experiment import run_c1
-
-DATA = pathlib.Path(__file__).parent / "data"
-
 
 def _small_churn(seed=1, **overrides):
     """A churn history small enough for a unit test (~2k sessions/s)."""
@@ -159,20 +157,21 @@ class TestSessionChurn:
 class TestMigrationByteIdentity:
     """C1 and R2 on Testbed must reproduce their hand-wired results.
 
-    The fixtures are ``json.loads(canonical_result_json(...))`` captured
-    from the pre-migration wiring at the bench-gate parameters; the
+    The ``result`` committed in ``benchmarks/baselines/{C1,R2}.json`` is
+    ``json.loads(canonical_result_json(...))`` at the bench parameters,
+    byte-identical to the capture from the pre-migration wiring; the
     comparison is canonical-JSON equality, i.e. every reported float is
     bit-identical.
     """
 
     def test_c1_matches_premigration_fixture(self):
-        expected = json.loads((DATA / "c1_premigration.json").read_text())
-        result = run_c1(seeds=[1, 2], duration=0.06, warmup=0.02)
+        expected = BaselineGate(default_baseline_dir()).load("C1").result
+        result = run_c1(**EXPERIMENTS["C1"].bench)
         assert json.loads(canonical_result_json(result)) == expected
 
     def test_r2_matches_premigration_fixture(self):
-        expected = json.loads((DATA / "r2_premigration.json").read_text())
-        result = run_r2(seeds=[1, 2])
+        expected = BaselineGate(default_baseline_dir()).load("R2").result
+        result = run_r2(**EXPERIMENTS["R2"].bench)
         assert json.loads(canonical_result_json(result)) == expected
 
 
@@ -181,26 +180,16 @@ class TestUniformContract:
 
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
     def test_signature_shape(self, experiment_id):
+        # Callers run an entry as run() or run(**bench): every parameter
+        # is keyword-only with a default.
         sig = inspect.signature(EXPERIMENTS[experiment_id].run)
-        params = list(sig.parameters.values())
-        first = params[0]
-        assert first.name == "config"
-        assert first.default is None
-        assert first.kind in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.POSITIONAL_ONLY,
-        )
-        by_name = sig.parameters
-        assert "seeds" in by_name, f"{experiment_id} lacks seeds"
-        assert by_name["seeds"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert by_name["seeds"].default is None
-        # Everything after config is keyword-only with a default, so
-        # any experiment can be invoked as run(config) or run().
-        for param in params[1:]:
+        for param in sig.parameters.values():
             assert param.kind is inspect.Parameter.KEYWORD_ONLY, (
                 f"{experiment_id}: {param.name} is not keyword-only"
             )
-            assert param.default is not inspect.Parameter.empty
+            assert param.default is not inspect.Parameter.empty, (
+                f"{experiment_id}: {param.name} has no default"
+            )
 
     def test_sweep_shaped_ids(self):
         assert {i for i, e in EXPERIMENTS.items() if e.sweep} == {
