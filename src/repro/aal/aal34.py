@@ -34,7 +34,7 @@ from repro.aal.interface import (
     SduIndication,
 )
 from repro.atm.addressing import VcAddress
-from repro.atm.cell import PAYLOAD_SIZE, PTI_USER_SDU0, AtmCell
+from repro.atm.cell import PAYLOAD_SIZE, PTI_USER_SDU0, AtmCell, header_template
 
 AAL34_SAR_PAYLOAD = 44
 AAL34_MAX_SDU = 65535
@@ -147,25 +147,38 @@ class CpcsFormatError(ValueError):
 
 
 class Aal34Segmenter:
-    """Turns SDUs into AAL3/4 cells for one VC (and one MID stream)."""
+    """Turns SDUs into AAL3/4 cells for one VC (and one MID stream).
+
+    The VC is checked once, here (:class:`CellFormatError` when its VPI
+    or VCI is out of range), and every cell is built from it, the
+    header template, with one tuple construction: each SAR-PDU is 48 bytes
+    and every cell carries the same user PTI.
+    """
 
     def __init__(self, vc: VcAddress, mid: int = 0) -> None:
         if not 0 <= mid <= _MAX_MID:
             raise AalError(f"MID {mid} outside 0..{_MAX_MID}")
-        self.vc = vc
+        self.vc = header_template(vc)
         self.mid = mid
         self._btag = 0
         self.pdus_segmented = 0
         self.cells_produced = 0
 
-    def segment(self, sdu: bytes) -> List[AtmCell]:
-        """SDU -> cells.  BTag auto-increments per PDU (mod 256)."""
+    def segment(self, sdu: bytes, *, meta: Optional[dict] = None) -> List[AtmCell]:
+        """SDU -> cells.  BTag auto-increments per PDU (mod 256).
+
+        Each cell's ``meta`` starts as a copy of *meta* (empty if None).
+        """
         cpcs = build_cpcs_pdu_34(sdu, self._btag)
         self._btag = (self._btag + 1) & 0xFF
         pieces = [
             cpcs[i : i + AAL34_SAR_PAYLOAD]
             for i in range(0, len(cpcs), AAL34_SAR_PAYLOAD)
         ]
+        vc = self.vc
+        vpi, vci = vc
+        stamp = {} if meta is None else meta
+        make = AtmCell._make
         cells: List[AtmCell] = []
         for i, piece in enumerate(pieces):
             if len(pieces) == 1:
@@ -178,12 +191,8 @@ class Aal34Segmenter:
                 st = SarSegmentType.COM
             sar = encode_sar_pdu(st, i % _SN_MODULUS, self.mid, piece)
             cells.append(
-                AtmCell(
-                    vpi=self.vc.vpi,
-                    vci=self.vc.vci,
-                    payload=sar,
-                    pti=PTI_USER_SDU0,
-                )
+                make((vpi, vci, sar, PTI_USER_SDU0, 0, 0, {**stamp}, vc,
+                      True, False))
             )
         self.pdus_segmented += 1
         self.cells_produced += len(cells)

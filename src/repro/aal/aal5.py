@@ -29,6 +29,7 @@ from repro.atm.cell import (
     PTI_USER_SDU0,
     PTI_USER_SDU1,
     AtmCell,
+    header_template,
 )
 
 AAL5_TRAILER_SIZE = 8
@@ -86,29 +87,47 @@ class CpcsLengthError(ValueError):
 
 
 class Aal5Segmenter:
-    """Turns SDUs into ready-to-send cells for one VC."""
+    """Turns SDUs into ready-to-send cells for one VC.
+
+    The VC is checked once, here (:class:`CellFormatError` when its VPI
+    or VCI is out of range), and every cell is built from it, the
+    header template, with one tuple construction: the CPCS padding makes
+    each payload 48 bytes, and only the PTI's end-of-frame bit differs
+    from cell to cell.
+    """
 
     def __init__(self, vc: VcAddress) -> None:
-        self.vc = vc
+        self.vc = header_template(vc)
         self.pdus_segmented = 0
         self.cells_produced = 0
 
-    def segment(self, sdu: bytes, uu: int = 0, cpi: int = 0) -> List[AtmCell]:
-        """SDU -> list of cells; the final cell carries the PTI EOF mark."""
+    def segment(
+        self,
+        sdu: bytes,
+        uu: int = 0,
+        cpi: int = 0,
+        *,
+        meta: Optional[dict] = None,
+    ) -> List[AtmCell]:
+        """SDU -> list of cells; the final cell carries the PTI EOF mark.
+
+        Each cell's ``meta`` starts as a copy of *meta* (empty if None).
+        """
         pdu = build_cpcs_pdu(sdu, uu=uu, cpi=cpi)
-        cells: List[AtmCell] = []
-        n_cells = len(pdu) // PAYLOAD_SIZE
-        for i in range(n_cells):
-            chunk = pdu[i * PAYLOAD_SIZE : (i + 1) * PAYLOAD_SIZE]
-            last = i == n_cells - 1
-            cells.append(
-                AtmCell(
-                    vpi=self.vc.vpi,
-                    vci=self.vc.vci,
-                    payload=chunk,
-                    pti=PTI_USER_SDU1 if last else PTI_USER_SDU0,
-                )
-            )
+        vc = self.vc
+        vpi, vci = vc
+        stamp = {} if meta is None else meta
+        make = AtmCell._make
+        eof_at = len(pdu) - PAYLOAD_SIZE
+        cells = [
+            make((vpi, vci, pdu[i : i + PAYLOAD_SIZE], PTI_USER_SDU0, 0, 0,
+                  {**stamp}, vc, True, False))
+            for i in range(0, eof_at, PAYLOAD_SIZE)
+        ]
+        cells.append(
+            make((vpi, vci, pdu[eof_at:], PTI_USER_SDU1, 0, 0,
+                  {**stamp}, vc, True, True))
+        )
         self.pdus_segmented += 1
         self.cells_produced += len(cells)
         return cells

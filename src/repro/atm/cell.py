@@ -22,7 +22,7 @@ Payload-type indicator (PTI) encoding relevant to this reproduction:
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections import _tuplegetter
 from typing import Optional
 
 from repro.atm.addressing import VcAddress
@@ -60,7 +60,14 @@ class AtmCell(tuple):
     payload fields, ``meta``, and three values decoded once at
     construction -- :attr:`vc`, :attr:`is_user_cell` and
     :attr:`end_of_frame` -- which every hop reads instead of decoding
-    the header again.  It has no per-instance ``__dict__``.
+    the header again.  It has no per-instance ``__dict__``, and each
+    field is read through the C-level accessor ``collections.namedtuple``
+    installs, so a read runs no Python frame.
+
+    ``AtmCell(...)`` checks every field.  A segmenter, whose cells all
+    share one VC's header, checks that header once, when it is made
+    (:func:`header_template`), and builds each cell with
+    :meth:`_make`, which checks nothing.
 
     The ``meta`` dict carries simulation-only annotations (timestamps,
     originating PDU ids) that would not exist on the wire; it never
@@ -99,8 +106,14 @@ class AtmCell(tuple):
         self.__post_init__()
         return self
 
+    #: ``AtmCell._make(record)``: the cell whose ten slots are *record*,
+    #: unchecked -- ``tuple.__new__``, so building a cell runs no
+    #: Python frame.  The slots, in order: ``vpi, vci, payload, pti,
+    #: clp, gfc, meta, vc, is_user_cell, end_of_frame``.
+    _make = classmethod(_tuple_new)
+
     def __post_init__(self) -> None:
-        """Validate the header fields and payload (once per construction)."""
+        """Validate the header fields and payload (once per ``AtmCell(...)``)."""
         vpi, vci, payload, pti, clp, gfc = self[:6]
         if not 0 <= gfc <= _MAX_GFC:
             raise CellFormatError(f"GFC {gfc} out of range")
@@ -118,20 +131,17 @@ class AtmCell(tuple):
                 f"got {len(payload)}"
             )
 
-    vpi = property(itemgetter(0))
-    vci = property(itemgetter(1))
-    payload = property(itemgetter(2))
-    pti = property(itemgetter(3))
-    clp = property(itemgetter(4))
-    gfc = property(itemgetter(5))
-    meta = property(itemgetter(6))
-    vc = property(itemgetter(7), doc="The cell's (VPI, VCI) as a VcAddress.")
-    is_user_cell = property(
-        itemgetter(8), doc="True for user-data cells (PTI MSB clear)."
-    )
-    end_of_frame = property(
-        itemgetter(9),
-        doc="The AAL5-class last-cell marker (PTI SDU-type bit).",
+    vpi = _tuplegetter(0, "Virtual path identifier.")
+    vci = _tuplegetter(1, "Virtual channel identifier.")
+    payload = _tuplegetter(2, "The 48-byte payload.")
+    pti = _tuplegetter(3, "Payload-type indicator (3 bits).")
+    clp = _tuplegetter(4, "Cell-loss priority (0 or 1).")
+    gfc = _tuplegetter(5, "Generic flow control (UNI only).")
+    meta = _tuplegetter(6, "Simulation-only annotations, never on the wire.")
+    vc = _tuplegetter(7, "The cell's (VPI, VCI) as a VcAddress.")
+    is_user_cell = _tuplegetter(8, "True for user-data cells (PTI MSB clear).")
+    end_of_frame = _tuplegetter(
+        9, "The AAL5-class last-cell marker (PTI SDU-type bit)."
     )
 
     # -- identity: the six header and payload fields, never meta ------------
@@ -258,6 +268,29 @@ class AtmCell(tuple):
             f"AtmCell(vpi={self.vpi}, vci={self.vci}, pti={self.pti}{eof}, "
             f"clp={self.clp})"
         )
+
+
+def header_template(vc: VcAddress) -> VcAddress:
+    """*vc*, checked once for a stream of user cells that all carry it.
+
+    The VPI and VCI are checked here as ``AtmCell(...)`` checks them for
+    each cell (:class:`CellFormatError` when out of range); the result
+    is a :class:`VcAddress` (*vc* itself when it is one).  A segmenter
+    builds each cell from it with one unchecked construction::
+
+        vpi, vci = vc
+        AtmCell._make((vpi, vci, payload, pti, 0, 0, meta, vc, True, eof))
+
+    which is valid when the rest holds by construction: *pti* is a user
+    PTI constant, CLP and GFC are 0, ``eof`` is *pti*'s SDU-type bit,
+    and the adaptation layer fixes every payload at 48 bytes.
+    """
+    vpi, vci = vc
+    if not 0 <= vpi <= _MAX_VPI_NNI:
+        raise CellFormatError(f"VPI {vpi} out of range")
+    if not 0 <= vci <= _MAX_VCI:
+        raise CellFormatError(f"VCI {vci} out of range")
+    return vc if type(vc) is VcAddress else _tuple_new(VcAddress, (vpi, vci))
 
 
 def pad_payload(data: bytes, fill: int = 0x00) -> bytes:

@@ -63,7 +63,6 @@ class BufferPool:
         self.name = name
         self._ids = itertools.count(1)
         self._free = slots
-        self.allocations = 0
         self.failures = 0
         self.low_water = slots
 
@@ -77,7 +76,6 @@ class BufferPool:
             self.failures += 1
             return None
         self._free -= 1
-        self.allocations += 1
         if self._free < self.low_water:
             self.low_water = self._free
         return Buffer(next(self._ids), self.slot_size)

@@ -17,6 +17,7 @@ costs (building/parsing the SAR fields), so the efficiency comparison
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, List, Protocol
 
 from repro.aal.aal5 import AAL5_MAX_SDU, Aal5Reassembler, Aal5Segmenter
@@ -42,7 +43,7 @@ class SarGlue(Protocol):
 
     def segmenter_for(
         self, vc: VcAddress
-    ) -> Callable[[bytes, int], List[AtmCell]]: ...  # pragma: no cover
+    ) -> Callable[..., List[AtmCell]]: ...  # pragma: no cover
 
     def make_reassembler(self): ...  # pragma: no cover
 
@@ -65,17 +66,19 @@ class Aal5Glue:
         if not 0 <= uu <= 0xFF:
             raise AalError(f"CPCS-UU {uu} is not a single byte")
 
-    def segmenter_for(self, vc: VcAddress) -> Callable[[bytes, int], List[AtmCell]]:
-        """*vc*'s segmenting call: ``segment(sdu, uu)`` returns the cells."""
+    def segmenter_for(self, vc: VcAddress) -> Callable[..., List[AtmCell]]:
+        """*vc*'s segmenting call: ``segment(sdu, uu, meta=None)`` returns
+        the cells, each with a copy of *meta*; *vc* is checked here."""
         return Aal5Segmenter(vc).segment
 
     def make_reassembler(self) -> Aal5Reassembler:
         return Aal5Reassembler()
 
-    #: The cell's own end-of-frame mark, decoded at construction:
-    #: ``glue.is_eof(cell)`` calls the property's C-level getter, so the
-    #: per-cell test runs no Python frame.
-    is_eof = staticmethod(AtmCell.end_of_frame.fget)
+    #: The cell's own end-of-frame mark, decoded at construction into
+    #: the record's last slot (:attr:`AtmCell.end_of_frame`):
+    #: ``glue.is_eof(cell)`` reads it in C, so the per-cell test runs no
+    #: Python frame.
+    is_eof = staticmethod(itemgetter(9))
 
     def abort_context(
         self,
@@ -110,11 +113,12 @@ class Aal34Glue:
         if sdu_size > AAL34_MAX_SDU:
             raise AalError(f"SDU of {sdu_size} bytes exceeds AAL3/4 maximum")
 
-    def segmenter_for(self, vc: VcAddress) -> Callable[[bytes, int], List[AtmCell]]:
-        """*vc*'s segmenting call: ``segment(sdu, uu)`` returns the cells."""
+    def segmenter_for(self, vc: VcAddress) -> Callable[..., List[AtmCell]]:
+        """*vc*'s segmenting call: ``segment(sdu, uu, meta=None)`` returns
+        the cells, each with a copy of *meta*; *vc* is checked here."""
         segment = Aal34Segmenter(vc, mid=self.MID).segment
         # AAL3/4 has no CPCS-UU byte; the indication is dropped.
-        return lambda sdu, uu: segment(sdu)
+        return lambda sdu, uu, meta=None: segment(sdu, meta=meta)
 
     def make_reassembler(self) -> Aal34Reassembler:
         return Aal34Reassembler()

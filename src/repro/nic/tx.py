@@ -19,7 +19,7 @@ Each VC's state (its segmenting call, static pacing interval and next
 pacing slot) is resolved on the VC's first PDU and dropped when the VC
 closes, so the per-PDU steps do no per-connection lookup.
 
-The framer (pure hardware in the real adaptor; here two callbacks)
+The framer (pure hardware in the real adaptor; here one callback)
 drains the FIFO one cell per link slot.
 """
 
@@ -43,9 +43,10 @@ from repro.sim.monitor import Counter, ThroughputMeter
 
 
 class _VcState:
-    """One VC's transmit state: its segmenting call ``segment(sdu, uu)``,
-    the seconds between cells of its peak-rate contract (None: unpaced)
-    and the earliest time its next paced cell may go."""
+    """One VC's transmit state: its segmenting call
+    ``segment(sdu, uu, meta=...)``, the seconds between cells of its
+    peak-rate contract (None: unpaced) and the earliest time its next
+    paced cell may go."""
 
     __slots__ = ("segment", "interval", "next_slot")
 
@@ -178,11 +179,15 @@ class TxEngine:
                 size=descriptor.size,
             )
         # Per-PDU prologue: parse the descriptor, load the VC's state
-        # (its header template) and cut the PDU into cells, program the
-        # host-memory DMA.
+        # (its header template) and cut the PDU into cells, each stamped
+        # with the PDU's id and posting time, program the host-memory DMA.
         vc = descriptor.vc
         state = self._vc = self._vcs.get(vc) or self._resolve(vc)
-        self._cells = state.segment(descriptor.sdu, descriptor.user_indication)
+        self._cells = state.segment(
+            descriptor.sdu,
+            descriptor.user_indication,
+            meta={"pdu_id": descriptor.pdu_id, "posted_at": descriptor.posted_at},
+        )
         self.clock.work(self._prologue_charge, self._dma_setup)
 
     def _dma_setup(self) -> None:
@@ -289,11 +294,8 @@ class TxEngine:
         self._emit()
 
     def _emit(self) -> None:
-        descriptor = self._descriptor
         cell = self._cells[self._index]
         self.bufmem.bytes_read += PAYLOAD_SIZE
-        cell.meta["pdu_id"] = descriptor.pdu_id
-        cell.meta["posted_at"] = descriptor.posted_at
         if self.trace is not None:
             self.trace.tag_cell(cell)
             self.trace.emit(
@@ -351,10 +353,10 @@ class TxEngine:
 class Framer:
     """Link-side drain: one cell from the FIFO onto the wire per slot.
 
-    Hardware in the real interface; here two callbacks, like
-    :class:`~repro.atm.mux.OutputPort`, whose only policy is strict FIFO
-    order at link rate: each wire-out pulls the next cell, and a framer
-    that found the FIFO empty is handed the next cell put in.
+    Hardware in the real interface; here one callback, whose only
+    policy is strict FIFO order at link rate: each cell's wire-out pulls
+    the next cell from the FIFO, and a framer that found the FIFO empty
+    is handed the next cell put in.
     """
 
     def __init__(
@@ -368,7 +370,6 @@ class Framer:
         self.fifo = fifo
         self.link = link
         self.name = name
-        self.cells_framed = Counter(f"{name}.cells")
         self._started = False
 
     def attach(self, link: PhysicalLink) -> None:
@@ -382,8 +383,4 @@ class Framer:
     def _frame(self, cell: AtmCell) -> None:
         if self.link is None:
             raise RuntimeError(f"{self.name} has no link attached")
-        self.link.send(cell, self._wire_out)
-
-    def _wire_out(self) -> None:
-        self.cells_framed.count += 1
-        self.fifo.pull(self._frame)
+        self.link.send(cell, self.fifo.pull, self._frame)

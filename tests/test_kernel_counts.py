@@ -6,9 +6,11 @@ are the Python-level calls of three exchanges: the quickstart (per-cell
 work), 16 VCs of small PDUs (per-PDU work) and signalled sessions
 through two switches (per-connection work).  A change that lowers a
 pin updates it and states the delta; a change that raises one says why.
-The signalled sessions also pin the cells built per cell sent, and
-that a released session leaves no per-connection state behind, in the
-signalling agents, the transmit engines or the switch ports.
+The signalled sessions also check that every cell received is one a
+segmenter built, and that a released session leaves no per-connection
+state behind, in the signalling agents, the transmit engines or the
+switch ports.  Segmenting makes the same Python-level calls whatever
+the SDU's length: no cell runs a Python constructor.
 """
 
 import gc
@@ -23,13 +25,15 @@ import repro.results.experiments as experiments
 import repro.scale.experiment as scale_experiment
 from repro import HostNetworkInterface, Simulator, aurora_oc3, connect
 from repro.aal.aal5 import Aal5Segmenter
-from repro.atm.cell import AtmCell
+from repro.atm.addressing import VcAddress
 from repro.atm.link import PhysicalLink
 from repro.atm.mux import OutputPort
 from repro.atm.oam import LoopbackCell
 from repro.atm.signalling import SIGNALLING_VC, CallState, SignallingAgent
 from repro.baselines import HostSarConfig, HostSarInterface
 from repro.net import Testbed as TopologyBuilder
+from repro.nic.rx import RxEngine
+from repro.nic.sarglue import Aal5Glue
 from repro.scale.session import SessionEngine, SessionProfile
 from repro.sim.process import Process
 from repro.sim.random import RandomStreams
@@ -131,8 +135,9 @@ def _signalled_sessions():
     return sim, engine, caller_sig, callee_sig
 
 
-def _python_calls(sim, until):
-    """Python-level calls into repro functions while *sim* runs to *until*.
+def _python_calls(fn, *args, **kwargs):
+    """Python-level calls into repro functions while ``fn(*args, **kwargs)``
+    runs (``sim.run``, say).
 
     Frames named "<...>" (comprehensions, lambdas) are left out, so the
     count is the same whether or not the interpreter inlines
@@ -158,7 +163,7 @@ def _python_calls(sim, until):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        sim.run(until=until)
+        fn(*args, **kwargs)
     finally:
         sys.setprofile(previous)
         if gc_was_enabled:
@@ -176,9 +181,9 @@ def test_quickstart_exchange():
 def test_quickstart_python_calls():
     # The per-cell frames the datapath pays.
     sim, delivered = _quickstart()
-    calls = _python_calls(sim, 0.05)
+    calls = _python_calls(sim.run, until=0.05)
     assert len(delivered) == 5
-    assert calls == 25011
+    assert calls == 21823
 
 
 def test_small_pdus_exchange():
@@ -191,9 +196,9 @@ def test_small_pdus_exchange():
 def test_small_pdus_python_calls():
     # The per-PDU frames the host steps and the engines' PDU steps pay.
     sim, delivered = _small_pdus()
-    calls = _python_calls(sim, 0.05)
+    calls = _python_calls(sim.run, until=0.05)
     assert len(delivered) == 64
-    assert calls == 11117
+    assert calls == 10425
 
 
 def test_signalled_sessions_exchange():
@@ -204,23 +209,32 @@ def test_signalled_sessions_exchange():
 
 
 def test_signalled_sessions_cells_built(monkeypatch):
-    # One AtmCell per segmented cell: both switches keep every label, so
-    # they hand on the cell they received.
-    built = []
-    validate = AtmCell.__post_init__
+    # The RX engines take exactly the cell objects the segmenters built:
+    # both switches keep every label, so no hop builds a copy.
+    built, taken = [], []
+    segment = Aal5Segmenter.segment
+    take = RxEngine._take
 
-    def counted(cell):
-        built.append(1)
-        validate(cell)
+    def segmenting(self, *args, **kwargs):
+        cells = segment(self, *args, **kwargs)
+        built.extend(cells)
+        return cells
 
-    monkeypatch.setattr(AtmCell, "__post_init__", counted)
+    def taking(self, cell):
+        taken.append(cell)
+        take(self, cell)
+
+    monkeypatch.setattr(Aal5Segmenter, "segment", segmenting)
+    monkeypatch.setattr(RxEngine, "_take", taking)
     sim, engine, caller_sig, callee_sig = _signalled_sessions()
     sim.run(until=0.02)
     nics = (caller_sig.interface, callee_sig.interface)
     segmented = sum(nic.tx_engine.cells_sent.count for nic in nics)
     delivered = sum(nic.rx_engine.cells_received.count for nic in nics)
     assert segmented == delivered == 120
-    assert len(built) == 120
+    assert len(built) == len(taken) == 120
+    assert {id(cell) for cell in taken} == {id(cell) for cell in built}
+    assert len({id(cell) for cell in built}) == 120
 
 
 def test_signalled_sessions_python_calls():
@@ -228,9 +242,9 @@ def test_signalled_sessions_python_calls():
     # teardown (with one port-book forget per removed route entry), and
     # each VC's transmit state resolved once.
     sim, engine, _caller_sig, _callee_sig = _signalled_sessions()
-    calls = _python_calls(sim, 0.02)
+    calls = _python_calls(sim.run, until=0.02)
     assert engine.sessions_released.count == 12
-    assert calls == 11301
+    assert calls == 10955
 
 
 def test_released_routes_leave_no_port_books():
@@ -284,6 +298,19 @@ def test_released_sessions_leave_no_connection_state(monkeypatch):
     assert [ref() for ref in calls[callee_sig]] == [None] * 12
     survivors = [ref() for ref in segmenters if ref() is not None]
     assert [segmenter.vc for segmenter in survivors] == [SIGNALLING_VC] * 2
+
+
+def test_segmenting_calls_do_not_grow_with_cells():
+    # One SDU of 192 cells makes the same Python-level calls as one of a
+    # single cell: each cell is built from the VC's header template, with
+    # no Python constructor.
+    segment = Aal5Glue().segmenter_for(VcAddress(0, 100))
+    counts = []
+    for size, cells in ((40, 1), (9180, 192)):
+        meta = {"pdu_id": size, "posted_at": 0.0}
+        counts.append(_python_calls(segment, bytes(size), 0, meta=meta))
+        assert len(segment(bytes(size), 0, meta=meta)) == cells
+    assert counts[0] == counts[1]
 
 
 def test_short_f2_point(monkeypatch):

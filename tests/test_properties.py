@@ -4,18 +4,26 @@ These tests drive randomised operation sequences through the core data
 structures and assert the conservation laws the rest of the system
 relies on: rings and FIFOs neither lose nor duplicate items, buffer
 memory never goes negative, the end-to-end SAR pipeline delivers
-exactly the bytes that were sent, and the kernel's two heaps fire in
-the order one heap would.
+exactly the bytes that were sent, the cells a segmenter builds from its
+VC's header template are the cells the validating constructor builds,
+and the kernel's two heaps fire in the order one heap would.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from heapq import heappop, heappush
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.atm import AtmCell
+from repro.aal.aal5 import AAL5_TRAILER_SIZE, Aal5Segmenter
+from repro.aal.aal34 import Aal34Segmenter
+from repro.atm import AtmCell, CellFormatError, PAYLOAD_SIZE
+from repro.atm.addressing import VcAddress
 from repro.nic import AdaptorBufferMemory, BufferMemorySpec, CellFifo
 from repro.nic.descriptors import DescriptorRing
+from repro.nic.sarglue import Aal5Glue, Aal34Glue
 from repro.sim import Simulator
 from repro.sim.core import NORMAL, URGENT, Event, Timeout
 from repro.sim.process import Process
@@ -141,6 +149,99 @@ class TestEndToEndConservation:
             scenario.sender.send(scenario.vc, payload)
         sim.run(until=0.2)
         assert [c.sdu for c in scenario.received] == payloads
+
+
+#: SDU lengths from empty to three AAL5 cells' worth, or the 9180-byte
+#: SDU of bulk transfers (192 AAL5 cells, 209 AAL3/4 cells).
+_SDU_SIZES = st.one_of(
+    st.integers(0, 3 * PAYLOAD_SIZE - AAL5_TRAILER_SIZE), st.just(9180)
+)
+
+
+def _duplicates(cell):
+    return copy.copy(cell), pickle.loads(pickle.dumps(cell))
+
+
+class TestTemplateBuiltCells:
+    """A segmenter checks its VC's header once and builds every cell from
+    it unchecked; each cell must be the one ``AtmCell(...)`` would build."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        vpi=st.integers(0, 0xFFF),
+        vci=st.integers(0, 0xFFFF),
+        size=_SDU_SIZES,
+        uu=st.integers(0, 0xFF),
+        glue=st.sampled_from([Aal5Glue(), Aal34Glue()]),
+        stamped=st.booleans(),
+    )
+    @example(vpi=0xFFF, vci=0xFFFF, size=0, uu=0xFF, glue=Aal5Glue(), stamped=True)
+    @example(vpi=0, vci=0, size=9180, uu=0, glue=Aal34Glue(), stamped=False)
+    def test_cells_equal_the_validating_constructors(
+        self, vpi, vci, size, uu, glue, stamped
+    ):
+        meta = {"pdu_id": 3, "posted_at": 0.25} if stamped else None
+        segment = glue.segmenter_for(VcAddress(vpi, vci))
+        sdu = bytes(i & 0xFF for i in range(size))
+        cells = segment(sdu, uu, meta=meta)
+        for cell in cells:
+            checked = AtmCell(*cell[:7])
+            assert type(cell) is AtmCell and type(cell.vc) is VcAddress
+            assert tuple(cell) == tuple(checked)  # all ten slots
+            assert cell.meta == (meta or {}) and cell.meta is not meta
+            for twin in _duplicates(cell):
+                assert type(twin) is AtmCell
+                assert tuple(twin) == tuple(cell)
+        # Each cell has its own meta, which the trace tags one by one.
+        assert len({id(cell.meta) for cell in cells}) == len(cells)
+        assert [glue.is_eof(cell) for cell in cells] == [
+            index == len(cells) - 1 for index in range(len(cells))
+        ]
+
+    @pytest.mark.parametrize("make", [Aal5Segmenter, Aal34Segmenter])
+    def test_a_plain_tuple_vc_is_carried_as_a_vc_address(self, make):
+        (cell,) = make((1, 40)).segment(b"x")
+        assert type(cell.vc) is VcAddress
+        assert tuple(cell) == tuple(AtmCell(*cell[:7]))
+
+    def test_every_uu_byte(self):
+        segment = Aal5Glue().segmenter_for(VcAddress(1, 40))
+        for uu in range(0x100):
+            (cell,) = segment(b"uu", uu)
+            assert tuple(cell) == tuple(AtmCell(*cell[:7]))
+            assert cell.payload[-8] == uu and cell.end_of_frame
+
+    @pytest.mark.parametrize(
+        "vc",
+        [
+            VcAddress(-1, 40),
+            VcAddress(0x1000, 40),
+            VcAddress(1, -1),
+            VcAddress(1, 0x10000),
+        ],
+        ids=["vpi-low", "vpi-high", "vci-low", "vci-high"],
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [
+            Aal5Segmenter,
+            Aal34Segmenter,
+            Aal5Glue().segmenter_for,
+            Aal34Glue().segmenter_for,
+        ],
+        ids=["aal5", "aal34", "aal5-glue", "aal34-glue"],
+    )
+    def test_out_of_range_vc_refused_when_segmenter_made(
+        self, monkeypatch, vc, make
+    ):
+        # The error comes before any cell exists: no cell is built.
+        def no_cells(*args):
+            raise AssertionError("a cell was built")
+
+        monkeypatch.setattr(AtmCell, "_make", no_cells)
+        monkeypatch.setattr(AtmCell, "__post_init__", no_cells)
+        with pytest.raises(CellFormatError):
+            make(vc)
 
 
 class TestReassemblerCellConservation:
