@@ -20,9 +20,15 @@ the first and the third (the second lives in the NIC's
   across an axis of seeds via :mod:`repro.runner`, inheriting its
   process-pool sharding, result cache, and crash isolation.
 
+The package itself exports only the model side: the auditor and its
+ledger, and the fault plans.  The drivers are imported from their own
+modules, so a simulation that audits its cells loads no experiment
+harness.
+
 Usage -- run a seeded lossy campaign and prove the books balance::
 
-    from repro.faults import BurstLossPlan, CampaignSpec, FaultCampaign
+    from repro.faults import BurstLossPlan
+    from repro.faults.campaign import CampaignSpec, FaultCampaign
     from repro.nic.config import aurora_oc3
 
     campaign = FaultCampaign(
@@ -54,7 +60,6 @@ from repro.faults.audit import (
     CellConservationError,
     ConservationLedger,
 )
-from repro.faults.campaign import CampaignResult, CampaignSpec, FaultCampaign
 from repro.faults.plan import (
     BurstLossPlan,
     CamMissPlan,
@@ -66,29 +71,18 @@ from repro.faults.plan import (
     TailLossPlan,
     UniformLossPlan,
 )
-from repro.faults.sweep import (
-    PLAN_PRESETS,
-    run_campaign_sweep,
-    sweep_summary,
-)
 
 __all__ = [
     "BurstLossPlan",
     "CamMissPlan",
-    "CampaignResult",
-    "CampaignSpec",
     "CellConservationAuditor",
     "CellConservationError",
     "ConservationLedger",
     "CorruptionPlan",
     "EngineStallPlan",
-    "FaultCampaign",
     "FaultPlan",
     "InterruptStormPlan",
     "LinkFlapPlan",
-    "PLAN_PRESETS",
     "TailLossPlan",
     "UniformLossPlan",
-    "run_campaign_sweep",
-    "sweep_summary",
 ]

@@ -5,11 +5,15 @@ generator, every loss process) gets its *own* stream, derived from a root
 seed and a stable name.  Adding a new random consumer therefore never
 perturbs the draws seen by existing consumers -- the classic common random
 numbers discipline for comparing configurations.
+
+A stream's seed is the SHA-256 of ``"<root seed>:<name>"``.  ``hashlib``
+is imported when the first stream is made, not with the package: it
+loads OpenSSL's libcrypto, which a process that never draws a random
+number does not need.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 
@@ -24,6 +28,8 @@ class RandomStreams:
         """Return the stream for *name*, creating it deterministically."""
         rng = self._streams.get(name)
         if rng is None:
+            import hashlib
+
             digest = hashlib.sha256(
                 f"{self.seed}:{name}".encode("utf-8")
             ).digest()

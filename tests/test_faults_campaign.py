@@ -5,16 +5,15 @@ import pytest
 from repro.faults import (
     BurstLossPlan,
     CamMissPlan,
-    CampaignSpec,
     CellConservationAuditor,
     CellConservationError,
     CorruptionPlan,
     EngineStallPlan,
-    FaultCampaign,
     InterruptStormPlan,
     TailLossPlan,
     UniformLossPlan,
 )
+from repro.faults.campaign import CampaignSpec, FaultCampaign
 from repro.faults.plan import PlanError
 from repro.nic.config import aurora_oc3
 from repro.nic.costs import I960_25MHZ, Charge

@@ -25,12 +25,11 @@ from repro.atm.mux import OutputPort
 from repro.atm.signalling import SignallingAgent
 from repro.faults import (
     CamMissPlan,
-    CampaignSpec,
     CorruptionPlan,
     EngineStallPlan,
-    FaultCampaign,
     TailLossPlan,
 )
+from repro.faults.campaign import CampaignSpec, FaultCampaign
 from repro.nic import HostNetworkInterface, aurora_oc3, connect
 from repro.nic.bufmem import BufferMemorySpec
 from repro.nic.rx import FrameDiscardPolicy

@@ -23,7 +23,9 @@ from repro.atm.signalling import (
     SignallingTimers,
     backoff_schedule,
 )
-from repro.faults import FaultCampaign, CampaignSpec, LinkFlapPlan, PLAN_PRESETS
+from repro.faults import LinkFlapPlan
+from repro.faults.campaign import CampaignSpec, FaultCampaign
+from repro.faults.sweep import PLAN_PRESETS
 from repro.nic import HostNetworkInterface, OamPingTimeout, aurora_oc3, connect
 from repro.resilience import (
     OAM_MGMT_VC,
