@@ -113,6 +113,8 @@ class PhysicalLink:
         #: Observability hook (repro.obs), copied from the simulator: a
         #: TraceRecorder, or None.
         self.trace = sim.trace
+        # Bound once: every cell's wire-out entry carries this object.
+        self._then_wire_out = self._wire_out
         sim.components.append(self)
 
     @property
@@ -182,7 +184,7 @@ class PhysicalLink:
                 (
                     now + ((done - now) + self.propagation_delay),
                     sequence,
-                    self._wire_out,
+                    self._then_wire_out,
                     (deliver, None, ()),
                 ),
             )
@@ -191,7 +193,7 @@ class PhysicalLink:
         sim._sequence = sequence
         heappush(
             queue,
-            (now + (done - now), sequence, self._wire_out, (deliver, then, args)),
+            (now + (done - now), sequence, self._then_wire_out, (deliver, then, args)),
         )
 
     def _wire_out(

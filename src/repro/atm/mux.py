@@ -85,6 +85,8 @@ class OutputPort:
         #: Observability hook (repro.obs), copied from the simulator: a
         #: TraceRecorder, or None.
         self.trace = sim.trace
+        # Bound once: the link calls it back at every cell's wire-out.
+        self._then_drain_next = self._drain_next
         sim.components.append(self)
 
     def __len__(self) -> int:
@@ -157,7 +159,7 @@ class OutputPort:
             self._draining = True
             if not self.peak_occupancy:
                 self.peak_occupancy = 1
-            self.link.send(cell, self._drain_next)
+            self.link.send(cell, self._then_drain_next)
             return True
         queue.append(cell)
         if len(queue) > self.peak_occupancy:
@@ -171,7 +173,7 @@ class OutputPort:
         if not self._queue:
             self._draining = False
             return
-        self.link.send(self._queue.popleft(), self._drain_next)
+        self.link.send(self._queue.popleft(), self._then_drain_next)
 
     # -- observability ---------------------------------------------------------
 

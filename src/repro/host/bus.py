@@ -130,6 +130,8 @@ class SystemBus:
         self.bytes_moved = Counter(f"{name}.bytes")
         self.transactions = Counter(f"{name}.transactions")
         self.bytes_by_master: dict[str, int] = {}
+        # Bound once: each burst's entry carries this object.
+        self._then_burst_done = self._burst_done
 
     def transfer_then(
         self, nbytes: int, master: str, then: Callable[..., Any], *args: Any
@@ -156,7 +158,7 @@ class SystemBus:
         cycles = self.spec.burst_setup_cycles + burst_words
         duration = cycles * self._cycle_time
         self._busy_time += duration
-        self.sim.schedule_call(duration, self._burst_done, transaction)
+        self.sim.schedule_call(duration, self._then_burst_done, transaction)
 
     def _burst_done(self, transaction: _Transaction) -> None:
         if transaction.words > 0:

@@ -75,6 +75,8 @@ class HostCpu:
         self.cycles_by_tag: Dict[str, float] = {}
         # Seconds per cycle, as ``spec.seconds_for`` multiplies by.
         self._cycle_time = spec.cycle_time
+        # Bound once: each work item's timed entry carries this object.
+        self._then_finish = self._finish
 
     # -- execution ----------------------------------------------------------
 
@@ -102,7 +104,7 @@ class HostCpu:
         self._busy_time += duration
         by_tag = self.cycles_by_tag
         by_tag[tag] = by_tag.get(tag, 0.0) + cycles
-        self.sim.schedule_call(duration, self._finish, then, args)
+        self.sim.schedule_call(duration, self._then_finish, then, args)
 
     def _finish(self, then: Callable[..., Any], args: tuple[Any, ...]) -> None:
         # The caller continues from its own zero-delay entry, after the

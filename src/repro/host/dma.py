@@ -64,6 +64,11 @@ class DmaEngine:
         #: Observability hook (repro.obs), copied from the simulator: a
         #: TraceRecorder, or None.
         self.trace = sim.trace
+        # Each step the kernel or the bus calls back, bound once: every
+        # transfer hands on these objects.
+        self._then_set_up = self._set_up
+        self._then_write_back = self._write_back
+        self._then_finish = self._finish
 
     def transfer_then(
         self, nbytes: int, then: Callable[..., Any], *args: Any
@@ -83,17 +88,17 @@ class DmaEngine:
             self.trace.emit("dma.start", actor=self.name, bytes=transfer[0])
         # Setup, arbitrated bus walk (the rx and tx engines share the
         # bus), completion writeback.
-        self.sim.schedule_call(self.spec.setup_time, self._set_up, transfer)
+        self.sim.schedule_call(self.spec.setup_time, self._then_set_up, transfer)
 
     def _set_up(self, transfer: _Transfer) -> None:
         nbytes = transfer[0]
         if nbytes > 0:
-            self.bus.transfer_then(nbytes, self.name, self._write_back, transfer)
+            self.bus.transfer_then(nbytes, self.name, self._then_write_back, transfer)
         else:
             self._write_back(transfer)
 
     def _write_back(self, transfer: _Transfer) -> None:
-        self.sim.schedule_call(self.spec.completion_time, self._finish, transfer)
+        self.sim.schedule_call(self.spec.completion_time, self._then_finish, transfer)
 
     def _finish(self, transfer: _Transfer) -> None:
         nbytes, then, args, started = transfer

@@ -82,6 +82,10 @@ class InterruptController:
         self.trace = sim.trace
         self._pending: _Batch = []
         self._delivery_scheduled = False
+        # Each step the kernel or the CPU calls back, bound once: every
+        # delivery hands on these objects.
+        self._then_deliver = self._deliver
+        self._then_handled = self._handled
 
     def raise_interrupt_then(
         self,
@@ -99,9 +103,9 @@ class InterruptController:
         if not self._delivery_scheduled:
             self._delivery_scheduled = True
             if self.spec.coalesce_window > 0:
-                self.sim.schedule_call(self.spec.coalesce_window, self._deliver)
+                self.sim.schedule_call(self.spec.coalesce_window, self._then_deliver)
             else:
-                self.sim._call_urgent(self._deliver)
+                self.sim._call_urgent(self._then_deliver)
 
     def inject_spurious(self, handler_cycles: float = 0.0) -> None:
         """Fault-injection hook: a spurious assertion of the device line.
@@ -129,7 +133,7 @@ class InterruptController:
         for cycles, _handler, _then, _args in batch:
             total_handler += cycles
         total = self.spec.entry_cycles + total_handler + self.spec.exit_cycles
-        self.cpu.execute_then(total, "interrupt", self._handled, batch)
+        self.cpu.execute_then(total, "interrupt", self._then_handled, batch)
 
     def _handled(self, batch: _Batch) -> None:
         for _cycles, handler, _then, _args in batch:

@@ -94,8 +94,13 @@ class AdaptorBufferMemory:
         return self.free_cells < reserve_cells
 
     def allocate(self, owner: Hashable, cells: int) -> bool:
-        """Reserve *cells* for *owner* (a VC context, a staging PDU),
-        adding to what *owner* already holds.
+        """Reserve *cells* for *owner*, adding to what *owner* already
+        holds.
+
+        The engines key the ledger by the owner itself: a reassembly
+        context by its VC's :class:`~repro.atm.addressing.VcAddress`, a
+        staged transmit PDU by its ``pdu_id`` (an ``int``, so the two
+        never collide), with no key built per cell.
 
         Returns False (and counts the failure) when space is short --
         the caller decides whether that drops a PDU or stalls.  The RX

@@ -28,10 +28,12 @@ callback takes the items in the order they were offered.
 
 The asymmetry is the architectural point measured by F5: the TX FIFO
 converts engine speed into stalls, the RX FIFO converts engine slowness
-into loss.  Occupancy is tracked time-weighted for sizing studies; it
-is recorded where the level changes, so a stalled offer (the FIFO stays
-full), a hand-over (it stays empty) and a pull that admits a stalled
-producer (one cell out, one in) record nothing.
+into loss.  Every FIFO keeps its peak occupancy.  A time-weighted
+occupancy, for sizing studies, is kept only by a FIFO asked for one
+before its first cell (:meth:`CellFifo.track_occupancy`; F5 asks its
+receive FIFO); it is recorded where the level changes, so a stalled
+offer (the FIFO stays full), a hand-over (it stays empty) and a pull
+that admits a stalled producer (one cell out, one in) record nothing.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ class CellFifo:
         self.cells_out = 0
         #: Most cells ever queued at once.
         self.peak_occupancy = 0
-        self.occupancy = TimeWeightedStat(sim.now, 0)
+        #: The time-weighted occupancy, once :meth:`track_occupancy`
+        #: has started it; None until then.
+        self.occupancy: Optional[TimeWeightedStat] = None
         self.overflows = Counter(f"{name}.overflow")
         #: Observability hook (repro.obs), copied from the simulator: a
         #: TraceRecorder, or None.
@@ -80,6 +84,22 @@ class CellFifo:
     @property
     def is_full(self) -> bool:
         return len(self._cells) >= self.depth_cells
+
+    def track_occupancy(self) -> TimeWeightedStat:
+        """Keep the time-weighted occupancy from now on, and return it.
+
+        Only a FIFO that has taken no cell yet can start one, so the
+        stat covers every level the FIFO has held; asking again returns
+        the same stat.  A FIFO nobody asks records no level change.
+        """
+        if self.occupancy is None:
+            if self.cells_in:
+                raise RuntimeError(
+                    f"{self.name}: time-weighted occupancy asked for "
+                    "after the first cell"
+                )
+            self.occupancy = TimeWeightedStat(self.sim._now, 0)
+        return self.occupancy
 
     # -- producer side ------------------------------------------------------
 
@@ -146,7 +166,8 @@ class CellFifo:
         occupancy = len(cells)
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
-        self.occupancy.record(self.sim._now, occupancy)
+        if self.occupancy is not None:
+            self.occupancy.record(self.sim._now, occupancy)
         if self.trace is not None:
             self.trace.emit(
                 "fifo.enq", actor=self.name, cell=cell, occupancy=occupancy,
@@ -175,11 +196,11 @@ class CellFifo:
         cell = cells.popleft()
         self.cells_out += 1
         if not self._waiting:
-            occupancy = len(cells)
-            self.occupancy.record(self.sim._now, occupancy)
+            if self.occupancy is not None:
+                self.occupancy.record(self.sim._now, len(cells))
             if self.trace is not None:
                 self.trace.emit(
-                    "fifo.deq", actor=self.name, cell=cell, occupancy=occupancy,
+                    "fifo.deq", actor=self.name, cell=cell, occupancy=len(cells),
                 )
             consumer(cell)
             return

@@ -203,8 +203,10 @@ class HostNetworkInterface:
             on_expire=self.rx_engine.expire_context,
             name=f"{name}.timers",
         )
-        # A context's timer runs from its first cell that leaves it open
-        # until the context closes (completion, failed check, quota).
+        # Each cell that leaves a context open (re)arms its timer, so a
+        # context expires ``reassembly_timeout`` after its latest cell
+        # (as the sweep sees it, within one tick) unless it closes first
+        # (completion, failed check, quota), which disarms the timer.
         self.rx_engine.on_context_activity = self.reassembly_timers.touch
         self.rx_engine.on_context_closed = self.reassembly_timers.disarm
 
@@ -215,6 +217,12 @@ class HostNetworkInterface:
         #: like every subcomponent's: a TraceRecorder, or None.
         self.trace = sim.trace
         self._started = False
+        # Each per-PDU step the host calls back, and the OS receive step
+        # the interrupt hands on, bound once: every send and every
+        # delivery hands on these objects.
+        self._then_post_descriptor = self._post_descriptor
+        self._then_deliver = self._deliver
+        self._then_receive_post_interrupt_then = self.os.receive_post_interrupt_then
         sim.components.append(self)
 
     # -- lifecycle -----------------------------------------------------------
@@ -295,7 +303,8 @@ class HostNetworkInterface:
         self.start()
         posted = self.sim.event()
         self.os.send_then(
-            len(sdu), self._post_descriptor, address, sdu, user_indication, posted
+            len(sdu), self._then_post_descriptor, address, sdu, user_indication,
+            posted,
         )
         return posted
 
@@ -437,8 +446,8 @@ class HostNetworkInterface:
         # syscall return) without the driver portion.
         self.interrupts.raise_interrupt_then(
             self.config.os_costs.driver_rx_cycles, None,
-            self.os.receive_post_interrupt_then, completion.size,
-            self._deliver, completion,
+            self._then_receive_post_interrupt_then, completion.size,
+            self._then_deliver, completion,
         )
 
     def _deliver(self, completion: RxCompletion) -> None:

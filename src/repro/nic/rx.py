@@ -173,6 +173,14 @@ class RxEngine:
         if hasattr(self.reassembler, "on_discard"):
             self.reassembler.on_discard = self._reassembly_discarded
         self._started = False
+        # Each step that the FIFO, the clock or the DMA engine calls back,
+        # bound once: every cell and PDU hands on these objects, not a
+        # bound method made for it.
+        self._then_take = self._take
+        self._then_oam_done = self._oam_done
+        self._then_unknown_done = self._unknown_done
+        self._then_cell_done = self._cell_done
+        self._then_deliver_to_host = self._deliver_to_host
 
     def _cell_charge(self, position: CellPosition, table_size: int) -> Charge:
         """The charge for a cell at *position*, memoized on the engine."""
@@ -306,7 +314,7 @@ class RxEngine:
         """
         if not self._started:
             self._started = True
-            self.sim._call_urgent(self.fifo.pull, self._take)
+            self.sim._call_urgent(self.fifo.pull, self._then_take)
 
     def _take(self, cell: AtmCell) -> None:
         """Serve one cell off the FIFO: classify it and charge the work.
@@ -322,7 +330,7 @@ class RxEngine:
         # unit (hardware-assisted) handles them so the host never
         # sees a cell.
         if not cell.is_user_cell:
-            self.clock.work(self._oam_charge, self._oam_done, cell)
+            self.clock.work(self._oam_charge, self._then_oam_done, cell)
             return
 
         # Classification: CAM handshake (or software probe) resolves
@@ -339,7 +347,7 @@ class RxEngine:
             known = self.vc_table.lookup(vc) is not None
         if not known:
             charge = self.costs.classify_charge(cam is not None, table_size)
-            self.clock.work(charge, self._unknown_done, cell)
+            self.clock.work(charge, self._then_unknown_done, cell)
             return
 
         # Position from the context table and the EOF mark, known before
@@ -354,7 +362,7 @@ class RxEngine:
             charge = self._cell_charges[position, table_size]
         except KeyError:
             charge = self._cell_charge(position, table_size)
-        self.clock.work(charge, self._cell_done, vc, cell, position)
+        self.clock.work(charge, self._then_cell_done, vc, cell, position)
 
     def _oam_done(self, cell: AtmCell) -> None:
         self.oam_cells.increment()
@@ -362,7 +370,7 @@ class RxEngine:
             self.trace.emit("rx.cell.oam", actor=self.name, cell=cell)
         if self.on_oam is not None:
             self.on_oam(cell)
-        self.fifo.pull(self._take)
+        self.fifo.pull(self._then_take)
 
     def _unknown_done(self, cell: AtmCell) -> None:
         self.cells_unknown_vc.increment()
@@ -373,7 +381,7 @@ class RxEngine:
                 cell=cell,
                 reason="unknown_vc",
             )
-        self.fifo.pull(self._take)
+        self.fifo.pull(self._then_take)
 
     def _cell_done(
         self, vc: VcAddress, cell: AtmCell, position: CellPosition
@@ -392,7 +400,7 @@ class RxEngine:
 
         # Payload into adaptor buffer memory; exhaustion loses the
         # cell exactly like network loss would.
-        if not self.bufmem.allocate(("rx", vc), 1):
+        if not self.bufmem.allocate(vc, 1):
             self._no_buffer(vc, cell)
         else:
             self.bufmem.bytes_written += PAYLOAD_SIZE
@@ -408,10 +416,10 @@ class RxEngine:
             else:
                 # The reassembler closed the context with a failure
                 # verdict (CRC/length/oversize): reclaim the buffer.
-                self.bufmem.release(("rx", vc))
+                self.bufmem.release(vc)
                 if self.on_context_closed is not None:
                     self.on_context_closed(vc)
-        self.fifo.pull(self._take)
+        self.fifo.pull(self._then_take)
 
     def _no_buffer(self, vc: VcAddress, cell: AtmCell) -> None:
         """Adaptor buffer memory is full: the cell is lost."""
@@ -451,7 +459,7 @@ class RxEngine:
         arrived = self.sim._now
         size = len(indication.sdu)
         self.bufmem.bytes_read += size
-        self.bufmem.release(("rx", vc))
+        self.bufmem.release(vc)
         if self.trace is not None:
             self.trace.emit(
                 "rx.pdu.done",
@@ -479,7 +487,7 @@ class RxEngine:
         # completions transfer strictly in order.
         self.dma.transfer_then(
             size,
-            self._deliver_to_host,
+            self._then_deliver_to_host,
             vc,
             last_cell,
             indication,
@@ -517,7 +525,7 @@ class RxEngine:
 
     def _quota_evicted(self, vc: VcAddress) -> None:
         """Reassembler quota evicted *vc*: reclaim its buffer and timer."""
-        self.bufmem.release(("rx", vc))
+        self.bufmem.release(vc)
         if self.trace is not None:
             self.trace.emit("rx.context.evicted", actor=self.name, vc=vc)
         if self.on_context_closed is not None:
@@ -529,5 +537,5 @@ class RxEngine:
             self.reassembler, vc, ReassemblyFailure.TIMEOUT
         )
         if aborted:
-            self.bufmem.release(("rx", vc))
+            self.bufmem.release(vc)
         return aborted

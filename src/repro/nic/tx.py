@@ -125,6 +125,19 @@ class TxEngine:
         self._cells: List[AtmCell] = []
         self._index = 0
         self._interval: Optional[float] = None
+        # Each step that the ring, the clock, the DMA engine, the FIFO or
+        # the kernel calls back, bound once: every cell and PDU hands on
+        # these objects, not a bound method made for it.
+        self._then_prologue = self._prologue
+        self._then_dma_setup = self._dma_setup
+        self._then_stage = self._stage
+        self._then_segment = self._segment
+        self._then_emit = self._emit
+        self._then_pace = self._pace
+        self._then_paced = self._paced
+        self._then_sent = self._sent
+        self._then_next_cell = self._next_cell
+        self._then_pdu_done = self._pdu_done
 
     def start(self) -> None:
         """Launch the firmware loop (idempotent).
@@ -165,7 +178,7 @@ class TxEngine:
     # -- the firmware loop, one callback per step --------------------------
 
     def _take_descriptor(self) -> None:
-        self.ring.pull(self._prologue)
+        self.ring.pull(self._then_prologue)
 
     def _prologue(self, descriptor: TxDescriptor) -> None:
         self._descriptor = descriptor
@@ -188,10 +201,10 @@ class TxEngine:
             descriptor.user_indication,
             meta={"pdu_id": descriptor.pdu_id, "posted_at": descriptor.posted_at},
         )
-        self.clock.work(self._prologue_charge, self._dma_setup)
+        self.clock.work(self._prologue_charge, self._then_dma_setup)
 
     def _dma_setup(self) -> None:
-        self.clock.work(self._dma_setup_charge, self._stage)
+        self.clock.work(self._dma_setup_charge, self._then_stage)
 
     def _stage(self) -> None:
         """Stage the PDU into adaptor buffer memory, then DMA it in.
@@ -200,7 +213,7 @@ class TxEngine:
         stall, never a loss, on transmit.
         """
         descriptor = self._descriptor
-        if not self.bufmem.allocate(("tx", descriptor.pdu_id), len(self._cells)):
+        if not self.bufmem.allocate(descriptor.pdu_id, len(self._cells)):
             self.pdus_stalled_for_buffer.count += 1
             if self.trace is not None:
                 self.trace.emit(
@@ -209,9 +222,9 @@ class TxEngine:
                     pdu_id=descriptor.pdu_id,
                     vc=descriptor.vc,
                 )
-            self.sim.schedule_call(self.fifo.depth_cells * 1e-7, self._stage)
+            self.sim.schedule_call(self.fifo.depth_cells * 1e-7, self._then_stage)
             return
-        self.dma.transfer_then(len(descriptor.sdu), self._segment)
+        self.dma.transfer_then(len(descriptor.sdu), self._then_segment)
 
     def _segment(self) -> None:
         """The PDU is in buffer memory: walk its cells.
@@ -258,7 +271,7 @@ class TxEngine:
             position = CellPosition.LAST
         self.clock.work(
             self._cell_charges[position],
-            self._emit if self._interval is None else self._pace,
+            self._then_emit if self._interval is None else self._then_pace,
         )
 
     def _pace(self) -> None:
@@ -285,7 +298,7 @@ class TxEngine:
                     vc=descriptor.vc,
                     delay=slot - now,
                 )
-            self.sim.schedule_call(slot - now, self._paced, slot)
+            self.sim.schedule_call(slot - now, self._then_paced, slot)
             return
         self._paced(slot)
 
@@ -304,7 +317,7 @@ class TxEngine:
                 cell=cell,
                 position=CellPosition.of(self._index, len(self._cells)).value,
             )
-        if self.fifo.offer(cell, self._sent):
+        if self.fifo.offer(cell, self._then_sent):
             self._sent()
 
     def _sent(self) -> None:
@@ -316,7 +329,7 @@ class TxEngine:
             # serialize in-order with the data.
             rm_cell = self.abr.data_cell_sent(self._descriptor.vc)
             if rm_cell is not None and not self.fifo.offer(
-                rm_cell, self._next_cell
+                rm_cell, self._then_next_cell
             ):
                 return
         self._index += 1
@@ -329,11 +342,11 @@ class TxEngine:
 
     def _completion(self) -> None:
         """Completion status back to the host."""
-        self.clock.work(self._completion_charge, self._pdu_done)
+        self.clock.work(self._completion_charge, self._then_pdu_done)
 
     def _pdu_done(self) -> None:
         descriptor = self._descriptor
-        self.bufmem.release(("tx", descriptor.pdu_id))
+        self.bufmem.release(descriptor.pdu_id)
         self.pdus_sent.count += 1
         self.throughput.bytes_total += len(descriptor.sdu)
         if self.trace is not None:
@@ -371,6 +384,9 @@ class Framer:
         self.link = link
         self.name = name
         self._started = False
+        # Bound once: every cell's wire-out calls ``fifo.pull(_frame)``.
+        self._then_pull = fifo.pull
+        self._then_frame = self._frame
 
     def attach(self, link: PhysicalLink) -> None:
         self.link = link
@@ -378,9 +394,9 @@ class Framer:
     def start(self) -> None:
         if not self._started:
             self._started = True
-            self.fifo.pull(self._frame)
+            self.fifo.pull(self._then_frame)
 
     def _frame(self, cell: AtmCell) -> None:
         if self.link is None:
             raise RuntimeError(f"{self.name} has no link attached")
-        self.link.send(cell, self.fifo.pull, self._frame)
+        self.link.send(cell, self._then_pull, self._then_frame)

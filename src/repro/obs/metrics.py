@@ -425,6 +425,24 @@ def _instrument_interface(
     )
 
 
+def _instrument_simulator(
+    registry: MetricsRegistry, sim, prefix: str = "sim."
+) -> None:
+    """Export the kernel's own counters beside the model's metrics."""
+    registry.counter(
+        prefix + "events_processed",
+        lambda: sim.events_processed,
+        unit="events",
+        description="queue entries processed since the simulator was built",
+    )
+    registry.gauge(
+        prefix + "peak_queue_occupancy",
+        lambda: sim.peak_queue_occupancy,
+        unit="entries",
+        description="most entries queued at once, both heaps together",
+    )
+
+
 def _instrument_link(
     registry: MetricsRegistry, link, prefix: str = "link."
 ) -> None:
@@ -757,6 +775,7 @@ def _instrument_sessions(
 #: pipeline packages.  ``tests/test_obs.py`` checks every
 #: ``_instrument_*`` defined above is reachable through this table.
 INSTRUMENT_DISPATCH: Dict[str, Callable[..., None]] = {
+    "Simulator": _instrument_simulator,
     "HostNetworkInterface": _instrument_interface,
     "PhysicalLink": _instrument_link,
     "LinkSupervisor": _instrument_supervisor,

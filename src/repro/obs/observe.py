@@ -34,9 +34,10 @@ SAMPLES_PER_WINDOW = 50
 class SimulatorView:
     """One observed simulator's recorder, registry, profiler and ledger.
 
-    The registry covers every instrumentable component built, sampled
-    every 1/50 of the simulator's first ``run(until=...)`` window; the
-    ledger is closed over everything built
+    The registry covers the kernel's own counters (``sim.*``) and every
+    instrumentable component built, sampled every 1/50 of the
+    simulator's first ``run(until=...)`` window; the ledger is closed
+    over everything built
     (:meth:`~repro.faults.audit.CellConservationAuditor.closed`); the
     profiler reads the engine clocks of every interface built.
     """
@@ -49,6 +50,7 @@ class SimulatorView:
             TraceRecorder(sim) if trace else None
         )
         self.registry = MetricsRegistry(sim)
+        instrument(self.registry, sim)
         #: The books over every link, port, switch and interface built.
         self.ledger = CellConservationAuditor.closed(sim.components)
         instrument(self.registry, self.ledger)

@@ -628,6 +628,8 @@ def run_f5(
         cfg = replace(config, rx_fifo_cells=depth)
         sim = Simulator()
         scenario = build_point_to_point(sim, cfg)
+        fifo = scenario.receiver.rx_fifo
+        occupancy = fifo.track_occupancy()
         source = OnOffSource(
             sim,
             scenario.sender,
@@ -638,12 +640,11 @@ def run_f5(
         )
         source.start()
         sim.run(until=window)
-        fifo = scenario.receiver.rx_fifo
         series.add_point(
             depth,
             loss_ratio=fifo.loss_ratio,
             peak_occupancy=fifo.peak_occupancy,
-            mean_occupancy=fifo.occupancy.mean(sim.now),
+            mean_occupancy=occupancy.mean(sim.now),
         )
     result = ExperimentResult(
         experiment_id="F5",

@@ -215,12 +215,9 @@ class Simulator:
         #: The peak less the timers pending: the main heap's length past
         #: which the queue sets a new peak.
         self._cap = 0
+        #: Entries ever queued: each takes the next sequence number.
         self._sequence = 0
         self._running = False
-        #: Lifetime count of events processed -- the kernel's own
-        #: observability counter (exposed as ``sim.events_processed`` by
-        #: the metrics layer; see :mod:`repro.obs.metrics`).
-        self.events_processed = 0
         #: Observation hook components copy when built: a trace
         #: recorder, or None.
         self.trace: Any = None
@@ -239,6 +236,18 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
+
+    @property
+    def events_processed(self) -> int:
+        """Lifetime count of entries processed (the one in progress
+        included): the kernel's own counter, which every observed run
+        exports as the metric ``sim.events_processed``.
+
+        Every queued entry takes exactly one sequence number and none is
+        ever withdrawn, so the count is the entries queued less those
+        still waiting; the dispatch loop keeps no tally of its own.
+        """
+        return self._sequence - len(self._queue) - len(self._timers)
 
     @property
     def peak_queue_occupancy(self) -> int:
@@ -320,7 +329,6 @@ class Simulator:
         else:
             raise SimulationError("step() on an empty queue")
         self._now = when
-        self.events_processed += 1
         if fn is not None:
             fn(*target)
             return
@@ -342,10 +350,10 @@ class Simulator:
         rate computations over the run window are exact.
 
         The loop body is :meth:`step` inlined (the kernel's hot path):
-        the same dispatch and the same counting.  It pops the main heap
-        while its head comes before the bound, capped just past *until*
-        so that one comparison also ends the run; otherwise it takes the
-        earlier head.  A timer moves the bound to the next timer before
+        the same dispatch.  It pops the main heap while its head comes
+        before the bound, capped just past *until* so that one
+        comparison also ends the run; otherwise it takes the earlier
+        head.  A timer moves the bound to the next timer before
         it is dispatched, so a timer it re-arms before that joins the
         main heap.
         """
@@ -383,7 +391,6 @@ class Simulator:
                 else:
                     break
                 self._now = when
-                self.events_processed += 1
                 if fn is not None:
                     fn(*target)
                     continue

@@ -10,19 +10,26 @@ The signalled sessions also check that every cell received is one a
 segmenter built, and that a released session leaves no per-connection
 state behind, in the signalling agents, the transmit engines or the
 switch ports.  Segmenting makes the same Python-level calls whatever
-the SDU's length: no cell runs a Python constructor.
+the SDU's length: no cell runs a Python constructor.  And each hop
+queues its next step as the one object its owner bound when built: no
+entry carries a bound method made for its cell or PDU.
 """
 
 import gc
 import os
 import sys
 import weakref
+from heapq import heappush
+from types import MethodType
 
 import pytest
 
 import repro
+import repro.atm.link as link_module
+import repro.nic.engine as engine_module
 import repro.results.experiments as experiments
 import repro.scale.experiment as scale_experiment
+import repro.sim.core as core
 from repro import HostNetworkInterface, Simulator, aurora_oc3, connect
 from repro.aal.aal5 import Aal5Segmenter
 from repro.atm.addressing import VcAddress
@@ -183,7 +190,7 @@ def test_quickstart_python_calls():
     sim, delivered = _quickstart()
     calls = _python_calls(sim.run, until=0.05)
     assert len(delivered) == 5
-    assert calls == 21823
+    assert calls == 21419
 
 
 def test_small_pdus_exchange():
@@ -198,7 +205,7 @@ def test_small_pdus_python_calls():
     sim, delivered = _small_pdus()
     calls = _python_calls(sim.run, until=0.05)
     assert len(delivered) == 64
-    assert calls == 10425
+    assert calls == 10081
 
 
 def test_signalled_sessions_exchange():
@@ -244,7 +251,7 @@ def test_signalled_sessions_python_calls():
     sim, engine, _caller_sig, _callee_sig = _signalled_sessions()
     calls = _python_calls(sim.run, until=0.02)
     assert engine.sessions_released.count == 12
-    assert calls == 10955
+    assert calls == 10935
 
 
 def test_released_routes_leave_no_port_books():
@@ -298,6 +305,93 @@ def test_released_sessions_leave_no_connection_state(monkeypatch):
     assert [ref() for ref in calls[callee_sig]] == [None] * 12
     survivors = [ref() for ref in segmenters if ref() is not None]
     assert [segmenter.vc for segmenter in survivors] == [SIGNALLING_VC] * 2
+
+
+def _queued_entries(monkeypatch):
+    """Keep every entry pushed onto the kernel's heaps from now on.
+
+    The kernel, the engine clock and the link each push their own
+    entries.  The list holds every entry, and so every callable in one,
+    alive: no two of them can share an ``id``.
+    """
+    queued = []
+
+    def pushing(heap, entry):
+        queued.append(entry)
+        heappush(heap, entry)
+
+    for module in (core, engine_module, link_module):
+        monkeypatch.setattr(module, "heappush", pushing)
+    return queued
+
+
+def test_each_cell_hop_queues_one_continuation(monkeypatch):
+    # One 9180-byte SDU is 192 cells.  The TX charge completion, the
+    # wire-out (with the framer's pull and frame steps as its
+    # continuation) and the RX charge completion are each queued 192
+    # times, always as the same object.
+    queued = _queued_entries(monkeypatch)
+    sim = Simulator()
+    alice = HostNetworkInterface(sim, aurora_oc3(), name="alice")
+    bob = HostNetworkInterface(sim, aurora_oc3(), name="bob")
+    wire, _back = connect(sim, alice, bob)
+    vc = alice.open_vc()
+    bob.open_vc(address=vc.address)
+    delivered = []
+    bob.on_pdu = delivered.append
+    alice.send(vc.address, bytes(9180))
+    sim.run(until=0.01)
+    assert [completion.cells for completion in delivered] == [192]
+    calls = [(fn, args) for _time, _key, fn, args in queued if fn is not None]
+    charged = [fn for fn, _args in calls if fn == alice.tx_engine._emit]
+    wire_outs = [(fn, *args[1:]) for fn, args in calls if fn == wire._wire_out]
+    taken = [fn for fn, _args in calls if fn == bob.rx_engine._cell_done]
+    assert len(charged) == len(wire_outs) == len(taken) == 192
+    assert {id(fn) for fn in charged} == {id(alice.tx_engine._then_emit)}
+    assert {id(fn) for fn in taken} == {id(bob.rx_engine._then_cell_done)}
+    framer = alice.framer
+    assert {(id(fn), id(then), id(frame)) for fn, then, (frame,) in wire_outs} == {
+        (id(wire._then_wire_out), id(framer._then_pull), id(framer._then_frame))
+    }
+    assert framer._then_pull == alice.tx_fifo.pull
+
+
+def _bound_methods(value):
+    """The bound methods in *value*, looking inside tuples and lists."""
+    if isinstance(value, MethodType):
+        yield value
+    elif type(value) in (tuple, list):
+        for item in value:
+            yield from _bound_methods(item)
+
+
+def test_each_pdu_step_queues_one_continuation(monkeypatch):
+    # The per-PDU steps too (OS, CPU, ring, DMA, bus, interrupt and the
+    # engines' PDU steps): over 64 small PDUs, each bound method queued,
+    # as an entry's call or among its arguments, is one object per
+    # owner and method.
+    queued = _queued_entries(monkeypatch)
+    sim, delivered = _small_pdus()
+    sim.run(until=0.05)
+    assert len(delivered) == 64
+    objects = {}
+    for _time, _key, fn, args in queued:
+        if fn is not None:
+            for method in _bound_methods((fn, args)):
+                key = (id(method.__self__), method.__func__)
+                objects.setdefault(key, set()).add(id(method))
+    steps = {function.__qualname__ for _owner, function in objects}
+    assert {
+        "HostCpu._finish",
+        "DmaEngine._set_up",
+        "SystemBus._burst_done",
+        "InterruptController._handled",
+        "HostOs.receive_post_interrupt_then",
+        "TxEngine._pdu_done",
+        "RxEngine._deliver_to_host",
+        "HostNetworkInterface._deliver",
+    } <= steps
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_segmenting_calls_do_not_grow_with_cells():

@@ -197,14 +197,21 @@ class TestContextQuota:
                 yield sim.timeout(1e-5)
 
         sim.process(feed())
+        victim = VcAddress(0, 100)
+        bufmem = nic.buffer_memory
+        # Before the third open: the victim holds its cell, under the
+        # ledger's key for its context.
+        sim.run(until=1.5e-5)
+        assert rx.reassembler.has_context(victim)
+        assert bufmem.held_by(victim) == 1 and bufmem.used_cells == 2
         sim.run(until=1e-3)
         stats = rx.reassembler.stats
         assert rx.reassembler.active_contexts() == 2
         assert stats.failure_count(ReassemblyFailure.QUOTA) == 1
         assert stats.cells_discarded_by[ReassemblyFailure.QUOTA] == 1
         # Oldest (vci 100) was the victim; its buffer cell was reclaimed.
-        assert not rx.reassembler.has_context(VcAddress(0, 100))
-        assert nic.buffer_memory.held_by(("rx", VcAddress(0, 100))) == 0
+        assert not rx.reassembler.has_context(victim)
+        assert bufmem.held_by(victim) == 0 and bufmem.used_cells == 2
         # Its reassembly timer went with it.
         assert nic.reassembly_timers.deadline_of(VcAddress(0, 100)) is None
 

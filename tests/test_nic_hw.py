@@ -124,6 +124,7 @@ class TestCellFifo:
     def test_occupancy_is_time_weighted(self, sim):
         # Dyadic instants keep every integral exact, so == is safe.
         fifo = CellFifo(sim, depth_cells=2)
+        occupancy = fifo.track_occupancy()
         got, resumed = [], []
 
         def drive():
@@ -148,10 +149,21 @@ class TestCellFifo:
         sim.run()
         assert got == [1, 2, 3, 4] and resumed == [1.5]
         # 1 over [0.25, 0.5), 2 over [0.5, 2.0), 1 over [2.0, 2.5), then 0.
-        assert fifo.occupancy.mean(4.0) == (0.25 + 2 * 1.5 + 0.5) / 4.0
-        assert fifo.occupancy.mean(4.0) == 0.9375
-        assert fifo.occupancy.maximum == 2
+        assert occupancy.mean(4.0) == (0.25 + 2 * 1.5 + 0.5) / 4.0
+        assert occupancy.mean(4.0) == 0.9375
+        assert occupancy.maximum == 2
+        assert fifo.occupancy is occupancy is fifo.track_occupancy()
         assert len(fifo) == 0 and fifo.cells_in == fifo.cells_out == 4
+
+    def test_time_weighted_occupancy_only_when_asked_before_a_cell(self, sim):
+        # A FIFO nobody asks keeps only its peak; one that has taken a
+        # cell can no longer start the stat.
+        fifo = CellFifo(sim, depth_cells=1)
+        fifo.try_put(cell())
+        fifo.pull(lambda c: None)
+        assert fifo.occupancy is None and fifo.peak_occupancy == 1
+        with pytest.raises(RuntimeError, match="after the first cell"):
+            fifo.track_occupancy()
 
     def test_try_get(self, sim):
         fifo = CellFifo(sim, depth_cells=4)

@@ -350,6 +350,21 @@ class TestMetricsRegistry:
         }
         assert defined == dispatched
 
+    def test_kernel_counters_are_sampled(self):
+        # Each view exports the kernel's own counters beside the model's,
+        # and the closing sample holds the simulator's values after the
+        # run.
+        view, _scenario = observed_point_to_point()
+        sim, series = view.sim, view.registry.series
+        for name, value in (
+            ("sim.events_processed", sim.events_processed),
+            ("sim.peak_queue_occupancy", sim.peak_queue_occupancy),
+        ):
+            values = series[name].values
+            assert len(values) > 40
+            assert values == sorted(values)
+            assert values[-1] == value > 0
+
     def test_r1_campaign_metrics_account_for_loss(self, r1_views):
         for view in r1_views:
             snap = view.registry.snapshot()
@@ -635,6 +650,10 @@ class TestRunnerAndExperiment:
         assert {"name": "process_name", "ph": "M", "pid": 1,
                 "args": {"name": "O1 #1"}} in entries
         assert metrics_path.read_text().startswith("# O1 #1\nt,")
+        columns = metrics_path.read_text().splitlines()[1].split(",")
+        assert {"sim.events_processed", "sim.peak_queue_occupancy"} <= set(
+            columns
+        )
 
     def test_audit_cli_exits_1_on_a_residue(self, monkeypatch, capsys):
         from repro.cli import main
