@@ -44,9 +44,9 @@ class LinkSpec:
     payload_rate_bps: float
 
     def __post_init__(self) -> None:
-        if self.payload_rate_bps <= 0:
+        if not self.payload_rate_bps > 0:
             raise ValueError("payload rate must be positive")
-        if self.payload_rate_bps > self.line_rate_bps:
+        if not self.payload_rate_bps <= self.line_rate_bps:
             raise ValueError("payload rate cannot exceed line rate")
 
     @property
@@ -91,7 +91,7 @@ class PhysicalLink:
         error_model=None,
         name: str = "",
     ) -> None:
-        if propagation_delay < 0:
+        if not propagation_delay >= 0:
             raise ValueError("propagation delay must be >= 0")
         self.sim = sim
         self.spec = spec

@@ -137,6 +137,8 @@ class LeakyBucketShaper:
         self._release_pending = False
         self.shaped = Counter(f"{name}.shaped")
         self.dropped = Counter(f"{name}.dropped")
+        # Bound once: every release entry carries this object.
+        self._then_release_one = self._release_one
 
     def offer(self, cell: AtmCell) -> bool:
         """Submit a cell for shaping; False if the shaper queue overflowed."""
@@ -154,7 +156,7 @@ class LeakyBucketShaper:
         now = self.sim.now
         release_at = max(now, self._next_release)
         self._release_pending = True
-        self.sim.schedule_call(release_at - now, self._release_one)
+        self.sim.schedule_call(release_at - now, self._then_release_one)
 
     def _release_one(self) -> None:
         self._release_pending = False

@@ -113,6 +113,20 @@ class HostSarInterface:
         self._tx_cells: Deque[AtmCell] = deque()
         self._tx_bytes = 0
         self._started = False
+        # Each step the ring, the FIFOs, the interrupt, the CPU or the bus
+        # calls back, and the host steps handed on as continuations,
+        # bound once: every PDU and cell hands on these objects.
+        self._then_tx_pdu = self._tx_pdu
+        self._then_tx_segment = self._tx_segment
+        self._then_tx_push = self._tx_push
+        self._then_tx_next = self._tx_next
+        self._then_enqueue = self._enqueue
+        self._then_handle_rx_interrupt = self._handle_rx_interrupt
+        self._then_reassemble = self._reassemble
+        self._then_deliver = self._deliver
+        self._then_transfer_then = self.bus.transfer_then
+        self._then_execute_then = self.cpu.execute_then
+        self._then_receive_then = self.os.receive_then
 
     # -- wiring (same shape as HostNetworkInterface) -----------------------
 
@@ -141,7 +155,7 @@ class HostSarInterface:
         if self._started:
             return
         self._started = True
-        self._tx_queue.pull(self._tx_pdu)
+        self._tx_queue.pull(self._then_tx_pdu)
         self.framer.start()
 
     # -- transmit ----------------------------------------------------------
@@ -155,7 +169,7 @@ class HostSarInterface:
         self.start()
         queued = self.sim.event()
         self.os.send_then(
-            len(sdu), self._enqueue, (address, sdu, user_indication), queued
+            len(sdu), self._then_enqueue, (address, sdu, user_indication), queued
         )
         return queued
 
@@ -171,7 +185,7 @@ class HostSarInterface:
             self._segmenters[address] = segmenter
         self.cpu.execute_then(
             self.config.sar_costs.tx_pdu_overhead, "sar-tx-pdu",
-            self._tx_segment, segmenter, sdu, uu,
+            self._then_tx_segment, segmenter, sdu, uu,
         )
 
     def _tx_segment(self, segmenter: Aal5Segmenter, sdu: bytes, uu: int) -> None:
@@ -184,11 +198,11 @@ class HostSarInterface:
         # 53-byte cell across the bus to the adaptor FIFO.
         self.cpu.execute_then(
             self.config.sar_costs.tx_cell_cycles(), "sar-tx-cell",
-            self.bus.transfer_then, CELL_SIZE, "pio-tx", self._tx_push,
+            self._then_transfer_then, CELL_SIZE, "pio-tx", self._then_tx_push,
         )
 
     def _tx_push(self) -> None:
-        if self.tx_fifo.offer(self._tx_cells.popleft(), self._tx_next):
+        if self.tx_fifo.offer(self._tx_cells.popleft(), self._then_tx_next):
             self._tx_next()
 
     def _tx_next(self) -> None:
@@ -197,7 +211,7 @@ class HostSarInterface:
             return
         self.pdus_sent.increment()
         self.tx_throughput.account(self._tx_bytes)
-        self._tx_queue.pull(self._tx_pdu)
+        self._tx_queue.pull(self._then_tx_pdu)
 
     # -- receive --------------------------------------------------------------
 
@@ -208,7 +222,7 @@ class HostSarInterface:
         self.interrupts.raise_interrupt_then(
             self.config.sar_costs.rx_interrupt_handler,
             None,
-            self._handle_rx_interrupt,
+            self._then_handle_rx_interrupt,
         )
 
     def _handle_rx_interrupt(self) -> None:
@@ -218,8 +232,8 @@ class HostSarInterface:
         # Pull the cell across the bus, then reassemble in the kernel.
         self.bus.transfer_then(
             CELL_SIZE, "pio-rx",
-            self.cpu.execute_then, self.config.sar_costs.rx_cell_cycles(),
-            "sar-rx-cell", self._reassemble, cell,
+            self._then_execute_then, self.config.sar_costs.rx_cell_cycles(),
+            "sar-rx-cell", self._then_reassemble, cell,
         )
 
     def _reassemble(self, cell: AtmCell) -> None:
@@ -230,7 +244,8 @@ class HostSarInterface:
             return
         self.cpu.execute_then(
             self.config.sar_costs.rx_pdu_overhead, "sar-rx-pdu",
-            self.os.receive_then, indication.size, self._deliver, cell, indication,
+            self._then_receive_then, indication.size, self._then_deliver, cell,
+            indication,
         )
 
     def _deliver(self, cell: AtmCell, indication: SduIndication) -> None:

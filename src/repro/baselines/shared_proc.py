@@ -45,6 +45,8 @@ class SharedEngineClock(EngineClock):
         self._running = False
         self._granted = 0
         self._total_wait = 0.0
+        # Bound once: every item's completion entry carries this object.
+        self._then_finish = self._finish
 
     def work(self, charge: Charge, then: Callable[..., Any], *args: Any) -> None:
         if self._running:
@@ -62,7 +64,7 @@ class SharedEngineClock(EngineClock):
         self._running = True
         self._granted += 1
         self._total_wait += self.sim.now - requested
-        super().work(charge, self._finish, then, args)
+        super().work(charge, self._then_finish, then, args)
 
     def _finish(self, then: Callable[..., Any], args: Tuple[Any, ...]) -> None:
         # The next item takes the stream before the finished caller

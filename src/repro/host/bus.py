@@ -17,10 +17,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Callable, Deque
 
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
+
+#: One master's transaction: words still to move, its bytes, the master,
+#: and the continuation with its args.  Each burst's queue entry carries
+#: it as its args, with the words left after that burst.
+_Transaction = tuple[int, int, str, Callable[..., Any], tuple[Any, ...]]
+
 
 @dataclass(frozen=True)
 class BusSpec:
@@ -35,13 +42,13 @@ class BusSpec:
     max_burst_words: int
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
+        if not self.clock_hz > 0:
             raise ValueError("bus clock must be positive")
         if self.width_bytes not in (1, 2, 4, 8, 16):
             raise ValueError("width must be a power-of-two byte count")
-        if self.burst_setup_cycles < 0:
+        if not self.burst_setup_cycles >= 0:
             raise ValueError("setup cycles must be >= 0")
-        if self.max_burst_words < 1:
+        if not self.max_burst_words >= 1:
             raise ValueError("burst length must be >= 1 word")
 
     @property
@@ -84,26 +91,6 @@ TURBOCHANNEL = BusSpec(
 )
 
 
-class _Transaction:
-    """One master's transfer: words still to move, and its continuation."""
-
-    __slots__ = ("words", "nbytes", "master", "then", "args")
-
-    def __init__(
-        self,
-        words: int,
-        nbytes: int,
-        master: str,
-        then: Callable[..., Any],
-        args: tuple[Any, ...],
-    ) -> None:
-        self.words = words
-        self.nbytes = nbytes
-        self.master = master
-        self.then = then
-        self.args = args
-
-
 class SystemBus:
     """The dynamic bus: an arbitrated resource that masters transact on.
 
@@ -136,46 +123,89 @@ class SystemBus:
     def transfer_then(
         self, nbytes: int, master: str, then: Callable[..., Any], *args: Any
     ) -> None:
-        """Move *nbytes* for *master*, then call ``then(*args)``."""
+        """Move *nbytes* for *master*, then call ``then(*args)``.
+
+        On an idle bus the transaction's first burst starts here: this
+        frame books it and queues its entry.
+        """
         if nbytes < 0:
             raise ValueError("negative transfer size")
         self.transactions.count += 1
-        transaction = _Transaction(
-            -(-nbytes // self._width), nbytes, master, then, args
-        )
-        if transaction.words == 0:
-            self._complete(transaction)
-        elif not self._held:
-            self._burst(transaction)
+        words = -(-nbytes // self._width)
+        if not words:
+            # Nothing to move: done at once, held bus or not (the master
+            # is still listed, with its bytes unchanged).
+            by_master = self.bytes_by_master
+            by_master[master] = by_master.get(master, 0)
+            then(*args)
+        elif self._held:
+            self._waiting.append((words, nbytes, master, then, args))
         else:
-            self._waiting.append(transaction)
+            self._held = True
+            burst_words = min(words, self.spec.max_burst_words)
+            duration = (self.spec.burst_setup_cycles + burst_words) * self._cycle_time
+            self._busy_time += duration
+            sim = self.sim
+            sequence = sim._sequence + 1
+            sim._sequence = sequence
+            heappush(
+                sim._queue,
+                (
+                    sim._now + duration,
+                    sequence,
+                    self._then_burst_done,
+                    (words - burst_words, nbytes, master, then, args),
+                ),
+            )
 
-    def _burst(self, transaction: _Transaction) -> None:
-        """Grant the bus to *transaction* for its next burst."""
-        self._held = True
-        burst_words = min(transaction.words, self.spec.max_burst_words)
-        transaction.words -= burst_words
-        cycles = self.spec.burst_setup_cycles + burst_words
-        duration = cycles * self._cycle_time
+    def _burst(
+        self,
+        words: int,
+        nbytes: int,
+        master: str,
+        then: Callable[..., Any],
+        args: tuple[Any, ...],
+    ) -> None:
+        """Grant the held bus to a waiting transaction for its next
+        burst (an idle bus grants a new one in ``transfer_then``)."""
+        burst_words = min(words, self.spec.max_burst_words)
+        duration = (self.spec.burst_setup_cycles + burst_words) * self._cycle_time
         self._busy_time += duration
-        self.sim.schedule_call(duration, self._then_burst_done, transaction)
+        sim = self.sim
+        sequence = sim._sequence + 1
+        sim._sequence = sequence
+        heappush(
+            sim._queue,
+            (
+                sim._now + duration,
+                sequence,
+                self._then_burst_done,
+                (words - burst_words, nbytes, master, then, args),
+            ),
+        )
 
-    def _burst_done(self, transaction: _Transaction) -> None:
-        if transaction.words > 0:
-            self._waiting.append(transaction)
+    def _burst_done(
+        self,
+        words: int,
+        nbytes: int,
+        master: str,
+        then: Callable[..., Any],
+        args: tuple[Any, ...],
+    ) -> None:
+        """A burst ended: the transaction rejoins the queue with the
+        *words* it has left, or completes here; then the bus is granted
+        to the oldest waiting transaction."""
+        if words:
+            self._waiting.append((words, nbytes, master, then, args))
         else:
-            self._complete(transaction)
+            self.bytes_moved.count += nbytes
+            by_master = self.bytes_by_master
+            by_master[master] = by_master.get(master, 0) + nbytes
+            then(*args)
         if self._waiting:
-            self._burst(self._waiting.popleft())
+            self._burst(*self._waiting.popleft())
         else:
             self._held = False
-
-    def _complete(self, transaction: _Transaction) -> None:
-        nbytes = transaction.nbytes
-        self.bytes_moved.count += nbytes
-        by_master = self.bytes_by_master
-        by_master[transaction.master] = by_master.get(transaction.master, 0) + nbytes
-        transaction.then(*transaction.args)
 
     def utilization(self, now: float | None = None) -> float:
         """Fraction of elapsed time the bus was held by some master."""

@@ -9,14 +9,17 @@ Work is asked for one way: ``cpu.execute_then(cycles, "os-send", then,
 (queueing included).  The CPU serves its queue from callbacks: one
 timed queue entry per work item, then one zero-delay completion entry
 that calls ``then`` -- after the entries already queued for that
-instant.  A process that must wait on the CPU hands it an event's
-``trigger`` and yields the event.
+instant.  The CPU pushes both entries onto the kernel's queue itself
+(see :mod:`repro.sim.core`): an idle CPU books the work and queues its
+timed entry in the request's own frame.  A process that must wait on
+the CPU hands it an event's ``trigger`` and yields the event.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.sim.core import Simulator
@@ -35,9 +38,9 @@ class CpuSpec:
     instructions_per_cycle: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
+        if not self.clock_hz > 0:
             raise ValueError("clock must be positive")
-        if self.instructions_per_cycle <= 0:
+        if not self.instructions_per_cycle > 0:
             raise ValueError("IPC must be positive")
 
     @property
@@ -52,8 +55,8 @@ class CpuSpec:
 
     def seconds_for(self, cycles: float) -> float:
         """Wall time for *cycles* of work."""
-        if cycles < 0:
-            raise ValueError("negative cycle count")
+        if not cycles >= 0:
+            raise ValueError(f"cycle count must be >= 0, got {cycles!r}")
         return cycles * self.cycle_time
 
 
@@ -87,33 +90,40 @@ class HostCpu:
 
         Work requests queue FIFO behind whatever the CPU is doing; the
         call comes from a zero-delay entry of its own once the work has
-        run.
+        run.  On an idle CPU the work starts here: this frame books it
+        and queues its timed entry.
         """
-        if cycles < 0:
-            raise ValueError("negative cycle count")
+        if not cycles >= 0:
+            raise ValueError(f"cycle count must be >= 0, got {cycles!r}")
         if self._running:
             self._waiting.append((cycles, tag, then, args))
-        else:
-            self._start(cycles, tag, then, args)
-
-    def _start(
-        self, cycles: float, tag: str, then: Callable[..., Any], args: tuple[Any, ...]
-    ) -> None:
+            return
         self._running = True
         duration = cycles * self._cycle_time
         self._busy_time += duration
         by_tag = self.cycles_by_tag
         by_tag[tag] = by_tag.get(tag, 0.0) + cycles
-        self.sim.schedule_call(duration, self._then_finish, then, args)
+        sim = self.sim
+        sequence = sim._sequence + 1
+        sim._sequence = sequence
+        heappush(
+            sim._queue,
+            (sim._now + duration, sequence, self._then_finish, (then, args)),
+        )
 
     def _finish(self, then: Callable[..., Any], args: tuple[Any, ...]) -> None:
         # The caller continues from its own zero-delay entry, after the
         # entries already queued for this instant -- not inside this one.
-        self.sim.schedule_call(0.0, then, *args)
+        sim = self.sim
+        sequence = sim._sequence + 1
+        sim._sequence = sequence
+        heappush(sim._queue, (sim._now, sequence, then, args))
+        self._running = False
         if self._waiting:
-            self._start(*self._waiting.popleft())
-        else:
-            self._running = False
+            # The oldest waiting item starts on the idle CPU as if just
+            # requested, so every item is booked by one rule.
+            cycles, tag, waiting_then, waiting_args = self._waiting.popleft()
+            self.execute_then(cycles, tag, waiting_then, *waiting_args)
 
     # -- readouts -------------------------------------------------------------
 

@@ -9,13 +9,16 @@ which is what the default two-engine wiring in :mod:`repro.nic.nic`
 reproduces.  The engine is a small state machine driven by callbacks:
 setup, the bus transaction (whose last burst starts the writeback), the
 completion writeback, which calls the requester back and then sets up
-the next queued transfer.
+the next queued transfer.  The engine pushes its setup and writeback
+entries onto the kernel's queue itself (see :mod:`repro.sim.core`); the
+setup entry calls the bus's ``transfer_then`` directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Callable, Deque, Optional
 
 from repro.host.bus import SystemBus
@@ -38,7 +41,7 @@ class DmaSpec:
     completion_time: float = 4e-7
 
     def __post_init__(self) -> None:
-        if self.setup_time < 0 or self.completion_time < 0:
+        if not (self.setup_time >= 0 and self.completion_time >= 0):
             raise ValueError("DMA times must be >= 0")
 
 
@@ -64,41 +67,79 @@ class DmaEngine:
         #: Observability hook (repro.obs), copied from the simulator: a
         #: TraceRecorder, or None.
         self.trace = sim.trace
-        # Each step the kernel or the bus calls back, bound once: every
+        # Each step the kernel or the bus calls back, and the bus's
+        # transfer that each setup entry starts, bound once: every
         # transfer hands on these objects.
-        self._then_set_up = self._set_up
+        self._then_transfer_then = bus.transfer_then
         self._then_write_back = self._write_back
         self._then_finish = self._finish
 
     def transfer_then(
         self, nbytes: int, then: Callable[..., Any], *args: Any
     ) -> None:
-        """Move *nbytes* across the bus, then call ``then(*args)``."""
+        """Move *nbytes* across the bus, then call ``then(*args)``.
+
+        An idle engine sets the transfer up in this frame: it queues the
+        setup entry.
+        """
         if nbytes < 0:
             raise ValueError("negative DMA size")
         transfer = (nbytes, then, args, self.sim._now)
         if self._active:
             self._waiting.append(transfer)
-        else:
-            self._start(transfer)
-
-    def _start(self, transfer: _Transfer) -> None:
+            return
         self._active = True
         if self.trace is not None:
-            self.trace.emit("dma.start", actor=self.name, bytes=transfer[0])
+            self.trace.emit("dma.start", actor=self.name, bytes=nbytes)
         # Setup, arbitrated bus walk (the rx and tx engines share the
-        # bus), completion writeback.
-        self.sim.schedule_call(self.spec.setup_time, self._then_set_up, transfer)
-
-    def _set_up(self, transfer: _Transfer) -> None:
-        nbytes = transfer[0]
+        # bus), completion writeback: the setup entry starts the bus
+        # transaction, whose last burst calls ``_write_back``.  A
+        # transfer of no bytes skips the bus.
         if nbytes > 0:
-            self.bus.transfer_then(nbytes, self.name, self._then_write_back, transfer)
+            step, step_args = self._then_transfer_then, (
+                nbytes, self.name, self._then_write_back, transfer,
+            )
         else:
-            self._write_back(transfer)
+            step, step_args = self._then_write_back, (transfer,)
+        sim = self.sim
+        sequence = sim._sequence + 1
+        sim._sequence = sequence
+        heappush(
+            sim._queue, (sim._now + self.spec.setup_time, sequence, step, step_args)
+        )
+
+    def _start(self, transfer: _Transfer) -> None:
+        """Set up a queued transfer, as ``transfer_then`` sets up a new
+        one on an idle engine."""
+        nbytes = transfer[0]
+        if self.trace is not None:
+            self.trace.emit("dma.start", actor=self.name, bytes=nbytes)
+        if nbytes > 0:
+            step, step_args = self._then_transfer_then, (
+                nbytes, self.name, self._then_write_back, transfer,
+            )
+        else:
+            step, step_args = self._then_write_back, (transfer,)
+        sim = self.sim
+        sequence = sim._sequence + 1
+        sim._sequence = sequence
+        heappush(
+            sim._queue, (sim._now + self.spec.setup_time, sequence, step, step_args)
+        )
 
     def _write_back(self, transfer: _Transfer) -> None:
-        self.sim.schedule_call(self.spec.completion_time, self._then_finish, transfer)
+        sim = self.sim
+        sequence = sim._sequence + 1
+        sim._sequence = sequence
+        heappush(
+            sim._queue,
+            (
+                sim._now + self.spec.completion_time,
+                sequence,
+                self._then_finish,
+                (transfer,),
+            ),
+        )
 
     def _finish(self, transfer: _Transfer) -> None:
         nbytes, then, args, started = transfer

@@ -42,9 +42,9 @@ class InterruptSpec:
     coalesce_window: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.entry_cycles < 0 or self.exit_cycles < 0:
+        if not (self.entry_cycles >= 0 and self.exit_cycles >= 0):
             raise ValueError("interrupt cycle costs must be >= 0")
-        if self.coalesce_window < 0:
+        if not self.coalesce_window >= 0:
             raise ValueError("coalesce window must be >= 0")
 
 

@@ -68,7 +68,7 @@ class EngineSpec:
     clock_hz: float
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
+        if not self.clock_hz > 0:
             raise ValueError("engine clock must be positive")
 
     @property
@@ -76,8 +76,8 @@ class EngineSpec:
         return 1.0 / self.clock_hz
 
     def seconds_for(self, cycles: float) -> float:
-        if cycles < 0:
-            raise ValueError("negative cycle count")
+        if not cycles >= 0:
+            raise ValueError(f"cycle count must be >= 0, got {cycles!r}")
         return cycles / self.clock_hz
 
     def at_clock(self, clock_hz: float) -> "EngineSpec":
@@ -111,8 +111,10 @@ class Charge:
         position: Optional[CellPosition] = None,
     ) -> None:
         for op, cycles in ops.items():
-            if cycles < 0:
-                raise ValueError(f"negative cycle count for {op}")
+            if not cycles >= 0:
+                raise ValueError(
+                    f"cycle count for {op} must be >= 0, got {cycles!r}"
+                )
         self.ops = ops
         self.cycles: float = sum(ops.values())
         self.tag = tag

@@ -57,8 +57,8 @@ class EngineClock:
         wedged or preempted engine starves its receive FIFO.  Multiple
         requests accumulate.
         """
-        if duration < 0:
-            raise ValueError("negative stall duration")
+        if not duration >= 0:
+            raise ValueError(f"stall duration must be >= 0, got {duration!r}")
         self._stall_pending += duration
 
     def work(self, charge: Charge, then: Callable[..., Any], *args: Any) -> None:

@@ -206,7 +206,8 @@ class HostNetworkInterface:
         # Each cell that leaves a context open (re)arms its timer, so a
         # context expires ``reassembly_timeout`` after its latest cell
         # (as the sweep sees it, within one tick) unless it closes first
-        # (completion, failed check, quota), which disarms the timer.
+        # (completion, failed check, quota, teardown), which disarms the
+        # timer.
         self.rx_engine.on_context_activity = self.reassembly_timers.touch
         self.rx_engine.on_context_closed = self.reassembly_timers.disarm
 
@@ -300,8 +301,9 @@ class HostNetworkInterface:
         if self.vc_table.lookup(address) is None:
             raise ValueError(f"VC {address} is not open on {self.name}")
         self.sar_glue.check_sdu(len(sdu), user_indication)
-        self.start()
-        posted = self.sim.event()
+        if not self._started:
+            self.start()
+        posted = Event(self.sim)
         self.os.send_then(
             len(sdu), self._then_post_descriptor, address, sdu, user_indication,
             posted,

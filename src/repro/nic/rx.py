@@ -141,9 +141,10 @@ class RxEngine:
         #: progress; the owner uses it to (re)arm reassembly timers.
         self.on_context_activity: Optional[Callable[[VcAddress], None]] = None
         #: Called with the VC address whenever its reassembly context
-        #: closes: the PDU completed, failed its check, or was evicted
-        #: by the quota.  The owner uses it to disarm the reassembly
-        #: timer there, before the VC's next PDU can arm it.
+        #: closes: the PDU completed, failed its check, was evicted by
+        #: the quota, or was aborted (timeout or VC teardown).  The owner
+        #: uses it to disarm the reassembly timer there, before the VC's
+        #: next PDU can arm it.
         self.on_context_closed: Optional[Callable[[VcAddress], None]] = None
         #: Called with each management (OAM) cell; the owner implements
         #: the loopback function.
@@ -532,10 +533,14 @@ class RxEngine:
             self.on_context_closed(vc)
 
     def expire_context(self, vc: VcAddress) -> bool:
-        """Reassembly-timeout hook: abort a stale partial PDU."""
+        """Abort *vc*'s partial PDU: the reassembly timer fired, or the
+        VC closed.  Reports the close like every other way a context
+        closes, so a teardown disarms the VC's timer."""
         aborted = self.glue.abort_context(
             self.reassembler, vc, ReassemblyFailure.TIMEOUT
         )
         if aborted:
             self.bufmem.release(vc)
+            if self.on_context_closed is not None:
+                self.on_context_closed(vc)
         return aborted

@@ -7,6 +7,15 @@ of synchronisation: processes (see :mod:`repro.sim.process`) suspend
 on events and are resumed by the event's callbacks when it triggers --
 is queued as ``(time, key, None, event)``.
 
+Five modules push their own entries, in the frame that decides each
+one, so that no cell or PDU step runs a kernel frame to be queued:
+:mod:`repro.nic.engine` (``EngineClock.work``), :mod:`repro.atm.link`
+(``PhysicalLink.send``) and the host's :mod:`repro.host.cpu`,
+:mod:`repro.host.dma` and :mod:`repro.host.bus`.  Each pushes the
+entry :meth:`Simulator.schedule_call` would, taking exactly one
+sequence number, so a change to the entry layout or the key changes
+them too.
+
 Entries fire in ``(time, key)`` order.  The key is the entry's
 scheduling sequence number with its priority folded in (an ``URGENT``
 entry's key lies below every ``NORMAL`` one), so same-time entries fire
@@ -164,8 +173,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -284,8 +293,8 @@ class Simulator:
     ) -> None:
         """Queue *event* to fire *delay* seconds from now (a timer if it
         is due at or after the bound)."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         sequence = self._sequence + 1
         self._sequence = sequence
         when = self._now + delay
@@ -428,8 +437,8 @@ class Simulator:
         The entry is the tuple itself: there is no object to keep and
         nothing to withdraw.  It counts as one processed event.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         sequence = self._sequence + 1
         self._sequence = sequence
         # A NORMAL entry's key is its sequence number itself.

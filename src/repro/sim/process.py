@@ -31,7 +31,7 @@ _PROCESSED = Event._PROCESSED
 class Process(Event):
     """A running generator; also an event that fires on completion."""
 
-    __slots__ = ("generator", "name")
+    __slots__ = ("generator", "name", "_then_resume")
 
     def __init__(
         self,
@@ -46,10 +46,12 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        # Bound once: every wait hands the awaited event this object.
+        self._then_resume = self._resume
         # Kick off the generator as soon as the simulator starts working at
         # the current instant.
         init = Event(sim)
-        init.callbacks.append(self._resume)
+        init.callbacks.append(self._then_resume)
         init._state = Event._TRIGGERED
         sim._schedule(0.0, init, priority=URGENT)
 
@@ -65,9 +67,13 @@ class Process(Event):
                     event._value if event is not self else None
                 )
         except StopIteration as stop:
+            # Finished: drop the bound resume, which refers back to this
+            # process, so the process is freed without the cycle collector.
+            del self._then_resume
             self.trigger(stop.value)
             return
         except BaseException as exc:  # body raised: fail the process event
+            del self._then_resume
             self.fail(exc)
             return
         self._wait_on(target)
@@ -87,4 +93,4 @@ class Process(Event):
         if target._state == _PROCESSED:
             self._resume(target)
         else:
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self._then_resume)

@@ -140,6 +140,9 @@ class WrrTxQueue:
         #: Consumers waiting in :meth:`pull` for a descriptor, oldest first.
         self._consumers: Deque[Callable[[Any], Any]] = deque()
         self._started = False
+        # Bound once: every descriptor hands on these objects.
+        self._then_take = self._take
+        self._then_pump = self._pump
 
     def __len__(self) -> int:
         return len(self.wrr)
@@ -148,14 +151,14 @@ class WrrTxQueue:
         """Start draining the ring (idempotent)."""
         if not self._started:
             self._started = True
-            self.ring.pull(self._take)
+            self.ring.pull(self._then_take)
 
     def _take(self, descriptor) -> None:
         # The pump queues the descriptor from an entry of its own.  The
         # ring's pull resumes the producer it admitted only after this
         # callback returns, so a pump that pulled again in here would
         # resume later producers first (last admitted, first resumed).
-        self.sim.schedule_call(0.0, self._pump, descriptor)
+        self.sim.schedule_call(0.0, self._then_pump, descriptor)
 
     def _pump(self, descriptor) -> None:
         key = descriptor.vc
@@ -169,7 +172,7 @@ class WrrTxQueue:
         self.wrr.push(key, descriptor)
         while self._consumers and len(self.wrr):
             self._consumers.popleft()(self.wrr.pop())
-        self.ring.pull(self._take)
+        self.ring.pull(self._then_take)
 
     def pull(self, consumer: Callable[[Any], Any]) -> None:
         """Call ``consumer(descriptor)`` with the next WRR descriptor.

@@ -87,6 +87,30 @@ class TestSystemBus:
         sim.run()
         assert finished["short"] < finished["long"]
 
+    def test_a_multi_burst_transaction_rejoins_behind_a_waiting_master(
+        self, sim
+    ):
+        # "long" is 250 words: bursts of 128 and 122.  "short" (16 words)
+        # asks while the first burst holds the bus, so when that burst
+        # ends "long" rejoins the queue behind it with its 122 words left.
+        bus = SystemBus(sim, TURBOCHANNEL)
+        finished = {}
+
+        def done(name):
+            finished[name] = sim.now
+
+        bus.transfer_then(1000, "long", done, "long")
+        bus.transfer_then(64, "short", done, "short")
+        assert [entry[:3] for entry in bus._waiting] == [(16, 64, "short")]
+        sim.step()  # the first burst ends; "short" holds the bus
+        assert [entry[:3] for entry in bus._waiting] == [(122, 1000, "long")]
+        sim.run()
+        cycle = TURBOCHANNEL.cycle_time
+        assert finished["short"] == pytest.approx((6 + 128 + 6 + 16) * cycle)
+        assert finished["long"] == pytest.approx((6 + 128 + 6 + 16 + 6 + 122) * cycle)
+        assert list(bus.bytes_by_master.items()) == [("short", 64), ("long", 1000)]
+        assert bus.transactions.count == 2
+
     def test_accounting_per_master(self, sim):
         bus = SystemBus(sim, TURBOCHANNEL)
         bus.transfer_then(1000, "dma-tx", lambda: None)

@@ -26,6 +26,9 @@ import pytest
 
 import repro
 import repro.atm.link as link_module
+import repro.host.bus as bus_module
+import repro.host.cpu as cpu_module
+import repro.host.dma as dma_module
 import repro.nic.engine as engine_module
 import repro.results.experiments as experiments
 import repro.scale.experiment as scale_experiment
@@ -190,7 +193,7 @@ def test_quickstart_python_calls():
     sim, delivered = _quickstart()
     calls = _python_calls(sim.run, until=0.05)
     assert len(delivered) == 5
-    assert calls == 21419
+    assert calls == 21110
 
 
 def test_small_pdus_exchange():
@@ -205,7 +208,24 @@ def test_small_pdus_python_calls():
     sim, delivered = _small_pdus()
     calls = _python_calls(sim.run, until=0.05)
     assert len(delivered) == 64
-    assert calls == 10081
+    assert calls == 8672
+
+
+def test_small_pdus_host_steps_queue_their_own_entries(monkeypatch):
+    # The CPU, the DMA engines and the bus push each entry in the frame
+    # that decides it: the run never calls Simulator.schedule_call.
+    sim, delivered = _small_pdus()
+    scheduled = []
+    schedule_call = Simulator.schedule_call
+
+    def recording(self, delay, fn, *args):
+        scheduled.append(fn)
+        schedule_call(self, delay, fn, *args)
+
+    monkeypatch.setattr(Simulator, "schedule_call", recording)
+    sim.run(until=0.05)
+    assert len(delivered) == 64
+    assert scheduled == []
 
 
 def test_signalled_sessions_exchange():
@@ -251,7 +271,7 @@ def test_signalled_sessions_python_calls():
     sim, engine, _caller_sig, _callee_sig = _signalled_sessions()
     calls = _python_calls(sim.run, until=0.02)
     assert engine.sessions_released.count == 12
-    assert calls == 10935
+    assert calls == 9432
 
 
 def test_released_routes_leave_no_port_books():
@@ -310,9 +330,10 @@ def test_released_sessions_leave_no_connection_state(monkeypatch):
 def _queued_entries(monkeypatch):
     """Keep every entry pushed onto the kernel's heaps from now on.
 
-    The kernel, the engine clock and the link each push their own
-    entries.  The list holds every entry, and so every callable in one,
-    alive: no two of them can share an ``id``.
+    The kernel, the engine clock, the link and the host's CPU, DMA
+    engine and bus each push their own entries.  The list holds every
+    entry, and so every callable in one, alive: no two of them can
+    share an ``id``.
     """
     queued = []
 
@@ -320,7 +341,9 @@ def _queued_entries(monkeypatch):
         queued.append(entry)
         heappush(heap, entry)
 
-    for module in (core, engine_module, link_module):
+    for module in (
+        core, engine_module, link_module, cpu_module, dma_module, bus_module
+    ):
         monkeypatch.setattr(module, "heappush", pushing)
     return queued
 
@@ -383,7 +406,9 @@ def test_each_pdu_step_queues_one_continuation(monkeypatch):
     steps = {function.__qualname__ for _owner, function in objects}
     assert {
         "HostCpu._finish",
-        "DmaEngine._set_up",
+        "SystemBus.transfer_then",
+        "DmaEngine._write_back",
+        "DmaEngine._finish",
         "SystemBus._burst_done",
         "InterruptController._handled",
         "HostOs.receive_post_interrupt_then",

@@ -202,6 +202,30 @@ class TestRxPipeline:
         assert reassembler.active_contexts() == 0
         assert b.buffer_memory.used_cells == 0
 
+    @pytest.mark.parametrize("teardown", [True, False])
+    def test_a_lost_tail_expires_once_unless_the_vc_closes(self, sim, teardown):
+        # A PDU loses its EOF cell, so its context stays open and the
+        # VC's reassembly timer (0.5 s) stays armed.  Closing the VC
+        # aborts the context and disarms the timer, so the sweep counts
+        # no expiry; left open, the context expires once.
+        nic = build_nic(sim)
+        vc = nic.open_vc(address=VcAddress(0, 100))
+        nic.start()
+        for cell in Aal5Segmenter(vc.address).segment(bytes(500))[:-1]:
+            nic.rx_engine.receive_cell(cell)
+        sim.run(until=0.01)
+        timers = nic.reassembly_timers
+        assert timers.deadline_of(vc.address) is not None
+        if teardown:
+            nic.close_vc(vc.address)
+            assert timers.deadline_of(vc.address) is None
+        sim.run(until=1.0)
+        reassembler = nic.rx_engine.reassembler
+        assert timers.expirations.count == (0 if teardown else 1)
+        assert reassembler.stats.failure_count(ReassemblyFailure.TIMEOUT) == 1
+        assert reassembler.active_contexts() == 0
+        assert nic.buffer_memory.used_cells == 0
+
     def test_buffer_memory_reclaimed_after_delivery(self, sim):
         nic = build_nic(sim)
         vc = nic.open_vc(address=VcAddress(0, 100))

@@ -2,8 +2,19 @@
 
 import pytest
 
+from repro.atm.link import STS3C_155, LinkSpec, PhysicalLink
+from repro.host import BusSpec, CpuSpec, DmaSpec, HostCpu, InterruptSpec
+from repro.host.cpu import R3000_25MHZ
+from repro.nic.costs import Charge, EngineSpec
+from repro.nic.engine import EngineClock
 from repro.sim import SimulationError, Simulator
 from repro.sim.core import URGENT, Event
+
+NAN = float("nan")
+
+
+def _idle() -> None:
+    """A continuation that does nothing."""
 
 
 class TestClock:
@@ -120,6 +131,52 @@ class TestOrdering:
     def test_timeout_negative_delay_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
+
+    # NaN fails every ``x < 0`` test, so each of these once took it and
+    # queued an entry at time NaN: it stayed at the heap's head, nothing
+    # after it fired, and run() returned as if idle.
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda sim: sim.schedule_call(NAN, _idle), id="schedule_call"),
+            pytest.param(lambda sim: sim.event().trigger(delay=NAN), id="trigger"),
+            pytest.param(lambda sim: sim.timeout(NAN), id="Timeout"),
+            pytest.param(
+                lambda sim: HostCpu(sim, R3000_25MHZ).execute_then(NAN, "t", _idle),
+                id="execute_then",
+            ),
+            pytest.param(lambda sim: R3000_25MHZ.seconds_for(NAN), id="cpu-seconds_for"),
+            pytest.param(lambda sim: CpuSpec("c", NAN), id="cpu-clock"),
+            pytest.param(lambda sim: CpuSpec("c", 1e6, NAN), id="cpu-ipc"),
+            pytest.param(lambda sim: BusSpec("b", NAN, 4, 6, 128), id="bus-clock"),
+            pytest.param(lambda sim: BusSpec("b", 1e6, 4, NAN, 128), id="bus-setup"),
+            pytest.param(lambda sim: BusSpec("b", 1e6, 4, 6, NAN), id="bus-burst"),
+            pytest.param(lambda sim: DmaSpec(setup_time=NAN), id="dma-setup"),
+            pytest.param(lambda sim: DmaSpec(completion_time=NAN), id="dma-completion"),
+            pytest.param(lambda sim: InterruptSpec(entry_cycles=NAN), id="irq-entry"),
+            pytest.param(lambda sim: InterruptSpec(exit_cycles=NAN), id="irq-exit"),
+            pytest.param(lambda sim: InterruptSpec(coalesce_window=NAN), id="irq-window"),
+            pytest.param(lambda sim: EngineSpec("e", NAN), id="engine-clock"),
+            pytest.param(
+                lambda sim: EngineSpec("e", 25e6).seconds_for(NAN), id="engine-seconds_for"
+            ),
+            pytest.param(lambda sim: Charge({"op": NAN}, "t", "tx"), id="charge-op"),
+            pytest.param(
+                lambda sim: EngineClock(sim, EngineSpec("e", 25e6)).request_stall(NAN),
+                id="engine-stall",
+            ),
+            pytest.param(lambda sim: LinkSpec("l", 1e8, NAN), id="link-payload-rate"),
+            pytest.param(lambda sim: LinkSpec("l", NAN, 1e8), id="link-line-rate"),
+            pytest.param(
+                lambda sim: PhysicalLink(sim, STS3C_155, propagation_delay=NAN),
+                id="link-propagation",
+            ),
+        ],
+    )
+    def test_nan_is_refused_before_it_reaches_the_queue(self, sim, make):
+        with pytest.raises((ValueError, SimulationError)):
+            make(sim)
+        assert sim.pending_events() == 0
 
     def test_step_processes_one_event(self, sim):
         hits = []
